@@ -6,7 +6,7 @@ tables           half-power coefficients, mode ratios and sidelobe levels
 af-curve         normalized power vs probe range from the closed forms
 beamdepth-sweep  beamdepth vs target range, with divergence metadata
 validate         direct element summation vs closed forms on broadside
-dump-geometry    element positions of one array as CSV
+dump-geometry    element positions of one array
 
 Outputs are CSV (''#''-prefixed metadata lines, then a header row) or JSON
 (a metadata object plus an array of row records).  Identical inputs give
@@ -17,11 +17,13 @@ failure, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict
+from enum import Enum
 
 import numpy as np
 
@@ -29,29 +31,14 @@ from . import __version__
 from .ambiguity import broadside_power_sweep
 from .closed_form import (GeometryKind, ProcessingMode, af_argument,
                           normalized_af_power, vergence_difference)
-from .geometry import (build_array, export_geometry_csv, fraunhofer_distance,
-                       simo_miso_setup)
+from .geometry import build_array, simo_miso_setup
 from .metrics import (beamdepth, compute_metrics, half_power_coefficient,
                       half_power_distances, max_nearfield_range)
 
 DB_FLOOR = -60.0
 DEVIATION_THRESHOLD = 0.02  # of the unit mainlobe peak
 CROSSING_THRESHOLD = 0.03   # relative, in distance
-
-_DEFAULTS = {
-    "kind": "ula,uca,ura,upca",
-    "mode": "both",
-    "aperture_lambda": 50.0,
-    "target_lambda": 100.0,
-    "wavelength": 1.0,
-    "format": "csv",
-    "out": "-",
-}
-_SWEEP_DEFAULTS = {
-    "af-curve": "50:400:2000",
-    "beamdepth-sweep": "10:1200:500",
-    "validate": "0:0:3001",  # validate picks its own window; only points used
-}
+MAX_SWEEP_POINTS = 100_000  # validate sweeps four times as many on its wide grid
 
 
 class UsageError(Exception):
@@ -67,29 +54,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass
-class RunConfig:
-    command: str
-    kinds: list
-    modes: list
-    aperture_lambda: float
-    target_lambda: float
-    wavelength: float
-    sweep: tuple
-    out: str
-    fmt: str
-
-
 def _parse_kinds(text: str) -> list:
     names = [t.strip().lower() for t in text.split(",") if t.strip()]
     if not names:
-        raise UsageError("at least one geometry kind is required")
+        raise argparse.ArgumentTypeError("at least one geometry kind is required")
     kinds = []
     for name in names:
         try:
             kind = GeometryKind(name)
         except ValueError:
-            raise UsageError(f"unknown kind {name!r} (choose from ula, uca, ura, upca)")
+            raise argparse.ArgumentTypeError(
+                f"unknown kind {name!r} (choose from ula, uca, ura, upca)")
         if kind not in kinds:
             kinds.append(kind)
     return kinds
@@ -105,33 +80,66 @@ def _parse_modes(text: str) -> list:
         "both": [ProcessingMode.SIMO_MISO, ProcessingMode.MIMO],
     }
     if key not in table:
-        raise UsageError(f"unknown mode {text!r} (choose simo, mimo or both)")
+        raise argparse.ArgumentTypeError(
+            f"unknown mode {text!r} (choose simo, mimo or both)")
     return table[key]
 
 
 def _parse_sweep(text: str) -> tuple:
     parts = text.split(":")
     if len(parts) != 3:
-        raise UsageError(f"sweep must be start:stop:points, got {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"sweep must be start:stop:points, got {text!r}")
     try:
         start, stop, points = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
-        raise UsageError(f"bad sweep value {text!r}")
-    if points < 2:
-        raise UsageError("sweep needs at least 2 points")
+        raise argparse.ArgumentTypeError(f"bad sweep value {text!r}")
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise argparse.ArgumentTypeError(f"sweep ends must be finite, got {text!r}")
+    if not 2 <= points <= MAX_SWEEP_POINTS:
+        raise argparse.ArgumentTypeError(
+            f"sweep needs 2 to {MAX_SWEEP_POINTS} points, got {points}")
     if not (start < stop or (start == stop == 0.0)):
-        raise UsageError("sweep start must be below stop")
+        raise argparse.ArgumentTypeError("sweep start must be below stop")
     return start, stop, points
 
 
-def _parse_positive(text, name: str) -> float:
+def _parse_positive(text: str) -> float:
     try:
         value = float(text)
-    except (TypeError, ValueError):
-        raise UsageError(f"{name} must be a number, got {text!r}")
-    if not value > 0:
-        raise UsageError(f"{name} must be positive, got {value}")
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a number, got {text!r}")
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be positive and finite, got {value}")
     return value
+
+
+def _parse_format(text: str) -> str:
+    # checked here, not by choices=, so that a config-file value is checked too
+    if text.lower() not in ("csv", "json"):
+        raise argparse.ArgumentTypeError(
+            f"unknown format {text!r} (choose csv or json)")
+    return text.lower()
+
+
+# flag, type, default, help; every command takes every flag
+_FLAGS = (
+    ("--kind", _parse_kinds, "ula,uca,ura,upca", "comma-separated: ula,uca,ura,upca"),
+    ("--mode", _parse_modes, "both", "simo, mimo or both"),
+    ("--aperture-lambda", _parse_positive, "50", "aperture D in wavelengths"),
+    ("--target-lambda", _parse_positive, "100", "target range d' in wavelengths"),
+    ("--wavelength", _parse_positive, "1", "wavelength in meters"),
+    ("--sweep", _parse_sweep, "0:0:2", "grid as start:stop:points (wavelengths)"),
+    ("--format", _parse_format, "csv", "csv or json"),
+    ("--out", str, "-", "output path, - for stdout"),
+)
+_CONFIG_KEYS = {flag[2:].replace("-", "_") for flag, *_ in _FLAGS}
+_SWEEP_DEFAULTS = {
+    "af-curve": "50:400:2000",
+    "beamdepth-sweep": "10:1200:500",
+    "validate": "0:0:3001",  # validate picks its own window; only points used
+}
 
 
 def _load_config_file(path: str) -> dict:
@@ -146,187 +154,167 @@ def _load_config_file(path: str) -> dict:
                     raise UsageError(f"{path}:{lineno}: expected key = value")
                 key, _, value = line.partition("=")
                 key = key.strip().lower().replace("-", "_")
+                if key not in _CONFIG_KEYS:
+                    raise UsageError(f"unknown config key {key!r} in {path}")
                 values[key] = value.strip()
     except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc}")
-    known = set(_DEFAULTS) | {"sweep"}
-    for key in values:
-        if key not in known:
-            raise UsageError(f"unknown config key {key!r} in {path}")
     return values
 
 
-def _resolve(args, key: str, file_values: dict):
-    cli_value = getattr(args, key.replace("-", "_"), None)
-    if cli_value is not None:
-        return cli_value
-    if key in file_values:
-        return file_values[key]
-    if key == "sweep":
-        return _SWEEP_DEFAULTS.get(args.command, "0:0:2")
-    return _DEFAULTS[key]
+def _check_lengths(**meters) -> None:
+    """Reject lengths in meters that are not finite and positive."""
+    for name, value in meters.items():
+        if not 0.0 < value < math.inf:
+            raise UsageError(f"{name} = {value:g} is not a finite positive length")
 
 
-def _build_config(args) -> RunConfig:
-    file_values = _load_config_file(args.config) if args.config else {}
-    return RunConfig(
-        command=args.command,
-        kinds=_parse_kinds(str(_resolve(args, "kind", file_values))),
-        modes=_parse_modes(str(_resolve(args, "mode", file_values))),
-        aperture_lambda=_parse_positive(
-            _resolve(args, "aperture_lambda", file_values), "aperture-lambda"),
-        target_lambda=_parse_positive(
-            _resolve(args, "target_lambda", file_values), "target-lambda"),
-        wavelength=_parse_positive(
-            _resolve(args, "wavelength", file_values), "wavelength"),
-        sweep=_parse_sweep(str(_resolve(args, "sweep", file_values))),
-        out=str(_resolve(args, "out", file_values)),
-        fmt=str(_resolve(args, "format", file_values)).lower(),
-    )
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        if math.isinf(value):
-            return "inf"
-        return f"{value:.12g}"
-    if isinstance(value, GeometryKind):
-        return value.name
-    if isinstance(value, ProcessingMode):
-        return value.name
-    return str(value)
-
-
-def _jsonable(value):
-    if isinstance(value, float):
-        return "inf" if math.isinf(value) else value
-    if isinstance(value, (GeometryKind, ProcessingMode)):
-        return value.name
-    return value
-
-
-def _emit(config: RunConfig, metadata: dict, rows: list) -> None:
-    if config.fmt not in ("csv", "json"):
-        raise UsageError(f"unknown format {config.fmt!r} (choose csv or json)")
+def _fraunhofer_m(aperture: float, lam: float) -> float:
+    """2 D^2 / lambda in meters, inf where D^2 overflows."""
     try:
-        stream = sys.stdout if config.out == "-" else open(config.out, "w",
-                                                           encoding="utf-8",
-                                                           newline="")
-        try:
-            if config.fmt == "csv":
+        return 2.0 * aperture ** 2 / lam
+    except OverflowError:
+        return math.inf
+
+
+def _sweep_grid(args) -> np.ndarray:
+    """The --sweep grid in meters."""
+    start, stop, points = args.sweep
+    lam = args.wavelength
+    _check_lengths(sweep_start_m=start * lam, sweep_stop_m=stop * lam)
+    return np.linspace(start * lam, stop * lam, points)
+
+
+@contextlib.contextmanager
+def _rejected_input():
+    """Report a library ValueError (an input out of its domain) as a usage error."""
+    try:
+        yield
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
+def _format(values: list, text: bool) -> list:
+    """One column as CSV text (text=True) or JSON values.
+
+    The column's first value picks the rule for all of them: enums by name,
+    floats to 12 significant digits in CSV and infinities as "inf".
+    """
+    first = values[0] if values else None
+    if isinstance(first, Enum):
+        return [v.name for v in values]
+    if isinstance(first, float):
+        if text:
+            return list(map("{:.12g}".format, values))
+        return ["inf" if math.isinf(v) else v for v in values]
+    return list(map(str, values)) if text else values
+
+
+def _emit(args, metadata: dict, columns: dict) -> None:
+    """Write metadata and equal-length named columns in the chosen format."""
+    text = args.format == "csv"
+    metadata = {key: _format([value], text)[0] for key, value in metadata.items()}
+    cells = [_format(values, text) for values in columns.values()]
+    try:
+        with (contextlib.nullcontext(sys.stdout) if args.out == "-" else
+              open(args.out, "w", encoding="utf-8", newline="")) as stream:
+            if text:
                 for key, value in metadata.items():
-                    stream.write(f"# {key} = {_fmt(value)}\n")
+                    stream.write(f"# {key} = {value}\n")
                 writer = csv.writer(stream, lineterminator="\n")
-                if rows:
-                    writer.writerow(list(rows[0].keys()))
-                    for row in rows:
-                        writer.writerow([_fmt(v) for v in row.values()])
+                writer.writerow(columns)
+                writer.writerows(zip(*cells))
             else:
-                doc = {
-                    "metadata": {k: _jsonable(v) for k, v in metadata.items()},
-                    "rows": [{k: _jsonable(v) for k, v in row.items()}
-                             for row in rows],
-                }
+                doc = {"metadata": metadata,
+                       "rows": [dict(zip(columns, row)) for row in zip(*cells)]}
                 json.dump(doc, stream, indent=2, allow_nan=False)
                 stream.write("\n")
-        finally:
-            if stream is not sys.stdout:
-                stream.close()
     except OSError as exc:
-        raise IOError(f"cannot write output {config.out!r}: {exc}") from exc
+        raise IOError(f"cannot write output {args.out!r}: {exc}") from exc
 
 
-def _base_metadata(config: RunConfig) -> dict:
-    return {"tool": "nfsense", "version": __version__, "command": config.command}
+def _base_metadata(args) -> dict:
+    return {"tool": "nfsense", "version": __version__, "command": args.command}
 
 
-def cmd_tables(config: RunConfig) -> int:
-    metadata = _base_metadata(config)
+def cmd_tables(args) -> int:
+    metadata = _base_metadata(args)
     metadata["x3db_tolerance"] = 1e-9
     metadata["sidelobe_scan_max_x"] = 50.0
-    rows = []
-    for kind in config.kinds:
-        m = compute_metrics(kind)
-        rows.append({
-            "kind": m.kind, "argument_scale": m.argument_scale,
-            "x3db_simo": m.x3db_simo, "x3db_mimo": m.x3db_mimo,
-            "alpha_simo": m.alpha_simo, "alpha_mimo": m.alpha_mimo,
-            "alpha_ratio": m.alpha_ratio,
-            "psl_simo_db": m.psl_simo_db, "psl_mimo_db": m.psl_mimo_db,
-        })
-    _emit(config, metadata, rows)
+    rows = [asdict(compute_metrics(kind)) for kind in args.kind]
+    _emit(args, metadata, {key: [r[key] for r in rows] for key in rows[0]})
     return 0
 
 
-def cmd_af_curve(config: RunConfig) -> int:
-    lam = config.wavelength
-    d_target = config.target_lambda * lam
-    aperture = config.aperture_lambda * lam
-    d_fa = 2.0 * aperture ** 2 / lam
-    start, stop, points = config.sweep
-    distances = np.linspace(start * lam, stop * lam, points)
-    if distances[0] <= 0:
-        raise UsageError("probe distances must be positive")
-    metadata = _base_metadata(config)
+def cmd_af_curve(args) -> int:
+    lam = args.wavelength
+    d_target = args.target_lambda * lam
+    aperture = args.aperture_lambda * lam
+    d_fa = _fraunhofer_m(aperture, lam)
+    _check_lengths(target_m=d_target, fraunhofer_m=d_fa)
+    distances = _sweep_grid(args)
+    metadata = _base_metadata(args)
     metadata.update({
         "lambda_m": lam, "aperture_m": aperture, "target_m": d_target,
         "fraunhofer_m": d_fa, "db_floor": DB_FLOOR,
     })
-    for kind in config.kinds:
-        for mode in config.modes:
+    distances_m = distances.tolist()
+    columns = {"kind": [], "mode": [], "distance_m": [], "power_db": []}
+    for kind in args.kind:
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = af_argument(kind, d_fa, vergence_difference(d_target, distances))
+        if not np.all(np.isfinite(x)):
+            raise UsageError("closed-form argument overflows; "
+                             "probe distances too small for this aperture")
+        for mode in args.mode:
             metadata[f"alpha[{kind.name},{mode.name}]"] = \
                 half_power_coefficient(kind, mode)
-    rows = []
-    for kind in config.kinds:
-        x = kind.argument_scale * d_fa * np.abs(1.0 / d_target - 1.0 / distances)
-        for mode in config.modes:
             power = normalized_af_power(kind, mode, x)
             db = 10.0 * np.log10(np.maximum(power, 1e-300))
             db = np.maximum(db, DB_FLOOR)
-            for dist, val in zip(distances, db):
-                rows.append({"kind": kind, "mode": mode,
-                             "distance_m": float(dist), "power_db": float(val)})
-    _emit(config, metadata, rows)
+            columns["kind"] += [kind] * len(distances_m)
+            columns["mode"] += [mode] * len(distances_m)
+            columns["distance_m"] += distances_m
+            columns["power_db"] += db.tolist()
+    _emit(args, metadata, columns)
     return 0
 
 
-def cmd_beamdepth_sweep(config: RunConfig) -> int:
-    lam = config.wavelength
-    aperture = config.aperture_lambda * lam
-    d_fa = 2.0 * aperture ** 2 / lam
-    start, stop, points = config.sweep
-    targets = np.linspace(start * lam, stop * lam, points)
-    if targets[0] <= 0:
-        raise UsageError("target distances must be positive")
-    metadata = _base_metadata(config)
+def cmd_beamdepth_sweep(args) -> int:
+    lam = args.wavelength
+    aperture = args.aperture_lambda * lam
+    d_fa = _fraunhofer_m(aperture, lam)
+    _check_lengths(fraunhofer_m=d_fa)
+    targets = _sweep_grid(args).tolist()
+    metadata = _base_metadata(args)
     metadata.update({"lambda_m": lam, "aperture_m": aperture, "fraunhofer_m": d_fa})
-    rows = []
-    for kind in config.kinds:
-        for mode in config.modes:
+    columns = {"kind": [], "mode": [], "target_m": [], "beamdepth_m": []}
+    for kind in args.kind:
+        for mode in args.mode:
             coeff = half_power_coefficient(kind, mode)
             metadata[f"alpha[{kind.name},{mode.name}]"] = coeff
             metadata[f"max_nf_range_m[{kind.name},{mode.name}]"] = \
                 max_nearfield_range(d_fa, coeff)
-    for kind in config.kinds:
-        for mode in config.modes:
-            coeff = half_power_coefficient(kind, mode)
-            for d in targets:
-                rows.append({"kind": kind, "mode": mode, "target_m": float(d),
-                             "beamdepth_m": beamdepth(float(d), d_fa, coeff)})
-    _emit(config, metadata, rows)
+            columns["kind"] += [kind] * len(targets)
+            columns["mode"] += [mode] * len(targets)
+            columns["target_m"] += targets
+            columns["beamdepth_m"] += [beamdepth(d, d_fa, coeff) for d in targets]
+    _emit(args, metadata, columns)
     return 0
 
 
-def _validate_series(kind: GeometryKind, config: RunConfig) -> list:
+def _validate_series(kind: GeometryKind, args) -> list:
     """Exact vs closed-form comparison rows for one geometry, both modes."""
-    lam = config.wavelength
-    geometry = build_array(kind, config.aperture_lambda * lam, lam)
-    d_fa = fraunhofer_distance(geometry)
-    d_target = config.target_lambda * lam
+    lam = args.wavelength
+    with _rejected_input():
+        geometry = build_array(kind, args.aperture_lambda * lam, lam)
+    d_fa = _fraunhofer_m(geometry.aperture, lam)
+    d_target = args.target_lambda * lam
+    _check_lengths(target_m=d_target, fraunhofer_m=d_fa)
     setup = simo_miso_setup(geometry)
-    points = max(config.sweep[2], 201)
+    points = max(args.sweep[2], 201)
     rows = []
-    for mode in config.modes:
+    for mode in args.mode:
         coeff = half_power_coefficient(kind, mode)
         d_low, d_high = half_power_distances(d_target, d_fa, coeff)
         if math.isinf(d_high):
@@ -334,16 +322,17 @@ def _validate_series(kind: GeometryKind, config: RunConfig) -> list:
                 f"{kind.name}: target beyond the maximum near-field range; "
                 "no finite mainlobe to validate")
         grid = np.linspace(d_low, d_high, points)
-        exact = broadside_power_sweep(setup, d_target, grid) ** mode.power_exponent
-        x = np.array([af_argument(kind, d_fa, vergence_difference(d_target, d))
-                      for d in grid])
+        # the wide grid locates the exact half-power crossings around the target
+        wide = np.linspace(0.85 * d_low, 1.15 * d_high, 4 * points)
+        wide = wide[wide > 1e-9]
+        with _rejected_input():  # the target or a probe on an element
+            exact = broadside_power_sweep(setup, d_target, grid) ** mode.power_exponent
+            exact_wide = (broadside_power_sweep(setup, d_target, wide)
+                          ** mode.power_exponent)
+        x = af_argument(kind, d_fa, vergence_difference(d_target, grid))
         closed = normalized_af_power(kind, mode, x)
         deviation = np.abs(exact - closed)
         rel = deviation / closed
-        # locate the exact half-power crossings around the target
-        wide = np.linspace(0.85 * d_low, 1.15 * d_high, 4 * points)
-        wide = wide[wide > 1e-9]
-        exact_wide = broadside_power_sweep(setup, d_target, wide) ** mode.power_exponent
         lower = _crossing(wide, exact_wide, d_target, upper=False)
         upper = _crossing(wide, exact_wide, d_target, upper=True)
         err_low = abs(lower - d_low) / d_low if lower is not None else math.inf
@@ -380,19 +369,19 @@ def _crossing(distances, power, d_target, upper: bool):
                  * (distances[i + 1] - distances[i]))
 
 
-def cmd_validate(config: RunConfig) -> int:
-    metadata = _base_metadata(config)
+def cmd_validate(args) -> int:
+    metadata = _base_metadata(args)
     metadata.update({
-        "lambda_m": config.wavelength,
-        "aperture_lambda": config.aperture_lambda,
-        "target_lambda": config.target_lambda,
+        "lambda_m": args.wavelength,
+        "aperture_lambda": args.aperture_lambda,
+        "target_lambda": args.target_lambda,
         "deviation_threshold": DEVIATION_THRESHOLD,
         "crossing_threshold": CROSSING_THRESHOLD,
     })
     rows = []
-    for kind in config.kinds:
-        rows.extend(_validate_series(kind, config))
-    _emit(config, metadata, rows)
+    for kind in args.kind:
+        rows.extend(_validate_series(kind, args))
+    _emit(args, metadata, {key: [r[key] for r in rows] for key in rows[0]})
     failed = [r for r in rows if r["status"] == "fail"]
     for r in rows:
         print(f"validate {r['kind'].name:4s} {r['mode'].name:9s} "
@@ -406,23 +395,15 @@ def cmd_validate(config: RunConfig) -> int:
     return 0
 
 
-def cmd_dump_geometry(config: RunConfig) -> int:
-    if len(config.kinds) != 1:
+def cmd_dump_geometry(args) -> int:
+    if len(args.kind) != 1:
         raise UsageError("dump-geometry takes exactly one kind")
-    geometry = build_array(config.kinds[0],
-                           config.aperture_lambda * config.wavelength,
-                           config.wavelength)
-    try:
-        stream = sys.stdout if config.out == "-" else open(config.out, "w",
-                                                           encoding="utf-8",
-                                                           newline="")
-        try:
-            export_geometry_csv(geometry, stream)
-        finally:
-            if stream is not sys.stdout:
-                stream.close()
-    except OSError as exc:
-        raise IOError(f"cannot write output {config.out!r}: {exc}") from exc
+    with _rejected_input():
+        geometry = build_array(args.kind[0], args.aperture_lambda * args.wavelength,
+                               args.wavelength)
+    columns = {"index": list(range(geometry.n_elements)),
+               **dict(zip("xyz", geometry.elements.T.tolist()))}
+    _emit(args, {}, columns)
     return 0
 
 
@@ -435,34 +416,37 @@ _COMMANDS = {
 }
 
 
-def _build_parser() -> _Parser:
+def _build_parser() -> tuple:
+    """The top-level parser and its subparsers by command name."""
     parser = _Parser(prog="nfsense", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version",
                         version=f"nfsense {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
+    subparsers = {}
     for name in _COMMANDS:
         p = sub.add_parser(name)
-        p.add_argument("--kind", help="comma-separated: ula,uca,ura,upca")
-        p.add_argument("--mode", help="simo, mimo or both")
-        p.add_argument("--aperture-lambda", help="aperture D in wavelengths")
-        p.add_argument("--target-lambda", help="target range d' in wavelengths")
-        p.add_argument("--wavelength", help="wavelength in meters")
-        p.add_argument("--sweep", help="grid as start:stop:points (wavelengths)")
-        p.add_argument("--format", help="csv or json")
-        p.add_argument("--out", help="output path, - for stdout")
+        for flag, parse, default, text in _FLAGS:
+            p.add_argument(flag, type=parse, default=default, help=text)
         p.add_argument("--config", help="key = value file with flag defaults")
-    return parser
+        if name in _SWEEP_DEFAULTS:
+            p.set_defaults(sweep=_SWEEP_DEFAULTS[name])
+        subparsers[name] = p
+    return parser, subparsers
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, subparsers = _build_parser()
     try:
         args = parser.parse_args(argv)
         if args.command is None:
             raise UsageError("a command is required (see --help)")
-        config = _build_config(args)
-        return _COMMANDS[config.command](config)
+        if args.config:
+            # file values become string defaults, which argparse passes
+            # through each flag's type; flags given on the command line win
+            subparsers[args.command].set_defaults(**_load_config_file(args.config))
+            args = parser.parse_args(argv)
+        return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"nfsense: error: {exc}", file=sys.stderr)
         return 1

@@ -35,15 +35,15 @@ __all__ = [
 ]
 
 
-def vergence_difference(d_target: float, d_probe: float) -> float:
-    """|1/d' - 1/d| for target range d' and probe range d (both > 0)."""
-    if not (d_target > 0 and d_probe > 0):
+def vergence_difference(d_target: float, d_probe):
+    """|1/d' - 1/d| for target range d' and probe range(s) d, all > 0."""
+    if not (d_target > 0 and np.all(np.greater(d_probe, 0))):
         raise ValueError("distances must be positive")
     return abs(1.0 / d_target - 1.0 / d_probe)
 
 
-def af_argument(kind: GeometryKind, d_fraunhofer: float, vergence: float) -> float:
-    """Unified argument x = a * d_FA * d_ver for the given layout."""
+def af_argument(kind: GeometryKind, d_fraunhofer: float, vergence):
+    """Unified argument x = a * d_FA * d_ver, d_ver a scalar or an array."""
     if not d_fraunhofer > 0:
         raise ValueError("Fraunhofer distance must be positive")
     return kind.argument_scale * d_fraunhofer * vergence
@@ -87,19 +87,21 @@ def normalized_af_power(kind: GeometryKind, mode: ProcessingMode, x):
     return out
 
 
+# x^2 coefficients of the power series of the single-aperture power:
+#   (C^2 + S^2)(sqrt x) / x = 1 - pi^2 x^2 / 45 + O(x^4), squared for the URA
+#   J0(x)^2 = 1 - x^2 / 2 + O(x^4);  sinc(x)^2 = 1 - (pi x)^2 / 3 + O(x^4)
+_CURVATURE = {
+    GeometryKind.ULA: np.pi ** 2 / 45.0,
+    GeometryKind.UCA: 0.5,
+    GeometryKind.URA: 2.0 * np.pi ** 2 / 45.0,
+    GeometryKind.UPCA: np.pi ** 2 / 3.0,
+}
+
+
 def quadratic_mainlobe_coefficient(kind: GeometryKind) -> float:
     """Curvature coefficient c of the mainlobe model |AF(x)|^2 ~ 1 - c x^2.
 
     c = -(1/2) d^2/dx^2 of the normalized single-aperture power at x = 0,
-    computed by even-symmetry finite differences with one Richardson step
-    (the power is even in x and equals 1 at x = 0).
+    taken from the power series of each layout's closed form.
     """
-    h = 1e-3
-
-    def one_sided(step: float) -> float:
-        val = normalized_af_power(kind, ProcessingMode.SIMO_MISO, step)
-        return (1.0 - val) / step ** 2
-
-    coarse = one_sided(h)
-    fine = one_sided(h / 2.0)
-    return (4.0 * fine - coarse) / 3.0
+    return _CURVATURE[kind]

@@ -13,8 +13,6 @@ all, so the ring must be edge-on to the axis it resolves ranges along.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -23,6 +21,7 @@ import numpy as np
 
 __all__ = [
     "SPEED_OF_LIGHT",
+    "MAX_ELEMENTS",
     "GeometryKind",
     "ProcessingMode",
     "ArrayGeometry",
@@ -37,7 +36,6 @@ __all__ = [
     "effective_aperture_ula",
     "simo_miso_setup",
     "mimo_setup",
-    "export_geometry_csv",
 ]
 
 SPEED_OF_LIGHT = 299792458.0
@@ -45,6 +43,9 @@ SPEED_OF_LIGHT = 299792458.0
 
 # absolute slack on the lambda/2 spacing ceiling and on centering checks
 _TOL = 1e-9
+
+MAX_ELEMENTS = 1_000_000
+"Largest element count a builder accepts; it is checked before allocation."
 
 
 class GeometryKind(Enum):
@@ -105,6 +106,14 @@ class ArrayGeometry:
         return self.elements.shape[0]
 
 
+def _check_count(kind, count, aperture: float, wavelength: float) -> int:
+    """Float element count (inf, NaN too) as an int; ValueError above MAX_ELEMENTS."""
+    if not count <= MAX_ELEMENTS:
+        raise ValueError(f"{kind.name} with D = {aperture:g} m at lambda = "
+                         f"{wavelength:g} m exceeds {MAX_ELEMENTS} elements")
+    return int(count)
+
+
 def _finish(kind, wavelength, positions) -> ArrayGeometry:
     pos = np.asarray(positions, dtype=float)
     pos = pos - pos.mean(axis=0)
@@ -127,7 +136,9 @@ def build_ula(aperture: float, wavelength: float) -> ArrayGeometry:
     """
     if not aperture >= wavelength / 2:
         raise ValueError(f"ULA aperture must be >= lambda/2, got {aperture}")
-    n = int(math.floor(2.0 * aperture / wavelength + _TOL)) + 1
+    n = _check_count(GeometryKind.ULA,
+                     np.floor(2.0 * aperture / wavelength + _TOL) + 1,
+                     aperture, wavelength)
     pos = np.zeros((n, 3))
     pos[:, 0] = (np.arange(n) - (n - 1) / 2.0) * (wavelength / 2.0)
     return _finish(GeometryKind.ULA, wavelength, pos)
@@ -141,7 +152,9 @@ def build_uca(diameter: float, wavelength: float) -> ArrayGeometry:
     """
     if not diameter >= wavelength / 2:
         raise ValueError(f"UCA diameter must be >= lambda/2, got {diameter}")
-    n = int(math.ceil(2.0 * math.pi * diameter / wavelength - _TOL))
+    n = _check_count(GeometryKind.UCA,
+                     np.ceil(2.0 * math.pi * diameter / wavelength - _TOL),
+                     diameter, wavelength)
     theta = 2.0 * math.pi * np.arange(n) / n
     pos = np.zeros((n, 3))
     pos[:, 0] = 0.5 * diameter * np.cos(theta)
@@ -157,7 +170,9 @@ def build_ura(diagonal: float, wavelength: float) -> ArrayGeometry:
     """
     if not diagonal >= wavelength / math.sqrt(2):
         raise ValueError(f"URA diagonal must be >= lambda/sqrt(2), got {diagonal}")
-    n = int(math.floor(math.sqrt(2.0) * diagonal / wavelength + _TOL)) + 1
+    n = float(np.floor(math.sqrt(2.0) * diagonal / wavelength + _TOL)) + 1
+    _check_count(GeometryKind.URA, n * n, diagonal, wavelength)
+    n = int(n)
     grid = (np.arange(n) - (n - 1) / 2.0) * (wavelength / 2.0)
     gx, gy = np.meshgrid(grid, grid, indexing="ij")
     pos = np.column_stack([gx.ravel(), gy.ravel(), np.zeros(n * n)])
@@ -173,11 +188,16 @@ def build_upca(diameter: float, wavelength: float) -> ArrayGeometry:
     """
     if not diameter >= wavelength:
         raise ValueError(f"UPCA diameter must be >= lambda, got {diameter}")
-    n_rings = int(math.floor(diameter / wavelength + _TOL))
+    n_rings = float(np.floor(diameter / wavelength + _TOL))
+    # ring i holds at least 2 pi i elements: bound the ring count first
+    _check_count(GeometryKind.UPCA, math.pi * n_rings * n_rings, diameter,
+                 wavelength)
+    radii = [0.5 * i * wavelength for i in range(1, int(n_rings) + 1)]
+    counts = [max(1, int(math.ceil(4.0 * math.pi * r / wavelength - _TOL)))
+              for r in radii]
+    _check_count(GeometryKind.UPCA, 1 + sum(counts), diameter, wavelength)
     chunks = [np.zeros((1, 3))]
-    for i in range(1, n_rings + 1):
-        r = 0.5 * i * wavelength
-        count = max(1, int(math.ceil(4.0 * math.pi * r / wavelength - _TOL)))
+    for r, count in zip(radii, counts):
         theta = 2.0 * math.pi * np.arange(count) / count
         ring = np.zeros((count, 3))
         ring[:, 0] = r * np.cos(theta)
@@ -195,7 +215,11 @@ _BUILDERS = {
 
 
 def build_array(kind: GeometryKind, aperture: float, wavelength: float) -> ArrayGeometry:
-    """Build any layout by kind; aperture is the kind's D (see builders)."""
+    """Build any layout by kind; aperture is the kind's D (see builders).
+
+    Every builder raises ValueError, before allocating, for a layout of
+    more than MAX_ELEMENTS elements.
+    """
     return _BUILDERS[kind](aperture, wavelength)
 
 
@@ -269,17 +293,3 @@ def simo_miso_setup(aperture: ArrayGeometry) -> SensingSetup:
 def mimo_setup(aperture: ArrayGeometry) -> SensingSetup:
     """Monostatic MIMO link: the same aperture transmits and receives."""
     return SensingSetup(tx=aperture, rx=aperture, mode=ProcessingMode.MIMO)
-
-
-def export_geometry_csv(geometry: ArrayGeometry, stream) -> None:
-    """Write element positions as CSV rows index,x,y,z (meters)."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["index", "x", "y", "z"])
-    for i, (x, y, z) in enumerate(geometry.elements):
-        writer.writerow([i, f"{x:.12g}", f"{y:.12g}", f"{z:.12g}"])
-
-
-def geometry_csv_text(geometry: ArrayGeometry) -> str:
-    buf = io.StringIO()
-    export_geometry_csv(geometry, buf)
-    return buf.getvalue()

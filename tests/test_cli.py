@@ -219,6 +219,18 @@ class TestDumpGeometry:
         assert main(["dump-geometry", "--kind", "ula,uca",
                      "--out", str(tmp_path / "geo.csv")]) == 1
 
+    def test_json_rows_match_builder(self, tmp_path):
+        from nfsense.geometry import GeometryKind, build_array
+        out = tmp_path / "geo.json"
+        assert main(["dump-geometry", "--kind", "upca", "--aperture-lambda", "6",
+                     "--format", "json", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["metadata"] == {}
+        g = build_array(GeometryKind.UPCA, 6.0, 1.0)
+        assert [r["index"] for r in doc["rows"]] == list(range(g.n_elements))
+        parsed = np.array([[r["x"], r["y"], r["z"]] for r in doc["rows"]])
+        assert np.max(np.abs(parsed - g.elements)) <= 1e-12
+
 
 class TestConfigFile:
     def test_file_values_used(self, tmp_path):
@@ -250,6 +262,14 @@ class TestConfigFile:
     def test_missing_file_rejected(self, tmp_path):
         assert main(["tables", "--config", str(tmp_path / "absent.cfg")]) == 1
 
+    @pytest.mark.parametrize("line", ["format = xml", "aperture-lambda = inf"])
+    def test_bad_file_value_rejected(self, tmp_path, capsys, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        assert main(["dump-geometry", "--kind", "ula", "--config", str(cfg),
+                     "--out", str(tmp_path / "geo.txt")]) == 1
+        assert len(capsys.readouterr().err.splitlines()) == 1
+
 
 class TestExitCodes:
     def test_no_command(self):
@@ -265,3 +285,27 @@ class TestExitCodes:
 
     def test_nonpositive_aperture(self):
         assert main(["af-curve", "--aperture-lambda", "-5"]) == 1
+
+    @pytest.mark.parametrize("argv", [
+        "dump-geometry --kind ula --aperture-lambda inf",
+        "af-curve --sweep 1:inf:3",
+        "af-curve --aperture-lambda inf",
+        "af-curve --kind ula --wavelength 1e-320",
+        "validate --kind ula --wavelength 1e-320",
+        "dump-geometry --kind ura --aperture-lambda 1e200",
+        "dump-geometry --kind ula --aperture-lambda 0.3",
+        "dump-geometry --kind ula --format xml",
+        "af-curve --aperture-lambda 1e200",
+        "af-curve --sweep 1e-320:1:3",
+        "validate --kind ula --target-lambda 1e-300",
+        # limits, rejected while parsing or before any allocation
+        "af-curve --sweep 0:1:10000000000",
+        "validate --sweep 0:0:100001",
+        "dump-geometry --kind upca --aperture-lambda 1e200",
+    ])
+    def test_bad_input_one_line(self, capsys, argv):
+        assert main(argv.split()) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("nfsense: error: ")

@@ -23,6 +23,10 @@ class TestVergence:
 
     def test_plain_value(self):
         assert vergence_difference(200.0, 100.0) == pytest.approx(0.005)
+        probes = np.array([100.0, 200.0, 400.0, 123.4])
+        out = vergence_difference(200.0, probes)
+        assert out == pytest.approx([0.005, 0.0, 0.0025, 1 / 123.4 - 0.005])
+        assert out.tolist() == [vergence_difference(200.0, d) for d in probes]
 
     def test_symmetry(self):
         assert vergence_difference(80.0, 120.0) == vergence_difference(120.0, 80.0)
@@ -32,6 +36,8 @@ class TestVergence:
             vergence_difference(0.0, 10.0)
         with pytest.raises(ValueError):
             vergence_difference(10.0, -1.0)
+        with pytest.raises(ValueError):
+            vergence_difference(10.0, np.array([5.0, 0.0]))
 
 
 class TestAfArgument:
@@ -41,6 +47,8 @@ class TestAfArgument:
 
     def test_ula_value(self):
         assert af_argument(GeometryKind.ULA, 5000.0, 0.005) == pytest.approx(6.25)
+        out = af_argument(GeometryKind.ULA, 5000.0, np.array([0.0, 0.005, 0.01]))
+        assert out == pytest.approx([0.0, 6.25, 12.5])
 
     def test_uca_value(self):
         assert af_argument(GeometryKind.UCA, 5000.0, 0.005) == pytest.approx(

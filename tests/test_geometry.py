@@ -6,8 +6,9 @@ import pytest
 from nfsense.geometry import (GeometryKind, ProcessingMode, SensingSetup,
                               SPEED_OF_LIGHT, build_array, build_uca, build_ula,
                               build_upca, build_ura, effective_aperture_ula,
-                              fraunhofer_distance, geometry_csv_text,
-                              mimo_setup, simo_miso_setup, single_element)
+                              MAX_ELEMENTS, fraunhofer_distance, mimo_setup,
+                              simo_miso_setup, single_element)
+from nfsense.cli import main
 
 LAM = 1.0
 
@@ -140,6 +141,17 @@ def test_spacing_constraint_small_arrays(kind):
             assert nearest_neighbor_max(g.elements) <= 0.5 * LAM + 1e-9
 
 
+@pytest.mark.parametrize("kind, aperture", [
+    (GeometryKind.ULA, 6e5), (GeometryKind.UCA, 2e5), (GeometryKind.URA, 710.0),
+    (GeometryKind.UPCA, 564.0), (GeometryKind.UPCA, 1e200)])
+def test_element_limit(kind, aperture):
+    # 100 lambda, the largest aperture in use, stays far below the limit;
+    # these apertures just exceed it and are rejected before allocation
+    assert build_array(kind, 100 * LAM, LAM).n_elements < MAX_ELEMENTS / 10
+    with pytest.raises(ValueError, match="exceeds"):
+        build_array(kind, aperture * LAM, LAM)
+
+
 def test_elements_are_immutable():
     g = build_ula(5 * LAM, LAM)
     with pytest.raises(ValueError):
@@ -183,10 +195,12 @@ def test_single_element():
     assert g.kind is None
 
 
-def test_geometry_csv_roundtrip():
+def test_geometry_csv_roundtrip(tmp_path):
     g = build_uca(4 * LAM, LAM)
-    text = geometry_csv_text(g)
-    lines = text.strip().split("\n")
+    out = tmp_path / "uca.csv"
+    assert main(["dump-geometry", "--kind", "uca", "--aperture-lambda", "4",
+                 "--wavelength", str(LAM), "--out", str(out)]) == 0
+    lines = out.read_text().strip().split("\n")
     assert lines[0] == "index,x,y,z"
     assert len(lines) == g.n_elements + 1
     parsed = np.array([[float(v) for v in line.split(",")[1:]]
