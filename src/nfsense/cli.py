@@ -24,16 +24,18 @@ import math
 import sys
 from dataclasses import asdict
 from enum import Enum
+from operator import attrgetter
 
 import numpy as np
 
 from . import __version__
 from .ambiguity import broadside_power_sweep
-from .closed_form import (GeometryKind, ProcessingMode, af_argument,
-                          normalized_af_power, vergence_difference)
-from .geometry import build_array, simo_miso_setup
-from .metrics import (beamdepth, compute_metrics, half_power_coefficient,
-                      half_power_distances, max_nearfield_range)
+from .closed_form import af_argument, normalized_af_power, vergence_difference
+from .geometry import (GeometryKind, ProcessingMode, build_array,
+                       simo_miso_setup)
+from .metrics import (SIDELOBE_SCAN_MAX, beamdepth, compute_metrics,
+                      half_power_coefficient, half_power_distances,
+                      max_nearfield_range)
 
 DB_FLOOR = -60.0
 DEVIATION_THRESHOLD = 0.02  # of the unit mainlobe peak
@@ -202,7 +204,9 @@ def _format(values: list, text: bool) -> list:
     """
     first = values[0] if values else None
     if isinstance(first, Enum):
-        return [v.name for v in values]
+        # _name_ is a plain attribute; .name and hashing a member are
+        # Python-level calls per row
+        return list(map(attrgetter("_name_"), values))
     if isinstance(first, float):
         if text:
             return list(map("{:.12g}".format, values))
@@ -240,7 +244,7 @@ def _base_metadata(args) -> dict:
 def cmd_tables(args) -> int:
     metadata = _base_metadata(args)
     metadata["x3db_tolerance"] = 1e-9
-    metadata["sidelobe_scan_max_x"] = 50.0
+    metadata["sidelobe_scan_max_x"] = SIDELOBE_SCAN_MAX
     rows = [asdict(compute_metrics(kind)) for kind in args.kind]
     _emit(args, metadata, {key: [r[key] for r in rows] for key in rows[0]})
     return 0
@@ -266,10 +270,12 @@ def cmd_af_curve(args) -> int:
         if not np.all(np.isfinite(x)):
             raise UsageError("closed-form argument overflows; "
                              "probe distances too small for this aperture")
+        # MIMO squares the single-aperture power
+        base = normalized_af_power(kind, ProcessingMode.SIMO_MISO, x)
         for mode in args.mode:
             metadata[f"alpha[{kind.name},{mode.name}]"] = \
                 half_power_coefficient(kind, mode)
-            power = normalized_af_power(kind, mode, x)
+            power = base ** mode.power_exponent
             db = 10.0 * np.log10(np.maximum(power, 1e-300))
             db = np.maximum(db, DB_FLOOR)
             columns["kind"] += [kind] * len(distances_m)

@@ -26,8 +26,6 @@ from .geometry import GeometryKind, ProcessingMode
 from .specfun import bessel_j0, fresnel_cs, sinc
 
 __all__ = [
-    "GeometryKind",
-    "ProcessingMode",
     "vergence_difference",
     "af_argument",
     "normalized_af_power",

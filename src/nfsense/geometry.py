@@ -33,7 +33,6 @@ __all__ = [
     "single_element",
     "build_array",
     "fraunhofer_distance",
-    "effective_aperture_ula",
     "simo_miso_setup",
     "mimo_setup",
 ]
@@ -123,7 +122,11 @@ def _finish(kind, wavelength, positions) -> ArrayGeometry:
         aperture = float(math.hypot(pos[:, 0].max() - pos[:, 0].min(),
                                     pos[:, 1].max() - pos[:, 1].min()))
     else:
-        aperture = float(2.0 * np.linalg.norm(pos, axis=1).max())
+        with np.errstate(over="ignore"):
+            aperture = float(2.0 * np.linalg.norm(pos, axis=1).max())
+    if not math.isfinite(aperture):
+        raise ValueError(f"{kind.name} aperture overflows at lambda = "
+                         f"{wavelength:g} m")
     return ArrayGeometry(kind=kind, wavelength=float(wavelength),
                          elements=pos, aperture=aperture)
 
@@ -232,16 +235,6 @@ def single_element(wavelength: float) -> ArrayGeometry:
 def fraunhofer_distance(geometry: ArrayGeometry) -> float:
     """Far-field boundary 2 D^2 / lambda for the geometry's aperture."""
     return 2.0 * geometry.aperture ** 2 / geometry.wavelength
-
-
-def effective_aperture_ula(aperture: float, azimuth: float) -> float:
-    """Projected ULA aperture D sin(theta) for a target at azimuth theta.
-
-    theta = pi/2 is broadside (full aperture), theta = 0 endfire (zero).
-    """
-    if not 0.0 <= azimuth <= math.pi:
-        raise ValueError(f"azimuth must be in [0, pi], got {azimuth}")
-    return aperture * math.sin(azimuth)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,13 @@
 """Sensing metrics derived from the closed-form array factors.
 
-Half-power arguments come from bisection on the (monotone) mainlobe,
-sidelobe levels from a dense grid scan plus golden-section refinement,
-beamdepth and its divergence point from the vergence algebra
+MIMO with identical apertures squares the single-aperture power f, so
+every solver works on f alone and the mode enters only as the exponent p
+(1 or 2): the half-power point solves f(x) = 0.5 ** (1/p), the mainlobe
+edge is the first minimum of f whatever the mode, and the sidelobe level
+is p times that of f in dB.  Half-power arguments come from bisection on
+the (monotone) mainlobe, sidelobe levels from one grid scan of f plus
+golden-section refinement, beamdepth and its divergence point from the
+vergence algebra
 
     d_3dB = d_FA d' / (d_FA +- alpha d')
     BD    = 2 alpha d_FA d'^2 / (d_FA^2 - alpha^2 d'^2)   (d' < d_FA/alpha)
@@ -19,19 +24,17 @@ from functools import lru_cache
 
 import numpy as np
 
-from .closed_form import GeometryKind, ProcessingMode, normalized_af_power, \
-    quadratic_mainlobe_coefficient
+from .closed_form import normalized_af_power, quadratic_mainlobe_coefficient
+from .geometry import GeometryKind, ProcessingMode
 
 __all__ = [
     "SIDELOBE_SCAN_MAX",
     "GeometryMetrics",
-    "BeamdepthResult",
     "QuadraticGainAnalysis",
     "half_power_argument",
     "half_power_coefficient",
     "half_power_distances",
     "beamdepth",
-    "beamdepth_result",
     "max_nearfield_range",
     "mainlobe_edge",
     "peak_sidelobe_level",
@@ -40,14 +43,14 @@ __all__ = [
 ]
 
 SIDELOBE_SCAN_MAX = 50.0
-"Upper end of the sidelobe search window in x."
+"Upper end of the lobe scan, and so of the sidelobe search window, in x."
 
-_SIDELOBE_SCAN_POINTS = 100_000
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _power(kind, mode):
-    return lambda x: normalized_af_power(kind, mode, x)
+def _power(kind):
+    """The single-aperture power f; a mode's power is f ** power_exponent."""
+    return lambda x: normalized_af_power(kind, ProcessingMode.SIMO_MISO, x)
 
 
 def _golden_max(f, lo: float, hi: float, tol: float = 1e-9) -> float:
@@ -72,19 +75,21 @@ def _golden_max(f, lo: float, hi: float, tol: float = 1e-9) -> float:
 def half_power_argument(kind: GeometryKind, mode: ProcessingMode) -> float:
     """Smallest x with normalized power 0.5, by bracketing and bisection.
 
-    The power is 1 at x = 0 and drops below 0.5 before its first minimum
-    for every layout, so the first sign change brackets the root.
+    Solves f(x) = 0.5 ** (1 / power_exponent) on the single-aperture power
+    f.  f is 1 at x = 0 and drops below 0.5 before its first minimum for
+    every layout, so the first sign change brackets the root.
     """
-    f = _power(kind, mode)
+    f = _power(kind)
+    level = 0.5 ** (1.0 / mode.power_exponent)
     grid = np.linspace(0.0, 4.0, 4001)
-    vals = f(grid) - 0.5
+    vals = f(grid) - level
     idx = int(np.argmax(vals < 0.0))
     if idx == 0:
         raise RuntimeError("no half-power bracket found")
     lo, hi = float(grid[idx - 1]), float(grid[idx])
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if f(mid) - 0.5 > 0.0:
+        if f(mid) - level > 0.0:
             lo = mid
         else:
             hi = mid
@@ -131,24 +136,18 @@ def max_nearfield_range(d_fraunhofer: float, coefficient: float) -> float:
     return d_fraunhofer / coefficient
 
 
-@dataclass(frozen=True)
-class BeamdepthResult:
-    """Half-power interval around one target range."""
+def _lobe_scan(kind: GeometryKind):
+    """The single-aperture power on [0, SIDELOBE_SCAN_MAX] at step 1e-3.
 
-    d_low: float
-    d_high: float
-    depth: float
-
-    @property
-    def infinite(self) -> bool:
-        return math.isinf(self.depth)
-
-
-def beamdepth_result(d_target: float, d_fraunhofer: float,
-                     coefficient: float) -> BeamdepthResult:
-    low, high = half_power_distances(d_target, d_fraunhofer, coefficient)
-    return BeamdepthResult(d_low=low, d_high=high,
-                           depth=beamdepth(d_target, d_fraunhofer, coefficient))
+    Returns the grid, the power on it and the index of its first interior
+    minimum, which ends the mainlobe.
+    """
+    grid = np.linspace(0.0, SIDELOBE_SCAN_MAX, 50_001)
+    vals = _power(kind)(grid)
+    interior = np.where((vals[1:-1] < vals[:-2]) & (vals[1:-1] <= vals[2:]))[0]
+    if interior.size == 0:
+        raise RuntimeError("no mainlobe edge found in scan window")
+    return grid, vals, int(interior[0]) + 1
 
 
 @lru_cache(maxsize=None)
@@ -157,14 +156,10 @@ def mainlobe_edge(kind: GeometryKind, mode: ProcessingMode) -> float:
 
     For layouts whose power touches zero (UCA, UPCA) this is the first
     null; for the Fresnel-based layouts the first minimum is nonzero.
+    Squaring moves no minimum, so the edge is the same for both modes.
     """
-    f = _power(kind, mode)
-    grid = np.linspace(1e-6, 10.0, 20001)
-    vals = f(grid)
-    interior = np.where((vals[1:-1] < vals[:-2]) & (vals[1:-1] <= vals[2:]))[0]
-    if interior.size == 0:
-        raise RuntimeError("no mainlobe edge found in scan window")
-    i = int(interior[0]) + 1
+    f = _power(kind)
+    grid, _, i = _lobe_scan(kind)
     return _golden_max(lambda x: -f(x), float(grid[i - 1]), float(grid[i + 1]),
                        tol=1e-12)
 
@@ -173,20 +168,20 @@ def mainlobe_edge(kind: GeometryKind, mode: ProcessingMode) -> float:
 def peak_sidelobe_level(kind: GeometryKind, mode: ProcessingMode) -> float:
     """Highest sidelobe of the normalized power, in dB below the peak.
 
-    Grid scan over (first minimum, SIDELOBE_SCAN_MAX] followed by
-    golden-section refinement; equal-height ties resolve to the smallest x.
+    Highest local maximum of the lobe scan beyond the mainlobe edge, refined
+    by golden section; equal-height ties resolve to the smallest x.  The
+    level is power_exponent times the single-aperture level.
     """
-    f = _power(kind, mode)
-    edge = mainlobe_edge(kind, mode)
-    grid = np.linspace(edge, SIDELOBE_SCAN_MAX, _SIDELOBE_SCAN_POINTS)
-    vals = f(grid)
-    is_max = (vals[1:-1] > vals[:-2]) & (vals[1:-1] >= vals[2:])
-    candidates = np.where(is_max)[0] + 1
+    f = _power(kind)
+    grid, vals, edge = _lobe_scan(kind)
+    lobes = vals[edge:]
+    is_max = (lobes[1:-1] > lobes[:-2]) & (lobes[1:-1] >= lobes[2:])
+    candidates = np.where(is_max)[0] + edge + 1
     if candidates.size == 0:
         raise RuntimeError("no sidelobe found in scan window")
     best = int(candidates[int(np.argmax(vals[candidates]))])
     x_peak = _golden_max(f, float(grid[best - 1]), float(grid[best + 1]))
-    return 10.0 * math.log10(f(x_peak))
+    return mode.power_exponent * 10.0 * math.log10(f(x_peak))
 
 
 @dataclass(frozen=True)

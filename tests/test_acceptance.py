@@ -13,10 +13,10 @@ import pytest
 from scipy import integrate
 
 from nfsense.ambiguity import ambiguity, array_factor, broadside_power_sweep
-from nfsense.closed_form import (GeometryKind, ProcessingMode,
-                                 normalized_af_power)
-from nfsense.geometry import (build_array, build_ula, build_uca,
-                              fraunhofer_distance, mimo_setup, simo_miso_setup)
+from nfsense.closed_form import normalized_af_power
+from nfsense.geometry import (GeometryKind, ProcessingMode, build_array,
+                              build_ula, build_uca, fraunhofer_distance,
+                              mimo_setup, simo_miso_setup)
 from nfsense.metrics import (beamdepth, half_power_argument,
                              half_power_coefficient, half_power_distances,
                              mainlobe_edge, max_nearfield_range,

@@ -5,9 +5,10 @@ import pytest
 
 from nfsense.ambiguity import (ambiguity, array_factor, broadside_power_sweep,
                                channel_phase, normalized_power)
-from nfsense.closed_form import (GeometryKind, ProcessingMode, af_argument,
-                                 normalized_af_power, vergence_difference)
-from nfsense.geometry import (SPEED_OF_LIGHT, build_array, build_uca, build_ula,
+from nfsense.closed_form import (af_argument, normalized_af_power,
+                                 vergence_difference)
+from nfsense.geometry import (SPEED_OF_LIGHT, GeometryKind, ProcessingMode,
+                              build_array, build_uca, build_ula,
                               fraunhofer_distance, mimo_setup, simo_miso_setup,
                               single_element)
 from nfsense.metrics import half_power_coefficient, half_power_distances

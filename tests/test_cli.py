@@ -80,7 +80,7 @@ class TestAfCurve:
                 assert m == pytest.approx(2.0 * s, abs=1e-9)
 
     def test_crossings_match_half_power_distances(self, tmp_path):
-        from nfsense.closed_form import GeometryKind, ProcessingMode
+        from nfsense.geometry import GeometryKind, ProcessingMode
         from nfsense.metrics import half_power_coefficient, half_power_distances
         _, rows = self.run_curve(tmp_path)
         simo = [(float(r["distance_m"]), float(r["power_db"]))
@@ -302,6 +302,9 @@ class TestExitCodes:
         "af-curve --sweep 0:1:10000000000",
         "validate --sweep 0:0:100001",
         "dump-geometry --kind upca --aperture-lambda 1e200",
+        # an aperture that overflows while it is measured
+        "validate --kind uca --aperture-lambda 3 --wavelength 1e300",
+        "dump-geometry --kind upca --aperture-lambda 3 --wavelength 1e300",
     ])
     def test_bad_input_one_line(self, capsys, argv):
         assert main(argv.split()) == 1

@@ -5,8 +5,7 @@ import pytest
 
 from nfsense.geometry import (GeometryKind, ProcessingMode, SensingSetup,
                               SPEED_OF_LIGHT, build_array, build_uca, build_ula,
-                              build_upca, build_ura, effective_aperture_ula,
-                              MAX_ELEMENTS, fraunhofer_distance, mimo_setup,
+                              build_upca, build_ura, MAX_ELEMENTS, fraunhofer_distance, mimo_setup,
                               simo_miso_setup, single_element)
 from nfsense.cli import main
 
@@ -169,23 +168,6 @@ class TestFraunhofer:
         d1 = fraunhofer_distance(build_ula(20.0, 1.0))
         d2 = fraunhofer_distance(build_ula(40.0, 1.0))
         assert d2 == pytest.approx(4.0 * d1)
-
-
-class TestEffectiveApertureUla:
-    def test_broadside(self):
-        assert effective_aperture_ula(50.0, math.pi / 2) == pytest.approx(50.0)
-
-    def test_thirty_degrees(self):
-        assert effective_aperture_ula(50.0, math.pi / 6) == pytest.approx(25.0)
-
-    def test_endfire(self):
-        assert effective_aperture_ula(50.0, 0.0) == 0.0
-
-    def test_range_check(self):
-        with pytest.raises(ValueError):
-            effective_aperture_ula(50.0, -0.1)
-        with pytest.raises(ValueError):
-            effective_aperture_ula(50.0, 3.2)
 
 
 def test_single_element():
