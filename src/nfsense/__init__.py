@@ -18,7 +18,7 @@ from .geometry import (
     simo_miso_setup,
     single_element,
 )
-from .ambiguity import ambiguity, array_factor, channel_phase, normalized_power
+from .ambiguity import array_factor, normalized_power
 from .closed_form import (
     af_argument,
     normalized_af_power,
@@ -48,7 +48,6 @@ __all__ = [
     "SensingSetup",
     "GeometryMetrics",
     "QuadraticGainAnalysis",
-    "ambiguity",
     "array_factor",
     "af_argument",
     "beamdepth",
@@ -58,7 +57,6 @@ __all__ = [
     "build_ula",
     "build_upca",
     "build_ura",
-    "channel_phase",
     "compute_metrics",
     "fraunhofer_distance",
     "fresnel_c",

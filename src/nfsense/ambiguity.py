@@ -13,9 +13,7 @@ import numpy as np
 from .geometry import SPEED_OF_LIGHT, ArrayGeometry, SensingSetup
 
 __all__ = [
-    "channel_phase",
     "array_factor",
-    "ambiguity",
     "normalized_power",
 ]
 
@@ -24,19 +22,6 @@ _MIN_SEPARATION = 1e-6
 
 # probe-sweep chunk size, in element-point pairs
 _CHUNK_PAIRS = 4_000_000
-
-
-def channel_phase(element, target, frequency: float) -> complex:
-    """One-way propagation factor exp(-j 2 pi (f/c) d) between two points."""
-    element = np.asarray(element, dtype=float)
-    target = np.asarray(target, dtype=float)
-    if not (np.all(np.isfinite(element)) and np.all(np.isfinite(target))):
-        raise ValueError("points must have finite coordinates")
-    d = float(np.linalg.norm(target - element))
-    wavelength = SPEED_OF_LIGHT / frequency
-    if d < _MIN_SEPARATION * wavelength:
-        raise ValueError(f"target coincides with element (distance {d:.3e})")
-    return complex(np.exp(-2j * np.pi * frequency / SPEED_OF_LIGHT * d))
 
 
 def _distances(geometry: ArrayGeometry, points) -> np.ndarray:
@@ -74,27 +59,6 @@ def array_factor(geometry: ArrayGeometry, target, probe, frequency: float | None
     if scalar:
         return complex(out[0])
     return out
-
-
-def ambiguity(setup: SensingSetup, target, probe) -> complex:
-    """Matched-filter response (1/sqrt(MN)) sum_m sum_n h_mn(target) h_mn*(probe).
-
-    Evaluated as the literal double sum over transmit-receive element pairs;
-    peaks at sqrt(M N) when probe equals target.
-    """
-    k = 2.0 * np.pi * setup.frequency / SPEED_OF_LIGHT
-    dt_target = _distances(setup.tx, target)[0]
-    dt_probe = _distances(setup.tx, probe)[0]
-    dr_target = _distances(setup.rx, target)[0]
-    dr_probe = _distances(setup.rx, probe)[0]
-    delta_tx = dt_target - dt_probe
-    delta_rx = dr_target - dr_probe
-    m, n = setup.tx.n_elements, setup.rx.n_elements
-    total = 0.0 + 0.0j
-    step = max(1, _CHUNK_PAIRS // n)
-    for lo in range(0, m, step):
-        total += np.exp(-1j * k * (delta_tx[lo:lo + step, None] + delta_rx[None, :])).sum()
-    return complex(total / np.sqrt(m * n))
 
 
 def normalized_power(setup: SensingSetup, target, probe):

@@ -1,13 +1,12 @@
 """Sensing metrics derived from the closed-form array factors.
 
-MIMO with identical apertures squares the single-aperture power f, so
-every solver works on f alone and the mode enters only as the exponent p
-(1 or 2): the half-power point solves f(x) = 0.5 ** (1/p), the mainlobe
-edge is the first minimum of f whatever the mode, and the sidelobe level
-is p times that of f in dB.  Half-power arguments come from bisection on
-the (monotone) mainlobe, sidelobe levels from one grid scan of f plus
-golden-section refinement, beamdepth and its divergence point from the
-vergence algebra
+A layout's power in a mode is its base pattern f to the exponent n p
+(see nfsense.closed_form), so every solver works on f alone: the
+half-power point solves f(x) = 0.5 ** (1/(n p)) by bisection on the
+monotone mainlobe; one cached scan of f per base pattern, refined by
+golden section, gives the mainlobe edge (the first minimum of f, which
+no exponent moves) and the sidelobe level (n p times that of f in dB).
+Beamdepth and its divergence point follow from the vergence algebra
 
     d_3dB = d_FA d' / (d_FA +- alpha d')
     BD    = 2 alpha d_FA d'^2 / (d_FA^2 - alpha^2 d'^2)   (d' < d_FA/alpha)
@@ -20,11 +19,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
-from .closed_form import normalized_af_power, quadratic_mainlobe_coefficient
+from .closed_form import (base_layout, normalized_af_power,
+                          quadratic_mainlobe_coefficient)
 from .geometry import GeometryKind, ProcessingMode
 
 __all__ = [
@@ -36,6 +36,7 @@ __all__ = [
     "half_power_distances",
     "beamdepth",
     "max_nearfield_range",
+    "lobe_scan",
     "mainlobe_edge",
     "peak_sidelobe_level",
     "quadratic_gain_analysis",
@@ -46,11 +47,6 @@ SIDELOBE_SCAN_MAX = 50.0
 "Upper end of the lobe scan, and so of the sidelobe search window, in x."
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _power(kind):
-    """The single-aperture power f; a mode's power is f ** power_exponent."""
-    return lambda x: normalized_af_power(kind, ProcessingMode.SIMO_MISO, x)
 
 
 def _golden_max(f, lo: float, hi: float, tol: float = 1e-9) -> float:
@@ -75,12 +71,13 @@ def _golden_max(f, lo: float, hi: float, tol: float = 1e-9) -> float:
 def half_power_argument(kind: GeometryKind, mode: ProcessingMode) -> float:
     """Smallest x with normalized power 0.5, by bracketing and bisection.
 
-    Solves f(x) = 0.5 ** (1 / power_exponent) on the single-aperture power
-    f.  f is 1 at x = 0 and drops below 0.5 before its first minimum for
-    every layout, so the first sign change brackets the root.
+    Solves f(x) = 0.5 ** (1 / (n p)) on the base pattern f.  f is 1 at
+    x = 0 and drops below 0.5 before its first minimum for every layout,
+    so the first sign change brackets the root.
     """
-    f = _power(kind)
-    level = 0.5 ** (1.0 / mode.power_exponent)
+    base, n = base_layout(kind)
+    f = partial(normalized_af_power, base, ProcessingMode.SIMO_MISO)
+    level = 0.5 ** (1.0 / (n * mode.power_exponent))
     grid = np.linspace(0.0, 4.0, 4001)
     vals = f(grid) - level
     idx = int(np.argmax(vals < 0.0))
@@ -136,44 +133,23 @@ def max_nearfield_range(d_fraunhofer: float, coefficient: float) -> float:
     return d_fraunhofer / coefficient
 
 
-def _lobe_scan(kind: GeometryKind):
-    """The single-aperture power on [0, SIDELOBE_SCAN_MAX] at step 1e-3.
+@lru_cache(maxsize=None)
+def lobe_scan(base: GeometryKind) -> tuple[float, float]:
+    """(mainlobe edge, peak sidelobe power) of a base pattern f.
 
-    Returns the grid, the power on it and the index of its first interior
-    minimum, which ends the mainlobe.
+    One scan of f on [0, SIDELOBE_SCAN_MAX] at step 1e-3, refined by golden
+    section: the first interior minimum ends the mainlobe, and the highest
+    maximum beyond it (ties to the smallest x) is the peak sidelobe.
     """
+    f = partial(normalized_af_power, base, ProcessingMode.SIMO_MISO)
     grid = np.linspace(0.0, SIDELOBE_SCAN_MAX, 50_001)
-    vals = _power(kind)(grid)
+    vals = f(grid)
     interior = np.where((vals[1:-1] < vals[:-2]) & (vals[1:-1] <= vals[2:]))[0]
     if interior.size == 0:
         raise RuntimeError("no mainlobe edge found in scan window")
-    return grid, vals, int(interior[0]) + 1
-
-
-@lru_cache(maxsize=None)
-def mainlobe_edge(kind: GeometryKind, mode: ProcessingMode) -> float:
-    """Abscissa of the first local minimum of the normalized power.
-
-    For layouts whose power touches zero (UCA, UPCA) this is the first
-    null; for the Fresnel-based layouts the first minimum is nonzero.
-    Squaring moves no minimum, so the edge is the same for both modes.
-    """
-    f = _power(kind)
-    grid, _, i = _lobe_scan(kind)
-    return _golden_max(lambda x: -f(x), float(grid[i - 1]), float(grid[i + 1]),
-                       tol=1e-12)
-
-
-@lru_cache(maxsize=None)
-def peak_sidelobe_level(kind: GeometryKind, mode: ProcessingMode) -> float:
-    """Highest sidelobe of the normalized power, in dB below the peak.
-
-    Highest local maximum of the lobe scan beyond the mainlobe edge, refined
-    by golden section; equal-height ties resolve to the smallest x.  The
-    level is power_exponent times the single-aperture level.
-    """
-    f = _power(kind)
-    grid, vals, edge = _lobe_scan(kind)
+    edge = int(interior[0]) + 1
+    x_edge = _golden_max(lambda x: -f(x), float(grid[edge - 1]),
+                         float(grid[edge + 1]), tol=1e-12)
     lobes = vals[edge:]
     is_max = (lobes[1:-1] > lobes[:-2]) & (lobes[1:-1] >= lobes[2:])
     candidates = np.where(is_max)[0] + edge + 1
@@ -181,7 +157,21 @@ def peak_sidelobe_level(kind: GeometryKind, mode: ProcessingMode) -> float:
         raise RuntimeError("no sidelobe found in scan window")
     best = int(candidates[int(np.argmax(vals[candidates]))])
     x_peak = _golden_max(f, float(grid[best - 1]), float(grid[best + 1]))
-    return mode.power_exponent * 10.0 * math.log10(f(x_peak))
+    return x_edge, f(x_peak)
+
+
+def mainlobe_edge(kind: GeometryKind, mode: ProcessingMode) -> float:
+    """First local minimum of the normalized power, the same for any n p.
+
+    A null for UCA and UPCA; nonzero for the Fresnel-based layouts.
+    """
+    return lobe_scan(base_layout(kind)[0])[0]
+
+
+def peak_sidelobe_level(kind: GeometryKind, mode: ProcessingMode) -> float:
+    """Highest sidelobe in dB below the peak: n p times the base pattern's."""
+    base, n = base_layout(kind)
+    return n * mode.power_exponent * 10.0 * math.log10(lobe_scan(base)[1])
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,8 @@ references in the test suite):
     fresnel_c, fresnel_s   < 1e-13 for |u| <= 10
     bessel_j0              < 1e-11 for |x| <= 50
     sinc                   machine precision
+
+and every finite argument gives a finite value, with no numpy warning.
 """
 
 from __future__ import annotations
@@ -21,6 +23,10 @@ __all__ = ["fresnel_c", "fresnel_s", "fresnel_cs", "bessel_j0", "sinc"]
 # Maclaurin series below this |u|, continued fraction above.  At the
 # crossover both branches are accurate to ~1e-15.
 _FRESNEL_SERIES_MAX = 2.0
+
+# From this |u| on, |C - 1/2| and |S - 1/2| < 1/(pi u) are below half an
+# ulp of 1/2, so both are 1/2 exactly (and pi u^2 / 2 may overflow).
+_FRESNEL_HALF_MIN = 1e17
 
 # Power series below this |x|, Hankel asymptotic expansion above.
 _J0_SERIES_MAX = 13.0
@@ -100,12 +106,12 @@ def fresnel_cs(u):
     a = np.atleast_1d(arr)
     sign = np.sign(a)
     mag = np.abs(a)
-    cc = np.empty_like(mag)
-    ss = np.empty_like(mag)
+    cc = np.full_like(mag, 0.5)
+    ss = np.full_like(mag, 0.5)
     small = mag <= _FRESNEL_SERIES_MAX
     if np.any(small):
         cc[small], ss[small] = _fresnel_series(mag[small])
-    large = ~small
+    large = ~small & (mag < _FRESNEL_HALF_MIN)
     if np.any(large):
         cc[large], ss[large] = _fresnel_cf(mag[large])
     cc *= sign
@@ -145,7 +151,11 @@ for _k in range(1, 2 * _J0_HANKEL_K + 1):
 
 def _j0_hankel(x):
     # J0(x) = sqrt(2/(pi x)) [P(x) cos(x - pi/4) - Q(x) sin(x - pi/4)]
-    inv2 = 1.0 / (x * x)
+    with np.errstate(over="ignore"):
+        # x^2 and pi x overflow to inf for huge x, and 1/inf = 0 is the
+        # limit of the terms they divide
+        inv2 = 1.0 / (x * x)
+        amplitude = np.sqrt(2.0 / (np.pi * x))
     p = np.zeros_like(x)
     q = np.zeros_like(x)
     powp = np.ones_like(x)
@@ -157,7 +167,7 @@ def _j0_hankel(x):
         powp *= inv2
         powq *= inv2
     chi = x - 0.25 * np.pi
-    return np.sqrt(2.0 / (np.pi * x)) * (p * np.cos(chi) - q * np.sin(chi))
+    return amplitude * (p * np.cos(chi) - q * np.sin(chi))
 
 
 def bessel_j0(x):
@@ -182,14 +192,21 @@ def bessel_j0(x):
 
 
 def sinc(x):
-    """Normalized sinc, sin(pi x) / (pi x), with sinc(0) = 1 exactly."""
+    """Normalized sinc, sin(pi x) / (pi x), with sinc(0) = 1 exactly.
+
+    Where pi x overflows, |sinc| < 1/(pi |x|) underflows and sinc is 0.
+    """
     arr = _checked_array(x, "x")
     scalar = arr.ndim == 0
     a = np.atleast_1d(arr)
-    px = np.pi * a
+    with np.errstate(over="ignore"):
+        px = np.pi * a
     tiny = np.abs(a) < 1e-7
-    safe = np.where(tiny, 1.0, px)
-    out = np.where(tiny, 1.0 - px * px / 6.0, np.sin(safe) / safe)
+    finite = np.isfinite(px)
+    safe = np.where(tiny | ~finite, 1.0, px)
+    near = np.where(tiny, px, 0.0)
+    out = np.where(tiny, 1.0 - near * near / 6.0,
+                   np.where(finite, np.sin(safe) / safe, 0.0))
     if scalar:
         return float(out[0])
     return out

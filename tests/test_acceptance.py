@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from nfsense.ambiguity import ambiguity, array_factor, broadside_power_sweep
+from nfsense import metrics
+from nfsense.ambiguity import array_factor, broadside_power_sweep
 from nfsense.closed_form import normalized_af_power
 from nfsense.geometry import (GeometryKind, ProcessingMode, build_array,
                               build_ula, build_uca, fraunhofer_distance,
@@ -21,6 +22,8 @@ from nfsense.metrics import (beamdepth, half_power_argument,
                              half_power_coefficient, half_power_distances,
                              mainlobe_edge, max_nearfield_range,
                              peak_sidelobe_level, quadratic_gain_analysis)
+
+from reference_sums import ambiguity
 
 SIMO = ProcessingMode.SIMO_MISO
 MIMO = ProcessingMode.MIMO
@@ -49,9 +52,10 @@ _c5_runtime = []
 
 
 def _clear_caches():
-    half_power_argument.cache_clear()
-    mainlobe_edge.cache_clear()
-    peak_sidelobe_level.cache_clear()
+    for name in dir(metrics):
+        obj = getattr(metrics, name)
+        if not name.startswith("_") and hasattr(obj, "cache_clear"):
+            obj.cache_clear()
 
 
 def report(tag, ok, detail):

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from nfsense.ambiguity import (ambiguity, array_factor, broadside_power_sweep,
-                               channel_phase, normalized_power)
+from nfsense.ambiguity import (array_factor, broadside_power_sweep,
+                               normalized_power)
 from nfsense.closed_form import (af_argument, normalized_af_power,
                                  vergence_difference)
 from nfsense.geometry import (SPEED_OF_LIGHT, GeometryKind, ProcessingMode,
@@ -12,6 +12,8 @@ from nfsense.geometry import (SPEED_OF_LIGHT, GeometryKind, ProcessingMode,
                               fraunhofer_distance, mimo_setup, simo_miso_setup,
                               single_element)
 from nfsense.metrics import half_power_coefficient, half_power_distances
+
+from reference_sums import ambiguity, channel_phase
 
 LAM = 1.0
 FREQ = SPEED_OF_LIGHT / LAM

@@ -115,6 +115,25 @@ class TestAfCurve:
         assert main(["af-curve", "--sweep", "50:400:1"]) == 1
         assert main(["af-curve", "--sweep", "garbage"]) == 1
 
+    @pytest.mark.parametrize("argv", [
+        "af-curve --kind ula --mode simo --aperture-lambda 5e153 "
+        "--target-lambda 100 --sweep 0.0999:0.1:2 --format json",
+        "af-curve --kind upca --mode simo --aperture-lambda 5e153 "
+        "--target-lambda 100 --sweep 0.0499:0.05:2",
+    ])
+    def test_huge_argument_floors(self, capsys, argv):
+        # x near 1e308: the closed forms stay finite and the power floors
+        assert main(argv.split()) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        if "json" in argv:
+            powers = [r["power_db"] for r in json.loads(captured.out)["rows"]]
+        else:
+            body = [line for line in captured.out.splitlines()
+                    if not line.startswith("#")]
+            powers = [float(line.split(",")[-1]) for line in body[1:]]
+        assert powers == [-60.0, -60.0]
+
 
 class TestBeamdepthSweep:
     def run_sweep(self, tmp_path, *extra):

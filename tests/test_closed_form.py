@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nfsense.closed_form import (GeometryKind, ProcessingMode, af_argument,
-                                 normalized_af_power,
+                                 base_layout, normalized_af_power,
                                  quadratic_mainlobe_coefficient,
                                  vergence_difference)
 from nfsense.metrics import half_power_argument, mainlobe_edge
@@ -57,6 +57,29 @@ class TestAfArgument:
     def test_invalid_fraunhofer(self):
         with pytest.raises(ValueError):
             af_argument(GeometryKind.ULA, 0.0, 0.005)
+
+
+class TestBaseLayout:
+    def test_ura_is_ula_squared(self):
+        assert base_layout(GeometryKind.URA) == (GeometryKind.ULA, 2)
+        x = np.linspace(0.0, 20.0, 2001)
+        ula = normalized_af_power(GeometryKind.ULA, SIMO, x)
+        assert normalized_af_power(GeometryKind.URA, SIMO, x).tolist() == \
+            (ula * ula).tolist()
+        assert normalized_af_power(GeometryKind.URA, MIMO, x).tolist() == \
+            ((ula * ula) * (ula * ula)).tolist()
+
+    @pytest.mark.parametrize("kind", [GeometryKind.ULA, GeometryKind.UCA,
+                                      GeometryKind.UPCA])
+    def test_other_layouts_are_their_own_base(self, kind):
+        assert base_layout(kind) == (kind, 1)
+
+    @pytest.mark.parametrize("bad", ["ula", None, ProcessingMode.MIMO])
+    def test_non_kind_rejected(self, bad):
+        with pytest.raises(ValueError):
+            base_layout(bad)
+        with pytest.raises(ValueError):
+            normalized_af_power(bad, SIMO, 1.0)
 
 
 class TestNormalizedPower:

@@ -3,14 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from nfsense import metrics
 from nfsense.ambiguity import broadside_power_sweep
+from nfsense.cli import main
 from nfsense.closed_form import (af_argument, normalized_af_power,
                                  vergence_difference)
 from nfsense.geometry import (GeometryKind, ProcessingMode, build_ula,
                               fraunhofer_distance, simo_miso_setup)
 from nfsense.metrics import (SIDELOBE_SCAN_MAX, beamdepth, compute_metrics, half_power_argument,
                              half_power_coefficient, half_power_distances,
-                             mainlobe_edge, max_nearfield_range,
+                             lobe_scan, mainlobe_edge, max_nearfield_range,
                              peak_sidelobe_level, quadratic_gain_analysis)
 
 SIMO = ProcessingMode.SIMO_MISO
@@ -194,6 +196,47 @@ class TestMainlobeEdge:
     def test_fresnel_layouts_share_edge(self):
         assert mainlobe_edge(GeometryKind.ULA, SIMO) == pytest.approx(
             mainlobe_edge(GeometryKind.URA, SIMO), abs=1e-9)
+        # the URA is the ULA squared: URA SIMO is ULA MIMO, bit for bit
+        for solver in (half_power_argument, mainlobe_edge, peak_sidelobe_level):
+            assert solver(GeometryKind.URA, SIMO) == solver(GeometryKind.ULA, MIMO)
+
+
+def _clear_caches():
+    # the only two caches, as test_two_public_caches pins
+    half_power_argument.cache_clear()
+    lobe_scan.cache_clear()
+
+
+class TestSolverCaches:
+    def test_two_public_caches(self):
+        cached = {name for name in dir(metrics) if not name.startswith("_")
+                  and hasattr(getattr(metrics, name), "cache_clear")}
+        assert cached == {"half_power_argument", "lobe_scan"}
+
+    def test_one_lobe_scan_per_base_pattern(self, monkeypatch):
+        # ULA, UCA and UPCA are the base patterns; the URA reuses the ULA's
+        grids = []
+
+        def counting(kind, mode, x):
+            if np.size(x) == 50_001:
+                grids.append(kind)
+            return normalized_af_power(kind, mode, x)
+
+        _clear_caches()
+        monkeypatch.setattr(metrics, "normalized_af_power", counting)
+        for kind in KINDS:
+            compute_metrics(kind)
+        assert sorted(grids, key=KINDS.index) == [
+            GeometryKind.ULA, GeometryKind.UCA, GeometryKind.UPCA]
+
+    @pytest.mark.parametrize("argv", [
+        ["af-curve", "--sweep", "50:400:201"],
+        ["beamdepth-sweep", "--sweep", "10:1200:201"],
+    ])
+    def test_curves_scan_no_lobes(self, argv, capsys):
+        _clear_caches()
+        assert main(argv) == 0
+        assert lobe_scan.cache_info().currsize == 0
 
 
 class TestQuadraticGainAnalysis:

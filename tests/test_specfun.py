@@ -143,6 +143,19 @@ class TestSinc:
             sinc(float("inf"))
 
 
+def test_huge_arguments_stay_finite():
+    # pi x and pi x^2 / 2 overflow up here; the limits are C = S = 1/2
+    # and J0 = sinc = 0 to double precision
+    huge = np.array([1e17, 1e155, 1e300, 5.7e307, 1.7e308, np.finfo(float).max])
+    for sign in (1.0, -1.0):
+        c, s = fresnel_cs(sign * huge)
+        assert c.tolist() == s.tolist() == [sign * 0.5] * huge.size
+        assert np.all(np.abs(bessel_j0(sign * huge)) <= 1.0 / np.sqrt(huge))
+        assert np.all(np.abs(sinc(sign * huge)) <= 1.0 / huge)
+    assert fresnel_cs(1e300) == (0.5, 0.5)
+    assert sinc(1e308) == 0.0
+
+
 def test_fresnel_wide_range_against_scipy():
     from scipy import special
     u = np.linspace(-10.0, 10.0, 4001)
