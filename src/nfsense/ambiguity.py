@@ -2,8 +2,17 @@
 
 Distances are full Euclidean norms; no series approximation is applied
 anywhere in this module, which makes it the ground truth the closed forms
-are validated against.  Element order is fixed (ascending index) so sums
-are bit-reproducible run to run.
+are validated against.
+
+Every sum runs through one kernel.  It walks the probes in blocks of about
+_BLOCK_PAIRS element-probe pairs, adds the squared coordinate differences
+of a block in place, takes the square root, and sums w_m cos and w_m sin of
+the real phase k (d_m(target) - d_m(probe)) over the elements in ascending
+order, so sums are bit-reproducible run to run.  Off broadside every weight
+is 1.  On the +z axis an element's distance depends only on (x^2 + y^2, z),
+so broadside_power_sweep sums the first element of each axial class of the
+geometry (ArrayGeometry.axial_class) weighted by the class size, at its
+exact position, and still normalizes by the full element count.
 """
 
 from __future__ import annotations
@@ -20,19 +29,76 @@ __all__ = [
 # probe points closer than this (in wavelengths) to an element are rejected
 _MIN_SEPARATION = 1e-6
 
-# probe-sweep chunk size, in element-point pairs
-_CHUNK_PAIRS = 4_000_000
+# element-probe pairs per kernel block; two float buffers of this size stay
+# in cache
+_BLOCK_PAIRS = 65_536
 
 
-def _distances(geometry: ArrayGeometry, points) -> np.ndarray:
-    """(P, M) distances from each point to each element, coincidence checked."""
+def _points(points) -> np.ndarray:
+    """(P, 3) float array of finite points."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[-1] != 3 or not np.all(np.isfinite(pts)):
+    if pts.ndim != 2 or pts.shape[1] != 3 or not np.all(np.isfinite(pts)):
         raise ValueError("points must be finite 3-vectors")
-    d = np.linalg.norm(pts[:, None, :] - geometry.elements[None, :, :], axis=2)
-    if d.min() < _MIN_SEPARATION * geometry.wavelength:
+    return pts
+
+
+def _phase_sum(elements, weights, k: float, target, probes,
+               min_distance: float) -> np.ndarray:
+    """(P,) sums of w_m exp(-j k (d_m(target) - d_m(probe))) over the elements.
+
+    Raises ValueError if the target or a probe lies within min_distance of
+    an element.
+    """
+    ex, ey, ez = np.ascontiguousarray(elements.T)
+    d_target = np.sqrt((target[0] - ex) ** 2 + (target[1] - ey) ** 2
+                       + (target[2] - ez) ** 2)
+    if d_target.min() < min_distance:
         raise ValueError("point coincides with an array element")
-    return d
+    rows = max(1, _BLOCK_PAIRS // ex.size)
+    dist = np.empty((min(rows, len(probes)), ex.size))
+    term = np.empty_like(dist)
+    out = np.empty(len(probes), dtype=complex)
+    for lo in range(0, len(probes), rows):
+        block = probes[lo:lo + rows]
+        d, t = dist[:len(block)], term[:len(block)]
+        np.subtract(block[:, 0:1], ex, out=d)
+        np.square(d, out=d)
+        for axis, coord in ((1, ey), (2, ez)):
+            np.subtract(block[:, axis:axis + 1], coord, out=t)
+            np.square(t, out=t)
+            d += t
+        np.sqrt(d, out=d)
+        if d.min() < min_distance:
+            raise ValueError("point coincides with an array element")
+        np.subtract(d_target, d, out=d)
+        d *= k
+        np.cos(d, out=t)
+        t *= weights
+        out.real[lo:lo + len(block)] = t.sum(axis=1)
+        np.sin(d, out=t)
+        t *= weights
+        out.imag[lo:lo + len(block)] = -t.sum(axis=1)
+    return out
+
+
+def _array_factor(geometry: ArrayGeometry, target, probes, frequency: float,
+                  axial: bool = False) -> np.ndarray:
+    """(P,) array factors; axial=True sums one weighted element per class,
+    which is exact only for a target and probes on +z."""
+    m = geometry.n_elements
+    if axial:
+        _, first, counts = np.unique(geometry.axial_class, return_index=True,
+                                     return_counts=True)
+        order = np.argsort(first)
+        elements = geometry.elements[first[order]]
+        weights = counts[order].astype(float)
+    else:
+        elements, weights = geometry.elements, np.ones(m)
+    k = 2.0 * np.pi * frequency / SPEED_OF_LIGHT
+    out = _phase_sum(elements, weights, k, target, probes,
+                     _MIN_SEPARATION * geometry.wavelength)
+    out /= np.sqrt(m)
+    return out
 
 
 def array_factor(geometry: ArrayGeometry, target, probe, frequency: float | None = None):
@@ -44,21 +110,22 @@ def array_factor(geometry: ArrayGeometry, target, probe, frequency: float | None
     """
     if frequency is None:
         frequency = SPEED_OF_LIGHT / geometry.wavelength
-    k = 2.0 * np.pi * frequency / SPEED_OF_LIGHT
     probe = np.asarray(probe, dtype=float)
-    scalar = probe.ndim == 1
-    d_target = _distances(geometry, target)[0]
-    probes = np.atleast_2d(probe)
-    m = geometry.n_elements
-    out = np.empty(probes.shape[0], dtype=complex)
-    step = max(1, _CHUNK_PAIRS // m)
-    for lo in range(0, probes.shape[0], step):
-        d_probe = _distances(geometry, probes[lo:lo + step])
-        out[lo:lo + step] = np.exp(-1j * k * (d_target[None, :] - d_probe)).sum(axis=1)
-    out /= np.sqrt(m)
-    if scalar:
+    out = _array_factor(geometry, _points(target)[0], _points(probe), frequency)
+    if probe.ndim == 1:
         return complex(out[0])
     return out
+
+
+def _power(setup: SensingSetup, target, probes, axial: bool = False) -> np.ndarray:
+    """(P,) normalized power, as the product of the two array factors."""
+    af_tx = _array_factor(setup.tx, target, probes, setup.frequency, axial)
+    if setup.rx is setup.tx:
+        af_rx = af_tx
+    else:
+        af_rx = _array_factor(setup.rx, target, probes, setup.frequency, axial)
+    return (np.abs(af_tx) ** 2 / setup.tx.n_elements) \
+        * (np.abs(af_rx) ** 2 / setup.rx.n_elements)
 
 
 def normalized_power(setup: SensingSetup, target, probe):
@@ -68,22 +135,20 @@ def normalized_power(setup: SensingSetup, target, probe):
     MIMO sweep costs one aperture evaluation (squared) rather than the
     M^2 N^2 double sum.  probe may be a 3-vector or an (P, 3) stack.
     """
-    af_tx = array_factor(setup.tx, target, probe, setup.frequency)
-    if setup.rx is setup.tx:
-        af_rx = af_tx
-    else:
-        af_rx = array_factor(setup.rx, target, probe, setup.frequency)
-    power = (np.abs(af_tx) ** 2 / setup.tx.n_elements) \
-        * (np.abs(af_rx) ** 2 / setup.rx.n_elements)
-    if np.ndim(power) == 0:
-        return float(power)
+    probe = np.asarray(probe, dtype=float)
+    power = _power(setup, _points(target)[0], _points(probe))
+    if probe.ndim == 1:
+        return float(power[0])
     return power
 
 
 def broadside_power_sweep(setup: SensingSetup, target_distance: float, probe_distances):
-    """Normalized power for a target on +z and probe distances along +z."""
+    """Normalized power for a target on +z and probe distances along +z.
+
+    Sums one element per axial class, weighted by the class size.
+    """
     probe_distances = np.asarray(probe_distances, dtype=float)
     target = np.array([0.0, 0.0, target_distance])
     probes = np.zeros((probe_distances.size, 3))
     probes[:, 2] = probe_distances.ravel()
-    return normalized_power(setup, target, probes)
+    return _power(setup, _points(target)[0], _points(probes), axial=True)

@@ -304,7 +304,9 @@ def cmd_beamdepth_sweep(args) -> int:
             columns["kind"] += [kind] * len(targets)
             columns["mode"] += [mode] * len(targets)
             columns["target_m"] += targets
-            columns["beamdepth_m"] += [beamdepth(d, d_fa, coeff) for d in targets]
+            with _rejected_input():  # a depth out of floating-point range
+                columns["beamdepth_m"] += [beamdepth(d, d_fa, coeff)
+                                           for d in targets]
     _emit(args, metadata, columns)
     return 0
 

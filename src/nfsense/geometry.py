@@ -9,6 +9,12 @@ the x axis, the URA and UPCA span the x-y plane.  The UCA is placed in the
 x-z plane (ring normal along y): a ring seen face-on has every element
 equidistant from any on-axis point and therefore no range selectivity at
 all, so the ring must be edge-on to the axis it resolves ranges along.
+
+On the +z axis an element's distance depends only on (x^2 + y^2, z).  Each
+builder labels its elements with an integer axial class computed from their
+integer indices, so that the elements of one class are equidistant from
+every on-axis point: the mirror pair |2i - (n-1)| of the ULA, a^2 + b^2 of
+the URA, the ring of the UPCA and the +-x mirror pair of an even UCA.
 """
 
 from __future__ import annotations
@@ -42,6 +48,9 @@ SPEED_OF_LIGHT = 299792458.0
 
 # absolute slack on the lambda/2 spacing ceiling and on centering checks
 _TOL = 1e-9
+
+# slack on (x^2 + y^2, z) within one axial class, relative to the extent
+_CLASS_TOL = 1e-12
 
 MAX_ELEMENTS = 1_000_000
 "Largest element count a builder accepts; it is checked before allocation."
@@ -89,20 +98,44 @@ class ArrayGeometry:
     kind is None for the degenerate single-element "array" used as the
     plain side of a SIMO/MISO link.  aperture is the actual end-to-end
     extent recomputed from the element positions (ULA: length, UCA/UPCA:
-    outer diameter, URA: diagonal).
+    outer diameter, URA: diagonal).  axial_class labels the elements (see
+    the module docstring); it defaults to one class per element, and a class
+    whose members differ in (x^2 + y^2, z) beyond rounding raises ValueError.
     """
 
     kind: GeometryKind | None
     wavelength: float
     elements: np.ndarray
     aperture: float
+    axial_class: np.ndarray | None = None
 
     def __post_init__(self):
         self.elements.setflags(write=False)
+        m = self.elements.shape[0]
+        if self.axial_class is None:
+            classes = np.arange(m)
+        else:
+            classes = np.array(self.axial_class)
+            if classes.shape != (m,) or classes.dtype.kind not in "iu":
+                raise ValueError("axial_class needs one integer per element")
+            _check_axial_classes(self.elements, classes, self.wavelength)
+        classes.setflags(write=False)
+        object.__setattr__(self, "axial_class", classes)
 
     @property
     def n_elements(self) -> int:
         return self.elements.shape[0]
+
+
+def _check_axial_classes(elements, classes, wavelength: float) -> None:
+    """ValueError unless each class shares (x^2 + y^2, z) to rounding."""
+    scale = max(wavelength, float(np.abs(elements).max(initial=0.0)))
+    unit = elements / scale
+    key = np.column_stack([unit[:, 0] ** 2 + unit[:, 1] ** 2, unit[:, 2]])
+    _, first, inverse = np.unique(classes, return_index=True, return_inverse=True)
+    if np.abs(key - key[first[inverse]]).max(initial=0.0) > _CLASS_TOL:
+        raise ValueError("axial_class groups elements at different "
+                         "distances from the +z axis")
 
 
 def _check_count(kind, count, aperture: float, wavelength: float) -> int:
@@ -113,7 +146,7 @@ def _check_count(kind, count, aperture: float, wavelength: float) -> int:
     return int(count)
 
 
-def _finish(kind, wavelength, positions) -> ArrayGeometry:
+def _finish(kind, wavelength, positions, axial_class) -> ArrayGeometry:
     pos = np.asarray(positions, dtype=float)
     pos = pos - pos.mean(axis=0)
     if kind is GeometryKind.ULA:
@@ -128,7 +161,8 @@ def _finish(kind, wavelength, positions) -> ArrayGeometry:
         raise ValueError(f"{kind.name} aperture overflows at lambda = "
                          f"{wavelength:g} m")
     return ArrayGeometry(kind=kind, wavelength=float(wavelength),
-                         elements=pos, aperture=aperture)
+                         elements=pos, aperture=aperture,
+                         axial_class=axial_class)
 
 
 def build_ula(aperture: float, wavelength: float) -> ArrayGeometry:
@@ -142,9 +176,11 @@ def build_ula(aperture: float, wavelength: float) -> ArrayGeometry:
     n = _check_count(GeometryKind.ULA,
                      np.floor(2.0 * aperture / wavelength + _TOL) + 1,
                      aperture, wavelength)
+    i = np.arange(n)
     pos = np.zeros((n, 3))
-    pos[:, 0] = (np.arange(n) - (n - 1) / 2.0) * (wavelength / 2.0)
-    return _finish(GeometryKind.ULA, wavelength, pos)
+    pos[:, 0] = (i - (n - 1) / 2.0) * (wavelength / 2.0)
+    # elements i and n-1-i mirror each other about the axis
+    return _finish(GeometryKind.ULA, wavelength, pos, np.abs(2 * i - (n - 1)))
 
 
 def build_uca(diameter: float, wavelength: float) -> ArrayGeometry:
@@ -158,11 +194,15 @@ def build_uca(diameter: float, wavelength: float) -> ArrayGeometry:
     n = _check_count(GeometryKind.UCA,
                      np.ceil(2.0 * math.pi * diameter / wavelength - _TOL),
                      diameter, wavelength)
-    theta = 2.0 * math.pi * np.arange(n) / n
+    m = np.arange(n)
+    theta = 2.0 * math.pi * m / n
     pos = np.zeros((n, 3))
     pos[:, 0] = 0.5 * diameter * np.cos(theta)
     pos[:, 2] = 0.5 * diameter * np.sin(theta)
-    return _finish(GeometryKind.UCA, wavelength, pos)
+    # theta and pi - theta share z and |x|: elements m and n/2 - m (mod n)
+    # for even n; an odd ring has no such pairs
+    classes = np.minimum(m, (n // 2 - m) % n) if n % 2 == 0 else m
+    return _finish(GeometryKind.UCA, wavelength, pos, classes)
 
 
 def build_ura(diagonal: float, wavelength: float) -> ArrayGeometry:
@@ -179,7 +219,10 @@ def build_ura(diagonal: float, wavelength: float) -> ArrayGeometry:
     grid = (np.arange(n) - (n - 1) / 2.0) * (wavelength / 2.0)
     gx, gy = np.meshgrid(grid, grid, indexing="ij")
     pos = np.column_stack([gx.ravel(), gy.ravel(), np.zeros(n * n)])
-    return _finish(GeometryKind.URA, wavelength, pos)
+    # x = a lambda/4 and y = b lambda/4, so x^2 + y^2 = (a^2 + b^2) (lambda/4)^2
+    a = 2 * np.arange(n) - (n - 1)
+    classes = (a[:, None] ** 2 + a[None, :] ** 2).ravel()
+    return _finish(GeometryKind.URA, wavelength, pos, classes)
 
 
 def build_upca(diameter: float, wavelength: float) -> ArrayGeometry:
@@ -206,7 +249,8 @@ def build_upca(diameter: float, wavelength: float) -> ArrayGeometry:
         ring[:, 0] = r * np.cos(theta)
         ring[:, 1] = r * np.sin(theta)
         chunks.append(ring)
-    return _finish(GeometryKind.UPCA, wavelength, np.vstack(chunks))
+    rings = np.repeat(np.arange(len(counts) + 1), [1] + counts)
+    return _finish(GeometryKind.UPCA, wavelength, np.vstack(chunks), rings)
 
 
 _BUILDERS = {
@@ -229,7 +273,8 @@ def build_array(kind: GeometryKind, aperture: float, wavelength: float) -> Array
 def single_element(wavelength: float) -> ArrayGeometry:
     """Degenerate one-element array at the origin (kind None, aperture 0)."""
     return ArrayGeometry(kind=None, wavelength=float(wavelength),
-                         elements=np.zeros((1, 3)), aperture=0.0)
+                         elements=np.zeros((1, 3)), aperture=0.0,
+                         axial_class=np.zeros(1, dtype=int))
 
 
 def fraunhofer_distance(geometry: ArrayGeometry) -> float:

@@ -117,13 +117,24 @@ def half_power_distances(d_target: float, d_fraunhofer: float,
 
 
 def beamdepth(d_target: float, d_fraunhofer: float, coefficient: float) -> float:
-    """Radial half-power extent around a target at d'; inf past d_FA/alpha."""
+    """Radial half-power extent around a target at d'; inf past d_FA/alpha.
+
+    Below d_FA/alpha the extent is finite; ValueError where its formula
+    leaves the float range (an overflowing or underflowing square).
+    """
     if not (d_target > 0 and d_fraunhofer > 0 and coefficient > 0):
         raise ValueError("distances and coefficient must be positive")
     if d_target >= d_fraunhofer / coefficient:
         return math.inf
-    return (2.0 * coefficient * d_fraunhofer * d_target ** 2
-            / (d_fraunhofer ** 2 - coefficient ** 2 * d_target ** 2))
+    try:
+        depth = (2.0 * coefficient * d_fraunhofer * d_target ** 2
+                 / (d_fraunhofer ** 2 - coefficient ** 2 * d_target ** 2))
+    except (OverflowError, ZeroDivisionError):
+        depth = math.inf
+    if not math.isfinite(depth):
+        raise ValueError(f"beamdepth at d' = {d_target:g} m with d_FA = "
+                         f"{d_fraunhofer:g} m is out of floating-point range")
+    return depth
 
 
 def max_nearfield_range(d_fraunhofer: float, coefficient: float) -> float:

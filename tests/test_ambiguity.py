@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from nfsense import ambiguity as ambiguity_module
 from nfsense.ambiguity import (array_factor, broadside_power_sweep,
                                normalized_power)
+from nfsense.cli import main
 from nfsense.closed_form import (af_argument, normalized_af_power,
                                  vergence_difference)
 from nfsense.geometry import (SPEED_OF_LIGHT, GeometryKind, ProcessingMode,
@@ -13,7 +15,8 @@ from nfsense.geometry import (SPEED_OF_LIGHT, GeometryKind, ProcessingMode,
                               single_element)
 from nfsense.metrics import half_power_coefficient, half_power_distances
 
-from reference_sums import ambiguity, channel_phase
+from reference_sums import (ambiguity, channel_phase, dense_array_factor,
+                            dense_power)
 
 LAM = 1.0
 FREQ = SPEED_OF_LIGHT / LAM
@@ -204,3 +207,75 @@ class TestClosedFormConvergence:
             p0 = normalized_power(simo_miso_setup(g), t, [0, 0, d])
             p1 = normalized_power(simo_miso_setup(rotated), t, [0, 0, d])
             assert p0 == pytest.approx(p1, abs=1e-12)
+
+
+# apertures whose off-axis patch below spans at least three kernel blocks
+_PATCH_APERTURES = {GeometryKind.ULA: 200.0, GeometryKind.UCA: 60.0,
+                    GeometryKind.URA: 14.0, GeometryKind.UPCA: 12.0}
+
+
+def _patch():
+    """600 off-axis probes on a tilted 30 x 20 patch."""
+    x, z = np.meshgrid(np.linspace(-15.0, 15.0, 30), np.linspace(60.0, 140.0, 20))
+    return np.column_stack([x.ravel(), 5.0 + 0.1 * x.ravel(), z.ravel()])
+
+
+class TestKernelMatchesDenseSum:
+    @pytest.mark.parametrize("kind", list(GeometryKind))
+    def test_off_axis_patch(self, kind):
+        g = build_array(kind, _PATCH_APERTURES[kind] * LAM, LAM)
+        probes = _patch()
+        assert len(probes) * g.n_elements >= 3 * ambiguity_module._BLOCK_PAIRS
+        target = [4.0, -3.0, 100.0]
+        af = array_factor(g, target, probes)
+        dense = dense_array_factor(g, target, probes)
+        assert np.max(np.abs(af - dense)) / math.sqrt(g.n_elements) <= 1e-12
+        for setup in (simo_miso_setup(g), mimo_setup(g)):
+            power = normalized_power(setup, target, probes)
+            assert np.max(np.abs(power - dense_power(setup, target, probes))) <= 1e-12
+
+    @pytest.mark.parametrize("kind", list(GeometryKind))
+    def test_weighted_broadside(self, kind):
+        g = build_array(kind, 50 * LAM, LAM)
+        grid = np.linspace(60.0, 200.0, 121)
+        probes = np.column_stack([np.zeros((grid.size, 2)), grid])
+        for setup in (simo_miso_setup(g), mimo_setup(g)):
+            power = broadside_power_sweep(setup, 100.0, grid)
+            dense = dense_power(setup, [0.0, 0.0, 100.0], probes)
+            assert np.max(np.abs(power - dense)) <= 1e-12
+
+    def test_broadside_point_on_element_rejected(self):
+        # the edge-on ring of 316 elements has one on +z, at the top
+        g = build_uca(50.2 * LAM, LAM)
+        top = float(g.elements[:, 2].max())
+        setup = simo_miso_setup(g)
+        for target, probes in ((50.0, [30.0, top]), (top, [30.0, 40.0])):
+            with pytest.raises(ValueError, match="coincides"):
+                broadside_power_sweep(setup, target, probes)
+
+
+class TestKernelRows:
+    @pytest.fixture
+    def rows(self, monkeypatch):
+        seen = []
+        kernel = ambiguity_module._phase_sum
+
+        def counting(elements, *args):
+            seen.append(len(elements))
+            return kernel(elements, *args)
+
+        monkeypatch.setattr(ambiguity_module, "_phase_sum", counting)
+        return seen
+
+    def test_validate_sums_class_representatives(self, rows, capsys):
+        # 8037 UPCA elements fall into 51 rings; the single transmit
+        # element is the other side of the SIMO link
+        assert main(["validate", "--kind", "upca", "--aperture-lambda", "50",
+                     "--target-lambda", "100", "--sweep", "0:0:201"]) == 2
+        capsys.readouterr()
+        assert rows and set(rows) == {1, 51}
+
+    def test_off_axis_sums_every_element(self, rows):
+        g = build_array(GeometryKind.UPCA, 12 * LAM, LAM)
+        normalized_power(mimo_setup(g), [4.0, -3.0, 100.0], _patch())
+        assert rows and set(rows) == {g.n_elements}

@@ -324,6 +324,10 @@ class TestExitCodes:
         # an aperture that overflows while it is measured
         "validate --kind uca --aperture-lambda 3 --wavelength 1e300",
         "dump-geometry --kind upca --aperture-lambda 3 --wavelength 1e300",
+        # a beamdepth whose formula overflows or underflows
+        "beamdepth-sweep --aperture-lambda 5e153 --sweep 1:1e300:3",
+        "beamdepth-sweep --aperture-lambda 1e-100 --sweep 1e-300:1e300:3",
+        "beamdepth-sweep --aperture-lambda 7e74 --sweep 1e99:1e100:3",
     ])
     def test_bad_input_one_line(self, capsys, argv):
         assert main(argv.split()) == 1

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from nfsense.geometry import (GeometryKind, ProcessingMode, SensingSetup,
-                              SPEED_OF_LIGHT, build_array, build_uca, build_ula,
-                              build_upca, build_ura, MAX_ELEMENTS, fraunhofer_distance, mimo_setup,
+from nfsense.geometry import (ArrayGeometry, GeometryKind, ProcessingMode,
+                              SensingSetup, SPEED_OF_LIGHT, build_array,
+                              build_uca, build_ula, build_upca, build_ura,
+                              MAX_ELEMENTS, fraunhofer_distance, mimo_setup,
                               simo_miso_setup, single_element)
 from nfsense.cli import main
 
@@ -155,6 +156,77 @@ def test_elements_are_immutable():
     g = build_ula(5 * LAM, LAM)
     with pytest.raises(ValueError):
         g.elements[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        g.axial_class[0] = 7
+
+
+def _axial_key(g):
+    """(x^2 + y^2, z) per element, in wavelengths."""
+    e = g.elements / g.wavelength
+    return np.column_stack([e[:, 0] ** 2 + e[:, 1] ** 2, e[:, 2]])
+
+
+class TestAxialClasses:
+    @pytest.mark.parametrize("kind, aperture, elements, classes", [
+        (GeometryKind.ULA, 50.0, 101, 51), (GeometryKind.UPCA, 50.0, 8037, 51),
+        (GeometryKind.URA, 50.0, 5041, 536), (GeometryKind.UCA, 50.2, 316, 159)])
+    def test_class_count(self, kind, aperture, elements, classes):
+        g = build_array(kind, aperture * LAM, LAM)
+        assert g.n_elements == elements
+        assert g.axial_class.shape == (elements,)
+        assert len(np.unique(g.axial_class)) == classes
+
+    @pytest.mark.parametrize("aperture", [50.0, 10.0, 3.3])
+    def test_odd_uca_all_distinct(self, aperture):
+        g = build_uca(aperture * LAM, LAM)
+        assert g.n_elements % 2 == 1
+        assert len(np.unique(g.axial_class)) == g.n_elements
+
+    @pytest.mark.parametrize("kind, aperture", [
+        (GeometryKind.ULA, 50.0), (GeometryKind.UCA, 50.2),
+        (GeometryKind.URA, 50.0), (GeometryKind.UPCA, 50.0),
+        (GeometryKind.UCA, 12.0), (GeometryKind.ULA, 0.5)])
+    def test_members_share_axial_distance(self, kind, aperture):
+        g = build_array(kind, aperture * LAM, LAM)
+        key = _axial_key(g)
+        for c in np.unique(g.axial_class):
+            members = key[g.axial_class == c]
+            assert np.max(np.abs(members - members[0])) <= 1e-12
+
+    def test_distinct_classes_differ(self):
+        # classes are as coarse as the layout allows: two classes never
+        # share (x^2 + y^2, z)
+        for kind in GeometryKind:
+            g = build_array(kind, 20.4 * LAM, LAM)
+            _, first = np.unique(g.axial_class, return_index=True)
+            reps = np.round(_axial_key(g)[first], 9)
+            assert len(np.unique(reps, axis=0)) == len(first)
+
+    def test_hand_built_all_distinct(self):
+        g = build_upca(6 * LAM, LAM)
+        hand = ArrayGeometry(kind=g.kind, wavelength=g.wavelength,
+                             elements=g.elements.copy(), aperture=g.aperture)
+        assert hand.axial_class.tolist() == list(range(g.n_elements))
+
+    @pytest.mark.parametrize("kind", list(GeometryKind))
+    def test_mislabeled_classes_rejected(self, kind):
+        g = build_array(kind, 10 * LAM, LAM)
+        # join the two classes of the first two distinct class ids
+        ids = np.unique(g.axial_class)
+        wrong = np.where(g.axial_class == ids[1], ids[0], g.axial_class)
+        with pytest.raises(ValueError, match="axial_class"):
+            ArrayGeometry(kind=g.kind, wavelength=g.wavelength,
+                          elements=g.elements.copy(), aperture=g.aperture,
+                          axial_class=wrong)
+
+    @pytest.mark.parametrize("classes", [np.zeros(3, dtype=int),
+                                         np.arange(21) * 1.0])
+    def test_malformed_classes_rejected(self, classes):
+        g = build_ula(10 * LAM, LAM)
+        with pytest.raises(ValueError, match="axial_class"):
+            ArrayGeometry(kind=g.kind, wavelength=g.wavelength,
+                          elements=g.elements.copy(), aperture=g.aperture,
+                          axial_class=classes)
 
 
 class TestFraunhofer:
@@ -175,6 +247,7 @@ def test_single_element():
     assert g.n_elements == 1
     assert g.aperture == 0.0
     assert g.kind is None
+    assert g.axial_class.tolist() == [0]
 
 
 def test_geometry_csv_roundtrip(tmp_path):
