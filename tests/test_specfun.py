@@ -1,9 +1,15 @@
+import importlib.util
 import math
+import time
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
 
+from nfsense.closed_form import normalized_af_power
+from nfsense.geometry import GeometryKind, ProcessingMode
 from nfsense.specfun import bessel_j0, fresnel_c, fresnel_s, fresnel_cs, sinc
 
 
@@ -24,6 +30,23 @@ def j0_series_oracle(x, terms=40):
         acc += term
         term *= -(x * x) / (4.0 * (k + 1) ** 2)
     return acc
+
+
+def mp_fresnel(u):
+    """C(u) and S(u) at 50 digits: (1 + i)/2 erf(sqrt(pi)/2 (1 - i) u).
+
+    A&S 7.3.22; it agrees with mpmath.fresnelc / fresnels to 1e-48 and is
+    ten times faster for |u| > 10.
+    """
+    with mpmath.workdps(50):
+        w = (1 + 1j) / 2 * mpmath.erf(mpmath.sqrt(mpmath.pi) / 2 * (1 - 1j)
+                                      * mpmath.mpf(u))
+        return float(w.real), float(w.imag)
+
+
+def mp_j0(x):
+    with mpmath.workdps(50):
+        return float(mpmath.besselj(0, mpmath.mpf(x)))
 
 
 class TestFresnel:
@@ -56,11 +79,24 @@ class TestFresnel:
         assert np.max(np.abs(fresnel_s(u) + fresnel_s(-u))) <= 1e-12
 
     def test_branch_crossover_continuity(self):
-        # series and continued fraction must agree where they meet
+        # the u^4 series and the auxiliary functions must agree where they meet
         left = fresnel_cs(2.0 - 1e-12)
         right = fresnel_cs(2.0 + 1e-12)
         assert left[0] == pytest.approx(right[0], abs=1e-11)
         assert left[1] == pytest.approx(right[1], abs=1e-11)
+
+    @pytest.mark.parametrize("lo, hi, n", [(0.0, 2.0, 201), (2.0, 10.0, 201),
+                                           (10.0, 100.0, 201),
+                                           (100.0, 1000.0, 201)])
+    def test_against_mpmath(self, lo, hi, n):
+        # both sides of the crossover, random points and some negatives
+        rng = np.random.default_rng(int(hi))
+        u = np.concatenate([np.linspace(lo, hi, n), rng.uniform(lo, hi, n),
+                            -rng.uniform(lo, hi, 10)])
+        c, s = fresnel_cs(u)
+        ref = np.array([mp_fresnel(float(v)) for v in u])
+        assert np.max(np.abs(c - ref[:, 0])) <= 1e-15
+        assert np.max(np.abs(s - ref[:, 1])) <= 1e-15
 
     def test_array_shape_and_scalar_type(self):
         out = fresnel_c(np.array([0.1, 0.2, 5.0]))
@@ -114,6 +150,22 @@ class TestBesselJ0:
         x = np.linspace(0.0, 50.0, 5001)
         assert np.max(np.abs(bessel_j0(x) - special.j0(x))) <= 1e-10
 
+    @pytest.mark.parametrize("lo, hi, bound", [(0.0, 13.0, 1e-14),
+                                               (13.0, 50.0, 1e-13)])
+    def test_against_mpmath(self, lo, hi, bound):
+        rng = np.random.default_rng(int(hi))
+        x = np.concatenate([np.linspace(lo, hi, 501),
+                            rng.uniform(lo, hi, 500)])
+        ref = np.array([mp_j0(float(v)) for v in x])
+        assert np.max(np.abs(bessel_j0(x) - ref)) <= bound
+
+    def test_branch_crossover_continuity(self):
+        # the x^2 series (x <= 13) and the Hankel expansion meet at x = 13
+        below, above = np.nextafter(13.0, 0.0), np.nextafter(13.0, 14.0)
+        for x in (13.0 - 1e-9, below, 13.0, above, 13.0 + 1e-9):
+            assert bessel_j0(x) == pytest.approx(mp_j0(x), abs=1e-13)
+        assert bessel_j0(below) == pytest.approx(bessel_j0(above), abs=2e-13)
+
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             bessel_j0(float("nan"))
@@ -162,3 +214,42 @@ def test_fresnel_wide_range_against_scipy():
     s_ref, c_ref = special.fresnel(u)
     assert np.max(np.abs(fresnel_c(u) - c_ref)) <= 1e-10
     assert np.max(np.abs(fresnel_s(u) - s_ref)) <= 1e-10
+
+
+# [0, 50] in shuffled order, with both neighbours of the Fresnel crossover
+# u = 2 (x = 4 in the ULA pattern) and of the J0 crossover x = 13
+_MIXED = np.random.default_rng(5).permutation(np.concatenate([
+    np.linspace(0.0, 50.0, 1001),
+    [np.nextafter(b, b + d) for b in (2.0, 4.0, 13.0) for d in (-1.0, 1.0)]]))
+
+
+def _pattern(kind):
+    return lambda v: normalized_af_power(kind, ProcessingMode.SIMO_MISO, v)
+
+
+@pytest.mark.parametrize("evaluate", [
+    lambda v: np.stack(fresnel_cs(v), axis=-1),
+    bessel_j0,
+    sinc,
+    *map(_pattern, (GeometryKind.ULA, GeometryKind.UCA, GeometryKind.UPCA)),
+], ids=["fresnel_cs", "bessel_j0", "sinc", "ula", "uca", "upca"])
+def test_value_does_not_depend_on_its_batch(evaluate):
+    batch = np.asarray(evaluate(_MIXED))
+    alone = np.array([evaluate(float(v)) for v in _MIXED])
+    assert alone.shape == batch.shape
+    assert np.array_equal(alone.view(np.uint64), batch.view(np.uint64))
+
+
+def test_committed_coefficients_match_the_fit():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "fit_specfun.py"
+    spec = importlib.util.spec_from_file_location("fit_specfun", path)
+    fit_specfun = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fit_specfun)
+    start = time.perf_counter()
+    fitted = fit_specfun.fit()
+    assert fit_specfun.check(fitted) == []
+    assert time.perf_counter() - start < 2.0
+    # one ulp off in one coefficient is caught
+    name, coef = next(iter(fitted.items()))
+    nudged = (np.nextafter(coef[0], 1.0),) + coef[1:]
+    assert fit_specfun.check({**fitted, name: nudged}) == [name]
