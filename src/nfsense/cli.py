@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import json
 import math
 import sys
 from dataclasses import asdict
 from enum import Enum
+from itertools import chain, islice
 from operator import attrgetter
 
 import numpy as np
@@ -196,43 +196,87 @@ def _rejected_input():
         raise UsageError(str(exc)) from None
 
 
-def _format(values: list, text: bool) -> list:
-    """One column as CSV text (text=True) or JSON values.
+def _json_float(value: float) -> str:
+    """A float as JSON text: infinities as strings, and no nan."""
+    if math.isfinite(value):
+        return float.__repr__(value)
+    if math.isnan(value):
+        raise ValueError("Out of range float values are not JSON compliant")
+    return '"inf"' if value > 0 else '"-inf"'
 
-    The column's first value picks the rule for all of them: enums by name,
-    floats to 12 significant digits in CSV and infinities as "inf".
+
+def _cells(values: list, text: bool) -> tuple:
+    """One column as (%-format spec, the values it formats).
+
+    The column's first value picks the rule for all of them: enums by name;
+    floats to 12 significant digits in CSV and as float.__repr__ in JSON,
+    where infinities become the strings "inf" and "-inf" and nan is
+    rejected; ints in decimal; strings as they are in CSV (no string the
+    CLI writes holds a comma, quote or newline), escaped in JSON.
     """
     first = values[0] if values else None
     if isinstance(first, Enum):
-        # _name_ is a plain attribute; .name and hashing a member are
-        # Python-level calls per row
-        return list(map(attrgetter("_name_"), values))
+        # _name_ is a plain attribute, .name a Python-level property; names
+        # are identifiers, which JSON quotes without escapes
+        return ("%s" if text else '"%s"'), list(map(attrgetter("_name_"), values))
     if isinstance(first, float):
         if text:
-            return list(map("{:.12g}".format, values))
-        return ["inf" if math.isinf(v) else v for v in values]
-    return list(map(str, values)) if text else values
+            return "%.12g", values
+        if all(map(math.isfinite, values)):
+            return "%s", list(map(float.__repr__, values))
+        return "%s", list(map(_json_float, values))
+    if type(first) is int:  # not bool, which CSV and JSON spell as words
+        return "%d", values
+    return "%s", (values if text else list(map(json.dumps, values)))
+
+
+def _json_object(keys, specs, indent: str) -> str:
+    """%-template of a JSON object laid out as json.dump(indent=2) does."""
+    if not keys:
+        return "{}"
+    inner = "\n" + indent + "  "
+    return ("{" + inner + ("," + inner).join(
+        json.dumps(key).replace("%", "%%") + ": " + spec
+        for key, spec in zip(keys, specs)) + "\n" + indent + "}")
+
+
+# rows formatted per write, which bounds the text held in memory
+_ROWS_PER_WRITE = 4096
 
 
 def _emit(args, metadata: dict, columns: dict) -> None:
-    """Write metadata and equal-length named columns in the chosen format."""
+    """Write metadata and equal-length named columns in the chosen format.
+
+    Every row is formatted by one %-template built from the column types,
+    and rows go out in blocks of _ROWS_PER_WRITE.
+    """
     text = args.format == "csv"
-    metadata = {key: _format([value], text)[0] for key, value in metadata.items()}
-    cells = [_format(values, text) for values in columns.values()]
+    meta = {}
+    for key, value in metadata.items():
+        spec, cell = _cells([value], text)
+        meta[key] = spec % tuple(cell)
+    specs, cells = zip(*(_cells(values, text) for values in columns.values()))
+    rows = zip(*cells)
+    if text:
+        head = "".join(f"# {key} = {value}\n" for key, value in meta.items())
+        head += ",".join(columns) + "\n"
+        first = rest = ",".join(specs) + "\n"
+        tail = ""
+    else:
+        head = ('{\n  "metadata": '
+                + _json_object(list(meta), ["%s"] * len(meta), "  ")
+                % tuple(meta.values()) + ',\n  "rows": [')
+        row = _json_object(list(columns), specs, "    ")
+        first, rest = "\n    " + row, ",\n    " + row
+        tail = ("\n  ]" if cells[0] else "]") + "\n}\n"
+    lines = chain(map(first.__mod__, islice(rows, 1)), map(rest.__mod__, rows))
     try:
         with (contextlib.nullcontext(sys.stdout) if args.out == "-" else
               open(args.out, "w", encoding="utf-8", newline="")) as stream:
-            if text:
-                for key, value in metadata.items():
-                    stream.write(f"# {key} = {value}\n")
-                writer = csv.writer(stream, lineterminator="\n")
-                writer.writerow(columns)
-                writer.writerows(zip(*cells))
-            else:
-                doc = {"metadata": metadata,
-                       "rows": [dict(zip(columns, row)) for row in zip(*cells)]}
-                json.dump(doc, stream, indent=2, allow_nan=False)
-                stream.write("\n")
+            stream.write(head)
+            while block := "".join(islice(lines, _ROWS_PER_WRITE)):
+                stream.write(block)
+            stream.write(tail)
     except OSError as exc:
         raise IOError(f"cannot write output {args.out!r}: {exc}") from exc
 

@@ -3,9 +3,12 @@
 A layout's power in a mode is its base pattern f to the exponent n p
 (see nfsense.closed_form), so every solver works on f alone: the
 half-power point solves f(x) = 0.5 ** (1/(n p)) by bisection on the
-monotone mainlobe; one cached scan of f per base pattern, refined by
-golden section, gives the mainlobe edge (the first minimum of f, which
-no exponent moves) and the sidelobe level (n p times that of f in dB).
+monotone mainlobe, once per (base, n p); one cached scan of f per base
+pattern, refined by golden section, gives the mainlobe edge (the first
+minimum of f, which no exponent moves) and the sidelobe level (n p times
+that of f in dB).  Both searches evaluate f for several steps per call:
+every point the next steps can visit, then the steps replayed in order,
+so they return the bits of a search that calls f one point at a time.
 Beamdepth and its divergence point follow from the vergence algebra
 
     d_3dB = d_FA d' / (d_FA +- alpha d')
@@ -31,6 +34,7 @@ __all__ = [
     "SIDELOBE_SCAN_MAX",
     "GeometryMetrics",
     "QuadraticGainAnalysis",
+    "half_power_root",
     "half_power_argument",
     "half_power_coefficient",
     "half_power_distances",
@@ -48,51 +52,106 @@ SIDELOBE_SCAN_MAX = 50.0
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
+# Steps a solver looks ahead: one call of f evaluates every point that the
+# next _LOOKAHEAD steps can visit, 2 ** _LOOKAHEAD - 1 of them.
+_LOOKAHEAD = 6
+
+
+def _lookahead(f, children, node) -> list:
+    """f at the point of `node` and of its descendants _LOOKAHEAD - 1 deep.
+
+    A node is a search state whose last entry is the point its step
+    evaluates; children(*node) gives the two nodes that step can lead to,
+    first the one taken when the search moves up.  Values come in heap
+    order: entry i's children are entries 2i + 1 and 2i + 2.  children runs
+    here on arrays, one tree level at a time, and on floats as the solver
+    replays its steps, so both compute every point by the same float
+    operations, and each value is the one a call at that point alone gives.
+    """
+    level = tuple(np.array([v]) for v in node)
+    points = [level[-1]]
+    for _ in range(_LOOKAHEAD - 1):
+        level = tuple(np.stack(pair, axis=1).ravel()
+                      for pair in zip(*children(*level)))
+        points.append(level[-1])
+    return f(np.concatenate(points)).tolist()
+
+
+def _halves(lo, hi, mid):
+    """The brackets after a bisection step: f(mid) above the level, then not."""
+    return (mid, hi, 0.5 * (mid + hi)), (lo, mid, 0.5 * (lo + mid))
+
+
+def _bisect(f, level: float, lo: float, hi: float) -> float:
+    """Root of f(x) = level where f falls through it on [lo, hi].
+
+    At most 80 halvings, stopping once the bracket is under 1e-12 wide.
+    """
+    node = (lo, hi, 0.5 * (lo + hi))
+    for step in range(80):
+        if step % _LOOKAHEAD == 0:
+            values, i = _lookahead(f, _halves, node), 0
+        up = values[i] - level > 0.0
+        node = _halves(*node)[0 if up else 1]
+        i = 2 * i + (1 if up else 2)
+        if node[1] - node[0] < 1e-12:
+            break
+    return node[2]
+
+
+def _golden_steps(a, b, x1, x2, _point):
+    """The states after a golden-section step: f(x1) < f(x2), then not."""
+    up = x1 + _GOLDEN * (b - x1)
+    down = x2 - _GOLDEN * (x2 - a)
+    return (x1, b, x2, up, up), (a, x2, down, x1, down)
+
 
 def _golden_max(f, lo: float, hi: float, tol: float = 1e-9) -> float:
     """Abscissa of the maximum of unimodal f on [lo, hi]."""
-    a, b = lo, hi
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > tol:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = f(x2)
+    x1 = hi - _GOLDEN * (hi - lo)
+    x2 = lo + _GOLDEN * (hi - lo)
+    f1, f2 = f(np.array([x1, x2])).tolist()
+    node = (lo, hi, x1, x2, None)
+    step = 0
+    while node[1] - node[0] > tol:
+        up = f1 < f2
+        node = _golden_steps(*node)[0 if up else 1]
+        if step % _LOOKAHEAD == 0:
+            values, i = _lookahead(f, _golden_steps, node), 0
         else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = f(x1)
-    return 0.5 * (a + b)
+            i = 2 * i + (1 if up else 2)
+        f1, f2 = (f2, values[i]) if up else (values[i], f1)
+        step += 1
+    return 0.5 * (node[0] + node[1])
 
 
 @lru_cache(maxsize=None)
-def half_power_argument(kind: GeometryKind, mode: ProcessingMode) -> float:
-    """Smallest x with normalized power 0.5, by bracketing and bisection.
+def half_power_root(base: GeometryKind, exponent: int) -> float:
+    """Smallest x where f ** exponent falls to 0.5, f the kind's pattern.
 
-    Solves f(x) = 0.5 ** (1 / (n p)) on the base pattern f.  f is 1 at
-    x = 0 and drops below 0.5 before its first minimum for every layout,
-    so the first sign change brackets the root.
+    Solves f(x) = 0.5 ** (1 / exponent) by bracketing on a grid and
+    bisection.  f is 1 at x = 0 and drops below 0.5 before its first
+    minimum for every layout, so the first sign change brackets the root.
     """
-    base, n = base_layout(kind)
     f = partial(normalized_af_power, base, ProcessingMode.SIMO_MISO)
-    level = 0.5 ** (1.0 / (n * mode.power_exponent))
+    level = 0.5 ** (1.0 / exponent)
     grid = np.linspace(0.0, 4.0, 4001)
     vals = f(grid) - level
     idx = int(np.argmax(vals < 0.0))
     if idx == 0:
         raise RuntimeError("no half-power bracket found")
-    lo, hi = float(grid[idx - 1]), float(grid[idx])
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if f(mid) - level > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-12:
-            break
-    return 0.5 * (lo + hi)
+    return _bisect(f, level, float(grid[idx - 1]), float(grid[idx]))
+
+
+@lru_cache(maxsize=None)
+def half_power_argument(kind: GeometryKind, mode: ProcessingMode) -> float:
+    """Smallest x with normalized power 0.5.
+
+    The power is the base pattern f to the exponent n p, so this is the
+    half-power root of (base, n p): the URA in SIMO shares the ULA's in MIMO.
+    """
+    base, n = base_layout(kind)
+    return half_power_root(base, n * mode.power_exponent)
 
 
 def half_power_coefficient(kind: GeometryKind, mode: ProcessingMode) -> float:

@@ -1,0 +1,78 @@
+"""Test-only reference solvers: the scalar bisection and golden-section loops.
+
+They evaluate the base pattern one point per call, as nfsense.metrics did
+before it evaluated the points of several steps in one call; tests require
+the library's solutions to equal theirs bit for bit.
+"""
+
+import math
+from functools import partial
+
+import numpy as np
+
+from nfsense.closed_form import base_layout, normalized_af_power
+from nfsense.geometry import GeometryKind, ProcessingMode
+from nfsense.metrics import SIDELOBE_SCAN_MAX
+
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_max(f, lo: float, hi: float, tol: float = 1e-9) -> float:
+    """Abscissa of the maximum of unimodal f on [lo, hi]."""
+    a, b = lo, hi
+    x1 = b - _GOLDEN * (b - a)
+    x2 = a + _GOLDEN * (b - a)
+    f1, f2 = f(x1), f(x2)
+    while b - a > tol:
+        if f1 < f2:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + _GOLDEN * (b - a)
+            f2 = f(x2)
+        else:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - _GOLDEN * (b - a)
+            f1 = f(x1)
+    return 0.5 * (a + b)
+
+
+def half_power_argument(kind: GeometryKind, mode: ProcessingMode) -> float:
+    """Smallest x with normalized power 0.5, by bracketing and bisection."""
+    base, n = base_layout(kind)
+    f = partial(normalized_af_power, base, ProcessingMode.SIMO_MISO)
+    level = 0.5 ** (1.0 / (n * mode.power_exponent))
+    grid = np.linspace(0.0, 4.0, 4001)
+    vals = f(grid) - level
+    idx = int(np.argmax(vals < 0.0))
+    if idx == 0:
+        raise RuntimeError("no half-power bracket found")
+    lo, hi = float(grid[idx - 1]), float(grid[idx])
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if f(mid) - level > 0.0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < 1e-12:
+            break
+    return 0.5 * (lo + hi)
+
+
+def lobe_scan(base: GeometryKind) -> tuple[float, float]:
+    """(mainlobe edge, peak sidelobe power) of a base pattern f."""
+    f = partial(normalized_af_power, base, ProcessingMode.SIMO_MISO)
+    grid = np.linspace(0.0, SIDELOBE_SCAN_MAX, 50_001)
+    vals = f(grid)
+    interior = np.where((vals[1:-1] < vals[:-2]) & (vals[1:-1] <= vals[2:]))[0]
+    if interior.size == 0:
+        raise RuntimeError("no mainlobe edge found in scan window")
+    edge = int(interior[0]) + 1
+    x_edge = golden_max(lambda x: -f(x), float(grid[edge - 1]),
+                        float(grid[edge + 1]), tol=1e-12)
+    lobes = vals[edge:]
+    is_max = (lobes[1:-1] > lobes[:-2]) & (lobes[1:-1] >= lobes[2:])
+    candidates = np.where(is_max)[0] + edge + 1
+    if candidates.size == 0:
+        raise RuntimeError("no sidelobe found in scan window")
+    best = int(candidates[int(np.argmax(vals[candidates]))])
+    x_peak = golden_max(f, float(grid[best - 1]), float(grid[best + 1]))
+    return x_edge, f(x_peak)

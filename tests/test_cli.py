@@ -1,10 +1,14 @@
+import argparse
 import json
 import math
 
 import numpy as np
 import pytest
 
+from nfsense import cli
 from nfsense.cli import main
+
+import reference_writer
 
 HALF_POWER_DB = 10.0 * math.log10(0.5)
 
@@ -335,3 +339,68 @@ class TestExitCodes:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("nfsense: error: ")
+
+
+WRITER_CASES = [
+    "tables",
+    "tables --kind uca",  # one row
+    "af-curve --kind ula,upca --sweep 50:400:301",
+    "af-curve --kind upca --mode mimo --sweep 1:5000:300",  # the dB floor
+    "beamdepth-sweep --kind ula,ura --sweep 10:1200:101",  # inf depths
+    "validate --kind ula,upca --sweep 0:0:201",  # pass and fail, exit 2
+    "dump-geometry --kind upca --aperture-lambda 6",  # the int index
+]
+
+
+class TestWriter:
+    """The row-template writer against tests/reference_writer.py."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "file"])
+    @pytest.mark.parametrize("argv", WRITER_CASES)
+    def test_bytes_match_reference(self, argv, fmt, to_file, tmp_path, capsys,
+                                   monkeypatch):
+        def run(emit, name):
+            monkeypatch.setattr(cli, "_emit", emit)
+            extra = ["--out", str(tmp_path / name)] if to_file else []
+            code = main(argv.split() + ["--format", fmt] + extra)
+            captured = capsys.readouterr()
+            written = (tmp_path / name).read_bytes() if to_file else b""
+            return code, captured.out, captured.err, written
+
+        assert run(cli._emit, "new") == run(reference_writer.emit, "reference")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_inf_in_metadata_and_rows(self, fmt, capsys):
+        # no command writes an infinite metadata value; the writer still must
+        metadata = {"limit_m": math.inf, "count": 3, "name": 'a "b"'}
+        columns = {"index": [0, 1, 2], "depth_m": [1.5, math.inf, 1e-300],
+                   "status": ["pass", "fail", "pass"]}
+        args = argparse.Namespace(format=fmt, out="-")
+        cli._emit(args, metadata, columns)
+        new = capsys.readouterr().out
+        reference_writer.emit(args, metadata, columns)
+        assert new == capsys.readouterr().out
+
+    def test_json_keeps_the_sign_of_inf(self, capsys):
+        args = argparse.Namespace(format="json", out="-")
+        cli._emit(args, {"low": -math.inf}, {"v": [-math.inf, math.inf, 0.5]})
+        doc = json.loads(capsys.readouterr().out)
+        assert doc == {"metadata": {"low": "-inf"},
+                       "rows": [{"v": "-inf"}, {"v": "inf"}, {"v": 0.5}]}
+
+    def test_csv_keeps_the_sign_of_inf(self, capsys):
+        args = argparse.Namespace(format="csv", out="-")
+        cli._emit(args, {"low": -math.inf}, {"v": [-math.inf, math.inf]})
+        assert capsys.readouterr().out == "# low = -inf\nv\n-inf\ninf\n"
+
+    @pytest.mark.parametrize("metadata,columns", [
+        ({"x": math.nan}, {"v": [1.0]}),
+        ({}, {"v": [1.0, math.nan]}),
+        ({}, {"v": [math.inf, math.nan]}),
+    ])
+    def test_json_rejects_nan(self, metadata, columns, capsys):
+        args = argparse.Namespace(format="json", out="-")
+        with pytest.raises(ValueError):
+            cli._emit(args, metadata, columns)
+        assert capsys.readouterr().out == ""

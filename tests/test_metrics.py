@@ -10,10 +10,13 @@ from nfsense.closed_form import (af_argument, normalized_af_power,
                                  vergence_difference)
 from nfsense.geometry import (GeometryKind, ProcessingMode, build_ula,
                               fraunhofer_distance, simo_miso_setup)
-from nfsense.metrics import (SIDELOBE_SCAN_MAX, beamdepth, compute_metrics, half_power_argument,
-                             half_power_coefficient, half_power_distances,
+from nfsense.metrics import (SIDELOBE_SCAN_MAX, beamdepth, compute_metrics,
+                             half_power_argument, half_power_coefficient,
+                             half_power_distances, half_power_root,
                              lobe_scan, mainlobe_edge, max_nearfield_range,
                              peak_sidelobe_level, quadratic_gain_analysis)
+
+import reference_solvers
 
 SIMO = ProcessingMode.SIMO_MISO
 MIMO = ProcessingMode.MIMO
@@ -202,32 +205,48 @@ class TestMainlobeEdge:
 
 
 def _clear_caches():
-    # the only two caches, as test_two_public_caches pins
+    # every solver cache, as test_public_caches pins them
+    half_power_root.cache_clear()
     half_power_argument.cache_clear()
     lobe_scan.cache_clear()
 
 
+def _cold_metrics_calls(monkeypatch):
+    """(kind, size of x) of every normalized_af_power call that
+    compute_metrics makes for the four layouts from cold caches."""
+    calls = []
+
+    def counting(kind, mode, x):
+        calls.append((kind, np.size(x)))
+        return normalized_af_power(kind, mode, x)
+
+    _clear_caches()
+    monkeypatch.setattr(metrics, "normalized_af_power", counting)
+    for kind in KINDS:
+        compute_metrics(kind)
+    return calls
+
+
 class TestSolverCaches:
-    def test_two_public_caches(self):
+    def test_public_caches(self):
         cached = {name for name in dir(metrics) if not name.startswith("_")
                   and hasattr(getattr(metrics, name), "cache_clear")}
-        assert cached == {"half_power_argument", "lobe_scan"}
+        assert cached == {"half_power_root", "half_power_argument", "lobe_scan"}
 
     def test_one_lobe_scan_per_base_pattern(self, monkeypatch):
         # ULA, UCA and UPCA are the base patterns; the URA reuses the ULA's
-        grids = []
-
-        def counting(kind, mode, x):
-            if np.size(x) == 50_001:
-                grids.append(kind)
-            return normalized_af_power(kind, mode, x)
-
-        _clear_caches()
-        monkeypatch.setattr(metrics, "normalized_af_power", counting)
-        for kind in KINDS:
-            compute_metrics(kind)
+        grids = [kind for kind, size in _cold_metrics_calls(monkeypatch)
+                 if size == 50_001]
         assert sorted(grids, key=KINDS.index) == [
             GeometryKind.ULA, GeometryKind.UCA, GeometryKind.UPCA]
+
+    def test_one_half_power_solve_per_level(self, monkeypatch):
+        # eight (kind, mode) pairs, seven (base, n p) levels: URA SIMO is
+        # ULA MIMO
+        grids = [kind for kind, size in _cold_metrics_calls(monkeypatch)
+                 if size == 4001]
+        assert sorted(grids, key=KINDS.index) == [
+            GeometryKind.ULA] * 3 + [GeometryKind.UCA] * 2 + [GeometryKind.UPCA] * 2
 
     @pytest.mark.parametrize("argv", [
         ["af-curve", "--sweep", "50:400:201"],
@@ -237,6 +256,27 @@ class TestSolverCaches:
         _clear_caches()
         assert main(argv) == 0
         assert lobe_scan.cache_info().currsize == 0
+
+
+class TestBatchedSteps:
+    """The solvers against the scalar loops in tests/reference_solvers.py."""
+
+    @pytest.mark.parametrize("kind,mode", list(X3DB_PUBLISHED))
+    def test_half_power_bits(self, kind, mode):
+        _clear_caches()
+        assert half_power_argument(kind, mode) == \
+            reference_solvers.half_power_argument(kind, mode)
+
+    @pytest.mark.parametrize("base", [GeometryKind.ULA, GeometryKind.UCA,
+                                      GeometryKind.UPCA])
+    def test_lobe_scan_bits(self, base):
+        _clear_caches()
+        assert lobe_scan(base) == reference_solvers.lobe_scan(base)
+
+    def test_steps_share_calls(self, monkeypatch):
+        # scalar steps take about 500 calls for the four rows: 30 per
+        # bisection and 45 and 31 per golden section; batched steps need 96
+        assert len(_cold_metrics_calls(monkeypatch)) <= 110
 
 
 class TestQuadraticGainAnalysis:
