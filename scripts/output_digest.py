@@ -1,10 +1,15 @@
-"""Print a digest of every CLI output over a fixed argv matrix.
+"""Print a digest of every CLI output over a fixed argv matrix, then of
+the exact-sum library calls.
 
-Each case runs nfsense.cli.main in this process with stdout and stderr
+Each CLI case runs nfsense.cli.main in this process with stdout and stderr
 captured, and prints one line: the sha256 of stdout and stderr, the exit
 code and the argv.  The matrix is every command over kind subsets, modes
-and both formats, the validate defaults, and inputs that exit 1.  A
-checkout's outputs match another's when the two listings do:
+and both formats, the validate defaults, and inputs that exit 1.  Each
+library case (normalized_power on an off-axis patch per kind and setup,
+broadside_power_sweep per kind, D = 12 lambda at lambda = 1) prints the
+sha256 of the result's bytes, 0 and the call; a raised exception prints
+the sha256 of its type name and the name in place of the 0.  A checkout's
+outputs match another's when the two listings do:
 
     python3 scripts/output_digest.py /path/to/other/checkout > before.txt
     python3 scripts/output_digest.py > after.txt
@@ -22,6 +27,8 @@ import io
 import sys
 from itertools import product
 from pathlib import Path
+
+import numpy as np
 
 KIND_SETS = ("ula", "uca", "ura", "upca", "ura,ula", "ula,uca,ura,upca")
 MODES = ("simo", "mimo", "both")
@@ -60,6 +67,24 @@ def cases():
     yield from BAD_INPUTS
 
 
+def library_cases():
+    """(name, function, args) of the exact-sum library calls."""
+    from nfsense.ambiguity import broadside_power_sweep, normalized_power
+    from nfsense.geometry import (GeometryKind, build_array, mimo_setup,
+                                  simo_miso_setup)
+
+    x, z = np.meshgrid(np.linspace(-15.0, 15.0, 30), np.linspace(60.0, 140.0, 20))
+    patch = np.column_stack([x.ravel(), 5.0 + 0.1 * x.ravel(), z.ravel()])
+    for kind in GeometryKind:
+        array = build_array(kind, 12.0, 1.0)
+        for make in (simo_miso_setup, mimo_setup):
+            yield (f"normalized_power {kind.value} {make.__name__}",
+                   normalized_power, (make(array), [4.0, -3.0, 100.0], patch))
+        yield (f"broadside_power_sweep {kind.value} simo_miso_setup",
+               broadside_power_sweep,
+               (simo_miso_setup(array), 60.0, np.linspace(20.0, 200.0, 901)))
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     root = Path(argv[0]) if argv else Path(__file__).resolve().parent.parent
@@ -73,6 +98,14 @@ def main(argv=None) -> int:
         digest = hashlib.sha256(
             out.getvalue().encode() + b"\0" + err.getvalue().encode())
         print(digest.hexdigest(), code, case.strip())
+
+    for name, function, args in library_cases():
+        try:
+            data, code = function(*args).tobytes(), 0
+        except Exception as exc:  # the type is the output
+            code = type(exc).__name__
+            data = code.encode()
+        print(hashlib.sha256(data).hexdigest(), code, name)
     return 0
 
 

@@ -1,8 +1,9 @@
 """Exact narrowband ambiguity function by direct summation.
 
-Distances are full Euclidean norms; no series approximation is applied
-anywhere in this module, which makes it the ground truth the closed forms
-are validated against.
+Distances are full Euclidean norms and no series approximation is applied,
+so this is the ground truth for the closed forms.  A setup's power is one
+sum over its aperture, |AF|^2 / M, raised to the mode's exponent: the single
+element of a SIMO/MISO link has |AF|^2 = 1, and MIMO squares the power.
 
 Every sum runs through one kernel.  It walks the probes in blocks of about
 _BLOCK_PAIRS element-probe pairs, adds the squared coordinate differences
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import SPEED_OF_LIGHT, ArrayGeometry, SensingSetup
+from .geometry import ArrayGeometry, SensingSetup
 
 __all__ = [
     "array_factor",
@@ -81,7 +82,7 @@ def _phase_sum(elements, weights, k: float, target, probes,
     return out
 
 
-def _array_factor(geometry: ArrayGeometry, target, probes, frequency: float,
+def _array_factor(geometry: ArrayGeometry, target, probes,
                   axial: bool = False) -> np.ndarray:
     """(P,) array factors; axial=True sums one weighted element per class,
     which is exact only for a target and probes on +z."""
@@ -94,46 +95,45 @@ def _array_factor(geometry: ArrayGeometry, target, probes, frequency: float,
         weights = counts[order].astype(float)
     else:
         elements, weights = geometry.elements, np.ones(m)
-    k = 2.0 * np.pi * frequency / SPEED_OF_LIGHT
-    out = _phase_sum(elements, weights, k, target, probes,
-                     _MIN_SEPARATION * geometry.wavelength)
+    k = 2.0 * np.pi / geometry.wavelength
+    # a squared distance that overflows (~1e154 away) makes a sum nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _phase_sum(elements, weights, k, target, probes,
+                         _MIN_SEPARATION * geometry.wavelength)
+    if not np.isfinite(out).all():
+        raise ValueError("point too far from the array: a phase leaves the "
+                         "floating-point range")
     out /= np.sqrt(m)
     return out
 
 
-def array_factor(geometry: ArrayGeometry, target, probe, frequency: float | None = None):
+def array_factor(geometry: ArrayGeometry, target, probe):
     """Single-aperture factor (1/sqrt(M)) sum_m exp(-j k (d_m(target) - d_m(probe))).
 
-    probe may be one 3-vector or an (P, 3) stack of probe points; returns a
-    complex scalar or a (P,) complex array accordingly.  Peaks at sqrt(M)
-    when probe equals target.
+    k = 2 pi / lambda.  probe may be one 3-vector or an (P, 3) stack of
+    probe points; returns a complex scalar or a (P,) complex array
+    accordingly.  Peaks at sqrt(M) when probe equals target.
     """
-    if frequency is None:
-        frequency = SPEED_OF_LIGHT / geometry.wavelength
     probe = np.asarray(probe, dtype=float)
-    out = _array_factor(geometry, _points(target)[0], _points(probe), frequency)
+    out = _array_factor(geometry, _points(target)[0], _points(probe))
     if probe.ndim == 1:
         return complex(out[0])
     return out
 
 
 def _power(setup: SensingSetup, target, probes, axial: bool = False) -> np.ndarray:
-    """(P,) normalized power, as the product of the two array factors."""
-    af_tx = _array_factor(setup.tx, target, probes, setup.frequency, axial)
-    if setup.rx is setup.tx:
-        af_rx = af_tx
-    else:
-        af_rx = _array_factor(setup.rx, target, probes, setup.frequency, axial)
-    return (np.abs(af_tx) ** 2 / setup.tx.n_elements) \
-        * (np.abs(af_rx) ** 2 / setup.rx.n_elements)
+    """(P,) normalized power (|AF|^2 / M)^p of the setup's aperture."""
+    geometry = setup.aperture
+    af = _array_factor(geometry, target, probes, axial)
+    return (np.abs(af) ** 2 / geometry.n_elements) ** setup.mode.power_exponent
 
 
 def normalized_power(setup: SensingSetup, target, probe):
     """|ambiguity|^2 normalized to its probe = target peak, in [0, 1].
 
-    Uses the factorization into transmit and receive array factors, so a
-    MIMO sweep costs one aperture evaluation (squared) rather than the
-    M^2 N^2 double sum.  probe may be a 3-vector or an (P, 3) stack.
+    The setup's aperture gives |AF|^2 / M, raised to the mode's exponent p
+    (MIMO's double sum over element pairs is the array factor squared).
+    probe may be a 3-vector or an (P, 3) stack.
     """
     probe = np.asarray(probe, dtype=float)
     power = _power(setup, _points(target)[0], _points(probe))

@@ -20,7 +20,7 @@ the URA, the ring of the UPCA and the +-x mirror pair of an even UCA.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -278,8 +278,15 @@ def single_element(wavelength: float) -> ArrayGeometry:
 
 
 def fraunhofer_distance(geometry: ArrayGeometry) -> float:
-    """Far-field boundary 2 D^2 / lambda for the geometry's aperture."""
-    return 2.0 * geometry.aperture ** 2 / geometry.wavelength
+    """Far-field boundary 2 D^2 / lambda; ValueError outside the float range."""
+    try:
+        distance = 2.0 * geometry.aperture ** 2 / geometry.wavelength
+    except OverflowError:
+        distance = math.inf
+    if not 0.0 < distance < math.inf:
+        raise ValueError(f"2 D^2 / lambda for D = {geometry.aperture:g} m is "
+                         "out of floating-point range")
+    return distance
 
 
 @dataclass(frozen=True)
@@ -288,19 +295,17 @@ class SensingSetup:
 
     MIMO requires identical collocated apertures on both sides.  SIMO/MISO
     uses one real aperture and a single element on the other side; a
-    bistatic pair of multi-element apertures is not supported.
+    bistatic pair of multi-element apertures is not supported.  The exact
+    power depends only on the aperture, its wavelength and the mode.
     """
 
     tx: ArrayGeometry
     rx: ArrayGeometry
     mode: ProcessingMode
-    frequency: float = field(default=0.0)
 
     def __post_init__(self):
         if abs(self.tx.wavelength - self.rx.wavelength) > 1e-12 * self.tx.wavelength:
             raise ValueError("tx and rx wavelengths differ")
-        if self.frequency == 0.0:
-            object.__setattr__(self, "frequency", SPEED_OF_LIGHT / self.tx.wavelength)
         if self.mode is ProcessingMode.MIMO:
             if self.tx is not self.rx and not (
                 self.tx.elements.shape == self.rx.elements.shape
@@ -320,6 +325,11 @@ class SensingSetup:
     def aperture(self) -> ArrayGeometry:
         """The multi-element side (either side for MIMO)."""
         return self.tx if self.tx.n_elements > 1 else self.rx
+
+    @property
+    def frequency(self) -> float:
+        """Carrier frequency c / lambda in Hz, derived from the wavelength."""
+        return SPEED_OF_LIGHT / self.tx.wavelength
 
 
 def simo_miso_setup(aperture: ArrayGeometry) -> SensingSetup:

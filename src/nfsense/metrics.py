@@ -166,8 +166,9 @@ def half_power_distances(d_target: float, d_fraunhofer: float,
     Returns (lower, upper); upper is math.inf once the target sits at or
     beyond d_FA / alpha.
     """
-    if not (d_target > 0 and d_fraunhofer > 0 and coefficient > 0):
-        raise ValueError("distances and coefficient must be positive")
+    if not (0.0 < d_target < math.inf and 0.0 < d_fraunhofer < math.inf
+            and 0.0 < coefficient < math.inf):
+        raise ValueError("distances and coefficient must be finite and positive")
     lower = d_fraunhofer * d_target / (d_fraunhofer + coefficient * d_target)
     if d_target >= d_fraunhofer / coefficient:
         return lower, math.inf
@@ -181,8 +182,9 @@ def beamdepth(d_target: float, d_fraunhofer: float, coefficient: float) -> float
     Below d_FA/alpha the extent is finite; ValueError where its formula
     leaves the float range (an overflowing or underflowing square).
     """
-    if not (d_target > 0 and d_fraunhofer > 0 and coefficient > 0):
-        raise ValueError("distances and coefficient must be positive")
+    if not (0.0 < d_target < math.inf and 0.0 < d_fraunhofer < math.inf
+            and 0.0 < coefficient < math.inf):
+        raise ValueError("distances and coefficient must be finite and positive")
     if d_target >= d_fraunhofer / coefficient:
         return math.inf
     try:
@@ -198,8 +200,8 @@ def beamdepth(d_target: float, d_fraunhofer: float, coefficient: float) -> float
 
 def max_nearfield_range(d_fraunhofer: float, coefficient: float) -> float:
     """Largest target range with a finite beamdepth, d_FA / alpha."""
-    if not (d_fraunhofer > 0 and coefficient > 0):
-        raise ValueError("inputs must be positive")
+    if not (0.0 < d_fraunhofer < math.inf and 0.0 < coefficient < math.inf):
+        raise ValueError("inputs must be finite and positive")
     return d_fraunhofer / coefficient
 
 

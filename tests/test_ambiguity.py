@@ -9,10 +9,10 @@ from nfsense.ambiguity import (array_factor, broadside_power_sweep,
 from nfsense.cli import main
 from nfsense.closed_form import (af_argument, normalized_af_power,
                                  vergence_difference)
-from nfsense.geometry import (SPEED_OF_LIGHT, GeometryKind, ProcessingMode,
-                              build_array, build_uca, build_ula,
-                              fraunhofer_distance, mimo_setup, simo_miso_setup,
-                              single_element)
+from nfsense.geometry import (SPEED_OF_LIGHT, ArrayGeometry, GeometryKind,
+                              ProcessingMode, SensingSetup, build_array,
+                              build_uca, build_ula, fraunhofer_distance,
+                              mimo_setup, simo_miso_setup, single_element)
 from nfsense.metrics import half_power_coefficient, half_power_distances
 
 from reference_sums import (ambiguity, channel_phase, dense_array_factor,
@@ -104,8 +104,7 @@ class TestAmbiguity:
         s = mimo_setup(g)
         t, p = [0.0, 0.0, 80.0], [0.0, 0.0, 95.0]
         full = ambiguity(s, t, p)
-        split = array_factor(s.tx, t, p, s.frequency) \
-            * array_factor(s.rx, t, p, s.frequency)
+        split = array_factor(s.tx, t, p) * array_factor(s.rx, t, p)
         assert abs(full - split) <= 1e-9 * abs(full)
 
     def test_hermitian_symmetry(self):
@@ -122,6 +121,13 @@ class TestAmbiguity:
         s = simo_miso_setup(g)
         with pytest.raises(ValueError):
             ambiguity(s, [0, 0, 30.0], g.elements[3])
+
+
+def _copy(g):
+    """An equal geometry in new arrays: rx is not tx, yet the same aperture."""
+    return ArrayGeometry(kind=g.kind, wavelength=g.wavelength,
+                         elements=g.elements.copy(), aperture=g.aperture,
+                         axial_class=g.axial_class.copy())
 
 
 class TestNormalizedPower:
@@ -142,7 +148,6 @@ class TestNormalizedPower:
         assert np.all(power <= 1.0 + 1e-9)
 
     def test_simo_miso_reciprocity(self):
-        from nfsense.geometry import SensingSetup
         g = build_uca(10 * LAM, LAM)
         point = single_element(LAM)
         simo = SensingSetup(tx=point, rx=g, mode=ProcessingMode.SIMO_MISO)
@@ -154,14 +159,24 @@ class TestNormalizedPower:
             assert normalized_power(simo, t, p) == pytest.approx(
                 normalized_power(miso, t, p), abs=1e-12)
 
-    def test_mimo_is_squared_single_aperture(self):
+    @pytest.mark.parametrize("make_setup", [
+        simo_miso_setup,
+        lambda g: SensingSetup(tx=g, rx=single_element(LAM),
+                               mode=ProcessingMode.SIMO_MISO),
+        mimo_setup,
+        lambda g: SensingSetup(tx=g, rx=_copy(g), mode=ProcessingMode.MIMO),
+    ], ids=["simo", "miso", "mimo", "mimo-copied-rx"])
+    def test_mimo_is_squared_single_aperture(self, make_setup):
+        # one aperture sum raised to p, bit for bit: the single element of a
+        # SIMO/MISO link adds no rounding and an equal rx copy no second sum
         g = build_ula(12 * LAM, LAM)
+        s = make_setup(g)
         t = [0.0, 0.0, 60.0]
-        p = [0.0, 0.0, 75.0]
-        af = array_factor(g, t, p)
-        expected = (abs(af) ** 2 / g.n_elements) ** 2
-        assert normalized_power(mimo_setup(g), t, p) == pytest.approx(
-            expected, abs=1e-9)
+        probes = np.random.default_rng(5).uniform([-20, -20, 30], [20, 20, 120],
+                                                  (50, 3))
+        expected = (abs(array_factor(g, t, probes)) ** 2 / g.n_elements) \
+            ** s.mode.power_exponent
+        assert np.array_equal(normalized_power(s, t, probes), expected)
 
     def test_mimo_low_at_first_fresnel_minimum(self):
         # x = 4 sits at the first minimum of the ULA closed form; the
@@ -196,7 +211,6 @@ class TestClosedFormConvergence:
         rot = np.array([[math.cos(phi), -math.sin(phi), 0.0],
                         [math.sin(phi), math.cos(phi), 0.0],
                         [0.0, 0.0, 1.0]])
-        from nfsense.geometry import ArrayGeometry
         rotated = ArrayGeometry(kind=g.kind, wavelength=g.wavelength,
                                 elements=g.elements @ rot.T, aperture=g.aperture)
         radii = np.sort(np.linalg.norm(g.elements, axis=1))
@@ -268,14 +282,30 @@ class TestKernelRows:
         return seen
 
     def test_validate_sums_class_representatives(self, rows, capsys):
-        # 8037 UPCA elements fall into 51 rings; the single transmit
-        # element is the other side of the SIMO link
+        # 8037 UPCA elements fall into 51 rings; the single transmit element
+        # of the SIMO link is never summed
         assert main(["validate", "--kind", "upca", "--aperture-lambda", "50",
                      "--target-lambda", "100", "--sweep", "0:0:201"]) == 2
         capsys.readouterr()
-        assert rows and set(rows) == {1, 51}
+        assert rows and set(rows) == {51}
 
     def test_off_axis_sums_every_element(self, rows):
+        # one M-row sum per setup, SIMO included
         g = build_array(GeometryKind.UPCA, 12 * LAM, LAM)
-        normalized_power(mimo_setup(g), [4.0, -3.0, 100.0], _patch())
-        assert rows and set(rows) == {g.n_elements}
+        for setup in (simo_miso_setup(g), mimo_setup(g)):
+            normalized_power(setup, [4.0, -3.0, 100.0], _patch())
+        assert rows == [g.n_elements, g.n_elements]
+
+
+class TestFarPoints:
+    # a point ~1e154 lengths away squares its distance past the float range
+    @pytest.mark.parametrize("call", [
+        lambda g: normalized_power(simo_miso_setup(g), [0, 0, 1e200],
+                                   [0, 0, 50.0]),
+        lambda g: broadside_power_sweep(simo_miso_setup(g), 50.0,
+                                        [60.0, 1e155]),
+        lambda g: array_factor(g, [0, 0, 50.0], [3e154, 0, 0]),
+    ], ids=["normalized_power", "broadside_power_sweep", "array_factor"])
+    def test_overflow_rejected(self, call):
+        with pytest.raises(ValueError, match="floating-point range"):
+            call(build_ula(10.0, 1.0))

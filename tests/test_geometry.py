@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -241,6 +242,12 @@ class TestFraunhofer:
         d2 = fraunhofer_distance(build_ula(40.0, 1.0))
         assert d2 == pytest.approx(4.0 * d1)
 
+    def test_out_of_float_range(self):
+        # 21 elements, but D^2 = 1e400 overflows
+        g = build_array(GeometryKind.ULA, 1e200, 1e199)
+        with pytest.raises(ValueError, match="floating-point range"):
+            fraunhofer_distance(g)
+
 
 def test_single_element():
     g = single_element(LAM)
@@ -290,6 +297,14 @@ class TestSensingSetup:
         g2 = build_uca(10 * LAM, LAM)
         with pytest.raises(ValueError):
             SensingSetup(tx=g1, rx=g2, mode=ProcessingMode.SIMO_MISO)
+
+    def test_frequency_is_derived(self):
+        g = build_ula(10.0, 0.01)
+        s = mimo_setup(g)
+        assert [f.name for f in dataclasses.fields(s)] == ["tx", "rx", "mode"]
+        assert s.frequency == SPEED_OF_LIGHT / 0.01
+        with pytest.raises(TypeError):
+            SensingSetup(tx=g, rx=g, mode=ProcessingMode.MIMO, frequency=1e9)
 
     def test_wavelength_mismatch_rejected(self):
         g1 = build_ula(10.0, 1.0)

@@ -92,10 +92,18 @@ class TestHalfPowerDistances:
         assert high == pytest.approx(0.1, abs=1e-4)
 
     def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            half_power_distances(-1.0, 5000.0, 6.952)
-        with pytest.raises(ValueError):
-            half_power_distances(100.0, 0.0, 6.952)
+        # every vergence helper takes finite positive lengths and alpha only
+        for func, args in ((half_power_distances, (-1.0, 5000.0, 6.952)),
+                           (half_power_distances, (100.0, 0.0, 6.952)),
+                           (half_power_distances, (100.0, math.inf, 0.5)),
+                           (half_power_distances, (math.inf, 5000.0, 0.5)),
+                           (half_power_distances, (100.0, 5000.0, math.nan)),
+                           (beamdepth, (100.0, math.inf, 0.5)),
+                           (beamdepth, (math.inf, 5000.0, 0.5)),
+                           (max_nearfield_range, (math.inf, 0.5)),
+                           (max_nearfield_range, (5000.0, math.inf))):
+            with pytest.raises(ValueError, match="finite and positive"):
+                func(*args)
 
 
 class TestBeamdepth:
