@@ -9,14 +9,22 @@ Every sum runs through one kernel.  It walks the probes in blocks of about
 _BLOCK_PAIRS element-probe pairs, adds the squared coordinate differences
 of a block in place, takes the square root, and sums w_m cos and w_m sin of
 the real phase k (d_m(target) - d_m(probe)) over the elements in ascending
-order, so sums are bit-reproducible run to run.  Off broadside every weight
-is 1.  On the +z axis an element's distance depends only on (x^2 + y^2, z),
-so broadside_power_sweep sums the first element of each axial class of the
-geometry (ArrayGeometry.axial_class) weighted by the class size, at its
-exact position, and still normalizes by the full element count.
+order, so sums are bit-reproducible run to run.  A call of more than
+_BLOCK_PAIRS pairs splits its row blocks across the CPUs in the process's
+affinity mask, one thread each, the calling thread taking one share; smaller
+calls run on the calling thread alone.  A probe's sum is the same row sum
+whatever block holds it, so the bits do not depend on the split, and no
+setting selects it.  Off broadside every weight is 1.  On the +z axis an
+element's distance depends only on (x^2 + y^2, z), so broadside_power_sweep
+sums the first element of each axial class of the geometry
+(ArrayGeometry.axial_class) weighted by the class size, at its exact
+position, and still normalizes by the full element count.
 """
 
 from __future__ import annotations
+
+import os
+import threading
 
 import numpy as np
 
@@ -33,6 +41,10 @@ _MIN_SEPARATION = 1e-6
 # element-probe pairs per kernel block; two float buffers of this size stay
 # in cache
 _BLOCK_PAIRS = 65_536
+
+# threads that share the blocks of a call above _BLOCK_PAIRS pairs
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
 
 
 def _points(points) -> np.ndarray:
@@ -55,30 +67,59 @@ def _phase_sum(elements, weights, k: float, target, probes,
                        + (target[2] - ez) ** 2)
     if d_target.min() < min_distance:
         raise ValueError("point coincides with an array element")
-    rows = max(1, _BLOCK_PAIRS // ex.size)
-    dist = np.empty((min(rows, len(probes)), ex.size))
-    term = np.empty_like(dist)
-    out = np.empty(len(probes), dtype=complex)
-    for lo in range(0, len(probes), rows):
-        block = probes[lo:lo + rows]
-        d, t = dist[:len(block)], term[:len(block)]
-        np.subtract(block[:, 0:1], ex, out=d)
-        np.square(d, out=d)
-        for axis, coord in ((1, ey), (2, ez)):
-            np.subtract(block[:, axis:axis + 1], coord, out=t)
-            np.square(t, out=t)
-            d += t
-        np.sqrt(d, out=d)
-        if d.min() < min_distance:
-            raise ValueError("point coincides with an array element")
-        np.subtract(d_target, d, out=d)
-        d *= k
-        np.cos(d, out=t)
-        t *= weights
-        out.real[lo:lo + len(block)] = t.sum(axis=1)
-        np.sin(d, out=t)
-        t *= weights
-        out.imag[lo:lo + len(block)] = -t.sum(axis=1)
+    m, p = ex.size, len(probes)
+    rows = max(1, _BLOCK_PAIRS // m)
+    workers = _WORKERS if m * p > _BLOCK_PAIRS else 1
+    rows = min(rows, -(-p // workers))
+    starts = range(0, p, rows)
+    workers = min(workers, len(starts))
+    out = np.empty(p, dtype=complex)
+
+    def run(share):
+        dist = np.empty((min(rows, p), m))
+        term = np.empty_like(dist)
+        for lo in share:
+            block = probes[lo:lo + rows]
+            d, t = dist[:len(block)], term[:len(block)]
+            np.subtract(block[:, 0:1], ex, out=d)
+            np.square(d, out=d)
+            for axis, coord in ((1, ey), (2, ez)):
+                np.subtract(block[:, axis:axis + 1], coord, out=t)
+                np.square(t, out=t)
+                d += t
+            np.sqrt(d, out=d)
+            if d.min() < min_distance:
+                raise ValueError("point coincides with an array element")
+            np.subtract(d_target, d, out=d)
+            d *= k
+            np.cos(d, out=t)
+            t *= weights
+            out.real[lo:lo + len(block)] = t.sum(axis=1)
+            np.sin(d, out=t)
+            t *= weights
+            out.imag[lo:lo + len(block)] = -t.sum(axis=1)
+
+    errors = []
+
+    def work(share):
+        # a new thread starts from numpy's default errstate, not the caller's
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                run(share)
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(starts[i::workers],))
+               for i in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    try:
+        run(starts[::workers])
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
     return out
 
 

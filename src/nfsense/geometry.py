@@ -148,14 +148,16 @@ def _check_count(kind, count, aperture: float, wavelength: float) -> int:
 
 def _finish(kind, wavelength, positions, axial_class) -> ArrayGeometry:
     pos = np.asarray(positions, dtype=float)
-    pos = pos - pos.mean(axis=0)
-    if kind is GeometryKind.ULA:
-        aperture = float(pos[:, 0].max() - pos[:, 0].min())
-    elif kind is GeometryKind.URA:
-        aperture = float(math.hypot(pos[:, 0].max() - pos[:, 0].min(),
-                                    pos[:, 1].max() - pos[:, 1].min()))
-    else:
-        with np.errstate(over="ignore"):
+    # positions near the float maximum overflow the mean or the extent to
+    # inf or nan, which the finiteness check below rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        pos = pos - pos.mean(axis=0)
+        if kind is GeometryKind.ULA:
+            aperture = float(pos[:, 0].max() - pos[:, 0].min())
+        elif kind is GeometryKind.URA:
+            aperture = float(math.hypot(pos[:, 0].max() - pos[:, 0].min(),
+                                        pos[:, 1].max() - pos[:, 1].min()))
+        else:
             aperture = float(2.0 * np.linalg.norm(pos, axis=1).max())
     if not math.isfinite(aperture):
         raise ValueError(f"{kind.name} aperture overflows at lambda = "

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -268,6 +269,75 @@ class TestKernelMatchesDenseSum:
                 broadside_power_sweep(setup, target, probes)
 
 
+class TestSplitBits:
+    """The kernel's bits do not depend on how its probes are split into
+    blocks and threads."""
+
+    @staticmethod
+    def _outputs(g, probes, grid):
+        target = [4.0, -3.0, 100.0]
+        out = []
+        for setup in (simo_miso_setup(g), mimo_setup(g)):
+            out += [normalized_power(setup, target, probes),
+                    broadside_power_sweep(setup, 100.0, grid)]
+        return out
+
+    @pytest.mark.parametrize("kind", list(GeometryKind))
+    def test_same_bits_for_every_split(self, kind, monkeypatch):
+        g = build_array(kind, _PATCH_APERTURES[kind] * LAM, LAM)
+        classes = np.unique(g.axial_class).size
+        # a broadside grid of at least four blocks of the serial walk
+        grid = np.linspace(60.0, 300.0, 3 * (ambiguity_module._BLOCK_PAIRS
+                                             // classes) + 1)
+        probes = _patch()
+        with monkeypatch.context() as patch:
+            patch.setattr(ambiguity_module, "_WORKERS", 1)
+            serial = self._outputs(g, probes, grid)
+        split = [self._outputs(g, probes, grid)]
+        for name, value in (("_WORKERS", 3), ("_BLOCK_PAIRS", 4099)):
+            with monkeypatch.context() as patch:
+                patch.setattr(ambiguity_module, name, value)
+                split.append(self._outputs(g, probes, grid))
+        for outputs in split:
+            for got, want in zip(outputs, serial):
+                assert np.array_equal(got, want)
+        target = [4.0, -3.0, 100.0]
+        for setup, power, sweep in zip((simo_miso_setup(g), mimo_setup(g)),
+                                       serial[::2], serial[1::2]):
+            for i in np.linspace(0, len(probes) - 1, 16).astype(int):
+                assert normalized_power(setup, target, probes[i]) == power[i]
+            for i in np.linspace(0, grid.size - 1, 16).astype(int):
+                alone = broadside_power_sweep(setup, 100.0, grid[i:i + 1])
+                assert alone[0] == sweep[i]
+
+
+class TestThreads:
+    @pytest.fixture
+    def started(self, monkeypatch):
+        seen = []
+        start = threading.Thread.start
+
+        def counting(thread):
+            seen.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting)
+        return seen
+
+    def test_small_call_starts_no_thread(self, started):
+        g = build_array(GeometryKind.UPCA, 12 * LAM, LAM)
+        normalized_power(simo_miso_setup(g), [4.0, -3.0, 100.0], [0.0, 5.0, 80.0])
+        assert started == []
+
+    def test_split_call_joins_its_threads(self, started, monkeypatch):
+        # more threads than this host may have CPUs, each joined on return
+        monkeypatch.setattr(ambiguity_module, "_WORKERS", 5)
+        g = build_array(GeometryKind.UPCA, 12 * LAM, LAM)
+        normalized_power(simo_miso_setup(g), [4.0, -3.0, 100.0], _patch())
+        assert len(started) == 4
+        assert not any(thread.is_alive() for thread in started)
+
+
 class TestKernelRows:
     @pytest.fixture
     def rows(self, monkeypatch):
@@ -309,3 +379,20 @@ class TestFarPoints:
     def test_overflow_rejected(self, call):
         with pytest.raises(ValueError, match="floating-point range"):
             call(build_ula(10.0, 1.0))
+
+    @pytest.mark.parametrize("bad, match", [
+        ([0.0, 0.0, 1e155], "floating-point range"),
+        (None, "coincides"),
+    ], ids=["far", "on-element"])
+    def test_error_in_a_worker_block(self, bad, match, monkeypatch):
+        # 4000 probes of 21 elements split into two blocks on two threads;
+        # the last block runs on the worker thread
+        monkeypatch.setattr(ambiguity_module, "_WORKERS", 2)
+        g = build_ula(10.0, 1.0)
+        probes = np.column_stack([np.linspace(-20.0, 20.0, 4000),
+                                  np.full(4000, 5.0), np.full(4000, 80.0)])
+        probes[-1] = g.elements[3] if bad is None else bad
+        before = threading.active_count()
+        with pytest.raises(ValueError, match=match):
+            normalized_power(simo_miso_setup(g), [0.0, 0.0, 50.0], probes)
+        assert threading.active_count() == before

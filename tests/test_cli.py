@@ -328,6 +328,10 @@ class TestExitCodes:
         # an aperture that overflows while it is measured
         "validate --kind uca --aperture-lambda 3 --wavelength 1e300",
         "dump-geometry --kind upca --aperture-lambda 3 --wavelength 1e300",
+        # positions whose mean or extent overflows while they are centred
+        "dump-geometry --kind uca --aperture-lambda 1e5 --wavelength 1e300",
+        "validate --kind ula --aperture-lambda 1e5 --wavelength 1e300 "
+        "--target-lambda 1e150",
         # a beamdepth whose formula overflows or underflows
         "beamdepth-sweep --aperture-lambda 5e153 --sweep 1:1e300:3",
         "beamdepth-sweep --aperture-lambda 1e-100 --sweep 1e-300:1e300:3",
