@@ -1,4 +1,5 @@
 import math
+import sys
 import threading
 
 import numpy as np
@@ -282,8 +283,19 @@ class TestSplitBits:
                     broadside_power_sweep(setup, 100.0, grid)]
         return out
 
+    @pytest.fixture
+    def fast_switching(self):
+        # switch threads often, so that a block written by two threads or
+        # not at all would show
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            yield
+        finally:
+            sys.setswitchinterval(interval)
+
     @pytest.mark.parametrize("kind", list(GeometryKind))
-    def test_same_bits_for_every_split(self, kind, monkeypatch):
+    def test_same_bits_for_every_split(self, kind, monkeypatch, fast_switching):
         g = build_array(kind, _PATCH_APERTURES[kind] * LAM, LAM)
         classes = np.unique(g.axial_class).size
         # a broadside grid of at least four blocks of the serial walk
