@@ -23,6 +23,7 @@ import math
 import sys
 from dataclasses import asdict
 from enum import Enum
+from functools import lru_cache
 from itertools import chain, islice
 from operator import attrgetter
 
@@ -159,7 +160,7 @@ def _load_config_file(path: str) -> dict:
                 if key not in _CONFIG_KEYS:
                     raise UsageError(f"unknown config key {key!r} in {path}")
                 values[key] = value.strip()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file {path}: {exc}")
     return values
 
@@ -205,6 +206,14 @@ def _json_float(value: float) -> str:
     return '"inf"' if value > 0 else '"-inf"'
 
 
+class _Tiled(list):
+    """A column that repeats one block of values; _cells formats it once."""
+
+    def __init__(self, block: list, times: int):
+        super().__init__(block * times)
+        self.block, self.times = block, times
+
+
 def _cells(values: list, text: bool) -> tuple:
     """One column as (%-format spec, the values it formats).
 
@@ -212,8 +221,12 @@ def _cells(values: list, text: bool) -> tuple:
     floats to 12 significant digits in CSV and as float.__repr__ in JSON,
     where infinities become the strings "inf" and "-inf" and nan is
     rejected; ints in decimal; strings as they are in CSV (no string the
-    CLI writes holds a comma, quote or newline), escaped in JSON.
+    CLI writes holds a comma, quote or newline), escaped in JSON.  A _Tiled
+    column comes back as the text of its block, repeated.
     """
+    if isinstance(values, _Tiled):
+        spec, cells = _cells(values.block, text)
+        return "%s", list(map(spec.__mod__, cells)) * values.times
     first = values[0] if values else None
     if isinstance(first, Enum):
         # _name_ is a plain attribute, .name a Python-level property; names
@@ -307,7 +320,9 @@ def cmd_af_curve(args) -> int:
         "fraunhofer_m": d_fa, "db_floor": DB_FLOOR,
     })
     distances_m = distances.tolist()
-    columns = {"kind": [], "mode": [], "distance_m": [], "power_db": []}
+    columns = {"kind": [], "mode": [],
+               "distance_m": _Tiled(distances_m, len(args.kind) * len(args.mode)),
+               "power_db": []}
     for kind in args.kind:
         with np.errstate(over="ignore", invalid="ignore"):
             x = af_argument(kind, d_fa, vergence_difference(d_target, distances))
@@ -324,7 +339,6 @@ def cmd_af_curve(args) -> int:
             db = np.maximum(db, DB_FLOOR)
             columns["kind"] += [kind] * len(distances_m)
             columns["mode"] += [mode] * len(distances_m)
-            columns["distance_m"] += distances_m
             columns["power_db"] += db.tolist()
     _emit(args, metadata, columns)
     return 0
@@ -335,10 +349,12 @@ def cmd_beamdepth_sweep(args) -> int:
     aperture = args.aperture_lambda * lam
     d_fa = _fraunhofer_m(aperture, lam)
     _check_lengths(fraunhofer_m=d_fa)
-    targets = _sweep_grid(args).tolist()
+    targets = _sweep_grid(args)
     metadata = _base_metadata(args)
     metadata.update({"lambda_m": lam, "aperture_m": aperture, "fraunhofer_m": d_fa})
-    columns = {"kind": [], "mode": [], "target_m": [], "beamdepth_m": []}
+    columns = {"kind": [], "mode": [],
+               "target_m": _Tiled(targets.tolist(), len(args.kind) * len(args.mode)),
+               "beamdepth_m": []}
     for kind in args.kind:
         for mode in args.mode:
             coeff = half_power_coefficient(kind, mode)
@@ -347,10 +363,8 @@ def cmd_beamdepth_sweep(args) -> int:
                 max_nearfield_range(d_fa, coeff)
             columns["kind"] += [kind] * len(targets)
             columns["mode"] += [mode] * len(targets)
-            columns["target_m"] += targets
             with _rejected_input():  # a depth out of floating-point range
-                columns["beamdepth_m"] += [beamdepth(d, d_fa, coeff)
-                                           for d in targets]
+                columns["beamdepth_m"] += beamdepth(targets, d_fa, coeff).tolist()
     _emit(args, metadata, columns)
     return 0
 
@@ -469,7 +483,11 @@ _COMMANDS = {
 
 
 def _build_parser() -> tuple:
-    """The top-level parser and its subparsers by command name."""
+    """The top-level parser and its subparsers by command name.
+
+    Parsing leaves a parser as it was, so main builds one on its first call
+    and reuses it; only a --config run, which changes defaults, builds its own.
+    """
     parser = _Parser(prog="nfsense", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version",
@@ -487,8 +505,11 @@ def _build_parser() -> tuple:
     return parser, subparsers
 
 
+_shared_parser = lru_cache(maxsize=None)(_build_parser)
+
+
 def main(argv=None) -> int:
-    parser, subparsers = _build_parser()
+    parser, _ = _shared_parser()
     try:
         args = parser.parse_args(argv)
         if args.command is None:
@@ -496,6 +517,7 @@ def main(argv=None) -> int:
         if args.config:
             # file values become string defaults, which argparse passes
             # through each flag's type; flags given on the command line win
+            parser, subparsers = _build_parser()
             subparsers[args.command].set_defaults(**_load_config_file(args.config))
             args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)

@@ -62,19 +62,17 @@ def _lookahead(f, children, node) -> list:
 
     A node is a search state whose last entry is the point its step
     evaluates; children(*node) gives the two nodes that step can lead to,
-    first the one taken when the search moves up.  Values come in heap
-    order: entry i's children are entries 2i + 1 and 2i + 2.  children runs
-    here on arrays, one tree level at a time, and on floats as the solver
-    replays its steps, so both compute every point by the same float
-    operations, and each value is the one a call at that point alone gives.
+    first the one taken when the search moves up.  The tree is built node
+    by node in heap order, so entry i's children are entries 2i + 1 and
+    2i + 2, and values come in that order.  children runs on the same
+    Python floats here as when the solver replays its steps, so every point
+    is computed by the same float operations; f is evaluated elementwise,
+    so each value is the one a call at that point alone gives.
     """
-    level = tuple(np.array([v]) for v in node)
-    points = [level[-1]]
-    for _ in range(_LOOKAHEAD - 1):
-        level = tuple(np.stack(pair, axis=1).ravel()
-                      for pair in zip(*children(*level)))
-        points.append(level[-1])
-    return f(np.concatenate(points)).tolist()
+    nodes = [node]
+    for i in range(2 ** (_LOOKAHEAD - 1) - 1):
+        nodes += children(*nodes[i])
+    return f(np.array([n[-1] for n in nodes])).tolist()
 
 
 def _halves(lo, hi, mid):
@@ -176,26 +174,33 @@ def half_power_distances(d_target: float, d_fraunhofer: float,
     return lower, upper
 
 
-def beamdepth(d_target: float, d_fraunhofer: float, coefficient: float) -> float:
+def beamdepth(d_target, d_fraunhofer, coefficient):
     """Radial half-power extent around a target at d'; inf past d_FA/alpha.
 
     Below d_FA/alpha the extent is finite; ValueError where its formula
-    leaves the float range (an overflowing or underflowing square).
+    leaves the float range (an overflowing or underflowing square).  The
+    inputs broadcast as numpy arrays and give an array of extents, and
+    scalars give a float.  Squares come from the C library's pow, as
+    Python's ** takes them, which can differ from x * x in the last bit.
     """
-    if not (0.0 < d_target < math.inf and 0.0 < d_fraunhofer < math.inf
-            and 0.0 < coefficient < math.inf):
+    d, fa, c = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in
+                                     (d_target, d_fraunhofer, coefficient)))
+    if not all(np.all((0.0 < v) & (v < math.inf)) for v in (d, fa, c)):
         raise ValueError("distances and coefficient must be finite and positive")
-    if d_target >= d_fraunhofer / coefficient:
-        return math.inf
-    try:
-        depth = (2.0 * coefficient * d_fraunhofer * d_target ** 2
-                 / (d_fraunhofer ** 2 - coefficient ** 2 * d_target ** 2))
-    except (OverflowError, ZeroDivisionError):
-        depth = math.inf
-    if not math.isfinite(depth):
-        raise ValueError(f"beamdepth at d' = {d_target:g} m with d_FA = "
-                         f"{d_fraunhofer:g} m is out of floating-point range")
-    return depth
+    with np.errstate(all="ignore"):
+        d2, fa2, c2 = (np.float_power(v, 2.0) for v in (d, fa, c))
+        depth = 2.0 * c * fa * d2 / (fa2 - c2 * d2)
+        finite = d < fa / c
+    # where a square is inf, ** raises OverflowError; numpy goes on and
+    # can reach a finite quotient
+    bad = finite & (np.isinf(d2) | np.isinf(fa2) | np.isinf(c2)
+                    | ~np.isfinite(depth))
+    if bad.any():
+        i = np.flatnonzero(bad)[0]
+        raise ValueError(f"beamdepth at d' = {d.flat[i]:g} m with d_FA = "
+                         f"{fa.flat[i]:g} m is out of floating-point range")
+    depth = np.where(finite, depth, math.inf)
+    return float(depth) if depth.ndim == 0 else depth
 
 
 def max_nearfield_range(d_fraunhofer: float, coefficient: float) -> float:

@@ -285,13 +285,41 @@ class TestConfigFile:
     def test_missing_file_rejected(self, tmp_path):
         assert main(["tables", "--config", str(tmp_path / "absent.cfg")]) == 1
 
-    @pytest.mark.parametrize("line", ["format = xml", "aperture-lambda = inf"])
+    @pytest.mark.parametrize("line", [b"format = xml", b"aperture-lambda = inf",
+                                      b"kind = ula\n\xff = 3"])  # not UTF-8
     def test_bad_file_value_rejected(self, tmp_path, capsys, line):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(line + "\n")
+        cfg.write_bytes(line + b"\n")
         assert main(["dump-geometry", "--kind", "ula", "--config", str(cfg),
                      "--out", str(tmp_path / "geo.txt")]) == 1
         assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+class TestParserReuse:
+    """main reuses one parser; no call may change what a later call parses."""
+
+    ARGV = ["beamdepth-sweep", "--sweep", "10:50:3"]
+
+    def test_config_defaults_do_not_leak(self, tmp_path, capsys):
+        assert main(self.ARGV) == 0
+        alone = capsys.readouterr()
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("kind = uca\naperture-lambda = 80\nformat = json\n")
+        assert main(self.ARGV + ["--config", str(cfg)]) == 0
+        assert '"aperture_m": 80.0' in capsys.readouterr().out
+        assert main(self.ARGV) == 0
+        assert capsys.readouterr() == alone
+
+    @pytest.mark.parametrize("bad", ["tables --kind nope",
+                                     "beamdepth-sweep --sweep 400:50:100",
+                                     "beamdepth-sweep --format xml"])
+    def test_usage_error_then_valid_run(self, capsys, bad):
+        assert main(self.ARGV) == 0
+        alone = capsys.readouterr()
+        assert main(bad.split()) == 1
+        capsys.readouterr()
+        assert main(self.ARGV) == 0
+        assert capsys.readouterr() == alone
 
 
 class TestExitCodes:
@@ -350,6 +378,7 @@ WRITER_CASES = [
     "tables --kind uca",  # one row
     "af-curve --kind ula,upca --sweep 50:400:301",
     "af-curve --kind upca --mode mimo --sweep 1:5000:300",  # the dB floor
+    "af-curve --kind ula,uca,ura,upca --mode both",  # 8 blocks of one grid
     "beamdepth-sweep --kind ula,ura --sweep 10:1200:101",  # inf depths
     "validate --kind ula,upca --sweep 0:0:201",  # pass and fail, exit 2
     "dump-geometry --kind upca --aperture-lambda 6",  # the int index

@@ -144,6 +144,55 @@ class TestBeamdepth:
                 assert abs(normalized_af_power(kind, mode, x) - 0.5) <= 1e-6
 
 
+class TestBeamdepthArray:
+    """beamdepth on arrays against the same function called per element."""
+
+    def test_equals_scalar_loop(self):
+        coeff = half_power_coefficient(GeometryKind.ULA, SIMO)
+        targets = np.linspace(10.0, 1200.0, 997)  # crosses d_FA/alpha ~ 719 m
+        depths = beamdepth(targets, 5000.0, coeff)
+        loop = np.array([beamdepth(t, 5000.0, coeff) for t in targets.tolist()])
+        assert np.isinf(depths).any() and np.isfinite(depths).any()
+        assert np.array_equal(depths, loop)
+
+    def test_broadcasts(self):
+        coeffs = np.array([[1.0], [6.952]])
+        depths = beamdepth([100.0, 800.0], 5000.0, coeffs)
+        assert depths.shape == (2, 2)
+        assert depths[1, 0] == beamdepth(100.0, 5000.0, 6.952)
+        assert math.isinf(depths[1, 1])
+
+    @pytest.mark.parametrize("d_fa,coeff,targets", [
+        # the inputs of the three beamdepth-sweep argvs that exit 1 in
+        # test_cli.py, for ULA in SIMO
+        (2.0 * 5e153 ** 2, None, (1.0, 1e300)),     # d_FA^2 overflows
+        (2.0 * 1e-100 ** 2, None, (1e-300, 1e300)),  # both squares underflow
+        (2.0 * 7e74 ** 2, None, (1e99, 1e100)),     # the numerator overflows
+        # a square overflows, and numpy's inf gives a finite quotient
+        (2e200, None, (1.0, 10.0)),
+        (1.0, 1e160, (1e-161, 1e-160)),
+    ])
+    def test_out_of_range_message(self, d_fa, coeff, targets):
+        coeff = coeff or half_power_coefficient(GeometryKind.ULA, SIMO)
+        targets = np.linspace(*targets, 3)
+        with pytest.raises(ValueError) as scalar:
+            for t in targets.tolist():
+                beamdepth(t, d_fa, coeff)
+        assert "out of floating-point range" in str(scalar.value)
+        with pytest.raises(ValueError) as array:
+            beamdepth(targets, d_fa, coeff)
+        assert str(array.value) == str(scalar.value)
+
+    def test_rejects_any_bad_element(self):
+        with pytest.raises(ValueError, match="finite and positive"):
+            beamdepth(np.array([100.0, -1.0]), 5000.0, 6.952)
+
+    @pytest.mark.parametrize("d_target", [100.0, np.float64(100.0),
+                                          np.array(100.0), 800.0])
+    def test_scalar_gives_float(self, d_target):
+        assert type(beamdepth(d_target, 5000.0, 6.952)) is float
+
+
 class TestMaxRange:
     def test_worked_example(self):
         assert max_nearfield_range(5000.0, 6.952) == pytest.approx(719.2, abs=0.1)
