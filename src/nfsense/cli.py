@@ -23,7 +23,6 @@ import math
 import sys
 from dataclasses import asdict
 from enum import Enum
-from functools import lru_cache
 from itertools import chain, islice
 from operator import attrgetter
 
@@ -483,11 +482,7 @@ _COMMANDS = {
 
 
 def _build_parser() -> tuple:
-    """The top-level parser and its subparsers by command name.
-
-    Parsing leaves a parser as it was, so main builds one on its first call
-    and reuses it; only a --config run, which changes defaults, builds its own.
-    """
+    """The top-level parser and its subparsers by command name."""
     parser = _Parser(prog="nfsense", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version",
@@ -505,11 +500,8 @@ def _build_parser() -> tuple:
     return parser, subparsers
 
 
-_shared_parser = lru_cache(maxsize=None)(_build_parser)
-
-
 def main(argv=None) -> int:
-    parser, _ = _shared_parser()
+    parser, subparsers = _build_parser()
     try:
         args = parser.parse_args(argv)
         if args.command is None:
@@ -517,7 +509,6 @@ def main(argv=None) -> int:
         if args.config:
             # file values become string defaults, which argparse passes
             # through each flag's type; flags given on the command line win
-            parser, subparsers = _build_parser()
             subparsers[args.command].set_defaults(**_load_config_file(args.config))
             args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)

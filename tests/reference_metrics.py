@@ -1,0 +1,29 @@
+"""Test-only reference beamdepth: the scalar function on Python floats.
+
+This is nfsense.metrics.beamdepth as it was before it took arrays; tests
+require the array form to give its bits and its ValueError messages.
+"""
+
+import math
+
+
+def beamdepth(d_target: float, d_fraunhofer: float, coefficient: float) -> float:
+    """Radial half-power extent around a target at d'; inf past d_FA/alpha.
+
+    Below d_FA/alpha the extent is finite; ValueError where its formula
+    leaves the float range (an overflowing or underflowing square).
+    """
+    if not (0.0 < d_target < math.inf and 0.0 < d_fraunhofer < math.inf
+            and 0.0 < coefficient < math.inf):
+        raise ValueError("distances and coefficient must be finite and positive")
+    if d_target >= d_fraunhofer / coefficient:
+        return math.inf
+    try:
+        depth = (2.0 * coefficient * d_fraunhofer * d_target ** 2
+                 / (d_fraunhofer ** 2 - coefficient ** 2 * d_target ** 2))
+    except (OverflowError, ZeroDivisionError):
+        depth = math.inf
+    if not math.isfinite(depth):
+        raise ValueError(f"beamdepth at d' = {d_target:g} m with d_FA = "
+                         f"{d_fraunhofer:g} m is out of floating-point range")
+    return depth

@@ -295,8 +295,8 @@ class TestConfigFile:
         assert len(capsys.readouterr().err.splitlines()) == 1
 
 
-class TestParserReuse:
-    """main reuses one parser; no call may change what a later call parses."""
+class TestRepeatedCalls:
+    """No call to main may change what a later call in the process parses."""
 
     ARGV = ["beamdepth-sweep", "--sweep", "10:50:3"]
 

@@ -16,6 +16,7 @@ from nfsense.metrics import (SIDELOBE_SCAN_MAX, beamdepth, compute_metrics,
                              lobe_scan, mainlobe_edge, max_nearfield_range,
                              peak_sidelobe_level, quadratic_gain_analysis)
 
+import reference_metrics
 import reference_solvers
 
 SIMO = ProcessingMode.SIMO_MISO
@@ -145,21 +146,33 @@ class TestBeamdepth:
 
 
 class TestBeamdepthArray:
-    """beamdepth on arrays against the same function called per element."""
+    """beamdepth on arrays against the scalar one in tests/reference_metrics.py."""
 
-    def test_equals_scalar_loop(self):
+    @staticmethod
+    def reference(targets, d_fa, coeff):
+        return np.array([reference_metrics.beamdepth(t, d_fa, coeff)
+                         for t in np.asarray(targets).tolist()])
+
+    def test_equals_reference_across_crossing(self):
         coeff = half_power_coefficient(GeometryKind.ULA, SIMO)
         targets = np.linspace(10.0, 1200.0, 997)  # crosses d_FA/alpha ~ 719 m
         depths = beamdepth(targets, 5000.0, coeff)
-        loop = np.array([beamdepth(t, 5000.0, coeff) for t in targets.tolist()])
         assert np.isinf(depths).any() and np.isfinite(depths).any()
-        assert np.array_equal(depths, loop)
+        assert np.array_equal(depths, self.reference(targets, 5000.0, coeff))
+
+    def test_squares_match_python_pow(self):
+        # Python's ** squares by the C library's pow, which is not always
+        # x * x; these random doubles include targets where the two differ
+        targets = np.random.default_rng(12).uniform(1.0, 700.0, 20_000)
+        coeff = half_power_coefficient(GeometryKind.UPCA, MIMO)
+        depths = beamdepth(targets, 3e5, coeff)
+        assert np.array_equal(depths, self.reference(targets, 3e5, coeff))
 
     def test_broadcasts(self):
         coeffs = np.array([[1.0], [6.952]])
         depths = beamdepth([100.0, 800.0], 5000.0, coeffs)
         assert depths.shape == (2, 2)
-        assert depths[1, 0] == beamdepth(100.0, 5000.0, 6.952)
+        assert depths[1, 0] == reference_metrics.beamdepth(100.0, 5000.0, 6.952)
         assert math.isinf(depths[1, 1])
 
     @pytest.mark.parametrize("d_fa,coeff,targets", [
@@ -176,21 +189,26 @@ class TestBeamdepthArray:
         coeff = coeff or half_power_coefficient(GeometryKind.ULA, SIMO)
         targets = np.linspace(*targets, 3)
         with pytest.raises(ValueError) as scalar:
-            for t in targets.tolist():
-                beamdepth(t, d_fa, coeff)
+            self.reference(targets, d_fa, coeff)
         assert "out of floating-point range" in str(scalar.value)
         with pytest.raises(ValueError) as array:
             beamdepth(targets, d_fa, coeff)
         assert str(array.value) == str(scalar.value)
 
     def test_rejects_any_bad_element(self):
-        with pytest.raises(ValueError, match="finite and positive"):
-            beamdepth(np.array([100.0, -1.0]), 5000.0, 6.952)
+        targets = np.array([100.0, -1.0])
+        with pytest.raises(ValueError) as scalar:
+            self.reference(targets, 5000.0, 6.952)
+        with pytest.raises(ValueError) as array:
+            beamdepth(targets, 5000.0, 6.952)
+        assert str(array.value) == str(scalar.value)
 
     @pytest.mark.parametrize("d_target", [100.0, np.float64(100.0),
                                           np.array(100.0), 800.0])
     def test_scalar_gives_float(self, d_target):
-        assert type(beamdepth(d_target, 5000.0, 6.952)) is float
+        depth = beamdepth(d_target, 5000.0, 6.952)
+        assert type(depth) is float
+        assert depth == reference_metrics.beamdepth(float(d_target), 5000.0, 6.952)
 
 
 class TestMaxRange:
