@@ -4,9 +4,10 @@ the exact-sum library calls.
 Each CLI case runs nfsense.cli.main in this process with stdout and stderr
 captured, and prints one line: the sha256 of stdout and stderr, the exit
 code and the argv.  The matrix is every command over kind subsets, modes
-and both formats, the validate defaults, and inputs that exit 1.  Each
-library case (normalized_power on an off-axis patch per kind and setup,
-broadside_power_sweep per kind, D = 12 lambda at lambda = 1) prints the
+and both formats, the validate defaults, inputs that exit 1 and a validate
+at lambda = 1e-11 m.  Each library case (normalized_power on an off-axis
+patch per kind and setup, broadside_power_sweep per kind, D = 12 lambda at
+lambda = 1, and normalized_power on an empty probe batch) prints the
 sha256 of the result's bytes, 0 and the call; a raised exception prints
 the sha256 of its type name and the name in place of the 0.  A checkout's
 outputs match another's when the two listings do:
@@ -65,6 +66,7 @@ def cases():
         for kind in ("ula", "uca", "ura", "upca"):
             yield f"dump-geometry --kind {kind} --aperture-lambda 12 --format {fmt}"
     yield from BAD_INPUTS
+    yield "validate --kind ula,uca --wavelength 1e-11 --sweep 0:0:301"
 
 
 def library_cases():
@@ -83,6 +85,9 @@ def library_cases():
         yield (f"broadside_power_sweep {kind.value} simo_miso_setup",
                broadside_power_sweep,
                (simo_miso_setup(array), 60.0, np.linspace(20.0, 200.0, 901)))
+    yield ("normalized_power ula simo_miso_setup empty", normalized_power,
+           (simo_miso_setup(build_array(GeometryKind.ULA, 12.0, 1.0)),
+            [4.0, -3.0, 100.0], np.empty((0, 3))))
 
 
 def main(argv=None) -> int:

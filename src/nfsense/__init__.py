@@ -16,7 +16,6 @@ from .geometry import (
     fraunhofer_distance,
     mimo_setup,
     simo_miso_setup,
-    single_element,
 )
 from .ambiguity import array_factor, normalized_power
 from .closed_form import (
@@ -73,7 +72,6 @@ __all__ = [
     "quadratic_gain_analysis",
     "quadratic_mainlobe_coefficient",
     "simo_miso_setup",
-    "single_element",
     "sinc",
     "vergence_difference",
 ]

@@ -68,6 +68,8 @@ def _phase_sum(elements, weights, k: float, target, probes,
     if d_target.min() < min_distance:
         raise ValueError("point coincides with an array element")
     m, p = ex.size, len(probes)
+    if not p:
+        return np.empty(0, dtype=complex)
     rows = max(1, _BLOCK_PAIRS // m)
     workers = _WORKERS if m * p > _BLOCK_PAIRS else 1
     rows = min(rows, -(-p // workers))

@@ -205,14 +205,6 @@ def _json_float(value: float) -> str:
     return '"inf"' if value > 0 else '"-inf"'
 
 
-class _Tiled(list):
-    """A column that repeats one block of values; _cells formats it once."""
-
-    def __init__(self, block: list, times: int):
-        super().__init__(block * times)
-        self.block, self.times = block, times
-
-
 def _cells(values: list, text: bool) -> tuple:
     """One column as (%-format spec, the values it formats).
 
@@ -220,12 +212,8 @@ def _cells(values: list, text: bool) -> tuple:
     floats to 12 significant digits in CSV and as float.__repr__ in JSON,
     where infinities become the strings "inf" and "-inf" and nan is
     rejected; ints in decimal; strings as they are in CSV (no string the
-    CLI writes holds a comma, quote or newline), escaped in JSON.  A _Tiled
-    column comes back as the text of its block, repeated.
+    CLI writes holds a comma, quote or newline), escaped in JSON.
     """
-    if isinstance(values, _Tiled):
-        spec, cells = _cells(values.block, text)
-        return "%s", list(map(spec.__mod__, cells)) * values.times
     first = values[0] if values else None
     if isinstance(first, Enum):
         # _name_ is a plain attribute, .name a Python-level property; names
@@ -320,7 +308,7 @@ def cmd_af_curve(args) -> int:
     })
     distances_m = distances.tolist()
     columns = {"kind": [], "mode": [],
-               "distance_m": _Tiled(distances_m, len(args.kind) * len(args.mode)),
+               "distance_m": distances_m * (len(args.kind) * len(args.mode)),
                "power_db": []}
     for kind in args.kind:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -352,7 +340,7 @@ def cmd_beamdepth_sweep(args) -> int:
     metadata = _base_metadata(args)
     metadata.update({"lambda_m": lam, "aperture_m": aperture, "fraunhofer_m": d_fa})
     columns = {"kind": [], "mode": [],
-               "target_m": _Tiled(targets.tolist(), len(args.kind) * len(args.mode)),
+               "target_m": targets.tolist() * (len(args.kind) * len(args.mode)),
                "beamdepth_m": []}
     for kind in args.kind:
         for mode in args.mode:
@@ -389,7 +377,6 @@ def _validate_series(kind: GeometryKind, args) -> list:
         grid = np.linspace(d_low, d_high, points)
         # the wide grid locates the exact half-power crossings around the target
         wide = np.linspace(0.85 * d_low, 1.15 * d_high, 4 * points)
-        wide = wide[wide > 1e-9]
         with _rejected_input():  # the target or a probe on an element
             exact = broadside_power_sweep(setup, d_target, grid) ** mode.power_exponent
             exact_wide = (broadside_power_sweep(setup, d_target, wide)

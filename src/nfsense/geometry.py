@@ -36,7 +36,6 @@ __all__ = [
     "build_uca",
     "build_ura",
     "build_upca",
-    "single_element",
     "build_array",
     "fraunhofer_distance",
     "simo_miso_setup",
@@ -95,12 +94,12 @@ class ProcessingMode(Enum):
 class ArrayGeometry:
     """Immutable element layout.
 
-    kind is None for the degenerate single-element "array" used as the
-    plain side of a SIMO/MISO link.  aperture is the actual end-to-end
-    extent recomputed from the element positions (ULA: length, UCA/UPCA:
-    outer diameter, URA: diagonal).  axial_class labels the elements (see
-    the module docstring); it defaults to one class per element, and a class
-    whose members differ in (x^2 + y^2, z) beyond rounding raises ValueError.
+    kind is None for the single transmit element of a SIMO/MISO link
+    (SensingSetup.tx).  aperture is the actual end-to-end extent recomputed
+    from the element positions (ULA: length, UCA/UPCA: outer diameter, URA:
+    diagonal).  axial_class labels the elements (see the module docstring);
+    it defaults to one class per element, and a class whose members differ
+    in (x^2 + y^2, z) beyond rounding raises ValueError.
     """
 
     kind: GeometryKind | None
@@ -272,13 +271,6 @@ def build_array(kind: GeometryKind, aperture: float, wavelength: float) -> Array
     return _BUILDERS[kind](aperture, wavelength)
 
 
-def single_element(wavelength: float) -> ArrayGeometry:
-    """Degenerate one-element array at the origin (kind None, aperture 0)."""
-    return ArrayGeometry(kind=None, wavelength=float(wavelength),
-                         elements=np.zeros((1, 3)), aperture=0.0,
-                         axial_class=np.zeros(1, dtype=int))
-
-
 def fraunhofer_distance(geometry: ArrayGeometry) -> float:
     """Far-field boundary 2 D^2 / lambda; ValueError outside the float range."""
     try:
@@ -293,53 +285,39 @@ def fraunhofer_distance(geometry: ArrayGeometry) -> float:
 
 @dataclass(frozen=True)
 class SensingSetup:
-    """Transmit and receive geometries plus the processing mode.
+    """One aperture and the processing mode: all the exact power reads.
 
-    MIMO requires identical collocated apertures on both sides.  SIMO/MISO
-    uses one real aperture and a single element on the other side; a
-    bistatic pair of multi-element apertures is not supported.  The exact
-    power depends only on the aperture, its wavelength and the mode.
+    The aperture receives.  Under MIMO it also transmits; under SIMO/MISO
+    one element at the origin does, whose |AF|^2 is 1.  tx, rx and
+    frequency are views derived from the two fields.
     """
 
-    tx: ArrayGeometry
-    rx: ArrayGeometry
+    aperture: ArrayGeometry
     mode: ProcessingMode
 
-    def __post_init__(self):
-        if abs(self.tx.wavelength - self.rx.wavelength) > 1e-12 * self.tx.wavelength:
-            raise ValueError("tx and rx wavelengths differ")
+    @property
+    def tx(self) -> ArrayGeometry:
+        """The aperture under MIMO, else a new one-element array at the origin."""
         if self.mode is ProcessingMode.MIMO:
-            if self.tx is not self.rx and not (
-                self.tx.elements.shape == self.rx.elements.shape
-                and np.array_equal(self.tx.elements, self.rx.elements)
-            ):
-                raise ValueError(
-                    "MIMO mode requires identical collocated tx/rx apertures"
-                )
-        else:
-            if self.tx.n_elements > 1 and self.rx.n_elements > 1:
-                raise ValueError(
-                    "SIMO/MISO takes a single element on one side; separated "
-                    "multi-element apertures (bistatic) are unsupported"
-                )
+            return self.aperture
+        return ArrayGeometry(None, self.aperture.wavelength, np.zeros((1, 3)), 0.0)
 
     @property
-    def aperture(self) -> ArrayGeometry:
-        """The multi-element side (either side for MIMO)."""
-        return self.tx if self.tx.n_elements > 1 else self.rx
+    def rx(self) -> ArrayGeometry:
+        """The aperture."""
+        return self.aperture
 
     @property
     def frequency(self) -> float:
         """Carrier frequency c / lambda in Hz, derived from the wavelength."""
-        return SPEED_OF_LIGHT / self.tx.wavelength
+        return SPEED_OF_LIGHT / self.aperture.wavelength
 
 
 def simo_miso_setup(aperture: ArrayGeometry) -> SensingSetup:
     """Single-aperture link: one transmit element, the array on receive."""
-    return SensingSetup(tx=single_element(aperture.wavelength), rx=aperture,
-                        mode=ProcessingMode.SIMO_MISO)
+    return SensingSetup(aperture, ProcessingMode.SIMO_MISO)
 
 
 def mimo_setup(aperture: ArrayGeometry) -> SensingSetup:
     """Monostatic MIMO link: the same aperture transmits and receives."""
-    return SensingSetup(tx=aperture, rx=aperture, mode=ProcessingMode.MIMO)
+    return SensingSetup(aperture, ProcessingMode.MIMO)

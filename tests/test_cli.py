@@ -219,6 +219,23 @@ class TestValidate:
             # the crossing locations themselves are still accurate
             assert float(row["crossing_low_rel_err"]) <= 0.03
 
+    def test_verdict_does_not_depend_on_unit(self, tmp_path):
+        # the same configuration in lambda units, at lambda = 1 m and 1e-11 m
+        runs = []
+        for lam in ("1", "1e-11"):
+            out = tmp_path / f"val-{lam}.json"
+            rc = main(["validate", "--kind", "ula,uca", "--sweep", "0:0:301",
+                       "--wavelength", lam, "--format", "json",
+                       "--out", str(out)])
+            runs.append((rc, json.loads(out.read_text())["rows"]))
+        (rc1, rows1), (rc2, rows2) = runs
+        assert rc1 == rc2 == 0
+        assert [r["status"] for r in rows1] == [r["status"] for r in rows2]
+        for a, b in zip(rows1, rows2):
+            for key in ("max_peak_deviation", "max_rel_error",
+                        "crossing_low_rel_err", "crossing_high_rel_err"):
+                assert float(b[key]) == pytest.approx(float(a[key]), rel=1e-9)
+
     def test_degenerate_configuration_fails(self, tmp_path):
         rc = main(["validate", "--kind", "ula", "--aperture-lambda", "0.5",
                    "--target-lambda", "0.6", "--sweep", "0:0:201",
