@@ -4,8 +4,11 @@ the exact-sum library calls.
 Each CLI case runs nfsense.cli.main in this process with stdout and stderr
 captured, and prints one line: the sha256 of stdout and stderr, the exit
 code and the argv.  The matrix is every command over kind subsets, modes
-and both formats, the validate defaults, inputs that exit 1 and a validate
-at lambda = 1e-11 m.  Each library case (normalized_power on an off-axis
+and both formats, the validate defaults, inputs that exit 1, a validate
+at lambda = 1e-11 m and the --help text of nfsense and of each command
+(argparse ends those with SystemExit, whose code is printed as the exit
+code; the text wraps to the terminal width, so compare listings made at
+the same COLUMNS).  Each library case (normalized_power on an off-axis
 patch per kind and setup, broadside_power_sweep per kind, D = 12 lambda at
 lambda = 1, and normalized_power on an empty probe batch) prints the
 sha256 of the result's bytes, 0 and the call; a raised exception prints
@@ -31,6 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
+COMMANDS = ("tables", "af-curve", "beamdepth-sweep", "validate", "dump-geometry")
 KIND_SETS = ("ula", "uca", "ura", "upca", "ura,ula", "ula,uca,ura,upca")
 MODES = ("simo", "mimo", "both")
 FORMATS = ("csv", "json")
@@ -67,6 +71,9 @@ def cases():
             yield f"dump-geometry --kind {kind} --aperture-lambda 12 --format {fmt}"
     yield from BAD_INPUTS
     yield "validate --kind ula,uca --wavelength 1e-11 --sweep 0:0:301"
+    yield "--help"
+    for command in COMMANDS:
+        yield f"{command} --help"
 
 
 def library_cases():
@@ -99,7 +106,10 @@ def main(argv=None) -> int:
     for case in cases():
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli_main(case.split())
+            try:
+                code = cli_main(case.split())
+            except SystemExit as exc:  # --help
+                code = exc.code
         digest = hashlib.sha256(
             out.getvalue().encode() + b"\0" + err.getvalue().encode())
         print(digest.hexdigest(), code, case.strip())

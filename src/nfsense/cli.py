@@ -31,8 +31,8 @@ import numpy as np
 from . import __version__
 from .ambiguity import broadside_power_sweep
 from .closed_form import af_argument, normalized_af_power, vergence_difference
-from .geometry import (GeometryKind, ProcessingMode, build_array,
-                       simo_miso_setup)
+from .geometry import (GeometryKind, ProcessingMode, _fraunhofer,
+                       build_array, simo_miso_setup)
 from .metrics import (SIDELOBE_SCAN_MAX, beamdepth, compute_metrics,
                       half_power_coefficient, half_power_distances,
                       max_nearfield_range)
@@ -125,14 +125,15 @@ def _parse_format(text: str) -> str:
     return text.lower()
 
 
-# flag, type, default, help; every command takes every flag
+# flag, type, default, help; every command takes every flag.  --sweep has
+# no default of its own: main fills in the command's, from _SWEEP_DEFAULTS.
 _FLAGS = (
     ("--kind", _parse_kinds, "ula,uca,ura,upca", "comma-separated: ula,uca,ura,upca"),
     ("--mode", _parse_modes, "both", "simo, mimo or both"),
     ("--aperture-lambda", _parse_positive, "50", "aperture D in wavelengths"),
     ("--target-lambda", _parse_positive, "100", "target range d' in wavelengths"),
     ("--wavelength", _parse_positive, "1", "wavelength in meters"),
-    ("--sweep", _parse_sweep, "0:0:2", "grid as start:stop:points (wavelengths)"),
+    ("--sweep", _parse_sweep, None, "grid as start:stop:points (wavelengths)"),
     ("--format", _parse_format, "csv", "csv or json"),
     ("--out", str, "-", "output path, - for stdout"),
 )
@@ -169,14 +170,6 @@ def _check_lengths(**meters) -> None:
     for name, value in meters.items():
         if not 0.0 < value < math.inf:
             raise UsageError(f"{name} = {value:g} is not a finite positive length")
-
-
-def _fraunhofer_m(aperture: float, lam: float) -> float:
-    """2 D^2 / lambda in meters, inf where D^2 overflows."""
-    try:
-        return 2.0 * aperture ** 2 / lam
-    except OverflowError:
-        return math.inf
 
 
 def _sweep_grid(args) -> np.ndarray:
@@ -298,7 +291,7 @@ def cmd_af_curve(args) -> int:
     lam = args.wavelength
     d_target = args.target_lambda * lam
     aperture = args.aperture_lambda * lam
-    d_fa = _fraunhofer_m(aperture, lam)
+    d_fa = _fraunhofer(aperture, lam)
     _check_lengths(target_m=d_target, fraunhofer_m=d_fa)
     distances = _sweep_grid(args)
     metadata = _base_metadata(args)
@@ -334,7 +327,7 @@ def cmd_af_curve(args) -> int:
 def cmd_beamdepth_sweep(args) -> int:
     lam = args.wavelength
     aperture = args.aperture_lambda * lam
-    d_fa = _fraunhofer_m(aperture, lam)
+    d_fa = _fraunhofer(aperture, lam)
     _check_lengths(fraunhofer_m=d_fa)
     targets = _sweep_grid(args)
     metadata = _base_metadata(args)
@@ -361,7 +354,7 @@ def _validate_series(kind: GeometryKind, args) -> list:
     lam = args.wavelength
     with _rejected_input():
         geometry = build_array(kind, args.aperture_lambda * lam, lam)
-    d_fa = _fraunhofer_m(geometry.aperture, lam)
+    d_fa = _fraunhofer(geometry.aperture, lam)
     d_target = args.target_lambda * lam
     _check_lengths(target_m=d_target, fraunhofer_m=d_fa)
     setup = simo_miso_setup(geometry)
@@ -469,21 +462,24 @@ _COMMANDS = {
 
 
 def _build_parser() -> tuple:
-    """The top-level parser and its subparsers by command name."""
+    """The top-level parser and its subparsers by command name.
+
+    The flags are built once, on a parser every command takes as a parent;
+    the commands then share their actions, so no command may change a
+    flag's default: --sweep defaults to None here, and main fills in the
+    command's own default.
+    """
+    flags = _Parser(add_help=False)
+    for flag, parse, default, text in _FLAGS:
+        flags.add_argument(flag, type=parse, default=default, help=text)
+    flags.add_argument("--config", help="key = value file with flag defaults")
     parser = _Parser(prog="nfsense", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version",
                         version=f"nfsense {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-    subparsers = {}
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        for flag, parse, default, text in _FLAGS:
-            p.add_argument(flag, type=parse, default=default, help=text)
-        p.add_argument("--config", help="key = value file with flag defaults")
-        if name in _SWEEP_DEFAULTS:
-            p.set_defaults(sweep=_SWEEP_DEFAULTS[name])
-        subparsers[name] = p
+    subparsers = {name: sub.add_parser(name, parents=[flags])
+                  for name in _COMMANDS}
     return parser, subparsers
 
 
@@ -498,6 +494,8 @@ def main(argv=None) -> int:
             # through each flag's type; flags given on the command line win
             subparsers[args.command].set_defaults(**_load_config_file(args.config))
             args = parser.parse_args(argv)
+        if args.sweep is None:
+            args.sweep = _parse_sweep(_SWEEP_DEFAULTS.get(args.command, "0:0:2"))
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"nfsense: error: {exc}", file=sys.stderr)

@@ -271,12 +271,17 @@ def build_array(kind: GeometryKind, aperture: float, wavelength: float) -> Array
     return _BUILDERS[kind](aperture, wavelength)
 
 
+def _fraunhofer(aperture: float, wavelength: float) -> float:
+    """2 D^2 / lambda, inf where D^2 overflows."""
+    try:
+        return 2.0 * aperture ** 2 / wavelength
+    except OverflowError:
+        return math.inf
+
+
 def fraunhofer_distance(geometry: ArrayGeometry) -> float:
     """Far-field boundary 2 D^2 / lambda; ValueError outside the float range."""
-    try:
-        distance = 2.0 * geometry.aperture ** 2 / geometry.wavelength
-    except OverflowError:
-        distance = math.inf
+    distance = _fraunhofer(geometry.aperture, geometry.wavelength)
     if not 0.0 < distance < math.inf:
         raise ValueError(f"2 D^2 / lambda for D = {geometry.aperture:g} m is "
                          "out of floating-point range")

@@ -3,12 +3,19 @@
 A layout's power in a mode is its base pattern f to the exponent n p
 (see nfsense.closed_form), so every solver works on f alone: the
 half-power point solves f(x) = 0.5 ** (1/(n p)) by bisection on the
-monotone mainlobe, once per (base, n p); one cached scan of f per base
+monotone mainlobe, once per (base, n p), bracketed on every 64th point of
+its grid and then within one segment; one cached scan of f per base
 pattern, refined by golden section, gives the mainlobe edge (the first
 minimum of f, which no exponent moves) and the sidelobe level (n p times
-that of f in dB).  Both searches evaluate f for several steps per call:
-every point the next steps can visit, then the steps replayed in order,
-so they return the bits of a search that calls f one point at a time.
+that of f in dB).  The scan walks its grid in blocks from x = 0 and stops
+once a decreasing envelope E >= f is below the best sidelobe found:
+1/(pi x)^2 for the UPCA, 2/(pi x) for the UCA (Nicholson's formula,
+Watson 13.74) and, from the Fresnel auxiliary functions of A&S 7.3, for
+the ULA (1/sqrt 2 + 1/(pi sqrt x) + 1/(pi^2 x^(3/2)))^2 / x.  Both
+searches evaluate f for several steps per call: every point the next
+steps can visit, then the steps replayed in order, so they return the
+bits of a search that calls f one point at a time, and the bracket and
+the stop find the grid points a search over the whole grid finds.
 Beamdepth and its divergence point follow from the vergence algebra
 
     d_3dB = d_FA d' / (d_FA +- alpha d')
@@ -55,6 +62,14 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # Steps a solver looks ahead: one call of f evaluates every point that the
 # next _LOOKAHEAD steps can visit, 2 ** _LOOKAHEAD - 1 of them.
 _LOOKAHEAD = 6
+
+# The half-power bracket looks at every _BRACKET_STRIDE-th grid point first.
+_BRACKET_STRIDE = 64
+
+# Points per block of the lobe scan, and the margin by which the envelope
+# must clear the best sidelobe; specfun's error is below 1e-13.
+_LOBE_BLOCK = 2048
+_ENVELOPE_MARGIN = 1e-12
 
 
 def _lookahead(f, children, node) -> list:
@@ -127,17 +142,25 @@ def _golden_max(f, lo: float, hi: float, tol: float = 1e-9) -> float:
 def half_power_root(base: GeometryKind, exponent: int) -> float:
     """Smallest x where f ** exponent falls to 0.5, f the kind's pattern.
 
-    Solves f(x) = 0.5 ** (1 / exponent) by bracketing on a grid and
-    bisection.  f is 1 at x = 0 and drops below 0.5 before its first
-    minimum for every layout, so the first sign change brackets the root.
+    Solves f(x) = 0.5 ** (1 / exponent) by bracketing on a 4001-point grid
+    over [0, 4] and bisection.  f is 1 at x = 0, falls monotonically to its
+    first minimum, which lies more than a coarse step past the root, and
+    its sidelobes stay below every level, so f is below the level at each
+    grid point from the root on.  The first grid point below the level is
+    therefore found on every _BRACKET_STRIDE-th point first and then among
+    the points of that one segment, and it is the first sign change of the
+    whole grid.
     """
     f = partial(normalized_af_power, base, ProcessingMode.SIMO_MISO)
     level = 0.5 ** (1.0 / exponent)
     grid = np.linspace(0.0, 4.0, 4001)
-    vals = f(grid) - level
-    idx = int(np.argmax(vals < 0.0))
-    if idx == 0:
+    marks = np.append(np.arange(0, grid.size - 1, _BRACKET_STRIDE), grid.size - 1)
+    j = int(np.argmax(f(grid[marks]) - level < 0.0))
+    if j == 0:
         raise RuntimeError("no half-power bracket found")
+    lo, hi = int(marks[j - 1]), int(marks[j])
+    inner = f(grid[lo + 1:hi]) - level < 0.0
+    idx = lo + 1 + int(np.argmax(inner)) if inner.any() else hi
     return _bisect(f, level, float(grid[idx - 1]), float(grid[idx]))
 
 
@@ -210,29 +233,74 @@ def max_nearfield_range(d_fraunhofer: float, coefficient: float) -> float:
     return d_fraunhofer / coefficient
 
 
+def _lobe_envelope(base: GeometryKind, x):
+    """An envelope E(x) >= f(x), x > 0, of base pattern f, decreasing in x.
+
+    UPCA: sinc(x)^2 <= 1 / (pi x)^2.  UCA: x (J0^2 + Y0^2)(x) increases
+    toward 2 / pi (Nicholson's formula; Watson, Bessel Functions, 13.74),
+    so J0(x)^2 < 2 / (pi x).  ULA: with u = sqrt x, |C + iS - (1+i)/2| is
+    sqrt(F^2 + G^2) for the Fresnel auxiliary functions F, G of A&S 7.3,
+    and F < 1 / (pi u), G < 1 / (pi^2 u^3); so |C + iS| is below
+    1/sqrt 2 + 1/(pi u) + 1/(pi^2 u^3), and f = |C + iS|^2 / x.
+    """
+    if base is GeometryKind.UPCA:
+        return 1.0 / (np.pi * x) ** 2
+    if base is GeometryKind.UCA:
+        return 2.0 / (np.pi * x)
+    u = np.sqrt(x)
+    return (np.sqrt(0.5) + 1.0 / (np.pi * u) + 1.0 / (np.pi ** 2 * u ** 3)) ** 2 / x
+
+
+def _lobes(vals) -> tuple:
+    """(edge, peak) grid indices on the scanned values, None if not yet seen.
+
+    The edge is the first interior minimum; the peak the highest maximum
+    beyond it, ties to the smallest index.  Both look at a point's two
+    neighbours only, so on a prefix of the grid they are what the whole
+    grid gives, as far as the prefix reaches.
+    """
+    interior = np.flatnonzero((vals[1:-1] < vals[:-2]) & (vals[1:-1] <= vals[2:]))
+    if interior.size == 0:
+        return None, None
+    edge = int(interior[0]) + 1
+    lobes = vals[edge:]
+    is_max = (lobes[1:-1] > lobes[:-2]) & (lobes[1:-1] >= lobes[2:])
+    candidates = np.flatnonzero(is_max) + edge + 1
+    if candidates.size == 0:
+        return edge, None
+    return edge, int(candidates[int(np.argmax(vals[candidates]))])
+
+
 @lru_cache(maxsize=None)
 def lobe_scan(base: GeometryKind) -> tuple[float, float]:
     """(mainlobe edge, peak sidelobe power) of a base pattern f.
 
-    One scan of f on [0, SIDELOBE_SCAN_MAX] at step 1e-3, refined by golden
+    Scans f on [0, SIDELOBE_SCAN_MAX] at step 1e-3, refined by golden
     section: the first interior minimum ends the mainlobe, and the highest
-    maximum beyond it (ties to the smallest x) is the peak sidelobe.
+    maximum beyond it (ties to the smallest x) is the peak sidelobe.  The
+    grid is evaluated in blocks of _LOBE_BLOCK points from x = 0.  Once the
+    edge and a sidelobe maximum are known, the scan stops when the envelope
+    E >= f of _lobe_envelope, decreasing in x, is below the best sidelobe
+    by _ENVELOPE_MARGIN (above the special functions' error) at the last
+    point evaluated: no later point can then win, so the result is that of
+    the whole grid.
     """
     f = partial(normalized_af_power, base, ProcessingMode.SIMO_MISO)
     grid = np.linspace(0.0, SIDELOBE_SCAN_MAX, 50_001)
-    vals = f(grid)
-    interior = np.where((vals[1:-1] < vals[:-2]) & (vals[1:-1] <= vals[2:]))[0]
-    if interior.size == 0:
+    vals = np.empty_like(grid)
+    for lo in range(0, grid.size, _LOBE_BLOCK):
+        hi = min(lo + _LOBE_BLOCK, grid.size)
+        vals[lo:hi] = f(grid[lo:hi])
+        edge, best = _lobes(vals[:hi])
+        if best is not None and (_lobe_envelope(base, grid[hi - 1])
+                                 + _ENVELOPE_MARGIN < vals[best]):
+            break
+    if edge is None:
         raise RuntimeError("no mainlobe edge found in scan window")
-    edge = int(interior[0]) + 1
+    if best is None:
+        raise RuntimeError("no sidelobe found in scan window")
     x_edge = _golden_max(lambda x: -f(x), float(grid[edge - 1]),
                          float(grid[edge + 1]), tol=1e-12)
-    lobes = vals[edge:]
-    is_max = (lobes[1:-1] > lobes[:-2]) & (lobes[1:-1] >= lobes[2:])
-    candidates = np.where(is_max)[0] + edge + 1
-    if candidates.size == 0:
-        raise RuntimeError("no sidelobe found in scan window")
-    best = int(candidates[int(np.argmax(vals[candidates]))])
     x_peak = _golden_max(f, float(grid[best - 1]), float(grid[best + 1]))
     return x_edge, f(x_peak)
 

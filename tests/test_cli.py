@@ -339,6 +339,45 @@ class TestRepeatedCalls:
         assert capsys.readouterr() == alone
 
 
+class TestSharedFlags:
+    """Every command parses the flags of one shared parent parser."""
+
+    DEFAULT_SWEEPS = {
+        "tables": (0.0, 0.0, 2), "af-curve": (50.0, 400.0, 2000),
+        "beamdepth-sweep": (10.0, 1200.0, 500), "validate": (0.0, 0.0, 3001),
+        "dump-geometry": (0.0, 0.0, 2),
+    }
+
+    @pytest.fixture
+    def sweeps(self, monkeypatch):
+        """The parsed --sweep of each main call, by command."""
+        seen = []
+
+        def record(args):
+            seen.append((args.command, args.sweep))
+            return 0
+
+        monkeypatch.setattr(cli, "_COMMANDS", dict.fromkeys(cli._COMMANDS, record))
+        return seen
+
+    def test_default_sweep_per_command(self, sweeps):
+        for command in self.DEFAULT_SWEEPS:
+            assert main([command]) == 0
+        assert sweeps == list(self.DEFAULT_SWEEPS.items())
+        assert all(cli._parse_sweep(cli._SWEEP_DEFAULTS.get(c, "0:0:2")) == v
+                   for c, v in sweeps)
+
+    @pytest.mark.parametrize("command", ["af-curve", "validate", "tables"])
+    def test_config_sweep_does_not_leak(self, command, sweeps, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("sweep = 1:2:3\n")
+        assert main([command, "--config", str(cfg)]) == 0
+        for other in self.DEFAULT_SWEEPS:
+            assert main([other]) == 0
+        assert sweeps == [(command, (1.0, 2.0, 3))] + list(
+            self.DEFAULT_SWEEPS.items())
+
+
 class TestExitCodes:
     def test_no_command(self):
         assert main([]) == 1

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -287,12 +288,12 @@ def _clear_caches():
 
 
 def _cold_metrics_calls(monkeypatch):
-    """(kind, size of x) of every normalized_af_power call that
+    """(kind, x as an array) of every normalized_af_power call that
     compute_metrics makes for the four layouts from cold caches."""
     calls = []
 
     def counting(kind, mode, x):
-        calls.append((kind, np.size(x)))
+        calls.append((kind, np.atleast_1d(x)))
         return normalized_af_power(kind, mode, x)
 
     _clear_caches()
@@ -309,17 +310,19 @@ class TestSolverCaches:
         assert cached == {"half_power_root", "half_power_argument", "lobe_scan"}
 
     def test_one_lobe_scan_per_base_pattern(self, monkeypatch):
-        # ULA, UCA and UPCA are the base patterns; the URA reuses the ULA's
-        grids = [kind for kind, size in _cold_metrics_calls(monkeypatch)
-                 if size == 50_001]
+        # ULA, UCA and UPCA are the base patterns; the URA reuses the ULA's.
+        # A scan starts with the block of the lobe grid at x = 0.
+        grids = [kind for kind, x in _cold_metrics_calls(monkeypatch)
+                 if x[0] == 0.0 and x.size == metrics._LOBE_BLOCK]
         assert sorted(grids, key=KINDS.index) == [
             GeometryKind.ULA, GeometryKind.UCA, GeometryKind.UPCA]
 
     def test_one_half_power_solve_per_level(self, monkeypatch):
         # eight (kind, mode) pairs, seven (base, n p) levels: URA SIMO is
-        # ULA MIMO
-        grids = [kind for kind, size in _cold_metrics_calls(monkeypatch)
-                 if size == 4001]
+        # ULA MIMO.  A solve starts with the coarse points of the bracket
+        # grid, the only call that holds both of its ends, 0 and 4.
+        grids = [kind for kind, x in _cold_metrics_calls(monkeypatch)
+                 if x[0] == 0.0 and x[-1] == 4.0]
         assert sorted(grids, key=KINDS.index) == [
             GeometryKind.ULA] * 3 + [GeometryKind.UCA] * 2 + [GeometryKind.UPCA] * 2
 
@@ -350,8 +353,70 @@ class TestBatchedSteps:
 
     def test_steps_share_calls(self, monkeypatch):
         # scalar steps take about 500 calls for the four rows: 30 per
-        # bisection and 45 and 31 per golden section; batched steps need 96
+        # bisection and 45 and 31 per golden section; batched steps need
+        # 106: 96 with one bracket grid and one lobe grid per solve, plus
+        # one bracket segment for each of the 7 levels and 6 lobe blocks
+        # (ULA 3, UCA 2, UPCA 1) for the 3 grids
         assert len(_cold_metrics_calls(monkeypatch)) <= 110
+
+
+BASES = [GeometryKind.ULA, GeometryKind.UCA, GeometryKind.UPCA]
+
+
+def _mp_base_pattern(base, x):
+    """The base pattern at x > 0 in mpmath at 20 digits."""
+    with mpmath.workdps(20):
+        x = mpmath.mpf(x)
+        if base is GeometryKind.ULA:
+            u = mpmath.sqrt(x)
+            value = (mpmath.fresnelc(u) ** 2 + mpmath.fresnels(u) ** 2) / x
+        elif base is GeometryKind.UCA:
+            value = mpmath.besselj(0, x) ** 2
+        else:
+            value = (mpmath.sin(mpmath.pi * x) / (mpmath.pi * x)) ** 2
+        return float(value)
+
+
+class TestLobeEnvelope:
+    """The early stop of lobe_scan and the envelopes it rests on."""
+
+    @pytest.mark.parametrize("base", BASES)
+    def test_envelope_bounds_pattern(self, base):
+        # 1000 mpmath points, 5 per unit of x, over four times the scan
+        # window; the UPCA bound is attained at half-integers, where the
+        # two sides may round apart by an ulp
+        x = np.linspace(0.0, 4.0 * SIDELOBE_SCAN_MAX, 1001)[1:]
+        exact = np.array([_mp_base_pattern(base, v) for v in x])
+        assert np.all(metrics._lobe_envelope(base, x) * (1.0 + 1e-15) >= exact)
+        # the library's pattern, 1000 points per unit of x, lies below the
+        # envelope by more than the stop rule's margin allows for
+        x = np.linspace(0.0, 4.0 * SIDELOBE_SCAN_MAX, 200_001)[1:]
+        envelope = metrics._lobe_envelope(base, x)
+        assert np.all(normalized_af_power(base, SIMO, x)
+                      < envelope + metrics._ENVELOPE_MARGIN)
+        assert np.all(np.diff(envelope) < 0.0)
+
+    @pytest.mark.parametrize("base", BASES)
+    def test_full_scan_gives_same_bits(self, base, monkeypatch):
+        _clear_caches()
+        early = lobe_scan(base)
+        _clear_caches()
+        monkeypatch.setattr(metrics, "_lobe_envelope", lambda base, x: math.inf)
+        assert lobe_scan(base) == early
+
+    @pytest.mark.parametrize("base", BASES)
+    def test_cold_scan_stops_early(self, base, monkeypatch):
+        grid = np.linspace(0.0, SIDELOBE_SCAN_MAX, 50_001)
+        points = []
+
+        def counting(kind, mode, x):
+            points.append(np.count_nonzero(np.isin(x, grid)))
+            return normalized_af_power(kind, mode, x)
+
+        _clear_caches()
+        monkeypatch.setattr(metrics, "normalized_af_power", counting)
+        lobe_scan(base)
+        assert 0 < sum(points) < 8000
 
 
 class TestQuadraticGainAnalysis:
