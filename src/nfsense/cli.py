@@ -464,10 +464,9 @@ _COMMANDS = {
 def _build_parser() -> tuple:
     """The top-level parser and its subparsers by command name.
 
-    The flags are built once, on a parser every command takes as a parent;
-    the commands then share their actions, so no command may change a
-    flag's default: --sweep defaults to None here, and main fills in the
-    command's own default.
+    The flags are built once, on a parent parser of every command.  The
+    commands share its actions, so none may set a default of its own
+    (set_defaults would change it for all); main fills in --sweep's.
     """
     flags = _Parser(add_help=False)
     for flag, parse, default, text in _FLAGS:

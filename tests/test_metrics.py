@@ -388,8 +388,8 @@ class TestLobeEnvelope:
         x = np.linspace(0.0, 4.0 * SIDELOBE_SCAN_MAX, 1001)[1:]
         exact = np.array([_mp_base_pattern(base, v) for v in x])
         assert np.all(metrics._lobe_envelope(base, x) * (1.0 + 1e-15) >= exact)
-        # the library's pattern, 1000 points per unit of x, lies below the
-        # envelope by more than the stop rule's margin allows for
+        # the library's pattern, at 1000 points per unit of x, stays below
+        # the envelope plus the stop rule's margin
         x = np.linspace(0.0, 4.0 * SIDELOBE_SCAN_MAX, 200_001)[1:]
         envelope = metrics._lobe_envelope(base, x)
         assert np.all(normalized_af_power(base, SIMO, x)
