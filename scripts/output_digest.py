@@ -10,10 +10,13 @@ at lambda = 1e-11 m and the --help text of nfsense and of each command
 code; the text wraps to the terminal width, so compare listings made at
 the same COLUMNS).  Each library case (normalized_power on an off-axis
 patch per kind and setup, broadside_power_sweep per kind, D = 12 lambda at
-lambda = 1, and normalized_power on an empty probe batch) prints the
-sha256 of the result's bytes, 0 and the call; a raised exception prints
-the sha256 of its type name and the name in place of the 0.  A checkout's
-outputs match another's when the two listings do:
+lambda = 1, normalized_power on an empty probe batch, and the rejections of
+bad geometry inputs: each builder at lambda = 0 and -1, an ArrayGeometry
+with empty, NaN or (2, 2) elements and build_array with a string kind)
+prints the sha256 of the result's bytes (a geometry's element array), 0 and
+the call; a raised exception prints the sha256 of its type name and the
+name in place of the 0.  A checkout's outputs match another's when the two
+listings do:
 
     python3 scripts/output_digest.py /path/to/other/checkout > before.txt
     python3 scripts/output_digest.py > after.txt
@@ -76,11 +79,16 @@ def cases():
         yield f"{command} --help"
 
 
+def _elements(make, *args):
+    """The element array of the geometry that make(*args) returns."""
+    return make(*args).elements
+
+
 def library_cases():
-    """(name, function, args) of the exact-sum library calls."""
+    """(name, function, args) of the exact-sum and geometry library calls."""
     from nfsense.ambiguity import broadside_power_sweep, normalized_power
-    from nfsense.geometry import (GeometryKind, build_array, mimo_setup,
-                                  simo_miso_setup)
+    from nfsense.geometry import (ArrayGeometry, GeometryKind, build_array,
+                                  mimo_setup, simo_miso_setup)
 
     x, z = np.meshgrid(np.linspace(-15.0, 15.0, 30), np.linspace(60.0, 140.0, 20))
     patch = np.column_stack([x.ravel(), 5.0 + 0.1 * x.ravel(), z.ravel()])
@@ -95,6 +103,15 @@ def library_cases():
     yield ("normalized_power ula simo_miso_setup empty", normalized_power,
            (simo_miso_setup(build_array(GeometryKind.ULA, 12.0, 1.0)),
             [4.0, -3.0, 100.0], np.empty((0, 3))))
+    for kind, wavelength in product(GeometryKind, (0.0, -1.0)):
+        yield (f"build_array {kind.value} 10 {wavelength:g}", _elements,
+               (build_array, kind, 10.0, wavelength))
+    for name, elements in (("empty", np.empty((0, 3))),
+                           ("nan", np.array([[0.0, 0.0, np.nan]])),
+                           ("2x2", np.zeros((2, 2)))):
+        yield (f"ArrayGeometry {name} elements", _elements,
+               (ArrayGeometry, None, 1.0, elements, 0.0))
+    yield ("build_array 'ula' 1 1", _elements, (build_array, "ula", 1.0, 1.0))
 
 
 def main(argv=None) -> int:

@@ -14,9 +14,11 @@ layout exponent n
     URA   the ULA pattern (crossed ULAs)    n = 2
     UPCA  sinc(x)^2                         n = 1
 
-and MIMO squares it again (p = 2; p = 1 for SIMO/MISO).  The forms assume
-probe points at broadside distances well beyond the aperture; close to the
-array the direct summation in nfsense.ambiguity is authoritative.
+and MIMO squares it again (p = 2; p = 1 for SIMO/MISO).  One table holds
+each base pattern with its mainlobe curvature and sidelobe envelope.  The
+forms assume probe points at broadside distances well beyond the aperture;
+close to the array the direct summation in nfsense.ambiguity is
+authoritative.
 """
 
 from __future__ import annotations
@@ -59,6 +61,28 @@ def _fresnel_power(x):
     return np.where(tiny, 1.0, (c * c + s * s) / safe)
 
 
+# Base pattern -> (f, c, E): f(x) on a 1-d array x >= 0, its curvature c
+# (f = 1 - c x^2 + O(x^4)) and a decreasing envelope E(x) >= f(x), x > 0.
+_PATTERNS = {
+    # (C^2 + S^2)(sqrt x) / x = 1 - pi^2 x^2 / 45 + O(x^4).  With u = sqrt x,
+    # |C + iS - (1+i)/2| is sqrt(F^2 + G^2) for the Fresnel auxiliary
+    # functions F < 1 / (pi u), G < 1 / (pi^2 u^3) of A&S 7.3, so |C + iS|
+    # is below 1/sqrt 2 + 1/(pi u) + 1/(pi^2 u^3), and f = |C + iS|^2 / x.
+    GeometryKind.ULA: (
+        _fresnel_power, np.pi ** 2 / 45.0,
+        lambda x: (np.sqrt(0.5) + 1.0 / (np.pi * np.sqrt(x))
+                   + 1.0 / (np.pi ** 2 * np.sqrt(x) ** 3)) ** 2 / x),
+    # J0(x)^2 = 1 - x^2 / 2 + O(x^4).  x (J0^2 + Y0^2)(x) increases toward
+    # 2 / pi (Nicholson's formula; Watson, Bessel Functions, 13.74), so
+    # J0(x)^2 < 2 / (pi x).
+    GeometryKind.UCA: (lambda x: bessel_j0(x) ** 2, 0.5,
+                       lambda x: 2.0 / (np.pi * x)),
+    # sinc(x)^2 = 1 - (pi x)^2 / 3 + O(x^4), and sinc(x)^2 <= 1 / (pi x)^2.
+    GeometryKind.UPCA: (lambda x: sinc(x) ** 2, np.pi ** 2 / 3.0,
+                        lambda x: 1.0 / (np.pi * x) ** 2),
+}
+
+
 def base_layout(kind: GeometryKind) -> tuple[GeometryKind, int]:
     """(base kind, exponent n): the single-aperture power is base ** n.
 
@@ -82,27 +106,12 @@ def normalized_af_power(kind: GeometryKind, mode: ProcessingMode, x):
     scalar = arr.ndim == 0
     a = np.atleast_1d(arr)
     base, n = base_layout(kind)
-    if base is GeometryKind.ULA:
-        out = _fresnel_power(a)
-    elif base is GeometryKind.UCA:
-        out = np.atleast_1d(bessel_j0(a)) ** 2
-    else:
-        out = np.atleast_1d(sinc(a)) ** 2
+    out = _PATTERNS[base][0](a)
     for _ in range(n * mode.power_exponent // 2):  # n p is 1, 2 or 4
         out = out ** 2
     if scalar:
         return float(out[0])
     return out
-
-
-# x^2 coefficients of the power series of the base patterns:
-#   (C^2 + S^2)(sqrt x) / x = 1 - pi^2 x^2 / 45 + O(x^4)
-#   J0(x)^2 = 1 - x^2 / 2 + O(x^4);  sinc(x)^2 = 1 - (pi x)^2 / 3 + O(x^4)
-_CURVATURE = {
-    GeometryKind.ULA: np.pi ** 2 / 45.0,
-    GeometryKind.UCA: 0.5,
-    GeometryKind.UPCA: np.pi ** 2 / 3.0,
-}
 
 
 def quadratic_mainlobe_coefficient(kind: GeometryKind) -> float:
@@ -112,4 +121,4 @@ def quadratic_mainlobe_coefficient(kind: GeometryKind) -> float:
     (1 - c x^2)^n = 1 - n c x^2 + O(x^4), it is n times the base's.
     """
     base, n = base_layout(kind)
-    return n * _CURVATURE[base]
+    return n * _PATTERNS[base][1]

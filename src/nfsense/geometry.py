@@ -95,11 +95,14 @@ class ArrayGeometry:
     """Immutable element layout.
 
     kind is None for the single transmit element of a SIMO/MISO link
-    (SensingSetup.tx).  aperture is the actual end-to-end extent recomputed
-    from the element positions (ULA: length, UCA/UPCA: outer diameter, URA:
-    diagonal).  axial_class labels the elements (see the module docstring);
-    it defaults to one class per element, and a class whose members differ
-    in (x^2 + y^2, z) beyond rounding raises ValueError.
+    (SensingSetup.tx).  The wavelength must be finite and positive, and
+    elements a non-empty (M, 3) array of finite values, which is kept as a
+    read-only float copy.  aperture is the actual end-to-end extent
+    recomputed from the element positions (ULA: length, UCA/UPCA: outer
+    diameter, URA: diagonal).  axial_class labels the elements (see the
+    module docstring); it defaults to one class per element, and a class
+    whose members differ in (x^2 + y^2, z) beyond rounding raises
+    ValueError.
     """
 
     kind: GeometryKind | None
@@ -109,8 +112,17 @@ class ArrayGeometry:
     axial_class: np.ndarray | None = None
 
     def __post_init__(self):
-        self.elements.setflags(write=False)
-        m = self.elements.shape[0]
+        _check_wavelength(self.wavelength)
+        e = self.elements
+        if not (isinstance(e, np.ndarray) and e.dtype.kind in "iuf"
+                and e.ndim == 2 and e.shape[0] > 0 and e.shape[1] == 3
+                and np.isfinite(e).all()):
+            raise ValueError("elements must be a non-empty (M, 3) array of "
+                             "finite positions")
+        e = e.astype(float)
+        e.setflags(write=False)
+        object.__setattr__(self, "elements", e)
+        m = e.shape[0]
         if self.axial_class is None:
             classes = np.arange(m)
         else:
@@ -124,6 +136,13 @@ class ArrayGeometry:
     @property
     def n_elements(self) -> int:
         return self.elements.shape[0]
+
+
+def _check_wavelength(wavelength) -> None:
+    """ValueError unless the wavelength is finite and positive."""
+    if not 0.0 < wavelength < math.inf:
+        raise ValueError(f"wavelength must be finite and positive, "
+                         f"got {wavelength}")
 
 
 def _check_axial_classes(elements, classes, wavelength: float) -> None:
@@ -172,6 +191,7 @@ def build_ula(aperture: float, wavelength: float) -> ArrayGeometry:
     Element count is floor(2 D / lambda) + 1; the aperture field records
     the actual end-to-end extent.
     """
+    _check_wavelength(wavelength)
     if not aperture >= wavelength / 2:
         raise ValueError(f"ULA aperture must be >= lambda/2, got {aperture}")
     n = _check_count(GeometryKind.ULA,
@@ -190,6 +210,7 @@ def build_uca(diameter: float, wavelength: float) -> ArrayGeometry:
     Elements sit in the x-z plane, equally spaced on the circle with arc
     spacing <= lambda/2 (count = ceil(pi D / (lambda/2))).
     """
+    _check_wavelength(wavelength)
     if not diameter >= wavelength / 2:
         raise ValueError(f"UCA diameter must be >= lambda/2, got {diameter}")
     n = _check_count(GeometryKind.UCA,
@@ -212,6 +233,7 @@ def build_ura(diagonal: float, wavelength: float) -> ArrayGeometry:
     Per-axis spacing is exactly lambda/2, per-axis count
     floor(sqrt(2) D / lambda) + 1.
     """
+    _check_wavelength(wavelength)
     if not diagonal >= wavelength / math.sqrt(2):
         raise ValueError(f"URA diagonal must be >= lambda/sqrt(2), got {diagonal}")
     n = float(np.floor(math.sqrt(2.0) * diagonal / wavelength + _TOL)) + 1
@@ -233,6 +255,7 @@ def build_upca(diameter: float, wavelength: float) -> ArrayGeometry:
     ring populated with max(1, ceil(2 pi r / (lambda/2))) elements so the
     arc spacing never exceeds lambda/2.
     """
+    _check_wavelength(wavelength)
     if not diameter >= wavelength:
         raise ValueError(f"UPCA diameter must be >= lambda, got {diameter}")
     n_rings = float(np.floor(diameter / wavelength + _TOL))
@@ -266,8 +289,11 @@ def build_array(kind: GeometryKind, aperture: float, wavelength: float) -> Array
     """Build any layout by kind; aperture is the kind's D (see builders).
 
     Every builder raises ValueError, before allocating, for a layout of
-    more than MAX_ELEMENTS elements.
+    more than MAX_ELEMENTS elements, and for a wavelength that is not
+    finite and positive.
     """
+    if not isinstance(kind, GeometryKind):
+        raise ValueError(f"unknown geometry kind {kind!r}")
     return _BUILDERS[kind](aperture, wavelength)
 
 

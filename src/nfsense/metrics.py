@@ -8,14 +8,12 @@ its grid and then within one segment; one cached scan of f per base
 pattern, refined by golden section, gives the mainlobe edge (the first
 minimum of f, which no exponent moves) and the sidelobe level (n p times
 that of f in dB).  The scan walks its grid in blocks from x = 0 and stops
-once a decreasing envelope E >= f is below the best sidelobe found:
-1/(pi x)^2 for the UPCA, 2/(pi x) for the UCA (Nicholson's formula,
-Watson 13.74) and, from the Fresnel auxiliary functions of A&S 7.3, for
-the ULA (1/sqrt 2 + 1/(pi sqrt x) + 1/(pi^2 x^(3/2)))^2 / x.  Both
-searches evaluate f for several steps per call: every point the next
-steps can visit, then the steps replayed in order, so they return the
-bits of a search that calls f one point at a time, and the bracket and
-the stop find the grid points a search over the whole grid finds.
+once the base's decreasing envelope E >= f, from the pattern table of
+nfsense.closed_form, is below the best sidelobe found.  Both searches
+evaluate f for several steps per call: every point the next steps can
+visit, then the steps replayed in order, so they return the bits of a
+search that calls f one point at a time, and the bracket and the stop find
+the grid points a search over the whole grid finds.
 Beamdepth and its divergence point follow from the vergence algebra
 
     d_3dB = d_FA d' / (d_FA +- alpha d')
@@ -33,7 +31,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .closed_form import (base_layout, normalized_af_power,
+from .closed_form import (_PATTERNS, base_layout, normalized_af_power,
                           quadratic_mainlobe_coefficient)
 from .geometry import GeometryKind, ProcessingMode
 
@@ -56,6 +54,9 @@ __all__ = [
 
 SIDELOBE_SCAN_MAX = 50.0
 "Upper end of the lobe scan, and so of the sidelobe search window, in x."
+
+# Bracket width in x below which the half-power bisection stops.
+_X3DB_TOLERANCE = 1e-12
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -98,7 +99,8 @@ def _halves(lo, hi, mid):
 def _bisect(f, level: float, lo: float, hi: float) -> float:
     """Root of f(x) = level where f falls through it on [lo, hi].
 
-    At most 80 halvings, stopping once the bracket is under 1e-12 wide.
+    At most 80 halvings, stopping once the bracket is under _X3DB_TOLERANCE
+    wide.
     """
     node = (lo, hi, 0.5 * (lo + hi))
     for step in range(80):
@@ -107,7 +109,7 @@ def _bisect(f, level: float, lo: float, hi: float) -> float:
         up = values[i] - level > 0.0
         node = _halves(*node)[0 if up else 1]
         i = 2 * i + (1 if up else 2)
-        if node[1] - node[0] < 1e-12:
+        if node[1] - node[0] < _X3DB_TOLERANCE:
             break
     return node[2]
 
@@ -233,24 +235,6 @@ def max_nearfield_range(d_fraunhofer: float, coefficient: float) -> float:
     return d_fraunhofer / coefficient
 
 
-def _lobe_envelope(base: GeometryKind, x):
-    """An envelope E(x) >= f(x), x > 0, of base pattern f, decreasing in x.
-
-    UPCA: sinc(x)^2 <= 1 / (pi x)^2.  UCA: x (J0^2 + Y0^2)(x) increases
-    toward 2 / pi (Nicholson's formula; Watson, Bessel Functions, 13.74),
-    so J0(x)^2 < 2 / (pi x).  ULA: with u = sqrt x, |C + iS - (1+i)/2| is
-    sqrt(F^2 + G^2) for the Fresnel auxiliary functions F, G of A&S 7.3,
-    and F < 1 / (pi u), G < 1 / (pi^2 u^3); so |C + iS| is below
-    1/sqrt 2 + 1/(pi u) + 1/(pi^2 u^3), and f = |C + iS|^2 / x.
-    """
-    if base is GeometryKind.UPCA:
-        return 1.0 / (np.pi * x) ** 2
-    if base is GeometryKind.UCA:
-        return 2.0 / (np.pi * x)
-    u = np.sqrt(x)
-    return (np.sqrt(0.5) + 1.0 / (np.pi * u) + 1.0 / (np.pi ** 2 * u ** 3)) ** 2 / x
-
-
 def _lobes(vals) -> tuple:
     """(edge, peak) grid indices on the scanned values, None if not yet seen.
 
@@ -279,21 +263,22 @@ def lobe_scan(base: GeometryKind) -> tuple[float, float]:
     section: the first interior minimum ends the mainlobe, and the highest
     maximum beyond it (ties to the smallest x) is the peak sidelobe.  The
     grid is evaluated in blocks of _LOBE_BLOCK points from x = 0.  Once the
-    edge and a sidelobe maximum are known, the scan stops when the envelope
-    E >= f of _lobe_envelope, decreasing in x, is below the best sidelobe
-    by _ENVELOPE_MARGIN (above the special functions' error) at the last
-    point evaluated: no later point can then win, so the result is that of
-    the whole grid.
+    edge and a sidelobe maximum are known, the scan stops when the base's
+    envelope E >= f from the closed_form pattern table, decreasing in x, is
+    below the best sidelobe by _ENVELOPE_MARGIN (above the special
+    functions' error) at the last point evaluated: no later point can then
+    win, so the result is that of the whole grid.
     """
     f = partial(normalized_af_power, base, ProcessingMode.SIMO_MISO)
+    envelope = _PATTERNS[base_layout(base)[0]][2]  # for the URA, f^2 <= f <= E
     grid = np.linspace(0.0, SIDELOBE_SCAN_MAX, 50_001)
     vals = np.empty_like(grid)
     for lo in range(0, grid.size, _LOBE_BLOCK):
         hi = min(lo + _LOBE_BLOCK, grid.size)
         vals[lo:hi] = f(grid[lo:hi])
         edge, best = _lobes(vals[:hi])
-        if best is not None and (_lobe_envelope(base, grid[hi - 1])
-                                 + _ENVELOPE_MARGIN < vals[best]):
+        if best is not None and (envelope(grid[hi - 1]) + _ENVELOPE_MARGIN
+                                 < vals[best]):
             break
     if edge is None:
         raise RuntimeError("no mainlobe edge found in scan window")

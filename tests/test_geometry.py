@@ -162,6 +162,43 @@ def test_elements_are_immutable():
         g.axial_class[0] = 7
 
 
+@pytest.mark.parametrize("wavelength", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("kind", list(GeometryKind))
+def test_bad_wavelength_rejected(kind, wavelength):
+    with pytest.raises(ValueError, match="wavelength"):
+        build_array(kind, 10.0, wavelength)
+
+
+def test_unknown_kind_rejected():
+    with pytest.raises(ValueError, match="unknown geometry kind"):
+        build_array("ula", 1.0, 1.0)
+
+
+@pytest.mark.parametrize("elements", [
+    np.empty((0, 3)), np.array([[0.0, 0.0, math.nan]]), np.zeros((2, 2)),
+    np.zeros((2, 3, 1)), [[0.0, 0.0, 0.0]]], ids=["empty", "nan", "2x2",
+                                                 "3d", "list"])
+def test_bad_hand_built_elements_rejected(elements):
+    with pytest.raises(ValueError, match="elements"):
+        ArrayGeometry(kind=None, wavelength=LAM, elements=elements,
+                      aperture=0.0)
+
+
+@pytest.mark.parametrize("wavelength", [0.0, -1.0, math.nan])
+def test_hand_built_bad_wavelength_rejected(wavelength):
+    with pytest.raises(ValueError, match="wavelength"):
+        ArrayGeometry(kind=None, wavelength=wavelength,
+                      elements=np.zeros((1, 3)), aperture=0.0)
+
+
+def test_hand_built_elements_copied():
+    mine = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    g = ArrayGeometry(kind=None, wavelength=LAM, elements=mine, aperture=1.0)
+    assert mine.flags.writeable and not g.elements.flags.writeable
+    mine[1, 0] = 5.0
+    assert g.elements[1, 0] == 1.0
+
+
 def _axial_key(g):
     """(x^2 + y^2, z) per element, in wavelengths."""
     e = g.elements / g.wavelength

@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from nfsense import metrics
+from nfsense import closed_form, metrics
 from nfsense.ambiguity import broadside_power_sweep
 from nfsense.cli import main
 from nfsense.closed_form import (af_argument, normalized_af_power,
@@ -387,21 +387,24 @@ class TestLobeEnvelope:
         # two sides may round apart by an ulp
         x = np.linspace(0.0, 4.0 * SIDELOBE_SCAN_MAX, 1001)[1:]
         exact = np.array([_mp_base_pattern(base, v) for v in x])
-        assert np.all(metrics._lobe_envelope(base, x) * (1.0 + 1e-15) >= exact)
+        envelope = closed_form._PATTERNS[base][2]
+        assert np.all(envelope(x) * (1.0 + 1e-15) >= exact)
         # the library's pattern, at 1000 points per unit of x, stays below
         # the envelope plus the stop rule's margin
         x = np.linspace(0.0, 4.0 * SIDELOBE_SCAN_MAX, 200_001)[1:]
-        envelope = metrics._lobe_envelope(base, x)
+        bound = envelope(x)
         assert np.all(normalized_af_power(base, SIMO, x)
-                      < envelope + metrics._ENVELOPE_MARGIN)
-        assert np.all(np.diff(envelope) < 0.0)
+                      < bound + metrics._ENVELOPE_MARGIN)
+        assert np.all(np.diff(bound) < 0.0)
 
     @pytest.mark.parametrize("base", BASES)
     def test_full_scan_gives_same_bits(self, base, monkeypatch):
         _clear_caches()
         early = lobe_scan(base)
         _clear_caches()
-        monkeypatch.setattr(metrics, "_lobe_envelope", lambda base, x: math.inf)
+        pattern, curvature, _ = closed_form._PATTERNS[base]
+        monkeypatch.setitem(closed_form._PATTERNS, base,
+                            (pattern, curvature, lambda x: math.inf))
         assert lobe_scan(base) == early
 
     @pytest.mark.parametrize("base", BASES)
