@@ -33,8 +33,7 @@ from .ambiguity import broadside_power_sweep
 from .closed_form import af_argument, normalized_af_power, vergence_difference
 from .geometry import (GeometryKind, ProcessingMode, _fraunhofer,
                        build_array, simo_miso_setup)
-from .metrics import (SIDELOBE_SCAN_MAX, _X3DB_TOLERANCE, beamdepth,
-                      compute_metrics, half_power_coefficient,
+from .metrics import (beamdepth, compute_metrics, half_power_coefficient,
                       half_power_distances, max_nearfield_range)
 
 DB_FLOOR = -60.0
@@ -280,8 +279,7 @@ def _base_metadata(args) -> dict:
 
 def cmd_tables(args) -> int:
     metadata = _base_metadata(args)
-    metadata["x3db_tolerance"] = _X3DB_TOLERANCE
-    metadata["sidelobe_scan_max_x"] = SIDELOBE_SCAN_MAX
+    metadata["figure_accuracy"] = "correctly rounded from 40 digits"
     rows = [asdict(compute_metrics(kind)) for kind in args.kind]
     _emit(args, metadata, {key: [r[key] for r in rows] for key in rows[0]})
     return 0

@@ -15,10 +15,9 @@ layout exponent n
     UPCA  sinc(x)^2                         n = 1
 
 and MIMO squares it again (p = 2; p = 1 for SIMO/MISO).  One table holds
-each base pattern with its mainlobe curvature and sidelobe envelope.  The
-forms assume probe points at broadside distances well beyond the aperture;
-close to the array the direct summation in nfsense.ambiguity is
-authoritative.
+each base pattern with its mainlobe curvature.  The forms assume probe
+points at broadside distances well beyond the aperture; close to the array
+the direct summation in nfsense.ambiguity is authoritative.
 """
 
 from __future__ import annotations
@@ -61,25 +60,15 @@ def _fresnel_power(x):
     return np.where(tiny, 1.0, (c * c + s * s) / safe)
 
 
-# Base pattern -> (f, c, E): f(x) on a 1-d array x >= 0, its curvature c
-# (f = 1 - c x^2 + O(x^4)) and a decreasing envelope E(x) >= f(x), x > 0.
+# Base pattern -> (f, c): f(x) on a 1-d array x >= 0 and its curvature c,
+# f = 1 - c x^2 + O(x^4).
 _PATTERNS = {
-    # (C^2 + S^2)(sqrt x) / x = 1 - pi^2 x^2 / 45 + O(x^4).  With u = sqrt x,
-    # |C + iS - (1+i)/2| is sqrt(F^2 + G^2) for the Fresnel auxiliary
-    # functions F < 1 / (pi u), G < 1 / (pi^2 u^3) of A&S 7.3, so |C + iS|
-    # is below 1/sqrt 2 + 1/(pi u) + 1/(pi^2 u^3), and f = |C + iS|^2 / x.
-    GeometryKind.ULA: (
-        _fresnel_power, np.pi ** 2 / 45.0,
-        lambda x: (np.sqrt(0.5) + 1.0 / (np.pi * np.sqrt(x))
-                   + 1.0 / (np.pi ** 2 * np.sqrt(x) ** 3)) ** 2 / x),
-    # J0(x)^2 = 1 - x^2 / 2 + O(x^4).  x (J0^2 + Y0^2)(x) increases toward
-    # 2 / pi (Nicholson's formula; Watson, Bessel Functions, 13.74), so
-    # J0(x)^2 < 2 / (pi x).
-    GeometryKind.UCA: (lambda x: bessel_j0(x) ** 2, 0.5,
-                       lambda x: 2.0 / (np.pi * x)),
-    # sinc(x)^2 = 1 - (pi x)^2 / 3 + O(x^4), and sinc(x)^2 <= 1 / (pi x)^2.
-    GeometryKind.UPCA: (lambda x: sinc(x) ** 2, np.pi ** 2 / 3.0,
-                        lambda x: 1.0 / (np.pi * x) ** 2),
+    # (C^2 + S^2)(sqrt x) / x = 1 - pi^2 x^2 / 45 + O(x^4)
+    GeometryKind.ULA: (_fresnel_power, np.pi ** 2 / 45.0),
+    # J0(x)^2 = 1 - x^2 / 2 + O(x^4)
+    GeometryKind.UCA: (lambda x: bessel_j0(x) ** 2, 0.5),
+    # sinc(x)^2 = 1 - (pi x)^2 / 3 + O(x^4)
+    GeometryKind.UPCA: (lambda x: sinc(x) ** 2, np.pi ** 2 / 3.0),
 }
 
 

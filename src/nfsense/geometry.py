@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -298,11 +299,8 @@ def build_array(kind: GeometryKind, aperture: float, wavelength: float) -> Array
 
 
 def _fraunhofer(aperture: float, wavelength: float) -> float:
-    """2 D^2 / lambda, inf where D^2 overflows."""
-    try:
-        return 2.0 * aperture ** 2 / wavelength
-    except OverflowError:
-        return math.inf
+    """2 D^2 / lambda, inf where it overflows; D^2 is D * D on any libm."""
+    return 2.0 * (aperture * aperture) / wavelength
 
 
 def fraunhofer_distance(geometry: ArrayGeometry) -> float:
@@ -326,9 +324,12 @@ class SensingSetup:
     aperture: ArrayGeometry
     mode: ProcessingMode
 
-    @property
+    @cached_property
     def tx(self) -> ArrayGeometry:
-        """The aperture under MIMO, else a new one-element array at the origin."""
+        """The aperture under MIMO, else one element at the origin.
+
+        The element is built on the first access and kept with the setup.
+        """
         if self.mode is ProcessingMode.MIMO:
             return self.aperture
         return ArrayGeometry(None, self.aperture.wavelength, np.zeros((1, 3)), 0.0)

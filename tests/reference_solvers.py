@@ -1,8 +1,9 @@
-"""Test-only reference solvers: the scalar bisection and golden-section loops.
+"""Test-only reference solvers: grid scans, bisection and golden section.
 
-They evaluate the base pattern one point per call, as nfsense.metrics did
-before it evaluated the points of several steps in one call; tests require
-the library's solutions to equal theirs bit for bit.
+They find the half-power roots, mainlobe edges and peak sidelobe powers on
+the library's own closed-form pattern, one point per call, as
+nfsense.metrics once did at run time; tests require them to agree with the
+table of figures that nfsense.metrics now holds.
 """
 
 import math
@@ -12,7 +13,9 @@ import numpy as np
 
 from nfsense.closed_form import base_layout, normalized_af_power
 from nfsense.geometry import GeometryKind, ProcessingMode
-from nfsense.metrics import SIDELOBE_SCAN_MAX
+
+SIDELOBE_SCAN_MAX = 50.0
+"Upper end of the lobe scan, and so of the sidelobe search window, in x."
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from nfsense import cli, metrics
+from nfsense import cli
 from nfsense.cli import main
 
 import reference_writer
@@ -57,20 +57,6 @@ class TestTables:
         assert doc["metadata"]["command"] == "tables"
         assert len(doc["rows"]) == 4
         assert doc["rows"][1]["kind"] == "UCA"
-
-    def test_tolerance_is_the_bisection_stop(self, tmp_path, monkeypatch):
-        out = tmp_path / "tables.json"
-        assert main(["tables", "--format", "json", "--out", str(out)]) == 0
-        written = json.loads(out.read_text())["metadata"]["x3db_tolerance"]
-        assert written == metrics._X3DB_TOLERANCE
-        # the bisection stops at that bracket width: a root of 1 - x = 0.3
-        # is found to within it, and to far less with a looser one
-        def line(x):
-            return 1.0 - x
-
-        assert abs(metrics._bisect(line, 0.3, 0.0, 1.0) - 0.7) <= written
-        monkeypatch.setattr(metrics, "_X3DB_TOLERANCE", 1e-3)
-        assert abs(metrics._bisect(line, 0.3, 0.0, 1.0) - 0.7) > 1e-9
 
 
 class TestAfCurve:

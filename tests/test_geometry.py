@@ -11,6 +11,7 @@ from nfsense.geometry import (ArrayGeometry, GeometryKind, ProcessingMode,
                               MAX_ELEMENTS, fraunhofer_distance, mimo_setup,
                               simo_miso_setup)
 from nfsense.cli import main
+from nfsense.geometry import _fraunhofer
 
 LAM = 1.0
 
@@ -286,6 +287,13 @@ class TestFraunhofer:
         with pytest.raises(ValueError, match="floating-point range"):
             fraunhofer_distance(g)
 
+    def test_square_is_a_product(self):
+        # D^2 is D * D, correctly rounded on any platform; a C library's
+        # pow, which Python's ** calls, can be an ulp off
+        for d in np.random.default_rng(12).uniform(1.0, 1e4, 2000).tolist():
+            assert _fraunhofer(d, 0.5) == 2.0 * (d * d) / 0.5
+        assert _fraunhofer(1e200, 1.0) == math.inf
+
 
 def test_single_element():
     # the SIMO/MISO transmit element is a view of the setup, not an export
@@ -301,6 +309,21 @@ def test_single_element():
     assert mimo_setup(g).tx is g
     assert "single_element" not in nfsense.__all__
     assert not hasattr(nfsense.geometry, "single_element")
+
+
+def test_single_element_is_built_once():
+    # a SIMO setup keeps its transmit element: every access returns the
+    # same object, with the element and wavelength of the first build
+    g = build_upca(50 * LAM, LAM)
+    s = simo_miso_setup(g)
+    tx = s.tx
+    assert s.tx is tx
+    assert tx.elements.tolist() == [[0.0, 0.0, 0.0]]
+    assert tx.wavelength == g.wavelength
+    assert simo_miso_setup(g).tx is not tx
+    # the kept element is not a field: equality and the fields are the two
+    assert s == simo_miso_setup(g)
+    assert [f.name for f in dataclasses.fields(s)] == ["aperture", "mode"]
 
 
 def test_geometry_csv_roundtrip(tmp_path):

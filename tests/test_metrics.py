@@ -1,6 +1,9 @@
+import importlib.util
+import json
 import math
+import time
+from pathlib import Path
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -11,14 +14,14 @@ from nfsense.closed_form import (af_argument, normalized_af_power,
                                  vergence_difference)
 from nfsense.geometry import (GeometryKind, ProcessingMode, build_ula,
                               fraunhofer_distance, simo_miso_setup)
-from nfsense.metrics import (SIDELOBE_SCAN_MAX, beamdepth, compute_metrics,
-                             half_power_argument, half_power_coefficient,
-                             half_power_distances, half_power_root,
-                             lobe_scan, mainlobe_edge, max_nearfield_range,
+from nfsense.metrics import (beamdepth, compute_metrics, half_power_argument,
+                             half_power_coefficient, half_power_distances,
+                             mainlobe_edge, max_nearfield_range,
                              peak_sidelobe_level, quadratic_gain_analysis)
 
 import reference_metrics
 import reference_solvers
+from reference_solvers import SIDELOBE_SCAN_MAX
 
 SIMO = ProcessingMode.SIMO_MISO
 MIMO = ProcessingMode.MIMO
@@ -161,12 +164,15 @@ class TestBeamdepthArray:
         assert np.isinf(depths).any() and np.isfinite(depths).any()
         assert np.array_equal(depths, self.reference(targets, 5000.0, coeff))
 
-    def test_squares_match_python_pow(self):
-        # Python's ** squares by the C library's pow, which is not always
-        # x * x; these random doubles include targets where the two differ
+    def test_squares_are_products(self):
+        # squares are x * x, correctly rounded on any platform, where the C
+        # library's pow that Python's ** calls can be an ulp off
         targets = np.random.default_rng(12).uniform(1.0, 700.0, 20_000)
         coeff = half_power_coefficient(GeometryKind.UPCA, MIMO)
+        d2 = targets * targets
+        products = 2.0 * coeff * 3e5 * d2 / (3e5 * 3e5 - coeff * coeff * d2)
         depths = beamdepth(targets, 3e5, coeff)
+        assert np.array_equal(depths, products)
         assert np.array_equal(depths, self.reference(targets, 3e5, coeff))
 
     def test_broadcasts(self):
@@ -280,146 +286,91 @@ class TestMainlobeEdge:
             assert solver(GeometryKind.URA, SIMO) == solver(GeometryKind.ULA, MIMO)
 
 
-def _clear_caches():
-    # every solver cache, as test_public_caches pins them
-    half_power_root.cache_clear()
-    half_power_argument.cache_clear()
-    lobe_scan.cache_clear()
-
-
-def _cold_metrics_calls(monkeypatch):
-    """(kind, x as an array) of every normalized_af_power call that
-    compute_metrics makes for the four layouts from cold caches."""
-    calls = []
-
-    def counting(kind, mode, x):
-        calls.append((kind, np.atleast_1d(x)))
-        return normalized_af_power(kind, mode, x)
-
-    _clear_caches()
-    monkeypatch.setattr(metrics, "normalized_af_power", counting)
-    for kind in KINDS:
-        compute_metrics(kind)
-    return calls
-
-
 class TestSolverCaches:
     def test_public_caches(self):
         cached = {name for name in dir(metrics) if not name.startswith("_")
                   and hasattr(getattr(metrics, name), "cache_clear")}
-        assert cached == {"half_power_root", "half_power_argument", "lobe_scan"}
-
-    def test_one_lobe_scan_per_base_pattern(self, monkeypatch):
-        # ULA, UCA and UPCA are the base patterns; the URA reuses the ULA's.
-        # A scan starts with the block of the lobe grid at x = 0.
-        grids = [kind for kind, x in _cold_metrics_calls(monkeypatch)
-                 if x[0] == 0.0 and x.size == metrics._LOBE_BLOCK]
-        assert sorted(grids, key=KINDS.index) == [
-            GeometryKind.ULA, GeometryKind.UCA, GeometryKind.UPCA]
-
-    def test_one_half_power_solve_per_level(self, monkeypatch):
-        # eight (kind, mode) pairs, seven (base, n p) levels: URA SIMO is
-        # ULA MIMO.  A solve starts with the coarse points of the bracket
-        # grid, the only call that holds both of its ends, 0 and 4.
-        grids = [kind for kind, x in _cold_metrics_calls(monkeypatch)
-                 if x[0] == 0.0 and x[-1] == 4.0]
-        assert sorted(grids, key=KINDS.index) == [
-            GeometryKind.ULA] * 3 + [GeometryKind.UCA] * 2 + [GeometryKind.UPCA] * 2
-
-    @pytest.mark.parametrize("argv", [
-        ["af-curve", "--sweep", "50:400:201"],
-        ["beamdepth-sweep", "--sweep", "10:1200:201"],
-    ])
-    def test_curves_scan_no_lobes(self, argv, capsys):
-        _clear_caches()
-        assert main(argv) == 0
-        assert lobe_scan.cache_info().currsize == 0
-
-
-class TestBatchedSteps:
-    """The solvers against the scalar loops in tests/reference_solvers.py."""
-
-    @pytest.mark.parametrize("kind,mode", list(X3DB_PUBLISHED))
-    def test_half_power_bits(self, kind, mode):
-        _clear_caches()
-        assert half_power_argument(kind, mode) == \
-            reference_solvers.half_power_argument(kind, mode)
-
-    @pytest.mark.parametrize("base", [GeometryKind.ULA, GeometryKind.UCA,
-                                      GeometryKind.UPCA])
-    def test_lobe_scan_bits(self, base):
-        _clear_caches()
-        assert lobe_scan(base) == reference_solvers.lobe_scan(base)
-
-    def test_steps_share_calls(self, monkeypatch):
-        # scalar steps take about 500 calls for the four rows: 30 per
-        # bisection and 45 and 31 per golden section; batched steps need
-        # 106: 96 with one bracket grid and one lobe grid per solve, plus
-        # one bracket segment for each of the 7 levels and 6 lobe blocks
-        # (ULA 3, UCA 2, UPCA 1) for the 3 grids
-        assert len(_cold_metrics_calls(monkeypatch)) <= 110
+        assert cached == {"half_power_argument"}
 
 
 BASES = [GeometryKind.ULA, GeometryKind.UCA, GeometryKind.UPCA]
 
 
-def _mp_base_pattern(base, x):
-    """The base pattern at x > 0 in mpmath at 20 digits."""
-    with mpmath.workdps(20):
-        x = mpmath.mpf(x)
-        if base is GeometryKind.ULA:
-            u = mpmath.sqrt(x)
-            value = (mpmath.fresnelc(u) ** 2 + mpmath.fresnels(u) ** 2) / x
-        elif base is GeometryKind.UCA:
-            value = mpmath.besselj(0, x) ** 2
-        else:
-            value = (mpmath.sin(mpmath.pi * x) / (mpmath.pi * x)) ** 2
-        return float(value)
+def _solve_figures():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "solve_figures.py"
+    spec = importlib.util.spec_from_file_location("solve_figures", path)
+    solve_figures = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(solve_figures)
+    return solve_figures
 
 
-class TestLobeEnvelope:
-    """The early stop of lobe_scan and the envelopes it rests on."""
+class TestFigureTable:
+    """The table of base-pattern figures against a 40-digit solve, and
+    against the solvers of tests/reference_solvers.py on the library's own
+    pattern."""
+
+    def test_committed_figures_match_the_solve(self):
+        solve_figures = _solve_figures()
+        start = time.perf_counter()
+        figures = solve_figures.solve()
+        assert solve_figures.check(figures) == []
+        assert time.perf_counter() - start < 1.0
+        # one ulp off in one figure is caught
+        roots, edge, peak = figures["UCA"]
+        nudged = (roots, edge, float(np.nextafter(peak, 1.0)))
+        assert solve_figures.check({**figures, "UCA": nudged}) == ["UCA"]
+
+    def test_printed_table_is_the_committed_source(self, capsys):
+        solve_figures = _solve_figures()
+        assert solve_figures.main([]) == 0
+        printed = capsys.readouterr().out
+        assert printed in Path(metrics.__file__).read_text()
+
+    def test_check_exit_code(self, monkeypatch, capsys):
+        solve_figures = _solve_figures()
+        assert solve_figures.main(["--check"]) == 0
+        roots, edge, peak = metrics._FIGURES[GeometryKind.ULA]
+        monkeypatch.setitem(metrics._FIGURES, GeometryKind.ULA,
+                            ({**roots, 4: math.nextafter(roots[4], 0.0)},
+                             edge, peak))
+        assert solve_figures.main(["--check"]) == 1
+        assert capsys.readouterr().out.startswith("ULA:")
+
+    def test_tables_state_the_accuracy(self, tmp_path):
+        out = tmp_path / "tables.json"
+        assert main(["tables", "--format", "json", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["metadata"]["figure_accuracy"] == (
+            f"correctly rounded from {_solve_figures().DIGITS} digits")
+
+    @pytest.mark.parametrize("argv", [
+        ["tables"], ["beamdepth-sweep", "--sweep", "10:1200:201"]])
+    def test_figures_evaluate_no_pattern(self, argv, monkeypatch, capsys):
+        def refuse(x):
+            raise AssertionError("a closed form was evaluated")
+
+        half_power_argument.cache_clear()
+        for base, (_, curvature) in list(closed_form._PATTERNS.items()):
+            monkeypatch.setitem(closed_form._PATTERNS, base, (refuse, curvature))
+        assert main(argv) == 0
+
+    @pytest.mark.parametrize("kind,mode", list(X3DB_PUBLISHED))
+    def test_root_matches_reference(self, kind, mode):
+        assert half_power_argument(kind, mode) == pytest.approx(
+            reference_solvers.half_power_argument(kind, mode), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("kind,mode", list(X3DB_PUBLISHED))
+    def test_pattern_is_half_at_root(self, kind, mode):
+        x = half_power_argument(kind, mode)
+        assert abs(normalized_af_power(kind, mode, x) - 0.5) <= 1e-14
 
     @pytest.mark.parametrize("base", BASES)
-    def test_envelope_bounds_pattern(self, base):
-        # 1000 mpmath points, 5 per unit of x, over four times the scan
-        # window; the UPCA bound is attained at half-integers, where the
-        # two sides may round apart by an ulp
-        x = np.linspace(0.0, 4.0 * SIDELOBE_SCAN_MAX, 1001)[1:]
-        exact = np.array([_mp_base_pattern(base, v) for v in x])
-        envelope = closed_form._PATTERNS[base][2]
-        assert np.all(envelope(x) * (1.0 + 1e-15) >= exact)
-        # the library's pattern, at 1000 points per unit of x, stays below
-        # the envelope plus the stop rule's margin
-        x = np.linspace(0.0, 4.0 * SIDELOBE_SCAN_MAX, 200_001)[1:]
-        bound = envelope(x)
-        assert np.all(normalized_af_power(base, SIMO, x)
-                      < bound + metrics._ENVELOPE_MARGIN)
-        assert np.all(np.diff(bound) < 0.0)
-
-    @pytest.mark.parametrize("base", BASES)
-    def test_full_scan_gives_same_bits(self, base, monkeypatch):
-        _clear_caches()
-        early = lobe_scan(base)
-        _clear_caches()
-        pattern, curvature, _ = closed_form._PATTERNS[base]
-        monkeypatch.setitem(closed_form._PATTERNS, base,
-                            (pattern, curvature, lambda x: math.inf))
-        assert lobe_scan(base) == early
-
-    @pytest.mark.parametrize("base", BASES)
-    def test_cold_scan_stops_early(self, base, monkeypatch):
-        grid = np.linspace(0.0, SIDELOBE_SCAN_MAX, 50_001)
-        points = []
-
-        def counting(kind, mode, x):
-            points.append(np.count_nonzero(np.isin(x, grid)))
-            return normalized_af_power(kind, mode, x)
-
-        _clear_caches()
-        monkeypatch.setattr(metrics, "normalized_af_power", counting)
-        lobe_scan(base)
-        assert 0 < sum(points) < 8000
+    def test_lobes_match_reference(self, base):
+        _, edge, peak = metrics._FIGURES[base]
+        ref_edge, ref_peak = reference_solvers.lobe_scan(base)
+        # the ULA's minimum is flat, so its scanned edge is only good to 1e-9
+        assert edge == pytest.approx(ref_edge, rel=1e-8, abs=0)
+        assert peak == pytest.approx(ref_peak, rel=1e-14, abs=0)
 
 
 class TestQuadraticGainAnalysis:
