@@ -5,17 +5,19 @@ Each CLI case runs nfsense.cli.main in this process with stdout and stderr
 captured, and prints one line: the sha256 of stdout and stderr, the exit
 code and the argv.  The matrix is every command over kind subsets, modes
 and both formats, the validate defaults, inputs that exit 1, a validate
-at lambda = 1e-11 m and the --help text of nfsense and of each command
-(argparse ends those with SystemExit, whose code is printed as the exit
-code; the text wraps to the terminal width, so compare listings made at
-the same COLUMNS).  Each library case (normalized_power on an off-axis
-patch per kind and setup, broadside_power_sweep per kind, D = 12 lambda at
-lambda = 1, normalized_power on an empty probe batch, and the rejections of
-bad geometry inputs: each builder at lambda = 0 and -1, an ArrayGeometry
-with empty, NaN or (2, 2) elements and build_array with a string kind)
-prints the sha256 of the result's bytes (a geometry's element array), 0 and
-the call; a raised exception prints the sha256 of its type name and the
-name in place of the 0.  A checkout's outputs match another's when the two
+at lambda = 1e-11 m, an af-curve and a beamdepth-sweep at D = 12.457 lambda
+(whose d_FA moves by one ulp if its square goes through C's pow) and the
+--help text of nfsense and of each command (argparse ends those with
+SystemExit, whose code is printed as the exit code; the text wraps to the
+terminal width, so compare listings made at the same COLUMNS).  Each
+library case (normalized_power on an off-axis patch per kind and setup,
+broadside_power_sweep per kind, D = 12 lambda at lambda = 1,
+normalized_power on an empty probe batch, and the rejections of bad
+geometry inputs: each builder at lambda = 0 and -1, an ArrayGeometry with
+empty, NaN or (2, 2) elements and build_array with a string kind) prints
+the sha256 of the result's bytes (a geometry's element array), 0 and the
+call; a raised exception prints the sha256 of its type name and the name
+in place of the 0.  A checkout's outputs match another's when the two
 listings do:
 
     python3 scripts/output_digest.py /path/to/other/checkout > before.txt
@@ -61,6 +63,7 @@ BAD_INPUTS = (
     "dump-geometry --kind upca --aperture-lambda 3 --wavelength 1e300",
     "beamdepth-sweep --aperture-lambda 5e153 --sweep 1:1e300:3",
     "beamdepth-sweep --aperture-lambda 1e-100 --sweep 1e-300:1e300:3",
+    "validate --kind ula --wavelength 1e152",
 )
 
 
@@ -74,6 +77,9 @@ def cases():
             yield f"dump-geometry --kind {kind} --aperture-lambda 12 --format {fmt}"
     yield from BAD_INPUTS
     yield "validate --kind ula,uca --wavelength 1e-11 --sweep 0:0:301"
+    for command, sweep in (("af-curve", "5:400:300"),
+                           ("beamdepth-sweep", "1:60:2000")):
+        yield f"{command} --aperture-lambda 12.457 --format json --sweep {sweep}"
     yield "--help"
     for command in COMMANDS:
         yield f"{command} --help"

@@ -360,7 +360,8 @@ def _validate_series(kind: GeometryKind, args) -> list:
     rows = []
     for mode in args.mode:
         coeff = half_power_coefficient(kind, mode)
-        d_low, d_high = half_power_distances(d_target, d_fa, coeff)
+        with _rejected_input():  # d_FA d' out of floating-point range
+            d_low, d_high = half_power_distances(d_target, d_fa, coeff)
         if math.isinf(d_high):
             raise ValidationFailure(
                 f"{kind.name}: target beyond the maximum near-field range; "

@@ -68,15 +68,24 @@ def half_power_distances(d_target: float, d_fraunhofer: float,
     """The two ranges where the power around a target at d' falls to half.
 
     Returns (lower, upper); upper is math.inf once the target sits at or
-    beyond d_FA / alpha.
+    beyond d_FA / alpha.  ValueError where the formula leaves the float
+    range: d_FA d' overflows or underflows, or just below d_FA / alpha,
+    alpha d' rounds to d_FA or above it.
     """
     if not (0.0 < d_target < math.inf and 0.0 < d_fraunhofer < math.inf
             and 0.0 < coefficient < math.inf):
         raise ValueError("distances and coefficient must be finite and positive")
-    lower = d_fraunhofer * d_target / (d_fraunhofer + coefficient * d_target)
-    if d_target >= d_fraunhofer / coefficient:
-        return lower, math.inf
-    upper = d_fraunhofer * d_target / (d_fraunhofer - coefficient * d_target)
+    product = d_fraunhofer * d_target
+    lower = product / (d_fraunhofer + coefficient * d_target)
+    finite = d_target < d_fraunhofer / coefficient
+    gap = d_fraunhofer - coefficient * d_target
+    upper = math.inf
+    if finite and gap > 0.0:
+        upper = product / gap
+    if not (0.0 < lower < math.inf and (upper < math.inf) == finite):
+        raise ValueError(f"half-power distances at d' = {d_target:g} m with "
+                         f"d_FA = {d_fraunhofer:g} m are out of "
+                         "floating-point range")
     return lower, upper
 
 

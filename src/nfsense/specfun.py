@@ -4,10 +4,12 @@ Self-contained implementations of the Fresnel integrals C and S, the
 zero-order Bessel function of the first kind J0, and the normalized sinc.
 Inputs may be scalars or numpy arrays; scalar in, float out.
 
-Every function costs a fixed number of operations per point: each branch
-sums a Chebyshev series of fixed length by Clenshaw's recurrence, on
-float coefficients that scripts/fit_specfun.py interpolates in mpmath at
-50 digits (its --check mode confirms the tuples below bit for bit).
+Every function costs a fixed number of operations per point.  The Fresnel
+branches and J0 up to |x| = 13 sum a Chebyshev series of fixed length by
+Clenshaw's recurrence, on float coefficients that scripts/fit_specfun.py
+interpolates in mpmath at 50 digits (its --check mode confirms the tuples
+below bit for bit).  J0 above |x| = 13 sums the 12-term Hankel expansion,
+and sinc uses no series.
 
     fresnel_cs  |u| <= 2        C(u)/u and S(u)/u^3, 15 terms in u^4
                 2 < |u| < 1e17  C = 1/2 + f sin(phi) - g cos(phi),

@@ -320,11 +320,12 @@ class TestThreads:
         assert started == []
 
     def test_split_call_joins_its_threads(self, started, monkeypatch):
-        # more threads than this host may have CPUs, each joined on return
+        # more threads than this host may have CPUs, each joined on return;
+        # the pool may reuse a thread that has finished its share
         monkeypatch.setattr(ambiguity_module, "_WORKERS", 5)
         g = build_array(GeometryKind.UPCA, 12 * LAM, LAM)
         normalized_power(simo_miso_setup(g), [4.0, -3.0, 100.0], _patch())
-        assert len(started) == 4
+        assert 1 <= len(started) <= ambiguity_module._WORKERS - 1
         assert not any(thread.is_alive() for thread in started)
 
 
@@ -395,14 +396,15 @@ class TestFarPoints:
         ([0.0, 0.0, 1e155], "floating-point range"),
         (None, "coincides"),
     ], ids=["far", "on-element"])
-    def test_error_in_a_worker_block(self, bad, match, monkeypatch):
+    @pytest.mark.parametrize("row", [0, -1], ids=["caller", "pool"])
+    def test_error_in_a_worker_block(self, bad, match, row, monkeypatch):
         # 4000 probes of 21 elements split into two blocks on two threads;
-        # the last block runs on the worker thread
+        # the first block runs on the calling thread, the last on the pool's
         monkeypatch.setattr(ambiguity_module, "_WORKERS", 2)
         g = build_ula(10.0, 1.0)
         probes = np.column_stack([np.linspace(-20.0, 20.0, 4000),
                                   np.full(4000, 5.0), np.full(4000, 80.0)])
-        probes[-1] = g.elements[3] if bad is None else bad
+        probes[row] = g.elements[3] if bad is None else bad
         before = threading.active_count()
         with pytest.raises(ValueError, match=match):
             normalized_power(simo_miso_setup(g), [0.0, 0.0, 50.0], probes)

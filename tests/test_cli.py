@@ -416,6 +416,9 @@ class TestExitCodes:
         "dump-geometry --kind uca --aperture-lambda 1e5 --wavelength 1e300",
         "validate --kind ula --aperture-lambda 1e5 --wavelength 1e300 "
         "--target-lambda 1e150",
+        # half-power distances whose product d_FA d' overflows, with the
+        # target well inside d_FA/alpha
+        "validate --kind ula --wavelength 1e152",
         # a beamdepth whose formula overflows or underflows
         "beamdepth-sweep --aperture-lambda 5e153 --sweep 1:1e300:3",
         "beamdepth-sweep --aperture-lambda 1e-100 --sweep 1e-300:1e300:3",

@@ -96,6 +96,16 @@ class TestHalfPowerDistances:
         assert low == pytest.approx(0.1, abs=1e-4)
         assert high == pytest.approx(0.1, abs=1e-4)
 
+    @pytest.mark.parametrize("args", [
+        (1e192, 5e193, 6.95),  # d_FA d' overflows, d' well inside d_FA/alpha
+        (1e-200, 1e-200, 1.0),  # d_FA d' underflows to zero
+        # one ulp below d_FA/alpha, where alpha d' rounds to d_FA
+        (110.5308754512692, 293.06884588646074, 2.6514658885124707),
+    ], ids=["overflow", "underflow", "rounded-gap"])
+    def test_out_of_float_range(self, args):
+        with pytest.raises(ValueError, match="out of floating-point range"):
+            half_power_distances(*args)
+
     def test_domain_errors(self):
         # every vergence helper takes finite positive lengths and alpha only
         for func, args in ((half_power_distances, (-1.0, 5000.0, 6.952)),
