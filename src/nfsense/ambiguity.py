@@ -6,19 +6,19 @@ sum over its aperture, |AF|^2 / M, raised to the mode's exponent: the single
 element of a SIMO/MISO link has |AF|^2 = 1, and MIMO squares the power.
 
 Every sum runs through one kernel.  It walks the probes in blocks of about
-_BLOCK_PAIRS element-probe pairs, adds the squared coordinate differences
-of a block in place, takes the square root, and sums w_m cos and w_m sin of
-the real phase k (d_m(target) - d_m(probe)) over the elements in ascending
+_BLOCK_PAIRS element-probe pairs, adds the squared coordinate differences of
+a block in place, takes the square root, and sums w_m cos and w_m sin of the
+real phase k (d_m(target) - d_m(probe)) over the elements in ascending
 order, so sums are bit-reproducible run to run.  A call of more than
-_BLOCK_PAIRS pairs deals its row blocks into one share per CPU of the
-affinity mask: the calling thread runs one, a thread pool the others, and
-every pool thread is joined before an error is re-raised.  A probe's sum is
-the same row sum whatever block holds it, so the bits do not depend on the
-split, and no setting selects it.  Off broadside every weight is 1.  On the
-+z axis an element's distance depends only on (x^2 + y^2, z), so
-broadside_power_sweep sums the first element of each axial class of the
-geometry (ArrayGeometry.axial_class) weighted by the class size, at its
-exact position, and still normalizes by the full element count.
+_BLOCK_PAIRS pairs runs on the calling thread and a thread pool, one thread
+per CPU of the affinity mask in all, each taking the next row block when it
+is free; every pool thread is joined before an error is re-raised.  A
+probe's sum is the same row sum whatever block or thread holds it, so the
+bits do not depend on the split, and no setting selects it.  Off broadside
+every weight is 1.  On the +z axis an element's distance depends only on
+(x^2 + y^2, z), so broadside_power_sweep sums the first element of each
+axial class of the geometry (ArrayGeometry.axial_class) weighted by the
+class size, at its exact position, and normalizes by the full element count.
 """
 
 from __future__ import annotations
@@ -72,16 +72,16 @@ def _phase_sum(elements, weights, k: float, target, probes,
     rows = max(1, _BLOCK_PAIRS // m)
     workers = _WORKERS if m * p > _BLOCK_PAIRS else 1
     rows = min(rows, -(-p // workers))
-    starts = range(0, p, rows)
-    shares = [starts[i::workers] for i in range(min(workers, len(starts)))]
+    workers = min(workers, -(-p // rows))
+    # shared, and next() is atomic: a thread that is free takes the next block
+    blocks = iter(range(0, p, rows))
     out = np.empty(p, dtype=complex)
 
-    def run(share):
+    def run():
         # a pool thread starts from numpy's default errstate, not the caller's
         with np.errstate(over="ignore", invalid="ignore"):
-            dist = np.empty((min(rows, p), m))
-            term = np.empty_like(dist)
-            for lo in share:
+            dist, term = np.empty((2, rows, m))
+            for lo in blocks:
                 block = probes[lo:lo + rows]
                 d, t = dist[:len(block)], term[:len(block)]
                 np.subtract(block[:, 0:1], ex, out=d)
@@ -102,14 +102,14 @@ def _phase_sum(elements, weights, k: float, target, probes,
                 t *= weights
                 out.imag[lo:lo + len(block)] = -t.sum(axis=1)
 
-    if len(shares) == 1:
-        run(shares[0])
+    if workers == 1:
+        run()
         return out
     # imported here, as it pulls in logging: ~9 ms more on `import nfsense`
     from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(len(shares) - 1) as pool:
-        futures = [pool.submit(run, share) for share in shares[1:]]
-        run(shares[0])
+    with ThreadPoolExecutor(workers - 1) as pool:
+        futures = [pool.submit(run) for _ in range(workers - 1)]
+        run()
     for future in futures:
         future.result()
     return out

@@ -396,10 +396,12 @@ class TestFarPoints:
         ([0.0, 0.0, 1e155], "floating-point range"),
         (None, "coincides"),
     ], ids=["far", "on-element"])
-    @pytest.mark.parametrize("row", [0, -1], ids=["caller", "pool"])
+    @pytest.mark.parametrize("row", [0, -1, [0, -1]],
+                             ids=["first", "last", "both"])
     def test_error_in_a_worker_block(self, bad, match, row, monkeypatch):
         # 4000 probes of 21 elements split into two blocks on two threads;
-        # the first block runs on the calling thread, the last on the pool's
+        # either thread may take either block, and with a bad probe in both
+        # the calling thread raises whichever it takes
         monkeypatch.setattr(ambiguity_module, "_WORKERS", 2)
         g = build_ula(10.0, 1.0)
         probes = np.column_stack([np.linspace(-20.0, 20.0, 4000),
