@@ -14,8 +14,10 @@ library case (normalized_power on an off-axis patch per kind and setup,
 broadside_power_sweep per kind, D = 12 lambda at lambda = 1,
 normalized_power on an empty probe batch, and the rejections of bad
 geometry inputs: each builder at lambda = 0 and -1, an ArrayGeometry with
-empty, NaN or (2, 2) elements and build_array with a string kind) prints
-the sha256 of the result's bytes (a geometry's element array), 0 and the
+empty, NaN or (2, 2) elements and build_array with a string kind, the
+package's sorted __all__, beamdepth and half_power_distances one ulp below
+d_FA/alpha and vergence_difference on a list) prints the sha256 of the
+result's bytes as a numpy array (a geometry's element array), 0 and the
 call; a raised exception prints the sha256 of its type name and the name
 in place of the 0.  A checkout's outputs match another's when the two
 listings do:
@@ -91,10 +93,13 @@ def _elements(make, *args):
 
 
 def library_cases():
-    """(name, function, args) of the exact-sum and geometry library calls."""
+    """(name, function, args) of the exact-sum, geometry and metric calls."""
+    import nfsense
     from nfsense.ambiguity import broadside_power_sweep, normalized_power
+    from nfsense.closed_form import vergence_difference
     from nfsense.geometry import (ArrayGeometry, GeometryKind, build_array,
                                   mimo_setup, simo_miso_setup)
+    from nfsense.metrics import beamdepth, half_power_distances
 
     x, z = np.meshgrid(np.linspace(-15.0, 15.0, 30), np.linspace(60.0, 140.0, 20))
     patch = np.column_stack([x.ravel(), 5.0 + 0.1 * x.ravel(), z.ravel()])
@@ -118,6 +123,13 @@ def library_cases():
         yield (f"ArrayGeometry {name} elements", _elements,
                (ArrayGeometry, None, 1.0, elements, 0.0))
     yield ("build_array 'ula' 1 1", _elements, (build_array, "ula", 1.0, 1.0))
+    yield "sorted nfsense.__all__", np.array, (sorted(nfsense.__all__),)
+    for function, args in (
+            (beamdepth, (56.31967387950216, 160.08963235498462, 2.842517034056372)),
+            (half_power_distances,
+             (110.5308754512692, 293.06884588646074, 2.6514658885124707)),
+            (vergence_difference, (100.0, [50.0, 60.0]))):
+        yield f"{function.__name__} {args!r}", function, args
 
 
 def main(argv=None) -> int:
@@ -139,7 +151,7 @@ def main(argv=None) -> int:
 
     for name, function, args in library_cases():
         try:
-            data, code = function(*args).tobytes(), 0
+            data, code = np.asarray(function(*args)).tobytes(), 0
         except Exception as exc:  # the type is the output
             code = type(exc).__name__
             data = code.encode()

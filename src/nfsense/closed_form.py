@@ -38,16 +38,19 @@ __all__ = [
 
 def vergence_difference(d_target: float, d_probe):
     """|1/d' - 1/d| for target range d' and probe range(s) d, all > 0."""
-    if not (d_target > 0 and np.all(np.greater(d_probe, 0))):
+    d_target, d_probe = np.asarray(d_target, float), np.asarray(d_probe, float)
+    if not (np.all(d_target > 0) and np.all(d_probe > 0)):
         raise ValueError("distances must be positive")
-    return abs(1.0 / d_target - 1.0 / d_probe)
+    out = np.abs(1.0 / d_target - 1.0 / d_probe)
+    return float(out) if out.ndim == 0 else out
 
 
 def af_argument(kind: GeometryKind, d_fraunhofer: float, vergence):
     """Unified argument x = a * d_FA * d_ver, d_ver a scalar or an array."""
     if not d_fraunhofer > 0:
         raise ValueError("Fraunhofer distance must be positive")
-    return kind.argument_scale * d_fraunhofer * vergence
+    x = kind.argument_scale * d_fraunhofer * np.asarray(vergence, float)
+    return float(x) if x.ndim == 0 else x
 
 
 def _fresnel_power(x):

@@ -93,8 +93,9 @@ def beamdepth(d_target, d_fraunhofer, coefficient):
     """Radial half-power extent around a target at d'; inf past d_FA/alpha.
 
     Below d_FA/alpha the extent is finite; ValueError where its formula
-    leaves the float range (an overflowing or underflowing square).  The
-    inputs broadcast as numpy arrays and give an array of extents, and
+    leaves the float range: a square overflows, the denominator underflows
+    or the rounded gap d_FA^2 - alpha^2 d'^2 is not positive (an underflowed
+    d'^2 gives 0.0).  The inputs broadcast as numpy arrays and give an array of extents, and
     scalars give a float.  Squares are x * x, correctly rounded on any
     platform, where a C library's pow can be an ulp off.
     """
@@ -104,10 +105,12 @@ def beamdepth(d_target, d_fraunhofer, coefficient):
         raise ValueError("distances and coefficient must be finite and positive")
     with np.errstate(all="ignore"):
         d2, fa2, c2 = d * d, fa * fa, c * c
-        depth = 2.0 * c * fa * d2 / (fa2 - c2 * d2)
+        gap = fa2 - c2 * d2
+        depth = 2.0 * c * fa * d2 / gap
         finite = d < fa / c
-    # a square that overflows can still give a finite quotient
-    bad = finite & (np.isinf(d2) | np.isinf(fa2) | np.isinf(c2)
+    # a square that overflows can still give a finite quotient, and just
+    # below d_FA / alpha the rounded gap can vanish or change sign
+    bad = finite & (np.isinf(d2) | np.isinf(fa2) | np.isinf(c2) | (gap <= 0.0)
                     | ~np.isfinite(depth))
     if bad.any():
         i = np.flatnonzero(bad)[0]

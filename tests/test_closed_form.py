@@ -31,6 +31,12 @@ class TestVergence:
     def test_symmetry(self):
         assert vergence_difference(80.0, 120.0) == vergence_difference(120.0, 80.0)
 
+    def test_list_input(self):
+        probes = [50.0, 60.0, 123.4]
+        out = vergence_difference(100.0, probes)
+        assert out.tolist() == vergence_difference(100.0, np.array(probes)).tolist()
+        assert type(vergence_difference(100.0, np.float64(50.0))) is float
+
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
             vergence_difference(0.0, 10.0)
@@ -53,6 +59,13 @@ class TestAfArgument:
     def test_uca_value(self):
         assert af_argument(GeometryKind.UCA, 5000.0, 0.005) == pytest.approx(
             25.0 * math.pi / 16.0)
+
+    def test_list_input(self):
+        vergences = [0.1, 0.2, 1 / 3]
+        out = af_argument(GeometryKind.ULA, 5000.0, vergences)
+        assert out.tolist() == af_argument(GeometryKind.ULA, 5000.0,
+                                           np.array(vergences)).tolist()
+        assert type(af_argument(GeometryKind.ULA, 5000.0, np.float64(0.1))) is float
 
     def test_invalid_fraunhofer(self):
         with pytest.raises(ValueError):

@@ -131,6 +131,29 @@ class TestBeamdepth:
         assert math.isinf(beamdepth(boundary * 2, 5000.0, 6.952))
         assert math.isfinite(beamdepth(boundary * 0.999, 5000.0, 6.952))
 
+    def test_rounded_gap_raises(self):
+        # one ulp below d_FA/alpha the rounded d_FA^2 - alpha^2 d'^2 is < 0
+        with pytest.raises(ValueError, match="out of floating-point range"):
+            beamdepth(56.31967387950216, 160.08963235498462, 2.842517034056372)
+
+    def test_one_ulp_below_divergence(self):
+        # the target sits inside d_FA/alpha, so its depth is finite and
+        # positive or out of the float range, never zero or negative (pair
+        # 271 of this seed gave a negative depth before the gap check)
+        rng = np.random.default_rng(52)
+        d_fa, coeff = rng.uniform(100.0, 1e5, 2000), rng.uniform(1.0, 20.0, 2000)
+        raised = 0
+        for fa, c in zip(d_fa.tolist(), coeff.tolist()):
+            d = np.nextafter(fa / c, 0.0)
+            try:
+                depth = beamdepth(d, fa, c)
+            except ValueError as exc:
+                assert "out of floating-point range" in str(exc)
+                raised += 1
+            else:
+                assert 0.0 < depth < math.inf
+        assert 0 < raised < 2000
+
     def test_quadratic_growth_well_inside(self):
         bd1 = beamdepth(10.0, 5000.0, 6.952)
         bd2 = beamdepth(20.0, 5000.0, 6.952)
