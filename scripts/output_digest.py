@@ -12,7 +12,9 @@ SystemExit, whose code is printed as the exit code; the text wraps to the
 terminal width, so compare listings made at the same COLUMNS).  Each
 library case (normalized_power on an off-axis patch per kind and setup,
 broadside_power_sweep per kind, D = 12 lambda at lambda = 1,
-normalized_power on an empty probe batch, and the rejections of bad
+normalized_power on an empty probe batch, array_factor of a ULA on probes
+about 1e5 and 1e6 lambda away, where the phase is many cycles, and of one
+element on a probe half a cycle nearer than the target, and the rejections of bad
 geometry inputs: each builder at lambda = 0 and -1, an ArrayGeometry with
 empty, NaN or (2, 2) elements and build_array with a string kind, the
 package's sorted __all__, beamdepth and half_power_distances one ulp below
@@ -95,7 +97,8 @@ def _elements(make, *args):
 def library_cases():
     """(name, function, args) of the exact-sum, geometry and metric calls."""
     import nfsense
-    from nfsense.ambiguity import broadside_power_sweep, normalized_power
+    from nfsense.ambiguity import (array_factor, broadside_power_sweep,
+                                   normalized_power)
     from nfsense.closed_form import vergence_difference
     from nfsense.geometry import (ArrayGeometry, GeometryKind, build_array,
                                   mimo_setup, simo_miso_setup)
@@ -114,6 +117,15 @@ def library_cases():
     yield ("normalized_power ula simo_miso_setup empty", normalized_power,
            (simo_miso_setup(build_array(GeometryKind.ULA, 12.0, 1.0)),
             [4.0, -3.0, 100.0], np.empty((0, 3))))
+    ula = build_array(GeometryKind.ULA, 12.0, 1.0)
+    for far in (1e5, 1e6):
+        probes = np.column_stack([np.linspace(-0.3 * far, 0.3 * far, 201),
+                                  np.full(201, 2.5), np.full(201, far)])
+        yield (f"array_factor ula 12 1 probes {far:g} away", array_factor,
+               (ula, [4.0, -3.0, 100.0], probes))
+    yield ("array_factor one element half a cycle", array_factor,
+           (ArrayGeometry(None, 1.0, np.zeros((1, 3)), 0.0), [0.0, 0.0, 100.0],
+            [0.0, 0.0, 99.5]))
     for kind, wavelength in product(GeometryKind, (0.0, -1.0)):
         yield (f"build_array {kind.value} 10 {wavelength:g}", _elements,
                (build_array, kind, 10.0, wavelength))

@@ -7,12 +7,18 @@ element of a SIMO/MISO link has |AF|^2 = 1, and MIMO squares the power.
 
 Every sum runs through one kernel.  It walks the probes in blocks of about
 _BLOCK_PAIRS element-probe pairs, adds the squared coordinate differences of
-a block in place, takes the square root, and sums w_m cos and w_m sin of the
-real phase k (d_m(target) - d_m(probe)) over the elements in ascending
-order, so sums are bit-reproducible run to run.  A call of more than
-_BLOCK_PAIRS pairs runs on the calling thread and a thread pool, one thread
-per CPU of the affinity mask in all, each taking the next row block when it
-is free; every pool thread is joined before an error is re-raised.  A
+a block in place and takes the square root.  The phase in cycles,
+c = (d_m(target) - d_m(probe)) / lambda, is reduced to [-1/2, 1/2] by
+subtracting rint(c), which is exact, so the phase error does not grow with
+range.  One tangent of the half angle, t = tan(pi c), then gives the
+weighted phasor: w cos = 2w / (1 + t^2) - w and w sin = t 2w / (1 + t^2).
+On that interval numpy's tan is vectorized, where cos and sin of the raw
+phase need a full range reduction each.  The terms are summed over the
+elements in ascending order, so sums are bit-reproducible run to run.  A
+call of more than _BLOCK_PAIRS pairs runs on the calling thread and a
+thread pool, one thread per CPU of the affinity mask in all, each taking
+the next row block when it is free; every pool thread is joined before an
+error is re-raised.  A
 probe's sum is the same row sum whatever block or thread holds it, so the
 bits do not depend on the split, and no setting selects it.  Off broadside
 every weight is 1.  On the +z axis an element's distance depends only on
@@ -54,9 +60,10 @@ def _points(points) -> np.ndarray:
     return pts
 
 
-def _phase_sum(elements, weights, k: float, target, probes,
+def _phase_sum(elements, weights, inv_wavelength: float, target, probes,
                min_distance: float) -> np.ndarray:
-    """(P,) sums of w_m exp(-j k (d_m(target) - d_m(probe))) over the elements.
+    """(P,) sums of w_m exp(-2 pi j c_m) over the elements, with the phase
+    in cycles c_m = (d_m(target) - d_m(probe)) / lambda.
 
     Raises ValueError if the target or a probe lies within min_distance of
     an element.
@@ -76,6 +83,7 @@ def _phase_sum(elements, weights, k: float, target, probes,
     # shared, and next() is atomic: a thread that is free takes the next block
     blocks = iter(range(0, p, rows))
     out = np.empty(p, dtype=complex)
+    twice = 2.0 * weights
 
     def run():
         # a pool thread starts from numpy's default errstate, not the caller's
@@ -93,14 +101,23 @@ def _phase_sum(elements, weights, k: float, target, probes,
                 np.sqrt(d, out=d)
                 if d.min() < min_distance:
                     raise ValueError("point coincides with an array element")
+                # c - rint(c) is exact and lies in [-1/2, 1/2], so the
+                # half angle pi c stays off the tangent's poles
                 np.subtract(d_target, d, out=d)
-                d *= k
-                np.cos(d, out=t)
-                t *= weights
+                d *= inv_wavelength
+                np.rint(d, out=t)
+                d -= t
+                d *= np.pi
+                np.tan(d, out=d)
+                # with t = tan(pi c): w cos = 2w / (1 + t^2) - w and
+                # w sin = t 2w / (1 + t^2)
+                np.square(d, out=t)
+                t += 1.0
+                np.divide(twice, t, out=t)
+                d *= t
+                out.imag[lo:lo + len(block)] = -d.sum(axis=1)
+                t -= weights
                 out.real[lo:lo + len(block)] = t.sum(axis=1)
-                np.sin(d, out=t)
-                t *= weights
-                out.imag[lo:lo + len(block)] = -t.sum(axis=1)
 
     if workers == 1:
         run()
@@ -128,10 +145,10 @@ def _array_factor(geometry: ArrayGeometry, target, probes,
         weights = counts[order].astype(float)
     else:
         elements, weights = geometry.elements, np.ones(m)
-    k = 2.0 * np.pi / geometry.wavelength
     # a squared distance that overflows (~1e154 away) makes a sum nan
     with np.errstate(over="ignore", invalid="ignore"):
-        out = _phase_sum(elements, weights, k, target, probes,
+        out = _phase_sum(elements, weights, 1.0 / geometry.wavelength,
+                         target, probes,
                          _MIN_SEPARATION * geometry.wavelength)
     if not np.isfinite(out).all():
         raise ValueError("point too far from the array: a phase leaves the "

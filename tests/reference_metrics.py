@@ -12,7 +12,8 @@ def beamdepth(d_target: float, d_fraunhofer: float, coefficient: float) -> float
     """Radial half-power extent around a target at d'; inf past d_FA/alpha.
 
     Below d_FA/alpha the extent is finite; ValueError where its formula
-    leaves the float range (an overflowing or underflowing square).
+    leaves the float range (an overflowing or underflowing square), or where
+    the rounded gap d_FA^2 - alpha^2 d'^2 is not positive.
     """
     if not (0.0 < d_target < math.inf and 0.0 < d_fraunhofer < math.inf
             and 0.0 < coefficient < math.inf):
@@ -22,12 +23,14 @@ def beamdepth(d_target: float, d_fraunhofer: float, coefficient: float) -> float
     d2 = d_target * d_target
     fa2 = d_fraunhofer * d_fraunhofer
     c2 = coefficient * coefficient
+    gap = fa2 - c2 * d2
     try:
-        depth = 2.0 * coefficient * d_fraunhofer * d2 / (fa2 - c2 * d2)
+        depth = 2.0 * coefficient * d_fraunhofer * d2 / gap
     except ZeroDivisionError:
         depth = math.inf
-    # an overflowing square can still leave a finite quotient
-    if math.inf in (d2, fa2, c2) or not math.isfinite(depth):
+    # an overflowing square can still leave a finite quotient, and just below
+    # d_FA / alpha the rounded gap can vanish or change sign
+    if math.inf in (d2, fa2, c2) or gap <= 0.0 or not math.isfinite(depth):
         raise ValueError(f"beamdepth at d' = {d_target:g} m with d_FA = "
                          f"{d_fraunhofer:g} m is out of floating-point range")
     return depth

@@ -1,7 +1,9 @@
 import math
 import sys
 import threading
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -87,6 +89,38 @@ class TestArrayFactor:
         batch = array_factor(g, t, probes)
         single = [array_factor(g, t, p) for p in probes]
         assert np.max(np.abs(batch - np.array(single))) == 0.0
+
+
+class TestPhasorAccuracy:
+    """A single element's factor is exp(-2 pi j c) for a probe c cycles
+    nearer than the target; the kernel reduces c to [-1/2, 1/2] exactly, so
+    its error does not grow with c."""
+
+    TARGET = 2e4
+
+    @staticmethod
+    def cycles():
+        # integers, half-integers (the half-angle tangent's pole),
+        # quarter-integers and random offsets, each exact in 2e4 - c
+        k = np.array([0.0, 1.0, 2.0, 7.0, 2500.0, 9998.0, 9999.0])
+        rng = np.random.default_rng(19)
+        drawn = rng.uniform(0.0, 1e4, 400)
+        drawn = TestPhasorAccuracy.TARGET - (TestPhasorAccuracy.TARGET - drawn)
+        return np.concatenate([k, k + 0.5, k + 0.25, k + 0.75, [1e4], drawn])
+
+    def test_against_mpmath(self):
+        c = self.cycles()
+        probes = np.zeros((c.size, 3))
+        probes[:, 2] = self.TARGET - c
+        assert np.array_equal(self.TARGET - probes[:, 2], c)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            af = array_factor(POINT, [0.0, 0.0, self.TARGET], probes)
+        assert np.isfinite(af).all()
+        with mpmath.workdps(40):
+            exact = np.array([complex(mpmath.expjpi(-2 * mpmath.mpf(x)))
+                              for x in c.tolist()])
+        assert np.max(np.abs(af - exact)) <= 1e-15
 
 
 class TestAmbiguity:

@@ -235,6 +235,17 @@ class TestBeamdepthArray:
             beamdepth(targets, d_fa, coeff)
         assert str(array.value) == str(scalar.value)
 
+    def test_rounded_gap_raises_like_reference(self):
+        # one ulp below d_FA/alpha the rounded gap is negative; the scalar
+        # form once returned -7.9e17 here
+        args = (56.31967387950216, 160.08963235498462, 2.842517034056372)
+        with pytest.raises(ValueError) as scalar:
+            reference_metrics.beamdepth(*args)
+        assert "out of floating-point range" in str(scalar.value)
+        with pytest.raises(ValueError) as array:
+            beamdepth(*args)
+        assert str(array.value) == str(scalar.value)
+
     def test_rejects_any_bad_element(self):
         targets = np.array([100.0, -1.0])
         with pytest.raises(ValueError) as scalar:
