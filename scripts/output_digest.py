@@ -14,9 +14,9 @@ library case (normalized_power on an off-axis patch per kind and setup,
 broadside_power_sweep per kind, D = 12 lambda at lambda = 1,
 normalized_power on an empty probe batch, array_factor of a ULA on probes
 about 1e5 and 1e6 lambda away, where the phase is many cycles, and of one
-element on a probe half a cycle nearer than the target, and the rejections of bad
-geometry inputs: each builder at lambda = 0 and -1, an ArrayGeometry with
-empty, NaN or (2, 2) elements and build_array with a string kind, the
+element on a probe half a cycle nearer than the target, and the rejections
+of bad geometry inputs: each builder at lambda = 0 and -1, an ArrayGeometry
+with empty, NaN or (2, 2) elements and build_array with a string kind, the
 package's sorted __all__, beamdepth and half_power_distances one ulp below
 d_FA/alpha and vergence_difference on a list) prints the sha256 of the
 result's bytes as a numpy array (a geometry's element array), 0 and the

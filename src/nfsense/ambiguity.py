@@ -147,9 +147,8 @@ def _array_factor(geometry: ArrayGeometry, target, probes,
         elements, weights = geometry.elements, np.ones(m)
     # a squared distance that overflows (~1e154 away) makes a sum nan
     with np.errstate(over="ignore", invalid="ignore"):
-        out = _phase_sum(elements, weights, 1.0 / geometry.wavelength,
-                         target, probes,
-                         _MIN_SEPARATION * geometry.wavelength)
+        out = _phase_sum(elements, weights, 1.0 / geometry.wavelength, target,
+                         probes, _MIN_SEPARATION * geometry.wavelength)
     if not np.isfinite(out).all():
         raise ValueError("point too far from the array: a phase leaves the "
                          "floating-point range")

@@ -236,8 +236,7 @@ class TestBeamdepthArray:
         assert str(array.value) == str(scalar.value)
 
     def test_rounded_gap_raises_like_reference(self):
-        # one ulp below d_FA/alpha the rounded gap is negative; the scalar
-        # form once returned -7.9e17 here
+        # one ulp below d_FA/alpha the rounded gap is negative
         args = (56.31967387950216, 160.08963235498462, 2.842517034056372)
         with pytest.raises(ValueError) as scalar:
             reference_metrics.beamdepth(*args)
