@@ -11,18 +11,22 @@ at lambda = 1e-11 m, an af-curve and a beamdepth-sweep at D = 12.457 lambda
 SystemExit, whose code is printed as the exit code; the text wraps to the
 terminal width, so compare listings made at the same COLUMNS).  Each
 library case (normalized_power on an off-axis patch per kind and setup,
-broadside_power_sweep per kind, D = 12 lambda at lambda = 1,
-normalized_power on an empty probe batch, array_factor of a ULA on probes
-about 1e5 and 1e6 lambda away, where the phase is many cycles, and of one
-element on a probe half a cycle nearer than the target, and the rejections
-of bad geometry inputs: each builder at lambda = 0 and -1, an ArrayGeometry
-with empty, NaN or (2, 2) elements and build_array with a string kind, the
-package's sorted __all__, beamdepth and half_power_distances one ulp below
-d_FA/alpha and vergence_difference on a list) prints the sha256 of the
-result's bytes as a numpy array (a geometry's element array), 0 and the
-call; a raised exception prints the sha256 of its type name and the name
-in place of the 0.  A checkout's outputs match another's when the two
-listings do:
+broadside_power_sweep per kind, D = 12 lambda at lambda = 1, on the built
+geometry and on an ArrayGeometry hand-built from its elements, whose line
+prints the built one's hash, normalized_power on an empty probe batch,
+array_factor of a ULA on probes about 1e5 and 1e6 lambda away, where the
+phase is many cycles, and of one element on a probe half a cycle nearer
+than the target, and the rejections of bad inputs: each builder at
+lambda = 0 and -1, an ArrayGeometry with empty, NaN or (2, 2) elements,
+build_array with a string kind, and normalized_power, array_factor and
+broadside_power_sweep given two targets; the package's sorted __all__,
+beamdepth and half_power_distances one ulp below d_FA/alpha and
+vergence_difference on a list) prints the sha256 of the result's bytes as
+a numpy array (a geometry's element array), 0 and the call; a raised
+exception prints the sha256 of its type name and the name in place of the
+0.  A checkout's outputs match another's when the two listings do, line by
+line by name (a checkout whose ArrayGeometry still takes an aperture
+argument is listed by its own copy of this script):
 
     python3 scripts/output_digest.py /path/to/other/checkout > before.txt
     python3 scripts/output_digest.py > after.txt
@@ -111,9 +115,11 @@ def library_cases():
         for make in (simo_miso_setup, mimo_setup):
             yield (f"normalized_power {kind.value} {make.__name__}",
                    normalized_power, (make(array), [4.0, -3.0, 100.0], patch))
-        yield (f"broadside_power_sweep {kind.value} simo_miso_setup",
-               broadside_power_sweep,
-               (simo_miso_setup(array), 60.0, np.linspace(20.0, 200.0, 901)))
+        hand = ArrayGeometry(kind, 1.0, array.elements)
+        for geometry, how in ((array, "simo_miso_setup"), (hand, "hand-built")):
+            yield (f"broadside_power_sweep {kind.value} {how}",
+                   broadside_power_sweep, (simo_miso_setup(geometry), 60.0,
+                                           np.linspace(20.0, 200.0, 901)))
     yield ("normalized_power ula simo_miso_setup empty", normalized_power,
            (simo_miso_setup(build_array(GeometryKind.ULA, 12.0, 1.0)),
             [4.0, -3.0, 100.0], np.empty((0, 3))))
@@ -124,7 +130,7 @@ def library_cases():
         yield (f"array_factor ula 12 1 probes {far:g} away", array_factor,
                (ula, [4.0, -3.0, 100.0], probes))
     yield ("array_factor one element half a cycle", array_factor,
-           (ArrayGeometry(None, 1.0, np.zeros((1, 3)), 0.0), [0.0, 0.0, 100.0],
+           (ArrayGeometry(None, 1.0, np.zeros((1, 3))), [0.0, 0.0, 100.0],
             [0.0, 0.0, 99.5]))
     for kind, wavelength in product(GeometryKind, (0.0, -1.0)):
         yield (f"build_array {kind.value} 10 {wavelength:g}", _elements,
@@ -133,8 +139,15 @@ def library_cases():
                            ("nan", np.array([[0.0, 0.0, np.nan]])),
                            ("2x2", np.zeros((2, 2)))):
         yield (f"ArrayGeometry {name} elements", _elements,
-               (ArrayGeometry, None, 1.0, elements, 0.0))
+               (ArrayGeometry, None, 1.0, elements))
     yield ("build_array 'ula' 1 1", _elements, (build_array, "ula", 1.0, 1.0))
+    two = [[0.0, 0.0, 50.0], [0.0, 0.0, 80.0]]
+    yield ("normalized_power ula simo_miso_setup two targets", normalized_power,
+           (simo_miso_setup(ula), two, [0.0, 0.0, 60.0]))
+    yield ("array_factor ula two targets", array_factor,
+           (ula, two, [0.0, 0.0, 60.0]))
+    yield ("broadside_power_sweep ula simo_miso_setup two targets",
+           broadside_power_sweep, (simo_miso_setup(ula), [50.0, 80.0], [60.0]))
     yield "sorted nfsense.__all__", np.array, (sorted(nfsense.__all__),)
     for function, args in (
             (beamdepth, (56.31967387950216, 160.08963235498462, 2.842517034056372)),

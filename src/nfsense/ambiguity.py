@@ -18,13 +18,13 @@ elements in ascending order, so sums are bit-reproducible run to run.  A
 call of more than _BLOCK_PAIRS pairs runs on the calling thread and a
 thread pool, one thread per CPU of the affinity mask in all, each taking
 the next row block when it is free; every pool thread is joined before an
-error is re-raised.  A
-probe's sum is the same row sum whatever block or thread holds it, so the
-bits do not depend on the split, and no setting selects it.  Off broadside
-every weight is 1.  On the +z axis an element's distance depends only on
-(x^2 + y^2, z), so broadside_power_sweep sums the first element of each
-axial class of the geometry (ArrayGeometry.axial_class) weighted by the
-class size, at its exact position, and normalizes by the full element count.
+error is re-raised.  A probe's sum is the same row sum whatever block or
+thread holds it, so the bits do not depend on the split, and no setting
+selects it.  Off broadside every weight is 1.  On the +z axis an element's
+distance depends only on (x^2 + y^2, z), so broadside_power_sweep sums the
+first element of each axial class (ArrayGeometry.axial_class) weighted by
+the class size, at its exact position, and normalizes by the full element
+count.  A target is one point; a stack of several is rejected.
 """
 
 from __future__ import annotations
@@ -50,6 +50,16 @@ _BLOCK_PAIRS = 65_536
 # threads that share the blocks of a call above _BLOCK_PAIRS pairs
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
+
+_ONE_TARGET = "target must be one finite point"
+
+
+def _target(target) -> np.ndarray:
+    """(3,) float array of one finite point given as (3,) or (1, 3)."""
+    t = np.asarray(target, dtype=float)
+    if t.shape not in ((3,), (1, 3)) or not np.all(np.isfinite(t)):
+        raise ValueError(_ONE_TARGET)
+    return t.reshape(3)
 
 
 def _points(points) -> np.ndarray:
@@ -159,15 +169,13 @@ def _array_factor(geometry: ArrayGeometry, target, probes,
 def array_factor(geometry: ArrayGeometry, target, probe):
     """Single-aperture factor (1/sqrt(M)) sum_m exp(-j k (d_m(target) - d_m(probe))).
 
-    k = 2 pi / lambda.  probe may be one 3-vector or an (P, 3) stack of
-    probe points; returns a complex scalar or a (P,) complex array
-    accordingly.  Peaks at sqrt(M) when probe equals target.
+    k = 2 pi / lambda.  target is one point, of shape (3,) or (1, 3).
+    probe may be one 3-vector or an (P, 3) stack of probe points; returns a
+    complex scalar or a (P,) complex array accordingly.  Peaks at sqrt(M)
+    when probe equals target.
     """
-    probe = np.asarray(probe, dtype=float)
-    out = _array_factor(geometry, _points(target)[0], _points(probe))
-    if probe.ndim == 1:
-        return complex(out[0])
-    return out
+    out = _array_factor(geometry, _target(target), _points(probe))
+    return complex(out[0]) if np.ndim(probe) == 1 else out
 
 
 def _power(setup: SensingSetup, target, probes, axial: bool = False) -> np.ndarray:
@@ -182,22 +190,24 @@ def normalized_power(setup: SensingSetup, target, probe):
 
     The setup's aperture gives |AF|^2 / M, raised to the mode's exponent p
     (MIMO's double sum over element pairs is the array factor squared).
-    probe may be a 3-vector or an (P, 3) stack.
+    target is one point, of shape (3,) or (1, 3); probe may be a 3-vector
+    or an (P, 3) stack.
     """
-    probe = np.asarray(probe, dtype=float)
-    power = _power(setup, _points(target)[0], _points(probe))
-    if probe.ndim == 1:
-        return float(power[0])
-    return power
+    power = _power(setup, _target(target), _points(probe))
+    return float(power[0]) if np.ndim(probe) == 1 else power
 
 
 def broadside_power_sweep(setup: SensingSetup, target_distance: float, probe_distances):
     """Normalized power for a target on +z and probe distances along +z.
 
-    Sums one element per axial class, weighted by the class size.
+    target_distance must be a real scalar.  Sums one element per axial
+    class, weighted by the class size.
     """
+    distance = np.asarray(target_distance)
+    if distance.shape or distance.dtype.kind not in "iuf":
+        raise ValueError(_ONE_TARGET)
     probe_distances = np.asarray(probe_distances, dtype=float)
-    target = np.array([0.0, 0.0, target_distance])
     probes = np.zeros((probe_distances.size, 3))
     probes[:, 2] = probe_distances.ravel()
-    return _power(setup, _points(target)[0], _points(probes), axial=True)
+    return _power(setup, _target([0.0, 0.0, distance]), _points(probes),
+                  axial=True)

@@ -10,17 +10,19 @@ x-z plane (ring normal along y): a ring seen face-on has every element
 equidistant from any on-axis point and therefore no range selectivity at
 all, so the ring must be edge-on to the axis it resolves ranges along.
 
-On the +z axis an element's distance depends only on (x^2 + y^2, z).  Each
-builder labels its elements with an integer axial class computed from their
-integer indices, so that the elements of one class are equidistant from
-every on-axis point: the mirror pair |2i - (n-1)| of the ULA, a^2 + b^2 of
-the URA, the ring of the UPCA and the +-x mirror pair of an even UCA.
+On the +z axis an element's distance depends only on (x^2 + y^2, z).
+ArrayGeometry.axial_class sorts the elements on that key, in units of the
+larger of lambda and the largest coordinate, and starts a new class where
+it steps by more than _CLASS_TOL; a class that such steps stretch further
+from its first key is split into single elements.  This finds the ULA's
+mirror pairs, the URA's and UPCA's rings and an even UCA's +-x mirror
+pairs, of a built or a hand-built layout alike.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 
@@ -93,24 +95,19 @@ class ProcessingMode(Enum):
 
 @dataclass(frozen=True, eq=False)
 class ArrayGeometry:
-    """Immutable element layout.
+    """Immutable element layout; every other value is derived from it.
 
-    kind is None for the single transmit element of a SIMO/MISO link
-    (SensingSetup.tx).  The wavelength must be finite and positive, and
-    elements a non-empty (M, 3) array of finite values, which is kept as a
-    read-only float copy.  aperture is the actual end-to-end extent
-    recomputed from the element positions (ULA: length, UCA/UPCA: outer
-    diameter, URA: diagonal).  axial_class labels the elements (see the
-    module docstring); it defaults to one class per element, and a class
-    whose members differ in (x^2 + y^2, z) beyond rounding raises
-    ValueError.
+    kind is None for the SIMO/MISO transmit element (SensingSetup.tx) and a
+    layout of no supported kind.  The wavelength must be finite and
+    positive, and elements a non-empty (M, 3) array of finite values, kept
+    as a read-only float copy.  aperture is computed once from them: a
+    ULA's length, a URA's diagonal, else twice the largest element norm.
     """
 
     kind: GeometryKind | None
     wavelength: float
     elements: np.ndarray
-    aperture: float
-    axial_class: np.ndarray | None = None
+    aperture: float = field(init=False)
 
     def __post_init__(self):
         _check_wavelength(self.wavelength)
@@ -123,20 +120,44 @@ class ArrayGeometry:
         e = e.astype(float)
         e.setflags(write=False)
         object.__setattr__(self, "elements", e)
-        m = e.shape[0]
-        if self.axial_class is None:
-            classes = np.arange(m)
-        else:
-            classes = np.array(self.axial_class)
-            if classes.shape != (m,) or classes.dtype.kind not in "iu":
-                raise ValueError("axial_class needs one integer per element")
-            _check_axial_classes(self.elements, classes, self.wavelength)
-        classes.setflags(write=False)
-        object.__setattr__(self, "axial_class", classes)
+        # coordinates near the float maximum overflow the extent to inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.kind is GeometryKind.ULA:
+                aperture = float(np.ptp(e[:, 0]))
+            elif self.kind is GeometryKind.URA:
+                aperture = math.hypot(*np.ptp(e[:, :2], axis=0))
+            else:
+                aperture = float(2.0 * np.linalg.norm(e, axis=1).max())
+        if not math.isfinite(aperture):
+            raise _aperture_overflow(self.kind, self.wavelength)
+        object.__setattr__(self, "aperture", aperture)
 
     @property
     def n_elements(self) -> int:
         return self.elements.shape[0]
+
+    @cached_property
+    def axial_class(self) -> np.ndarray:
+        """Read-only class label per element (see the module docstring),
+        derived on first access."""
+        unit = self.elements / max(self.wavelength,
+                                   float(np.abs(self.elements).max()))
+        r2, z = unit[:, 0] ** 2 + unit[:, 1] ** 2, unit[:, 2]
+        order = np.argsort(r2)
+        ring = np.cumsum(np.diff(r2[order], prepend=-np.inf) > _CLASS_TOL)
+        within = np.lexsort((z[order], ring))
+        order, ring = order[within], ring[within]
+        r2, z = r2[order], z[order]
+        start = ((np.diff(z, prepend=-np.inf) > _CLASS_TOL)
+                 | (np.diff(ring, prepend=0) != 0))
+        label = np.cumsum(start)
+        first = np.flatnonzero(start)[label - 1]
+        stray = np.maximum(abs(r2 - r2[first]), abs(z - z[first])) > _CLASS_TOL
+        start |= np.isin(label, label[stray])
+        classes = np.empty_like(order)
+        classes[order] = np.cumsum(start) - 1
+        classes.setflags(write=False)
+        return classes
 
 
 def _check_wavelength(wavelength) -> None:
@@ -146,15 +167,9 @@ def _check_wavelength(wavelength) -> None:
                          f"got {wavelength}")
 
 
-def _check_axial_classes(elements, classes, wavelength: float) -> None:
-    """ValueError unless each class shares (x^2 + y^2, z) to rounding."""
-    scale = max(wavelength, float(np.abs(elements).max(initial=0.0)))
-    unit = elements / scale
-    key = np.column_stack([unit[:, 0] ** 2 + unit[:, 1] ** 2, unit[:, 2]])
-    _, first, inverse = np.unique(classes, return_index=True, return_inverse=True)
-    if np.abs(key - key[first[inverse]]).max(initial=0.0) > _CLASS_TOL:
-        raise ValueError("axial_class groups elements at different "
-                         "distances from the +z axis")
+def _aperture_overflow(kind, wavelength: float) -> ValueError:
+    return ValueError(f"{'array' if kind is None else kind.name} aperture "
+                      f"overflows at lambda = {wavelength:g} m")
 
 
 def _check_count(kind, count, aperture: float, wavelength: float) -> int:
@@ -165,32 +180,19 @@ def _check_count(kind, count, aperture: float, wavelength: float) -> int:
     return int(count)
 
 
-def _finish(kind, wavelength, positions, axial_class) -> ArrayGeometry:
-    pos = np.asarray(positions, dtype=float)
-    # positions near the float maximum overflow the mean or the extent to
-    # inf or nan, which the finiteness check below rejects
+def _finish(kind, wavelength, pos) -> ArrayGeometry:
+    # positions near the float maximum overflow the mean to inf or nan
     with np.errstate(over="ignore", invalid="ignore"):
         pos = pos - pos.mean(axis=0)
-        if kind is GeometryKind.ULA:
-            aperture = float(pos[:, 0].max() - pos[:, 0].min())
-        elif kind is GeometryKind.URA:
-            aperture = float(math.hypot(pos[:, 0].max() - pos[:, 0].min(),
-                                        pos[:, 1].max() - pos[:, 1].min()))
-        else:
-            aperture = float(2.0 * np.linalg.norm(pos, axis=1).max())
-    if not math.isfinite(aperture):
-        raise ValueError(f"{kind.name} aperture overflows at lambda = "
-                         f"{wavelength:g} m")
-    return ArrayGeometry(kind=kind, wavelength=float(wavelength),
-                         elements=pos, aperture=aperture,
-                         axial_class=axial_class)
+    if not np.isfinite(pos).all():
+        raise _aperture_overflow(kind, wavelength)
+    return ArrayGeometry(kind, float(wavelength), pos)
 
 
 def build_ula(aperture: float, wavelength: float) -> ArrayGeometry:
     """Uniform linear array on the x axis, spacing exactly lambda/2.
 
-    Element count is floor(2 D / lambda) + 1; the aperture field records
-    the actual end-to-end extent.
+    Element count is floor(2 D / lambda) + 1.
     """
     _check_wavelength(wavelength)
     if not aperture >= wavelength / 2:
@@ -198,11 +200,9 @@ def build_ula(aperture: float, wavelength: float) -> ArrayGeometry:
     n = _check_count(GeometryKind.ULA,
                      np.floor(2.0 * aperture / wavelength + _TOL) + 1,
                      aperture, wavelength)
-    i = np.arange(n)
     pos = np.zeros((n, 3))
-    pos[:, 0] = (i - (n - 1) / 2.0) * (wavelength / 2.0)
-    # elements i and n-1-i mirror each other about the axis
-    return _finish(GeometryKind.ULA, wavelength, pos, np.abs(2 * i - (n - 1)))
+    pos[:, 0] = (np.arange(n) - (n - 1) / 2.0) * (wavelength / 2.0)
+    return _finish(GeometryKind.ULA, wavelength, pos)
 
 
 def build_uca(diameter: float, wavelength: float) -> ArrayGeometry:
@@ -217,15 +217,10 @@ def build_uca(diameter: float, wavelength: float) -> ArrayGeometry:
     n = _check_count(GeometryKind.UCA,
                      np.ceil(2.0 * math.pi * diameter / wavelength - _TOL),
                      diameter, wavelength)
-    m = np.arange(n)
-    theta = 2.0 * math.pi * m / n
-    pos = np.zeros((n, 3))
-    pos[:, 0] = 0.5 * diameter * np.cos(theta)
-    pos[:, 2] = 0.5 * diameter * np.sin(theta)
-    # theta and pi - theta share z and |x|: elements m and n/2 - m (mod n)
-    # for even n; an odd ring has no such pairs
-    classes = np.minimum(m, (n // 2 - m) % n) if n % 2 == 0 else m
-    return _finish(GeometryKind.UCA, wavelength, pos, classes)
+    theta = 2.0 * math.pi * np.arange(n) / n
+    pos = np.column_stack([0.5 * diameter * np.cos(theta), np.zeros(n),
+                           0.5 * diameter * np.sin(theta)])
+    return _finish(GeometryKind.UCA, wavelength, pos)
 
 
 def build_ura(diagonal: float, wavelength: float) -> ArrayGeometry:
@@ -243,10 +238,7 @@ def build_ura(diagonal: float, wavelength: float) -> ArrayGeometry:
     grid = (np.arange(n) - (n - 1) / 2.0) * (wavelength / 2.0)
     gx, gy = np.meshgrid(grid, grid, indexing="ij")
     pos = np.column_stack([gx.ravel(), gy.ravel(), np.zeros(n * n)])
-    # x = a lambda/4 and y = b lambda/4, so x^2 + y^2 = (a^2 + b^2) (lambda/4)^2
-    a = 2 * np.arange(n) - (n - 1)
-    classes = (a[:, None] ** 2 + a[None, :] ** 2).ravel()
-    return _finish(GeometryKind.URA, wavelength, pos, classes)
+    return _finish(GeometryKind.URA, wavelength, pos)
 
 
 def build_upca(diameter: float, wavelength: float) -> ArrayGeometry:
@@ -270,12 +262,9 @@ def build_upca(diameter: float, wavelength: float) -> ArrayGeometry:
     chunks = [np.zeros((1, 3))]
     for r, count in zip(radii, counts):
         theta = 2.0 * math.pi * np.arange(count) / count
-        ring = np.zeros((count, 3))
-        ring[:, 0] = r * np.cos(theta)
-        ring[:, 1] = r * np.sin(theta)
-        chunks.append(ring)
-    rings = np.repeat(np.arange(len(counts) + 1), [1] + counts)
-    return _finish(GeometryKind.UPCA, wavelength, np.vstack(chunks), rings)
+        chunks.append(np.column_stack([r * np.cos(theta), r * np.sin(theta),
+                                       np.zeros(count)]))
+    return _finish(GeometryKind.UPCA, wavelength, np.vstack(chunks))
 
 
 _BUILDERS = {
@@ -332,7 +321,7 @@ class SensingSetup:
         """
         if self.mode is ProcessingMode.MIMO:
             return self.aperture
-        return ArrayGeometry(None, self.aperture.wavelength, np.zeros((1, 3)), 0.0)
+        return ArrayGeometry(None, self.aperture.wavelength, np.zeros((1, 3)))
 
     @property
     def rx(self) -> ArrayGeometry:

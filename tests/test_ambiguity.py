@@ -26,8 +26,7 @@ LAM = 1.0
 FREQ = SPEED_OF_LIGHT / LAM
 ORIGIN = np.zeros(3)
 # one element at the origin
-POINT = ArrayGeometry(kind=None, wavelength=LAM, elements=np.zeros((1, 3)),
-                      aperture=0.0)
+POINT = ArrayGeometry(kind=None, wavelength=LAM, elements=np.zeros((1, 3)))
 
 
 class TestChannelPhase:
@@ -226,7 +225,7 @@ class TestClosedFormConvergence:
                         [math.sin(phi), math.cos(phi), 0.0],
                         [0.0, 0.0, 1.0]])
         rotated = ArrayGeometry(kind=g.kind, wavelength=g.wavelength,
-                                elements=g.elements @ rot.T, aperture=g.aperture)
+                                elements=g.elements @ rot.T)
         radii = np.sort(np.linalg.norm(g.elements, axis=1))
         radii_rot = np.sort(np.linalg.norm(rotated.elements, axis=1))
         assert np.max(np.abs(radii - radii_rot)) <= 1e-9
@@ -235,6 +234,14 @@ class TestClosedFormConvergence:
             p0 = normalized_power(simo_miso_setup(g), t, [0, 0, d])
             p1 = normalized_power(simo_miso_setup(rotated), t, [0, 0, d])
             assert p0 == pytest.approx(p1, abs=1e-12)
+        # the hand-built ring keeps the mirror pairs of the built one, and
+        # its broadside sweep sums them
+        assert (np.unique(rotated.axial_class).size
+                == np.unique(g.axial_class).size == g.n_elements // 2)
+        grid = [55.0, 70.0, 90.0]
+        assert np.max(np.abs(
+            broadside_power_sweep(simo_miso_setup(rotated), 70.0, grid)
+            - broadside_power_sweep(simo_miso_setup(g), 70.0, grid))) <= 1e-12
 
 
 # apertures whose off-axis patch below spans at least three kernel blocks
@@ -271,6 +278,18 @@ class TestKernelMatchesDenseSum:
             power = broadside_power_sweep(setup, 100.0, grid)
             dense = dense_power(setup, [0.0, 0.0, 100.0], probes)
             assert np.max(np.abs(power - dense)) <= 1e-12
+
+    @pytest.mark.parametrize("kind", list(GeometryKind))
+    def test_hand_built_copy_same_bits(self, kind):
+        # a layout given as bare elements gets the builder's classes, and
+        # so the builder's sums to the bit
+        g = build_array(kind, 20.3 * LAM, LAM)
+        hand = ArrayGeometry(kind=None, wavelength=g.wavelength,
+                             elements=g.elements.copy())
+        grid = np.linspace(30.0, 300.0, 301)
+        for make in (simo_miso_setup, mimo_setup):
+            assert np.array_equal(broadside_power_sweep(make(hand), 90.0, grid),
+                                  broadside_power_sweep(make(g), 90.0, grid))
 
     def test_broadside_point_on_element_rejected(self):
         # the edge-on ring of 316 elements has one on +z, at the top
@@ -390,6 +409,56 @@ class TestKernelRows:
         for setup in (simo_miso_setup(g), mimo_setup(g)):
             normalized_power(setup, [4.0, -3.0, 100.0], _patch())
         assert rows == [g.n_elements, g.n_elements]
+
+
+class TestOneTarget:
+    """A target is one point: a stack of several is rejected, not cut to
+    its first row."""
+
+    CALLS = [
+        lambda g, t: normalized_power(simo_miso_setup(g), t, [0.0, 0.0, 60.0]),
+        lambda g, t: normalized_power(mimo_setup(g), t, [[0.0, 1.0, 60.0]]),
+        lambda g, t: array_factor(g, t, [0.0, 0.0, 60.0]),
+    ]
+    IDS = ["normalized_power-simo", "normalized_power-mimo", "array_factor"]
+
+    @pytest.mark.parametrize("target", [
+        [[0.0, 0.0, 50.0], [0.0, 0.0, 80.0]], [[[0.0, 0.0, 50.0]]],
+        [0.0, 50.0], [[0.0], [0.0], [50.0]], [0.0, 0.0, math.inf], 50.0],
+        ids=["two", "3d", "short", "column", "inf", "scalar"])
+    @pytest.mark.parametrize("call", CALLS, ids=IDS)
+    def test_not_one_point_rejected(self, call, target):
+        with pytest.raises(ValueError, match="^target must be one finite "
+                                             "point$"):
+            call(build_ula(10 * LAM, LAM), target)
+
+    @pytest.mark.parametrize("call", CALLS, ids=IDS)
+    def test_one_row_stack_accepted(self, call):
+        g = build_ula(10 * LAM, LAM)
+        assert call(g, [[0.0, 0.0, 50.0]]) == call(g, [0.0, 0.0, 50.0])
+
+    def test_stacked_target_not_truncated(self):
+        # the first row alone gives 0.9927864012687516
+        s = simo_miso_setup(build_ula(10 * LAM, LAM))
+        assert normalized_power(s, [0, 0, 50], [0, 0, 60]) == 0.9927864012687516
+        with pytest.raises(ValueError, match="one finite point"):
+            normalized_power(s, [[0, 0, 50], [0, 0, 80]], [0, 0, 60])
+
+    @pytest.mark.parametrize("distance", [
+        [50.0, 80.0], [50.0], np.array([50.0]), 50.0 + 0j, math.nan, "50"],
+        ids=["two", "list", "array", "complex", "nan", "string"])
+    def test_broadside_distance_not_a_real_scalar(self, distance):
+        setup = simo_miso_setup(build_ula(10 * LAM, LAM))
+        with pytest.raises(ValueError, match="^target must be one finite "
+                                             "point$"):
+            broadside_power_sweep(setup, distance, [60.0, 70.0])
+
+    def test_broadside_real_scalars_accepted(self):
+        setup = simo_miso_setup(build_ula(10 * LAM, LAM))
+        want = broadside_power_sweep(setup, 50.0, [60.0, 70.0])
+        for distance in (50, np.float32(50.0), np.array(50.0), np.int64(50)):
+            assert np.array_equal(
+                broadside_power_sweep(setup, distance, [60.0, 70.0]), want)
 
 
 class TestEmptyBatch:

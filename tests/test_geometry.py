@@ -10,8 +10,9 @@ from nfsense.geometry import (ArrayGeometry, GeometryKind, ProcessingMode,
                               build_uca, build_ula, build_upca, build_ura,
                               MAX_ELEMENTS, fraunhofer_distance, mimo_setup,
                               simo_miso_setup)
+from nfsense.ambiguity import normalized_power
 from nfsense.cli import main
-from nfsense.geometry import _fraunhofer
+from nfsense.geometry import _CLASS_TOL, _fraunhofer
 
 LAM = 1.0
 
@@ -181,23 +182,105 @@ def test_unknown_kind_rejected():
                                                  "3d", "list"])
 def test_bad_hand_built_elements_rejected(elements):
     with pytest.raises(ValueError, match="elements"):
-        ArrayGeometry(kind=None, wavelength=LAM, elements=elements,
-                      aperture=0.0)
+        ArrayGeometry(kind=None, wavelength=LAM, elements=elements)
 
 
 @pytest.mark.parametrize("wavelength", [0.0, -1.0, math.nan])
 def test_hand_built_bad_wavelength_rejected(wavelength):
     with pytest.raises(ValueError, match="wavelength"):
         ArrayGeometry(kind=None, wavelength=wavelength,
-                      elements=np.zeros((1, 3)), aperture=0.0)
+                      elements=np.zeros((1, 3)))
 
 
 def test_hand_built_elements_copied():
     mine = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-    g = ArrayGeometry(kind=None, wavelength=LAM, elements=mine, aperture=1.0)
+    g = ArrayGeometry(kind=None, wavelength=LAM, elements=mine)
     assert mine.flags.writeable and not g.elements.flags.writeable
     mine[1, 0] = 5.0
     assert g.elements[1, 0] == 1.0
+
+
+def test_constructor_takes_the_elements_only():
+    assert [f.name for f in dataclasses.fields(ArrayGeometry) if f.init] == [
+        "kind", "wavelength", "elements"]
+    with pytest.raises(TypeError):
+        ArrayGeometry(None, LAM, np.zeros((1, 3)), 0.0)
+    with pytest.raises(TypeError):
+        ArrayGeometry(None, LAM, np.zeros((1, 3)), axial_class=[0])
+
+
+class TestDerivedAperture:
+    @pytest.mark.parametrize("kind, aperture, wavelength, bits", [
+        (GeometryKind.ULA, 12.0, 1.0, "0x1.8000000000000p+3"),
+        (GeometryKind.ULA, 7.31, 0.0123, "0x1.60aa64c2f837bp-4"),
+        (GeometryKind.UCA, 12.0, 1.0, "0x1.8000000000001p+3"),
+        (GeometryKind.UCA, 50.2, 1.0, "0x1.919999999999bp+5"),
+        (GeometryKind.URA, 50.2, 1.0, "0x1.8bfad401b2968p+5"),
+        (GeometryKind.URA, 7.31, 0.0123, "0x1.643efd57f3ef0p-4"),
+        (GeometryKind.UPCA, 50.2, 1.0, "0x1.9000000000001p+5"),
+        (GeometryKind.UPCA, 7.31, 0.0123, "0x1.60aa64c2f837cp-4")])
+    def test_builder_bits(self, kind, aperture, wavelength, bits):
+        # the values the builders recorded when they measured it themselves
+        g = build_array(kind, aperture * wavelength, wavelength)
+        assert g.aperture.hex() == bits
+        hand = ArrayGeometry(kind, wavelength, g.elements)
+        assert hand.aperture.hex() == bits
+
+    def test_single_element_is_zero(self):
+        assert simo_miso_setup(build_ula(10 * LAM, LAM)).tx.aperture == 0.0
+
+    def test_hand_built_ring_diameter(self):
+        theta = 2.0 * math.pi * np.arange(7) / 7
+        ring = np.column_stack([3.0 * np.cos(theta), 3.0 * np.sin(theta),
+                                np.zeros(7)])
+        g = ArrayGeometry(kind=None, wavelength=LAM, elements=ring)
+        assert g.aperture == pytest.approx(6.0, rel=1e-15)
+
+    def test_kind_sets_the_rule(self):
+        # the same square grid measured as a ULA (x extent), a URA
+        # (diagonal) and a ring (twice the largest norm)
+        g = build_ura(10 * LAM, LAM)
+        side = float(np.ptp(g.elements[:, 0]))
+        assert ArrayGeometry(GeometryKind.ULA, LAM, g.elements).aperture == side
+        assert g.aperture == math.hypot(side, side)
+        assert ArrayGeometry(None, LAM, g.elements).aperture == pytest.approx(
+            math.hypot(side, side), rel=1e-15)
+
+    @pytest.mark.parametrize("kind", [None, *GeometryKind])
+    def test_overflow_rejected(self, kind):
+        huge = np.array([[-1.5e308, -1.5e308, 0.0], [1.5e308, 1.5e308, 0.0]])
+        with pytest.raises(ValueError, match="aperture overflows"):
+            ArrayGeometry(kind=kind, wavelength=LAM, elements=huge)
+
+
+def oracle_classes(g):
+    """The axial classes of a built layout from its integer indices."""
+    n = g.n_elements
+    if g.kind is GeometryKind.ULA:
+        # elements i and n-1-i mirror each other about the axis
+        return np.abs(2 * np.arange(n) - (n - 1))
+    if g.kind is GeometryKind.URA:
+        # x = a lambda/4 and y = b lambda/4: x^2 + y^2 = (a^2 + b^2) (lambda/4)^2
+        a = 2 * np.arange(math.isqrt(n)) - (math.isqrt(n) - 1)
+        return (a[:, None] ** 2 + a[None, :] ** 2).ravel()
+    if g.kind is GeometryKind.UCA:
+        # theta and pi - theta share z and |x|: elements m and n/2 - m
+        # (mod n) of an even ring; an odd ring has no such pairs
+        m = np.arange(n)
+        return np.minimum(m, (n // 2 - m) % n) if n % 2 == 0 else m
+    # UPCA: the center, then ring i of max(1, ceil(2 pi i)) elements
+    rings = int(np.floor(g.aperture / g.wavelength + 1e-9))
+    counts = [max(1, math.ceil(2.0 * math.pi * i - 1e-9))
+              for i in range(1, rings + 1)]
+    return np.repeat(np.arange(rings + 1), [1] + counts)
+
+
+def same_partition(a, b):
+    """True if the labels a and b group the elements the same way."""
+    a = np.unique(a, return_inverse=True)[1].ravel()
+    b = np.unique(b, return_inverse=True)[1].ravel()
+    pairs = np.unique(a * (b.max() + 1) + b)
+    return len(pairs) == a.max() + 1 == b.max() + 1
 
 
 def _axial_key(g):
@@ -242,31 +325,52 @@ class TestAxialClasses:
             reps = np.round(_axial_key(g)[first], 9)
             assert len(np.unique(reps, axis=0)) == len(first)
 
-    def test_hand_built_all_distinct(self):
-        g = build_upca(6 * LAM, LAM)
-        hand = ArrayGeometry(kind=g.kind, wavelength=g.wavelength,
-                             elements=g.elements.copy(), aperture=g.aperture)
-        assert hand.axial_class.tolist() == list(range(g.n_elements))
-
     @pytest.mark.parametrize("kind", list(GeometryKind))
-    def test_mislabeled_classes_rejected(self, kind):
-        g = build_array(kind, 10 * LAM, LAM)
-        # join the two classes of the first two distinct class ids
-        ids = np.unique(g.axial_class)
-        wrong = np.where(g.axial_class == ids[1], ids[0], g.axial_class)
-        with pytest.raises(ValueError, match="axial_class"):
-            ArrayGeometry(kind=g.kind, wavelength=g.wavelength,
-                          elements=g.elements.copy(), aperture=g.aperture,
-                          axial_class=wrong)
+    def test_hand_built_has_builder_classes(self, kind):
+        g = build_array(kind, 10.3 * LAM, LAM)
+        hand = ArrayGeometry(kind=None, wavelength=g.wavelength,
+                             elements=g.elements.copy())
+        assert same_partition(hand.axial_class, g.axial_class)
+        assert same_partition(hand.axial_class, oracle_classes(g))
 
-    @pytest.mark.parametrize("classes", [np.zeros(3, dtype=int),
-                                         np.arange(21) * 1.0])
-    def test_malformed_classes_rejected(self, classes):
-        g = build_ula(10 * LAM, LAM)
-        with pytest.raises(ValueError, match="axial_class"):
-            ArrayGeometry(kind=g.kind, wavelength=g.wavelength,
-                          elements=g.elements.copy(), aperture=g.aperture,
-                          axial_class=classes)
+    @pytest.mark.parametrize("wavelength", [1.0, 0.0123, 7.1e-9])
+    @pytest.mark.parametrize("kind", list(GeometryKind))
+    def test_partition_equals_index_oracle(self, kind, wavelength):
+        # the index formulas the builders once labeled their elements with
+        for aperture in np.linspace(1.0, 100.0, 40):
+            g = build_array(kind, aperture * wavelength, wavelength)
+            assert same_partition(g.axial_class, oracle_classes(g)), aperture
+
+    def test_chain_of_small_steps_split(self):
+        # four keys 0.6 tolerance apart: each step is within the tolerance,
+        # the chain is not
+        step = 0.6 * _CLASS_TOL
+        g = ArrayGeometry(kind=None, wavelength=LAM, elements=np.array(
+            [[0.0, 0.0, 0.25 + i * step] for i in range(4)]))
+        assert len(np.unique(g.axial_class)) == 4
+        # a step past the tolerance starts a new class on its own
+        g = ArrayGeometry(kind=None, wavelength=LAM, elements=np.array(
+            [[0.0, 0.0, 0.25], [0.0, 0.0, 0.25 + step],
+             [0.0, 0.0, 0.25 + 3.0 * step]]))
+        assert g.axial_class[0] == g.axial_class[1] != g.axial_class[2]
+
+    def test_derived_on_demand_only(self, monkeypatch):
+        # building, exporting and off-axis sums never derive the classes
+        for kind in GeometryKind:
+            g = build_array(kind, 6 * LAM, LAM)
+            normalized_power(mimo_setup(g), [1.0, 2.0, 40.0], [[0.0, 1.0, 30.0]])
+            assert "axial_class" not in g.__dict__
+        with monkeypatch.context() as patch:
+            patch.setattr(ArrayGeometry, "axial_class",
+                          property(lambda g: pytest.fail("classes derived")))
+            for kind in ("ula", "uca", "ura", "upca"):
+                assert main(["dump-geometry", "--kind", kind,
+                             "--aperture-lambda", "4", "--out", "-"]) == 0
+        classes = g.axial_class
+        assert g.__dict__["axial_class"] is classes and g.axial_class is classes
+        assert not classes.flags.writeable
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            g.axial_class = np.arange(g.n_elements)
 
 
 class TestFraunhofer:
