@@ -1,32 +1,37 @@
 """Print a digest of every CLI output over a fixed argv matrix, then of
 the exact-sum library calls.
 
-Each CLI case runs nfsense.cli.main in this process with stdout and stderr
-captured, and prints one line: the sha256 of stdout and stderr, the exit
-code and the argv.  The matrix is every command over kind subsets, modes
-and both formats, the validate defaults, inputs that exit 1, a validate
-at lambda = 1e-11 m, an af-curve and a beamdepth-sweep at D = 12.457 lambda
-(whose d_FA moves by one ulp if its square goes through C's pow) and the
---help text of nfsense and of each command (argparse ends those with
-SystemExit, whose code is printed as the exit code; the text wraps to the
-terminal width, so compare listings made at the same COLUMNS).  Each
-library case (normalized_power on an off-axis patch per kind and setup,
-broadside_power_sweep per kind, D = 12 lambda at lambda = 1, on the built
-geometry and on an ArrayGeometry hand-built from its elements, whose line
-prints the built one's hash, normalized_power on an empty probe batch,
-array_factor of a ULA on probes about 1e5 and 1e6 lambda away, where the
-phase is many cycles, and of one element on a probe half a cycle nearer
-than the target, and the rejections of bad inputs: each builder at
-lambda = 0 and -1, an ArrayGeometry with empty, NaN or (2, 2) elements,
-build_array with a string kind, and normalized_power, array_factor and
-broadside_power_sweep given two targets; the package's sorted __all__,
-beamdepth and half_power_distances one ulp below d_FA/alpha and
-vergence_difference on a list) prints the sha256 of the result's bytes as
-a numpy array (a geometry's element array), 0 and the call; a raised
-exception prints the sha256 of its type name and the name in place of the
-0.  A checkout's outputs match another's when the two listings do, line by
-line by name (a checkout whose ArrayGeometry still takes an aperture
-argument is listed by its own copy of this script):
+Each CLI case runs nfsense.cli.main in this process with stdout and
+stderr captured, and prints one line: the sha256 of stdout and stderr,
+the exit code (or the name of an exception that escapes) and the argv.
+The matrix is every command over kind subsets, modes and both formats,
+the validate defaults, inputs that exit 1, a validate at lambda = 1e-11
+m, an af-curve and a beamdepth-sweep at D = 12.457 lambda (whose d_FA
+moves by one ulp if its square goes through C's pow) and the --help text
+of nfsense and of each command (argparse ends those with SystemExit,
+whose code is printed as the exit code; the text wraps to the terminal
+width, so compare listings made at the same COLUMNS).  Each library case
+(normalized_power on an off-axis patch per kind and setup,
+broadside_power_sweep per kind, D = 12 lambda at lambda = 1, on the
+built geometry, on an ArrayGeometry hand-built from its elements, whose
+line prints the built one's hash, and on one hand-built from them in a
+fixed other order, which pins the class terms' representatives and
+summation order, normalized_power on an empty probe batch, array_factor
+of a ULA on probes about 1e5 and 1e6 lambda away, where the phase is
+many cycles, and of one element on a probe half a cycle nearer than the
+target, and the rejections of bad inputs: each builder at lambda = 0 and
+-1, an ArrayGeometry with empty, NaN or (2, 2) elements, build_array
+with a string kind, and normalized_power, array_factor and
+broadside_power_sweep given two targets; fraunhofer_distance and a MIMO
+normalized_power of a ULA hand-built with a float32 wavelength; the
+package's sorted __all__, beamdepth and half_power_distances one ulp
+below d_FA/alpha and vergence_difference on a list) prints the sha256 of
+the result's bytes as a numpy array (a geometry's element array), 0 and
+the call; a raised exception prints the sha256 of its type name and the
+name in place of the 0.  A checkout's outputs match another's when the
+two listings do, line by line by name (a checkout whose ArrayGeometry
+still takes an aperture argument is listed by its own copy of this
+script):
 
     python3 scripts/output_digest.py /path/to/other/checkout > before.txt
     python3 scripts/output_digest.py > after.txt
@@ -69,6 +74,7 @@ BAD_INPUTS = (
     "dump-geometry --kind ula,uca",
     "dump-geometry --kind ula --aperture-lambda 0.3",
     "dump-geometry --kind upca --aperture-lambda 3 --wavelength 1e300",
+    "dump-geometry --kind upca --aperture-lambda 1.7 --wavelength 1e308",
     "beamdepth-sweep --aperture-lambda 5e153 --sweep 1:1e300:3",
     "beamdepth-sweep --aperture-lambda 1e-100 --sweep 1e-300:1e300:3",
     "validate --kind ula --wavelength 1e152",
@@ -105,7 +111,8 @@ def library_cases():
                                    normalized_power)
     from nfsense.closed_form import vergence_difference
     from nfsense.geometry import (ArrayGeometry, GeometryKind, build_array,
-                                  mimo_setup, simo_miso_setup)
+                                  fraunhofer_distance, mimo_setup,
+                                  simo_miso_setup)
     from nfsense.metrics import beamdepth, half_power_distances
 
     x, z = np.meshgrid(np.linspace(-15.0, 15.0, 30), np.linspace(60.0, 140.0, 20))
@@ -116,7 +123,12 @@ def library_cases():
             yield (f"normalized_power {kind.value} {make.__name__}",
                    normalized_power, (make(array), [4.0, -3.0, 100.0], patch))
         hand = ArrayGeometry(kind, 1.0, array.elements)
-        for geometry, how in ((array, "simo_miso_setup"), (hand, "hand-built")):
+        # the same elements in another order: a class's term is its
+        # lowest-index element, and the terms are summed in index order
+        permuted = ArrayGeometry(kind, 1.0, np.roll(
+            array.elements[::-1], array.n_elements // 3, axis=0))
+        for geometry, how in ((array, "simo_miso_setup"), (hand, "hand-built"),
+                              (permuted, "permuted")):
             yield (f"broadside_power_sweep {kind.value} {how}",
                    broadside_power_sweep, (simo_miso_setup(geometry), 60.0,
                                            np.linspace(20.0, 200.0, 901)))
@@ -141,6 +153,13 @@ def library_cases():
         yield (f"ArrayGeometry {name} elements", _elements,
                (ArrayGeometry, None, 1.0, elements))
     yield ("build_array 'ula' 1 1", _elements, (build_array, "ula", 1.0, 1.0))
+    # a float32 wavelength, which the geometry keeps as a float
+    single = ArrayGeometry(GeometryKind.ULA, np.float32(0.0123), build_array(
+        GeometryKind.ULA, 20 * 0.0123, 0.0123).elements)
+    yield ("fraunhofer_distance ula float32 wavelength", fraunhofer_distance,
+           (single,))
+    yield ("normalized_power ula mimo_setup float32 wavelength",
+           normalized_power, (mimo_setup(single), [0.01, 0.02, 0.5], patch / 100))
     two = [[0.0, 0.0, 50.0], [0.0, 0.0, 80.0]]
     yield ("normalized_power ula simo_miso_setup two targets", normalized_power,
            (simo_miso_setup(ula), two, [0.0, 0.0, 60.0]))
@@ -170,6 +189,8 @@ def main(argv=None) -> int:
                 code = cli_main(case.split())
             except SystemExit as exc:  # --help
                 code = exc.code
+            except Exception as exc:  # a traceback: the type is the code
+                code = type(exc).__name__
         digest = hashlib.sha256(
             out.getvalue().encode() + b"\0" + err.getvalue().encode())
         print(digest.hexdigest(), code, case.strip())

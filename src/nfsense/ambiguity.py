@@ -22,9 +22,9 @@ error is re-raised.  A probe's sum is the same row sum whatever block or
 thread holds it, so the bits do not depend on the split, and no setting
 selects it.  Off broadside every weight is 1.  On the +z axis an element's
 distance depends only on (x^2 + y^2, z), so broadside_power_sweep sums the
-first element of each axial class (ArrayGeometry.axial_class) weighted by
-the class size, at its exact position, and normalizes by the full element
-count.  A target is one point; a stack of several is rejected.
+weighted terms of ArrayGeometry.axial_terms, one per axial class in index
+order, and normalizes by the full element count.  A target is one point; a
+stack of several is rejected.
 """
 
 from __future__ import annotations
@@ -147,14 +147,8 @@ def _array_factor(geometry: ArrayGeometry, target, probes,
     """(P,) array factors; axial=True sums one weighted element per class,
     which is exact only for a target and probes on +z."""
     m = geometry.n_elements
-    if axial:
-        _, first, counts = np.unique(geometry.axial_class, return_index=True,
-                                     return_counts=True)
-        order = np.argsort(first)
-        elements = geometry.elements[first[order]]
-        weights = counts[order].astype(float)
-    else:
-        elements, weights = geometry.elements, np.ones(m)
+    elements, weights = (geometry.axial_terms if axial
+                         else (geometry.elements, np.ones(m)))
     # a squared distance that overflows (~1e154 away) makes a sum nan
     with np.errstate(over="ignore", invalid="ignore"):
         out = _phase_sum(elements, weights, 1.0 / geometry.wavelength, target,

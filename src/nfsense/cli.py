@@ -398,16 +398,12 @@ def _validate_series(kind: GeometryKind, args) -> list:
 def _crossing(distances, power, d_target, upper: bool):
     """Interpolated half-power crossing adjacent to the target range."""
     above = power >= 0.5
-    if upper:
-        idx = np.where((distances[:-1] > d_target) & above[:-1] & ~above[1:])[0]
-        if idx.size == 0:
-            return None
-        i = int(idx[0])
-    else:
-        idx = np.where((distances[1:] < d_target) & ~above[:-1] & above[1:])[0]
-        if idx.size == 0:
-            return None
-        i = int(idx[-1])
+    fall = (distances[:-1] > d_target) & above[:-1] & ~above[1:]
+    rise = (distances[1:] < d_target) & ~above[:-1] & above[1:]
+    idx = np.flatnonzero(fall)[:1] if upper else np.flatnonzero(rise)[-1:]
+    if idx.size == 0:
+        return None
+    i = int(idx[0])
     p0, p1 = power[i], power[i + 1]
     return float(distances[i] + (0.5 - p0) / (p1 - p0)
                  * (distances[i + 1] - distances[i]))

@@ -11,12 +11,13 @@ equidistant from any on-axis point and therefore no range selectivity at
 all, so the ring must be edge-on to the axis it resolves ranges along.
 
 On the +z axis an element's distance depends only on (x^2 + y^2, z).
-ArrayGeometry.axial_class sorts the elements on that key, in units of the
+ArrayGeometry.axial_terms sorts the elements on that key, in units of the
 larger of lambda and the largest coordinate, and starts a new class where
 it steps by more than _CLASS_TOL; a class that such steps stretch further
 from its first key is split into single elements.  This finds the ULA's
 mirror pairs, the URA's and UPCA's rings and an even UCA's +-x mirror
-pairs, of a built or a hand-built layout alike.
+pairs, of a built or a hand-built layout alike.  A class's term is its
+lowest-index element weighted by its size; terms are kept in index order.
 """
 
 from __future__ import annotations
@@ -97,11 +98,11 @@ class ProcessingMode(Enum):
 class ArrayGeometry:
     """Immutable element layout; every other value is derived from it.
 
-    kind is None for the SIMO/MISO transmit element (SensingSetup.tx) and a
-    layout of no supported kind.  The wavelength must be finite and
-    positive, and elements a non-empty (M, 3) array of finite values, kept
-    as a read-only float copy.  aperture is computed once from them: a
-    ULA's length, a URA's diagonal, else twice the largest element norm.
+    kind is a GeometryKind, or None for SensingSetup.tx's single element
+    and a layout of no supported kind.  The wavelength, a finite positive
+    real, is kept as a float; elements, a non-empty (M, 3) array of finite
+    values, as a read-only float copy.  aperture is computed once from
+    them: a ULA's length, a URA's diagonal, else twice the largest norm.
     """
 
     kind: GeometryKind | None
@@ -110,7 +111,9 @@ class ArrayGeometry:
     aperture: float = field(init=False)
 
     def __post_init__(self):
-        _check_wavelength(self.wavelength)
+        if not (self.kind is None or isinstance(self.kind, GeometryKind)):
+            raise ValueError(f"unknown geometry kind {self.kind!r}")
+        object.__setattr__(self, "wavelength", _check_wavelength(self.wavelength))
         e = self.elements
         if not (isinstance(e, np.ndarray) and e.dtype.kind in "iuf"
                 and e.ndim == 2 and e.shape[0] > 0 and e.shape[1] == 3
@@ -137,9 +140,9 @@ class ArrayGeometry:
         return self.elements.shape[0]
 
     @cached_property
-    def axial_class(self) -> np.ndarray:
-        """Read-only class label per element (see the module docstring),
-        derived on first access."""
+    def axial_terms(self) -> tuple:
+        """Read-only (K, 3) positions and (K,) float weights of the K axial
+        classes (see the module docstring), derived on first access."""
         unit = self.elements / max(self.wavelength,
                                    float(np.abs(self.elements).max()))
         r2, z = unit[:, 0] ** 2 + unit[:, 1] ** 2, unit[:, 2]
@@ -154,17 +157,21 @@ class ArrayGeometry:
         first = np.flatnonzero(start)[label - 1]
         stray = np.maximum(abs(r2 - r2[first]), abs(z - z[first])) > _CLASS_TOL
         start |= np.isin(label, label[stray])
-        classes = np.empty_like(order)
-        classes[order] = np.cumsum(start) - 1
-        classes.setflags(write=False)
-        return classes
+        heads = np.flatnonzero(start)
+        lowest = np.minimum.reduceat(order, heads)
+        rank = np.argsort(lowest)
+        positions = self.elements[lowest[rank]]
+        weights = np.diff(heads, append=order.size)[rank].astype(float)
+        positions.flags.writeable = weights.flags.writeable = False
+        return positions, weights
 
 
-def _check_wavelength(wavelength) -> None:
-    """ValueError unless the wavelength is finite and positive."""
-    if not 0.0 < wavelength < math.inf:
-        raise ValueError(f"wavelength must be finite and positive, "
-                         f"got {wavelength}")
+def _check_wavelength(wavelength) -> float:
+    """The wavelength as a float; ValueError unless a finite positive real."""
+    value = np.asarray(wavelength)
+    if value.shape or value.dtype.kind not in "iuf" or not 0.0 < value < math.inf:
+        raise ValueError(f"wavelength must be finite and positive, got {wavelength}")
+    return float(value)
 
 
 def _aperture_overflow(kind, wavelength: float) -> ValueError:
@@ -186,7 +193,7 @@ def _finish(kind, wavelength, pos) -> ArrayGeometry:
         pos = pos - pos.mean(axis=0)
     if not np.isfinite(pos).all():
         raise _aperture_overflow(kind, wavelength)
-    return ArrayGeometry(kind, float(wavelength), pos)
+    return ArrayGeometry(kind, wavelength, pos)
 
 
 def build_ula(aperture: float, wavelength: float) -> ArrayGeometry:
@@ -194,7 +201,7 @@ def build_ula(aperture: float, wavelength: float) -> ArrayGeometry:
 
     Element count is floor(2 D / lambda) + 1.
     """
-    _check_wavelength(wavelength)
+    wavelength = _check_wavelength(wavelength)
     if not aperture >= wavelength / 2:
         raise ValueError(f"ULA aperture must be >= lambda/2, got {aperture}")
     n = _check_count(GeometryKind.ULA,
@@ -211,7 +218,7 @@ def build_uca(diameter: float, wavelength: float) -> ArrayGeometry:
     Elements sit in the x-z plane, equally spaced on the circle with arc
     spacing <= lambda/2 (count = ceil(pi D / (lambda/2))).
     """
-    _check_wavelength(wavelength)
+    wavelength = _check_wavelength(wavelength)
     if not diameter >= wavelength / 2:
         raise ValueError(f"UCA diameter must be >= lambda/2, got {diameter}")
     n = _check_count(GeometryKind.UCA,
@@ -229,7 +236,7 @@ def build_ura(diagonal: float, wavelength: float) -> ArrayGeometry:
     Per-axis spacing is exactly lambda/2, per-axis count
     floor(sqrt(2) D / lambda) + 1.
     """
-    _check_wavelength(wavelength)
+    wavelength = _check_wavelength(wavelength)
     if not diagonal >= wavelength / math.sqrt(2):
         raise ValueError(f"URA diagonal must be >= lambda/sqrt(2), got {diagonal}")
     n = float(np.floor(math.sqrt(2.0) * diagonal / wavelength + _TOL)) + 1
@@ -248,7 +255,7 @@ def build_upca(diameter: float, wavelength: float) -> ArrayGeometry:
     ring populated with max(1, ceil(2 pi r / (lambda/2))) elements so the
     arc spacing never exceeds lambda/2.
     """
-    _check_wavelength(wavelength)
+    wavelength = _check_wavelength(wavelength)
     if not diameter >= wavelength:
         raise ValueError(f"UPCA diameter must be >= lambda, got {diameter}")
     n_rings = float(np.floor(diameter / wavelength + _TOL))
@@ -256,8 +263,10 @@ def build_upca(diameter: float, wavelength: float) -> ArrayGeometry:
     _check_count(GeometryKind.UPCA, math.pi * n_rings * n_rings, diameter,
                  wavelength)
     radii = [0.5 * i * wavelength for i in range(1, int(n_rings) + 1)]
-    counts = [max(1, int(math.ceil(4.0 * math.pi * r / wavelength - _TOL)))
-              for r in radii]
+    turns = [4.0 * math.pi * r / wavelength - _TOL for r in radii]
+    if turns[-1] == math.inf:  # 4 pi r overflows, on the outer ring first
+        raise _aperture_overflow(GeometryKind.UPCA, wavelength)
+    counts = [max(1, int(math.ceil(t))) for t in turns]
     _check_count(GeometryKind.UPCA, 1 + sum(counts), diameter, wavelength)
     chunks = [np.zeros((1, 3))]
     for r, count in zip(radii, counts):

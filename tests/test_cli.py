@@ -1,6 +1,7 @@
 import argparse
 import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -412,6 +413,9 @@ class TestExitCodes:
         # an aperture that overflows while it is measured
         "validate --kind uca --aperture-lambda 3 --wavelength 1e300",
         "dump-geometry --kind upca --aperture-lambda 3 --wavelength 1e300",
+        # a UPCA ring whose 4 pi r overflows while its elements are counted
+        "dump-geometry --kind upca --aperture-lambda 1.7 --wavelength 1e308",
+        "validate --kind upca --aperture-lambda 1 --wavelength 1.7e308",
         # positions whose mean or extent overflows while they are centred
         "dump-geometry --kind uca --aperture-lambda 1e5 --wavelength 1e300",
         "validate --kind ula --aperture-lambda 1e5 --wavelength 1e300 "
@@ -430,6 +434,71 @@ class TestExitCodes:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("nfsense: error: ")
+
+    def test_upca_ring_overflow_named(self, capsys):
+        # the ring would hold 7 elements: its 4 pi r, not its count, is
+        # out of range
+        assert main(["dump-geometry", "--kind", "upca", "--aperture-lambda",
+                     "1.7", "--wavelength", "1e308"]) == 1
+        assert capsys.readouterr().err == (
+            "nfsense: error: UPCA aperture overflows at lambda = 1e+308 m\n")
+
+
+# each flag's extreme values: those it accepts, then those it rejects.
+# Apertures stop at 50 wavelengths (8,037 UPCA elements) and sweeps at 301
+# points, so that the seeded draw below runs in about a second.
+_EXTREMES = {
+    "--kind": (("ula", "uca", "ura", "upca", "upca,ula", "URA, upca"),
+               ("", "nope")),
+    "--mode": (("simo", "mimo", "both", "simo-miso"), ("", "x")),
+    "--aperture-lambda": (("1e-300", "0.3", "0.5", "1", "1.7", "50", "1e200",
+                           "1.7e308"), ("0", "-5", "inf", "nan")),
+    "--target-lambda": (("1e-300", "0.5", "100", "1e150", "1.7e308"),
+                        ("0", "inf")),
+    "--wavelength": (("1e-320", "1e-11", "1", "1e152", "1e300", "1e308",
+                      "1.7e308"), ("0", "nan")),
+    "--sweep": (("0:0:2", "0:0:301", "1e-320:1:3", "1e-300:1e300:3",
+                 "50:400:201"), ("400:50:100", "1:inf:3", "0:0:100001")),
+    "--format": (("csv", "json", "JSON"), ("xml",)),
+}
+
+
+def _seeded_argvs(count, tmp_path):
+    """count argvs over every command, each flag left out or drawn from its
+    extremes (a rejected one one time in ten), with stdlib random at a
+    fixed seed."""
+    config = tmp_path / "extreme.cfg"
+    config.write_text("kind = upca\nwavelength = 1e308\naperture_lambda = 1.7\n")
+    values = dict(_EXTREMES, **{
+        "--out": (("-", str(tmp_path / "out.txt")),
+                  (str(tmp_path / "no" / "dir" / "out.txt"),)),
+        "--config": ((str(config),), (str(tmp_path / "missing.cfg"),))})
+    rng = random.Random(21)
+    for _ in range(count):
+        argv = [rng.choice(list(cli._COMMANDS))]
+        for flag, (accepted, rejected) in values.items():
+            if rng.random() < 0.5:
+                argv += [flag, rng.choice(rejected if rng.random() < 0.1
+                                          else accepted)]
+        yield argv
+
+
+def test_seeded_argv_domain(tmp_path, capsys):
+    # every input ends in a documented exit code, a usage error in one
+    # stderr line, and none in an escaping exception or a numpy warning
+    codes = []
+    for argv in _seeded_argvs(300, tmp_path):
+        try:
+            code = main(argv)
+        except Exception as exc:
+            pytest.fail(f"{' '.join(argv)}: {exc!r}")
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2, 3), argv
+        if code == 1:
+            assert len(err.splitlines()) == 1, argv
+        codes.append(code)
+    # the draw reaches every outcome
+    assert set(codes) == {0, 1, 2, 3}
 
 
 WRITER_CASES = [

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -160,8 +161,11 @@ def test_elements_are_immutable():
     g = build_ula(5 * LAM, LAM)
     with pytest.raises(ValueError):
         g.elements[0, 0] = 1.0
+    positions, weights = g.axial_terms
     with pytest.raises(ValueError):
-        g.axial_class[0] = 7
+        positions[0, 0] = 7.0
+    with pytest.raises(ValueError):
+        weights[0] = 7.0
 
 
 @pytest.mark.parametrize("wavelength", [0.0, -1.0, math.nan, math.inf])
@@ -174,6 +178,17 @@ def test_bad_wavelength_rejected(kind, wavelength):
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError, match="unknown geometry kind"):
         build_array("ula", 1.0, 1.0)
+
+
+@pytest.mark.parametrize("kind", ["ula", "ULA", 1])
+def test_hand_built_unknown_kind_rejected(kind):
+    # a kind that is not a GeometryKind would take the ring aperture rule
+    with pytest.raises(ValueError, match="unknown geometry kind"):
+        ArrayGeometry(kind, LAM, build_ula(10 * LAM, LAM).elements)
+    # and is named before the aperture overflows
+    huge = np.array([[-1.5e308, 0.0, 0.0], [1.5e308, 0.0, 0.0]])
+    with pytest.raises(ValueError, match="unknown geometry kind"):
+        ArrayGeometry(kind, LAM, huge)
 
 
 @pytest.mark.parametrize("elements", [
@@ -192,6 +207,50 @@ def test_hand_built_bad_wavelength_rejected(wavelength):
                       elements=np.zeros((1, 3)))
 
 
+@pytest.mark.parametrize("wavelength", ["1.0", b"1.0", None, 1j, [1.0],
+                                        np.array([1.0]), True])
+@pytest.mark.parametrize("kind", list(GeometryKind))
+def test_non_real_wavelength_rejected(kind, wavelength):
+    with pytest.raises(ValueError, match="wavelength must be finite and positive"):
+        ArrayGeometry(kind, wavelength, build_array(kind, 10.0, 1.0).elements)
+    with pytest.raises(ValueError, match="wavelength must be finite and positive"):
+        build_array(kind, 10.0, wavelength)
+
+
+class TestFloatWavelength:
+    """A wavelength of any real type is kept as a Python float."""
+
+    LAM32 = np.float32(0.0123)
+
+    def test_kept_as_float(self):
+        g = build_ula(20 * 0.0123, 0.0123)
+        for wavelength in (self.LAM32, np.float64(0.5), 2, np.int32(2),
+                           np.array(0.25)):
+            hand = ArrayGeometry(GeometryKind.ULA, wavelength, g.elements)
+            assert type(hand.wavelength) is float
+            assert hand.wavelength == float(wavelength)
+            built = build_ula(10.0, wavelength)
+            assert type(built.wavelength) is float
+
+    def test_fraunhofer_distance_in_double(self):
+        g = build_ula(20 * 0.0123, 0.0123)
+        hand = ArrayGeometry(GeometryKind.ULA, self.LAM32, g.elements)
+        double = ArrayGeometry(GeometryKind.ULA, float(self.LAM32), g.elements)
+        assert type(fraunhofer_distance(hand)) is float
+        assert fraunhofer_distance(hand) == fraunhofer_distance(double)
+        assert fraunhofer_distance(hand) == 9.840000324249278
+
+    def test_exact_sum_in_double(self):
+        g = build_upca(6 * 0.0123, 0.0123)
+        hand = ArrayGeometry(GeometryKind.UPCA, self.LAM32, g.elements)
+        double = ArrayGeometry(GeometryKind.UPCA, float(self.LAM32), g.elements)
+        target = [0.01, 0.02, 0.5]
+        probes = [[0.0, 0.01, 0.4], [0.03, 0.0, 0.7]]
+        for make in (simo_miso_setup, mimo_setup):
+            assert np.array_equal(normalized_power(make(hand), target, probes),
+                                  normalized_power(make(double), target, probes))
+
+
 def test_hand_built_elements_copied():
     mine = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
     g = ArrayGeometry(kind=None, wavelength=LAM, elements=mine)
@@ -206,7 +265,7 @@ def test_constructor_takes_the_elements_only():
     with pytest.raises(TypeError):
         ArrayGeometry(None, LAM, np.zeros((1, 3)), 0.0)
     with pytest.raises(TypeError):
-        ArrayGeometry(None, LAM, np.zeros((1, 3)), axial_class=[0])
+        ArrayGeometry(None, LAM, np.zeros((1, 3)), axial_terms=(0, 1))
 
 
 class TestDerivedAperture:
@@ -275,17 +334,24 @@ def oracle_classes(g):
     return np.repeat(np.arange(rings + 1), [1] + counts)
 
 
-def same_partition(a, b):
-    """True if the labels a and b group the elements the same way."""
-    a = np.unique(a, return_inverse=True)[1].ravel()
-    b = np.unique(b, return_inverse=True)[1].ravel()
-    pairs = np.unique(a * (b.max() + 1) + b)
-    return len(pairs) == a.max() + 1 == b.max() + 1
+def oracle_terms(g):
+    """The lowest-index position and the size of each oracle class, in
+    ascending index order."""
+    _, first, counts = np.unique(oracle_classes(g), return_index=True,
+                                 return_counts=True)
+    order = np.argsort(first)
+    return g.elements[first[order]], counts[order].astype(float)
 
 
-def _axial_key(g):
-    """(x^2 + y^2, z) per element, in wavelengths."""
-    e = g.elements / g.wavelength
+def same_terms(a, b):
+    """True if the (positions, weights) pairs a and b are equal bit for bit."""
+    return all(x.dtype == y.dtype and x.shape == y.shape
+               and x.tobytes() == y.tobytes() for x, y in zip(a, b))
+
+
+def _axial_key(points, wavelength):
+    """(x^2 + y^2, z) per point, in wavelengths."""
+    e = points / wavelength
     return np.column_stack([e[:, 0] ** 2 + e[:, 1] ** 2, e[:, 2]])
 
 
@@ -295,51 +361,77 @@ class TestAxialClasses:
         (GeometryKind.URA, 50.0, 5041, 536), (GeometryKind.UCA, 50.2, 316, 159)])
     def test_class_count(self, kind, aperture, elements, classes):
         g = build_array(kind, aperture * LAM, LAM)
+        positions, weights = g.axial_terms
         assert g.n_elements == elements
-        assert g.axial_class.shape == (elements,)
-        assert len(np.unique(g.axial_class)) == classes
+        assert positions.shape == (classes, 3) and len(weights) == classes
+        assert weights.dtype == np.float64
+        assert weights.sum() == g.n_elements
 
     @pytest.mark.parametrize("aperture", [50.0, 10.0, 3.3])
     def test_odd_uca_all_distinct(self, aperture):
         g = build_uca(aperture * LAM, LAM)
         assert g.n_elements % 2 == 1
-        assert len(np.unique(g.axial_class)) == g.n_elements
+        positions, weights = g.axial_terms
+        assert np.array_equal(positions, g.elements)
+        assert np.all(weights == 1.0)
 
     @pytest.mark.parametrize("kind, aperture", [
         (GeometryKind.ULA, 50.0), (GeometryKind.UCA, 50.2),
         (GeometryKind.URA, 50.0), (GeometryKind.UPCA, 50.0),
         (GeometryKind.UCA, 12.0), (GeometryKind.ULA, 0.5)])
     def test_members_share_axial_distance(self, kind, aperture):
+        # every element shares (x^2 + y^2, z) with exactly one term, and a
+        # term's weight is the number of elements that share it
         g = build_array(kind, aperture * LAM, LAM)
-        key = _axial_key(g)
-        for c in np.unique(g.axial_class):
-            members = key[g.axial_class == c]
-            assert np.max(np.abs(members - members[0])) <= 1e-12
+        positions, weights = g.axial_terms
+        key = _axial_key(g.elements, g.wavelength)
+        term_key = _axial_key(positions, g.wavelength)
+        near = np.abs(key[:, None, :] - term_key[None, :, :]).max(axis=2) <= 1e-12
+        assert np.all(near.sum(axis=1) == 1)
+        assert np.array_equal(near.sum(axis=0), weights)
 
     def test_distinct_classes_differ(self):
-        # classes are as coarse as the layout allows: two classes never
+        # classes are as coarse as the layout allows: two terms never
         # share (x^2 + y^2, z)
         for kind in GeometryKind:
             g = build_array(kind, 20.4 * LAM, LAM)
-            _, first = np.unique(g.axial_class, return_index=True)
-            reps = np.round(_axial_key(g)[first], 9)
-            assert len(np.unique(reps, axis=0)) == len(first)
+            positions, weights = g.axial_terms
+            reps = np.round(_axial_key(positions, g.wavelength), 9)
+            assert len(np.unique(reps, axis=0)) == len(weights)
+
+    def test_lowest_index_in_index_order(self):
+        # each term is its class's first element in index order, and the
+        # terms follow that order, whatever order the elements come in
+        for kind in GeometryKind:
+            g = build_array(kind, 10.3 * LAM, LAM)
+            shuffled = g.elements[np.random.default_rng(5).permutation(
+                g.n_elements)]
+            hand = ArrayGeometry(None, LAM, shuffled)
+            positions, weights = hand.axial_terms
+            rows = [np.flatnonzero((shuffled == p).all(axis=1))[0]
+                    for p in positions]
+            assert rows == sorted(rows)
+            key = _axial_key(shuffled, LAM)
+            for row in rows:
+                # no element before a term's row belongs to its class
+                same = np.abs(key[:row] - key[row]).max(axis=1) <= 1e-12
+                assert not same.any()
 
     @pytest.mark.parametrize("kind", list(GeometryKind))
     def test_hand_built_has_builder_classes(self, kind):
         g = build_array(kind, 10.3 * LAM, LAM)
         hand = ArrayGeometry(kind=None, wavelength=g.wavelength,
                              elements=g.elements.copy())
-        assert same_partition(hand.axial_class, g.axial_class)
-        assert same_partition(hand.axial_class, oracle_classes(g))
+        assert same_terms(hand.axial_terms, g.axial_terms)
+        assert same_terms(hand.axial_terms, oracle_terms(g))
 
     @pytest.mark.parametrize("wavelength", [1.0, 0.0123, 7.1e-9])
     @pytest.mark.parametrize("kind", list(GeometryKind))
-    def test_partition_equals_index_oracle(self, kind, wavelength):
+    def test_terms_equal_index_oracle(self, kind, wavelength):
         # the index formulas the builders once labeled their elements with
         for aperture in np.linspace(1.0, 100.0, 40):
             g = build_array(kind, aperture * wavelength, wavelength)
-            assert same_partition(g.axial_class, oracle_classes(g)), aperture
+            assert same_terms(g.axial_terms, oracle_terms(g)), aperture
 
     def test_chain_of_small_steps_split(self):
         # four keys 0.6 tolerance apart: each step is within the tolerance,
@@ -347,30 +439,51 @@ class TestAxialClasses:
         step = 0.6 * _CLASS_TOL
         g = ArrayGeometry(kind=None, wavelength=LAM, elements=np.array(
             [[0.0, 0.0, 0.25 + i * step] for i in range(4)]))
-        assert len(np.unique(g.axial_class)) == 4
+        positions, weights = g.axial_terms
+        assert weights.tolist() == [1.0] * 4
+        assert np.array_equal(positions, g.elements)
         # a step past the tolerance starts a new class on its own
         g = ArrayGeometry(kind=None, wavelength=LAM, elements=np.array(
             [[0.0, 0.0, 0.25], [0.0, 0.0, 0.25 + step],
              [0.0, 0.0, 0.25 + 3.0 * step]]))
-        assert g.axial_class[0] == g.axial_class[1] != g.axial_class[2]
+        positions, weights = g.axial_terms
+        assert weights.tolist() == [2.0, 1.0]
+        assert np.array_equal(positions, g.elements[[0, 2]])
 
     def test_derived_on_demand_only(self, monkeypatch):
-        # building, exporting and off-axis sums never derive the classes
+        # building, exporting and off-axis sums never derive the terms
         for kind in GeometryKind:
             g = build_array(kind, 6 * LAM, LAM)
             normalized_power(mimo_setup(g), [1.0, 2.0, 40.0], [[0.0, 1.0, 30.0]])
-            assert "axial_class" not in g.__dict__
+            assert "axial_terms" not in g.__dict__
         with monkeypatch.context() as patch:
-            patch.setattr(ArrayGeometry, "axial_class",
-                          property(lambda g: pytest.fail("classes derived")))
+            patch.setattr(ArrayGeometry, "axial_terms",
+                          property(lambda g: pytest.fail("terms derived")))
             for kind in ("ula", "uca", "ura", "upca"):
                 assert main(["dump-geometry", "--kind", kind,
                              "--aperture-lambda", "4", "--out", "-"]) == 0
-        classes = g.axial_class
-        assert g.__dict__["axial_class"] is classes and g.axial_class is classes
-        assert not classes.flags.writeable
+        terms = g.axial_terms
+        assert g.__dict__["axial_terms"] is terms and g.axial_terms is terms
+        assert not any(array.flags.writeable for array in terms)
         with pytest.raises(dataclasses.FrozenInstanceError):
-            g.axial_class = np.arange(g.n_elements)
+            g.axial_terms = terms
+
+    def test_derived_once_per_layout(self, monkeypatch, capsys):
+        # validate sums four broadside sweeps per layout on one geometry
+        derived = []
+        getter = ArrayGeometry.axial_terms.func
+
+        def counted(g):
+            derived.append(g.kind)
+            return getter(g)
+
+        counting = cached_property(counted)
+        counting.__set_name__(ArrayGeometry, "axial_terms")
+        monkeypatch.setattr(ArrayGeometry, "axial_terms", counting)
+        code = main(["validate", "--kind", "ula,uca,ura,upca", "--mode", "both",
+                     "--sweep", "0:0:201", "--out", "-"])
+        assert code in (0, 2)  # 2 while the UPCA misses the 2% gate
+        assert derived == list(GeometryKind)
 
 
 class TestFraunhofer:
@@ -408,7 +521,8 @@ def test_single_element():
     assert tx.kind is None
     assert tx.aperture == 0.0
     assert tx.wavelength == g.wavelength
-    assert tx.axial_class.tolist() == [0]
+    assert tx.axial_terms[0].tolist() == [[0.0, 0.0, 0.0]]
+    assert tx.axial_terms[1].tolist() == [1.0]
     assert s.rx is g
     assert mimo_setup(g).tx is g
     assert "single_element" not in nfsense.__all__
