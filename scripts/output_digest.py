@@ -25,9 +25,10 @@ with a string kind, and normalized_power, array_factor and
 broadside_power_sweep given two targets; fraunhofer_distance and a MIMO
 normalized_power of a ULA hand-built with a float32 wavelength; the
 package's sorted __all__, beamdepth and half_power_distances one ulp
-below d_FA/alpha and vergence_difference on a list) prints the sha256 of
-the result's bytes as a numpy array (a geometry's element array), 0 and
-the call; a raised exception prints the sha256 of its type name and the
+below d_FA/alpha, vergence_difference on a list, and each specfun
+function and normalized_af_power per kind and mode called on each of the
+Python floats SCALARS) prints the sha256 of the result's bytes as a
+numpy array (a geometry's element array), 0 and the call; a raised exception prints the sha256 of its type name and the
 name in place of the 0.  A checkout's outputs match another's when the
 two listings do, line by line by name (a checkout whose ArrayGeometry
 still takes an aperture argument is listed by its own copy of this
@@ -75,6 +76,9 @@ BAD_INPUTS = (
     "dump-geometry --kind ula --aperture-lambda 0.3",
     "dump-geometry --kind upca --aperture-lambda 3 --wavelength 1e300",
     "dump-geometry --kind upca --aperture-lambda 1.7 --wavelength 1e308",
+    "dump-geometry --kind ula --aperture-lambda 1 --wavelength 1e308",
+    "dump-geometry --kind uca --aperture-lambda 1 --wavelength 1e308",
+    "dump-geometry --kind ura --aperture-lambda 1.5 --wavelength 1e308",
     "beamdepth-sweep --aperture-lambda 5e153 --sweep 1:1e300:3",
     "beamdepth-sweep --aperture-lambda 1e-100 --sweep 1e-300:1e300:3",
     "validate --kind ula --wavelength 1e152",
@@ -99,9 +103,21 @@ def cases():
         yield f"{command} --help"
 
 
+# Python floats, among them points where glibc's pow (Python's float **)
+# rounds a closed-form square otherwise than a product: J0(8.4)^2,
+# sinc(0.863)^2, and the MIMO squares of J0(1.888)^2, sinc(0.19)^2 and of
+# the URA pattern at 0.337
+SCALARS = (0.0, 0.19, 0.337, 0.863, 1.888, 8.4, 41.4)
+
+
 def _elements(make, *args):
     """The element array of the geometry that make(*args) returns."""
     return make(*args).elements
+
+
+def _each_scalar(function, *args):
+    """function(*args, v) for each v in SCALARS, one call per scalar."""
+    return [function(*args, v) for v in SCALARS]
 
 
 def library_cases():
@@ -109,11 +125,12 @@ def library_cases():
     import nfsense
     from nfsense.ambiguity import (array_factor, broadside_power_sweep,
                                    normalized_power)
-    from nfsense.closed_form import vergence_difference
-    from nfsense.geometry import (ArrayGeometry, GeometryKind, build_array,
-                                  fraunhofer_distance, mimo_setup,
+    from nfsense.closed_form import normalized_af_power, vergence_difference
+    from nfsense.geometry import (ArrayGeometry, GeometryKind, ProcessingMode,
+                                  build_array, fraunhofer_distance, mimo_setup,
                                   simo_miso_setup)
     from nfsense.metrics import beamdepth, half_power_distances
+    from nfsense.specfun import bessel_j0, fresnel_c, fresnel_cs, fresnel_s, sinc
 
     x, z = np.meshgrid(np.linspace(-15.0, 15.0, 30), np.linspace(60.0, 140.0, 20))
     patch = np.column_stack([x.ravel(), 5.0 + 0.1 * x.ravel(), z.ravel()])
@@ -174,6 +191,11 @@ def library_cases():
              (110.5308754512692, 293.06884588646074, 2.6514658885124707)),
             (vergence_difference, (100.0, [50.0, 60.0]))):
         yield f"{function.__name__} {args!r}", function, args
+    for function in (fresnel_cs, fresnel_c, fresnel_s, bessel_j0, sinc):
+        yield (f"{function.__name__} scalars", _each_scalar, (function,))
+    for kind, mode in product(GeometryKind, ProcessingMode):
+        yield (f"normalized_af_power {kind.value} {mode.name} scalars",
+               _each_scalar, (normalized_af_power, kind, mode))
 
 
 def main(argv=None) -> int:

@@ -63,15 +63,16 @@ def _fresnel_power(x):
     return np.where(tiny, 1.0, (c * c + s * s) / safe)
 
 
-# Base pattern -> (f, c): f(x) on a 1-d array x >= 0 and its curvature c,
-# f = 1 - c x^2 + O(x^4).
+# Base pattern -> (f, c): f(x) on an array x >= 0, 0-d too, and its
+# curvature c, f = 1 - c x^2 + O(x^4).  Squares are products: ** on a 0-d
+# result is the C library's pow, which may round a square otherwise.
 _PATTERNS = {
     # (C^2 + S^2)(sqrt x) / x = 1 - pi^2 x^2 / 45 + O(x^4)
-    GeometryKind.ULA: (_fresnel_power, np.pi ** 2 / 45.0),
+    GeometryKind.ULA: (_fresnel_power, np.pi * np.pi / 45.0),
     # J0(x)^2 = 1 - x^2 / 2 + O(x^4)
-    GeometryKind.UCA: (lambda x: bessel_j0(x) ** 2, 0.5),
+    GeometryKind.UCA: (lambda x: np.square(bessel_j0(x)), 0.5),
     # sinc(x)^2 = 1 - (pi x)^2 / 3 + O(x^4)
-    GeometryKind.UPCA: (lambda x: sinc(x) ** 2, np.pi ** 2 / 3.0),
+    GeometryKind.UPCA: (lambda x: np.square(sinc(x)), np.pi * np.pi / 3.0),
 }
 
 
@@ -95,15 +96,11 @@ def normalized_af_power(kind: GeometryKind, mode: ProcessingMode, x):
         raise ValueError("x must be finite")
     if np.any(arr < 0):
         raise ValueError("x must be nonnegative")
-    scalar = arr.ndim == 0
-    a = np.atleast_1d(arr)
     base, n = base_layout(kind)
-    out = _PATTERNS[base][0](a)
+    out = _PATTERNS[base][0](arr)
     for _ in range(n * mode.power_exponent // 2):  # n p is 1, 2 or 4
-        out = out ** 2
-    if scalar:
-        return float(out[0])
-    return out
+        out = out * out
+    return float(out) if arr.ndim == 0 else out
 
 
 def quadratic_mainlobe_coefficient(kind: GeometryKind) -> float:

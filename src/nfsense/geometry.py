@@ -180,7 +180,12 @@ def _aperture_overflow(kind, wavelength: float) -> ValueError:
 
 
 def _check_count(kind, count, aperture: float, wavelength: float) -> int:
-    """Float element count (inf, NaN too) as an int; ValueError above MAX_ELEMENTS."""
+    """Float element count (inf, NaN too) as an int; ValueError above
+    MAX_ELEMENTS, or naming the overflow where an infinite count comes
+    from a numerator (2 D, 2 pi D, sqrt(2) D, 4 pi r) that overflowed
+    although D / lambda is in range."""
+    if count == math.inf and aperture / wavelength <= MAX_ELEMENTS:
+        raise _aperture_overflow(kind, wavelength)
     if not count <= MAX_ELEMENTS:
         raise ValueError(f"{kind.name} with D = {aperture:g} m at lambda = "
                          f"{wavelength:g} m exceeds {MAX_ELEMENTS} elements")
@@ -264,8 +269,8 @@ def build_upca(diameter: float, wavelength: float) -> ArrayGeometry:
                  wavelength)
     radii = [0.5 * i * wavelength for i in range(1, int(n_rings) + 1)]
     turns = [4.0 * math.pi * r / wavelength - _TOL for r in radii]
-    if turns[-1] == math.inf:  # 4 pi r overflows, on the outer ring first
-        raise _aperture_overflow(GeometryKind.UPCA, wavelength)
+    # the outer ring's count is within the bound above unless 4 pi r overflows
+    _check_count(GeometryKind.UPCA, turns[-1], diameter, wavelength)
     counts = [max(1, int(math.ceil(t))) for t in turns]
     _check_count(GeometryKind.UPCA, 1 + sum(counts), diameter, wavelength)
     chunks = [np.zeros((1, 3))]

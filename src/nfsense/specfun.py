@@ -2,7 +2,8 @@
 
 Self-contained implementations of the Fresnel integrals C and S, the
 zero-order Bessel function of the first kind J0, and the normalized sinc.
-Inputs may be scalars or numpy arrays; scalar in, float out.
+Inputs may be scalars or numpy arrays; a scalar runs the array code as a
+0-d array and is made a float only on return.
 
 Every function costs a fixed number of operations per point.  The Fresnel
 branches and J0 up to |x| = 13 sum a Chebyshev series of fixed length by
@@ -167,9 +168,7 @@ def fresnel_cs(u):
 
     Both are odd in u; the limits for u -> +inf are 1/2.
     """
-    arr = _checked_array(u, "u")
-    scalar = arr.ndim == 0
-    a = np.atleast_1d(arr)
+    a = _checked_array(u, "u")
     sign = np.sign(a)
     mag = np.abs(a)
     cc = np.full_like(mag, 0.5)
@@ -182,9 +181,7 @@ def fresnel_cs(u):
         cc[large], ss[large] = _fresnel_large(mag[large])
     cc *= sign
     ss *= sign
-    if scalar:
-        return float(cc[0]), float(ss[0])
-    return cc, ss
+    return (float(cc), float(ss)) if a.ndim == 0 else (cc, ss)
 
 
 def fresnel_c(u):
@@ -236,19 +233,9 @@ def bessel_j0(x):
     Chebyshev series in x^2 for |x| <= 13, Hankel asymptotic expansion
     (12 terms of each auxiliary series) above.  Even in x; J0(0) = 1.
     """
-    arr = _checked_array(x, "x")
-    scalar = arr.ndim == 0
-    a = np.abs(np.atleast_1d(arr))
-    out = np.empty_like(a)
-    small = a <= _J0_SERIES_MAX
-    if np.any(small):
-        out[small] = _j0_small(a[small])
-    large = ~small
-    if np.any(large):
-        out[large] = _j0_hankel(a[large])
-    if scalar:
-        return float(out[0])
-    return out
+    a = np.abs(_checked_array(x, "x"))
+    out = np.piecewise(a, [a <= _J0_SERIES_MAX], [_j0_small, _j0_hankel])
+    return float(out) if a.ndim == 0 else out
 
 
 def sinc(x):
@@ -256,9 +243,7 @@ def sinc(x):
 
     Where pi x overflows, |sinc| < 1/(pi |x|) underflows and sinc is 0.
     """
-    arr = _checked_array(x, "x")
-    scalar = arr.ndim == 0
-    a = np.atleast_1d(arr)
+    a = _checked_array(x, "x")
     with np.errstate(over="ignore"):
         px = np.pi * a
     tiny = np.abs(a) < 1e-7
@@ -267,6 +252,4 @@ def sinc(x):
     near = np.where(tiny, px, 0.0)
     out = np.where(tiny, 1.0 - near * near / 6.0,
                    np.where(finite, np.sin(safe) / safe, 0.0))
-    if scalar:
-        return float(out[0])
-    return out
+    return float(out) if a.ndim == 0 else out

@@ -461,6 +461,24 @@ class TestOneTarget:
                 broadside_power_sweep(setup, distance, [60.0, 70.0]), want)
 
 
+@pytest.mark.parametrize("call", [
+    lambda g, p: normalized_power(simo_miso_setup(g), [0.0, 0.0, 50.0], p),
+    lambda g, p: normalized_power(mimo_setup(g), [0.0, 0.0, 50.0], p),
+    lambda g, p: array_factor(g, [0.0, 0.0, 50.0], p),
+], ids=["normalized_power-simo", "normalized_power-mimo", "array_factor"])
+@pytest.mark.parametrize("probe", [
+    [0.0, math.nan, 60.0], [[0.0, 60.0], [1.0, 70.0]]], ids=["nan", "pairs"])
+def test_probes_not_finite_3_vectors_rejected(call, probe):
+    with pytest.raises(ValueError, match="^points must be finite 3-vectors$"):
+        call(build_ula(10 * LAM, LAM), probe)
+
+
+def test_broadside_nan_probe_rejected():
+    setup = simo_miso_setup(build_ula(10 * LAM, LAM))
+    with pytest.raises(ValueError, match="^points must be finite 3-vectors$"):
+        broadside_power_sweep(setup, 50.0, [60.0, math.nan])
+
+
 class TestEmptyBatch:
     @pytest.mark.parametrize("call, dtype", [
         (lambda g, t: normalized_power(simo_miso_setup(g), t, np.empty((0, 3))),

@@ -237,6 +237,19 @@ class TestValidate:
                         "crossing_low_rel_err", "crossing_high_rel_err"):
                 assert float(b[key]) == pytest.approx(float(a[key]), rel=1e-9)
 
+    def test_missing_crossing_fails(self, tmp_path):
+        # a 3 lam ULA with its target at 2 lam: on the wide grid the exact
+        # power never rises through 1/2 below the target
+        out = tmp_path / "val.json"
+        assert main(["validate", "--kind", "ula", "--mode", "simo",
+                     "--aperture-lambda", "3", "--target-lambda", "2",
+                     "--sweep", "0:0:201", "--format", "json",
+                     "--out", str(out)]) == 2
+        (row,) = json.loads(out.read_text())["rows"]
+        assert row["crossing_low_rel_err"] == "inf"
+        assert math.isfinite(row["crossing_high_rel_err"])
+        assert row["status"] == "fail"
+
     def test_degenerate_configuration_fails(self, tmp_path):
         rc = main(["validate", "--kind", "ula", "--aperture-lambda", "0.5",
                    "--target-lambda", "0.6", "--sweep", "0:0:201",
@@ -302,6 +315,23 @@ class TestConfigFile:
 
     def test_missing_file_rejected(self, tmp_path):
         assert main(["tables", "--config", str(tmp_path / "absent.cfg")]) == 1
+
+    def test_comment_and_blank_lines_skipped(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# a comment\n\n   \nkind = uca\n  # kind = ula\n")
+        out, want = tmp_path / "geo.csv", tmp_path / "want.csv"
+        assert main(["dump-geometry", "--config", str(cfg), "--aperture-lambda",
+                     "2", "--out", str(out)]) == 0
+        assert main(["dump-geometry", "--kind", "uca", "--aperture-lambda",
+                     "2", "--out", str(want)]) == 0
+        assert out.read_text() == want.read_text()
+
+    def test_line_without_equals_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("kind = ula\nmode\n")
+        assert main(["tables", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            f"nfsense: error: {cfg}:2: expected key = value\n")
 
     @pytest.mark.parametrize("line", [b"format = xml", b"aperture-lambda = inf",
                                       b"kind = ula\n\xff = 3"])  # not UTF-8
@@ -379,6 +409,14 @@ class TestSharedFlags:
             self.DEFAULT_SWEEPS.items())
 
 
+# layouts of a few elements whose count's numerator overflows
+_COUNT_OVERFLOWS = (
+    "dump-geometry --kind ula --aperture-lambda 1 --wavelength 1e308",
+    "dump-geometry --kind uca --aperture-lambda 1 --wavelength 1e308",
+    "dump-geometry --kind ura --aperture-lambda 1.5 --wavelength 1e308",
+)
+
+
 class TestExitCodes:
     def test_no_command(self):
         assert main([]) == 1
@@ -416,6 +454,9 @@ class TestExitCodes:
         # a UPCA ring whose 4 pi r overflows while its elements are counted
         "dump-geometry --kind upca --aperture-lambda 1.7 --wavelength 1e308",
         "validate --kind upca --aperture-lambda 1 --wavelength 1.7e308",
+        # a count whose 2 D, 2 pi D or sqrt(2) D overflows before the
+        # division by lambda
+        *_COUNT_OVERFLOWS,
         # positions whose mean or extent overflows while they are centred
         "dump-geometry --kind uca --aperture-lambda 1e5 --wavelength 1e300",
         "validate --kind ula --aperture-lambda 1e5 --wavelength 1e300 "
@@ -442,6 +483,25 @@ class TestExitCodes:
                      "1.7", "--wavelength", "1e308"]) == 1
         assert capsys.readouterr().err == (
             "nfsense: error: UPCA aperture overflows at lambda = 1e+308 m\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        ("af-curve --sweep a:b:3", "argument --sweep: bad sweep value 'a:b:3'"),
+        ("af-curve --wavelength abc",
+         "argument --wavelength: must be a number, got 'abc'"),
+    ])
+    def test_not_a_number_named(self, capsys, argv, message):
+        assert main(argv.split()) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"nfsense: error: {message}\n")
+
+    @pytest.mark.parametrize("argv", _COUNT_OVERFLOWS)
+    def test_count_numerator_overflow_named(self, capsys, argv):
+        # the layouts would hold 3, 7 and 9 elements: the numerator of the
+        # count, not the count, is out of range
+        assert main(argv.split()) == 1
+        kind = argv.split()[2].upper()
+        assert capsys.readouterr().err == (
+            f"nfsense: error: {kind} aperture overflows at lambda = 1e+308 m\n")
 
 
 # each flag's extreme values: those it accepts, then those it rejects.

@@ -157,6 +157,18 @@ def test_element_limit(kind, aperture):
         build_array(kind, aperture * LAM, LAM)
 
 
+@pytest.mark.parametrize("kind, aperture", [
+    (GeometryKind.ULA, 1.0), (GeometryKind.UCA, 1.0), (GeometryKind.URA, 1.5),
+    (GeometryKind.UPCA, 1.7)])
+def test_count_numerator_overflow_named(kind, aperture):
+    # a few elements, but 2 D, 2 pi D, sqrt(2) D or 4 pi r overflows
+    with pytest.raises(ValueError, match=f"^{kind.name} aperture overflows"):
+        build_array(kind, aperture * 1e308, 1e308)
+    # a count that is infinite because D / lambda is still exceeds the limit
+    with pytest.raises(ValueError, match="exceeds"):
+        build_array(kind, 1e308, 1e-10)
+
+
 def test_elements_are_immutable():
     g = build_ula(5 * LAM, LAM)
     with pytest.raises(ValueError):

@@ -217,22 +217,28 @@ def test_fresnel_wide_range_against_scipy():
 
 
 # [0, 50] in shuffled order, with both neighbours of the Fresnel crossover
-# u = 2 (x = 4 in the ULA pattern) and of the J0 crossover x = 13
+# u = 2 (x = 4 in the ULA pattern) and of the J0 crossover x = 13.  At
+# some points glibc's pow (Python's float **) rounds a closed-form square
+# otherwise than a product: J0(8.4)^2, sinc(0.863)^2, and the MIMO squares
+# of J0(1.888)^2, sinc(0.19)^2 and of the URA pattern at 0.337.
 _MIXED = np.random.default_rng(5).permutation(np.concatenate([
-    np.linspace(0.0, 50.0, 1001),
+    np.linspace(0.0, 50.0, 1001), [0.863, 0.19, 0.337, 1.888],
     [np.nextafter(b, b + d) for b in (2.0, 4.0, 13.0) for d in (-1.0, 1.0)]]))
 
+_MODES = {"": ProcessingMode.SIMO_MISO, "-mimo": ProcessingMode.MIMO}
 
-def _pattern(kind):
-    return lambda v: normalized_af_power(kind, ProcessingMode.SIMO_MISO, v)
+
+def _pattern(kind, mode):
+    return lambda v: normalized_af_power(kind, mode, v)
 
 
 @pytest.mark.parametrize("evaluate", [
     lambda v: np.stack(fresnel_cs(v), axis=-1),
     bessel_j0,
     sinc,
-    *map(_pattern, (GeometryKind.ULA, GeometryKind.UCA, GeometryKind.UPCA)),
-], ids=["fresnel_cs", "bessel_j0", "sinc", "ula", "uca", "upca"])
+    *(_pattern(k, m) for m in _MODES.values() for k in GeometryKind),
+], ids=["fresnel_cs", "bessel_j0", "sinc",
+        *(k.value + s for s in _MODES for k in GeometryKind)])
 def test_value_does_not_depend_on_its_batch(evaluate):
     batch = np.asarray(evaluate(_MIXED))
     alone = np.array([evaluate(float(v)) for v in _MIXED])
