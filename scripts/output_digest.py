@@ -7,10 +7,12 @@ the exit code (or the name of an exception that escapes) and the argv.
 The matrix is every command over kind subsets, modes and both formats,
 the validate defaults, inputs that exit 1, a validate at lambda = 1e-11
 m, an af-curve and a beamdepth-sweep at D = 12.457 lambda (whose d_FA
-moves by one ulp if its square goes through C's pow) and the --help text
-of nfsense and of each command (argparse ends those with SystemExit,
-whose code is printed as the exit code; the text wraps to the terminal
-width, so compare listings made at the same COLUMNS).  Each library case
+moves by one ulp if its square goes through C's pow), flags given
+before the command, and the --help text of nfsense and of each command
+and --version before and after a command (argparse ends those with
+SystemExit, whose code is printed as the exit code).  The script sets
+COLUMNS=80, to which argparse wraps the help text, so the listing does
+not depend on the terminal.  Each library case
 (normalized_power on an off-axis patch per kind and setup,
 broadside_power_sweep per kind, D = 12 lambda at lambda = 1, on the
 built geometry, on an ArrayGeometry hand-built from its elements, whose
@@ -47,6 +49,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import os
 import sys
 from itertools import product
 from pathlib import Path
@@ -101,6 +104,9 @@ def cases():
     yield "--help"
     for command in COMMANDS:
         yield f"{command} --help"
+    yield "--version"
+    yield "tables --version"
+    yield "--kind ula --format json tables"
 
 
 # Python floats, among them points where glibc's pow (Python's float **)
@@ -202,6 +208,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     root = Path(argv[0]) if argv else Path(__file__).resolve().parent.parent
     sys.path.insert(0, str(root / "src"))
+    os.environ["COLUMNS"] = "80"  # the width argparse wraps --help to
     from nfsense.cli import main as cli_main
 
     for case in cases():

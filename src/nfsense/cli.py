@@ -8,10 +8,11 @@ beamdepth-sweep  beamdepth vs target range, with divergence metadata
 validate         direct element summation vs closed forms on broadside
 dump-geometry    element positions of one array
 
-Outputs are CSV (''#''-prefixed metadata lines, then a header row) or JSON
+Every command takes every flag, before or after the command name.
+Outputs are CSV ('#'-prefixed metadata lines, then a header row) or JSON
 (a metadata object plus an array of row records).  Identical inputs give
-byte-identical output.  Exit codes: 0 success, 1 usage error, 2 validation
-failure, 3 I/O error.
+byte-identical output on one machine.  Exit codes: 0 success, 1 usage
+error, 2 validation failure, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -132,7 +133,11 @@ _FLAGS = (
     ("--aperture-lambda", _parse_positive, "50", "aperture D in wavelengths"),
     ("--target-lambda", _parse_positive, "100", "target range d' in wavelengths"),
     ("--wavelength", _parse_positive, "1", "wavelength in meters"),
-    ("--sweep", _parse_sweep, None, "grid as start:stop:points (wavelengths)"),
+    ("--sweep", _parse_sweep, None,
+     "grid as start:stop:points (wavelengths): the probe ranges of af-curve, "
+     "the target ranges of beamdepth-sweep; validate reads only points (at "
+     "least 201) for its own windows [d_low, d_high] and [0.85 d_low, "
+     "1.15 d_high]; tables and dump-geometry ignore it"),
     ("--format", _parse_format, "csv", "csv or json"),
     ("--out", str, "-", "output path, - for stdout"),
 )
@@ -147,7 +152,7 @@ _SWEEP_DEFAULTS = {
 def _load_config_file(path: str) -> dict:
     values = {}
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             for lineno, raw in enumerate(fh, 1):
                 line = raw.strip()
                 if not line or line.startswith("#"):
@@ -456,29 +461,22 @@ _COMMANDS = {
 }
 
 
-def _build_parser() -> tuple:
-    """The top-level parser and its subparsers by command name.
-
-    The flags are built once, on a parent parser of every command.  The
-    commands share its actions, so none may set a default of its own
-    (set_defaults would change it for all); main fills in --sweep's.
-    """
-    flags = _Parser(add_help=False)
-    for flag, parse, default, text in _FLAGS:
-        flags.add_argument(flag, type=parse, default=default, help=text)
-    flags.add_argument("--config", help="key = value file with flag defaults")
+def _build_parser() -> _Parser:
+    """One parser: the command is a positional choice beside the flags."""
     parser = _Parser(prog="nfsense", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version",
                         version=f"nfsense {__version__}")
-    sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-    subparsers = {name: sub.add_parser(name, parents=[flags])
-                  for name in _COMMANDS}
-    return parser, subparsers
+    parser.add_argument("command", nargs="?", choices=_COMMANDS, metavar="COMMAND",
+                        help="one of the commands above")
+    for flag, parse, default, text in _FLAGS:
+        parser.add_argument(flag, type=parse, default=default, help=text)
+    parser.add_argument("--config", help="key = value file with flag defaults")
+    return parser
 
 
 def main(argv=None) -> int:
-    parser, subparsers = _build_parser()
+    parser = _build_parser()
     try:
         args = parser.parse_args(argv)
         if args.command is None:
@@ -486,7 +484,7 @@ def main(argv=None) -> int:
         if args.config:
             # file values become string defaults, which argparse passes
             # through each flag's type; flags given on the command line win
-            subparsers[args.command].set_defaults(**_load_config_file(args.config))
+            parser.set_defaults(**_load_config_file(args.config))
             args = parser.parse_args(argv)
         if args.sweep is None:
             args.sweep = _parse_sweep(_SWEEP_DEFAULTS.get(args.command, "0:0:2"))

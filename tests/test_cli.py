@@ -342,6 +342,15 @@ class TestConfigFile:
                      "--out", str(tmp_path / "geo.txt")]) == 1
         assert len(capsys.readouterr().err.splitlines()) == 1
 
+    def test_utf8_bom_skipped(self, tmp_path, capsys):
+        # a byte order mark, as some editors save it, is not part of a key
+        cfg = tmp_path / "bom.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbfkind = ula\n")
+        assert main(["tables", "--config", str(cfg)]) == 0
+        with_bom = capsys.readouterr()
+        assert main(["tables", "--kind", "ula"]) == 0
+        assert capsys.readouterr() == with_bom
+
 
 class TestRepeatedCalls:
     """No call to main may change what a later call in the process parses."""
@@ -371,7 +380,7 @@ class TestRepeatedCalls:
 
 
 class TestSharedFlags:
-    """Every command parses the flags of one shared parent parser."""
+    """One parser reads the command and every flag, in any order."""
 
     DEFAULT_SWEEPS = {
         "tables": (0.0, 0.0, 2), "af-curve": (50.0, 400.0, 2000),
@@ -407,6 +416,32 @@ class TestSharedFlags:
             assert main([other]) == 0
         assert sweeps == [(command, (1.0, 2.0, 3))] + list(
             self.DEFAULT_SWEEPS.items())
+
+    def test_flags_before_command(self, capsys):
+        assert main(["--kind", "ula", "--format", "json", "tables"]) == 0
+        before = capsys.readouterr()
+        assert main(["tables", "--kind", "ula", "--format", "json"]) == 0
+        assert capsys.readouterr() == before
+
+    def exit_output(self, argv, capsys):
+        """The stdout of an argv that argparse ends with exit code 0."""
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        return captured.out
+
+    def test_one_help_names_every_flag_and_command(self, capsys):
+        text = self.exit_output(["--help"], capsys)
+        for command in cli._COMMANDS:
+            assert self.exit_output([command, "--help"], capsys) == text
+        for name in [flag for flag, *_ in cli._FLAGS] + list(cli._COMMANDS):
+            assert name in text
+
+    @pytest.mark.parametrize("argv", [["--version"], ["tables", "--version"]])
+    def test_version_before_and_after_command(self, argv, capsys):
+        assert self.exit_output(argv, capsys) == "nfsense 0.1.0\n"
 
 
 # layouts of a few elements whose count's numerator overflows
