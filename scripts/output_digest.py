@@ -18,7 +18,9 @@ broadside_power_sweep per kind, D = 12 lambda at lambda = 1, on the
 built geometry, on an ArrayGeometry hand-built from its elements, whose
 line prints the built one's hash, and on one hand-built from them in a
 fixed other order, which pins the class terms' representatives and
-summation order, normalized_power on an empty probe batch, array_factor
+summation order, normalized_power per setup and array_factor on the
+sweep's points given as on-axis 3-vectors, whose SIMO power line prints
+the sweep's hash, normalized_power on an empty probe batch, array_factor
 of a ULA on probes about 1e5 and 1e6 lambda away, where the phase is
 many cycles, and of one element on a probe half a cycle nearer than the
 target, and the rejections of bad inputs: each builder at lambda = 0 and
@@ -155,6 +157,15 @@ def library_cases():
             yield (f"broadside_power_sweep {kind.value} {how}",
                    broadside_power_sweep, (simo_miso_setup(geometry), 60.0,
                                            np.linspace(20.0, 200.0, 901)))
+        # the broadside sweep's points given as 3-vectors: the SIMO line
+        # prints the sweep's hash
+        axis = np.column_stack([np.zeros((901, 2)),
+                                np.linspace(20.0, 200.0, 901)])
+        for make in (simo_miso_setup, mimo_setup):
+            yield (f"normalized_power {kind.value} {make.__name__} on axis",
+                   normalized_power, (make(array), [0.0, 0.0, 60.0], axis))
+        yield (f"array_factor {kind.value} on axis", array_factor,
+               (array, [0.0, 0.0, 60.0], axis))
     yield ("normalized_power ula simo_miso_setup empty", normalized_power,
            (simo_miso_setup(build_array(GeometryKind.ULA, 12.0, 1.0)),
             [4.0, -3.0, 100.0], np.empty((0, 3))))

@@ -20,11 +20,11 @@ thread pool, one thread per CPU of the affinity mask in all, each taking
 the next row block when it is free; every pool thread is joined before an
 error is re-raised.  A probe's sum is the same row sum whatever block or
 thread holds it, so the bits do not depend on the split, and no setting
-selects it.  Off broadside every weight is 1.  On the +z axis an element's
-distance depends only on (x^2 + y^2, z), so broadside_power_sweep sums the
-weighted terms of ArrayGeometry.axial_terms, one per axial class in index
-order, and normalizes by the full element count.  A target is one point; a
-stack of several is rejected.
+selects it.  On the z axis an element's distance depends only on
+(x^2 + y^2, z), so any sum with its target and every probe at x = y = 0
+adds one term of ArrayGeometry.axial_terms per axial class, in index
+order, weighted by the class size and normalized by the full element
+count; other sums add every element with weight 1.  A target is one point.
 """
 
 from __future__ import annotations
@@ -142,12 +142,13 @@ def _phase_sum(elements, weights, inv_wavelength: float, target, probes,
     return out
 
 
-def _array_factor(geometry: ArrayGeometry, target, probes,
-                  axial: bool = False) -> np.ndarray:
-    """(P,) array factors; axial=True sums one weighted element per class,
-    which is exact only for a target and probes on +z."""
+def _array_factor(geometry: ArrayGeometry, target, probes) -> np.ndarray:
+    """(P,) array factors.  A target and probes all on the z axis sum one
+    weighted element per axial class, whose members are equidistant from
+    every point there; the target is tested first."""
     m = geometry.n_elements
-    elements, weights = (geometry.axial_terms if axial
+    on_axis = len(probes) and not (target[0] or target[1] or probes[:, :2].any())
+    elements, weights = (geometry.axial_terms if on_axis
                          else (geometry.elements, np.ones(m)))
     # a squared distance that overflows (~1e154 away) makes a sum nan
     with np.errstate(over="ignore", invalid="ignore"):
@@ -172,10 +173,10 @@ def array_factor(geometry: ArrayGeometry, target, probe):
     return complex(out[0]) if np.ndim(probe) == 1 else out
 
 
-def _power(setup: SensingSetup, target, probes, axial: bool = False) -> np.ndarray:
+def _power(setup: SensingSetup, target, probes) -> np.ndarray:
     """(P,) normalized power (|AF|^2 / M)^p of the setup's aperture."""
     geometry = setup.aperture
-    af = _array_factor(geometry, target, probes, axial)
+    af = _array_factor(geometry, target, probes)
     return (np.abs(af) ** 2 / geometry.n_elements) ** setup.mode.power_exponent
 
 
@@ -194,8 +195,8 @@ def normalized_power(setup: SensingSetup, target, probe):
 def broadside_power_sweep(setup: SensingSetup, target_distance: float, probe_distances):
     """Normalized power for a target on +z and probe distances along +z.
 
-    target_distance must be a real scalar.  Sums one element per axial
-    class, weighted by the class size.
+    target_distance must be a real scalar.  On the axis the sum adds one
+    element per axial class, weighted by the class size.
     """
     distance = np.asarray(target_distance)
     if distance.shape or distance.dtype.kind not in "iuf":
@@ -203,5 +204,4 @@ def broadside_power_sweep(setup: SensingSetup, target_distance: float, probe_dis
     probe_distances = np.asarray(probe_distances, dtype=float)
     probes = np.zeros((probe_distances.size, 3))
     probes[:, 2] = probe_distances.ravel()
-    return _power(setup, _target([0.0, 0.0, distance]), _points(probes),
-                  axial=True)
+    return _power(setup, _target([0.0, 0.0, distance]), _points(probes))

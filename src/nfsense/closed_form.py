@@ -46,10 +46,17 @@ def vergence_difference(d_target: float, d_probe):
 
 
 def af_argument(kind: GeometryKind, d_fraunhofer: float, vergence):
-    """Unified argument x = a * d_FA * d_ver, d_ver a scalar or an array."""
-    if not d_fraunhofer > 0:
-        raise ValueError("Fraunhofer distance must be positive")
-    x = kind.argument_scale * d_fraunhofer * np.asarray(vergence, float)
+    """Unified argument x = a * d_FA * d_ver, d_ver a scalar or an array.
+
+    ValueError unless d_FA is finite and positive and no d_ver is negative;
+    a NaN d_ver gives a NaN x.
+    """
+    vergence = np.asarray(vergence, float)
+    if not 0.0 < d_fraunhofer < np.inf:
+        raise ValueError("Fraunhofer distance must be finite and positive")
+    if np.any(vergence < 0.0):
+        raise ValueError("vergence must be nonnegative")
+    x = kind.argument_scale * d_fraunhofer * vergence
     return float(x) if x.ndim == 0 else x
 
 
@@ -86,6 +93,15 @@ def base_layout(kind: GeometryKind) -> tuple[GeometryKind, int]:
     return (GeometryKind.ULA, 2) if kind is GeometryKind.URA else (kind, 1)
 
 
+def _base_exponent(kind: GeometryKind,
+                   mode: ProcessingMode) -> tuple[GeometryKind, int]:
+    """(base kind, n p): the power in the mode is base ** (n p)."""
+    if not isinstance(mode, ProcessingMode):
+        raise ValueError(f"unknown processing mode {mode!r}")
+    base, n = base_layout(kind)
+    return base, n * mode.power_exponent
+
+
 def normalized_af_power(kind: GeometryKind, mode: ProcessingMode, x):
     """Normalized ambiguity power at argument x >= 0 (scalar or array).
 
@@ -96,9 +112,9 @@ def normalized_af_power(kind: GeometryKind, mode: ProcessingMode, x):
         raise ValueError("x must be finite")
     if np.any(arr < 0):
         raise ValueError("x must be nonnegative")
-    base, n = base_layout(kind)
+    base, exponent = _base_exponent(kind, mode)
     out = _PATTERNS[base][0](arr)
-    for _ in range(n * mode.power_exponent // 2):  # n p is 1, 2 or 4
+    for _ in range(exponent // 2):  # n p is 1, 2 or 4
         out = out * out
     return float(out) if arr.ndim == 0 else out
 

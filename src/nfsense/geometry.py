@@ -18,6 +18,8 @@ from its first key is split into single elements.  This finds the ULA's
 mirror pairs, the URA's and UPCA's rings and an even UCA's +-x mirror
 pairs, of a built or a hand-built layout alike.  A class's term is its
 lowest-index element weighted by its size; terms are kept in index order.
+They are derived on a geometry's first on-axis exact sum, whichever entry
+point of nfsense.ambiguity it comes through, and never for an off-axis one.
 """
 
 from __future__ import annotations
@@ -142,7 +144,9 @@ class ArrayGeometry:
     @cached_property
     def axial_terms(self) -> tuple:
         """Read-only (K, 3) positions and (K,) float weights of the K axial
-        classes (see the module docstring), derived on first access."""
+        classes (see the module docstring), derived on first access: the
+        first exact sum with its target and probes on the z axis, through
+        any entry point.  Off-axis sums never read them."""
         unit = self.elements / max(self.wavelength,
                                    float(np.abs(self.elements).max()))
         r2, z = unit[:, 0] ** 2 + unit[:, 1] ** 2, unit[:, 2]
@@ -182,8 +186,8 @@ def _aperture_overflow(kind, wavelength: float) -> ValueError:
 def _check_count(kind, count, aperture: float, wavelength: float) -> int:
     """Float element count (inf, NaN too) as an int; ValueError above
     MAX_ELEMENTS, or naming the overflow where an infinite count comes
-    from a numerator (2 D, 2 pi D, sqrt(2) D, 4 pi r) that overflowed
-    although D / lambda is in range."""
+    from a numerator (2 D, 2 pi D, sqrt(2) D) that overflowed although
+    D / lambda is in range."""
     if count == math.inf and aperture / wavelength <= MAX_ELEMENTS:
         raise _aperture_overflow(kind, wavelength)
     if not count <= MAX_ELEMENTS:
@@ -256,9 +260,9 @@ def build_ura(diagonal: float, wavelength: float) -> ArrayGeometry:
 def build_upca(diameter: float, wavelength: float) -> ArrayGeometry:
     """Planar circular array: concentric rings in the x-y plane.
 
-    A center element plus rings at radial pitch lambda/2 out to D/2, each
-    ring populated with max(1, ceil(2 pi r / (lambda/2))) elements so the
-    arc spacing never exceeds lambda/2.
+    A center element plus rings at radial pitch lambda/2 out to D/2, ring
+    i at r = i lambda/2 populated with ceil(2 pi r / (lambda/2)) =
+    ceil(2 pi i) elements so the arc spacing never exceeds lambda/2.
     """
     wavelength = _check_wavelength(wavelength)
     if not diameter >= wavelength:
@@ -267,14 +271,14 @@ def build_upca(diameter: float, wavelength: float) -> ArrayGeometry:
     # ring i holds at least 2 pi i elements: bound the ring count first
     _check_count(GeometryKind.UPCA, math.pi * n_rings * n_rings, diameter,
                  wavelength)
-    radii = [0.5 * i * wavelength for i in range(1, int(n_rings) + 1)]
-    turns = [4.0 * math.pi * r / wavelength - _TOL for r in radii]
-    # the outer ring's count is within the bound above unless 4 pi r overflows
-    _check_count(GeometryKind.UPCA, turns[-1], diameter, wavelength)
-    counts = [max(1, int(math.ceil(t))) for t in turns]
+    # 2 pi i stays 6e-5 or more from an integer for every i <= 564, the
+    # bound above, and no wavelength enters it
+    counts = [math.ceil(2.0 * math.pi * i - _TOL)
+              for i in range(1, int(n_rings) + 1)]
     _check_count(GeometryKind.UPCA, 1 + sum(counts), diameter, wavelength)
     chunks = [np.zeros((1, 3))]
-    for r, count in zip(radii, counts):
+    for i, count in enumerate(counts, 1):
+        r = 0.5 * i * wavelength
         theta = 2.0 * math.pi * np.arange(count) / count
         chunks.append(np.column_stack([r * np.cos(theta), r * np.sin(theta),
                                        np.zeros(count)]))
@@ -326,6 +330,10 @@ class SensingSetup:
 
     aperture: ArrayGeometry
     mode: ProcessingMode
+
+    def __post_init__(self):
+        if not isinstance(self.mode, ProcessingMode):
+            raise ValueError(f"unknown processing mode {self.mode!r}")
 
     @cached_property
     def tx(self) -> ArrayGeometry:

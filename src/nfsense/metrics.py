@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .closed_form import base_layout, quadratic_mainlobe_coefficient
+from .closed_form import _base_exponent, quadratic_mainlobe_coefficient
 from .geometry import GeometryKind, ProcessingMode
 
 __all__ = [
@@ -54,8 +54,8 @@ def half_power_argument(kind: GeometryKind, mode: ProcessingMode) -> float:
     The power is the base pattern f to the exponent n p, so this is the
     half-power root of (base, n p): the URA in SIMO shares the ULA's in MIMO.
     """
-    base, n = base_layout(kind)
-    return _FIGURES[base][0][n * mode.power_exponent]
+    base, exponent = _base_exponent(kind, mode)
+    return _FIGURES[base][0][exponent]
 
 
 def half_power_coefficient(kind: GeometryKind, mode: ProcessingMode) -> float:
@@ -67,6 +67,7 @@ def half_power_distances(d_target: float, d_fraunhofer: float,
                          coefficient: float) -> tuple[float, float]:
     """The two ranges where the power around a target at d' falls to half.
 
+    The three inputs are real scalars, not arrays (beamdepth takes arrays).
     Returns (lower, upper); upper is math.inf once the target sits at or
     beyond d_FA / alpha.  ValueError where the formula leaves the float
     range: d_FA d' overflows or underflows, or just below d_FA / alpha,
@@ -121,7 +122,8 @@ def beamdepth(d_target, d_fraunhofer, coefficient):
 
 
 def max_nearfield_range(d_fraunhofer: float, coefficient: float) -> float:
-    """Largest target range with a finite beamdepth, d_FA / alpha."""
+    """Largest target range with a finite beamdepth, d_FA / alpha; both
+    inputs are real scalars."""
     if not (0.0 < d_fraunhofer < math.inf and 0.0 < coefficient < math.inf):
         raise ValueError("inputs must be finite and positive")
     return d_fraunhofer / coefficient
@@ -132,13 +134,13 @@ def mainlobe_edge(kind: GeometryKind, mode: ProcessingMode) -> float:
 
     A null for UCA and UPCA; nonzero for the Fresnel-based layouts.
     """
-    return _FIGURES[base_layout(kind)[0]][1]
+    return _FIGURES[_base_exponent(kind, mode)[0]][1]
 
 
 def peak_sidelobe_level(kind: GeometryKind, mode: ProcessingMode) -> float:
     """Highest sidelobe in dB below the peak: n p times the base pattern's."""
-    base, n = base_layout(kind)
-    return n * mode.power_exponent * 10.0 * math.log10(_FIGURES[base][2])
+    base, exponent = _base_exponent(kind, mode)
+    return exponent * 10.0 * math.log10(_FIGURES[base][2])
 
 
 @dataclass(frozen=True)

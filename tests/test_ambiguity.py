@@ -29,6 +29,15 @@ ORIGIN = np.zeros(3)
 POINT = ArrayGeometry(kind=None, wavelength=LAM, elements=np.zeros((1, 3)))
 
 
+def _turned(g, phi):
+    """g's elements turned by phi about the z axis, of g's kind."""
+    rot = np.array([[math.cos(phi), -math.sin(phi), 0.0],
+                    [math.sin(phi), math.cos(phi), 0.0],
+                    [0.0, 0.0, 1.0]])
+    return ArrayGeometry(kind=g.kind, wavelength=g.wavelength,
+                         elements=g.elements @ rot.T)
+
+
 class TestChannelPhase:
     def test_full_cycle(self):
         assert channel_phase(ORIGIN, [0, 0, LAM], FREQ) == pytest.approx(1 + 0j,
@@ -220,12 +229,7 @@ class TestClosedFormConvergence:
         # rotating the ring about the evaluation axis must not change the
         # on-axis response
         g = build_uca(20 * LAM, LAM)
-        phi = 0.7347
-        rot = np.array([[math.cos(phi), -math.sin(phi), 0.0],
-                        [math.sin(phi), math.cos(phi), 0.0],
-                        [0.0, 0.0, 1.0]])
-        rotated = ArrayGeometry(kind=g.kind, wavelength=g.wavelength,
-                                elements=g.elements @ rot.T)
+        rotated = _turned(g, 0.7347)
         radii = np.sort(np.linalg.norm(g.elements, axis=1))
         radii_rot = np.sort(np.linalg.norm(rotated.elements, axis=1))
         assert np.max(np.abs(radii - radii_rot)) <= 1e-9
@@ -299,6 +303,57 @@ class TestKernelMatchesDenseSum:
         for target, probes in ((50.0, [30.0, top]), (top, [30.0, 40.0])):
             with pytest.raises(ValueError, match="coincides"):
                 broadside_power_sweep(setup, target, probes)
+
+
+class TestOnAxis:
+    """Every entry point sums the axial class terms for a target and probes
+    on the z axis, and only there."""
+
+    @pytest.mark.parametrize("g", [
+        *(build_array(kind, 20.3 * LAM, LAM) for kind in GeometryKind),
+        _turned(build_array(GeometryKind.UPCA, 20.3 * LAM, LAM), 0.4127)],
+        ids=[*(kind.value for kind in GeometryKind), "rotated-upca"])
+    def test_every_entry_point_same_bits(self, g):
+        grid = np.linspace(30.0, 300.0, 301)
+        probes = np.column_stack([np.zeros((grid.size, 2)), grid])
+        target = [0.0, 0.0, 90.0]
+        for make in (simo_miso_setup, mimo_setup):
+            sweep = broadside_power_sweep(make(g), 90.0, grid)
+            assert np.array_equal(normalized_power(make(g), target, probes),
+                                  sweep)
+            assert normalized_power(make(g), target, probes[7]) == sweep[7]
+        af = array_factor(g, target, probes)
+        assert np.array_equal(np.abs(af) ** 2 / g.n_elements,
+                              broadside_power_sweep(simo_miso_setup(g), 90.0,
+                                                    grid))
+
+    @pytest.mark.parametrize("kind", list(GeometryKind))
+    def test_off_axis_never_derives_terms(self, kind):
+        # an off-axis target, or an on-axis target with one probe off the
+        # axis, sums every element; an empty batch sums nothing
+        g = build_array(kind, 12 * LAM, LAM)
+        on = [[0.0, 0.0, 30.0], [0.0, 0.0, 40.0]]
+        for target, probes in (([0.0, 1e-9, 40.0], on),
+                               ([0.0, 0.0, 40.0], on + [[1e-9, 0.0, 50.0]]),
+                               ([0.0, 0.0, 40.0], np.empty((0, 3)))):
+            normalized_power(mimo_setup(g), target, probes)
+            array_factor(g, target, probes)
+            assert "axial_terms" not in g.__dict__
+        normalized_power(mimo_setup(g), [0.0, 0.0, 40.0], on)
+        assert "axial_terms" in g.__dict__
+
+    @pytest.mark.parametrize("kind", list(GeometryKind))
+    def test_one_probe_off_axis_sums_every_element(self, kind):
+        g = build_array(kind, 20.3 * LAM, LAM)
+        target = [0.0, 0.0, 90.0]
+        probes = np.column_stack([np.zeros((41, 2)), np.linspace(40, 200, 41)])
+        probes[20, 1] = 0.75
+        af = array_factor(g, target, probes)
+        dense = dense_array_factor(g, target, probes)
+        assert np.max(np.abs(af - dense)) / math.sqrt(g.n_elements) <= 1e-12
+        for setup in (simo_miso_setup(g), mimo_setup(g)):
+            power = normalized_power(setup, target, probes)
+            assert np.max(np.abs(power - dense_power(setup, target, probes))) <= 1e-12
 
 
 class TestSplitBits:
@@ -403,6 +458,15 @@ class TestKernelRows:
         capsys.readouterr()
         assert rows and set(rows) == {51}
 
+    def test_on_axis_sums_class_representatives(self, rows):
+        # the 51 rings of 8037 UPCA elements, through each entry point
+        g = build_array(GeometryKind.UPCA, 50 * LAM, LAM)
+        probes = [[0.0, 0.0, 60.0], [-0.0, 0.0, 80.0]]
+        normalized_power(simo_miso_setup(g), [0.0, 0.0, 100.0], probes)
+        normalized_power(mimo_setup(g), [[-0.0, 0.0, 100.0]], probes[0])
+        array_factor(g, [0.0, 0.0, 100.0], probes)
+        assert rows == [51, 51, 51]
+
     def test_off_axis_sums_every_element(self, rows):
         # one M-row sum per setup, SIMO included
         g = build_array(GeometryKind.UPCA, 12 * LAM, LAM)
@@ -438,9 +502,9 @@ class TestOneTarget:
         assert call(g, [[0.0, 0.0, 50.0]]) == call(g, [0.0, 0.0, 50.0])
 
     def test_stacked_target_not_truncated(self):
-        # the first row alone gives 0.9927864012687516
+        # the first row alone gives 0.9927864012687522
         s = simo_miso_setup(build_ula(10 * LAM, LAM))
-        assert normalized_power(s, [0, 0, 50], [0, 0, 60]) == 0.9927864012687516
+        assert normalized_power(s, [0, 0, 50], [0, 0, 60]) == 0.9927864012687522
         with pytest.raises(ValueError, match="one finite point"):
             normalized_power(s, [[0, 0, 50], [0, 0, 80]], [0, 0, 60])
 

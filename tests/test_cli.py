@@ -486,7 +486,7 @@ class TestExitCodes:
         # an aperture that overflows while it is measured
         "validate --kind uca --aperture-lambda 3 --wavelength 1e300",
         "dump-geometry --kind upca --aperture-lambda 3 --wavelength 1e300",
-        # a UPCA ring whose 4 pi r overflows while its elements are counted
+        # a UPCA ring of 7 elements whose positions overflow the aperture
         "dump-geometry --kind upca --aperture-lambda 1.7 --wavelength 1e308",
         "validate --kind upca --aperture-lambda 1 --wavelength 1.7e308",
         # a count whose 2 D, 2 pi D or sqrt(2) D overflows before the
@@ -512,8 +512,8 @@ class TestExitCodes:
         assert captured.err.startswith("nfsense: error: ")
 
     def test_upca_ring_overflow_named(self, capsys):
-        # the ring would hold 7 elements: its 4 pi r, not its count, is
-        # out of range
+        # the ring holds 7 elements: the norms of their positions, not
+        # their count, are out of range
         assert main(["dump-geometry", "--kind", "upca", "--aperture-lambda",
                      "1.7", "--wavelength", "1e308"]) == 1
         assert capsys.readouterr().err == (

@@ -71,6 +71,22 @@ class TestAfArgument:
         with pytest.raises(ValueError):
             af_argument(GeometryKind.ULA, 0.0, 0.005)
 
+    @pytest.mark.parametrize("d_fa", [math.inf, math.nan, -math.inf])
+    def test_non_finite_fraunhofer_rejected(self, d_fa):
+        # inf * 0 would be a nan argument
+        with pytest.raises(ValueError, match="finite and positive"):
+            af_argument(GeometryKind.ULA, d_fa, 0.0)
+
+    @pytest.mark.parametrize("vergence", [-1.0, [0.0, -1e-300], -math.inf])
+    def test_negative_vergence_rejected(self, vergence):
+        with pytest.raises(ValueError, match="vergence must be nonnegative"):
+            af_argument(GeometryKind.ULA, 5000.0, vergence)
+
+    def test_nan_vergence_passes_through(self):
+        assert math.isnan(af_argument(GeometryKind.ULA, 5000.0, math.nan))
+        out = af_argument(GeometryKind.UCA, 5000.0, [math.nan, -0.0, math.inf])
+        assert math.isnan(out[0]) and out[1:].tolist() == [0.0, math.inf]
+
 
 class TestBaseLayout:
     def test_ura_is_ula_squared(self):

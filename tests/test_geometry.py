@@ -2,6 +2,7 @@ import dataclasses
 import math
 from functools import cached_property
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -120,6 +121,17 @@ class TestUpca:
         with pytest.raises(ValueError):
             build_upca(0.9 * LAM, LAM)
 
+    @pytest.mark.parametrize("wavelength", [
+        3.5e-323, 1e-320, 1e-9, 0.0123, 1.0, 7.3, 1e150])
+    def test_count_independent_of_wavelength(self, wavelength):
+        # ring i holds ceil(2 pi i) elements at every wavelength, also a
+        # subnormal one, where i lambda / 2 rounds
+        for rings in (1, 2, 12, 50):
+            want = 1 + sum(int(mpmath.ceil(2 * mpmath.pi * i))
+                           for i in range(1, rings + 1))
+            g = build_upca(rings * wavelength, wavelength)
+            assert g.n_elements == want, rings
+
 
 @pytest.mark.parametrize("kind", list(GeometryKind))
 def test_random_apertures_centered_and_consistent(kind):
@@ -161,7 +173,8 @@ def test_element_limit(kind, aperture):
     (GeometryKind.ULA, 1.0), (GeometryKind.UCA, 1.0), (GeometryKind.URA, 1.5),
     (GeometryKind.UPCA, 1.7)])
 def test_count_numerator_overflow_named(kind, aperture):
-    # a few elements, but 2 D, 2 pi D, sqrt(2) D or 4 pi r overflows
+    # a few elements, but 2 D, 2 pi D or sqrt(2) D overflows, or the
+    # norm of a UPCA ring's positions does
     with pytest.raises(ValueError, match=f"^{kind.name} aperture overflows"):
         build_array(kind, aperture * 1e308, 1e308)
     # a count that is infinite because D / lambda is still exceeds the limit

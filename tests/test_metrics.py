@@ -12,8 +12,8 @@ from nfsense.ambiguity import broadside_power_sweep
 from nfsense.cli import main
 from nfsense.closed_form import (af_argument, normalized_af_power,
                                  vergence_difference)
-from nfsense.geometry import (GeometryKind, ProcessingMode, build_ula,
-                              fraunhofer_distance, simo_miso_setup)
+from nfsense.geometry import (GeometryKind, ProcessingMode, SensingSetup,
+                              build_ula, fraunhofer_distance, simo_miso_setup)
 from nfsense.metrics import (beamdepth, compute_metrics, half_power_argument,
                              half_power_coefficient, half_power_distances,
                              mainlobe_edge, max_nearfield_range,
@@ -327,6 +327,22 @@ class TestMainlobeEdge:
         # the URA is the ULA squared: URA SIMO is ULA MIMO, bit for bit
         for solver in (half_power_argument, mainlobe_edge, peak_sidelobe_level):
             assert solver(GeometryKind.URA, SIMO) == solver(GeometryKind.ULA, MIMO)
+
+
+@pytest.mark.parametrize("mode", ["simo", "MIMO", None, 2, GeometryKind.ULA])
+@pytest.mark.parametrize("call", [
+    lambda mode: normalized_af_power(GeometryKind.ULA, mode, 1.0),
+    lambda mode: half_power_argument(GeometryKind.URA, mode),
+    lambda mode: half_power_coefficient(GeometryKind.UCA, mode),
+    lambda mode: peak_sidelobe_level(GeometryKind.UPCA, mode),
+    lambda mode: mainlobe_edge(GeometryKind.ULA, mode),
+    lambda mode: SensingSetup(build_ula(5.0, 1.0), mode),
+], ids=["normalized_af_power", "half_power_argument", "half_power_coefficient",
+        "peak_sidelobe_level", "mainlobe_edge", "SensingSetup"])
+def test_non_mode_rejected(call, mode):
+    # as a kind that is not a GeometryKind is
+    with pytest.raises(ValueError, match="^unknown processing mode "):
+        call(mode)
 
 
 class TestSolverCaches:
