@@ -13,7 +13,9 @@ and --version before and after a command (argparse ends those with
 SystemExit, whose code is printed as the exit code).  The script sets
 COLUMNS=80, to which argparse wraps the help text, so the listing does
 not depend on the terminal.  Each library case
-(normalized_power on an off-axis patch per kind and setup,
+(normalized_power on an off-axis patch per kind and setup, at D = 12
+lambda and for a URA at 40 lambda and a UPCA at 50 lambda, whose blocks
+hold few probe rows of many elements,
 broadside_power_sweep per kind, D = 12 lambda at lambda = 1, on the
 built geometry, on an ArrayGeometry hand-built from its elements, whose
 line prints the built one's hash, and on one hand-built from them in a
@@ -166,6 +168,12 @@ def library_cases():
                    normalized_power, (make(array), [0.0, 0.0, 60.0], axis))
         yield (f"array_factor {kind.value} on axis", array_factor,
                (array, [0.0, 0.0, 60.0], axis))
+    # large layouts, whose blocks hold few probe rows of many elements
+    for kind, aperture in ((GeometryKind.URA, 40.0), (GeometryKind.UPCA, 50.0)):
+        array = build_array(kind, aperture, 1.0)
+        for make in (simo_miso_setup, mimo_setup):
+            yield (f"normalized_power {kind.value} {aperture:g} {make.__name__}",
+                   normalized_power, (make(array), [4.0, -3.0, 100.0], patch))
     yield ("normalized_power ula simo_miso_setup empty", normalized_power,
            (simo_miso_setup(build_array(GeometryKind.ULA, 12.0, 1.0)),
             [4.0, -3.0, 100.0], np.empty((0, 3))))

@@ -94,18 +94,25 @@ def _phase_sum(elements, weights, inv_wavelength: float, target, probes,
     blocks = iter(range(0, p, rows))
     out = np.empty(p, dtype=complex)
     twice = 2.0 * weights
+    # p_a - e_a is the product [p_a, 1] @ [1; -e_a]: both of its products
+    # are exact, so their sum rounds once, as the subtraction does
+    rhs = np.ones((3, 2, m))
+    rhs[:, 1] = -elements.T
 
     def run():
         # a pool thread starts from numpy's default errstate, not the caller's
         with np.errstate(over="ignore", invalid="ignore"):
             dist, term = np.empty((2, rows, m))
+            lhs = np.ones((rows, 2))
             for lo in blocks:
                 block = probes[lo:lo + rows]
-                d, t = dist[:len(block)], term[:len(block)]
-                np.subtract(block[:, 0:1], ex, out=d)
+                d, t, a = dist[:len(block)], term[:len(block)], lhs[:len(block)]
+                a[:, 0] = block[:, 0]
+                np.matmul(a, rhs[0], out=d)
                 np.square(d, out=d)
-                for axis, coord in ((1, ey), (2, ez)):
-                    np.subtract(block[:, axis:axis + 1], coord, out=t)
+                for axis in (1, 2):
+                    a[:, 0] = block[:, axis]
+                    np.matmul(a, rhs[axis], out=t)
                     np.square(t, out=t)
                     d += t
                 np.sqrt(d, out=d)

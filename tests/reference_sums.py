@@ -1,5 +1,6 @@
-"""Test-only reference sums: one channel's phase, the dense array factor and
-the literal double sum.
+"""Test-only reference sums: one channel's phase, the dense array factor,
+the literal double sum and the exact-sum kernel's arithmetic with broadcast
+coordinate differences.
 
 They compute their own distances, so they share no code with the exact-sum
 kernel in nfsense.ambiguity that the tests check against them.
@@ -85,3 +86,47 @@ def ambiguity(setup, target, probe) -> complex:
     delta_rx = _distances(setup.rx, target)[0] - _distances(setup.rx, probe)[0]
     total = np.exp(-1j * k * (delta_tx[:, None] + delta_rx[None, :])).sum()
     return complex(total / np.sqrt(setup.tx.n_elements * setup.rx.n_elements))
+
+
+def broadcast_array_factor(geometry, target, probes) -> np.ndarray:
+    """(P,) array factors by the exact-sum kernel's arithmetic, one block of
+    probes at a time on one thread, each coordinate difference a broadcast
+    subtraction p_a - e_a.
+
+    The kernel's steps in its order: the class terms for points all on the
+    z axis, the squares added in x, y, z order, the rint-reduced phase in
+    cycles, the half-angle tangent and the ascending row sums.  Points are
+    not checked.
+    """
+    target = np.asarray(target, dtype=float).reshape(3)
+    probes = np.atleast_2d(np.asarray(probes, dtype=float))
+    m = geometry.n_elements
+    on_axis = len(probes) and not (target[0] or target[1] or probes[:, :2].any())
+    elements, weights = (geometry.axial_terms if on_axis
+                         else (geometry.elements, np.ones(m)))
+    ex, ey, ez = np.ascontiguousarray(elements.T)
+    twice = 2.0 * weights
+    out = np.empty(len(probes), dtype=complex)
+    rows = max(1, 65_536 // ex.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d_target = np.sqrt((target[0] - ex) ** 2 + (target[1] - ey) ** 2
+                           + (target[2] - ez) ** 2)
+        for lo in range(0, len(probes), rows):
+            block = probes[lo:lo + rows]
+            d = np.square(block[:, 0:1] - ex)
+            d += np.square(block[:, 1:2] - ey)
+            d += np.square(block[:, 2:3] - ez)
+            c = (d_target - np.sqrt(d)) * (1.0 / geometry.wavelength)
+            t = np.tan((c - np.rint(c)) * np.pi)
+            scale = twice / (np.square(t) + 1.0)
+            out.imag[lo:lo + len(block)] = -(t * scale).sum(axis=1)
+            out.real[lo:lo + len(block)] = (scale - weights).sum(axis=1)
+    out /= np.sqrt(m)
+    return out
+
+
+def broadcast_power(setup, target, probes) -> np.ndarray:
+    """(P,) normalized power (|AF|^2 / M)^p from broadcast_array_factor."""
+    geometry = setup.aperture
+    af = broadcast_array_factor(geometry, target, probes)
+    return (np.abs(af) ** 2 / geometry.n_elements) ** setup.mode.power_exponent

@@ -1,7 +1,12 @@
+import hashlib
+import json
 import math
+import os
+import subprocess
 import sys
 import threading
 import warnings
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -19,8 +24,8 @@ from nfsense.geometry import (SPEED_OF_LIGHT, ArrayGeometry, GeometryKind,
                               simo_miso_setup)
 from nfsense.metrics import half_power_coefficient, half_power_distances
 
-from reference_sums import (ambiguity, channel_phase, dense_array_factor,
-                            dense_power)
+from reference_sums import (ambiguity, broadcast_array_factor, broadcast_power,
+                            channel_phase, dense_array_factor, dense_power)
 
 LAM = 1.0
 FREQ = SPEED_OF_LIGHT / LAM
@@ -407,6 +412,131 @@ class TestSplitBits:
             for i in np.linspace(0, grid.size - 1, 16).astype(int):
                 alone = broadside_power_sweep(setup, 100.0, grid[i:i + 1])
                 assert alone[0] == sweep[i]
+
+
+def _bits(a) -> tuple:
+    """dtype, shape and bytes of an array: real and imaginary parts and the
+    sign of every zero."""
+    a = np.asarray(a)
+    return a.dtype, a.shape, a.tobytes()
+
+
+def _patch_hashes() -> list:
+    """sha256 of normalized_power on a multi-block off-axis patch, per kind
+    and setup."""
+    out = []
+    for kind in GeometryKind:
+        g = build_array(kind, _PATCH_APERTURES[kind] * LAM, LAM)
+        for setup in (simo_miso_setup(g), mimo_setup(g)):
+            power = normalized_power(setup, [4.0, -3.0, 100.0], _patch())
+            out.append(hashlib.sha256(power.tobytes()).hexdigest())
+    return out
+
+
+class TestDifferenceProduct:
+    """The kernel forms each coordinate difference p - e as the two-term
+    product [p, 1] @ [1; -e], whose terms are exact and whose sum rounds
+    once, and so gives the bits of the broadcast subtraction p - e."""
+
+    @staticmethod
+    def _check(got, want):
+        # -0 - +0 is -0, where the product's sum gives +0; the kernel only
+        # squares a difference, and the squares agree
+        with np.errstate(over="ignore"):
+            assert _bits(np.square(got)) == _bits(np.square(want))
+        nonzero = want != 0
+        assert np.array_equal(got, want)
+        assert _bits(got[nonzero]) == _bits(want[nonzero])
+
+    def _check_outer(self, p, e):
+        """Every pair of p and e, in the kernel's shapes: a (P, 2) @ (2, M)
+        product and single [[p, 1]] @ [[1], [-e]] products, stacked."""
+        lhs = np.ones((p.size, 2))
+        lhs[:, 0] = p
+        rhs = np.ones((2, e.size))
+        rhs[1] = -e
+        with np.errstate(over="ignore"):
+            want = p[:, None] - e
+            got = lhs @ rhs
+            pairs = np.matmul(lhs[:, None, None, :],
+                              rhs.T[None, :, :, None])[..., 0, 0]
+        self._check(got, want)
+        self._check(pairs, want)
+
+    def test_edge_values(self):
+        tiny = np.finfo(float).smallest_subnormal
+        big = np.finfo(float).max
+        base = np.concatenate([
+            [0.0, 1.0, 0.1, 0.3, tiny, np.finfo(float).smallest_normal, big],
+            np.logspace(-300, 300, 61)])
+        base = np.concatenate([base, -base])
+        # equal values, neighbours one ulp apart, magnitudes from the
+        # subnormals to the float maximum, and differences that overflow
+        with np.errstate(over="ignore"):
+            away = np.nextafter(base, np.copysign(np.inf, base))
+        values = np.concatenate([base, np.nextafter(base, 0.0),
+                                 away[np.isfinite(away)]])
+        self._check_outer(values, values)
+        with np.errstate(over="ignore"):
+            assert np.isposinf(values - -values).any()
+            assert np.isneginf(values - -values).any()
+
+    def test_random_draws(self):
+        rng = np.random.default_rng(4099)
+        n = 100_000
+        p = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(-300.0, 300.0, n)
+        # near-equal pairs, where the difference cancels, and unrelated ones
+        e = p * (1.0 + rng.standard_normal(n) * 10.0 ** rng.uniform(-17.0, 0.0, n))
+        e[::2] = rng.permutation(p)[::2]
+        lhs = np.column_stack([p, np.ones(n)])
+        with np.errstate(over="ignore"):
+            pairs = np.matmul(lhs[:, None, :],
+                              np.stack([np.ones(n), -e], axis=1)[:, :, None])
+            self._check(pairs[:, 0, 0], p - e)
+        self._check_outer(p[:250], e[:400])
+
+    @pytest.mark.parametrize("split", [("_WORKERS", 1), None,
+                                       ("_BLOCK_PAIRS", 4099)],
+                             ids=["one-thread", "default", "small-blocks"])
+    @pytest.mark.parametrize("kind", list(GeometryKind))
+    def test_same_bits_as_broadcast_subtraction(self, kind, split, monkeypatch):
+        if split:
+            monkeypatch.setattr(ambiguity_module, *split)
+        g = build_array(kind, _PATCH_APERTURES[kind] * LAM, LAM)
+        probes = _patch()
+        target = [4.0, -3.0, 100.0]
+        grid = np.linspace(20.0, 300.0, 2001)
+        axis = np.column_stack([np.zeros((grid.size, 2)), grid])
+        assert _bits(array_factor(g, target, probes)) == \
+            _bits(broadcast_array_factor(g, target, probes))
+        assert _bits(array_factor(g, [0.0, 0.0, 90.0], axis)) == \
+            _bits(broadcast_array_factor(g, [0.0, 0.0, 90.0], axis))
+        for setup in (simo_miso_setup(g), mimo_setup(g)):
+            assert _bits(normalized_power(setup, target, probes)) == \
+                _bits(broadcast_power(setup, target, probes))
+            assert _bits(broadside_power_sweep(setup, 90.0, grid)) == \
+                _bits(broadcast_power(setup, [0.0, 0.0, 90.0], axis))
+        if kind is GeometryKind.ULA:
+            ula = build_array(kind, 12 * LAM, LAM)
+            for far in (1e5, 1e6):
+                probes = np.column_stack([
+                    np.linspace(-0.3 * far, 0.3 * far, 201),
+                    np.full(201, 2.5), np.full(201, far)])
+                assert _bits(array_factor(ula, target, probes)) == \
+                    _bits(broadcast_array_factor(ula, target, probes))
+
+    def test_single_blas_thread_same_bits(self):
+        # each product is at most 2 _BLOCK_PAIRS multiply-adds, so BLAS
+        # threads never split one, and the bits do not depend on them
+        code = ("import json; from test_ambiguity import _patch_hashes; "
+                "print(json.dumps(_patch_hashes()))")
+        paths = (Path(ambiguity_module.__file__).resolve().parents[1],
+                 Path(__file__).resolve().parent)
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join(map(str, paths))}
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert json.loads(out) == _patch_hashes()
 
 
 class TestThreads:
