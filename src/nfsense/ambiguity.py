@@ -6,8 +6,13 @@ sum over its aperture, |AF|^2 / M, raised to the mode's exponent: the single
 element of a SIMO/MISO link has |AF|^2 = 1, and MIMO squares the power.
 
 Every sum runs through one kernel.  It walks the probes in blocks of about
-_BLOCK_PAIRS element-probe pairs, adds the squared coordinate differences of
-a block in place and takes the square root.  The phase in cycles,
+_BLOCK_PAIRS element-probe pairs.  Each coordinate difference p_a - e_a of a
+block is one entry of the matrix product [p_a, 1] @ [1; -e_a]: both of its
+terms are exact, so their sum rounds once, to the subtraction's value, from
+any BLAS (a -0 difference comes out +0, which its square cannot tell), and
+the product avoids numpy's broadcast loop, slow on many short rows.  The
+squared differences are added in place and the square root taken.  The
+phase in cycles,
 c = (d_m(target) - d_m(probe)) / lambda, is reduced to [-1/2, 1/2] by
 subtracting rint(c), which is exact, so the phase error does not grow with
 range.  One tangent of the half angle, t = tan(pi c), then gives the
