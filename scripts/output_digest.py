@@ -31,7 +31,9 @@ with a string kind, and normalized_power, array_factor and
 broadside_power_sweep given two targets; fraunhofer_distance and a MIMO
 normalized_power of a ULA hand-built with a float32 wavelength; the
 package's sorted __all__, beamdepth and half_power_distances one ulp
-below d_FA/alpha, vergence_difference on a list, and each specfun
+below d_FA/alpha, half_power_distances on a two-element array,
+vergence_difference on a list and at a target of 1e-320 m, whose
+reciprocal overflows, and each specfun
 function and normalized_af_power per kind and mode called on each of the
 Python floats SCALARS) prints the sha256 of the result's bytes as a
 numpy array (a geometry's element array), 0 and the call; a raised exception prints the sha256 of its type name and the
@@ -89,6 +91,8 @@ BAD_INPUTS = (
     "beamdepth-sweep --aperture-lambda 5e153 --sweep 1:1e300:3",
     "beamdepth-sweep --aperture-lambda 1e-100 --sweep 1e-300:1e300:3",
     "validate --kind ula --wavelength 1e152",
+    "validate --kind uca --mode simo --aperture-lambda 3 --target-lambda 1e-320 "
+    "--wavelength 1e3 --sweep 0:0:201",
 )
 
 
@@ -214,7 +218,9 @@ def library_cases():
             (beamdepth, (56.31967387950216, 160.08963235498462, 2.842517034056372)),
             (half_power_distances,
              (110.5308754512692, 293.06884588646074, 2.6514658885124707)),
-            (vergence_difference, (100.0, [50.0, 60.0]))):
+            (half_power_distances, (np.array([100.0, 200.0]), 5000.0, 7.0)),
+            (vergence_difference, (100.0, [50.0, 60.0])),
+            (vergence_difference, (1e-320, 5.0))):
         yield f"{function.__name__} {args!r}", function, args
     for function in (fresnel_cs, fresnel_c, fresnel_s, bessel_j0, sinc):
         yield (f"{function.__name__} scalars", _each_scalar, (function,))

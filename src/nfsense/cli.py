@@ -2,7 +2,8 @@
 
 Commands
 --------
-tables           half-power coefficients, mode ratios and sidelobe levels
+tables           half-power coefficients, mode ratios, sidelobe levels and
+                 the quadratic mainlobe model's sqrt(2) beside them
 af-curve         normalized power vs probe range from the closed forms
 beamdepth-sweep  beamdepth vs target range, with divergence metadata
 validate         direct element summation vs closed forms on broadside
@@ -12,7 +13,8 @@ Every command takes every flag, before or after the command name.
 Outputs are CSV ('#'-prefixed metadata lines, then a header row) or JSON
 (a metadata object plus an array of row records).  Identical inputs give
 byte-identical output on one machine.  Exit codes: 0 success, 1 usage
-error, 2 validation failure, 3 I/O error.
+error or an input out of the library's domain, 2 validation failure, 3 I/O
+error.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ CROSSING_THRESHOLD = 0.03   # relative, in distance
 MAX_SWEEP_POINTS = 100_000  # validate sweeps four times as many on its wide grid
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     pass
 
 
@@ -182,15 +184,6 @@ def _sweep_grid(args) -> np.ndarray:
     lam = args.wavelength
     _check_lengths(sweep_start_m=start * lam, sweep_stop_m=stop * lam)
     return np.linspace(start * lam, stop * lam, points)
-
-
-@contextlib.contextmanager
-def _rejected_input():
-    """Report a library ValueError (an input out of its domain) as a usage error."""
-    try:
-        yield
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
 
 
 def _json_float(value: float) -> str:
@@ -346,8 +339,7 @@ def cmd_beamdepth_sweep(args) -> int:
                 max_nearfield_range(d_fa, coeff)
             columns["kind"] += [kind] * len(targets)
             columns["mode"] += [mode] * len(targets)
-            with _rejected_input():  # a depth out of floating-point range
-                columns["beamdepth_m"] += beamdepth(targets, d_fa, coeff).tolist()
+            columns["beamdepth_m"] += beamdepth(targets, d_fa, coeff).tolist()
     _emit(args, metadata, columns)
     return 0
 
@@ -355,8 +347,7 @@ def cmd_beamdepth_sweep(args) -> int:
 def _validate_series(kind: GeometryKind, args) -> list:
     """Exact vs closed-form comparison rows for one geometry, both modes."""
     lam = args.wavelength
-    with _rejected_input():
-        geometry = build_array(kind, args.aperture_lambda * lam, lam)
+    geometry = build_array(kind, args.aperture_lambda * lam, lam)
     d_fa = _fraunhofer(geometry.aperture, lam)
     d_target = args.target_lambda * lam
     _check_lengths(target_m=d_target, fraunhofer_m=d_fa)
@@ -365,8 +356,7 @@ def _validate_series(kind: GeometryKind, args) -> list:
     rows = []
     for mode in args.mode:
         coeff = half_power_coefficient(kind, mode)
-        with _rejected_input():  # d_FA d' out of floating-point range
-            d_low, d_high = half_power_distances(d_target, d_fa, coeff)
+        d_low, d_high = half_power_distances(d_target, d_fa, coeff)
         if math.isinf(d_high):
             raise ValidationFailure(
                 f"{kind.name}: target beyond the maximum near-field range; "
@@ -374,10 +364,8 @@ def _validate_series(kind: GeometryKind, args) -> list:
         grid = np.linspace(d_low, d_high, points)
         # the wide grid locates the exact half-power crossings around the target
         wide = np.linspace(0.85 * d_low, 1.15 * d_high, 4 * points)
-        with _rejected_input():  # the target or a probe on an element
-            exact = broadside_power_sweep(setup, d_target, grid) ** mode.power_exponent
-            exact_wide = (broadside_power_sweep(setup, d_target, wide)
-                          ** mode.power_exponent)
+        exact = broadside_power_sweep(setup, d_target, grid) ** mode.power_exponent
+        exact_wide = broadside_power_sweep(setup, d_target, wide) ** mode.power_exponent
         x = af_argument(kind, d_fa, vergence_difference(d_target, grid))
         closed = normalized_af_power(kind, mode, x)
         deviation = np.abs(exact - closed)
@@ -443,9 +431,8 @@ def cmd_validate(args) -> int:
 def cmd_dump_geometry(args) -> int:
     if len(args.kind) != 1:
         raise UsageError("dump-geometry takes exactly one kind")
-    with _rejected_input():
-        geometry = build_array(args.kind[0], args.aperture_lambda * args.wavelength,
-                               args.wavelength)
+    geometry = build_array(args.kind[0], args.aperture_lambda * args.wavelength,
+                           args.wavelength)
     columns = {"index": list(range(geometry.n_elements)),
                **dict(zip("xyz", geometry.elements.T.tolist()))}
     _emit(args, {}, columns)
@@ -489,7 +476,7 @@ def main(argv=None) -> int:
         if args.sweep is None:
             args.sweep = _parse_sweep(_SWEEP_DEFAULTS.get(args.command, "0:0:2"))
         return _COMMANDS[args.command](args)
-    except UsageError as exc:
+    except ValueError as exc:  # a UsageError, or a library input out of its domain
         print(f"nfsense: error: {exc}", file=sys.stderr)
         return 1
     except ValidationFailure as exc:

@@ -37,11 +37,18 @@ __all__ = [
 
 
 def vergence_difference(d_target: float, d_probe):
-    """|1/d' - 1/d| for target range d' and probe range(s) d, all > 0."""
+    """|1/d' - 1/d| for target range d' and probe range(s) d, all > 0.
+
+    ValueError where a reciprocal overflows (a distance below about 5.6e-309).
+    """
     d_target, d_probe = np.asarray(d_target, float), np.asarray(d_probe, float)
     if not (np.all(d_target > 0) and np.all(d_probe > 0)):
         raise ValueError("distances must be positive")
-    out = np.abs(1.0 / d_target - 1.0 / d_probe)
+    with np.errstate(over="ignore"):
+        inverse_target, inverse_probe = 1.0 / d_target, 1.0 / d_probe
+    if np.isinf(inverse_target).any() or np.isinf(inverse_probe).any():
+        raise ValueError("distances are too small: a reciprocal overflows")
+    out = np.abs(inverse_target - inverse_probe)
     return float(out) if out.ndim == 0 else out
 
 

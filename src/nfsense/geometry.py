@@ -115,7 +115,8 @@ class ArrayGeometry:
     def __post_init__(self):
         if not (self.kind is None or isinstance(self.kind, GeometryKind)):
             raise ValueError(f"unknown geometry kind {self.kind!r}")
-        object.__setattr__(self, "wavelength", _check_wavelength(self.wavelength))
+        object.__setattr__(self, "wavelength",
+                           _positive_scalar(self.wavelength, "wavelength"))
         e = self.elements
         if not (isinstance(e, np.ndarray) and e.dtype.kind in "iuf"
                 and e.ndim == 2 and e.shape[0] > 0 and e.shape[1] == 3
@@ -170,12 +171,13 @@ class ArrayGeometry:
         return positions, weights
 
 
-def _check_wavelength(wavelength) -> float:
-    """The wavelength as a float; ValueError unless a finite positive real."""
-    value = np.asarray(wavelength)
-    if value.shape or value.dtype.kind not in "iuf" or not 0.0 < value < math.inf:
-        raise ValueError(f"wavelength must be finite and positive, got {wavelength}")
-    return float(value)
+def _positive_scalar(value, name: str) -> float:
+    """value as a float; ValueError unless a finite positive real scalar."""
+    array = np.asarray(value)
+    if array.shape or array.dtype.kind not in "iuf" or not 0.0 < array < math.inf:
+        raise ValueError(f"{name} must be finite and positive (a real scalar), "
+                         f"got {value}")
+    return float(array)
 
 
 def _aperture_overflow(kind, wavelength: float) -> ValueError:
@@ -210,7 +212,7 @@ def build_ula(aperture: float, wavelength: float) -> ArrayGeometry:
 
     Element count is floor(2 D / lambda) + 1.
     """
-    wavelength = _check_wavelength(wavelength)
+    wavelength = _positive_scalar(wavelength, "wavelength")
     if not aperture >= wavelength / 2:
         raise ValueError(f"ULA aperture must be >= lambda/2, got {aperture}")
     n = _check_count(GeometryKind.ULA,
@@ -227,7 +229,7 @@ def build_uca(diameter: float, wavelength: float) -> ArrayGeometry:
     Elements sit in the x-z plane, equally spaced on the circle with arc
     spacing <= lambda/2 (count = ceil(pi D / (lambda/2))).
     """
-    wavelength = _check_wavelength(wavelength)
+    wavelength = _positive_scalar(wavelength, "wavelength")
     if not diameter >= wavelength / 2:
         raise ValueError(f"UCA diameter must be >= lambda/2, got {diameter}")
     n = _check_count(GeometryKind.UCA,
@@ -245,7 +247,7 @@ def build_ura(diagonal: float, wavelength: float) -> ArrayGeometry:
     Per-axis spacing is exactly lambda/2, per-axis count
     floor(sqrt(2) D / lambda) + 1.
     """
-    wavelength = _check_wavelength(wavelength)
+    wavelength = _positive_scalar(wavelength, "wavelength")
     if not diagonal >= wavelength / math.sqrt(2):
         raise ValueError(f"URA diagonal must be >= lambda/sqrt(2), got {diagonal}")
     n = float(np.floor(math.sqrt(2.0) * diagonal / wavelength + _TOL)) + 1
@@ -264,7 +266,7 @@ def build_upca(diameter: float, wavelength: float) -> ArrayGeometry:
     i at r = i lambda/2 populated with ceil(2 pi r / (lambda/2)) =
     ceil(2 pi i) elements so the arc spacing never exceeds lambda/2.
     """
-    wavelength = _check_wavelength(wavelength)
+    wavelength = _positive_scalar(wavelength, "wavelength")
     if not diameter >= wavelength:
         raise ValueError(f"UPCA diameter must be >= lambda, got {diameter}")
     n_rings = float(np.floor(diameter / wavelength + _TOL))

@@ -14,6 +14,8 @@ Beamdepth and its divergence point follow from the vergence algebra
 
 with alpha = x_3dB / a.  Beamdepth is infinite for d' >= d_FA / alpha,
 which is therefore the maximum range with a finite focal region.
+compute_metrics gives a layout's figures as one record, the quadratic
+mainlobe model's x_3dB pair and its sqrt(2) mode ratio among them.
 """
 
 from __future__ import annotations
@@ -25,13 +27,12 @@ from functools import lru_cache
 import numpy as np
 
 from .closed_form import _base_exponent, quadratic_mainlobe_coefficient
-from .geometry import GeometryKind, ProcessingMode
+from .geometry import GeometryKind, ProcessingMode, _positive_scalar
 
 __all__ = [
-    "GeometryMetrics", "QuadraticGainAnalysis", "half_power_argument",
-    "half_power_coefficient", "half_power_distances", "beamdepth",
-    "max_nearfield_range", "mainlobe_edge", "peak_sidelobe_level",
-    "quadratic_gain_analysis", "compute_metrics",
+    "GeometryMetrics", "half_power_argument", "half_power_coefficient",
+    "half_power_distances", "beamdepth", "max_nearfield_range",
+    "mainlobe_edge", "peak_sidelobe_level", "compute_metrics",
 ]
 
 # Per base pattern f: ({n p: x_3dB}, mainlobe edge, peak sidelobe power of
@@ -67,15 +68,16 @@ def half_power_distances(d_target: float, d_fraunhofer: float,
                          coefficient: float) -> tuple[float, float]:
     """The two ranges where the power around a target at d' falls to half.
 
-    The three inputs are real scalars, not arrays (beamdepth takes arrays).
-    Returns (lower, upper); upper is math.inf once the target sits at or
-    beyond d_FA / alpha.  ValueError where the formula leaves the float
+    The three inputs are finite positive real scalars, not arrays
+    (beamdepth takes arrays); anything else raises ValueError.  Returns
+    (lower, upper); upper is math.inf once the target sits at or beyond
+    d_FA / alpha.  ValueError where the formula leaves the float
     range: d_FA d' overflows or underflows, or just below d_FA / alpha,
     alpha d' rounds to d_FA or above it.
     """
-    if not (0.0 < d_target < math.inf and 0.0 < d_fraunhofer < math.inf
-            and 0.0 < coefficient < math.inf):
-        raise ValueError("distances and coefficient must be finite and positive")
+    d_target = _positive_scalar(d_target, "d_target")
+    d_fraunhofer = _positive_scalar(d_fraunhofer, "d_fraunhofer")
+    coefficient = _positive_scalar(coefficient, "coefficient")
     product = d_fraunhofer * d_target
     lower = product / (d_fraunhofer + coefficient * d_target)
     finite = d_target < d_fraunhofer / coefficient
@@ -123,10 +125,9 @@ def beamdepth(d_target, d_fraunhofer, coefficient):
 
 def max_nearfield_range(d_fraunhofer: float, coefficient: float) -> float:
     """Largest target range with a finite beamdepth, d_FA / alpha; both
-    inputs are real scalars."""
-    if not (0.0 < d_fraunhofer < math.inf and 0.0 < coefficient < math.inf):
-        raise ValueError("inputs must be finite and positive")
-    return d_fraunhofer / coefficient
+    inputs are finite positive real scalars, or ValueError."""
+    return (_positive_scalar(d_fraunhofer, "d_fraunhofer")
+            / _positive_scalar(coefficient, "coefficient"))
 
 
 def mainlobe_edge(kind: GeometryKind, mode: ProcessingMode) -> float:
@@ -144,47 +145,15 @@ def peak_sidelobe_level(kind: GeometryKind, mode: ProcessingMode) -> float:
 
 
 @dataclass(frozen=True)
-class QuadraticGainAnalysis:
-    """Half-power arguments under the quadratic mainlobe model 1 - c x^2.
-
-    The model predicts x_3dB = sqrt(2)/(2 sqrt(c)) for a single aperture
-    and 1/(2 sqrt(c)) for MIMO, hence a mode ratio of sqrt(2) regardless
-    of c.  rel_error_* compare the model's x_3dB against the true values;
-    ratio_rel_error compares the sqrt(2) prediction against the true ratio.
-    """
-
-    kind: GeometryKind
-    curvature: float
-    x3db_quad_simo: float
-    x3db_quad_mimo: float
-    predicted_ratio: float
-    true_ratio: float
-    rel_error_simo: float
-    rel_error_mimo: float
-
-    @property
-    def ratio_rel_error(self) -> float:
-        return abs(self.predicted_ratio - self.true_ratio) / self.true_ratio
-
-
-def quadratic_gain_analysis(kind: GeometryKind) -> QuadraticGainAnalysis:
-    c = quadratic_mainlobe_coefficient(kind)
-    quad_simo = math.sqrt(2.0) / (2.0 * math.sqrt(c))
-    quad_mimo = 1.0 / (2.0 * math.sqrt(c))
-    true_simo = half_power_argument(kind, ProcessingMode.SIMO_MISO)
-    true_mimo = half_power_argument(kind, ProcessingMode.MIMO)
-    return QuadraticGainAnalysis(
-        kind=kind, curvature=c,
-        x3db_quad_simo=quad_simo, x3db_quad_mimo=quad_mimo,
-        predicted_ratio=math.sqrt(2.0), true_ratio=true_simo / true_mimo,
-        rel_error_simo=abs(quad_simo - true_simo) / true_simo,
-        rel_error_mimo=abs(quad_mimo - true_mimo) / true_mimo,
-    )
-
-
-@dataclass(frozen=True)
 class GeometryMetrics:
-    """One table row: half-power and sidelobe figures for a layout."""
+    """One table row: half-power and sidelobe figures for a layout, then the
+    quadratic mainlobe model 1 - c x^2 beside them.
+
+    The model puts x_3dB at sqrt(2)/(2 sqrt(c)) for a single aperture and
+    at 1/(2 sqrt(c)) for MIMO, hence a mode ratio of sqrt(2) whatever c is.
+    quad_rel_error_* compare the model's x_3dB with the true ones, and
+    quad_ratio_rel_error its sqrt(2) with alpha_ratio.
+    """
 
     kind: GeometryKind
     argument_scale: float
@@ -195,16 +164,31 @@ class GeometryMetrics:
     alpha_ratio: float
     psl_simo_db: float
     psl_mimo_db: float
+    curvature: float
+    x3db_quad_simo: float
+    x3db_quad_mimo: float
+    quad_ratio: float
+    quad_rel_error_simo: float
+    quad_rel_error_mimo: float
+    quad_ratio_rel_error: float
 
 
 def compute_metrics(kind: GeometryKind) -> GeometryMetrics:
     x_simo = half_power_argument(kind, ProcessingMode.SIMO_MISO)
     x_mimo = half_power_argument(kind, ProcessingMode.MIMO)
     a = kind.argument_scale
+    ratio = x_simo / x_mimo
+    c = quadratic_mainlobe_coefficient(kind)
+    quad_simo = math.sqrt(2.0) / (2.0 * math.sqrt(c))
+    quad_mimo = 1.0 / (2.0 * math.sqrt(c))
     return GeometryMetrics(
         kind=kind, argument_scale=a, x3db_simo=x_simo, x3db_mimo=x_mimo,
-        alpha_simo=x_simo / a, alpha_mimo=x_mimo / a,
-        alpha_ratio=x_simo / x_mimo,
+        alpha_simo=x_simo / a, alpha_mimo=x_mimo / a, alpha_ratio=ratio,
         psl_simo_db=peak_sidelobe_level(kind, ProcessingMode.SIMO_MISO),
         psl_mimo_db=peak_sidelobe_level(kind, ProcessingMode.MIMO),
+        curvature=c, x3db_quad_simo=quad_simo, x3db_quad_mimo=quad_mimo,
+        quad_ratio=math.sqrt(2.0),
+        quad_rel_error_simo=abs(quad_simo - x_simo) / x_simo,
+        quad_rel_error_mimo=abs(quad_mimo - x_mimo) / x_mimo,
+        quad_ratio_rel_error=abs(math.sqrt(2.0) - ratio) / ratio,
     )

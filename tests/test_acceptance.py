@@ -18,10 +18,10 @@ from nfsense.closed_form import normalized_af_power
 from nfsense.geometry import (GeometryKind, ProcessingMode, build_array,
                               build_ula, build_uca, fraunhofer_distance,
                               mimo_setup, simo_miso_setup)
-from nfsense.metrics import (beamdepth, half_power_argument,
+from nfsense.metrics import (beamdepth, compute_metrics, half_power_argument,
                              half_power_coefficient, half_power_distances,
                              mainlobe_edge, max_nearfield_range,
-                             peak_sidelobe_level, quadratic_gain_analysis)
+                             peak_sidelobe_level)
 
 from reference_sums import ambiguity
 
@@ -112,10 +112,10 @@ def test_criterion_3_half_power_arguments():
 
 
 def test_criterion_4_sqrt2_analysis():
-    records = [quadratic_gain_analysis(kind) for kind in KINDS]
-    predicted_ok = all(r.predicted_ratio == math.sqrt(2.0) for r in records)
-    band_ok = all(1.38 <= r.true_ratio <= 1.41 for r in records)
-    worst = max(r.ratio_rel_error for r in records)
+    records = [compute_metrics(kind) for kind in KINDS]
+    predicted_ok = all(r.quad_ratio == math.sqrt(2.0) for r in records)
+    band_ok = all(1.38 <= r.alpha_ratio <= 1.41 for r in records)
+    worst = max(r.quad_ratio_rel_error for r in records)
     ok = predicted_ok and band_ok and worst <= 0.0227
     report("4", ok, f"sqrt(2) analysis: predicted ratio exact {predicted_ok}, "
            f"true ratios in [1.38, 1.41] {band_ok}, "

@@ -27,6 +27,15 @@ def read_csv(path):
     return metadata, rows
 
 
+# the nine columns of the closed-form figures, then the quadratic model's seven
+TABLE_COLUMNS = [
+    "kind", "argument_scale", "x3db_simo", "x3db_mimo", "alpha_simo",
+    "alpha_mimo", "alpha_ratio", "psl_simo_db", "psl_mimo_db", "curvature",
+    "x3db_quad_simo", "x3db_quad_mimo", "quad_ratio", "quad_rel_error_simo",
+    "quad_rel_error_mimo", "quad_ratio_rel_error",
+]
+
+
 class TestTables:
     def test_all_kinds(self, tmp_path):
         out = tmp_path / "tables.csv"
@@ -58,6 +67,33 @@ class TestTables:
         assert doc["metadata"]["command"] == "tables"
         assert len(doc["rows"]) == 4
         assert doc["rows"][1]["kind"] == "UCA"
+
+    def test_quadratic_columns_follow_the_nine(self, tmp_path):
+        csv_out, json_out = tmp_path / "tables.csv", tmp_path / "tables.json"
+        assert main(["tables", "--out", str(csv_out)]) == 0
+        assert main(["tables", "--format", "json", "--out", str(json_out)]) == 0
+        _, csv_rows = read_csv(csv_out)
+        rows = json.loads(json_out.read_text())["rows"]
+        assert [list(r) for r in csv_rows] == [TABLE_COLUMNS] * 4
+        assert [list(r) for r in rows] == [TABLE_COLUMNS] * 4
+        for row, csv_row in zip(rows, csv_rows):
+            # JSON holds every bit of the formula, CSV its 12 digits
+            c = row["curvature"]
+            x_simo, x_mimo = row["x3db_simo"], row["x3db_mimo"]
+            quad_simo = math.sqrt(2.0) / (2.0 * math.sqrt(c))
+            quad_mimo = 1.0 / (2.0 * math.sqrt(c))
+            expected = {
+                "x3db_quad_simo": quad_simo, "x3db_quad_mimo": quad_mimo,
+                "quad_ratio": math.sqrt(2.0),
+                "quad_rel_error_simo": abs(quad_simo - x_simo) / x_simo,
+                "quad_rel_error_mimo": abs(quad_mimo - x_mimo) / x_mimo,
+                "quad_ratio_rel_error": (abs(math.sqrt(2.0) - row["alpha_ratio"])
+                                         / row["alpha_ratio"]),
+            }
+            for name, value in expected.items():
+                assert row[name] == value, name
+            for name in TABLE_COLUMNS[1:]:
+                assert csv_row[name] == "%.12g" % row[name], name
 
 
 class TestAfCurve:
@@ -510,6 +546,19 @@ class TestExitCodes:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("nfsense: error: ")
+
+    @pytest.mark.parametrize("argv", [
+        # a target whose reciprocal overflows, reached only by the UCA,
+        # which has no element at the origin
+        "validate --kind uca --mode simo --aperture-lambda 3 "
+        "--target-lambda 1e-320 --wavelength 1e3 --sweep 0:0:201",
+        "af-curve --sweep 1e-320:1:3",
+    ])
+    def test_overflowing_reciprocal_named(self, capsys, argv):
+        assert main(argv.split()) == 1
+        assert capsys.readouterr() == (
+            "", "nfsense: error: distances are too small: a reciprocal "
+            "overflows\n")
 
     def test_upca_ring_overflow_named(self, capsys):
         # the ring holds 7 elements: the norms of their positions, not

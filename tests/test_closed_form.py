@@ -45,6 +45,18 @@ class TestVergence:
         with pytest.raises(ValueError):
             vergence_difference(10.0, np.array([5.0, 0.0]))
 
+    @pytest.mark.parametrize("d_target, d_probe", [
+        (1e-320, 5.0), (5.0, 1e-320), (100.0, np.array([50.0, 1e-310])),
+    ])
+    def test_overflowing_reciprocal_rejected(self, d_target, d_probe):
+        # raised without a numpy warning, which the suite makes an error
+        with pytest.raises(ValueError, match="a reciprocal overflows"):
+            vergence_difference(d_target, d_probe)
+
+    def test_smallest_normal_distance_kept(self):
+        tiny = np.finfo(float).tiny  # 1/tiny is finite
+        assert vergence_difference(tiny, 1.0) == 1.0 / tiny - 1.0
+
 
 class TestAfArgument:
     def test_zero_vergence(self):

@@ -33,6 +33,14 @@ def test_private_names_stay_unexported():
         assert name not in nfsense.__all__
 
 
+def test_quadratic_record_is_folded_into_compute_metrics():
+    # the quadratic mainlobe model is part of the compute_metrics row
+    for name in ("QuadraticGainAnalysis", "quadratic_gain_analysis"):
+        assert name not in nfsense.__all__
+        assert not hasattr(metrics, name)
+        assert not hasattr(nfsense, name)
+
+
 def test_import_loads_only_the_layers():
     code = ("import sys, json, nfsense; print(json.dumps([sorted(m for m in "
             "sys.modules if m.startswith('nfsense')), "

@@ -17,7 +17,7 @@ from nfsense.geometry import (GeometryKind, ProcessingMode, SensingSetup,
 from nfsense.metrics import (beamdepth, compute_metrics, half_power_argument,
                              half_power_coefficient, half_power_distances,
                              mainlobe_edge, max_nearfield_range,
-                             peak_sidelobe_level, quadratic_gain_analysis)
+                             peak_sidelobe_level)
 
 import reference_metrics
 import reference_solvers
@@ -119,6 +119,33 @@ class TestHalfPowerDistances:
                            (max_nearfield_range, (5000.0, math.inf))):
             with pytest.raises(ValueError, match="finite and positive"):
                 func(*args)
+
+    @pytest.mark.parametrize("args, name", [
+        ((np.array([100.0, 200.0]), 5000.0, 7.0), "d_target"),
+        ((np.array([100.0]), 5000.0, 7.0), "d_target"),
+        ((100.0, [5000.0], 7.0), "d_fraunhofer"),
+        ((100.0, 5000.0, "7"), "coefficient"),
+        ((100.0, 5000.0, True), "coefficient"),
+        ((100.0, 5000.0, 7j), "coefficient"),
+    ])
+    def test_non_scalars_named(self, args, name):
+        # the inputs are real scalars: an array, a string, a bool or a
+        # complex number is named, not passed to float arithmetic
+        with pytest.raises(ValueError, match=f"^{name} must be finite and "
+                           r"positive \(a real scalar\)"):
+            half_power_distances(*args)
+
+    @pytest.mark.parametrize("args", [(100.0, 5000.0, 7.0),
+                                      (np.float64(100.0), 5000, np.array(7.0)),
+                                      (110.5308754512692, 293.06884588646074,
+                                       2.6)])
+    def test_scalars_keep_their_bits(self, args):
+        floats = [float(v) for v in args]
+        product = floats[1] * floats[0]
+        low, high = half_power_distances(*args)
+        assert (type(low), type(high)) == (float, float)
+        assert low == product / (floats[1] + floats[2] * floats[0])
+        assert high == product / (floats[1] - floats[2] * floats[0])
 
 
 class TestBeamdepth:
@@ -280,6 +307,19 @@ class TestMaxRange:
         assert max_nearfield_range(5000.0, 13.904) == pytest.approx(
             max_nearfield_range(5000.0, 6.952) / 2.0)
 
+    @pytest.mark.parametrize("args, name", [
+        ((np.array([1.0]), 2.0), "d_fraunhofer"),
+        ((1.0, np.array([2.0, 3.0])), "coefficient"),
+        ((1.0, "2"), "coefficient"),
+    ])
+    def test_non_scalars_named(self, args, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            max_nearfield_range(*args)
+
+    def test_scalar_quotient(self):
+        assert max_nearfield_range(5000.0, 6.952) == 5000.0 / 6.952
+        assert type(max_nearfield_range(np.float64(5000.0), 7)) is float
+
 
 class TestSidelobes:
     @pytest.mark.parametrize("kind,mode", list(PSL_PUBLISHED))
@@ -433,30 +473,48 @@ class TestFigureTable:
 
 
 class TestQuadraticGainAnalysis:
+    """The quadratic mainlobe model's columns of the compute_metrics row."""
+
     @pytest.mark.parametrize("kind", KINDS)
     def test_predicted_ratio_is_sqrt2(self, kind):
-        assert quadratic_gain_analysis(kind).predicted_ratio == math.sqrt(2.0)
+        assert compute_metrics(kind).quad_ratio == math.sqrt(2.0)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_true_ratio_band(self, kind):
-        assert 1.38 <= quadratic_gain_analysis(kind).true_ratio <= 1.41
+        assert 1.38 <= compute_metrics(kind).alpha_ratio <= 1.41
 
     def test_worst_case_ratio_error(self):
-        worst = max(quadratic_gain_analysis(k).ratio_rel_error for k in KINDS)
+        worst = max(compute_metrics(k).quad_ratio_rel_error for k in KINDS)
         assert worst <= 0.0227
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_model_arguments_from_curvature(self, kind):
-        qa = quadratic_gain_analysis(kind)
+        qa = compute_metrics(kind)
         assert qa.x3db_quad_simo == pytest.approx(
             math.sqrt(2.0) / (2.0 * math.sqrt(qa.curvature)), rel=1e-12)
         assert qa.x3db_quad_mimo == pytest.approx(
             1.0 / (2.0 * math.sqrt(qa.curvature)), rel=1e-12)
         assert qa.x3db_quad_simo / qa.x3db_quad_mimo == pytest.approx(
             math.sqrt(2.0), rel=1e-12)
-        assert qa.rel_error_simo == pytest.approx(
+        assert qa.quad_rel_error_simo == pytest.approx(
             abs(qa.x3db_quad_simo - half_power_argument(kind, SIMO))
             / half_power_argument(kind, SIMO), rel=1e-9)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_columns_are_their_formulas(self, kind):
+        # each quadratic column is the expression it is defined by, bit for bit
+        m = compute_metrics(kind)
+        c = closed_form.quadratic_mainlobe_coefficient(kind)
+        x_simo = half_power_argument(kind, SIMO)
+        x_mimo = half_power_argument(kind, MIMO)
+        assert m.curvature == c
+        assert m.x3db_quad_simo == math.sqrt(2.0) / (2.0 * math.sqrt(c))
+        assert m.x3db_quad_mimo == 1.0 / (2.0 * math.sqrt(c))
+        assert m.quad_rel_error_simo == abs(m.x3db_quad_simo - x_simo) / x_simo
+        assert m.quad_rel_error_mimo == abs(m.x3db_quad_mimo - x_mimo) / x_mimo
+        assert m.alpha_ratio == x_simo / x_mimo
+        assert m.quad_ratio_rel_error == (abs(math.sqrt(2.0) - m.alpha_ratio)
+                                          / m.alpha_ratio)
 
 
 class TestComputeMetrics:
