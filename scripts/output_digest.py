@@ -32,8 +32,12 @@ broadside_power_sweep given two targets; fraunhofer_distance and a MIMO
 normalized_power of a ULA hand-built with a float32 wavelength; the
 package's sorted __all__, beamdepth and half_power_distances one ulp
 below d_FA/alpha, half_power_distances on a two-element array,
-vergence_difference on a list and at a target of 1e-320 m, whose
-reciprocal overflows, and each specfun
+vergence_difference on a list, at a target of 1e-320 m, whose
+reciprocal overflows, and at an infinite target, inputs no public
+function takes as real numbers (a numeric string to normalized_af_power,
+a bool to bessel_j0, a string kind to af_argument, a complex probe to
+normalized_power and a None aperture to SensingSetup, whose setup is
+then summed), and each specfun
 function and normalized_af_power per kind and mode called on each of the
 Python floats SCALARS) prints the sha256 of the result's bytes as a
 numpy array (a geometry's element array), 0 and the call; a raised exception prints the sha256 of its type name and the
@@ -55,6 +59,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import math
 import os
 import sys
 from itertools import product
@@ -139,9 +144,11 @@ def library_cases():
     import nfsense
     from nfsense.ambiguity import (array_factor, broadside_power_sweep,
                                    normalized_power)
-    from nfsense.closed_form import normalized_af_power, vergence_difference
+    from nfsense.closed_form import (af_argument, normalized_af_power,
+                                     vergence_difference)
     from nfsense.geometry import (ArrayGeometry, GeometryKind, ProcessingMode,
-                                  build_array, fraunhofer_distance, mimo_setup,
+                                  SensingSetup, build_array,
+                                  fraunhofer_distance, mimo_setup,
                                   simo_miso_setup)
     from nfsense.metrics import beamdepth, half_power_distances
     from nfsense.specfun import bessel_j0, fresnel_c, fresnel_cs, fresnel_s, sinc
@@ -220,8 +227,19 @@ def library_cases():
              (110.5308754512692, 293.06884588646074, 2.6514658885124707)),
             (half_power_distances, (np.array([100.0, 200.0]), 5000.0, 7.0)),
             (vergence_difference, (100.0, [50.0, 60.0])),
-            (vergence_difference, (1e-320, 5.0))):
+            (vergence_difference, (1e-320, 5.0)),
+            (vergence_difference, (math.inf, 5.0)),
+            (normalized_af_power,
+             (GeometryKind.ULA, ProcessingMode.SIMO_MISO, "0.5")),
+            (bessel_j0, (True,)),
+            (af_argument, ("ula", 1.0, 0.1))):
         yield f"{function.__name__} {args!r}", function, args
+    yield ("normalized_power ula simo_miso_setup complex probe",
+           normalized_power, (simo_miso_setup(ula), [0.0, 0.0, 10.0],
+                              [0.0, 0.0, 5.0 + 1j]))
+    yield ("normalized_power SensingSetup None MIMO",
+           lambda: normalized_power(SensingSetup(None, ProcessingMode.MIMO),
+                                    [0.0, 0.0, 10.0], [0.0, 0.0, 5.0]), ())
     for function in (fresnel_cs, fresnel_c, fresnel_s, bessel_j0, sinc):
         yield (f"{function.__name__} scalars", _each_scalar, (function,))
     for kind, mode in product(GeometryKind, ProcessingMode):

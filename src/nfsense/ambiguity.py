@@ -61,18 +61,20 @@ _ONE_TARGET = "target must be one finite point"
 
 def _target(target) -> np.ndarray:
     """(3,) float array of one finite point given as (3,) or (1, 3)."""
-    t = np.asarray(target, dtype=float)
-    if t.shape not in ((3,), (1, 3)) or not np.all(np.isfinite(t)):
+    t = np.asarray(target)
+    if (t.dtype.kind not in "iuf" or t.shape not in ((3,), (1, 3))
+            or not np.all(np.isfinite(t))):
         raise ValueError(_ONE_TARGET)
-    return t.reshape(3)
+    return t.astype(float, copy=False).reshape(3)
 
 
 def _points(points) -> np.ndarray:
     """(P, 3) float array of finite points."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.ndim != 2 or pts.shape[1] != 3 or not np.all(np.isfinite(pts)):
+    pts = np.atleast_2d(np.asarray(points))
+    if (pts.dtype.kind not in "iuf" or pts.ndim != 2 or pts.shape[1] != 3
+            or not np.all(np.isfinite(pts))):
         raise ValueError("points must be finite 3-vectors")
-    return pts
+    return pts.astype(float, copy=False)
 
 
 def _phase_sum(elements, weights, inv_wavelength: float, target, probes,
@@ -213,7 +215,8 @@ def broadside_power_sweep(setup: SensingSetup, target_distance: float, probe_dis
     distance = np.asarray(target_distance)
     if distance.shape or distance.dtype.kind not in "iuf":
         raise ValueError(_ONE_TARGET)
-    probe_distances = np.asarray(probe_distances, dtype=float)
-    probes = np.zeros((probe_distances.size, 3))
-    probes[:, 2] = probe_distances.ravel()
+    # probes of the given dtype, which _points checks
+    probe_distances = np.ravel(probe_distances)
+    probes = np.zeros((probe_distances.size, 3), probe_distances.dtype)
+    probes[:, 2] = probe_distances
     return _power(setup, _target([0.0, 0.0, distance]), _points(probes))

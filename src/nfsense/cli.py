@@ -34,8 +34,8 @@ import numpy as np
 from . import __version__
 from .ambiguity import broadside_power_sweep
 from .closed_form import af_argument, normalized_af_power, vergence_difference
-from .geometry import (GeometryKind, ProcessingMode, _fraunhofer,
-                       build_array, simo_miso_setup)
+from .geometry import (GeometryKind, ProcessingMode, _fraunhofer, _real,
+                       build_array, fraunhofer_distance, simo_miso_setup)
 from .metrics import (beamdepth, compute_metrics, half_power_coefficient,
                       half_power_distances, max_nearfield_range)
 
@@ -171,19 +171,12 @@ def _load_config_file(path: str) -> dict:
     return values
 
 
-def _check_lengths(**meters) -> None:
-    """Reject lengths in meters that are not finite and positive."""
-    for name, value in meters.items():
-        if not 0.0 < value < math.inf:
-            raise UsageError(f"{name} = {value:g} is not a finite positive length")
-
-
 def _sweep_grid(args) -> np.ndarray:
-    """The --sweep grid in meters."""
+    """The --sweep grid in meters, between finite positive ends."""
     start, stop, points = args.sweep
     lam = args.wavelength
-    _check_lengths(sweep_start_m=start * lam, sweep_stop_m=stop * lam)
-    return np.linspace(start * lam, stop * lam, points)
+    return np.linspace(_real(start * lam, "sweep_start_m"),
+                       _real(stop * lam, "sweep_stop_m"), points)
 
 
 def _json_float(value: float) -> str:
@@ -288,8 +281,8 @@ def cmd_af_curve(args) -> int:
     d_target = args.target_lambda * lam
     aperture = args.aperture_lambda * lam
     d_fa = _fraunhofer(aperture, lam)
-    _check_lengths(target_m=d_target, fraunhofer_m=d_fa)
     distances = _sweep_grid(args)
+    vergence = vergence_difference(d_target, distances)
     metadata = _base_metadata(args)
     metadata.update({
         "lambda_m": lam, "aperture_m": aperture, "target_m": d_target,
@@ -300,13 +293,9 @@ def cmd_af_curve(args) -> int:
                "distance_m": distances_m * (len(args.kind) * len(args.mode)),
                "power_db": []}
     for kind in args.kind:
-        with np.errstate(over="ignore", invalid="ignore"):
-            x = af_argument(kind, d_fa, vergence_difference(d_target, distances))
-        if not np.all(np.isfinite(x)):
-            raise UsageError("closed-form argument overflows; "
-                             "probe distances too small for this aperture")
         # MIMO squares the single-aperture power
-        base = normalized_af_power(kind, ProcessingMode.SIMO_MISO, x)
+        base = normalized_af_power(kind, ProcessingMode.SIMO_MISO,
+                                   af_argument(kind, d_fa, vergence))
         for mode in args.mode:
             metadata[f"alpha[{kind.name},{mode.name}]"] = \
                 half_power_coefficient(kind, mode)
@@ -324,7 +313,6 @@ def cmd_beamdepth_sweep(args) -> int:
     lam = args.wavelength
     aperture = args.aperture_lambda * lam
     d_fa = _fraunhofer(aperture, lam)
-    _check_lengths(fraunhofer_m=d_fa)
     targets = _sweep_grid(args)
     metadata = _base_metadata(args)
     metadata.update({"lambda_m": lam, "aperture_m": aperture, "fraunhofer_m": d_fa})
@@ -348,9 +336,8 @@ def _validate_series(kind: GeometryKind, args) -> list:
     """Exact vs closed-form comparison rows for one geometry, both modes."""
     lam = args.wavelength
     geometry = build_array(kind, args.aperture_lambda * lam, lam)
-    d_fa = _fraunhofer(geometry.aperture, lam)
+    d_fa = fraunhofer_distance(geometry)
     d_target = args.target_lambda * lam
-    _check_lengths(target_m=d_target, fraunhofer_m=d_fa)
     setup = simo_miso_setup(geometry)
     points = max(args.sweep[2], 201)
     rows = []

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import GeometryKind, ProcessingMode
+from .geometry import GeometryKind, ProcessingMode, _real
 from .specfun import bessel_j0, fresnel_cs, sinc
 
 __all__ = [
@@ -37,13 +37,12 @@ __all__ = [
 
 
 def vergence_difference(d_target: float, d_probe):
-    """|1/d' - 1/d| for target range d' and probe range(s) d, all > 0.
+    """|1/d' - 1/d| for target range d' and probe range(s) d, finite and > 0.
 
     ValueError where a reciprocal overflows (a distance below about 5.6e-309).
     """
-    d_target, d_probe = np.asarray(d_target, float), np.asarray(d_probe, float)
-    if not (np.all(d_target > 0) and np.all(d_probe > 0)):
-        raise ValueError("distances must be positive")
+    d_target = _real(d_target, "d_target", scalar=False)
+    d_probe = _real(d_probe, "d_probe", scalar=False)
     with np.errstate(over="ignore"):
         inverse_target, inverse_probe = 1.0 / d_target, 1.0 / d_probe
     if np.isinf(inverse_target).any() or np.isinf(inverse_probe).any():
@@ -55,15 +54,19 @@ def vergence_difference(d_target: float, d_probe):
 def af_argument(kind: GeometryKind, d_fraunhofer: float, vergence):
     """Unified argument x = a * d_FA * d_ver, d_ver a scalar or an array.
 
-    ValueError unless d_FA is finite and positive and no d_ver is negative;
-    a NaN d_ver gives a NaN x.
+    ValueError unless d_FA is finite and positive and every d_ver finite
+    and nonnegative, and where x overflows.
     """
-    vergence = np.asarray(vergence, float)
-    if not 0.0 < d_fraunhofer < np.inf:
-        raise ValueError("Fraunhofer distance must be finite and positive")
+    if not isinstance(kind, GeometryKind):
+        raise ValueError(f"unknown geometry kind {kind!r}")
+    d_fraunhofer = _real(d_fraunhofer, "d_fraunhofer")
+    vergence = _real(vergence, "vergence", positive=False, scalar=False)
     if np.any(vergence < 0.0):
         raise ValueError("vergence must be nonnegative")
-    x = kind.argument_scale * d_fraunhofer * vergence
+    with np.errstate(over="ignore"):
+        x = kind.argument_scale * d_fraunhofer * vergence
+    if np.isinf(x).any():
+        raise ValueError("closed-form argument overflows: d_FA * d_ver is too large")
     return float(x) if x.ndim == 0 else x
 
 
@@ -114,9 +117,7 @@ def normalized_af_power(kind: GeometryKind, mode: ProcessingMode, x):
 
     Equals 1 at x = 0; the base pattern is raised to n * p by squaring.
     """
-    arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("x must be finite")
+    arr = _real(x, "x", positive=False, scalar=False)
     if np.any(arr < 0):
         raise ValueError("x must be nonnegative")
     base, exponent = _base_exponent(kind, mode)

@@ -115,8 +115,7 @@ class ArrayGeometry:
     def __post_init__(self):
         if not (self.kind is None or isinstance(self.kind, GeometryKind)):
             raise ValueError(f"unknown geometry kind {self.kind!r}")
-        object.__setattr__(self, "wavelength",
-                           _positive_scalar(self.wavelength, "wavelength"))
+        object.__setattr__(self, "wavelength", _real(self.wavelength, "wavelength"))
         e = self.elements
         if not (isinstance(e, np.ndarray) and e.dtype.kind in "iuf"
                 and e.ndim == 2 and e.shape[0] > 0 and e.shape[1] == 3
@@ -171,13 +170,18 @@ class ArrayGeometry:
         return positions, weights
 
 
-def _positive_scalar(value, name: str) -> float:
-    """value as a float; ValueError unless a finite positive real scalar."""
+def _real(value, name: str, positive=True, scalar=True):
+    """value as a float, or as a float64 array (not a copy of one) unless
+    scalar; ValueError naming it unless its dtype is int or float (not bool,
+    str, bytes or complex) and it is finite, and positive and scalar as asked."""
     array = np.asarray(value)
-    if array.shape or array.dtype.kind not in "iuf" or not 0.0 < array < math.inf:
-        raise ValueError(f"{name} must be finite and positive (a real scalar), "
-                         f"got {value}")
-    return float(array)
+    low = 0.0 if positive else -math.inf  # min and max are nan if one is
+    if (array.dtype.kind not in "iuf" or scalar and array.shape
+            or array.size and not low < array.min() <= array.max() < math.inf):
+        rule = "finite and positive" if positive else "finite"
+        raise ValueError(f"{name} must be {rule} (a real scalar), got {value!r}"
+                         if scalar else f"{name} must be {rule}")
+    return float(array) if scalar else array.astype(float, copy=False)
 
 
 def _aperture_overflow(kind, wavelength: float) -> ValueError:
@@ -212,7 +216,8 @@ def build_ula(aperture: float, wavelength: float) -> ArrayGeometry:
 
     Element count is floor(2 D / lambda) + 1.
     """
-    wavelength = _positive_scalar(wavelength, "wavelength")
+    wavelength = _real(wavelength, "wavelength")
+    aperture = _real(aperture, "aperture", positive=False)
     if not aperture >= wavelength / 2:
         raise ValueError(f"ULA aperture must be >= lambda/2, got {aperture}")
     n = _check_count(GeometryKind.ULA,
@@ -229,7 +234,8 @@ def build_uca(diameter: float, wavelength: float) -> ArrayGeometry:
     Elements sit in the x-z plane, equally spaced on the circle with arc
     spacing <= lambda/2 (count = ceil(pi D / (lambda/2))).
     """
-    wavelength = _positive_scalar(wavelength, "wavelength")
+    wavelength = _real(wavelength, "wavelength")
+    diameter = _real(diameter, "diameter", positive=False)
     if not diameter >= wavelength / 2:
         raise ValueError(f"UCA diameter must be >= lambda/2, got {diameter}")
     n = _check_count(GeometryKind.UCA,
@@ -247,7 +253,8 @@ def build_ura(diagonal: float, wavelength: float) -> ArrayGeometry:
     Per-axis spacing is exactly lambda/2, per-axis count
     floor(sqrt(2) D / lambda) + 1.
     """
-    wavelength = _positive_scalar(wavelength, "wavelength")
+    wavelength = _real(wavelength, "wavelength")
+    diagonal = _real(diagonal, "diagonal", positive=False)
     if not diagonal >= wavelength / math.sqrt(2):
         raise ValueError(f"URA diagonal must be >= lambda/sqrt(2), got {diagonal}")
     n = float(np.floor(math.sqrt(2.0) * diagonal / wavelength + _TOL)) + 1
@@ -266,7 +273,8 @@ def build_upca(diameter: float, wavelength: float) -> ArrayGeometry:
     i at r = i lambda/2 populated with ceil(2 pi r / (lambda/2)) =
     ceil(2 pi i) elements so the arc spacing never exceeds lambda/2.
     """
-    wavelength = _positive_scalar(wavelength, "wavelength")
+    wavelength = _real(wavelength, "wavelength")
+    diameter = _real(diameter, "diameter", positive=False)
     if not diameter >= wavelength:
         raise ValueError(f"UPCA diameter must be >= lambda, got {diameter}")
     n_rings = float(np.floor(diameter / wavelength + _TOL))
@@ -298,9 +306,9 @@ _BUILDERS = {
 def build_array(kind: GeometryKind, aperture: float, wavelength: float) -> ArrayGeometry:
     """Build any layout by kind; aperture is the kind's D (see builders).
 
-    Every builder raises ValueError, before allocating, for a layout of
-    more than MAX_ELEMENTS elements, and for a wavelength that is not
-    finite and positive.
+    Every builder raises ValueError, before allocating, for more than
+    MAX_ELEMENTS elements, a wavelength that is not finite and positive
+    and an aperture that is not finite or is below the kind's minimum.
     """
     if not isinstance(kind, GeometryKind):
         raise ValueError(f"unknown geometry kind {kind!r}")
@@ -334,6 +342,8 @@ class SensingSetup:
     mode: ProcessingMode
 
     def __post_init__(self):
+        if not isinstance(self.aperture, ArrayGeometry):
+            raise ValueError(f"aperture must be an ArrayGeometry, got {self.aperture!r}")
         if not isinstance(self.mode, ProcessingMode):
             raise ValueError(f"unknown processing mode {self.mode!r}")
 

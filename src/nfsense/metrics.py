@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .closed_form import _base_exponent, quadratic_mainlobe_coefficient
-from .geometry import GeometryKind, ProcessingMode, _positive_scalar
+from .geometry import GeometryKind, ProcessingMode, _real
 
 __all__ = [
     "GeometryMetrics", "half_power_argument", "half_power_coefficient",
@@ -75,9 +75,9 @@ def half_power_distances(d_target: float, d_fraunhofer: float,
     range: d_FA d' overflows or underflows, or just below d_FA / alpha,
     alpha d' rounds to d_FA or above it.
     """
-    d_target = _positive_scalar(d_target, "d_target")
-    d_fraunhofer = _positive_scalar(d_fraunhofer, "d_fraunhofer")
-    coefficient = _positive_scalar(coefficient, "coefficient")
+    d_target = _real(d_target, "d_target")
+    d_fraunhofer = _real(d_fraunhofer, "d_fraunhofer")
+    coefficient = _real(coefficient, "coefficient")
     product = d_fraunhofer * d_target
     lower = product / (d_fraunhofer + coefficient * d_target)
     finite = d_target < d_fraunhofer / coefficient
@@ -102,10 +102,9 @@ def beamdepth(d_target, d_fraunhofer, coefficient):
     scalars give a float.  Squares are x * x, correctly rounded on any
     platform, where a C library's pow can be an ulp off.
     """
-    d, fa, c = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in
-                                     (d_target, d_fraunhofer, coefficient)))
-    if not all(np.all((0.0 < v) & (v < math.inf)) for v in (d, fa, c)):
-        raise ValueError("distances and coefficient must be finite and positive")
+    d, fa, c = np.broadcast_arrays(*(
+        _real(v, "distances and coefficient", scalar=False)
+        for v in (d_target, d_fraunhofer, coefficient)))
     with np.errstate(all="ignore"):
         d2, fa2, c2 = d * d, fa * fa, c * c
         gap = fa2 - c2 * d2
@@ -126,8 +125,7 @@ def beamdepth(d_target, d_fraunhofer, coefficient):
 def max_nearfield_range(d_fraunhofer: float, coefficient: float) -> float:
     """Largest target range with a finite beamdepth, d_FA / alpha; both
     inputs are finite positive real scalars, or ValueError."""
-    return (_positive_scalar(d_fraunhofer, "d_fraunhofer")
-            / _positive_scalar(coefficient, "coefficient"))
+    return _real(d_fraunhofer, "d_fraunhofer") / _real(coefficient, "coefficient")
 
 
 def mainlobe_edge(kind: GeometryKind, mode: ProcessingMode) -> float:

@@ -2,8 +2,8 @@
 
 Self-contained implementations of the Fresnel integrals C and S, the
 zero-order Bessel function of the first kind J0, and the normalized sinc.
-Inputs may be scalars or numpy arrays; a scalar runs the array code as a
-0-d array and is made a float only on return.
+Inputs are finite real scalars or arrays, else ValueError; a scalar runs
+the array code as a 0-d array and is made a float only on return.
 
 Every function costs a fixed number of operations per point.  The Fresnel
 branches and J0 up to |x| = 13 sum a Chebyshev series of fixed length by
@@ -38,6 +38,8 @@ finite argument gives a finite value, with no numpy warning; C(0) = S(0)
 from __future__ import annotations
 
 import numpy as np
+
+from .geometry import _real
 
 __all__ = ["fresnel_c", "fresnel_s", "fresnel_cs", "bessel_j0", "sinc"]
 
@@ -129,13 +131,6 @@ def _clenshaw(coef, s):
     return s * b1 - b2 + coef[0]
 
 
-def _checked_array(x, name: str):
-    arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must be finite, got {x!r}")
-    return arr
-
-
 def _fresnel_small(u):
     """C(u) and S(u) for 0 <= u <= 2."""
     c_row, s_row = _clenshaw(_FRESNEL_SMALL, (u * u) * (u * u) / 8.0 - 1.0)
@@ -168,7 +163,7 @@ def fresnel_cs(u):
 
     Both are odd in u; the limits for u -> +inf are 1/2.
     """
-    a = _checked_array(u, "u")
+    a = _real(u, "u", positive=False, scalar=False)
     sign = np.sign(a)
     mag = np.abs(a)
     cc = np.full_like(mag, 0.5)
@@ -233,7 +228,7 @@ def bessel_j0(x):
     Chebyshev series in x^2 for |x| <= 13, Hankel asymptotic expansion
     (12 terms of each auxiliary series) above.  Even in x; J0(0) = 1.
     """
-    a = np.abs(_checked_array(x, "x"))
+    a = np.abs(_real(x, "x", positive=False, scalar=False))
     out = np.piecewise(a, [a <= _J0_SERIES_MAX], [_j0_small, _j0_hankel])
     return float(out) if a.ndim == 0 else out
 
@@ -243,7 +238,7 @@ def sinc(x):
 
     Where pi x overflows, |sinc| < 1/(pi |x|) underflows and sinc is 0.
     """
-    a = _checked_array(x, "x")
+    a = _real(x, "x", positive=False, scalar=False)
     with np.errstate(over="ignore"):
         px = np.pi * a
     tiny = np.abs(a) < 1e-7

@@ -618,8 +618,10 @@ class TestOneTarget:
 
     @pytest.mark.parametrize("target", [
         [[0.0, 0.0, 50.0], [0.0, 0.0, 80.0]], [[[0.0, 0.0, 50.0]]],
-        [0.0, 50.0], [[0.0], [0.0], [50.0]], [0.0, 0.0, math.inf], 50.0],
-        ids=["two", "3d", "short", "column", "inf", "scalar"])
+        [0.0, 50.0], [[0.0], [0.0], [50.0]], [0.0, 0.0, math.inf], 50.0,
+        [0.0, 0.0, 50.0 + 1j], ["0", "0", "50"], [True, False, True]],
+        ids=["two", "3d", "short", "column", "inf", "scalar", "complex",
+             "string", "bool"])
     @pytest.mark.parametrize("call", CALLS, ids=IDS)
     def test_not_one_point_rejected(self, call, target):
         with pytest.raises(ValueError, match="^target must be one finite "
@@ -661,8 +663,11 @@ class TestOneTarget:
     lambda g, p: array_factor(g, [0.0, 0.0, 50.0], p),
 ], ids=["normalized_power-simo", "normalized_power-mimo", "array_factor"])
 @pytest.mark.parametrize("probe", [
-    [0.0, math.nan, 60.0], [[0.0, 60.0], [1.0, 70.0]]], ids=["nan", "pairs"])
+    [0.0, math.nan, 60.0], [[0.0, 60.0], [1.0, 70.0]], [0, 0, 5 + 1j],
+    [["0", "0", "60"]], [True, False, True], [b"0", b"0", b"6"]],
+    ids=["nan", "pairs", "complex", "string", "bool", "bytes"])
 def test_probes_not_finite_3_vectors_rejected(call, probe):
+    # only int and float dtypes are points: a string is not converted
     with pytest.raises(ValueError, match="^points must be finite 3-vectors$"):
         call(build_ula(10 * LAM, LAM), probe)
 
@@ -671,6 +676,23 @@ def test_broadside_nan_probe_rejected():
     setup = simo_miso_setup(build_ula(10 * LAM, LAM))
     with pytest.raises(ValueError, match="^points must be finite 3-vectors$"):
         broadside_power_sweep(setup, 50.0, [60.0, math.nan])
+
+
+@pytest.mark.parametrize("distances", [
+    [60.0 + 1j], ["60"], [True, False], np.array([b"6"])],
+    ids=["complex", "string", "bool", "bytes"])
+def test_broadside_non_real_probe_rejected(distances):
+    setup = simo_miso_setup(build_ula(10 * LAM, LAM))
+    with pytest.raises(ValueError, match="^points must be finite 3-vectors$"):
+        broadside_power_sweep(setup, 50.0, distances)
+
+
+def test_broadside_probe_dtypes_give_the_same_bits():
+    setup = simo_miso_setup(build_ula(10 * LAM, LAM))
+    want = broadside_power_sweep(setup, 50.0, np.array([[60.0, 70.0]]))
+    for distances in ([60, 70], np.array([60, 70], np.int32), (60.0, 70.0)):
+        assert np.array_equal(broadside_power_sweep(setup, 50.0, distances),
+                              want)
 
 
 class TestEmptyBatch:

@@ -151,6 +151,14 @@ class TestAfCurve:
         assert main(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_vergence_computed_once(self, capsys, monkeypatch):
+        # every kind's argument comes from one vergence array
+        calls, vergence = [], cli.vergence_difference
+        monkeypatch.setattr(cli, "vergence_difference",
+                            lambda *args: calls.append(args) or vergence(*args))
+        assert main(["af-curve", "--sweep", "50:400:11"]) == 0
+        assert len(calls) == 1
+
     def test_bad_sweep_usage_error(self):
         assert main(["af-curve", "--sweep", "400:50:100"]) == 1
         assert main(["af-curve", "--sweep", "50:400:1"]) == 1
@@ -559,6 +567,28 @@ class TestExitCodes:
         assert capsys.readouterr() == (
             "", "nfsense: error: distances are too small: a reciprocal "
             "overflows\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        ("af-curve --aperture-lambda 1e200",
+         "d_fraunhofer must be finite and positive (a real scalar), got inf"),
+        ("beamdepth-sweep --aperture-lambda 1e200",
+         "d_fraunhofer must be finite and positive (a real scalar), got inf"),
+        ("validate --kind ula --aperture-lambda 10 --wavelength 1e199",
+         "2 D^2 / lambda for D = 1e+200 m is out of floating-point range"),
+        ("validate --kind ula --target-lambda 1e300 --wavelength 1e10",
+         "d_target must be finite and positive (a real scalar), got inf"),
+        ("af-curve --target-lambda 1e300 --wavelength 1e10",
+         "d_target must be finite and positive"),
+        ("af-curve --sweep 0:1:3",
+         "sweep_start_m must be finite and positive (a real scalar), got 0.0"),
+        ("af-curve --kind ula --mode simo --aperture-lambda 5e153 "
+         "--sweep 0.0001:0.1:2",
+         "closed-form argument overflows: d_FA * d_ver is too large"),
+    ])
+    def test_library_names_the_bad_length(self, capsys, argv, message):
+        # lengths in meters are checked where the library takes them
+        assert main(argv.split()) == 1
+        assert capsys.readouterr() == ("", f"nfsense: error: {message}\n")
 
     def test_upca_ring_overflow_named(self, capsys):
         # the ring holds 7 elements: the norms of their positions, not

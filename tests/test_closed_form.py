@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -53,6 +54,14 @@ class TestVergence:
         with pytest.raises(ValueError, match="a reciprocal overflows"):
             vergence_difference(d_target, d_probe)
 
+    @pytest.mark.parametrize("d_target, d_probe", [
+        (np.inf, 5.0), (-np.inf, 5.0), (5.0, np.inf), (5.0, [50.0, -np.inf]),
+        (np.nan, 5.0)])
+    def test_non_finite_rejected(self, d_target, d_probe):
+        # 1/inf = 0 would read an infinite range as a valid one
+        with pytest.raises(ValueError, match="^d_(target|probe) must be finite"):
+            vergence_difference(d_target, d_probe)
+
     def test_smallest_normal_distance_kept(self):
         tiny = np.finfo(float).tiny  # 1/tiny is finite
         assert vergence_difference(tiny, 1.0) == 1.0 / tiny - 1.0
@@ -89,15 +98,38 @@ class TestAfArgument:
         with pytest.raises(ValueError, match="finite and positive"):
             af_argument(GeometryKind.ULA, d_fa, 0.0)
 
-    @pytest.mark.parametrize("vergence", [-1.0, [0.0, -1e-300], -math.inf])
+    @pytest.mark.parametrize("vergence", [-1.0, [0.0, -1e-300]])
     def test_negative_vergence_rejected(self, vergence):
-        with pytest.raises(ValueError, match="vergence must be nonnegative"):
+        with pytest.raises(ValueError, match="^vergence must be nonnegative$"):
             af_argument(GeometryKind.ULA, 5000.0, vergence)
 
-    def test_nan_vergence_passes_through(self):
-        assert math.isnan(af_argument(GeometryKind.ULA, 5000.0, math.nan))
-        out = af_argument(GeometryKind.UCA, 5000.0, [math.nan, -0.0, math.inf])
-        assert math.isnan(out[0]) and out[1:].tolist() == [0.0, math.inf]
+    @pytest.mark.parametrize("vergence", [
+        math.nan, math.inf, -math.inf, [math.nan, -0.0], [-0.0, math.inf]])
+    def test_non_finite_vergence_rejected(self, vergence):
+        # a NaN or infinite vergence would give a NaN or infinite argument
+        with pytest.raises(ValueError, match="^vergence must be finite$"):
+            af_argument(GeometryKind.UCA, 5000.0, vergence)
+
+    def test_negative_zero_vergence_kept(self):
+        assert af_argument(GeometryKind.UCA, 5000.0, [-0.0]).tolist() == [0.0]
+
+    @pytest.mark.parametrize("d_fa, vergence", [
+        (1e300, 1e10), (1e300, [0.0, 1e10]), (1.7e308, 1e9)])
+    def test_overflowing_argument_rejected(self, d_fa, vergence):
+        # named, with no numpy overflow warning (which the suite makes an error)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^closed-form argument "
+                                                 "overflows"):
+                af_argument(GeometryKind.ULA, d_fa, vergence)
+
+    def test_largest_argument_kept(self):
+        assert af_argument(GeometryKind.ULA, 4e300, 1e8) == 1e308
+
+    @pytest.mark.parametrize("kind", ["ula", None, ProcessingMode.MIMO])
+    def test_non_kind_rejected(self, kind):
+        with pytest.raises(ValueError, match="^unknown geometry kind"):
+            af_argument(kind, 1.0, 0.1)
 
 
 class TestBaseLayout:

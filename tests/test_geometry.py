@@ -242,6 +242,38 @@ def test_non_real_wavelength_rejected(kind, wavelength):
         build_array(kind, 10.0, wavelength)
 
 
+@pytest.mark.parametrize("aperture", ["5", b"5", None, 5j, True,
+                                      np.array([5.0, 6.0]), [5.0], np.nan,
+                                      np.inf],
+                         ids=["str", "bytes", "none", "complex", "bool",
+                              "array", "list", "nan", "inf"])
+@pytest.mark.parametrize("kind, name", [
+    (GeometryKind.ULA, "aperture"), (GeometryKind.UCA, "diameter"),
+    (GeometryKind.URA, "diagonal"), (GeometryKind.UPCA, "diameter")],
+    ids=["ula", "uca", "ura", "upca"])
+def test_non_real_aperture_named(kind, name, aperture):
+    # named before the lambda/2 rule compares it or a count is taken from it
+    with pytest.raises(ValueError, match=f"^{name} must be finite "
+                                         r"\(a real scalar\), got "):
+        build_array(kind, aperture, 1.0)
+
+
+@pytest.mark.parametrize("kind, aperture", [
+    (GeometryKind.ULA, 0.3), (GeometryKind.ULA, -5), (GeometryKind.UCA, 0.0),
+    (GeometryKind.URA, -1.0), (GeometryKind.UPCA, 0.9)])
+def test_small_aperture_keeps_its_message(kind, aperture):
+    with pytest.raises(ValueError, match=f"^{kind.name} [a-z]+ must be >= "
+                                         f"lambda(/2|/sqrt\\(2\\))?, got "):
+        build_array(kind, aperture, 1.0)
+
+
+def test_real_aperture_types_give_the_same_array():
+    want = build_array(GeometryKind.UPCA, 6.0, 1.0).elements
+    for aperture in (6, np.int32(6), np.float32(6.0), np.array(6.0)):
+        assert np.array_equal(
+            build_array(GeometryKind.UPCA, aperture, 1.0).elements, want)
+
+
 class TestFloatWavelength:
     """A wavelength of any real type is kept as a Python float."""
 
@@ -607,6 +639,15 @@ class TestSensingSetup:
             SensingSetup(g, ProcessingMode.MIMO, frequency=1e9)
         with pytest.raises(TypeError):
             SensingSetup(tx=g, rx=g, mode=ProcessingMode.MIMO)
+
+    @pytest.mark.parametrize("aperture", [None, "ula", GeometryKind.ULA,
+                                          np.zeros((1, 3))])
+    @pytest.mark.parametrize("mode", list(ProcessingMode))
+    def test_non_geometry_aperture_rejected(self, aperture, mode):
+        # a setup that is built can be summed
+        with pytest.raises(ValueError, match="^aperture must be an "
+                                             "ArrayGeometry, got "):
+            SensingSetup(aperture, mode)
 
 
 def test_argument_scales():
