@@ -10,7 +10,14 @@ evaluated in mpmath at 50 significant digits and rounded once to float,
 so the output is deterministic and independent of numpy and BLAS.  N is
 chosen so that the neglected tail (twice the sum of |c_k| for k >= N,
 which bounds both truncation and aliasing; read off fits at N = 40 and
-60) moves C, S and J0 by less than 1e-17.
+60) moves C, S and J0 by less than 1e-17.  The four series, one per
+branch of specfun, and their rows:
+
+    fresnel_small   |u| <= 2    C(u)/u, S(u)/u^3              N = 15
+    fresnel_large   |u| > 2     pi u f(u), pi^2 u^3 g(u)      N = 24
+    j0_small        |x| <= 13   (J0(x) - 1)/x^2               N = 20
+    j0_large        |x| > 13    P(x), x Q(x) of the Hankel    N = 12
+                                envelope (A&S 9.2.5-9.2.6)
 
     python scripts/fit_specfun.py           # print the coefficient tuples
     python scripts/fit_specfun.py --check   # exit 1 unless specfun holds
@@ -68,11 +75,28 @@ def j0_small(s):
     return ((mp.besselj(0, mp.sqrt(w)) - 1) / w,)
 
 
+def j0_large(s):
+    """x in (13, inf) with 338 / x^2 = 1 + s: the rows P(x) and x Q(x) of
+
+        J0(x) = sqrt(2 / (pi x)) (P cos(chi) - Q sin(chi)), chi = x - pi/4,
+        Y0(x) = sqrt(2 / (pi x)) (P sin(chi) + Q cos(chi)),
+
+    both smooth in 1 / x^2 down to s = -1, where P = 1 and x Q = -1/8.
+    """
+    x = 13 * mp.sqrt(2 / (1 + s))
+    chi = x - mp.pi / 4
+    j, y = mp.besselj(0, x), mp.bessely(0, x)
+    scale = mp.sqrt(mp.pi * x / 2)
+    return (scale * (j * mp.cos(chi) + y * mp.sin(chi)),
+            x * scale * (y * mp.cos(chi) - j * mp.sin(chi)))
+
+
 # (function of s, N, the names of its rows in specfun)
 SERIES = (
     (fresnel_small, 15, ("_C_OVER_U", "_S_OVER_U3")),
     (fresnel_large, 24, ("_F_SCALED", "_G_SCALED")),
     (j0_small, 20, ("_J0_M1_OVER_X2",)),
+    (j0_large, 12, ("_J0_P", "_J0_XQ")),
 )
 
 

@@ -7,7 +7,8 @@ the exit code (or the name of an exception that escapes) and the argv.
 The matrix is every command over kind subsets, modes and both formats,
 the validate defaults, inputs that exit 1, a validate at lambda = 1e-11
 m, an af-curve and a beamdepth-sweep at D = 12.457 lambda (whose d_FA
-moves by one ulp if its square goes through C's pow), flags given
+moves by one ulp if its square goes through C's pow), a UCA af-curve
+whose pattern argument runs to 72, past J0's branch at 13, flags given
 before the command, and the --help text of nfsense and of each command
 and --version before and after a command (argparse ends those with
 SystemExit, whose code is printed as the exit code).  The script sets
@@ -39,7 +40,8 @@ a bool to bessel_j0, a string kind to af_argument, a complex probe to
 normalized_power and a None aperture to SensingSetup, whose setup is
 then summed), and each specfun
 function and normalized_af_power per kind and mode called on each of the
-Python floats SCALARS) prints the sha256 of the result's bytes as a
+Python floats SCALARS, and bessel_j0 and the UCA pattern per mode on a grid
+of [13, 60]) prints the sha256 of the result's bytes as a
 numpy array (a geometry's element array), 0 and the call; a raised exception prints the sha256 of its type name and the
 name in place of the 0.  A checkout's outputs match another's when the
 two listings do, line by line by name (a checkout whose ArrayGeometry
@@ -92,6 +94,7 @@ BAD_INPUTS = (
     "dump-geometry --kind upca --aperture-lambda 1.7 --wavelength 1e308",
     "dump-geometry --kind ula --aperture-lambda 1 --wavelength 1e308",
     "dump-geometry --kind uca --aperture-lambda 1 --wavelength 1e308",
+    "dump-geometry --kind uca --aperture-lambda 0.5 --wavelength 5e-324",
     "dump-geometry --kind ura --aperture-lambda 1.5 --wavelength 1e308",
     "beamdepth-sweep --aperture-lambda 5e153 --sweep 1:1e300:3",
     "beamdepth-sweep --aperture-lambda 1e-100 --sweep 1e-300:1e300:3",
@@ -114,6 +117,8 @@ def cases():
     for command, sweep in (("af-curve", "5:400:300"),
                            ("beamdepth-sweep", "1:60:2000")):
         yield f"{command} --aperture-lambda 12.457 --format json --sweep {sweep}"
+    yield ("af-curve --kind uca --aperture-lambda 100 --target-lambda 150 "
+           "--sweep 40:600:3001 --format json")
     yield "--help"
     for command in COMMANDS:
         yield f"{command} --help"
@@ -245,6 +250,12 @@ def library_cases():
     for kind, mode in product(GeometryKind, ProcessingMode):
         yield (f"normalized_af_power {kind.value} {mode.name} scalars",
                _each_scalar, (normalized_af_power, kind, mode))
+    # J0 above its series branch at x = 13
+    grid = np.linspace(13.0, 60.0, 2001)
+    yield "bessel_j0 linspace(13, 60, 2001)", bessel_j0, (grid,)
+    for mode in ProcessingMode:
+        yield (f"normalized_af_power uca {mode.name} linspace(13, 60, 2001)",
+               normalized_af_power, (GeometryKind.UCA, mode, grid))
 
 
 def main(argv=None) -> int:

@@ -38,7 +38,7 @@ import os
 
 import numpy as np
 
-from .geometry import ArrayGeometry, SensingSetup
+from .geometry import ArrayGeometry, SensingSetup, _asarray
 
 __all__ = [
     "array_factor",
@@ -61,7 +61,7 @@ _ONE_TARGET = "target must be one finite point"
 
 def _target(target) -> np.ndarray:
     """(3,) float array of one finite point given as (3,) or (1, 3)."""
-    t = np.asarray(target)
+    t = _asarray(target)
     if (t.dtype.kind not in "iuf" or t.shape not in ((3,), (1, 3))
             or not np.all(np.isfinite(t))):
         raise ValueError(_ONE_TARGET)
@@ -70,7 +70,7 @@ def _target(target) -> np.ndarray:
 
 def _points(points) -> np.ndarray:
     """(P, 3) float array of finite points."""
-    pts = np.atleast_2d(np.asarray(points))
+    pts = np.atleast_2d(_asarray(points))
     if (pts.dtype.kind not in "iuf" or pts.ndim != 2 or pts.shape[1] != 3
             or not np.all(np.isfinite(pts))):
         raise ValueError("points must be finite 3-vectors")
@@ -212,11 +212,11 @@ def broadside_power_sweep(setup: SensingSetup, target_distance: float, probe_dis
     target_distance must be a real scalar.  On the axis the sum adds one
     element per axial class, weighted by the class size.
     """
-    distance = np.asarray(target_distance)
+    distance = _asarray(target_distance)
     if distance.shape or distance.dtype.kind not in "iuf":
         raise ValueError(_ONE_TARGET)
     # probes of the given dtype, which _points checks
-    probe_distances = np.ravel(probe_distances)
+    probe_distances = np.ravel(_asarray(probe_distances))
     probes = np.zeros((probe_distances.size, 3), probe_distances.dtype)
     probes[:, 2] = probe_distances
     return _power(setup, _target([0.0, 0.0, distance]), _points(probes))

@@ -170,11 +170,20 @@ class ArrayGeometry:
         return positions, weights
 
 
+def _asarray(value) -> np.ndarray:
+    """np.asarray(value); for a ragged sequence, where numpy raises its own
+    ValueError, an object array, which every numeric check rejects."""
+    try:
+        return np.asarray(value)
+    except ValueError:
+        return np.array(value, dtype=object)
+
+
 def _real(value, name: str, positive=True, scalar=True):
     """value as a float, or as a float64 array (not a copy of one) unless
     scalar; ValueError naming it unless its dtype is int or float (not bool,
     str, bytes or complex) and it is finite, and positive and scalar as asked."""
-    array = np.asarray(value)
+    array = _asarray(value)
     low = 0.0 if positive else -math.inf  # min and max are nan if one is
     if (array.dtype.kind not in "iuf" or scalar and array.shape
             or array.size and not low < array.min() <= array.max() < math.inf):
@@ -218,7 +227,7 @@ def build_ula(aperture: float, wavelength: float) -> ArrayGeometry:
     """
     wavelength = _real(wavelength, "wavelength")
     aperture = _real(aperture, "aperture", positive=False)
-    if not aperture >= wavelength / 2:
+    if not aperture / wavelength >= 0.5:  # lambda/2 may underflow to 0
         raise ValueError(f"ULA aperture must be >= lambda/2, got {aperture}")
     n = _check_count(GeometryKind.ULA,
                      np.floor(2.0 * aperture / wavelength + _TOL) + 1,
@@ -236,7 +245,7 @@ def build_uca(diameter: float, wavelength: float) -> ArrayGeometry:
     """
     wavelength = _real(wavelength, "wavelength")
     diameter = _real(diameter, "diameter", positive=False)
-    if not diameter >= wavelength / 2:
+    if not diameter / wavelength >= 0.5:
         raise ValueError(f"UCA diameter must be >= lambda/2, got {diameter}")
     n = _check_count(GeometryKind.UCA,
                      np.ceil(2.0 * math.pi * diameter / wavelength - _TOL),

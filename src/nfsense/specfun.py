@@ -5,12 +5,11 @@ zero-order Bessel function of the first kind J0, and the normalized sinc.
 Inputs are finite real scalars or arrays, else ValueError; a scalar runs
 the array code as a 0-d array and is made a float only on return.
 
-Every function costs a fixed number of operations per point.  The Fresnel
-branches and J0 up to |x| = 13 sum a Chebyshev series of fixed length by
-Clenshaw's recurrence, on float coefficients that scripts/fit_specfun.py
-interpolates in mpmath at 50 digits (its --check mode confirms the tuples
-below bit for bit).  J0 above |x| = 13 sums the 12-term Hankel expansion,
-and sinc uses no series.
+Every function costs a fixed number of operations per point.  Each branch
+of C, S and J0 sums Chebyshev series of fixed length by Clenshaw's
+recurrence, on float coefficients that scripts/fit_specfun.py interpolates
+in mpmath at 50 digits (its --check mode confirms every tuple below bit for
+bit); sinc uses no series.
 
     fresnel_cs  |u| <= 2        C(u)/u and S(u)/u^3, 15 terms in u^4
                 2 < |u| < 1e17  C = 1/2 + f sin(phi) - g cos(phi),
@@ -19,14 +18,16 @@ and sinc uses no series.
                                 24 terms in 4/u^2; phi = pi u^2 / 2 is
                                 reduced exactly modulo 2 pi
                 |u| >= 1e17     1/2
-    bessel_j0   |x| <= 13       1 + x^2 P(x^2), 20 terms in x^2
-                |x| > 13        Hankel expansion, 12 terms each of P, Q
+    bessel_j0   |x| <= 13       1 + x^2 R(x^2), 20 terms in x^2
+                |x| > 13        sqrt(2/(pi x)) (P cos(chi) - Q sin(chi)),
+                                chi = x - pi/4 (A&S 9.2.5); P and x Q,
+                                12 terms each in 338/x^2
     sinc        sin(pi x) / (pi x)
 
 Absolute error against mpmath at 50 digits, as gated in the test suite:
 
     fresnel_c, fresnel_s   1e-15 for |u| <= 1000
-    bessel_j0              1e-14 for |x| <= 13, 1e-13 for 13 < |x| <= 50
+    bessel_j0              1e-14 for |x| <= 13, 1e-15 for 13 < |x| <= 50
     sinc                   machine precision
 
 Each value depends only on its own argument, never on the rest of the
@@ -50,13 +51,13 @@ _FRESNEL_SERIES_MAX = 2.0
 # ulp of 1/2, so both are 1/2 exactly (and pi u^2 / 2 may overflow).
 _FRESNEL_HALF_MIN = 1e17
 
-# Series below this |x|, Hankel asymptotic expansion above.
+# Series in x^2 below this |x|, the Hankel envelope's series above.
 _J0_SERIES_MAX = 13.0
 
 # Chebyshev coefficients, generated by scripts/fit_specfun.py.  The
 # variable s in [-1, 1] is u^4 / 8 - 1 for C(u)/u and S(u)/u^3, 8 / u^2 - 1
-# for the scaled auxiliary functions pi u f(u) and pi^2 u^3 g(u), and
-# x^2 / 84.5 - 1 for (J0(x) - 1) / x^2.
+# for the scaled auxiliary functions pi u f(u) and pi^2 u^3 g(u),
+# x^2 / 84.5 - 1 for (J0(x) - 1) / x^2 and 338 / x^2 - 1 for P(x) and x Q(x).
 _C_OVER_U = (
     0.39740718857599805, -0.3100070983680217, 0.21349075614188737,
     -0.06678900553022198, 0.011085973995082385, -0.0011365259733006202,
@@ -105,6 +106,20 @@ _J0_M1_OVER_X2 = (
     -3.2832301197548146e-17, 9.078768312537265e-19,
 )
 
+_J0_P = (
+    0.9997934121847564, -0.00020611439523212407, 4.700730800424534e-07,
+    -3.3000646100032123e-09, 4.58082685788884e-11, -1.0243903778266216e-12,
+    3.277582320554439e-14, -1.3891461408835408e-15, 7.392122837315143e-17,
+    -4.74949107171181e-18, 3.577145685055411e-19, -3.055573488559919e-20,
+)
+
+_J0_XQ = (
+    -0.1247861844922887, 0.00021287312762123184, -9.325971087898131e-07,
+    9.604007157675034e-09, -1.7402694432379353e-10, 4.759340836069206e-12,
+    -1.7865199836709816e-13, 8.633040809648015e-15, -5.130337187036368e-16,
+    3.624128110606118e-17, -2.96482635584271e-18, 2.7208300869204116e-19,
+)
+
 
 def _rows(*rows):
     """Coefficient rows as columns of shape (N, rows, 1) for _clenshaw."""
@@ -113,14 +128,12 @@ def _rows(*rows):
 
 _FRESNEL_SMALL = _rows(_C_OVER_U, _S_OVER_U3)
 _FRESNEL_LARGE = _rows(_F_SCALED, _G_SCALED)
-_J0_SMALL = _rows(_J0_M1_OVER_X2)
 
 
 def _clenshaw(coef, s):
-    """Every row of the Chebyshev series sum_k coef[k] T_k(s) in one pass.
-
-    coef has shape (N, rows, 1) and s shape (n,); the result is (rows, n).
-    """
+    """The Chebyshev series sum_k coef[k] T_k(s) at s of shape (n,): of one
+    row, a tuple of N floats, as (n,), or of rows stacked by _rows in one
+    pass, as (rows, n), which takes fewer numpy calls but more per point."""
     two_s = 2.0 * s
     b1, b2 = coef[-1], 0.0
     for c in coef[-2:0:-1]:
@@ -191,45 +204,29 @@ def fresnel_s(u):
 
 def _j0_small(x):
     w = x * x
-    return 1.0 + w * _clenshaw(_J0_SMALL, w / 84.5 - 1.0)[0]
+    return 1.0 + w * _clenshaw(_J0_M1_OVER_X2, w / 84.5 - 1.0)
 
 
-# Hankel coefficients a_k = (-1)^k [(2k-1)!!]^2 / (k! 8^k)
-_J0_HANKEL_K = 12
-_J0_HANKEL_A = [1.0]
-for _k in range(1, 2 * _J0_HANKEL_K + 1):
-    _J0_HANKEL_A.append(_J0_HANKEL_A[-1] * -((2 * _k - 1) ** 2) / (8.0 * _k))
-
-
-def _j0_hankel(x):
-    # J0(x) = sqrt(2/(pi x)) [P(x) cos(x - pi/4) - Q(x) sin(x - pi/4)]
+def _j0_large(x):
+    # J0(x) = sqrt(2/(pi x)) [P(x) cos(chi) - Q(x) sin(chi)], chi = x - pi/4
     with np.errstate(over="ignore"):
         # x^2 and pi x overflow to inf for huge x, and 1/inf = 0 is the
         # limit of the terms they divide
-        inv2 = 1.0 / (x * x)
+        s = 338.0 / (x * x) - 1.0
         amplitude = np.sqrt(2.0 / (np.pi * x))
-    p = np.zeros_like(x)
-    q = np.zeros_like(x)
-    powp = np.ones_like(x)
-    powq = 1.0 / x
-    for m in range(_J0_HANKEL_K):
-        s = -1.0 if m % 2 else 1.0
-        p += s * _J0_HANKEL_A[2 * m] * powp
-        q += s * _J0_HANKEL_A[2 * m + 1] * powq
-        powp *= inv2
-        powq *= inv2
+    p, xq = _clenshaw(_J0_P, s), _clenshaw(_J0_XQ, s)
     chi = x - 0.25 * np.pi
-    return amplitude * (p * np.cos(chi) - q * np.sin(chi))
+    return amplitude * (p * np.cos(chi) - xq / x * np.sin(chi))
 
 
 def bessel_j0(x):
     """Zero-order Bessel function of the first kind, J0(x).
 
-    Chebyshev series in x^2 for |x| <= 13, Hankel asymptotic expansion
-    (12 terms of each auxiliary series) above.  Even in x; J0(0) = 1.
+    Chebyshev series in x^2 for |x| <= 13, and in 1/x^2 for the Hankel
+    envelope P, Q above.  Even in x; J0(0) = 1.
     """
     a = np.abs(_real(x, "x", positive=False, scalar=False))
-    out = np.piecewise(a, [a <= _J0_SERIES_MAX], [_j0_small, _j0_hankel])
+    out = np.piecewise(a, [a <= _J0_SERIES_MAX], [_j0_small, _j0_large])
     return float(out) if a.ndim == 0 else out
 
 

@@ -1,7 +1,8 @@
 """Every public numeric function takes real numbers only.
 
-A string, bytes, a bool or a complex number raises a ValueError that names
-the argument, rather than being converted, computed on or passed to numpy.
+A string, bytes, a bool, a complex number or a ragged sequence raises a
+ValueError that names the argument, rather than being converted, computed on
+or passed to numpy.
 """
 
 import numpy as np
@@ -10,7 +11,9 @@ import pytest
 from nfsense import (GeometryKind, ProcessingMode, af_argument, beamdepth,
                      bessel_j0, build_array, fresnel_c, fresnel_cs, fresnel_s,
                      half_power_distances, max_nearfield_range,
-                     normalized_af_power, sinc, vergence_difference)
+                     normalized_af_power, normalized_power, simo_miso_setup,
+                     sinc, vergence_difference)
+from nfsense.ambiguity import broadside_power_sweep
 from nfsense.geometry import _real
 
 ULA = GeometryKind.ULA
@@ -43,13 +46,35 @@ CALLS = [
 ]
 
 
-@pytest.mark.parametrize("bad", ["0.5", True, 1j, b"1"],
-                         ids=["str", "bool", "complex", "bytes"])
+@pytest.mark.parametrize("bad", ["0.5", True, 1j, b"1", [0.5, [0.5]]],
+                         ids=["str", "bool", "complex", "bytes", "ragged"])
 @pytest.mark.parametrize("call, name", [c[1:] for c in CALLS],
                          ids=[c[0] for c in CALLS])
 def test_non_real_named(call, name, bad):
     with pytest.raises(ValueError, match=f"^{name} must be finite"):
         call(bad)
+
+
+_SETUP = simo_miso_setup(build_array(ULA, 12.0, 1.0))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: normalized_power(_SETUP, [0, 0, 50.0], [[0, 0, 10.0], [0, 0]]),
+     "points must be finite 3-vectors"),
+    (lambda: normalized_power(_SETUP, [0, 0, [50.0]], [0, 0, 10.0]),
+     "target must be one finite point"),
+    (lambda: broadside_power_sweep(_SETUP, 50.0, [10.0, [20.0]]),
+     "points must be finite 3-vectors"),
+    (lambda: broadside_power_sweep(_SETUP, [50.0, [60.0]], [10.0]),
+     "target must be one finite point"),
+], ids=["normalized_power-probe", "normalized_power-target",
+        "broadside_power_sweep-probe", "broadside_power_sweep-target"])
+def test_ragged_points_named(call, message):
+    # numpy makes no array of a ragged sequence; the exact sums report it
+    # under their own message, as test_non_real_named's ragged case does
+    # for every other function
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
 
 
 class TestReal:

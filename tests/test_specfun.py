@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from nfsense import specfun
 from nfsense.closed_form import normalized_af_power
 from nfsense.geometry import GeometryKind, ProcessingMode
 from nfsense.specfun import bessel_j0, fresnel_c, fresnel_s, fresnel_cs, sinc
@@ -150,8 +151,10 @@ class TestBesselJ0:
         x = np.linspace(0.0, 50.0, 5001)
         assert np.max(np.abs(bessel_j0(x) - special.j0(x))) <= 1e-10
 
-    @pytest.mark.parametrize("lo, hi, bound", [(0.0, 13.0, 1e-14),
-                                               (13.0, 50.0, 1e-13)])
+    # [0, 13] is the x^2 series, (13, 50] the Hankel envelope's
+    @pytest.mark.parametrize("lo, hi, bound", [
+        (0.0, 13.0, 1e-14), (np.nextafter(13.0, 14.0), 50.0, 1e-15)],
+        ids=["0.0-13.0-1e-14", "13.0-50.0-1e-15"])
     def test_against_mpmath(self, lo, hi, bound):
         rng = np.random.default_rng(int(hi))
         x = np.concatenate([np.linspace(lo, hi, 501),
@@ -160,7 +163,7 @@ class TestBesselJ0:
         assert np.max(np.abs(bessel_j0(x) - ref)) <= bound
 
     def test_branch_crossover_continuity(self):
-        # the x^2 series (x <= 13) and the Hankel expansion meet at x = 13
+        # the x^2 series (x <= 13) and the Hankel envelope's meet at x = 13
         below, above = np.nextafter(13.0, 0.0), np.nextafter(13.0, 14.0)
         for x in (13.0 - 1e-9, below, 13.0, above, 13.0 + 1e-9):
             assert bessel_j0(x) == pytest.approx(mp_j0(x), abs=1e-13)
@@ -246,16 +249,33 @@ def test_value_does_not_depend_on_its_batch(evaluate):
     assert np.array_equal(alone.view(np.uint64), batch.view(np.uint64))
 
 
-def test_committed_coefficients_match_the_fit():
+@pytest.fixture(scope="module")
+def fit_specfun():
     path = Path(__file__).resolve().parents[1] / "scripts" / "fit_specfun.py"
     spec = importlib.util.spec_from_file_location("fit_specfun", path)
-    fit_specfun = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(fit_specfun)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_committed_coefficients_match_the_fit(fit_specfun):
     start = time.perf_counter()
     fitted = fit_specfun.fit()
     assert fit_specfun.check(fitted) == []
     assert time.perf_counter() - start < 2.0
-    # one ulp off in one coefficient is caught
-    name, coef = next(iter(fitted.items()))
-    nudged = (np.nextafter(coef[0], 1.0),) + coef[1:]
-    assert fit_specfun.check({**fitted, name: nudged}) == [name]
+    # one ulp off in any coefficient tuple, the first or the last entry, is
+    # caught
+    for name, coef in fitted.items():
+        for k in (0, -1):
+            nudged = list(coef)
+            nudged[k] = float(np.nextafter(coef[k], np.inf))
+            assert fit_specfun.check({**fitted, name: tuple(nudged)}) == [name]
+
+
+def test_every_coefficient_tuple_is_fitted(fit_specfun):
+    # no table of floats in specfun escapes the fit check
+    tables = {name for name, value in vars(specfun).items()
+              if isinstance(value, tuple) and value
+              and all(isinstance(c, float) for c in value)}
+    assert tables == set(fit_specfun.fit())
+    assert {"_J0_P", "_J0_XQ"} <= tables
