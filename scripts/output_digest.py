@@ -4,49 +4,68 @@ the exact-sum library calls.
 Each CLI case runs nfsense.cli.main in this process with stdout and
 stderr captured, and prints one line: the sha256 of stdout and stderr,
 the exit code (or the name of an exception that escapes) and the argv.
-The matrix is every command over kind subsets, modes and both formats,
-the validate defaults, inputs that exit 1, a validate at lambda = 1e-11
-m, an af-curve and a beamdepth-sweep at D = 12.457 lambda (whose d_FA
-moves by one ulp if its square goes through C's pow), a UCA af-curve
-whose pattern argument runs to 72, past J0's branch at 13, flags given
-before the command, and the --help text of nfsense and of each command
-and --version before and after a command (argparse ends those with
-SystemExit, whose code is printed as the exit code).  The script sets
-COLUMNS=80, to which argparse wraps the help text, so the listing does
-not depend on the terminal.  Each library case
-(normalized_power on an off-axis patch per kind and setup, at D = 12
-lambda and for a URA at 40 lambda and a UPCA at 50 lambda, whose blocks
-hold few probe rows of many elements,
-broadside_power_sweep per kind, D = 12 lambda at lambda = 1, on the
-built geometry, on an ArrayGeometry hand-built from its elements, whose
-line prints the built one's hash, and on one hand-built from them in a
-fixed other order, which pins the class terms' representatives and
-summation order, normalized_power per setup and array_factor on the
-sweep's points given as on-axis 3-vectors, whose SIMO power line prints
-the sweep's hash, normalized_power on an empty probe batch, array_factor
-of a ULA on probes about 1e5 and 1e6 lambda away, where the phase is
-many cycles, and of one element on a probe half a cycle nearer than the
-target, and the rejections of bad inputs: each builder at lambda = 0 and
--1, an ArrayGeometry with empty, NaN or (2, 2) elements, build_array
-with a string kind, and normalized_power, array_factor and
-broadside_power_sweep given two targets; fraunhofer_distance and a MIMO
-normalized_power of a ULA hand-built with a float32 wavelength; the
-package's sorted __all__, beamdepth and half_power_distances one ulp
-below d_FA/alpha, half_power_distances on a two-element array,
-vergence_difference on a list, at a target of 1e-320 m, whose
-reciprocal overflows, and at an infinite target, inputs no public
-function takes as real numbers (a numeric string to normalized_af_power,
-a bool to bessel_j0, a string kind to af_argument, a complex probe to
-normalized_power and a None aperture to SensingSetup, whose setup is
-then summed), and each specfun
-function and normalized_af_power per kind and mode called on each of the
-Python floats SCALARS, and bessel_j0 and the UCA pattern per mode on a grid
-of [13, 60]) prints the sha256 of the result's bytes as a
-numpy array (a geometry's element array), 0 and the call; a raised exception prints the sha256 of its type name and the
-name in place of the 0.  A checkout's outputs match another's when the
-two listings do, line by line by name (a checkout whose ArrayGeometry
-still takes an aperture argument is listed by its own copy of this
-script):
+The script sets COLUMNS=80, to which argparse wraps the help text, so the
+listing does not depend on the terminal.  The CLI cases, in print order:
+
+- tables, af-curve, beamdepth-sweep and validate over kind subsets, modes
+  and both formats;
+- per format, the validate defaults and dump-geometry per kind at
+  D = 12 lambda;
+- inputs that exit 1;
+- a validate at lambda = 1e-11 m;
+- an af-curve and a beamdepth-sweep at D = 12.457 lambda, whose d_FA
+  moves by one ulp if its square goes through C's pow;
+- a UCA af-curve whose pattern argument runs to 72, past J0's branch at
+  13;
+- the --help text of nfsense and of each command, and --version before
+  and after a command (argparse ends those with SystemExit, whose code is
+  printed as the exit code);
+- flags given before the command.
+
+Each library case prints the sha256 of the result's bytes as a numpy
+array (a geometry's element array), 0 and the call; a raised exception
+prints the sha256 of its type name and the name in place of the 0.  The
+library cases, in print order:
+
+- per kind, at D = 12 lambda and lambda = 1: normalized_power on an
+  off-axis patch per setup; broadside_power_sweep on the built geometry,
+  on an ArrayGeometry hand-built from its elements (whose line prints the
+  built one's hash) and on one hand-built from them in a fixed other
+  order, which pins the class terms' representatives and summation order;
+  normalized_power per setup and array_factor on the sweep's points
+  given as on-axis 3-vectors (the SIMO power line prints the sweep's
+  hash);
+- normalized_power on an off-axis patch per setup for a URA at 40 lambda
+  and a UPCA at 50 lambda, whose blocks hold few probe rows of many
+  elements;
+- normalized_power on an empty probe batch;
+- array_factor of a ULA on probes about 1e5 and 1e6 lambda away, where
+  the phase is many cycles;
+- array_factor of one element on a probe half a cycle nearer than the
+  target;
+- rejected geometries: each builder at lambda = 0 and -1, an
+  ArrayGeometry with empty, NaN or (2, 2) elements, and build_array with
+  a string kind;
+- fraunhofer_distance and a MIMO normalized_power of a ULA hand-built
+  with a float32 wavelength;
+- normalized_power, array_factor and broadside_power_sweep given two
+  targets;
+- the package's sorted __all__;
+- beamdepth and half_power_distances one ulp below d_FA/alpha,
+  half_power_distances on a two-element array, and vergence_difference
+  on a list, at a target of 1e-320 m, whose reciprocal overflows, and at
+  an infinite target;
+- inputs no public function takes as real numbers: a numeric string to
+  normalized_af_power, a bool to bessel_j0, a string kind to
+  af_argument, a complex probe to normalized_power and a None aperture
+  to SensingSetup, whose setup is then summed;
+- each specfun function, and normalized_af_power per kind and mode, on
+  each of the Python floats SCALARS;
+- bessel_j0 and the UCA pattern per mode on a grid of [13, 60].
+
+A checkout's outputs match another's when the two listings do, line by
+line by name (a checkout whose ArrayGeometry still takes an aperture
+argument is listed by its own copy of this script):
 
     python3 scripts/output_digest.py /path/to/other/checkout > before.txt
     python3 scripts/output_digest.py > after.txt

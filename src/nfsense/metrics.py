@@ -48,15 +48,19 @@ _FIGURES = {
 }
 
 
-@lru_cache(maxsize=None)  # only because nfbench's tests pin its cache_clear
+_x3db = lru_cache(maxsize=None)(lambda base, n_p: _FIGURES[base][0][n_p])
+
+
 def half_power_argument(kind: GeometryKind, mode: ProcessingMode) -> float:
     """Smallest x with normalized power 0.5.
 
     The power is the base pattern f to the exponent n p, so this is the
     half-power root of (base, n p): the URA in SIMO shares the ULA's in MIMO.
     """
-    base, exponent = _base_exponent(kind, mode)
-    return _FIGURES[base][0][exponent]
+    return _x3db(*_base_exponent(kind, mode))
+
+
+half_power_argument.cache_clear = _x3db.cache_clear  # nfbench's tests pin it
 
 
 def half_power_coefficient(kind: GeometryKind, mode: ProcessingMode) -> float:

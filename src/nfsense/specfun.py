@@ -121,19 +121,9 @@ _J0_XQ = (
 )
 
 
-def _rows(*rows):
-    """Coefficient rows as columns of shape (N, rows, 1) for _clenshaw."""
-    return np.array(rows).T[:, :, np.newaxis]
-
-
-_FRESNEL_SMALL = _rows(_C_OVER_U, _S_OVER_U3)
-_FRESNEL_LARGE = _rows(_F_SCALED, _G_SCALED)
-
-
 def _clenshaw(coef, s):
-    """The Chebyshev series sum_k coef[k] T_k(s) at s of shape (n,): of one
-    row, a tuple of N floats, as (n,), or of rows stacked by _rows in one
-    pass, as (rows, n), which takes fewer numpy calls but more per point."""
+    """The Chebyshev series sum_k coef[k] T_k(s) of a tuple of N floats, at
+    the points of the array s."""
     two_s = 2.0 * s
     b1, b2 = coef[-1], 0.0
     for c in coef[-2:0:-1]:
@@ -146,15 +136,15 @@ def _clenshaw(coef, s):
 
 def _fresnel_small(u):
     """C(u) and S(u) for 0 <= u <= 2."""
-    c_row, s_row = _clenshaw(_FRESNEL_SMALL, (u * u) * (u * u) / 8.0 - 1.0)
-    return u * c_row, u * u * u * s_row
+    s = (u * u) * (u * u) / 8.0 - 1.0
+    return u * _clenshaw(_C_OVER_U, s), u * u * u * _clenshaw(_S_OVER_U3, s)
 
 
 def _fresnel_large(u):
     """C(u) and S(u) for 2 < u < 1e17, from the auxiliary functions f, g."""
-    f, g = _clenshaw(_FRESNEL_LARGE, 8.0 / (u * u) - 1.0)
-    f = f / (np.pi * u)
-    g = g / (np.pi * np.pi * u * u * u)
+    s = 8.0 / (u * u) - 1.0
+    f = _clenshaw(_F_SCALED, s) / (np.pi * u)
+    g = _clenshaw(_G_SCALED, s) / (np.pi * np.pi * u * u * u)
     # phi modulo 2 pi, i.e. u^2 modulo 4 quarter turns: with u = hi + lo
     # split into halves of 26 bits, hi^2, 2 hi lo and lo^2 are exact, and
     # so are their remainders

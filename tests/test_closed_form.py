@@ -220,6 +220,14 @@ class TestNormalizedPower:
         out = normalized_af_power(GeometryKind.URA, MIMO, np.array([0.0, 1.0, 2.0]))
         assert out.shape == (3,)
         assert out[0] == 1.0
+        # each branch's values land where the flattened call puts them
+        for x in ([], [[0.0, 1e-301, 4.0], [2.0, 13.5, 60.0]]):
+            x = np.array(x)
+            for kind in KINDS:
+                out = normalized_af_power(kind, MIMO, x)
+                assert out.shape == x.shape
+                flat = normalized_af_power(kind, MIMO, x.ravel())
+                assert out.tobytes() == flat.tobytes()
 
 
 class TestQuadraticCoefficient:

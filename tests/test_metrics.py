@@ -369,7 +369,8 @@ class TestMainlobeEdge:
             assert solver(GeometryKind.URA, SIMO) == solver(GeometryKind.ULA, MIMO)
 
 
-@pytest.mark.parametrize("mode", ["simo", "MIMO", None, 2, GeometryKind.ULA])
+@pytest.mark.parametrize("mode", ["simo", "MIMO", None, 2, GeometryKind.ULA,
+                                  [1], {}])
 @pytest.mark.parametrize("call", [
     lambda mode: normalized_af_power(GeometryKind.ULA, mode, 1.0),
     lambda mode: half_power_argument(GeometryKind.URA, mode),
@@ -383,6 +384,11 @@ def test_non_mode_rejected(call, mode):
     # as a kind that is not a GeometryKind is
     with pytest.raises(ValueError, match="^unknown processing mode "):
         call(mode)
+
+
+def test_unhashable_kind_rejected():
+    with pytest.raises(ValueError, match="^unknown geometry kind "):
+        compute_metrics([1])
 
 
 class TestSolverCaches:

@@ -100,8 +100,12 @@ class TestFresnel:
         assert np.max(np.abs(s - ref[:, 1])) <= 1e-15
 
     def test_array_shape_and_scalar_type(self):
-        out = fresnel_c(np.array([0.1, 0.2, 5.0]))
-        assert out.shape == (3,)
+        # each branch's values land where the flattened call puts them
+        for u in ([0.1, 0.2, 5.0], [], [[0.1, -2.0, 2.0], [3.0, 1e17, 0.0]]):
+            u = np.array(u)
+            for out, flat in zip(fresnel_cs(u), fresnel_cs(u.ravel())):
+                assert out.shape == u.shape
+                assert out.tobytes() == flat.tobytes()
         assert isinstance(fresnel_c(0.3), float)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
@@ -279,3 +283,7 @@ def test_every_coefficient_tuple_is_fitted(fit_specfun):
               and all(isinstance(c, float) for c in value)}
     assert tables == set(fit_specfun.fit())
     assert {"_J0_P", "_J0_XQ"} <= tables
+    # nor does a float array built from them
+    arrays = [name for name, value in vars(specfun).items()
+              if isinstance(value, np.ndarray) and value.dtype.kind == "f"]
+    assert arrays == []
