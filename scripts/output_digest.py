@@ -61,7 +61,13 @@ library cases, in print order:
   to SensingSetup, whose setup is then summed;
 - each specfun function, and normalized_af_power per kind and mode, on
   each of the Python floats SCALARS;
-- bessel_j0 and the UCA pattern per mode on a grid of [13, 60].
+- bessel_j0 and the UCA pattern per mode on a grid of [13, 60];
+- per kind, normalized_power per setup and array_factor on the on-axis
+  points with x = -0.0 or y = -0.0 and a target at -0.0 (each prints its
+  on-axis hash);
+- a hand-built layout of 80 elements at several heights off the z = 0
+  plane, mirrored in pairs: broadside_power_sweep and off-axis
+  normalized_power per setup, and array_factor on the -0.0 points.
 
 A checkout's outputs match another's when the two listings do, line by
 line by name (a checkout whose ArrayGeometry still takes an aperture
@@ -275,6 +281,33 @@ def library_cases():
     for mode in ProcessingMode:
         yield (f"normalized_af_power uca {mode.name} linspace(13, 60, 2001)",
                normalized_af_power, (GeometryKind.UCA, mode, grid))
+    # on-axis points with x = -0.0 on even rows and y = -0.0 on odd ones,
+    # and a target at x = -0.0: each line prints its "on axis" case's hash
+    signed = np.column_stack([np.zeros((901, 2)), np.linspace(20.0, 200.0, 901)])
+    signed[::2, 0] = signed[1::2, 1] = -0.0
+    for kind in GeometryKind:
+        array = build_array(kind, 12.0, 1.0)
+        for make in (simo_miso_setup, mimo_setup):
+            yield (f"normalized_power {kind.value} {make.__name__} on axis -0",
+                   normalized_power, (make(array), [-0.0, 0.0, 60.0], signed))
+        yield (f"array_factor {kind.value} on axis -0", array_factor,
+               (array, [0.0, -0.0, 60.0], signed))
+    # a hand-built layout off the z = 0 plane: a spiral of rings of
+    # distinct radii and heights, each element with its mirror image
+    k = np.arange(40)
+    spiral = np.column_stack([(1.0 + 0.1 * (k % 7)) * np.cos(2.4 * k),
+                              (1.0 + 0.1 * (k % 7)) * np.sin(2.4 * k),
+                              0.3 * (k % 5) - 0.6])
+    spiral = ArrayGeometry(None, 0.5, np.concatenate(
+        [spiral, spiral * [-1.0, -1.0, 1.0]]))
+    for make in (simo_miso_setup, mimo_setup):
+        yield (f"broadside_power_sweep spiral {make.__name__}",
+               broadside_power_sweep, (make(spiral), 60.0,
+                                       np.linspace(5.0, 200.0, 901)))
+        yield (f"normalized_power spiral {make.__name__}", normalized_power,
+               (make(spiral), [4.0, -3.0, 100.0], patch))
+    yield ("array_factor spiral on axis -0", array_factor,
+           (spiral, [-0.0, 0.0, 60.0], signed))
 
 
 def main(argv=None) -> int:

@@ -11,8 +11,9 @@ block is one entry of the matrix product [p_a, 1] @ [1; -e_a]: both of its
 terms are exact, so their sum rounds once, to the subtraction's value, from
 any BLAS (a -0 difference comes out +0, which its square cannot tell), and
 the product avoids numpy's broadcast loop, slow on many short rows.  The
-squared differences are added in place and the square root taken.  The
-phase in cycles,
+squared differences are added in place and the square root taken; on the
+z axis only p_z - e_z is formed, and each element's e_x^2 + e_y^2, the
+same for every probe, is added to its square.  The phase in cycles,
 c = (d_m(target) - d_m(probe)) / lambda, is reduced to [-1/2, 1/2] by
 subtracting rint(c), which is exact, so the phase error does not grow with
 range.  One tangent of the half angle, t = tan(pi c), then gives the
@@ -20,16 +21,17 @@ weighted phasor: w cos = 2w / (1 + t^2) - w and w sin = t 2w / (1 + t^2).
 On that interval numpy's tan is vectorized, where cos and sin of the raw
 phase need a full range reduction each.  The terms are summed over the
 elements in ascending order, so sums are bit-reproducible run to run.  A
-call of more than _BLOCK_PAIRS pairs runs on the calling thread and a
-thread pool, one thread per CPU of the affinity mask in all, each taking
-the next row block when it is free; every pool thread is joined before an
-error is re-raised.  A probe's sum is the same row sum whatever block or
-thread holds it, so the bits do not depend on the split, and no setting
-selects it.  On the z axis an element's distance depends only on
-(x^2 + y^2, z), so any sum with its target and every probe at x = y = 0
-adds one term of ArrayGeometry.axial_terms per axial class, in index
-order, weighted by the class size and normalized by the full element
-count; other sums add every element with weight 1.  A target is one point.
+call of more than _BLOCK_PAIRS pairs runs on the calling thread and one
+pool, made on the first such call, one thread per CPU of the affinity mask
+in all, each taking the next row block when it is free; a call returns, or
+re-raises a block's error, once all its shares are done.  A probe's sum is
+the same row sum whatever block or thread holds it, so the bits do not
+depend on the split, and no setting selects it.  On the z axis an
+element's distance depends only on (x^2 + y^2, z), so any sum with its
+target and every probe at x = y = 0 adds one term of
+ArrayGeometry.axial_terms per axial class, in index order, weighted by the
+class size and normalized by the full element count; other sums add every
+element with weight 1.  A target is one point.
 """
 
 from __future__ import annotations
@@ -56,7 +58,16 @@ _BLOCK_PAIRS = 65_536
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 
+# a distance below this squares into the subnormal floats and loses digits
+_MIN_NORMAL_DISTANCE = float(np.sqrt(np.finfo(float).tiny))
+
 _ONE_TARGET = "target must be one finite point"
+
+# the thread pool of split calls under "pool", made on the first; a forked
+# child, which has none of the parent's threads, starts without it
+_SHARED = {}
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_SHARED.clear)
 
 
 def _target(target) -> np.ndarray:
@@ -78,18 +89,23 @@ def _points(points) -> np.ndarray:
 
 
 def _phase_sum(elements, weights, inv_wavelength: float, target, probes,
-               min_distance: float) -> np.ndarray:
+               min_distance: float, on_axis: bool) -> np.ndarray:
     """(P,) sums of w_m exp(-2 pi j c_m) over the elements, with the phase
-    in cycles c_m = (d_m(target) - d_m(probe)) / lambda.
+    in cycles c_m = (d_m(target) - d_m(probe)) / lambda, and x = y = 0 at
+    every point if on_axis.
 
     Raises ValueError if the target or a probe lies within min_distance of
     an element.
     """
     ex, ey, ez = np.ascontiguousarray(elements.T)
-    d_target = np.sqrt((target[0] - ex) ** 2 + (target[1] - ey) ** 2
-                       + (target[2] - ez) ** 2)
+    # on the axis, every probe's x and y differences square to this sum
+    lateral = (target[0] - ex) ** 2 + (target[1] - ey) ** 2
+    d_target = np.sqrt(lateral + (target[2] - ez) ** 2)
+    close = ("point coincides with an array element"
+             if min_distance > _MIN_NORMAL_DISTANCE else "lengths too small: "
+             "a squared distance leaves the floating-point range")
     if d_target.min() < min_distance:
-        raise ValueError("point coincides with an array element")
+        raise ValueError(close)
     m, p = ex.size, len(probes)
     if not p:
         return np.empty(0, dtype=complex)
@@ -105,6 +121,7 @@ def _phase_sum(elements, weights, inv_wavelength: float, target, probes,
     # are exact, so their sum rounds once, as the subtraction does
     rhs = np.ones((3, 2, m))
     rhs[:, 1] = -elements.T
+    axes = (2,) if on_axis else (0, 1, 2)
 
     def run():
         # a pool thread starts from numpy's default errstate, not the caller's
@@ -114,17 +131,19 @@ def _phase_sum(elements, weights, inv_wavelength: float, target, probes,
             for lo in blocks:
                 block = probes[lo:lo + rows]
                 d, t, a = dist[:len(block)], term[:len(block)], lhs[:len(block)]
-                a[:, 0] = block[:, 0]
-                np.matmul(a, rhs[0], out=d)
+                a[:, 0] = block[:, axes[0]]
+                np.matmul(a, rhs[axes[0]], out=d)
                 np.square(d, out=d)
-                for axis in (1, 2):
+                for axis in axes[1:]:
                     a[:, 0] = block[:, axis]
                     np.matmul(a, rhs[axis], out=t)
                     np.square(t, out=t)
                     d += t
+                if on_axis:
+                    d += lateral
                 np.sqrt(d, out=d)
                 if d.min() < min_distance:
-                    raise ValueError("point coincides with an array element")
+                    raise ValueError(close)
                 # c - rint(c) is exact and lies in [-1/2, 1/2], so the
                 # half angle pi c stays off the tangent's poles
                 np.subtract(d_target, d, out=d)
@@ -147,10 +166,15 @@ def _phase_sum(elements, weights, inv_wavelength: float, target, probes,
         run()
         return out
     # imported here, as it pulls in logging: ~9 ms more on `import nfsense`
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(workers - 1) as pool:
-        futures = [pool.submit(run) for _ in range(workers - 1)]
+    from concurrent.futures import ThreadPoolExecutor, wait
+    # atomic: racing calls share one pool (an unused one starts no thread)
+    pool = _SHARED.get("pool") or _SHARED.setdefault(
+        "pool", ThreadPoolExecutor(_WORKERS - 1))
+    futures = [pool.submit(run) for _ in range(workers - 1)]
+    try:
         run()
+    finally:
+        wait(futures)  # every share ends before the call returns or raises
     for future in futures:
         future.result()
     return out
@@ -163,11 +187,12 @@ def _array_factor(geometry: ArrayGeometry, target, probes) -> np.ndarray:
     m = geometry.n_elements
     on_axis = len(probes) and not (target[0] or target[1] or probes[:, :2].any())
     elements, weights = (geometry.axial_terms if on_axis
-                         else (geometry.elements, np.ones(m)))
+                         else (geometry.elements, 1.0))
     # a squared distance that overflows (~1e154 away) makes a sum nan
     with np.errstate(over="ignore", invalid="ignore"):
         out = _phase_sum(elements, weights, 1.0 / geometry.wavelength, target,
-                         probes, _MIN_SEPARATION * geometry.wavelength)
+                         probes, max(_MIN_SEPARATION * geometry.wavelength,
+                                     _MIN_NORMAL_DISTANCE), on_axis)
     if not np.isfinite(out).all():
         raise ValueError("point too far from the array: a phase leaves the "
                          "floating-point range")

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -539,6 +540,17 @@ class TestDifferenceProduct:
         assert json.loads(out) == _patch_hashes()
 
 
+@pytest.fixture
+def fresh_pool(monkeypatch):
+    """No pool until the test's first split call, which makes one of the
+    test's _WORKERS - 1 threads; it is shut down after the test."""
+    monkeypatch.delitem(ambiguity_module._SHARED, "pool", raising=False)
+    yield
+    pool = ambiguity_module._SHARED.pop("pool", None)
+    if pool is not None:
+        pool.shutdown()
+
+
 class TestThreads:
     @pytest.fixture
     def started(self, monkeypatch):
@@ -557,14 +569,67 @@ class TestThreads:
         normalized_power(simo_miso_setup(g), [4.0, -3.0, 100.0], [0.0, 5.0, 80.0])
         assert started == []
 
-    def test_split_call_joins_its_threads(self, started, monkeypatch):
-        # more threads than this host may have CPUs, each joined on return;
-        # the pool may reuse a thread that has finished its share
-        monkeypatch.setattr(ambiguity_module, "_WORKERS", 5)
-        g = build_array(GeometryKind.UPCA, 12 * LAM, LAM)
-        normalized_power(simo_miso_setup(g), [4.0, -3.0, 100.0], _patch())
-        assert 1 <= len(started) <= ambiguity_module._WORKERS - 1
-        assert not any(thread.is_alive() for thread in started)
+    @pytest.mark.parametrize("workers", [2, 5])
+    def test_pool_keeps_its_threads(self, workers, started, fresh_pool,
+                                    monkeypatch):
+        # the pool starts a thread only when none is idle, up to
+        # _WORKERS - 1 of them, and keeps them between calls: with one,
+        # the second call starts none
+        monkeypatch.setattr(ambiguity_module, "_WORKERS", workers)
+        setup = simo_miso_setup(build_array(GeometryKind.UPCA, 12 * LAM, LAM))
+        for _ in range(3):
+            normalized_power(setup, [4.0, -3.0, 100.0], _patch())
+            assert 1 <= len(started) <= workers - 1
+        assert all(thread.is_alive() for thread in started)
+
+    def test_two_callers_split_at_once(self, fresh_pool, monkeypatch):
+        # both callers make the pool at once and share its threads, more of
+        # them than this host may have CPUs, with threads switched often
+        setup = mimo_setup(build_array(GeometryKind.URA, 14 * LAM, LAM))
+        target, probes = [4.0, -3.0, 100.0], _patch()
+        with monkeypatch.context() as patch:
+            patch.setattr(ambiguity_module, "_WORKERS", 1)
+            want = _bits(normalized_power(setup, target, probes))
+        monkeypatch.setattr(ambiguity_module, "_WORKERS", 4)
+        start, got = threading.Barrier(2), []
+
+        def call():
+            start.wait(timeout=60)
+            got.append(_bits(normalized_power(setup, target, probes)))
+
+        callers = [threading.Thread(target=call) for _ in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert got == [want, want]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork")
+    def test_forked_child_makes_its_own_pool(self, fresh_pool, monkeypatch):
+        # the child inherits the parent's pool object but none of its
+        # threads: a task queued to that pool would never run
+        monkeypatch.setattr(ambiguity_module, "_WORKERS", 2)
+        setup = simo_miso_setup(build_array(GeometryKind.UPCA, 12 * LAM, LAM))
+        target, probes = [4.0, -3.0, 100.0], _patch()
+        want = _bits(normalized_power(setup, target, probes))
+        assert "pool" in ambiguity_module._SHARED
+
+        def child():
+            assert _bits(normalized_power(setup, target, probes)) == want
+
+        process = multiprocessing.get_context("fork").Process(target=child)
+        process.start()
+        process.join(timeout=60)
+        if process.is_alive():
+            process.kill()
+            process.join(timeout=60)
+        assert process.exitcode == 0
 
 
 class TestKernelRows:
@@ -729,22 +794,78 @@ class TestFarPoints:
         with pytest.raises(ValueError, match="floating-point range"):
             call(build_ula(10.0, 1.0))
 
+    @pytest.mark.parametrize("call", [
+        lambda g: broadside_power_sweep(simo_miso_setup(g), 50.0, [60.0]),
+        lambda g: normalized_power(mimo_setup(g), [0.0, -0.0, 50.0],
+                                   [[-0.0, 0.0, 60.0]]),
+        lambda g: array_factor(g, [0.0, 0.0, 50.0], [0.0, -0.0, 60.0]),
+    ], ids=["broadside_power_sweep", "normalized_power", "array_factor"])
+    def test_on_axis_lateral_overflow_rejected(self, call):
+        # e_x^2 of the element at 1e160 overflows in the one-coordinate
+        # axial distance as it did in the x difference's square
+        g = ArrayGeometry(GeometryKind.ULA, 1.0,
+                          np.array([[1e160, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+        with pytest.raises(ValueError, match=r"^point too far from the array: "
+                           r"a phase leaves the floating-point range$"):
+            call(g)
+
     @pytest.mark.parametrize("bad, match", [
         ([0.0, 0.0, 1e155], "floating-point range"),
         (None, "coincides"),
     ], ids=["far", "on-element"])
     @pytest.mark.parametrize("row", [0, -1, [0, -1]],
                              ids=["first", "last", "both"])
-    def test_error_in_a_worker_block(self, bad, match, row, monkeypatch):
+    def test_error_in_a_worker_block(self, bad, match, row, fresh_pool,
+                                     monkeypatch):
         # 4000 probes of 21 elements split into two blocks on two threads;
         # either thread may take either block, and with a bad probe in both
         # the calling thread raises whichever it takes
-        monkeypatch.setattr(ambiguity_module, "_WORKERS", 2)
-        g = build_ula(10.0, 1.0)
+        setup = simo_miso_setup(build_ula(10.0, 1.0))
         probes = np.column_stack([np.linspace(-20.0, 20.0, 4000),
                                   np.full(4000, 5.0), np.full(4000, 80.0)])
-        probes[row] = g.elements[3] if bad is None else bad
+        target = [0.0, 0.0, 50.0]
+        with monkeypatch.context() as patch:
+            patch.setattr(ambiguity_module, "_WORKERS", 1)
+            serial = _bits(normalized_power(setup, target, probes))
+        monkeypatch.setattr(ambiguity_module, "_WORKERS", 2)
+        # the first split call starts the pool's one thread
+        assert _bits(normalized_power(setup, target, probes)) == serial
         before = threading.active_count()
+        bad_probes = probes.copy()
+        bad_probes[row] = setup.aperture.elements[3] if bad is None else bad
         with pytest.raises(ValueError, match=match):
-            normalized_power(simo_miso_setup(g), [0.0, 0.0, 50.0], probes)
+            normalized_power(setup, target, bad_probes)
         assert threading.active_count() == before
+        assert _bits(normalized_power(setup, target, probes)) == serial
+
+
+class TestSmallLengths:
+    # below sqrt(tiny) ~ 1.5e-154 a distance squares into the subnormal
+    # floats and loses digits; the physics is scale-free in lambda
+    @pytest.mark.parametrize("call", [
+        lambda g, lam: broadside_power_sweep(simo_miso_setup(g), 50 * lam,
+                                             [60 * lam]),
+        lambda g, lam: normalized_power(mimo_setup(g), [lam, 0.0, 50 * lam],
+                                        [0.0, lam, 60 * lam]),
+        lambda g, lam: array_factor(g, [0.0, 0.0, 50 * lam],
+                                    [[0.0, 0.0, 60 * lam]]),
+    ], ids=["broadside_power_sweep", "normalized_power", "array_factor"])
+    def test_rejected(self, call):
+        lam = 1e-163
+        with pytest.raises(ValueError, match="floating-point range"):
+            call(build_ula(10 * lam, lam), lam)
+
+    @pytest.mark.parametrize("wavelength, match", [
+        (1e-140, "coincides"), (1e-148, "floating-point range")])
+    def test_point_on_an_element(self, wavelength, match):
+        # 1e-6 lambda is a point's least distance from an element where it
+        # is above the bound, and the bound itself below
+        g = build_ula(10 * wavelength, wavelength)
+        with pytest.raises(ValueError, match=match):
+            normalized_power(simo_miso_setup(g), g.elements[3],
+                             [0.0, 0.0, 60 * wavelength])
+        power = normalized_power(simo_miso_setup(g), [0.0, 0.0, 50 * wavelength],
+                                 [0.0, 0.0, 60 * wavelength])
+        assert power == pytest.approx(normalized_power(
+            simo_miso_setup(build_ula(10.0, 1.0)), [0.0, 0.0, 50.0],
+            [0.0, 0.0, 60.0]), rel=1e-13)

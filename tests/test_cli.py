@@ -543,6 +543,8 @@ class TestExitCodes:
         # half-power distances whose product d_FA d' overflows, with the
         # target well inside d_FA/alpha
         "validate --kind ula --wavelength 1e152",
+        # element distances whose squares fall below the smallest normal float
+        "validate --kind ula --mode simo --wavelength 1e-163",
         # a beamdepth whose formula overflows or underflows
         "beamdepth-sweep --aperture-lambda 5e153 --sweep 1:1e300:3",
         "beamdepth-sweep --aperture-lambda 1e-100 --sweep 1e-300:1e300:3",
