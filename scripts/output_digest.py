@@ -59,6 +59,8 @@ library cases, in print order:
   normalized_af_power, a bool to bessel_j0, a string kind to
   af_argument, a complex probe to normalized_power and a None aperture
   to SensingSetup, whose setup is then summed;
+- af_argument per kind at d_FA = d_ver = 1, which is the kind's argument
+  scale;
 - each specfun function, and normalized_af_power per kind and mode, on
   each of the Python floats SCALARS;
 - bessel_j0 and the UCA pattern per mode on a grid of [13, 60];
@@ -264,6 +266,8 @@ def library_cases():
             (bessel_j0, (True,)),
             (af_argument, ("ula", 1.0, 0.1))):
         yield f"{function.__name__} {args!r}", function, args
+    for kind in GeometryKind:  # the argument scale a
+        yield f"af_argument {kind.value} 1.0 1.0", af_argument, (kind, 1.0, 1.0)
     yield ("normalized_power ula simo_miso_setup complex probe",
            normalized_power, (simo_miso_setup(ula), [0.0, 0.0, 10.0],
                               [0.0, 0.0, 5.0 + 1j]))

@@ -1,7 +1,8 @@
-"""Solve the closed-form figures of nfsense.metrics in mpmath.
+"""Solve the closed-form figures of nfsense.closed_form in mpmath.
 
 Every half-power root, mainlobe edge and sidelobe level of the package is
-a figure of one of three base patterns f (see nfsense.closed_form):
+a figure of one of three base patterns f, to which nfsense.closed_form
+maps each layout:
 
     ULA   (C^2(u) + S^2(u)) / u^2 with u = sqrt x
     UCA   J0(x)^2
@@ -15,9 +16,9 @@ sidelobe power (f at its first maximum past the edge; every base's
 sidelobes fall off with x).  Each figure is rounded once to the nearest
 double, so the output is deterministic and independent of numpy.
 
-    python scripts/solve_figures.py           # print the metrics table
-    python scripts/solve_figures.py --check   # exit 1 unless metrics holds
-                                              # exactly these floats
+    python scripts/solve_figures.py           # print the _FIGURES table
+    python scripts/solve_figures.py --check   # exit 1 unless closed_form
+                                              # holds exactly these floats
 """
 
 from __future__ import annotations
@@ -103,7 +104,7 @@ def source(figures) -> str:
 
 def check(figures) -> list[str]:
     """Bases whose committed figures are not bit-equal to the solved ones."""
-    from nfsense import metrics
+    from nfsense import closed_form
     from nfsense.geometry import GeometryKind
 
     def bits(row):
@@ -111,13 +112,13 @@ def check(figures) -> list[str]:
         return {n: x.hex() for n, x in roots.items()}, edge.hex(), peak.hex()
 
     return [name for name, row in figures.items()
-            if bits(metrics._FIGURES[GeometryKind[name]]) != bits(row)]
+            if bits(closed_form._FIGURES[GeometryKind[name]]) != bits(row)]
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--check", action="store_true",
-                        help="compare with the table committed in metrics")
+                        help="compare with the table committed in closed_form")
     args = parser.parse_args(argv)
     figures = solve()
     if args.check:

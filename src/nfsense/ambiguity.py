@@ -23,15 +23,15 @@ phase need a full range reduction each.  The terms are summed over the
 elements in ascending order, so sums are bit-reproducible run to run.  A
 call of more than _BLOCK_PAIRS pairs runs on the calling thread and one
 pool, made on the first such call, one thread per CPU of the affinity mask
-in all, each taking the next row block when it is free; a call returns, or
-re-raises a block's error, once all its shares are done.  A probe's sum is
-the same row sum whatever block or thread holds it, so the bits do not
-depend on the split, and no setting selects it.  On the z axis an
-element's distance depends only on (x^2 + y^2, z), so any sum with its
-target and every probe at x = y = 0 adds one term of
-ArrayGeometry.axial_terms per axial class, in index order, weighted by the
-class size and normalized by the full element count; other sums add every
-element with weight 1.  A target is one point.
+in all, each taking the next row block when it is free; a failing block
+ends the walk, and a call returns, or re-raises a block's error, once all
+its shares are done.  A probe's sum is the same row sum whatever block or
+thread holds it, so the bits do not depend on the split, and no setting
+selects it.  On the z axis an element's distance depends only on
+(x^2 + y^2, z), so any sum with its target and every probe at x = y = 0
+adds one term of ArrayGeometry.axial_terms per axial class, in index
+order, weighted by the class size and normalized by the full element
+count; other sums add every element with weight 1.  A target is one point.
 """
 
 from __future__ import annotations
@@ -70,22 +70,21 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_SHARED.clear)
 
 
-def _target(target) -> np.ndarray:
-    """(3,) float array of one finite point given as (3,) or (1, 3)."""
-    t = _asarray(target)
-    if (t.dtype.kind not in "iuf" or t.shape not in ((3,), (1, 3))
-            or not np.all(np.isfinite(t))):
-        raise ValueError(_ONE_TARGET)
-    return t.astype(float, copy=False).reshape(3)
-
-
-def _points(points) -> np.ndarray:
-    """(P, 3) float array of finite points."""
+def _points(points, message="points must be finite 3-vectors") -> np.ndarray:
+    """(P, 3) float array of finite points; ValueError(message) otherwise."""
     pts = np.atleast_2d(_asarray(points))
     if (pts.dtype.kind not in "iuf" or pts.ndim != 2 or pts.shape[1] != 3
             or not np.all(np.isfinite(pts))):
-        raise ValueError("points must be finite 3-vectors")
+        raise ValueError(message)
     return pts.astype(float, copy=False)
+
+
+def _target(target) -> np.ndarray:
+    """(3,) float array of one finite point given as (3,) or (1, 3)."""
+    t = _points(target, _ONE_TARGET)
+    if len(t) != 1:
+        raise ValueError(_ONE_TARGET)
+    return t[0]
 
 
 def _phase_sum(elements, weights, inv_wavelength: float, target, probes,
@@ -143,6 +142,8 @@ def _phase_sum(elements, weights, inv_wavelength: float, target, probes,
                     d += lateral
                 np.sqrt(d, out=d)
                 if d.min() < min_distance:
+                    for _ in blocks:  # no thread takes another block
+                        pass
                     raise ValueError(close)
                 # c - rint(c) is exact and lies in [-1/2, 1/2], so the
                 # half angle pi c stays off the tangent's poles

@@ -1,4 +1,4 @@
-"""Closed-form normalized array-factor power per layout.
+"""The closed form of every layout: argument scale, base pattern, figures.
 
 Every layout shares one dimensionless argument
 
@@ -9,15 +9,16 @@ d_ver = |1/d' - 1/d| the vergence difference between target and probe
 ranges.  The normalized single-aperture power is a base pattern to a
 layout exponent n
 
-    ULA   (C^2(sqrt x) + S^2(sqrt x)) / x   n = 1
-    UCA   J0(x)^2                           n = 1
-    URA   the ULA pattern (crossed ULAs)    n = 2
-    UPCA  sinc(x)^2                         n = 1
+    ULA   (C^2(sqrt x) + S^2(sqrt x)) / x   n = 1   a = 1/4
+    UCA   J0(x)^2                           n = 1   a = pi/16
+    URA   the ULA pattern (crossed ULAs)    n = 2   a = 1/8
+    UPCA  sinc(x)^2                         n = 1   a = 1/16
 
-and MIMO squares it again (p = 2; p = 1 for SIMO/MISO).  One table holds
-each base pattern with its mainlobe curvature.  The forms assume probe
-points at broadside distances well beyond the aperture; close to the array
-the direct summation in nfsense.ambiguity is authoritative.
+and MIMO squares it again (p = 2; p = 1 for SIMO/MISO).  Three tables hold
+each layout's (base, n, a), each base with its mainlobe curvature and the
+13 figures nfsense.metrics reads.  The forms assume probe points at
+broadside distances well beyond the aperture; close to the array the
+direct summation in nfsense.ambiguity is authoritative.
 """
 
 from __future__ import annotations
@@ -34,6 +35,27 @@ __all__ = [
     "normalized_af_power",
     "quadratic_mainlobe_coefficient",
 ]
+
+# Layout -> (base pattern, exponent n, argument scale a); the square array
+# is two crossed linear arrays, so the URA is the ULA's pattern squared.
+_LAYOUTS = {
+    GeometryKind.ULA: (GeometryKind.ULA, 1, 0.25),
+    GeometryKind.UCA: (GeometryKind.UCA, 1, np.pi / 16.0),
+    GeometryKind.URA: (GeometryKind.ULA, 2, 0.125),
+    GeometryKind.UPCA: (GeometryKind.UPCA, 1, 1.0 / 16.0),
+}
+
+
+def _layout(kind: GeometryKind, mode: ProcessingMode = ProcessingMode.SIMO_MISO
+            ) -> tuple[GeometryKind, int, float]:
+    """(base, n p, a): the power in the mode is base ** (n p) at x = a d_FA
+    d_ver.  ValueError for a mode, then a kind, that is not a member."""
+    if not isinstance(mode, ProcessingMode):
+        raise ValueError(f"unknown processing mode {mode!r}")
+    if not isinstance(kind, GeometryKind):
+        raise ValueError(f"unknown geometry kind {kind!r}")
+    base, n, scale = _LAYOUTS[kind]
+    return base, n * mode.power_exponent, scale
 
 
 def vergence_difference(d_target: float, d_probe):
@@ -57,14 +79,13 @@ def af_argument(kind: GeometryKind, d_fraunhofer: float, vergence):
     ValueError unless d_FA is finite and positive and every d_ver finite
     and nonnegative, and where x overflows.
     """
-    if not isinstance(kind, GeometryKind):
-        raise ValueError(f"unknown geometry kind {kind!r}")
+    scale = _layout(kind)[2]
     d_fraunhofer = _real(d_fraunhofer, "d_fraunhofer")
     vergence = _real(vergence, "vergence", positive=False, scalar=False)
     if np.any(vergence < 0.0):
         raise ValueError("vergence must be nonnegative")
     with np.errstate(over="ignore"):
-        x = kind.argument_scale * d_fraunhofer * vergence
+        x = scale * d_fraunhofer * vergence
     if np.isinf(x).any():
         raise ValueError("closed-form argument overflows: d_FA * d_ver is too large")
     return float(x) if x.ndim == 0 else x
@@ -92,24 +113,22 @@ _PATTERNS = {
     GeometryKind.UPCA: (lambda x: np.square(sinc(x)), np.pi * np.pi / 3.0),
 }
 
+# Per base pattern f: ({n p: x_3dB}, mainlobe edge, peak sidelobe power of
+# f), each correctly rounded from 40 digits by scripts/solve_figures.py.
+_FIGURES = {
+    GeometryKind.ULA: ({1: 1.7379732118866686, 2: 1.2421576124333258,
+                        4: 0.8834812565540558},
+                       3.6538339518893572, 0.13232119929784664),
+    GeometryKind.UCA: ({1: 1.1263642393772588, 2: 0.8145063295647214},
+                       2.404825557695773, 0.16221513082668565),
+    GeometryKind.UPCA: ({1: 0.44294647068945237, 2: 0.3189166986852232},
+                        1.0, 0.047190449225811275),
+}
+
 
 def base_layout(kind: GeometryKind) -> tuple[GeometryKind, int]:
-    """(base kind, exponent n): the single-aperture power is base ** n.
-
-    The square array is two crossed linear arrays: the URA is (ULA, 2).
-    """
-    if not isinstance(kind, GeometryKind):
-        raise ValueError(f"unknown geometry kind {kind!r}")
-    return (GeometryKind.ULA, 2) if kind is GeometryKind.URA else (kind, 1)
-
-
-def _base_exponent(kind: GeometryKind,
-                   mode: ProcessingMode) -> tuple[GeometryKind, int]:
-    """(base kind, n p): the power in the mode is base ** (n p)."""
-    if not isinstance(mode, ProcessingMode):
-        raise ValueError(f"unknown processing mode {mode!r}")
-    base, n = base_layout(kind)
-    return base, n * mode.power_exponent
+    """(base kind, exponent n): the single-aperture power is base ** n."""
+    return _layout(kind)[:2]
 
 
 def normalized_af_power(kind: GeometryKind, mode: ProcessingMode, x):
@@ -120,7 +139,7 @@ def normalized_af_power(kind: GeometryKind, mode: ProcessingMode, x):
     arr = _real(x, "x", positive=False, scalar=False)
     if np.any(arr < 0):
         raise ValueError("x must be nonnegative")
-    base, exponent = _base_exponent(kind, mode)
+    base, exponent, _ = _layout(kind, mode)
     out = _PATTERNS[base][0](arr)
     for _ in range(exponent // 2):  # n p is 1, 2 or 4
         out = out * out
@@ -133,5 +152,5 @@ def quadratic_mainlobe_coefficient(kind: GeometryKind) -> float:
     c = -(1/2) d^2/dx^2 of the single-aperture power at x = 0; as
     (1 - c x^2)^n = 1 - n c x^2 + O(x^4), it is n times the base's.
     """
-    base, n = base_layout(kind)
+    base, n, _ = _layout(kind)
     return n * _PATTERNS[base][1]

@@ -62,26 +62,12 @@ MAX_ELEMENTS = 1_000_000
 
 
 class GeometryKind(Enum):
-    """The four supported array layouts."""
+    """The four supported array layouts (closed forms: nfsense.closed_form)."""
 
     ULA = "ula"
     UCA = "uca"
     URA = "ura"
     UPCA = "upca"
-
-    @property
-    def argument_scale(self) -> float:
-        """Scale coefficient mapping d_FA * d_ver onto the layout's unified
-        array-factor argument."""
-        return _ARGUMENT_SCALE[self]
-
-
-_ARGUMENT_SCALE = {
-    GeometryKind.ULA: 0.25,
-    GeometryKind.UCA: math.pi / 16.0,
-    GeometryKind.URA: 0.125,
-    GeometryKind.UPCA: 1.0 / 16.0,
-}
 
 
 class ProcessingMode(Enum):

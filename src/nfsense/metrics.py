@@ -1,12 +1,13 @@
 """Sensing metrics derived from the closed-form array factors.
 
-A layout's power in a mode is its base pattern f to the exponent n p
-(see nfsense.closed_form), so every figure belongs to f: the half-power
-argument x_3dB is the smallest root of f(x) ** (n p) = 1/2, the mainlobe
-edge is the first minimum of f, which no exponent moves, and the sidelobe
-level is n p times that of f in dB.  The 13 figures of the three base
-patterns are constants, correctly rounded from a 40-digit mpmath solve:
-scripts/solve_figures.py prints their table, and --check verifies it.
+A layout's power in a mode is its base pattern f to the exponent n p, so
+every figure belongs to f: the half-power argument x_3dB is the smallest
+root of f(x) ** (n p) = 1/2, the mainlobe edge is the first minimum of f,
+which no exponent moves, and the sidelobe level is n p times that of f in
+dB.  nfsense.closed_form holds each layout's base, n and argument scale a,
+and the 13 figures of the three base patterns as constants, correctly
+rounded from a 40-digit mpmath solve: scripts/solve_figures.py prints
+their table, and --check verifies it; this module derives from them.
 Beamdepth and its divergence point follow from the vergence algebra
 
     d_3dB = d_FA d' / (d_FA +- alpha d')
@@ -26,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .closed_form import _base_exponent, quadratic_mainlobe_coefficient
+from .closed_form import _FIGURES, _layout, quadratic_mainlobe_coefficient
 from .geometry import GeometryKind, ProcessingMode, _real
 
 __all__ = [
@@ -34,19 +35,6 @@ __all__ = [
     "half_power_distances", "beamdepth", "max_nearfield_range",
     "mainlobe_edge", "peak_sidelobe_level", "compute_metrics",
 ]
-
-# Per base pattern f: ({n p: x_3dB}, mainlobe edge, peak sidelobe power of
-# f), each correctly rounded from 40 digits by scripts/solve_figures.py.
-_FIGURES = {
-    GeometryKind.ULA: ({1: 1.7379732118866686, 2: 1.2421576124333258,
-                        4: 0.8834812565540558},
-                       3.6538339518893572, 0.13232119929784664),
-    GeometryKind.UCA: ({1: 1.1263642393772588, 2: 0.8145063295647214},
-                       2.404825557695773, 0.16221513082668565),
-    GeometryKind.UPCA: ({1: 0.44294647068945237, 2: 0.3189166986852232},
-                        1.0, 0.047190449225811275),
-}
-
 
 _x3db = lru_cache(maxsize=None)(lambda base, n_p: _FIGURES[base][0][n_p])
 
@@ -57,7 +45,7 @@ def half_power_argument(kind: GeometryKind, mode: ProcessingMode) -> float:
     The power is the base pattern f to the exponent n p, so this is the
     half-power root of (base, n p): the URA in SIMO shares the ULA's in MIMO.
     """
-    return _x3db(*_base_exponent(kind, mode))
+    return _x3db(*_layout(kind, mode)[:2])
 
 
 half_power_argument.cache_clear = _x3db.cache_clear  # nfbench's tests pin it
@@ -65,7 +53,8 @@ half_power_argument.cache_clear = _x3db.cache_clear  # nfbench's tests pin it
 
 def half_power_coefficient(kind: GeometryKind, mode: ProcessingMode) -> float:
     """alpha = x_3dB / a; scales d_FA * d_ver at the half-power point."""
-    return half_power_argument(kind, mode) / kind.argument_scale
+    base, exponent, scale = _layout(kind, mode)
+    return _x3db(base, exponent) / scale
 
 
 def half_power_distances(d_target: float, d_fraunhofer: float,
@@ -137,12 +126,12 @@ def mainlobe_edge(kind: GeometryKind, mode: ProcessingMode) -> float:
 
     A null for UCA and UPCA; nonzero for the Fresnel-based layouts.
     """
-    return _FIGURES[_base_exponent(kind, mode)[0]][1]
+    return _FIGURES[_layout(kind, mode)[0]][1]
 
 
 def peak_sidelobe_level(kind: GeometryKind, mode: ProcessingMode) -> float:
     """Highest sidelobe in dB below the peak: n p times the base pattern's."""
-    base, exponent = _base_exponent(kind, mode)
+    base, exponent, _ = _layout(kind, mode)
     return exponent * 10.0 * math.log10(_FIGURES[base][2])
 
 
@@ -178,7 +167,7 @@ class GeometryMetrics:
 def compute_metrics(kind: GeometryKind) -> GeometryMetrics:
     x_simo = half_power_argument(kind, ProcessingMode.SIMO_MISO)
     x_mimo = half_power_argument(kind, ProcessingMode.MIMO)
-    a = kind.argument_scale
+    a = _layout(kind)[2]
     ratio = x_simo / x_mimo
     c = quadratic_mainlobe_coefficient(kind)
     quad_simo = math.sqrt(2.0) / (2.0 * math.sqrt(c))

@@ -14,7 +14,7 @@ from scipy import integrate
 
 from nfsense import metrics
 from nfsense.ambiguity import array_factor, broadside_power_sweep
-from nfsense.closed_form import normalized_af_power
+from nfsense.closed_form import af_argument, normalized_af_power
 from nfsense.geometry import (GeometryKind, ProcessingMode, build_array,
                               build_ula, build_uca, fraunhofer_distance,
                               mimo_setup, simo_miso_setup)
@@ -141,7 +141,7 @@ def test_criterion_5_oracle_equivalence(kind):
         d_low, d_high = half_power_distances(d_target, d_fa, coeff)
         grid = np.linspace(d_low, d_high, 401)
         exact = broadside_power_sweep(setup, d_target, grid) ** mode.power_exponent
-        x = kind.argument_scale * d_fa * np.abs(1.0 / d_target - 1.0 / grid)
+        x = af_argument(kind, d_fa, np.abs(1.0 / d_target - 1.0 / grid))
         closed = normalized_af_power(kind, mode, x)
         deviation = float(np.max(np.abs(exact - closed)))
         wide = np.linspace(0.85 * d_low, 1.15 * d_high, 2401)

@@ -212,7 +212,7 @@ class TestNormalizedPower:
         g = build_ula(50 * LAM, LAM)
         s = mimo_setup(g)
         d_fa = fraunhofer_distance(g)
-        d_ver = 4.0 / (GeometryKind.ULA.argument_scale * d_fa)
+        d_ver = 4.0 / af_argument(GeometryKind.ULA, d_fa, 1.0)
         for d in (1.0 / (1.0 / 100.0 + d_ver), 1.0 / (1.0 / 100.0 - d_ver)):
             assert normalized_power(s, [0, 0, 100.0], [0, 0, d]) <= 0.01
 
@@ -227,7 +227,7 @@ class TestClosedFormConvergence:
         d_low, d_high = half_power_distances(100.0, d_fa, coeff)
         grid = np.linspace(d_low, d_high, 201)
         exact = broadside_power_sweep(simo_miso_setup(g), 100.0, grid)
-        x = kind.argument_scale * d_fa * np.abs(1.0 / 100.0 - 1.0 / grid)
+        x = af_argument(kind, d_fa, np.abs(1.0 / 100.0 - 1.0 / grid))
         closed = normalized_af_power(kind, mode, x)
         assert np.max(np.abs(exact - closed)) <= 0.02
 
@@ -610,6 +610,31 @@ class TestThreads:
         assert not any(caller.is_alive() for caller in callers)
         assert got == [want, want]
 
+    def test_failing_block_ends_the_walk(self, fresh_pool, monkeypatch):
+        # a probe on an element in the first of 230 blocks: the thread that
+        # meets it takes the blocks left, so the other starts no more
+        monkeypatch.setattr(ambiguity_module, "_WORKERS", 2)
+        g = build_array(GeometryKind.UPCA, 12 * LAM, LAM)
+        probes = np.random.default_rng(3).uniform([-20, -20, 30],
+                                                  [20, 20, 120], (30_000, 3))
+        probes[0] = g.elements[5]
+        rows = ambiguity_module._BLOCK_PAIRS // g.n_elements
+        blocks = -(-len(probes) // rows)
+        products, matmul = [], np.matmul
+
+        def counting(*args, **kwargs):
+            products.append(None)
+            return matmul(*args, **kwargs)
+
+        monkeypatch.setattr(ambiguity_module.np, "matmul", counting)
+        for _ in range(5):
+            products.clear()
+            with pytest.raises(ValueError, match="^point coincides with an "
+                                                 "array element$"):
+                normalized_power(simo_miso_setup(g), [4.0, -3.0, 100.0], probes)
+            # one product per coordinate of each block run
+            assert 1 <= len(products) // 3 < blocks // 10
+
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork")
     def test_forked_child_makes_its_own_pool(self, fresh_pool, monkeypatch):
         # the child inherits the parent's pool object but none of its
@@ -684,9 +709,10 @@ class TestOneTarget:
     @pytest.mark.parametrize("target", [
         [[0.0, 0.0, 50.0], [0.0, 0.0, 80.0]], [[[0.0, 0.0, 50.0]]],
         [0.0, 50.0], [[0.0], [0.0], [50.0]], [0.0, 0.0, math.inf], 50.0,
-        [0.0, 0.0, 50.0 + 1j], ["0", "0", "50"], [True, False, True]],
+        [0.0, 0.0, 50.0 + 1j], ["0", "0", "50"], [True, False, True],
+        np.empty((0, 3)), [[0.0, 0.0, 50.0], [0.0, 50.0]]],
         ids=["two", "3d", "short", "column", "inf", "scalar", "complex",
-             "string", "bool"])
+             "string", "bool", "empty", "ragged"])
     @pytest.mark.parametrize("call", CALLS, ids=IDS)
     def test_not_one_point_rejected(self, call, target):
         with pytest.raises(ValueError, match="^target must be one finite "

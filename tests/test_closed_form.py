@@ -8,7 +8,9 @@ from nfsense.closed_form import (GeometryKind, ProcessingMode, af_argument,
                                  base_layout, normalized_af_power,
                                  quadratic_mainlobe_coefficient,
                                  vergence_difference)
-from nfsense.metrics import half_power_argument, mainlobe_edge
+from nfsense.metrics import (compute_metrics, half_power_argument,
+                             half_power_coefficient, mainlobe_edge,
+                             peak_sidelobe_level)
 
 KINDS = list(GeometryKind)
 SIMO = ProcessingMode.SIMO_MISO
@@ -130,6 +132,53 @@ class TestAfArgument:
     def test_non_kind_rejected(self, kind):
         with pytest.raises(ValueError, match="^unknown geometry kind"):
             af_argument(kind, 1.0, 0.1)
+
+
+def test_argument_scales():
+    # the scale's public paths, bit for bit
+    for kind, scale in ((GeometryKind.ULA, 0.25), (GeometryKind.UCA, math.pi / 16),
+                        (GeometryKind.URA, 0.125), (GeometryKind.UPCA, 1.0 / 16)):
+        assert af_argument(kind, 1.0, 1.0) == scale
+        assert compute_metrics(kind).argument_scale == scale
+
+
+# every closed-form and metric function that takes a kind, and a mode if
+# it takes one
+KIND_CALLS = {
+    "af_argument": lambda kind, mode: af_argument(kind, 1.0, 0.1),
+    "base_layout": lambda kind, mode: base_layout(kind),
+    "quadratic_mainlobe_coefficient":
+        lambda kind, mode: quadratic_mainlobe_coefficient(kind),
+    "compute_metrics": lambda kind, mode: compute_metrics(kind),
+}
+KIND_MODE_CALLS = {
+    "normalized_af_power": lambda kind, mode: normalized_af_power(kind, mode, 1.0),
+    "half_power_argument": half_power_argument,
+    "half_power_coefficient": half_power_coefficient,
+    "mainlobe_edge": mainlobe_edge,
+    "peak_sidelobe_level": peak_sidelobe_level,
+}
+NON_KINDS = ["ula", None, 2, [1], ProcessingMode.MIMO]
+NON_MODES = ["simo", None, 2, [1], GeometryKind.ULA]
+
+
+class TestNonMembers:
+    @pytest.mark.parametrize("call", [*KIND_CALLS.values(),
+                                      *KIND_MODE_CALLS.values()],
+                             ids=[*KIND_CALLS, *KIND_MODE_CALLS])
+    @pytest.mark.parametrize("kind", NON_KINDS, ids=repr)
+    def test_kind(self, call, kind):
+        with pytest.raises(ValueError) as error:
+            call(kind, SIMO)
+        assert str(error.value) == f"unknown geometry kind {kind!r}"
+
+    @pytest.mark.parametrize("call", KIND_MODE_CALLS.values(),
+                             ids=list(KIND_MODE_CALLS))
+    @pytest.mark.parametrize("mode", NON_MODES, ids=repr)
+    def test_mode_named_before_kind(self, call, mode):
+        with pytest.raises(ValueError) as error:
+            call("ura", mode)
+        assert str(error.value) == f"unknown processing mode {mode!r}"
 
 
 class TestBaseLayout:

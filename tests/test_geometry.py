@@ -665,13 +665,6 @@ class TestSensingSetup:
             SensingSetup(aperture, mode)
 
 
-def test_argument_scales():
-    assert GeometryKind.ULA.argument_scale == 0.25
-    assert GeometryKind.UCA.argument_scale == pytest.approx(math.pi / 16)
-    assert GeometryKind.URA.argument_scale == 0.125
-    assert GeometryKind.UPCA.argument_scale == pytest.approx(1.0 / 16)
-
-
 def test_mode_exponents():
     assert ProcessingMode.SIMO_MISO.power_exponent == 1
     assert ProcessingMode.MIMO.power_exponent == 2

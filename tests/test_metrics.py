@@ -69,7 +69,7 @@ class TestHalfPower:
     @pytest.mark.parametrize("kind,mode", list(X3DB_PUBLISHED))
     def test_alpha_identity(self, kind, mode):
         coeff = half_power_coefficient(kind, mode)
-        assert abs(coeff * kind.argument_scale
+        assert abs(coeff * af_argument(kind, 1.0, 1.0)
                    - half_power_argument(kind, mode)) <= 1e-9
 
     @pytest.mark.parametrize("kind", KINDS)
@@ -429,13 +429,13 @@ class TestFigureTable:
         solve_figures = _solve_figures()
         assert solve_figures.main([]) == 0
         printed = capsys.readouterr().out
-        assert printed in Path(metrics.__file__).read_text()
+        assert printed in Path(closed_form.__file__).read_text()
 
     def test_check_exit_code(self, monkeypatch, capsys):
         solve_figures = _solve_figures()
         assert solve_figures.main(["--check"]) == 0
-        roots, edge, peak = metrics._FIGURES[GeometryKind.ULA]
-        monkeypatch.setitem(metrics._FIGURES, GeometryKind.ULA,
+        roots, edge, peak = closed_form._FIGURES[GeometryKind.ULA]
+        monkeypatch.setitem(closed_form._FIGURES, GeometryKind.ULA,
                             ({**roots, 4: math.nextafter(roots[4], 0.0)},
                              edge, peak))
         assert solve_figures.main(["--check"]) == 1
@@ -471,7 +471,7 @@ class TestFigureTable:
 
     @pytest.mark.parametrize("base", BASES)
     def test_lobes_match_reference(self, base):
-        _, edge, peak = metrics._FIGURES[base]
+        _, edge, peak = closed_form._FIGURES[base]
         ref_edge, ref_peak = reference_solvers.lobe_scan(base)
         # the ULA's minimum is flat, so its scanned edge is only good to 1e-9
         assert edge == pytest.approx(ref_edge, rel=1e-8, abs=0)
@@ -531,7 +531,7 @@ class TestComputeMetrics:
                                                   rel=1e-12)
             assert m.alpha_ratio > 1.0
             assert m.psl_mimo_db == pytest.approx(2.0 * m.psl_simo_db, abs=1e-6)
-            assert m.argument_scale == kind.argument_scale
+            assert m.argument_scale == af_argument(kind, 1.0, 1.0)
 
 
 def test_exact_sum_crosscheck_ula():
