@@ -69,7 +69,11 @@ library cases, in print order:
   on-axis hash);
 - a hand-built layout of 80 elements at several heights off the z = 0
   plane, mirrored in pairs: broadside_power_sweep and off-axis
-  normalized_power per setup, and array_factor on the -0.0 points.
+  normalized_power per setup, and array_factor on the -0.0 points;
+- per kind, the first case's sums with every length times lambda =
+  2**-500: normalized_power on the off-axis patch per setup,
+  broadside_power_sweep and array_factor on the on-axis points (the sums
+  work in wavelengths, so each prints its lambda = 1 line's hash).
 
 A checkout's outputs match another's when the two listings do, line by
 line by name (a checkout whose ArrayGeometry still takes an aperture
@@ -128,6 +132,8 @@ BAD_INPUTS = (
     "validate --kind ula --wavelength 1e152",
     "validate --kind uca --mode simo --aperture-lambda 3 --target-lambda 1e-320 "
     "--wavelength 1e3 --sweep 0:0:201",
+    "af-curve --wavelength 1e-163",
+    "beamdepth-sweep --wavelength 1e-110 --sweep 10:1200:3",
 )
 
 
@@ -312,6 +318,18 @@ def library_cases():
                (make(spiral), [4.0, -3.0, 100.0], patch))
     yield ("array_factor spiral on axis -0", array_factor,
            (spiral, [-0.0, 0.0, 60.0], signed))
+    lam = 2.0 ** -500
+    for kind in GeometryKind:
+        array = build_array(kind, 12.0 * lam, lam)
+        for make in (simo_miso_setup, mimo_setup):
+            yield (f"normalized_power {kind.value} {make.__name__} 2**-500",
+                   normalized_power, (make(array), [4.0 * lam, -3.0 * lam,
+                                                   100.0 * lam], patch * lam))
+        yield (f"broadside_power_sweep {kind.value} simo_miso_setup 2**-500",
+               broadside_power_sweep, (simo_miso_setup(array), 60.0 * lam,
+                                       np.linspace(20.0, 200.0, 901) * lam))
+        yield (f"array_factor {kind.value} on axis 2**-500", array_factor,
+               (array, [0.0, 0.0, 60.0 * lam], axis * lam))
 
 
 def main(argv=None) -> int:

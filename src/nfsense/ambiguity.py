@@ -13,25 +13,29 @@ any BLAS (a -0 difference comes out +0, which its square cannot tell), and
 the product avoids numpy's broadcast loop, slow on many short rows.  The
 squared differences are added in place and the square root taken; on the
 z axis only p_z - e_z is formed, and each element's e_x^2 + e_y^2, the
-same for every probe, is added to its square.  The phase in cycles,
-c = (d_m(target) - d_m(probe)) / lambda, is reduced to [-1/2, 1/2] by
-subtracting rint(c), which is exact, so the phase error does not grow with
-range.  One tangent of the half angle, t = tan(pi c), then gives the
-weighted phasor: w cos = 2w / (1 + t^2) - w and w sin = t 2w / (1 + t^2).
-On that interval numpy's tan is vectorized, where cos and sin of the raw
-phase need a full range reduction each.  The terms are summed over the
-elements in ascending order, so sums are bit-reproducible run to run.  A
-call of more than _BLOCK_PAIRS pairs runs on the calling thread and one
-pool, made on the first such call, one thread per CPU of the affinity mask
-in all, each taking the next row block when it is free; a failing block
-ends the walk, and a call returns, or re-raises a block's error, once all
-its shares are done.  A probe's sum is the same row sum whatever block or
-thread holds it, so the bits do not depend on the split, and no setting
-selects it.  On the z axis an element's distance depends only on
-(x^2 + y^2, z), so any sum with its target and every probe at x = y = 0
-adds one term of ArrayGeometry.axial_terms per axial class, in index
-order, weighted by the class size and normalized by the full element
-count; other sums add every element with weight 1.  A target is one point.
+same for every probe, is added to its square.  A distance d enters only
+as k d, so each call divides its points by lambda once and the kernel
+works in wavelengths: a sum is scale-free (bit for bit at a power-of-two
+lambda), and its one proximity error is a point within _MIN_SEPARATION
+of an element.  The phase in cycles, c = d_m(target) - d_m(probe), is
+reduced to [-1/2, 1/2] by subtracting rint(c), which is exact, so the
+phase error does not grow with range.  One tangent of the half angle,
+t = tan(pi c), then gives the weighted phasor: w cos = 2w / (1 + t^2) - w
+and w sin = t 2w / (1 + t^2).  On that interval numpy's tan is vectorized,
+where cos and sin of the raw phase need a full range reduction each.  The
+terms are summed over the elements in ascending order, so sums are
+bit-reproducible run to run.  A call of more than _BLOCK_PAIRS pairs runs
+on the calling thread and one pool, made on the first such call, one
+thread per CPU of the affinity mask in all, each taking the next row block
+when it is free; a failing block ends the walk, and a call returns, or
+re-raises a block's error, once all its shares are done.  A probe's sum is
+the same row sum whatever block or thread holds it, so the bits do not
+depend on the split, and no setting selects it.  On the z axis an
+element's distance depends only on (x^2 + y^2, z), so any sum with its
+target and every probe at x = y = 0 adds one term of
+ArrayGeometry.axial_terms per axial class, in index order, weighted by the
+class size and normalized by the full element count; other sums add every
+element with weight 1.  A target is one point.
 """
 
 from __future__ import annotations
@@ -58,10 +62,8 @@ _BLOCK_PAIRS = 65_536
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 
-# a distance below this squares into the subnormal floats and loses digits
-_MIN_NORMAL_DISTANCE = float(np.sqrt(np.finfo(float).tiny))
-
 _ONE_TARGET = "target must be one finite point"
+_COINCIDES = "point coincides with an array element"
 
 # the thread pool of split calls under "pool", made on the first; a forked
 # child, which has none of the parent's threads, starts without it
@@ -87,24 +89,20 @@ def _target(target) -> np.ndarray:
     return t[0]
 
 
-def _phase_sum(elements, weights, inv_wavelength: float, target, probes,
-               min_distance: float, on_axis: bool) -> np.ndarray:
-    """(P,) sums of w_m exp(-2 pi j c_m) over the elements, with the phase
-    in cycles c_m = (d_m(target) - d_m(probe)) / lambda, and x = y = 0 at
-    every point if on_axis.
+def _phase_sum(elements, weights, target, probes, on_axis: bool) -> np.ndarray:
+    """(P,) sums of w_m exp(-2 pi j c_m) over the elements, all points in
+    wavelengths, with the phase in cycles c_m = d_m(target) - d_m(probe),
+    and x = y = 0 at every point if on_axis.
 
-    Raises ValueError if the target or a probe lies within min_distance of
-    an element.
+    Raises ValueError if the target or a probe lies within _MIN_SEPARATION
+    of an element.
     """
     ex, ey, ez = np.ascontiguousarray(elements.T)
     # on the axis, every probe's x and y differences square to this sum
     lateral = (target[0] - ex) ** 2 + (target[1] - ey) ** 2
     d_target = np.sqrt(lateral + (target[2] - ez) ** 2)
-    close = ("point coincides with an array element"
-             if min_distance > _MIN_NORMAL_DISTANCE else "lengths too small: "
-             "a squared distance leaves the floating-point range")
-    if d_target.min() < min_distance:
-        raise ValueError(close)
+    if d_target.min() < _MIN_SEPARATION:
+        raise ValueError(_COINCIDES)
     m, p = ex.size, len(probes)
     if not p:
         return np.empty(0, dtype=complex)
@@ -141,14 +139,13 @@ def _phase_sum(elements, weights, inv_wavelength: float, target, probes,
                 if on_axis:
                     d += lateral
                 np.sqrt(d, out=d)
-                if d.min() < min_distance:
+                if d.min() < _MIN_SEPARATION:
                     for _ in blocks:  # no thread takes another block
                         pass
-                    raise ValueError(close)
+                    raise ValueError(_COINCIDES)
                 # c - rint(c) is exact and lies in [-1/2, 1/2], so the
                 # half angle pi c stays off the tangent's poles
                 np.subtract(d_target, d, out=d)
-                d *= inv_wavelength
                 np.rint(d, out=t)
                 d -= t
                 d *= np.pi
@@ -189,11 +186,11 @@ def _array_factor(geometry: ArrayGeometry, target, probes) -> np.ndarray:
     on_axis = len(probes) and not (target[0] or target[1] or probes[:, :2].any())
     elements, weights = (geometry.axial_terms if on_axis
                          else (geometry.elements, 1.0))
-    # a squared distance that overflows (~1e154 away) makes a sum nan
+    lam = geometry.wavelength
+    # a squared distance that overflows (~1e154 lambda away) makes a sum nan
     with np.errstate(over="ignore", invalid="ignore"):
-        out = _phase_sum(elements, weights, 1.0 / geometry.wavelength, target,
-                         probes, max(_MIN_SEPARATION * geometry.wavelength,
-                                     _MIN_NORMAL_DISTANCE), on_axis)
+        out = _phase_sum(elements / lam, weights, target / lam, probes / lam,
+                         on_axis)
     if not np.isfinite(out).all():
         raise ValueError("point too far from the array: a phase leaves the "
                          "floating-point range")

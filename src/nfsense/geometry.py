@@ -57,6 +57,9 @@ _TOL = 1e-9
 # slack on (x^2 + y^2, z) within one axial class, relative to the extent
 _CLASS_TOL = 1e-12
 
+# the smallest normal float: a product below it has lost digits
+_TINY = np.finfo(float).tiny
+
 MAX_ELEMENTS = 1_000_000
 "Largest element count a builder accepts; it is checked before allocation."
 
@@ -310,18 +313,21 @@ def build_array(kind: GeometryKind, aperture: float, wavelength: float) -> Array
     return _BUILDERS[kind](aperture, wavelength)
 
 
-def _fraunhofer(aperture: float, wavelength: float) -> float:
-    """2 D^2 / lambda, inf where it overflows; D^2 is D * D on any libm."""
-    return 2.0 * (aperture * aperture) / wavelength
+def _fraunhofer(aperture: float, wavelength: float, finite=False) -> float:
+    """2 D^2 / lambda; D^2 is D * D on any libm.  ValueError where D^2 is
+    below the normal floats, with its digits lost, and, if finite, where
+    the result is not a positive float; else inf where it overflows."""
+    square = aperture * aperture
+    distance = 2.0 * square / wavelength
+    if square < _TINY or finite and not 0.0 < distance < math.inf:
+        raise ValueError(f"2 D^2 / lambda for D = {aperture:g} m is out of "
+                         "floating-point range")
+    return distance
 
 
 def fraunhofer_distance(geometry: ArrayGeometry) -> float:
     """Far-field boundary 2 D^2 / lambda; ValueError outside the float range."""
-    distance = _fraunhofer(geometry.aperture, geometry.wavelength)
-    if not 0.0 < distance < math.inf:
-        raise ValueError(f"2 D^2 / lambda for D = {geometry.aperture:g} m is "
-                         "out of floating-point range")
-    return distance
+    return _fraunhofer(geometry.aperture, geometry.wavelength, finite=True)
 
 
 @dataclass(frozen=True)

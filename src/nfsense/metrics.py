@@ -28,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from .closed_form import _FIGURES, _layout, quadratic_mainlobe_coefficient
-from .geometry import GeometryKind, ProcessingMode, _real
+from .geometry import _TINY, GeometryKind, ProcessingMode, _real
 
 __all__ = [
     "GeometryMetrics", "half_power_argument", "half_power_coefficient",
@@ -65,8 +65,9 @@ def half_power_distances(d_target: float, d_fraunhofer: float,
     (beamdepth takes arrays); anything else raises ValueError.  Returns
     (lower, upper); upper is math.inf once the target sits at or beyond
     d_FA / alpha.  ValueError where the formula leaves the float
-    range: d_FA d' overflows or underflows, or just below d_FA / alpha,
-    alpha d' rounds to d_FA or above it.
+    range: d_FA d' or the lower distance overflows or falls below the
+    normal floats, or just below d_FA / alpha, alpha d' rounds to d_FA or
+    above it.
     """
     d_target = _real(d_target, "d_target")
     d_fraunhofer = _real(d_fraunhofer, "d_fraunhofer")
@@ -78,7 +79,8 @@ def half_power_distances(d_target: float, d_fraunhofer: float,
     upper = math.inf
     if finite and gap > 0.0:
         upper = product / gap
-    if not (0.0 < lower < math.inf and (upper < math.inf) == finite):
+    if not (_TINY <= min(product, lower) and lower < math.inf
+            and (upper < math.inf) == finite):
         raise ValueError(f"half-power distances at d' = {d_target:g} m with "
                          f"d_FA = {d_fraunhofer:g} m are out of "
                          "floating-point range")
@@ -89,9 +91,10 @@ def beamdepth(d_target, d_fraunhofer, coefficient):
     """Radial half-power extent around a target at d'; inf past d_FA/alpha.
 
     Below d_FA/alpha the extent is finite; ValueError where its formula
-    leaves the float range: a square overflows, the denominator underflows
-    or the rounded gap d_FA^2 - alpha^2 d'^2 is not positive (an underflowed
-    d'^2 gives 0.0).  The inputs broadcast as numpy arrays and give an array of extents, and
+    leaves the float range: a square, the rounded gap d_FA^2 - alpha^2 d'^2,
+    the numerator or the extent overflows or falls below the normal floats,
+    where it has lost digits (a gap that is not positive among them).  The
+    inputs broadcast as numpy arrays and give an array of extents, and
     scalars give a float.  Squares are x * x, correctly rounded on any
     platform, where a C library's pow can be an ulp off.
     """
@@ -101,12 +104,14 @@ def beamdepth(d_target, d_fraunhofer, coefficient):
     with np.errstate(all="ignore"):
         d2, fa2, c2 = d * d, fa * fa, c * c
         gap = fa2 - c2 * d2
-        depth = 2.0 * c * fa * d2 / gap
+        top = 2.0 * c * fa * d2
+        depth = top / gap
         finite = d < fa / c
-    # a square that overflows can still give a finite quotient, and just
-    # below d_FA / alpha the rounded gap can vanish or change sign
-    bad = finite & (np.isinf(d2) | np.isinf(fa2) | np.isinf(c2) | (gap <= 0.0)
-                    | ~np.isfinite(depth))
+        # a square that overflows can still give a finite quotient, one that
+        # underflows a nonzero one, and just below d_FA / alpha the rounded
+        # gap can vanish or change sign
+        bad = finite & ~np.all([(_TINY <= v) & (v < math.inf)
+                                for v in (d2, fa2, c2, gap, top, depth)], axis=0)
     if bad.any():
         i = np.flatnonzero(bad)[0]
         raise ValueError(f"beamdepth at d' = {d.flat[i]:g} m with d_FA = "

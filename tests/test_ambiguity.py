@@ -865,33 +865,56 @@ class TestFarPoints:
         assert _bits(normalized_power(setup, target, probes)) == serial
 
 
-class TestSmallLengths:
-    # below sqrt(tiny) ~ 1.5e-154 a distance squares into the subnormal
-    # floats and loses digits; the physics is scale-free in lambda
-    @pytest.mark.parametrize("call", [
-        lambda g, lam: broadside_power_sweep(simo_miso_setup(g), 50 * lam,
-                                             [60 * lam]),
-        lambda g, lam: normalized_power(mimo_setup(g), [lam, 0.0, 50 * lam],
-                                        [0.0, lam, 60 * lam]),
-        lambda g, lam: array_factor(g, [0.0, 0.0, 50 * lam],
-                                    [[0.0, 0.0, 60 * lam]]),
-    ], ids=["broadside_power_sweep", "normalized_power", "array_factor"])
-    def test_rejected(self, call):
-        lam = 1e-163
-        with pytest.raises(ValueError, match="floating-point range"):
-            call(build_ula(10 * lam, lam), lam)
+# every exact entry point and both setups on a layout, target and probes
+# scaled by lam: on and off the axis, every sum is in wavelengths
+_SCALED_CALLS = {
+    "broadside_power_sweep simo": lambda g, lam: broadside_power_sweep(
+        simo_miso_setup(g), 50 * lam, np.linspace(30.0, 90.0, 61) * lam),
+    "broadside_power_sweep mimo": lambda g, lam: broadside_power_sweep(
+        mimo_setup(g), 50 * lam, np.linspace(30.0, 90.0, 61) * lam),
+    "normalized_power simo": lambda g, lam: normalized_power(
+        simo_miso_setup(g), [4 * lam, -3 * lam, 100 * lam], _patch() * lam),
+    "normalized_power mimo": lambda g, lam: normalized_power(
+        mimo_setup(g), [4 * lam, -3 * lam, 100 * lam], _patch() * lam),
+    "array_factor": lambda g, lam: array_factor(
+        g, [4 * lam, -3 * lam, 100 * lam], _patch() * lam),
+    "array_factor on axis": lambda g, lam: array_factor(
+        g, [0.0, 0.0, 50 * lam], np.linspace(30.0, 90.0, 61)[:, None]
+        * [0.0, 0.0, lam]),
+}
 
-    @pytest.mark.parametrize("wavelength, match", [
-        (1e-140, "coincides"), (1e-148, "floating-point range")])
-    def test_point_on_an_element(self, wavelength, match):
-        # 1e-6 lambda is a point's least distance from an element where it
-        # is above the bound, and the bound itself below
-        g = build_ula(10 * wavelength, wavelength)
-        with pytest.raises(ValueError, match=match):
-            normalized_power(simo_miso_setup(g), g.elements[3],
-                             [0.0, 0.0, 60 * wavelength])
-        power = normalized_power(simo_miso_setup(g), [0.0, 0.0, 50 * wavelength],
-                                 [0.0, 0.0, 60 * wavelength])
-        assert power == pytest.approx(normalized_power(
-            simo_miso_setup(build_ula(10.0, 1.0)), [0.0, 0.0, 50.0],
-            [0.0, 0.0, 60.0]), rel=1e-13)
+
+class TestScaleInvariance:
+    """The physics is scale-free in lambda, and so are the sums: their
+    points are divided by lambda before any distance is squared."""
+
+    @pytest.mark.parametrize("call", _SCALED_CALLS.values(),
+                             ids=list(_SCALED_CALLS))
+    @pytest.mark.parametrize("kind", list(GeometryKind))
+    def test_power_of_two_wavelength_same_bits(self, kind, call):
+        lam = 2.0 ** -500
+        assert _bits(call(build_array(kind, 6 * lam, lam), lam)) == \
+            _bits(call(build_array(kind, 6.0, 1.0), 1.0))
+
+    @pytest.mark.parametrize("call", _SCALED_CALLS.values(),
+                             ids=list(_SCALED_CALLS))
+    @pytest.mark.parametrize("lam", [1e-163, 1e-148, 0.0123, 1e100])
+    def test_any_wavelength_within_rounding(self, lam, call):
+        # distances below sqrt(tiny) ~ 1.5e-154 m at 1e-163 and 1e-148; a
+        # scaled point is rounded twice, by about eps 150 lambda, so a phase
+        # moves by up to ~4e-13 rad: 1e-12 of the peak, 1 or sqrt(M)
+        g = build_ula(6.0, 1.0)
+        exact = call(g, 1.0)
+        peak = math.sqrt(g.n_elements) if np.iscomplexobj(exact) else 1.0
+        scaled = call(build_ula(6 * lam, lam), lam)
+        assert np.abs(scaled - exact).max() <= 1e-12 * peak
+
+    @pytest.mark.parametrize("lam", [2.0 ** -500, 1e-163, 1e-148, 0.0123,
+                                     1.0, 1e100])
+    def test_point_on_an_element(self, lam):
+        # 1e-6 lambda is the least distance from an element at any lambda
+        g = build_ula(6 * lam, lam)
+        for target, probe in ((g.elements[3], [0.0, 0.0, 60 * lam]),
+                              ([0.0, 0.0, 50 * lam], g.elements[3])):
+            with pytest.raises(ValueError, match="coincides"):
+                normalized_power(simo_miso_setup(g), target, probe)

@@ -265,21 +265,24 @@ class TestValidate:
             assert float(row["crossing_low_rel_err"]) <= 0.03
 
     def test_verdict_does_not_depend_on_unit(self, tmp_path):
-        # the same configuration in lambda units, at lambda = 1 m and 1e-11 m
+        # the same configuration in lambda units, at lambda = 1 m, 1e-11 m
+        # and 3e-156 m, whose aperture of 1.5e-154 m squares to a normal float
         runs = []
-        for lam in ("1", "1e-11"):
+        for lam in ("1", "1e-11", "3e-156"):
             out = tmp_path / f"val-{lam}.json"
             rc = main(["validate", "--kind", "ula,uca", "--sweep", "0:0:301",
                        "--wavelength", lam, "--format", "json",
                        "--out", str(out)])
             runs.append((rc, json.loads(out.read_text())["rows"]))
-        (rc1, rows1), (rc2, rows2) = runs
-        assert rc1 == rc2 == 0
-        assert [r["status"] for r in rows1] == [r["status"] for r in rows2]
-        for a, b in zip(rows1, rows2):
-            for key in ("max_peak_deviation", "max_rel_error",
-                        "crossing_low_rel_err", "crossing_high_rel_err"):
-                assert float(b[key]) == pytest.approx(float(a[key]), rel=1e-9)
+        (rc1, rows1), *others = runs
+        for rc2, rows2 in others:
+            assert rc1 == rc2 == 0
+            assert [r["status"] for r in rows1] == [r["status"] for r in rows2]
+            for a, b in zip(rows1, rows2):
+                for key in ("max_peak_deviation", "max_rel_error",
+                            "crossing_low_rel_err", "crossing_high_rel_err"):
+                    assert float(b[key]) == pytest.approx(float(a[key]),
+                                                          rel=1e-9)
 
     def test_missing_crossing_fails(self, tmp_path):
         # a 3 lam ULA with its target at 2 lam: on the wide grid the exact
@@ -543,12 +546,16 @@ class TestExitCodes:
         # half-power distances whose product d_FA d' overflows, with the
         # target well inside d_FA/alpha
         "validate --kind ula --wavelength 1e152",
-        # element distances whose squares fall below the smallest normal float
+        # an aperture whose square falls below the smallest normal float
         "validate --kind ula --mode simo --wavelength 1e-163",
+        "beamdepth-sweep --wavelength 1e-163",
+        "validate --kind ula --wavelength 1e-156",
         # a beamdepth whose formula overflows or underflows
         "beamdepth-sweep --aperture-lambda 5e153 --sweep 1:1e300:3",
         "beamdepth-sweep --aperture-lambda 1e-100 --sweep 1e-300:1e300:3",
         "beamdepth-sweep --aperture-lambda 7e74 --sweep 1e99:1e100:3",
+        "beamdepth-sweep --kind ula --mode simo --wavelength 1e-110 "
+        "--sweep 10:1200:3",
     ])
     def test_bad_input_one_line(self, capsys, argv):
         assert main(argv.split()) == 1
@@ -557,15 +564,8 @@ class TestExitCodes:
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("nfsense: error: ")
 
-    @pytest.mark.parametrize("argv", [
-        # a target whose reciprocal overflows, reached only by the UCA,
-        # which has no element at the origin
-        "validate --kind uca --mode simo --aperture-lambda 3 "
-        "--target-lambda 1e-320 --wavelength 1e3 --sweep 0:0:201",
-        "af-curve --sweep 1e-320:1:3",
-    ])
-    def test_overflowing_reciprocal_named(self, capsys, argv):
-        assert main(argv.split()) == 1
+    def test_overflowing_reciprocal_named(self, capsys):
+        assert main("af-curve --sweep 1e-320:1:3".split()) == 1
         assert capsys.readouterr() == (
             "", "nfsense: error: distances are too small: a reciprocal "
             "overflows\n")
@@ -586,6 +586,18 @@ class TestExitCodes:
         ("af-curve --kind ula --mode simo --aperture-lambda 5e153 "
          "--sweep 0.0001:0.1:2",
          "closed-form argument overflows: d_FA * d_ver is too large"),
+        # a target whose reciprocal would overflow, below the normal floats
+        # with d_FA d' (the UCA has no element at the origin)
+        ("validate --kind uca --mode simo --aperture-lambda 3 "
+         "--target-lambda 1e-320 --wavelength 1e3 --sweep 0:0:201",
+         "half-power distances at d' = 9.99989e-318 m with d_FA = 18000 m "
+         "are out of floating-point range"),
+        ("af-curve --wavelength 1e-163",
+         "2 D^2 / lambda for D = 5e-162 m is out of floating-point range"),
+        ("beamdepth-sweep --kind ula --mode simo --wavelength 1e-120 "
+         "--sweep 10:1200:3",
+         "beamdepth at d' = 1e-119 m with d_FA = 5e-117 m is out of "
+         "floating-point range"),
     ])
     def test_library_names_the_bad_length(self, capsys, argv, message):
         # lengths in meters are checked where the library takes them

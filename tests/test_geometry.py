@@ -576,6 +576,18 @@ class TestFraunhofer:
         with pytest.raises(ValueError, match="floating-point range"):
             fraunhofer_distance(g)
 
+    @pytest.mark.parametrize("wavelength", [1e-163, 1e-156])
+    def test_subnormal_square_rejected(self, wavelength):
+        # 101 elements, but D^2 is below the smallest normal float and has
+        # lost digits: at 1e-163 the boundary would be 4.94e-160 m, not 5e-160
+        g = build_ula(50 * wavelength, wavelength)
+        message = (f"^2 D\\^2 / lambda for D = {g.aperture:g} m is out of "
+                   "floating-point range$")
+        with pytest.raises(ValueError, match=message):
+            fraunhofer_distance(g)
+        with pytest.raises(ValueError, match=message):
+            _fraunhofer(g.aperture, wavelength)
+
     def test_square_is_a_product(self):
         # D^2 is D * D, correctly rounded on any platform; a C library's
         # pow, which Python's ** calls, can be an ulp off

@@ -99,9 +99,12 @@ class TestHalfPowerDistances:
     @pytest.mark.parametrize("args", [
         (1e192, 5e193, 6.95),  # d_FA d' overflows, d' well inside d_FA/alpha
         (1e-200, 1e-200, 1.0),  # d_FA d' underflows to zero
+        (6e-160, 5e-158, 6.95),  # d_FA d' is subnormal
+        (1.0, 1e-10, 1e300),  # the lower distance is subnormal
         # one ulp below d_FA/alpha, where alpha d' rounds to d_FA
         (110.5308754512692, 293.06884588646074, 2.6514658885124707),
-    ], ids=["overflow", "underflow", "rounded-gap"])
+    ], ids=["overflow", "underflow", "subnormal-product", "subnormal-lower",
+            "rounded-gap"])
     def test_out_of_float_range(self, args):
         with pytest.raises(ValueError, match="out of floating-point range"):
             half_power_distances(*args)
@@ -243,11 +246,15 @@ class TestBeamdepthArray:
         assert math.isinf(depths[1, 1])
 
     @pytest.mark.parametrize("d_fa,coeff,targets", [
-        # the inputs of the three beamdepth-sweep argvs that exit 1 in
+        # the inputs of the four beamdepth-sweep argvs that exit 1 in
         # test_cli.py, for ULA in SIMO
         (2.0 * 5e153 ** 2, None, (1.0, 1e300)),     # d_FA^2 overflows
         (2.0 * 1e-100 ** 2, None, (1e-300, 1e300)),  # both squares underflow
         (2.0 * 7e74 ** 2, None, (1e99, 1e100)),     # the numerator overflows
+        (5e-107, None, (1e-109, 1.2e-107)),  # the numerator underflows
+        (5e-158, 6.95, (6e-160, 6e-160)),  # d'^2 and d_FA^2 are subnormal
+        (1e100, 1.0, (1e-150, 1e-150)),    # the extent underflows
+        (1.0, 1e-160, (1.0, 2.0)),         # alpha^2 underflows
         # a square overflows, and numpy's inf gives a finite quotient
         (2e200, None, (1.0, 10.0)),
         (1.0, 1e160, (1e-161, 1e-160)),
