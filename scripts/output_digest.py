@@ -12,6 +12,7 @@ listing does not depend on the terminal.  The CLI cases, in print order:
 - per format, the validate defaults and dump-geometry per kind at
   D = 12 lambda;
 - inputs that exit 1;
+- dump-geometry of a few elements at lambda = 1e300 and 1e308 m;
 - a validate at lambda = 1e-11 m;
 - an af-curve and a beamdepth-sweep at D = 12.457 lambda, whose d_FA
   moves by one ulp if its square goes through C's pow;
@@ -73,7 +74,8 @@ library cases, in print order:
 - per kind, the first case's sums with every length times lambda =
   2**-500: normalized_power on the off-axis patch per setup,
   broadside_power_sweep and array_factor on the on-axis points (the sums
-  work in wavelengths, so each prints its lambda = 1 line's hash).
+  work in wavelengths, so each prints its lambda = 1 line's hash);
+- build_array per kind at D = 3 lambda and lambda = 1e-300 and 1e300.
 
 A checkout's outputs match another's when the two listings do, line by
 line by name (a checkout whose ArrayGeometry still takes an aperture
@@ -121,12 +123,7 @@ BAD_INPUTS = (
     "validate --kind uca --aperture-lambda 3 --wavelength 1e300",
     "dump-geometry --kind ula,uca",
     "dump-geometry --kind ula --aperture-lambda 0.3",
-    "dump-geometry --kind upca --aperture-lambda 3 --wavelength 1e300",
-    "dump-geometry --kind upca --aperture-lambda 1.7 --wavelength 1e308",
-    "dump-geometry --kind ula --aperture-lambda 1 --wavelength 1e308",
-    "dump-geometry --kind uca --aperture-lambda 1 --wavelength 1e308",
     "dump-geometry --kind uca --aperture-lambda 0.5 --wavelength 5e-324",
-    "dump-geometry --kind ura --aperture-lambda 1.5 --wavelength 1e308",
     "beamdepth-sweep --aperture-lambda 5e153 --sweep 1:1e300:3",
     "beamdepth-sweep --aperture-lambda 1e-100 --sweep 1e-300:1e300:3",
     "validate --kind ula --wavelength 1e152",
@@ -134,6 +131,17 @@ BAD_INPUTS = (
     "--wavelength 1e3 --sweep 0:0:201",
     "af-curve --wavelength 1e-163",
     "beamdepth-sweep --wavelength 1e-110 --sweep 10:1200:3",
+    "af-curve --kind ula --mode simo --aperture-lambda 1.5e-157 --wavelength 1e3 "
+    "--sweep 10:20:2",
+    "beamdepth-sweep --kind ula --mode simo --aperture-lambda 1.5e-154 "
+    "--sweep 10:20:2",
+)
+EXTREME_WAVELENGTHS = (
+    "dump-geometry --kind upca --aperture-lambda 3 --wavelength 1e300",
+    "dump-geometry --kind upca --aperture-lambda 1.7 --wavelength 1e308",
+    "dump-geometry --kind ula --aperture-lambda 1 --wavelength 1e308",
+    "dump-geometry --kind uca --aperture-lambda 1 --wavelength 1e308",
+    "dump-geometry --kind ura --aperture-lambda 1.5 --wavelength 1e308",
 )
 
 
@@ -146,6 +154,7 @@ def cases():
         for kind in ("ula", "uca", "ura", "upca"):
             yield f"dump-geometry --kind {kind} --aperture-lambda 12 --format {fmt}"
     yield from BAD_INPUTS
+    yield from EXTREME_WAVELENGTHS
     yield "validate --kind ula,uca --wavelength 1e-11 --sweep 0:0:301"
     for command, sweep in (("af-curve", "5:400:300"),
                            ("beamdepth-sweep", "1:60:2000")):
@@ -330,6 +339,9 @@ def library_cases():
                                        np.linspace(20.0, 200.0, 901) * lam))
         yield (f"array_factor {kind.value} on axis 2**-500", array_factor,
                (array, [0.0, 0.0, 60.0 * lam], axis * lam))
+    for kind, lam in product(GeometryKind, (1e-300, 1e300)):
+        yield (f"build_array {kind.value} 3 {lam:g}", _elements,
+               (build_array, kind, 3.0 * lam, lam))
 
 
 def main(argv=None) -> int:

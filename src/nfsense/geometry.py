@@ -2,7 +2,9 @@
 
 All arrays are centered on the origin and use the densest allowed element
 spacing (lambda/2) so the discrete layouts track their continuous-aperture
-approximations as closely as possible.
+approximations as closely as possible.  A builder takes its count and its
+positions in wavelengths from D / lambda alone, centres them there and
+scales them to metres once: a layout is the lambda = 1 one times lambda.
 
 Frame convention: the evaluation axis (broadside) is +z.  The ULA lies on
 the x axis, the URA and UPCA span the x-y plane.  The UCA is placed in the
@@ -114,17 +116,21 @@ class ArrayGeometry:
         e = e.astype(float)
         e.setflags(write=False)
         object.__setattr__(self, "elements", e)
-        # coordinates near the float maximum overflow the extent to inf
-        with np.errstate(over="ignore", invalid="ignore"):
-            if self.kind is GeometryKind.ULA:
-                aperture = float(np.ptp(e[:, 0]))
-            elif self.kind is GeometryKind.URA:
-                aperture = math.hypot(*np.ptp(e[:, :2], axis=0))
-            else:
-                aperture = float(2.0 * np.linalg.norm(e, axis=1).max())
-        if not math.isfinite(aperture):
-            raise _aperture_overflow(self.kind, self.wavelength)
-        object.__setattr__(self, "aperture", aperture)
+        # measured on the elements over 2**k, k the largest coordinate's
+        # binary exponent, so no square overflows; 2**k scales back exactly
+        k = math.frexp(float(np.abs(e).max()))[1]
+        unit = np.ldexp(e, -k)
+        if self.kind is GeometryKind.ULA:
+            extent = float(np.ptp(unit[:, 0]))
+        elif self.kind is GeometryKind.URA:
+            extent = math.hypot(*np.ptp(unit[:, :2], axis=0))
+        else:
+            extent = float(2.0 * np.linalg.norm(unit, axis=1).max())
+        try:
+            object.__setattr__(self, "aperture", math.ldexp(extent, k))
+        except OverflowError:
+            raise ValueError(f"{getattr(self.kind, 'name', 'array')} aperture "
+                             f"overflows at lambda = {self.wavelength:g} m") from None
 
     @property
     def n_elements(self) -> int:
@@ -182,18 +188,8 @@ def _real(value, name: str, positive=True, scalar=True):
     return float(array) if scalar else array.astype(float, copy=False)
 
 
-def _aperture_overflow(kind, wavelength: float) -> ValueError:
-    return ValueError(f"{'array' if kind is None else kind.name} aperture "
-                      f"overflows at lambda = {wavelength:g} m")
-
-
 def _check_count(kind, count, aperture: float, wavelength: float) -> int:
-    """Float element count (inf, NaN too) as an int; ValueError above
-    MAX_ELEMENTS, or naming the overflow where an infinite count comes
-    from a numerator (2 D, 2 pi D, sqrt(2) D) that overflowed although
-    D / lambda is in range."""
-    if count == math.inf and aperture / wavelength <= MAX_ELEMENTS:
-        raise _aperture_overflow(kind, wavelength)
+    """Float element count (inf too) as an int; ValueError above MAX_ELEMENTS."""
     if not count <= MAX_ELEMENTS:
         raise ValueError(f"{kind.name} with D = {aperture:g} m at lambda = "
                          f"{wavelength:g} m exceeds {MAX_ELEMENTS} elements")
@@ -201,12 +197,8 @@ def _check_count(kind, count, aperture: float, wavelength: float) -> int:
 
 
 def _finish(kind, wavelength, pos) -> ArrayGeometry:
-    # positions near the float maximum overflow the mean to inf or nan
-    with np.errstate(over="ignore", invalid="ignore"):
-        pos = pos - pos.mean(axis=0)
-    if not np.isfinite(pos).all():
-        raise _aperture_overflow(kind, wavelength)
-    return ArrayGeometry(kind, wavelength, pos)
+    """The layout of pos, in wavelengths, centred there and scaled to metres."""
+    return ArrayGeometry(kind, wavelength, (pos - pos.mean(axis=0)) * wavelength)
 
 
 def build_ula(aperture: float, wavelength: float) -> ArrayGeometry:
@@ -216,13 +208,13 @@ def build_ula(aperture: float, wavelength: float) -> ArrayGeometry:
     """
     wavelength = _real(wavelength, "wavelength")
     aperture = _real(aperture, "aperture", positive=False)
-    if not aperture / wavelength >= 0.5:  # lambda/2 may underflow to 0
+    size = aperture / wavelength
+    if not size >= 0.5:
         raise ValueError(f"ULA aperture must be >= lambda/2, got {aperture}")
-    n = _check_count(GeometryKind.ULA,
-                     np.floor(2.0 * aperture / wavelength + _TOL) + 1,
+    n = _check_count(GeometryKind.ULA, np.floor(2.0 * size + _TOL) + 1,
                      aperture, wavelength)
     pos = np.zeros((n, 3))
-    pos[:, 0] = (np.arange(n) - (n - 1) / 2.0) * (wavelength / 2.0)
+    pos[:, 0] = (np.arange(n) - (n - 1) / 2.0) * 0.5
     return _finish(GeometryKind.ULA, wavelength, pos)
 
 
@@ -234,14 +226,14 @@ def build_uca(diameter: float, wavelength: float) -> ArrayGeometry:
     """
     wavelength = _real(wavelength, "wavelength")
     diameter = _real(diameter, "diameter", positive=False)
-    if not diameter / wavelength >= 0.5:
+    size = diameter / wavelength
+    if not size >= 0.5:
         raise ValueError(f"UCA diameter must be >= lambda/2, got {diameter}")
-    n = _check_count(GeometryKind.UCA,
-                     np.ceil(2.0 * math.pi * diameter / wavelength - _TOL),
+    n = _check_count(GeometryKind.UCA, np.ceil(2.0 * math.pi * size - _TOL),
                      diameter, wavelength)
     theta = 2.0 * math.pi * np.arange(n) / n
-    pos = np.column_stack([0.5 * diameter * np.cos(theta), np.zeros(n),
-                           0.5 * diameter * np.sin(theta)])
+    pos = np.column_stack([0.5 * size * np.cos(theta), np.zeros(n),
+                           0.5 * size * np.sin(theta)])
     return _finish(GeometryKind.UCA, wavelength, pos)
 
 
@@ -253,12 +245,13 @@ def build_ura(diagonal: float, wavelength: float) -> ArrayGeometry:
     """
     wavelength = _real(wavelength, "wavelength")
     diagonal = _real(diagonal, "diagonal", positive=False)
-    if not diagonal >= wavelength / math.sqrt(2):
+    size = diagonal / wavelength
+    if not size >= 1.0 / math.sqrt(2):
         raise ValueError(f"URA diagonal must be >= lambda/sqrt(2), got {diagonal}")
-    n = float(np.floor(math.sqrt(2.0) * diagonal / wavelength + _TOL)) + 1
+    n = float(np.floor(math.sqrt(2.0) * size + _TOL)) + 1
     _check_count(GeometryKind.URA, n * n, diagonal, wavelength)
     n = int(n)
-    grid = (np.arange(n) - (n - 1) / 2.0) * (wavelength / 2.0)
+    grid = (np.arange(n) - (n - 1) / 2.0) * 0.5
     gx, gy = np.meshgrid(grid, grid, indexing="ij")
     pos = np.column_stack([gx.ravel(), gy.ravel(), np.zeros(n * n)])
     return _finish(GeometryKind.URA, wavelength, pos)
@@ -273,9 +266,10 @@ def build_upca(diameter: float, wavelength: float) -> ArrayGeometry:
     """
     wavelength = _real(wavelength, "wavelength")
     diameter = _real(diameter, "diameter", positive=False)
-    if not diameter >= wavelength:
+    size = diameter / wavelength
+    if not size >= 1.0:
         raise ValueError(f"UPCA diameter must be >= lambda, got {diameter}")
-    n_rings = float(np.floor(diameter / wavelength + _TOL))
+    n_rings = float(np.floor(size + _TOL))
     # ring i holds at least 2 pi i elements: bound the ring count first
     _check_count(GeometryKind.UPCA, math.pi * n_rings * n_rings, diameter,
                  wavelength)
@@ -286,7 +280,7 @@ def build_upca(diameter: float, wavelength: float) -> ArrayGeometry:
     _check_count(GeometryKind.UPCA, 1 + sum(counts), diameter, wavelength)
     chunks = [np.zeros((1, 3))]
     for i, count in enumerate(counts, 1):
-        r = 0.5 * i * wavelength
+        r = 0.5 * i
         theta = 2.0 * math.pi * np.arange(count) / count
         chunks.append(np.column_stack([r * np.cos(theta), r * np.sin(theta),
                                        np.zeros(count)]))
@@ -313,13 +307,13 @@ def build_array(kind: GeometryKind, aperture: float, wavelength: float) -> Array
     return _BUILDERS[kind](aperture, wavelength)
 
 
-def _fraunhofer(aperture: float, wavelength: float, finite=False) -> float:
-    """2 D^2 / lambda; D^2 is D * D on any libm.  ValueError where D^2 is
-    below the normal floats, with its digits lost, and, if finite, where
-    the result is not a positive float; else inf where it overflows."""
+def _fraunhofer(aperture: float, wavelength: float) -> float:
+    """2 D^2 / lambda; D^2 is D * D on any libm.  ValueError where D^2 or
+    the result is below the normal floats, with its digits lost, or where
+    the result overflows."""
     square = aperture * aperture
     distance = 2.0 * square / wavelength
-    if square < _TINY or finite and not 0.0 < distance < math.inf:
+    if not (_TINY <= min(square, distance) and distance < math.inf):
         raise ValueError(f"2 D^2 / lambda for D = {aperture:g} m is out of "
                          "floating-point range")
     return distance
@@ -327,7 +321,7 @@ def _fraunhofer(aperture: float, wavelength: float, finite=False) -> float:
 
 def fraunhofer_distance(geometry: ArrayGeometry) -> float:
     """Far-field boundary 2 D^2 / lambda; ValueError outside the float range."""
-    return _fraunhofer(geometry.aperture, geometry.wavelength, finite=True)
+    return _fraunhofer(geometry.aperture, geometry.wavelength)
 
 
 @dataclass(frozen=True)

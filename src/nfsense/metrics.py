@@ -121,9 +121,14 @@ def beamdepth(d_target, d_fraunhofer, coefficient):
 
 
 def max_nearfield_range(d_fraunhofer: float, coefficient: float) -> float:
-    """Largest target range with a finite beamdepth, d_FA / alpha; both
-    inputs are finite positive real scalars, or ValueError."""
-    return _real(d_fraunhofer, "d_fraunhofer") / _real(coefficient, "coefficient")
+    """Largest target range with a finite beamdepth, d_FA / alpha; ValueError
+    unless both inputs are finite positive real scalars and it is normal."""
+    d_fraunhofer = _real(d_fraunhofer, "d_fraunhofer")
+    distance = d_fraunhofer / _real(coefficient, "coefficient")
+    if not _TINY <= distance < math.inf:
+        raise ValueError(f"maximum near-field range with d_FA = "
+                         f"{d_fraunhofer:g} m is out of floating-point range")
+    return distance
 
 
 def mainlobe_edge(kind: GeometryKind, mode: ProcessingMode) -> float:

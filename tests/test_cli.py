@@ -491,12 +491,15 @@ class TestSharedFlags:
         assert self.exit_output(argv, capsys) == "nfsense 0.1.0\n"
 
 
-# layouts of a few elements whose count's numerator overflows
-_COUNT_OVERFLOWS = (
-    "dump-geometry --kind ula --aperture-lambda 1 --wavelength 1e308",
-    "dump-geometry --kind uca --aperture-lambda 1 --wavelength 1e308",
-    "dump-geometry --kind ura --aperture-lambda 1.5 --wavelength 1e308",
-)
+# layouts of a few elements at extreme wavelengths, built in wavelengths
+# and scaled to metres once, and their element counts
+_EXTREME_WAVELENGTHS = {
+    "dump-geometry --kind ula --aperture-lambda 1 --wavelength 1e308": 3,
+    "dump-geometry --kind uca --aperture-lambda 1 --wavelength 1e308": 7,
+    "dump-geometry --kind ura --aperture-lambda 1.5 --wavelength 1e308": 9,
+    "dump-geometry --kind upca --aperture-lambda 1.7 --wavelength 1e308": 8,
+    "dump-geometry --kind upca --aperture-lambda 3 --wavelength 1e300": 40,
+}
 
 
 class TestExitCodes:
@@ -530,17 +533,9 @@ class TestExitCodes:
         "af-curve --sweep 0:1:10000000000",
         "validate --sweep 0:0:100001",
         "dump-geometry --kind upca --aperture-lambda 1e200",
-        # an aperture that overflows while it is measured
+        # a layout that builds, with a d_FA that overflows
         "validate --kind uca --aperture-lambda 3 --wavelength 1e300",
-        "dump-geometry --kind upca --aperture-lambda 3 --wavelength 1e300",
-        # a UPCA ring of 7 elements whose positions overflow the aperture
-        "dump-geometry --kind upca --aperture-lambda 1.7 --wavelength 1e308",
         "validate --kind upca --aperture-lambda 1 --wavelength 1.7e308",
-        # a count whose 2 D, 2 pi D or sqrt(2) D overflows before the
-        # division by lambda
-        *_COUNT_OVERFLOWS,
-        # positions whose mean or extent overflows while they are centred
-        "dump-geometry --kind uca --aperture-lambda 1e5 --wavelength 1e300",
         "validate --kind ula --aperture-lambda 1e5 --wavelength 1e300 "
         "--target-lambda 1e150",
         # half-power distances whose product d_FA d' overflows, with the
@@ -572,9 +567,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv, message", [
         ("af-curve --aperture-lambda 1e200",
-         "d_fraunhofer must be finite and positive (a real scalar), got inf"),
+         "2 D^2 / lambda for D = 1e+200 m is out of floating-point range"),
         ("beamdepth-sweep --aperture-lambda 1e200",
-         "d_fraunhofer must be finite and positive (a real scalar), got inf"),
+         "2 D^2 / lambda for D = 1e+200 m is out of floating-point range"),
         ("validate --kind ula --aperture-lambda 10 --wavelength 1e199",
          "2 D^2 / lambda for D = 1e+200 m is out of floating-point range"),
         ("validate --kind ula --target-lambda 1e300 --wavelength 1e10",
@@ -594,6 +589,15 @@ class TestExitCodes:
          "are out of floating-point range"),
         ("af-curve --wavelength 1e-163",
          "2 D^2 / lambda for D = 5e-162 m is out of floating-point range"),
+        # a normal D^2 and a subnormal d_FA
+        ("af-curve --kind ula --mode simo --aperture-lambda 1.5e-157 "
+         "--wavelength 1e3 --sweep 10:20:2",
+         "2 D^2 / lambda for D = 1.5e-154 m is out of floating-point range"),
+        # a normal d_FA and a subnormal d_FA / alpha
+        ("beamdepth-sweep --kind ula --mode simo --aperture-lambda 1.5e-154 "
+         "--sweep 10:20:2",
+         "maximum near-field range with d_FA = 4.5e-308 m is out of "
+         "floating-point range"),
         ("beamdepth-sweep --kind ula --mode simo --wavelength 1e-120 "
          "--sweep 10:1200:3",
          "beamdepth at d' = 1e-119 m with d_FA = 5e-117 m is out of "
@@ -603,14 +607,6 @@ class TestExitCodes:
         # lengths in meters are checked where the library takes them
         assert main(argv.split()) == 1
         assert capsys.readouterr() == ("", f"nfsense: error: {message}\n")
-
-    def test_upca_ring_overflow_named(self, capsys):
-        # the ring holds 7 elements: the norms of their positions, not
-        # their count, are out of range
-        assert main(["dump-geometry", "--kind", "upca", "--aperture-lambda",
-                     "1.7", "--wavelength", "1e308"]) == 1
-        assert capsys.readouterr().err == (
-            "nfsense: error: UPCA aperture overflows at lambda = 1e+308 m\n")
 
     @pytest.mark.parametrize("argv, message", [
         ("af-curve --sweep a:b:3", "argument --sweep: bad sweep value 'a:b:3'"),
@@ -622,14 +618,13 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"nfsense: error: {message}\n")
 
-    @pytest.mark.parametrize("argv", _COUNT_OVERFLOWS)
-    def test_count_numerator_overflow_named(self, capsys, argv):
-        # the layouts would hold 3, 7 and 9 elements: the numerator of the
-        # count, not the count, is out of range
-        assert main(argv.split()) == 1
-        kind = argv.split()[2].upper()
-        assert capsys.readouterr().err == (
-            f"nfsense: error: {kind} aperture overflows at lambda = 1e+308 m\n")
+    @pytest.mark.parametrize("argv, count", _EXTREME_WAVELENGTHS.items())
+    def test_extreme_wavelength_layout_written(self, capsys, argv, count):
+        # every position and the aperture are within the float range
+        assert main(argv.split()) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert len(captured.out.splitlines()) == count + 1
 
 
 # each flag's extreme values: those it accepts, then those it rejects.

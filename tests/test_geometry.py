@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 from functools import cached_property
 
 import mpmath
@@ -169,15 +170,9 @@ def test_element_limit(kind, aperture):
         build_array(kind, aperture * LAM, LAM)
 
 
-@pytest.mark.parametrize("kind, aperture", [
-    (GeometryKind.ULA, 1.0), (GeometryKind.UCA, 1.0), (GeometryKind.URA, 1.5),
-    (GeometryKind.UPCA, 1.7)])
-def test_count_numerator_overflow_named(kind, aperture):
-    # a few elements, but 2 D, 2 pi D or sqrt(2) D overflows, or the
-    # norm of a UPCA ring's positions does
-    with pytest.raises(ValueError, match=f"^{kind.name} aperture overflows"):
-        build_array(kind, aperture * 1e308, 1e308)
-    # a count that is infinite because D / lambda is still exceeds the limit
+@pytest.mark.parametrize("kind", list(GeometryKind))
+def test_infinite_count_exceeds_the_limit(kind):
+    # D / lambda overflows, so the count is infinite
     with pytest.raises(ValueError, match="exceeds"):
         build_array(kind, 1e308, 1e-10)
 
@@ -382,6 +377,32 @@ class TestDerivedAperture:
         huge = np.array([[-1.5e308, -1.5e308, 0.0], [1.5e308, 1.5e308, 0.0]])
         with pytest.raises(ValueError, match="aperture overflows"):
             ArrayGeometry(kind=kind, wavelength=LAM, elements=huge)
+
+
+class TestScaleFreeLayouts:
+    """A layout depends on D only through D / lambda: at any lambda it is
+    the lambda = 1 layout times lambda, to rounding, and bit for bit at a
+    power of two; at 1e-300 and 1e-160 the squares of its coordinates in
+    metres are subnormal or zero, and at 1e308 its 2 D in metres overflows."""
+
+    GRID = [(kind, 3.0, wavelength) for kind in GeometryKind
+            for wavelength in (2.0 ** -500, 1e-300, 1e-160, 0.0123, 1e300)] + [
+        (GeometryKind.ULA, 1.0, 1e308), (GeometryKind.UCA, 1.0, 1e308),
+        (GeometryKind.URA, 1.5, 1e308), (GeometryKind.UPCA, 1.7, 1e308)]
+
+    @pytest.mark.parametrize("kind, size, wavelength", GRID)
+    def test_lambda_one_layout_scaled(self, kind, size, wavelength):
+        g = build_array(kind, size * wavelength, wavelength)
+        unit = build_array(kind, size, 1.0)
+        scaled = g.elements / wavelength
+        if math.frexp(wavelength)[0] == 0.5:
+            assert scaled.tobytes() == unit.elements.tobytes()
+        else:
+            largest = np.abs(unit.elements).max()
+            assert scaled.shape == unit.elements.shape
+            assert np.abs(scaled - unit.elements).max() <= 4 * math.ulp(largest)
+        assert abs(g.aperture / wavelength - unit.aperture) <= 4 * math.ulp(
+            unit.aperture)
 
 
 def oracle_classes(g):
@@ -593,7 +614,17 @@ class TestFraunhofer:
         # pow, which Python's ** calls, can be an ulp off
         for d in np.random.default_rng(12).uniform(1.0, 1e4, 2000).tolist():
             assert _fraunhofer(d, 0.5) == 2.0 * (d * d) / 0.5
-        assert _fraunhofer(1e200, 1.0) == math.inf
+
+    @pytest.mark.parametrize("aperture, wavelength", [
+        (1e200, 1.0),  # D^2 overflows
+        (1e154, 1e-10),  # D^2 is finite, 2 D^2 / lambda is not
+        (1.5e-154, 1e3),  # D^2 is normal, 2 D^2 / lambda is subnormal
+        (1e-160, 1e-300)])  # D^2 is subnormal, 2 D^2 / lambda is not
+    def test_out_of_float_range_raises(self, aperture, wavelength):
+        message = (f"2 D^2 / lambda for D = {aperture:g} m is out of "
+                   "floating-point range")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            _fraunhofer(aperture, wavelength)
 
 
 def test_single_element():

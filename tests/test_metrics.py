@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import math
+import re
 import time
 from pathlib import Path
 
@@ -326,6 +327,21 @@ class TestMaxRange:
     def test_scalar_quotient(self):
         assert max_nearfield_range(5000.0, 6.952) == 5000.0 / 6.952
         assert type(max_nearfield_range(np.float64(5000.0), 7)) is float
+        # the smallest and a large quotient that are normal floats
+        tiny = np.finfo(float).tiny
+        assert max_nearfield_range(2.0 * tiny, 2.0) == tiny
+        assert max_nearfield_range(1.7e308, 1.0) == 1.7e308
+
+    @pytest.mark.parametrize("args", [
+        (1e10, 1e-300),  # d_FA / alpha overflows
+        (4.5e-308, 6.952),  # d_FA / alpha is subnormal
+        (1e-300, 1e300),  # d_FA / alpha underflows to zero
+    ], ids=["overflow", "subnormal", "underflow"])
+    def test_out_of_float_range(self, args):
+        message = (f"maximum near-field range with d_FA = {args[0]:g} m is "
+                   "out of floating-point range")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            max_nearfield_range(*args)
 
 
 class TestSidelobes:
