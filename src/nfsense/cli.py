@@ -24,7 +24,7 @@ import contextlib
 import json
 import math
 import sys
-from dataclasses import asdict
+from collections import Counter
 from enum import Enum
 from itertools import chain, islice
 from operator import attrgetter
@@ -227,38 +227,61 @@ def _json_object(keys, specs, indent: str) -> str:
 _ROWS_PER_WRITE = 4096
 
 
-def _emit(args, metadata: dict, columns: dict) -> None:
-    """Write metadata and equal-length named columns in the chosen format.
+def _emit(args, metadata: dict, *blocks: dict) -> None:
+    """Write metadata and blocks of rows in the chosen format.
 
-    Every row is formatted by one %-template built from the column types,
-    and rows go out in blocks of _ROWS_PER_WRITE.
+    Each block maps every column name, in the first block's order, to a
+    list of cells or to one value shared by the whole block; its lists are
+    equally long and give its rows.  A block's rows are formatted by one
+    %-template built from its column types, with its shared values already
+    formatted into it, and a list that several blocks hold is formatted
+    once.  Every value is checked and every template built before the
+    first write, and rows go out _ROWS_PER_WRITE at a time.
     """
     text = args.format == "csv"
-    meta = {}
-    for key, value in metadata.items():
+
+    def one(value) -> str:
         spec, cell = _cells([value], text)
-        meta[key] = spec % tuple(cell)
-    specs, cells = zip(*(_cells(values, text) for values in columns.values()))
-    rows = zip(*cells)
+        return spec % tuple(cell)
+
+    uses = Counter(id(values) for block in blocks for values in block.values()
+                   if isinstance(values, list))
+    columns, rows = {}, []  # columns: list id -> (spec, cells)
+    for block in blocks:
+        specs, cells = [], []
+        for values in block.values():
+            if not isinstance(values, list):
+                specs.append(one(values).replace("%", "%%"))
+                continue
+            if id(values) not in columns:
+                spec, out = _cells(values, text)
+                if uses[id(values)] > 1 and spec != "%s":  # format it once
+                    spec, out = "%s", list(map(spec.__mod__, out))
+                columns[id(values)] = spec, out
+            specs.append(columns[id(values)][0])
+            cells.append(columns[id(values)][1])
+        # a JSON row opens with the comma after the row before it
+        row = (",".join(specs) + "\n" if text else
+               ",\n    " + _json_object(list(block), specs, "    "))
+        rows.append(map(row.__mod__, zip(*cells)))
+    lines = chain.from_iterable(rows)
+    first = "".join(islice(lines, _ROWS_PER_WRITE))
     if text:
-        head = "".join(f"# {key} = {value}\n" for key, value in meta.items())
-        head += ",".join(columns) + "\n"
-        first = rest = ",".join(specs) + "\n"
+        head = "".join(f"# {key} = {one(value)}\n" for key, value in metadata.items())
+        head += ",".join(blocks[0]) + "\n"
         tail = ""
     else:
         head = ('{\n  "metadata": '
-                + _json_object(list(meta), ["%s"] * len(meta), "  ")
-                % tuple(meta.values()) + ',\n  "rows": [')
-        row = _json_object(list(columns), specs, "    ")
-        first, rest = "\n    " + row, ",\n    " + row
-        tail = ("\n  ]" if cells[0] else "]") + "\n}\n"
-    lines = chain(map(first.__mod__, islice(rows, 1)), map(rest.__mod__, rows))
+                + _json_object(list(metadata), ["%s"] * len(metadata), "  ")
+                % tuple(map(one, metadata.values())) + ',\n  "rows": [')
+        first = first[1:]  # the first row follows the opening bracket
+        tail = ("\n  ]" if first else "]") + "\n}\n"
     try:
         with (contextlib.nullcontext(sys.stdout) if args.out == "-" else
               open(args.out, "w", encoding="utf-8", newline="")) as stream:
-            stream.write(head)
-            while block := "".join(islice(lines, _ROWS_PER_WRITE)):
-                stream.write(block)
+            stream.write(head + first)
+            while chunk := "".join(islice(lines, _ROWS_PER_WRITE)):
+                stream.write(chunk)
             stream.write(tail)
     except OSError as exc:
         raise IOError(f"cannot write output {args.out!r}: {exc}") from exc
@@ -271,7 +294,7 @@ def _base_metadata(args) -> dict:
 def cmd_tables(args) -> int:
     metadata = _base_metadata(args)
     metadata["figure_accuracy"] = "correctly rounded from 40 digits"
-    rows = [asdict(compute_metrics(kind)) for kind in args.kind]
+    rows = [vars(compute_metrics(kind)) for kind in args.kind]
     _emit(args, metadata, {key: [r[key] for r in rows] for key in rows[0]})
     return 0
 
@@ -279,7 +302,7 @@ def cmd_tables(args) -> int:
 def cmd_af_curve(args) -> int:
     lam = args.wavelength
     d_target = args.target_lambda * lam
-    aperture = args.aperture_lambda * lam
+    aperture = _real(args.aperture_lambda * lam, "aperture")
     d_fa = _fraunhofer(aperture, lam)
     distances = _sweep_grid(args)
     vergence = vergence_difference(d_target, distances)
@@ -289,9 +312,7 @@ def cmd_af_curve(args) -> int:
         "fraunhofer_m": d_fa, "db_floor": DB_FLOOR,
     })
     distances_m = distances.tolist()
-    columns = {"kind": [], "mode": [],
-               "distance_m": distances_m * (len(args.kind) * len(args.mode)),
-               "power_db": []}
+    blocks = []
     for kind in args.kind:
         # MIMO squares the single-aperture power
         base = normalized_af_power(kind, ProcessingMode.SIMO_MISO,
@@ -302,33 +323,30 @@ def cmd_af_curve(args) -> int:
             power = base ** mode.power_exponent
             db = 10.0 * np.log10(np.maximum(power, 1e-300))
             db = np.maximum(db, DB_FLOOR)
-            columns["kind"] += [kind] * len(distances_m)
-            columns["mode"] += [mode] * len(distances_m)
-            columns["power_db"] += db.tolist()
-    _emit(args, metadata, columns)
+            blocks.append({"kind": kind, "mode": mode, "distance_m": distances_m,
+                           "power_db": db.tolist()})
+    _emit(args, metadata, *blocks)
     return 0
 
 
 def cmd_beamdepth_sweep(args) -> int:
     lam = args.wavelength
-    aperture = args.aperture_lambda * lam
+    aperture = _real(args.aperture_lambda * lam, "aperture")
     d_fa = _fraunhofer(aperture, lam)
     targets = _sweep_grid(args)
     metadata = _base_metadata(args)
     metadata.update({"lambda_m": lam, "aperture_m": aperture, "fraunhofer_m": d_fa})
-    columns = {"kind": [], "mode": [],
-               "target_m": targets.tolist() * (len(args.kind) * len(args.mode)),
-               "beamdepth_m": []}
+    targets_m = targets.tolist()
+    blocks = []
     for kind in args.kind:
         for mode in args.mode:
             coeff = half_power_coefficient(kind, mode)
             metadata[f"alpha[{kind.name},{mode.name}]"] = coeff
             metadata[f"max_nf_range_m[{kind.name},{mode.name}]"] = \
                 max_nearfield_range(d_fa, coeff)
-            columns["kind"] += [kind] * len(targets)
-            columns["mode"] += [mode] * len(targets)
-            columns["beamdepth_m"] += beamdepth(targets, d_fa, coeff).tolist()
-    _emit(args, metadata, columns)
+            blocks.append({"kind": kind, "mode": mode, "target_m": targets_m,
+                           "beamdepth_m": beamdepth(targets, d_fa, coeff).tolist()})
+    _emit(args, metadata, *blocks)
     return 0
 
 

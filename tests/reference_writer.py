@@ -1,7 +1,8 @@
 """Test-only reference writer: csv.writer for CSV, json.dump(indent=2) for JSON.
 
 This is the writer the CLI used before its rows were formatted by one
-%-template per table; tests require the CLI's bytes to equal its bytes.
+%-template per block; it joins the blocks into one table first.  Tests
+require the CLI's bytes to equal its bytes.
 Its one known difference is the sign of -inf, which it writes to JSON as
 "inf".
 """
@@ -33,9 +34,21 @@ def _format(values: list, text: bool) -> list:
     return list(map(str, values)) if text else values
 
 
-def emit(args, metadata: dict, columns: dict) -> None:
-    """Write metadata and equal-length named columns in the chosen format."""
+def _expand(blocks) -> dict:
+    """The blocks as one table: each shared value repeated to its block's
+    length (that of the block's lists, 0 without one), blocks in order."""
+    columns = {key: [] for key in blocks[0]}
+    for block in blocks:
+        n = next((len(v) for v in block.values() if isinstance(v, list)), 0)
+        for key, value in block.items():
+            columns[key] += value if isinstance(value, list) else [value] * n
+    return columns
+
+
+def emit(args, metadata: dict, *blocks: dict) -> None:
+    """Write metadata and blocks of named columns in the chosen format."""
     text = args.format == "csv"
+    columns = _expand(blocks)
     metadata = {key: _format([value], text)[0] for key, value in metadata.items()}
     cells = [_format(values, text) for values in columns.values()]
     try:

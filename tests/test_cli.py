@@ -602,6 +602,11 @@ class TestExitCodes:
          "--sweep 10:1200:3",
          "beamdepth at d' = 1e-119 m with d_FA = 5e-117 m is out of "
          "floating-point range"),
+        # an aperture in meters out of the float range is named as one
+        ("af-curve --aperture-lambda 1.7e308 --wavelength 10",
+         "aperture must be finite and positive (a real scalar), got inf"),
+        ("beamdepth-sweep --aperture-lambda 1e-320 --wavelength 1e-5",
+         "aperture must be finite and positive (a real scalar), got 0.0"),
     ])
     def test_library_names_the_bad_length(self, capsys, argv, message):
         # lengths in meters are checked where the library takes them
@@ -714,6 +719,36 @@ class TestWriter:
 
         assert run(cli._emit, "new") == run(reference_writer.emit, "reference")
 
+    # writes of 1 and 7 rows split blocks of 101, 301 and 2,000 rows inside
+    # and at their edges (301 = 43 x 7)
+    @pytest.mark.parametrize("rows", [1, 7])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "file"])
+    @pytest.mark.parametrize("argv", [  # the cases with several blocks
+        case for case in WRITER_CASES if "--mode mimo" not in case
+        and case.split()[0] in ("af-curve", "beamdepth-sweep")])
+    def test_short_writes_match_reference(self, argv, fmt, to_file, rows,
+                                          tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_ROWS_PER_WRITE", rows)
+        self.test_bytes_match_reference(argv, fmt, to_file, tmp_path, capsys,
+                                        monkeypatch)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_blocks_share_values_and_a_list(self, fmt, capsys):
+        # shared values are baked into each block's template, % and all;
+        # the grid list is formatted once for both blocks
+        grid = [0.1, 2.5e-300, math.inf]
+        blocks = ({"tag": "100% %s", "kind": cli.GeometryKind.UCA, "n": 7,
+                   "x": grid, "y": [1.0, -0.0, 3.0]},
+                  {"tag": "%d%%", "kind": cli.GeometryKind.URA, "n": -2,
+                   "x": grid, "y": [4.0, 5.5, 1e300]})
+        args = argparse.Namespace(format=fmt, out="-")
+        cli._emit(args, {"rate": "50%"}, *blocks)
+        new = capsys.readouterr().out
+        reference_writer.emit(args, {"rate": "50%"}, *blocks)
+        assert new == capsys.readouterr().out
+        assert new.count("100% %s") == new.count("%d%%") == 3
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_inf_in_metadata_and_rows(self, fmt, capsys):
         # no command writes an infinite metadata value; the writer still must
@@ -747,4 +782,15 @@ class TestWriter:
         args = argparse.Namespace(format="json", out="-")
         with pytest.raises(ValueError):
             cli._emit(args, metadata, columns)
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("second", [
+        {"v": [1.0, math.nan], "s": 1.0},
+        {"v": [1.0, 2.0], "s": math.nan},
+    ], ids=["cell", "shared"])
+    def test_json_rejects_nan_in_a_later_block(self, second, capsys):
+        # every block is formatted before the first write
+        args = argparse.Namespace(format="json", out="-")
+        with pytest.raises(ValueError):
+            cli._emit(args, {"x": 1.0}, {"v": [1.0], "s": 2.0}, second)
         assert capsys.readouterr().out == ""
