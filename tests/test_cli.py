@@ -736,7 +736,7 @@ class TestWriter:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_blocks_share_values_and_a_list(self, fmt, capsys):
         # shared values are baked into each block's template, % and all;
-        # the grid list is formatted once for both blocks
+        # both blocks hold the one grid list
         grid = [0.1, 2.5e-300, math.inf]
         blocks = ({"tag": "100% %s", "kind": cli.GeometryKind.UCA, "n": 7,
                    "x": grid, "y": [1.0, -0.0, 3.0]},
