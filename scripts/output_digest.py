@@ -44,7 +44,7 @@ library cases, in print order:
   the phase is many cycles;
 - array_factor of one element on a probe half a cycle nearer than the
   target;
-- rejected geometries: each builder at lambda = 0 and -1, an
+- rejected geometries: build_array per kind at lambda = 0 and -1, an
   ArrayGeometry with empty, NaN or (2, 2) elements, and build_array with
   a string kind;
 - fraunhofer_distance and a MIMO normalized_power of a ULA hand-built
@@ -75,7 +75,9 @@ library cases, in print order:
   2**-500: normalized_power on the off-axis patch per setup,
   broadside_power_sweep and array_factor on the on-axis points (the sums
   work in wavelengths, so each prints its lambda = 1 line's hash);
-- build_array per kind at D = 3 lambda and lambda = 1e-300 and 1e300.
+- build_array per kind at D = 3 lambda and lambda = 1e-300 and 1e300;
+- build_array per kind at D = 100 lambda, and a UPCA at 300 lambda, at
+  lambda = 1: large layouts, the UPCA's of many rings.
 
 A checkout's outputs match another's when the two listings do, line by
 line by name (a checkout whose ArrayGeometry still takes an aperture
@@ -342,6 +344,11 @@ def library_cases():
     for kind, lam in product(GeometryKind, (1e-300, 1e300)):
         yield (f"build_array {kind.value} 3 {lam:g}", _elements,
                (build_array, kind, 3.0 * lam, lam))
+    # large layouts, the UPCA's of 100 and 300 rings
+    for kind, aperture in [*product(GeometryKind, (100.0,)),
+                           (GeometryKind.UPCA, 300.0)]:
+        yield (f"build_array {kind.value} {aperture:g} 1", _elements,
+               (build_array, kind, aperture, 1.0))
 
 
 def main(argv=None) -> int:

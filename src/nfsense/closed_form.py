@@ -31,7 +31,6 @@ from .specfun import bessel_j0, fresnel_cs, sinc
 __all__ = [
     "vergence_difference",
     "af_argument",
-    "base_layout",
     "normalized_af_power",
     "quadratic_mainlobe_coefficient",
 ]
@@ -124,11 +123,6 @@ _FIGURES = {
     GeometryKind.UPCA: ({1: 0.44294647068945237, 2: 0.3189166986852232},
                         1.0, 0.047190449225811275),
 }
-
-
-def base_layout(kind: GeometryKind) -> tuple[GeometryKind, int]:
-    """(base kind, exponent n): the single-aperture power is base ** n."""
-    return _layout(kind)[:2]
 
 
 def normalized_af_power(kind: GeometryKind, mode: ProcessingMode, x):

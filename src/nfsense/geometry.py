@@ -1,10 +1,13 @@
-"""Antenna array geometry builders.
+"""Antenna array layouts and sensing setups.
 
-All arrays are centered on the origin and use the densest allowed element
-spacing (lambda/2) so the discrete layouts track their continuous-aperture
-approximations as closely as possible.  A builder takes its count and its
-positions in wavelengths from D / lambda alone, centres them there and
-scales them to metres once: a layout is the lambda = 1 one times lambda.
+build_array is the one layout builder.  Every layout is centred on the
+origin and uses the densest allowed element spacing (lambda/2) so the
+discrete layouts track their continuous-aperture approximations as
+closely as possible.  Each kind is one row of _BUILDERS: the name of its
+size D, its smallest D / lambda, and a function that gives its positions
+in wavelengths from D / lambda alone.  build_array checks the inputs,
+centres those positions and scales them to metres once: a layout is the
+lambda = 1 one times lambda.
 
 Frame convention: the evaluation axis (broadside) is +z.  The ULA lies on
 the x axis, the URA and UPCA span the x-y plane.  The UCA is placed in the
@@ -40,10 +43,6 @@ __all__ = [
     "ProcessingMode",
     "ArrayGeometry",
     "SensingSetup",
-    "build_ula",
-    "build_uca",
-    "build_ura",
-    "build_upca",
     "build_array",
     "fraunhofer_distance",
     "simo_miso_setup",
@@ -63,7 +62,7 @@ _CLASS_TOL = 1e-12
 _TINY = np.finfo(float).tiny
 
 MAX_ELEMENTS = 1_000_000
-"Largest element count a builder accepts; it is checked before allocation."
+"Largest element count build_array accepts; it is checked before allocation."
 
 
 class GeometryKind(Enum):
@@ -188,123 +187,100 @@ def _real(value, name: str, positive=True, scalar=True):
     return float(array) if scalar else array.astype(float, copy=False)
 
 
-def _check_count(kind, count, aperture: float, wavelength: float) -> int:
-    """Float element count (inf too) as an int; ValueError above MAX_ELEMENTS."""
-    if not count <= MAX_ELEMENTS:
-        raise ValueError(f"{kind.name} with D = {aperture:g} m at lambda = "
-                         f"{wavelength:g} m exceeds {MAX_ELEMENTS} elements")
-    return int(count)
+# Each kind's positions in wavelengths from size = D / lambda.  count(n)
+# returns a float count as an int, or raises above MAX_ELEMENTS, before
+# anything of that size is allocated.
 
-
-def _finish(kind, wavelength, pos) -> ArrayGeometry:
-    """The layout of pos, in wavelengths, centred there and scaled to metres."""
-    return ArrayGeometry(kind, wavelength, (pos - pos.mean(axis=0)) * wavelength)
-
-
-def build_ula(aperture: float, wavelength: float) -> ArrayGeometry:
-    """Uniform linear array on the x axis, spacing exactly lambda/2.
-
-    Element count is floor(2 D / lambda) + 1.
-    """
-    wavelength = _real(wavelength, "wavelength")
-    aperture = _real(aperture, "aperture", positive=False)
-    size = aperture / wavelength
-    if not size >= 0.5:
-        raise ValueError(f"ULA aperture must be >= lambda/2, got {aperture}")
-    n = _check_count(GeometryKind.ULA, np.floor(2.0 * size + _TOL) + 1,
-                     aperture, wavelength)
+def _ula(size, count):
+    n = count(np.floor(2.0 * size + _TOL) + 1)
     pos = np.zeros((n, 3))
     pos[:, 0] = (np.arange(n) - (n - 1) / 2.0) * 0.5
-    return _finish(GeometryKind.ULA, wavelength, pos)
+    return pos
 
 
-def build_uca(diameter: float, wavelength: float) -> ArrayGeometry:
-    """Uniform circular array of the given diameter, edge-on to +z.
-
-    Elements sit in the x-z plane, equally spaced on the circle with arc
-    spacing <= lambda/2 (count = ceil(pi D / (lambda/2))).
-    """
-    wavelength = _real(wavelength, "wavelength")
-    diameter = _real(diameter, "diameter", positive=False)
-    size = diameter / wavelength
-    if not size >= 0.5:
-        raise ValueError(f"UCA diameter must be >= lambda/2, got {diameter}")
-    n = _check_count(GeometryKind.UCA, np.ceil(2.0 * math.pi * size - _TOL),
-                     diameter, wavelength)
+def _uca(size, count):
+    n = count(np.ceil(2.0 * math.pi * size - _TOL))
     theta = 2.0 * math.pi * np.arange(n) / n
-    pos = np.column_stack([0.5 * size * np.cos(theta), np.zeros(n),
-                           0.5 * size * np.sin(theta)])
-    return _finish(GeometryKind.UCA, wavelength, pos)
+    return np.column_stack([0.5 * size * np.cos(theta), np.zeros(n),
+                            0.5 * size * np.sin(theta)])
 
 
-def build_ura(diagonal: float, wavelength: float) -> ArrayGeometry:
-    """Square array in the x-y plane, sized by its diagonal.
-
-    Per-axis spacing is exactly lambda/2, per-axis count
-    floor(sqrt(2) D / lambda) + 1.
-    """
-    wavelength = _real(wavelength, "wavelength")
-    diagonal = _real(diagonal, "diagonal", positive=False)
-    size = diagonal / wavelength
-    if not size >= 1.0 / math.sqrt(2):
-        raise ValueError(f"URA diagonal must be >= lambda/sqrt(2), got {diagonal}")
+def _ura(size, count):
     n = float(np.floor(math.sqrt(2.0) * size + _TOL)) + 1
-    _check_count(GeometryKind.URA, n * n, diagonal, wavelength)
+    count(n * n)
     n = int(n)
     grid = (np.arange(n) - (n - 1) / 2.0) * 0.5
     gx, gy = np.meshgrid(grid, grid, indexing="ij")
-    pos = np.column_stack([gx.ravel(), gy.ravel(), np.zeros(n * n)])
-    return _finish(GeometryKind.URA, wavelength, pos)
+    return np.column_stack([gx.ravel(), gy.ravel(), np.zeros(n * n)])
 
 
-def build_upca(diameter: float, wavelength: float) -> ArrayGeometry:
-    """Planar circular array: concentric rings in the x-y plane.
-
-    A center element plus rings at radial pitch lambda/2 out to D/2, ring
-    i at r = i lambda/2 populated with ceil(2 pi r / (lambda/2)) =
-    ceil(2 pi i) elements so the arc spacing never exceeds lambda/2.
-    """
-    wavelength = _real(wavelength, "wavelength")
-    diameter = _real(diameter, "diameter", positive=False)
-    size = diameter / wavelength
-    if not size >= 1.0:
-        raise ValueError(f"UPCA diameter must be >= lambda, got {diameter}")
+def _upca(size, count):
     n_rings = float(np.floor(size + _TOL))
     # ring i holds at least 2 pi i elements: bound the ring count first
-    _check_count(GeometryKind.UPCA, math.pi * n_rings * n_rings, diameter,
-                 wavelength)
+    count(math.pi * n_rings * n_rings)
+    ring = np.arange(1, int(n_rings) + 1)
     # 2 pi i stays 6e-5 or more from an integer for every i <= 564, the
     # bound above, and no wavelength enters it
-    counts = [math.ceil(2.0 * math.pi * i - _TOL)
-              for i in range(1, int(n_rings) + 1)]
-    _check_count(GeometryKind.UPCA, 1 + sum(counts), diameter, wavelength)
-    chunks = [np.zeros((1, 3))]
-    for i, count in enumerate(counts, 1):
-        r = 0.5 * i
-        theta = 2.0 * math.pi * np.arange(count) / count
-        chunks.append(np.column_stack([r * np.cos(theta), r * np.sin(theta),
-                                       np.zeros(count)]))
-    return _finish(GeometryKind.UPCA, wavelength, np.vstack(chunks))
+    per_ring = np.ceil(2.0 * math.pi * ring - _TOL).astype(int)
+    n = count(1 + per_ring.sum())
+    # element k of ring i sits at angle 2 pi k / per_ring[i], radius i / 2
+    index = np.arange(n - 1) - np.repeat(
+        np.cumsum(per_ring) - per_ring, per_ring)
+    theta = 2.0 * math.pi * index / np.repeat(per_ring, per_ring)
+    radius = 0.5 * np.repeat(ring, per_ring)
+    pos = np.zeros((n, 3))
+    pos[1:, 0], pos[1:, 1] = radius * np.cos(theta), radius * np.sin(theta)
+    return pos
 
 
+# per kind: the name of its D, the smallest D / lambda in words and as a
+# number, and its positions in wavelengths from D / lambda
 _BUILDERS = {
-    GeometryKind.ULA: build_ula,
-    GeometryKind.UCA: build_uca,
-    GeometryKind.URA: build_ura,
-    GeometryKind.UPCA: build_upca,
+    GeometryKind.ULA: ("aperture", "lambda/2", 0.5, _ula),
+    GeometryKind.UCA: ("diameter", "lambda/2", 0.5, _uca),
+    GeometryKind.URA: ("diagonal", "lambda/sqrt(2)", 1.0 / math.sqrt(2), _ura),
+    GeometryKind.UPCA: ("diameter", "lambda", 1.0, _upca),
 }
 
 
 def build_array(kind: GeometryKind, aperture: float, wavelength: float) -> ArrayGeometry:
-    """Build any layout by kind; aperture is the kind's D (see builders).
+    """Build the layout of a kind whose D is aperture, at spacing lambda/2.
 
-    Every builder raises ValueError, before allocating, for more than
-    MAX_ELEMENTS elements, a wavelength that is not finite and positive
-    and an aperture that is not finite or is below the kind's minimum.
+    D is the ULA's aperture (its length), the UCA's and the UPCA's diameter
+    and the URA's diagonal.  The layouts, in wavelengths:
+
+    - ULA: floor(2 D / lambda) + 1 elements on the x axis, pitch exactly
+      lambda/2; D >= lambda/2.
+    - UCA: ceil(2 pi D / lambda) elements equally spaced on a circle of
+      diameter D in the x-z plane, arc spacing <= lambda/2; D >= lambda/2.
+    - URA: a square x-y grid of floor(sqrt(2) D / lambda) + 1 elements a
+      side, pitch exactly lambda/2; D >= lambda/sqrt(2).
+    - UPCA: a centre element and rings i = 1 .. floor(D / lambda) in the
+      x-y plane, ring i at radius i lambda/2 with ceil(2 pi i) elements, so
+      the arc spacing never exceeds lambda/2; D >= lambda.
+
+    ValueError, before allocating, for a kind that is not a GeometryKind,
+    a wavelength that is not finite and positive, a D that is not finite
+    or is below the kind's minimum, and more than MAX_ELEMENTS elements.
     """
     if not isinstance(kind, GeometryKind):
         raise ValueError(f"unknown geometry kind {kind!r}")
-    return _BUILDERS[kind](aperture, wavelength)
+    name, least, minimum, positions = _BUILDERS[kind]
+    wavelength = _real(wavelength, "wavelength")
+    aperture = _real(aperture, name, positive=False)
+    size = aperture / wavelength
+    if not size >= minimum:
+        raise ValueError(f"{kind.name} {name} must be >= {least}, got {aperture}")
+
+    def count(n) -> int:
+        """A float element count (inf too) as an int, up to MAX_ELEMENTS."""
+        if not n <= MAX_ELEMENTS:
+            raise ValueError(f"{kind.name} with D = {aperture:g} m at lambda = "
+                             f"{wavelength:g} m exceeds {MAX_ELEMENTS} elements")
+        return int(n)
+
+    pos = positions(size, count)
+    return ArrayGeometry(kind, wavelength, (pos - pos.mean(axis=0)) * wavelength)
 
 
 def _fraunhofer(aperture: float, wavelength: float) -> float:

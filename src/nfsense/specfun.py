@@ -20,14 +20,16 @@ bit); sinc uses no series.
                 |u| >= 1e17     1/2
     bessel_j0   |x| <= 13       1 + x^2 R(x^2), 20 terms in x^2
                 |x| > 13        sqrt(2/(pi x)) (P cos(chi) - Q sin(chi)),
-                                chi = x - pi/4 (A&S 9.2.5); P and x Q,
-                                12 terms each in 338/x^2
+                                chi = x - pi/4 (A&S 9.2.5), summed as
+                                ((P + Q) cos x + (P - Q) sin x) / sqrt(pi x);
+                                P and x Q, 12 terms each in 338/x^2
     sinc        sin(pi x) / (pi x)
 
 Absolute error against mpmath at 50 digits, as gated in the test suite:
 
     fresnel_c, fresnel_s   1e-15 for |u| <= 1000
-    bessel_j0              1e-14 for |x| <= 13, 1e-15 for 13 < |x| <= 50
+    bessel_j0              1e-14 for |x| <= 13, 1e-15 for 13 < |x| <= 50,
+                           2e-16 for 13 < |x| <= 1e6
     sinc                   machine precision
 
 Each value depends only on its own argument, never on the rest of the
@@ -198,15 +200,16 @@ def _j0_small(x):
 
 
 def _j0_large(x):
-    # J0(x) = sqrt(2/(pi x)) [P(x) cos(chi) - Q(x) sin(chi)], chi = x - pi/4
+    # J0(x) = sqrt(2/(pi x)) [P(x) cos(chi) - Q(x) sin(chi)], chi = x - pi/4,
+    # = [(P + Q) cos x + (P - Q) sin x] / sqrt(pi x): the phase is x itself,
+    # which a rounded chi would lose an ulp of
     with np.errstate(over="ignore"):
         # x^2 and pi x overflow to inf for huge x, and 1/inf = 0 is the
         # limit of the terms they divide
         s = 338.0 / (x * x) - 1.0
-        amplitude = np.sqrt(2.0 / (np.pi * x))
-    p, xq = _clenshaw(_J0_P, s), _clenshaw(_J0_XQ, s)
-    chi = x - 0.25 * np.pi
-    return amplitude * (p * np.cos(chi) - xq / x * np.sin(chi))
+        amplitude = np.sqrt(1.0 / (np.pi * x))
+    p, q = _clenshaw(_J0_P, s), _clenshaw(_J0_XQ, s) / x
+    return amplitude * ((p + q) * np.cos(x) + (p - q) * np.sin(x))
 
 
 def bessel_j0(x):

@@ -11,13 +11,20 @@ from functools import partial
 
 import numpy as np
 
-from nfsense.closed_form import base_layout, normalized_af_power
+from nfsense.closed_form import normalized_af_power
 from nfsense.geometry import GeometryKind, ProcessingMode
 
 SIDELOBE_SCAN_MAX = 50.0
 "Upper end of the lobe scan, and so of the sidelobe search window, in x."
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+# layout -> (base pattern, exponent n): the single-aperture power is the
+# base's to the n; the square array is two crossed linear arrays
+_BASE = {GeometryKind.ULA: (GeometryKind.ULA, 1),
+         GeometryKind.UCA: (GeometryKind.UCA, 1),
+         GeometryKind.URA: (GeometryKind.ULA, 2),
+         GeometryKind.UPCA: (GeometryKind.UPCA, 1)}
 
 
 def golden_max(f, lo: float, hi: float, tol: float = 1e-9) -> float:
@@ -40,7 +47,7 @@ def golden_max(f, lo: float, hi: float, tol: float = 1e-9) -> float:
 
 def half_power_argument(kind: GeometryKind, mode: ProcessingMode) -> float:
     """Smallest x with normalized power 0.5, by bracketing and bisection."""
-    base, n = base_layout(kind)
+    base, n = _BASE[kind]
     f = partial(normalized_af_power, base, ProcessingMode.SIMO_MISO)
     level = 0.5 ** (1.0 / (n * mode.power_exponent))
     grid = np.linspace(0.0, 4.0, 4001)

@@ -16,8 +16,7 @@ from nfsense import metrics
 from nfsense.ambiguity import array_factor, broadside_power_sweep
 from nfsense.closed_form import af_argument, normalized_af_power
 from nfsense.geometry import (GeometryKind, ProcessingMode, build_array,
-                              build_ula, build_uca, fraunhofer_distance,
-                              mimo_setup, simo_miso_setup)
+                              fraunhofer_distance, mimo_setup, simo_miso_setup)
 from nfsense.metrics import (beamdepth, compute_metrics, half_power_argument,
                              half_power_coefficient, half_power_distances,
                              mainlobe_edge, max_nearfield_range,
@@ -242,7 +241,7 @@ def test_criterion_7_property_suites():
     specfun_ok = worst_fresnel <= 1e-8 and worst_j0 <= 1e-8
 
     # factorization and Hermitian symmetry of the exact ambiguity
-    g = build_uca(10.0, 1.0)
+    g = build_array(GeometryKind.UCA, 10.0, 1.0)
     s = mimo_setup(g)
     rng = np.random.default_rng(7)
     worst_fact, worst_herm = 0.0, 0.0
@@ -264,7 +263,7 @@ def test_criterion_7_property_suites():
     probes = rng.uniform(-50.0, 50.0, (2000, 3))
     probes[:, 2] = np.abs(probes[:, 2]) + 2.0
     from nfsense.ambiguity import normalized_power
-    power = normalized_power(mimo_setup(build_ula(8.0, 1.0)),
+    power = normalized_power(mimo_setup(build_array(GeometryKind.ULA, 8.0, 1.0)),
                              [0.0, 0.0, 30.0], probes)
     range_ok = bool(np.all((power >= 0.0) & (power <= 1.0 + 1e-9)))
 

@@ -20,9 +20,8 @@ from nfsense.cli import main
 from nfsense.closed_form import (af_argument, normalized_af_power,
                                  vergence_difference)
 from nfsense.geometry import (SPEED_OF_LIGHT, ArrayGeometry, GeometryKind,
-                              ProcessingMode, build_array, build_uca,
-                              build_ula, fraunhofer_distance, mimo_setup,
-                              simo_miso_setup)
+                              ProcessingMode, build_array, fraunhofer_distance,
+                              mimo_setup, simo_miso_setup)
 from nfsense.metrics import half_power_coefficient, half_power_distances
 
 from reference_sums import (ambiguity, broadcast_array_factor, broadcast_power,
@@ -66,7 +65,7 @@ class TestChannelPhase:
 
 class TestArrayFactor:
     def test_peak_at_target(self):
-        g = build_ula(20 * LAM, LAM)
+        g = build_array(GeometryKind.ULA, 20 * LAM, LAM)
         t = [0.0, 0.0, 50.0]
         af = array_factor(g, t, t)
         assert af == pytest.approx(math.sqrt(g.n_elements) + 0j, abs=1e-9)
@@ -79,7 +78,7 @@ class TestArrayFactor:
             assert abs(abs(af) - 1.0) <= 1e-12
 
     def test_modulus_bounded(self):
-        g = build_uca(8 * LAM, LAM)
+        g = build_array(GeometryKind.UCA, 8 * LAM, LAM)
         rng = np.random.default_rng(13)
         probes = rng.uniform(-40, 40, (200, 3)) + np.array([0, 0, 60.0])
         af = array_factor(g, [0, 0, 50.0], probes)
@@ -88,7 +87,7 @@ class TestArrayFactor:
     def test_matches_closed_form_outside_mainlobe(self):
         # probe well outside the half-power region still tracks the
         # Fresnel form within 2% of the unit peak
-        g = build_ula(50 * LAM, LAM)
+        g = build_array(GeometryKind.ULA, 50 * LAM, LAM)
         d_fa = fraunhofer_distance(g)
         af = array_factor(g, [0, 0, 100.0], [0, 0, 120.0])
         exact = abs(af) ** 2 / g.n_elements
@@ -97,7 +96,7 @@ class TestArrayFactor:
         assert abs(exact - closed) <= 0.02
 
     def test_batch_matches_sequential(self):
-        g = build_ula(10 * LAM, LAM)
+        g = build_array(GeometryKind.ULA, 10 * LAM, LAM)
         t = [0.0, 0.0, 40.0]
         probes = np.array([[0.0, 0.0, z] for z in (30.0, 35.0, 45.0, 60.0)])
         batch = array_factor(g, t, probes)
@@ -139,7 +138,7 @@ class TestPhasorAccuracy:
 
 class TestAmbiguity:
     def test_peak_value(self):
-        g = build_ula(10 * LAM, LAM)
+        g = build_array(GeometryKind.ULA, 10 * LAM, LAM)
         s = simo_miso_setup(g)
         t = [0.0, 0.0, 25.0]
         peak = ambiguity(s, t, t)
@@ -152,7 +151,7 @@ class TestAmbiguity:
         assert abs(abs(val) - 1.0) <= 1e-12
 
     def test_factorization_identity(self):
-        g = build_uca(12 * LAM, LAM)
+        g = build_array(GeometryKind.UCA, 12 * LAM, LAM)
         s = mimo_setup(g)
         t, p = [0.0, 0.0, 80.0], [0.0, 0.0, 95.0]
         full = ambiguity(s, t, p)
@@ -161,7 +160,7 @@ class TestAmbiguity:
 
     def test_hermitian_symmetry(self):
         rng = np.random.default_rng(21)
-        g = build_ula(8 * LAM, LAM)
+        g = build_array(GeometryKind.ULA, 8 * LAM, LAM)
         s = mimo_setup(g)
         for _ in range(20):
             t = rng.uniform(5, 60, 3)
@@ -169,7 +168,7 @@ class TestAmbiguity:
             assert abs(ambiguity(s, t, p) - np.conj(ambiguity(s, p, t))) <= 1e-12
 
     def test_degenerate_probe_rejected(self):
-        g = build_ula(10 * LAM, LAM)
+        g = build_array(GeometryKind.ULA, 10 * LAM, LAM)
         s = simo_miso_setup(g)
         with pytest.raises(ValueError):
             ambiguity(s, [0, 0, 30.0], g.elements[3])
@@ -177,13 +176,13 @@ class TestAmbiguity:
 
 class TestNormalizedPower:
     def test_peak_is_one(self):
-        g = build_ula(10 * LAM, LAM)
+        g = build_array(GeometryKind.ULA, 10 * LAM, LAM)
         t = [0.0, 0.0, 30.0]
         for s in (simo_miso_setup(g), mimo_setup(g)):
             assert normalized_power(s, t, t) == pytest.approx(1.0, abs=1e-12)
 
     def test_in_unit_interval(self):
-        g = build_ula(6 * LAM, LAM)
+        g = build_array(GeometryKind.ULA, 6 * LAM, LAM)
         s = mimo_setup(g)
         rng = np.random.default_rng(17)
         probes = rng.uniform(-50, 50, (10_000, 3))
@@ -197,7 +196,7 @@ class TestNormalizedPower:
     def test_mimo_is_squared_single_aperture(self, make_setup):
         # one aperture sum raised to p, bit for bit: the single element of a
         # SIMO/MISO link adds no rounding
-        g = build_ula(12 * LAM, LAM)
+        g = build_array(GeometryKind.ULA, 12 * LAM, LAM)
         s = make_setup(g)
         t = [0.0, 0.0, 60.0]
         probes = np.random.default_rng(5).uniform([-20, -20, 30], [20, 20, 120],
@@ -209,7 +208,7 @@ class TestNormalizedPower:
     def test_mimo_low_at_first_fresnel_minimum(self):
         # x = 4 sits at the first minimum of the ULA closed form; the
         # direct sum there is small but not exactly zero
-        g = build_ula(50 * LAM, LAM)
+        g = build_array(GeometryKind.ULA, 50 * LAM, LAM)
         s = mimo_setup(g)
         d_fa = fraunhofer_distance(g)
         d_ver = 4.0 / af_argument(GeometryKind.ULA, d_fa, 1.0)
@@ -234,7 +233,7 @@ class TestClosedFormConvergence:
     def test_uca_rotation_invariance(self):
         # rotating the ring about the evaluation axis must not change the
         # on-axis response
-        g = build_uca(20 * LAM, LAM)
+        g = build_array(GeometryKind.UCA, 20 * LAM, LAM)
         rotated = _turned(g, 0.7347)
         radii = np.sort(np.linalg.norm(g.elements, axis=1))
         radii_rot = np.sort(np.linalg.norm(rotated.elements, axis=1))
@@ -303,7 +302,7 @@ class TestKernelMatchesDenseSum:
 
     def test_broadside_point_on_element_rejected(self):
         # the edge-on ring of 316 elements has one on +z, at the top
-        g = build_uca(50.2 * LAM, LAM)
+        g = build_array(GeometryKind.UCA, 50.2 * LAM, LAM)
         top = float(g.elements[:, 2].max())
         setup = simo_miso_setup(g)
         for target, probes in ((50.0, [30.0, top]), (top, [30.0, 40.0])):
@@ -717,16 +716,16 @@ class TestOneTarget:
     def test_not_one_point_rejected(self, call, target):
         with pytest.raises(ValueError, match="^target must be one finite "
                                              "point$"):
-            call(build_ula(10 * LAM, LAM), target)
+            call(build_array(GeometryKind.ULA, 10 * LAM, LAM), target)
 
     @pytest.mark.parametrize("call", CALLS, ids=IDS)
     def test_one_row_stack_accepted(self, call):
-        g = build_ula(10 * LAM, LAM)
+        g = build_array(GeometryKind.ULA, 10 * LAM, LAM)
         assert call(g, [[0.0, 0.0, 50.0]]) == call(g, [0.0, 0.0, 50.0])
 
     def test_stacked_target_not_truncated(self):
         # the first row alone gives 0.9927864012687522
-        s = simo_miso_setup(build_ula(10 * LAM, LAM))
+        s = simo_miso_setup(build_array(GeometryKind.ULA, 10 * LAM, LAM))
         assert normalized_power(s, [0, 0, 50], [0, 0, 60]) == 0.9927864012687522
         with pytest.raises(ValueError, match="one finite point"):
             normalized_power(s, [[0, 0, 50], [0, 0, 80]], [0, 0, 60])
@@ -735,13 +734,13 @@ class TestOneTarget:
         [50.0, 80.0], [50.0], np.array([50.0]), 50.0 + 0j, math.nan, "50"],
         ids=["two", "list", "array", "complex", "nan", "string"])
     def test_broadside_distance_not_a_real_scalar(self, distance):
-        setup = simo_miso_setup(build_ula(10 * LAM, LAM))
+        setup = simo_miso_setup(build_array(GeometryKind.ULA, 10 * LAM, LAM))
         with pytest.raises(ValueError, match="^target must be one finite "
                                              "point$"):
             broadside_power_sweep(setup, distance, [60.0, 70.0])
 
     def test_broadside_real_scalars_accepted(self):
-        setup = simo_miso_setup(build_ula(10 * LAM, LAM))
+        setup = simo_miso_setup(build_array(GeometryKind.ULA, 10 * LAM, LAM))
         want = broadside_power_sweep(setup, 50.0, [60.0, 70.0])
         for distance in (50, np.float32(50.0), np.array(50.0), np.int64(50)):
             assert np.array_equal(
@@ -760,11 +759,11 @@ class TestOneTarget:
 def test_probes_not_finite_3_vectors_rejected(call, probe):
     # only int and float dtypes are points: a string is not converted
     with pytest.raises(ValueError, match="^points must be finite 3-vectors$"):
-        call(build_ula(10 * LAM, LAM), probe)
+        call(build_array(GeometryKind.ULA, 10 * LAM, LAM), probe)
 
 
 def test_broadside_nan_probe_rejected():
-    setup = simo_miso_setup(build_ula(10 * LAM, LAM))
+    setup = simo_miso_setup(build_array(GeometryKind.ULA, 10 * LAM, LAM))
     with pytest.raises(ValueError, match="^points must be finite 3-vectors$"):
         broadside_power_sweep(setup, 50.0, [60.0, math.nan])
 
@@ -773,13 +772,13 @@ def test_broadside_nan_probe_rejected():
     [60.0 + 1j], ["60"], [True, False], np.array([b"6"])],
     ids=["complex", "string", "bool", "bytes"])
 def test_broadside_non_real_probe_rejected(distances):
-    setup = simo_miso_setup(build_ula(10 * LAM, LAM))
+    setup = simo_miso_setup(build_array(GeometryKind.ULA, 10 * LAM, LAM))
     with pytest.raises(ValueError, match="^points must be finite 3-vectors$"):
         broadside_power_sweep(setup, 50.0, distances)
 
 
 def test_broadside_probe_dtypes_give_the_same_bits():
-    setup = simo_miso_setup(build_ula(10 * LAM, LAM))
+    setup = simo_miso_setup(build_array(GeometryKind.ULA, 10 * LAM, LAM))
     want = broadside_power_sweep(setup, 50.0, np.array([[60.0, 70.0]]))
     for distances in ([60, 70], np.array([60, 70], np.int32), (60.0, 70.0)):
         assert np.array_equal(broadside_power_sweep(setup, 50.0, distances),
@@ -798,11 +797,11 @@ class TestEmptyBatch:
     ], ids=["normalized_power-simo", "normalized_power-mimo", "array_factor",
             "broadside_power_sweep"])
     def test_empty_result(self, call, dtype):
-        out = call(build_ula(10.0, 1.0), [0.0, 0.0, 50.0])
+        out = call(build_array(GeometryKind.ULA, 10.0, 1.0), [0.0, 0.0, 50.0])
         assert out.shape == (0,) and out.dtype == dtype
 
     def test_target_on_element_still_rejected(self):
-        g = build_ula(10.0, 1.0)
+        g = build_array(GeometryKind.ULA, 10.0, 1.0)
         with pytest.raises(ValueError, match="coincides"):
             normalized_power(simo_miso_setup(g), g.elements[3], np.empty((0, 3)))
 
@@ -818,7 +817,7 @@ class TestFarPoints:
     ], ids=["normalized_power", "broadside_power_sweep", "array_factor"])
     def test_overflow_rejected(self, call):
         with pytest.raises(ValueError, match="floating-point range"):
-            call(build_ula(10.0, 1.0))
+            call(build_array(GeometryKind.ULA, 10.0, 1.0))
 
     @pytest.mark.parametrize("call", [
         lambda g: broadside_power_sweep(simo_miso_setup(g), 50.0, [60.0]),
@@ -846,7 +845,7 @@ class TestFarPoints:
         # 4000 probes of 21 elements split into two blocks on two threads;
         # either thread may take either block, and with a bad probe in both
         # the calling thread raises whichever it takes
-        setup = simo_miso_setup(build_ula(10.0, 1.0))
+        setup = simo_miso_setup(build_array(GeometryKind.ULA, 10.0, 1.0))
         probes = np.column_stack([np.linspace(-20.0, 20.0, 4000),
                                   np.full(4000, 5.0), np.full(4000, 80.0)])
         target = [0.0, 0.0, 50.0]
@@ -903,17 +902,17 @@ class TestScaleInvariance:
         # distances below sqrt(tiny) ~ 1.5e-154 m at 1e-163 and 1e-148; a
         # scaled point is rounded twice, by about eps 150 lambda, so a phase
         # moves by up to ~4e-13 rad: 1e-12 of the peak, 1 or sqrt(M)
-        g = build_ula(6.0, 1.0)
+        g = build_array(GeometryKind.ULA, 6.0, 1.0)
         exact = call(g, 1.0)
         peak = math.sqrt(g.n_elements) if np.iscomplexobj(exact) else 1.0
-        scaled = call(build_ula(6 * lam, lam), lam)
+        scaled = call(build_array(GeometryKind.ULA, 6 * lam, lam), lam)
         assert np.abs(scaled - exact).max() <= 1e-12 * peak
 
     @pytest.mark.parametrize("lam", [2.0 ** -500, 1e-163, 1e-148, 0.0123,
                                      1.0, 1e100])
     def test_point_on_an_element(self, lam):
         # 1e-6 lambda is the least distance from an element at any lambda
-        g = build_ula(6 * lam, lam)
+        g = build_array(GeometryKind.ULA, 6 * lam, lam)
         for target, probe in ((g.elements[3], [0.0, 0.0, 60 * lam]),
                               ([0.0, 0.0, 50 * lam], g.elements[3])):
             with pytest.raises(ValueError, match="coincides"):

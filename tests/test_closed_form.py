@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from nfsense.closed_form import (GeometryKind, ProcessingMode, af_argument,
-                                 base_layout, normalized_af_power,
+                                 normalized_af_power,
                                  quadratic_mainlobe_coefficient,
                                  vergence_difference)
 from nfsense.metrics import (compute_metrics, half_power_argument,
@@ -141,7 +141,6 @@ def test_argument_scales():
 # it takes one
 KIND_CALLS = {
     "af_argument": lambda kind, mode: af_argument(kind, 1.0, 0.1),
-    "base_layout": lambda kind, mode: base_layout(kind),
     "quadratic_mainlobe_coefficient":
         lambda kind, mode: quadratic_mainlobe_coefficient(kind),
     "compute_metrics": lambda kind, mode: compute_metrics(kind),
@@ -176,9 +175,8 @@ class TestNonMembers:
         assert str(error.value) == f"unknown processing mode {mode!r}"
 
 
-class TestBaseLayout:
+class TestNormalizedPower:
     def test_ura_is_ula_squared(self):
-        assert base_layout(GeometryKind.URA) == (GeometryKind.ULA, 2)
         x = np.linspace(0.0, 20.0, 2001)
         ula = normalized_af_power(GeometryKind.ULA, SIMO, x)
         assert normalized_af_power(GeometryKind.URA, SIMO, x).tolist() == \
@@ -186,13 +184,6 @@ class TestBaseLayout:
         assert normalized_af_power(GeometryKind.URA, MIMO, x).tolist() == \
             ((ula * ula) * (ula * ula)).tolist()
 
-    @pytest.mark.parametrize("kind", [GeometryKind.ULA, GeometryKind.UCA,
-                                      GeometryKind.UPCA])
-    def test_other_layouts_are_their_own_base(self, kind):
-        assert base_layout(kind) == (kind, 1)
-
-
-class TestNormalizedPower:
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("mode", [SIMO, MIMO])
     def test_unit_peak(self, kind, mode):

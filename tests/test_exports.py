@@ -17,7 +17,14 @@ def test_all_is_the_layer_lists():
     assert nfsense.__all__ == names
     assert len(set(names)) == len(names)
     # once missing from the package's own copy of the list
-    assert {"MAX_ELEMENTS", "base_layout", "fresnel_cs"} <= set(names)
+    assert {"MAX_ELEMENTS", "fresnel_cs"} <= set(names)
+
+
+def test_build_array_is_the_only_builder():
+    for name in ("build_ula", "build_uca", "build_ura", "build_upca"):
+        assert name not in nfsense.__all__
+        assert not hasattr(geometry, name)
+    assert not hasattr(closed_form, "base_layout")
 
 
 def test_exports_are_the_defining_objects():

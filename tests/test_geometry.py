@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import re
 from functools import cached_property
@@ -10,7 +11,6 @@ import pytest
 import nfsense
 from nfsense.geometry import (ArrayGeometry, GeometryKind, ProcessingMode,
                               SensingSetup, SPEED_OF_LIGHT, build_array,
-                              build_uca, build_ula, build_upca, build_ura,
                               MAX_ELEMENTS, fraunhofer_distance, mimo_setup,
                               simo_miso_setup)
 from nfsense.ambiguity import normalized_power
@@ -27,6 +27,19 @@ def nearest_neighbor_max(elements):
     return d.min(axis=1).max()
 
 
+def per_ring_upca(size, wavelength):
+    """The UPCA of D / lambda = size built one ring at a time, by the loop
+    the vectorized builder replaced: its reference, bit for bit."""
+    chunks = [np.zeros((1, 3))]
+    for i in range(1, math.floor(size + 1e-9) + 1):
+        count = math.ceil(2.0 * math.pi * i - 1e-9)
+        theta = 2.0 * math.pi * np.arange(count) / count
+        chunks.append(np.column_stack([0.5 * i * np.cos(theta),
+                                       0.5 * i * np.sin(theta), np.zeros(count)]))
+    pos = np.vstack(chunks)
+    return (pos - pos.mean(axis=0)) * wavelength
+
+
 def recomputed_aperture(kind, elements):
     if kind is GeometryKind.ULA:
         return elements[:, 0].max() - elements[:, 0].min()
@@ -38,89 +51,96 @@ def recomputed_aperture(kind, elements):
 
 class TestUla:
     def test_fifty_lambda(self):
-        g = build_ula(50 * LAM, LAM)
+        g = build_array(GeometryKind.ULA, 50 * LAM, LAM)
         assert g.n_elements == 101
         assert g.aperture == pytest.approx(50 * LAM, abs=1e-12)
 
     def test_minimal_array(self):
-        g = build_ula(0.5 * LAM, LAM)
+        g = build_array(GeometryKind.ULA, 0.5 * LAM, LAM)
         assert g.n_elements == 2
         assert sorted(g.elements[:, 0]) == pytest.approx([-0.25, 0.25], abs=1e-12)
 
     def test_on_x_axis(self):
-        g = build_ula(10 * LAM, LAM)
+        g = build_array(GeometryKind.ULA, 10 * LAM, LAM)
         assert np.all(g.elements[:, 1] == 0)
         assert np.all(g.elements[:, 2] == 0)
 
     def test_too_small(self):
         with pytest.raises(ValueError):
-            build_ula(0.4 * LAM, LAM)
+            build_array(GeometryKind.ULA, 0.4 * LAM, LAM)
 
 
 class TestUca:
     def test_count_and_radius(self):
-        g = build_uca(50 * LAM, LAM)
+        g = build_array(GeometryKind.UCA, 50 * LAM, LAM)
         assert g.n_elements == math.ceil(100 * math.pi)
         assert g.n_elements >= 315
         radii = np.linalg.norm(g.elements, axis=1)
         assert np.max(np.abs(radii - 25 * LAM)) <= 1e-12
 
     def test_count_ratio_vs_ula(self):
-        uca = build_uca(50 * LAM, LAM)
-        ula = build_ula(50 * LAM, LAM)
+        uca = build_array(GeometryKind.UCA, 50 * LAM, LAM)
+        ula = build_array(GeometryKind.ULA, 50 * LAM, LAM)
         assert uca.n_elements / ula.n_elements == pytest.approx(math.pi, rel=0.02)
 
     def test_edge_on_plane(self):
         # ring in the x-z plane so the +z axis sees it edge-on
-        g = build_uca(10 * LAM, LAM)
+        g = build_array(GeometryKind.UCA, 10 * LAM, LAM)
         assert np.all(g.elements[:, 1] == 0)
         assert np.ptp(g.elements[:, 2]) > 0
 
     def test_too_small(self):
         with pytest.raises(ValueError):
-            build_uca(0.2 * LAM, LAM)
+            build_array(GeometryKind.UCA, 0.2 * LAM, LAM)
 
 
 class TestUra:
     def test_per_axis_count(self):
-        g = build_ura(80 * LAM, LAM)
+        g = build_array(GeometryKind.URA, 80 * LAM, LAM)
         n_axis = int(round(math.sqrt(g.n_elements)))
         assert n_axis == 114
         assert n_axis * n_axis == g.n_elements
 
     def test_side_extent(self):
-        g = build_ura(80 * LAM, LAM)
+        g = build_array(GeometryKind.URA, 80 * LAM, LAM)
         side = g.elements[:, 0].max() - g.elements[:, 0].min()
         assert abs(side - 80 * LAM / math.sqrt(2)) <= 0.5 * LAM
         assert np.all(g.elements[:, 2] == 0)
 
     def test_too_small(self):
         with pytest.raises(ValueError):
-            build_ura(0.5 * LAM, LAM)
+            build_array(GeometryKind.URA, 0.5 * LAM, LAM)
 
 
 class TestUpca:
     def test_ring_radii_two_lambda(self):
-        g = build_upca(2 * LAM, LAM)
+        g = build_array(GeometryKind.UPCA, 2 * LAM, LAM)
         radii = np.unique(np.round(np.linalg.norm(g.elements, axis=1), 9))
         assert list(radii) == pytest.approx([0.0, 0.5, 1.0], abs=1e-9)
 
     def test_max_radius_is_half_aperture(self):
-        g = build_upca(12 * LAM, LAM)
+        g = build_array(GeometryKind.UPCA, 12 * LAM, LAM)
         assert np.linalg.norm(g.elements, axis=1).max() == pytest.approx(
             6 * LAM, abs=1e-12)
 
     def test_center_element_present(self):
-        g = build_upca(3 * LAM, LAM)
+        g = build_array(GeometryKind.UPCA, 3 * LAM, LAM)
         assert np.any(np.linalg.norm(g.elements, axis=1) < 1e-12)
 
     def test_nearest_neighbor_spacing(self):
-        g = build_upca(8 * LAM, LAM)
+        g = build_array(GeometryKind.UPCA, 8 * LAM, LAM)
         assert nearest_neighbor_max(g.elements) <= 0.5 * LAM + 1e-9
 
     def test_too_small(self):
         with pytest.raises(ValueError):
-            build_upca(0.9 * LAM, LAM)
+            build_array(GeometryKind.UPCA, 0.9 * LAM, LAM)
+
+    @pytest.mark.parametrize("wavelength", [1.0, 0.0123, 3.0])
+    def test_rings_match_the_per_ring_loop(self, wavelength):
+        for size in (*np.linspace(1.0, 120.0, 61), 1.999999, 300.0):
+            g = build_array(GeometryKind.UPCA, size * wavelength, wavelength)
+            want = per_ring_upca(size, wavelength)
+            assert g.elements.tobytes() == want.tobytes(), size
 
     @pytest.mark.parametrize("wavelength", [
         3.5e-323, 1e-320, 1e-9, 0.0123, 1.0, 7.3, 1e150])
@@ -130,7 +150,7 @@ class TestUpca:
         for rings in (1, 2, 12, 50):
             want = 1 + sum(int(mpmath.ceil(2 * mpmath.pi * i))
                            for i in range(1, rings + 1))
-            g = build_upca(rings * wavelength, wavelength)
+            g = build_array(GeometryKind.UPCA, rings * wavelength, wavelength)
             assert g.n_elements == want, rings
 
 
@@ -178,7 +198,7 @@ def test_infinite_count_exceeds_the_limit(kind):
 
 
 def test_elements_are_immutable():
-    g = build_ula(5 * LAM, LAM)
+    g = build_array(GeometryKind.ULA, 5 * LAM, LAM)
     with pytest.raises(ValueError):
         g.elements[0, 0] = 1.0
     positions, weights = g.axial_terms
@@ -204,7 +224,7 @@ def test_unknown_kind_rejected():
 def test_hand_built_unknown_kind_rejected(kind):
     # a kind that is not a GeometryKind would take the ring aperture rule
     with pytest.raises(ValueError, match="unknown geometry kind"):
-        ArrayGeometry(kind, LAM, build_ula(10 * LAM, LAM).elements)
+        ArrayGeometry(kind, LAM, build_array(GeometryKind.ULA, 10 * LAM, LAM).elements)
     # and is named before the aperture overflows
     huge = np.array([[-1.5e308, 0.0, 0.0], [1.5e308, 0.0, 0.0]])
     with pytest.raises(ValueError, match="unknown geometry kind"):
@@ -266,9 +286,9 @@ def test_zero_aperture_rejected_at_subnormal_wavelength(capsys):
     # lambda/2 underflows to 0 at lambda = 5e-324, so a zero aperture is
     # compared with lambda itself
     with pytest.raises(ValueError, match=r"^ULA aperture must be >= lambda/2"):
-        build_ula(0.0, 5e-324)
+        build_array(GeometryKind.ULA, 0.0, 5e-324)
     with pytest.raises(ValueError, match=r"^UCA diameter must be >= lambda/2"):
-        build_uca(0.0, 5e-324)
+        build_array(GeometryKind.UCA, 0.0, 5e-324)
     argv = ["dump-geometry", "--kind", "uca", "--aperture-lambda", "0.5",
             "--wavelength", "5e-324"]
     assert main(argv) == 1
@@ -290,17 +310,17 @@ class TestFloatWavelength:
     LAM32 = np.float32(0.0123)
 
     def test_kept_as_float(self):
-        g = build_ula(20 * 0.0123, 0.0123)
+        g = build_array(GeometryKind.ULA, 20 * 0.0123, 0.0123)
         for wavelength in (self.LAM32, np.float64(0.5), 2, np.int32(2),
                            np.array(0.25)):
             hand = ArrayGeometry(GeometryKind.ULA, wavelength, g.elements)
             assert type(hand.wavelength) is float
             assert hand.wavelength == float(wavelength)
-            built = build_ula(10.0, wavelength)
+            built = build_array(GeometryKind.ULA, 10.0, wavelength)
             assert type(built.wavelength) is float
 
     def test_fraunhofer_distance_in_double(self):
-        g = build_ula(20 * 0.0123, 0.0123)
+        g = build_array(GeometryKind.ULA, 20 * 0.0123, 0.0123)
         hand = ArrayGeometry(GeometryKind.ULA, self.LAM32, g.elements)
         double = ArrayGeometry(GeometryKind.ULA, float(self.LAM32), g.elements)
         assert type(fraunhofer_distance(hand)) is float
@@ -308,7 +328,7 @@ class TestFloatWavelength:
         assert fraunhofer_distance(hand) == 9.840000324249278
 
     def test_exact_sum_in_double(self):
-        g = build_upca(6 * 0.0123, 0.0123)
+        g = build_array(GeometryKind.UPCA, 6 * 0.0123, 0.0123)
         hand = ArrayGeometry(GeometryKind.UPCA, self.LAM32, g.elements)
         double = ArrayGeometry(GeometryKind.UPCA, float(self.LAM32), g.elements)
         target = [0.01, 0.02, 0.5]
@@ -353,7 +373,8 @@ class TestDerivedAperture:
         assert hand.aperture.hex() == bits
 
     def test_single_element_is_zero(self):
-        assert simo_miso_setup(build_ula(10 * LAM, LAM)).tx.aperture == 0.0
+        g = build_array(GeometryKind.ULA, 10 * LAM, LAM)
+        assert simo_miso_setup(g).tx.aperture == 0.0
 
     def test_hand_built_ring_diameter(self):
         theta = 2.0 * math.pi * np.arange(7) / 7
@@ -365,7 +386,7 @@ class TestDerivedAperture:
     def test_kind_sets_the_rule(self):
         # the same square grid measured as a ULA (x extent), a URA
         # (diagonal) and a ring (twice the largest norm)
-        g = build_ura(10 * LAM, LAM)
+        g = build_array(GeometryKind.URA, 10 * LAM, LAM)
         side = float(np.ptp(g.elements[:, 0]))
         assert ArrayGeometry(GeometryKind.ULA, LAM, g.elements).aperture == side
         assert g.aperture == math.hypot(side, side)
@@ -377,6 +398,86 @@ class TestDerivedAperture:
         huge = np.array([[-1.5e308, -1.5e308, 0.0], [1.5e308, 1.5e308, 0.0]])
         with pytest.raises(ValueError, match="aperture overflows"):
             ArrayGeometry(kind=kind, wavelength=LAM, elements=huge)
+
+
+class TestLayoutBits:
+    """The sha256 of every built layout's element bytes, D / lambda and
+    lambda given, from the per-kind builders before build_array took over
+    their rules: every row of the one builder keeps the layout's bits."""
+
+    SHA256 = {
+        (GeometryKind.ULA, 3.3, 1.0):
+            "4628e1510f2dc66f420ca3a086fcd55715caeb60e8095cef7d3449097a70691a",
+        (GeometryKind.ULA, 3.3, 0.0123):
+            "733647f7556d03527e0309a53df9d09536c428b1a06a6c024949280dedb3709a",
+        (GeometryKind.ULA, 12.457, 1.0):
+            "94f3cc1288bf5d4579d481d8a668fa71700f46b1867693a5c0d620c36aeb55ff",
+        (GeometryKind.ULA, 12.457, 0.0123):
+            "891f930743969e8258aa42371ac45e9e446d8136bd0db4601435ab1dd8642e9e",
+        (GeometryKind.ULA, 50.0, 1.0):
+            "ad2f0aa1b730255705b748ecc64509823d78d5e839da08722dc83b7a88f0b82a",
+        (GeometryKind.ULA, 50.0, 0.0123):
+            "afac78b626a712bb3b8687171d22ce18767b426da45c4dcab79fa997af0e7755",
+        (GeometryKind.ULA, 100.0, 1.0):
+            "ec70fe8de5e697e7bf5503b5ee9228249be7a9a0d2bafee80319dcf6086a4dff",
+        (GeometryKind.ULA, 100.0, 0.0123):
+            "c1458435c18d7a2cc669df85088f5ee0c16ce42ca2197fce968beab8c84b5bec",
+        (GeometryKind.UCA, 3.3, 1.0):
+            "ad082a5382d5c2d92bb8884194429f26091807de2f051893990fd8f8d918c10b",
+        (GeometryKind.UCA, 3.3, 0.0123):
+            "d06b0a93fd1af3d4d10d2b0d03f27c4a30ebdb7747ecc2f4aa455bc7592b5dc8",
+        (GeometryKind.UCA, 12.457, 1.0):
+            "c2b9103f05bb0b843f7f00f20dad670f89a58fa4f61b05ba5996ea9f3fd388ec",
+        (GeometryKind.UCA, 12.457, 0.0123):
+            "d3c92978aa4afea6986e9baf710f8e127e8836e5b35086b1b2fc955ef5d826a7",
+        (GeometryKind.UCA, 50.0, 1.0):
+            "66d922998e8458df561bed00a36539dea2838f4fbcfa41ef9c41f3f62bfec3a1",
+        (GeometryKind.UCA, 50.0, 0.0123):
+            "820edb54053f5c8ac8e370baf31b5340ad615b126ab62fee19704796a13d674c",
+        (GeometryKind.UCA, 100.0, 1.0):
+            "9a7a238f9cc1451f9ff8c19914f13fff899f1e64f5a3c2bf4fe562a61c9107ef",
+        (GeometryKind.UCA, 100.0, 0.0123):
+            "0a3defe82cfd19d4a3b22dcc9a325decb3069fb1444b02447784c0b5c08e0786",
+        (GeometryKind.URA, 3.3, 1.0):
+            "f97f4c399db7a5debebb7e4c820b1522db5f7ee828fcbace8f51a4d7ecb5efb1",
+        (GeometryKind.URA, 3.3, 0.0123):
+            "46573bdfae9054b0ac3150b26254731bab50418956aa69f3e11a7488e47a9ad6",
+        (GeometryKind.URA, 12.457, 1.0):
+            "76789a0030e4a195b48ac015e4990a02788e7ebc082a765da615bb4976615624",
+        (GeometryKind.URA, 12.457, 0.0123):
+            "9a59faf652b51bf536147427a530fe384571b46d2e9cf2ff0d98bdc5623da8ba",
+        (GeometryKind.URA, 50.0, 1.0):
+            "b9cdb435de259499fa973b9145b59dfdd6b4a35d3c30fd49bd746717ac8e294f",
+        (GeometryKind.URA, 50.0, 0.0123):
+            "0656cbfe8a9fbd825e0a9571ebaa2bc40689b87137524da332bf92bc07e106d3",
+        (GeometryKind.URA, 100.0, 1.0):
+            "ce4ec9f23eaf1ab2c36310d13a7623c98bec3cb3aad65e17bec6ec46ef8f1044",
+        (GeometryKind.URA, 100.0, 0.0123):
+            "7e27da567601ca2174a60aab07e0cada7aea30378b4ef35610d8647ddc9de1eb",
+        (GeometryKind.UPCA, 3.3, 1.0):
+            "c680901c35e1cc35c61a1576bb6aac94eef7e138359d6206d16ae87b97030227",
+        (GeometryKind.UPCA, 3.3, 0.0123):
+            "e4b6a2d23de7dd56823ba65ed799eb6c08613b3fe4d0cda4a16ca1375afeade9",
+        (GeometryKind.UPCA, 12.457, 1.0):
+            "5b7cfb3c67ef903911f3e827e167dc715e285458e49106dec479c7715c834381",
+        (GeometryKind.UPCA, 12.457, 0.0123):
+            "321eb36e24e2351a0e0ad7ca9f25938e79ba23b6378a635536d0dfd4dad9a8e5",
+        (GeometryKind.UPCA, 50.0, 1.0):
+            "edb95f0aa23aedfa158c250d18bd9bc45f262942b19c54d907b51dcf28325aef",
+        (GeometryKind.UPCA, 50.0, 0.0123):
+            "1e57a50ad03786ec364dde76d8ae06f1d16446d977dd15312534ebd09cacc1c4",
+        (GeometryKind.UPCA, 100.0, 1.0):
+            "aabca315af5bd962bc7f84aa4efcbc986d16efceb55da65c3a2b1a8f24d58667",
+        (GeometryKind.UPCA, 100.0, 0.0123):
+            "5f87eef40b7dd731c55639994304e4e95e9a6cd98b84818c5e0fafacd69ea016",
+
+    }
+
+    @pytest.mark.parametrize("kind, size, wavelength", list(SHA256))
+    def test_elements(self, kind, size, wavelength):
+        g = build_array(kind, size * wavelength, wavelength)
+        digest = hashlib.sha256(g.elements.tobytes()).hexdigest()
+        assert digest == self.SHA256[kind, size, wavelength]
 
 
 class TestScaleFreeLayouts:
@@ -462,7 +563,7 @@ class TestAxialClasses:
 
     @pytest.mark.parametrize("aperture", [50.0, 10.0, 3.3])
     def test_odd_uca_all_distinct(self, aperture):
-        g = build_uca(aperture * LAM, LAM)
+        g = build_array(GeometryKind.UCA, aperture * LAM, LAM)
         assert g.n_elements % 2 == 1
         positions, weights = g.axial_terms
         assert np.array_equal(positions, g.elements)
@@ -581,14 +682,16 @@ class TestAxialClasses:
 
 class TestFraunhofer:
     def test_fifty_lambda(self):
-        assert fraunhofer_distance(build_ula(50.0, 1.0)) == pytest.approx(5000.0)
+        g = build_array(GeometryKind.ULA, 50.0, 1.0)
+        assert fraunhofer_distance(g) == pytest.approx(5000.0)
 
     def test_eighty_lambda(self):
-        assert fraunhofer_distance(build_ula(80.0, 1.0)) == pytest.approx(12800.0)
+        g = build_array(GeometryKind.ULA, 80.0, 1.0)
+        assert fraunhofer_distance(g) == pytest.approx(12800.0)
 
     def test_quadratic_scaling(self):
-        d1 = fraunhofer_distance(build_ula(20.0, 1.0))
-        d2 = fraunhofer_distance(build_ula(40.0, 1.0))
+        d1 = fraunhofer_distance(build_array(GeometryKind.ULA, 20.0, 1.0))
+        d2 = fraunhofer_distance(build_array(GeometryKind.ULA, 40.0, 1.0))
         assert d2 == pytest.approx(4.0 * d1)
 
     def test_out_of_float_range(self):
@@ -601,7 +704,7 @@ class TestFraunhofer:
     def test_subnormal_square_rejected(self, wavelength):
         # 101 elements, but D^2 is below the smallest normal float and has
         # lost digits: at 1e-163 the boundary would be 4.94e-160 m, not 5e-160
-        g = build_ula(50 * wavelength, wavelength)
+        g = build_array(GeometryKind.ULA, 50 * wavelength, wavelength)
         message = (f"^2 D\\^2 / lambda for D = {g.aperture:g} m is out of "
                    "floating-point range$")
         with pytest.raises(ValueError, match=message):
@@ -629,7 +732,7 @@ class TestFraunhofer:
 
 def test_single_element():
     # the SIMO/MISO transmit element is a view of the setup, not an export
-    g = build_ula(10 * LAM, 0.5)
+    g = build_array(GeometryKind.ULA, 10 * LAM, 0.5)
     s = simo_miso_setup(g)
     tx = s.tx
     assert tx.n_elements == 1 and tx.elements.tolist() == [[0.0, 0.0, 0.0]]
@@ -647,7 +750,7 @@ def test_single_element():
 def test_single_element_is_built_once():
     # a SIMO setup keeps its transmit element: every access returns the
     # same object, with the element and wavelength of the first build
-    g = build_upca(50 * LAM, LAM)
+    g = build_array(GeometryKind.UPCA, 50 * LAM, LAM)
     s = simo_miso_setup(g)
     tx = s.tx
     assert s.tx is tx
@@ -660,7 +763,7 @@ def test_single_element_is_built_once():
 
 
 def test_geometry_csv_roundtrip(tmp_path):
-    g = build_uca(4 * LAM, LAM)
+    g = build_array(GeometryKind.UCA, 4 * LAM, LAM)
     out = tmp_path / "uca.csv"
     assert main(["dump-geometry", "--kind", "uca", "--aperture-lambda", "4",
                  "--wavelength", str(LAM), "--out", str(out)]) == 0
@@ -674,7 +777,7 @@ def test_geometry_csv_roundtrip(tmp_path):
 
 class TestSensingSetup:
     def test_simo_factory(self):
-        g = build_ula(10 * LAM, LAM)
+        g = build_array(GeometryKind.ULA, 10 * LAM, LAM)
         s = simo_miso_setup(g)
         assert s.mode is ProcessingMode.SIMO_MISO
         assert s.tx.n_elements == 1
@@ -683,13 +786,13 @@ class TestSensingSetup:
         assert s.aperture is g
 
     def test_mimo_factory(self):
-        g = build_uca(10 * LAM, LAM)
+        g = build_array(GeometryKind.UCA, 10 * LAM, LAM)
         s = mimo_setup(g)
         assert s.mode is ProcessingMode.MIMO
         assert s.tx is g and s.rx is g
 
     def test_frequency_is_derived(self):
-        g = build_ula(10.0, 0.01)
+        g = build_array(GeometryKind.ULA, 10.0, 0.01)
         s = mimo_setup(g)
         assert [f.name for f in dataclasses.fields(s)] == ["aperture", "mode"]
         assert s.frequency == SPEED_OF_LIGHT / 0.01

@@ -14,7 +14,7 @@ from nfsense.cli import main
 from nfsense.closed_form import (af_argument, normalized_af_power,
                                  vergence_difference)
 from nfsense.geometry import (GeometryKind, ProcessingMode, SensingSetup,
-                              build_ula, fraunhofer_distance, simo_miso_setup)
+                              build_array, fraunhofer_distance, simo_miso_setup)
 from nfsense.metrics import (beamdepth, compute_metrics, half_power_argument,
                              half_power_coefficient, half_power_distances,
                              mainlobe_edge, max_nearfield_range,
@@ -400,7 +400,7 @@ class TestMainlobeEdge:
     lambda mode: half_power_coefficient(GeometryKind.UCA, mode),
     lambda mode: peak_sidelobe_level(GeometryKind.UPCA, mode),
     lambda mode: mainlobe_edge(GeometryKind.ULA, mode),
-    lambda mode: SensingSetup(build_ula(5.0, 1.0), mode),
+    lambda mode: SensingSetup(build_array(GeometryKind.ULA, 5.0, 1.0), mode),
 ], ids=["normalized_af_power", "half_power_argument", "half_power_coefficient",
         "peak_sidelobe_level", "mainlobe_edge", "SensingSetup"])
 def test_non_mode_rejected(call, mode):
@@ -560,7 +560,7 @@ class TestComputeMetrics:
 def test_exact_sum_crosscheck_ula():
     # half-power argument implied by the direct element summation stays
     # within 3% of the closed-form root (aperture 50 lam, target 100 lam)
-    g = build_ula(50.0, 1.0)
+    g = build_array(GeometryKind.ULA, 50.0, 1.0)
     d_fa = fraunhofer_distance(g)
     setup = simo_miso_setup(g)
     x3 = half_power_argument(GeometryKind.ULA, SIMO)

@@ -166,6 +166,14 @@ class TestBesselJ0:
         ref = np.array([mp_j0(float(v)) for v in x])
         assert np.max(np.abs(bessel_j0(x) - ref)) <= bound
 
+    def test_phase_far_from_the_origin(self):
+        # the Hankel phase is taken from x itself, not from a rounded
+        # x - pi/4, so the error does not grow with x
+        rng = np.random.default_rng(1)
+        x = np.exp(rng.uniform(math.log(13.0), math.log(1e6), 400))
+        ref = np.array([mp_j0(float(v)) for v in x])
+        assert np.max(np.abs(bessel_j0(x) - ref)) <= 2e-16
+
     def test_branch_crossover_continuity(self):
         # the x^2 series (x <= 13) and the Hankel envelope's meet at x = 13
         below, above = np.nextafter(13.0, 0.0), np.nextafter(13.0, 14.0)
