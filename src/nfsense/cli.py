@@ -321,8 +321,8 @@ def cmd_af_curve(args) -> int:
             metadata[f"alpha[{kind.name},{mode.name}]"] = \
                 half_power_coefficient(kind, mode)
             power = base ** mode.power_exponent
-            db = 10.0 * np.log10(np.maximum(power, 1e-300))
-            db = np.maximum(db, DB_FLOOR)
+            # log10(1e-6) is exactly -6, so the floored power gives DB_FLOOR
+            db = 10.0 * np.log10(np.maximum(power, 10 ** (DB_FLOOR / 10)))
             blocks.append({"kind": kind, "mode": mode, "distance_m": distances_m,
                            "power_db": db.tolist()})
     _emit(args, metadata, *blocks)

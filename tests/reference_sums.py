@@ -1,6 +1,5 @@
-"""Test-only reference sums: one channel's phase, the dense array factor,
-the literal double sum and the exact-sum kernel's arithmetic with broadcast
-coordinate differences.
+"""Test-only reference sums: the dense array factor, the literal double sum
+and the exact-sum kernel's arithmetic with broadcast coordinate differences.
 
 They compute their own distances, so they share no code with the exact-sum
 kernel in nfsense.ambiguity that the tests check against them.
@@ -12,19 +11,6 @@ from nfsense.geometry import SPEED_OF_LIGHT
 
 # points closer than this (in wavelengths) to an element are rejected
 MIN_SEPARATION = 1e-6
-
-
-def channel_phase(element, target, frequency: float) -> complex:
-    """One-way propagation factor exp(-j 2 pi (f/c) d) between two points."""
-    element = np.asarray(element, dtype=float)
-    target = np.asarray(target, dtype=float)
-    if not (np.all(np.isfinite(element)) and np.all(np.isfinite(target))):
-        raise ValueError("points must have finite coordinates")
-    d = float(np.linalg.norm(target - element))
-    wavelength = SPEED_OF_LIGHT / frequency
-    if d < MIN_SEPARATION * wavelength:
-        raise ValueError(f"target coincides with element (distance {d:.3e})")
-    return complex(np.exp(-2j * np.pi * frequency / SPEED_OF_LIGHT * d))
 
 
 # probe-sweep chunk size of the dense sum, in element-point pairs
@@ -94,17 +80,19 @@ def broadcast_array_factor(geometry, target, probes) -> np.ndarray:
     subtraction p_a - e_a.
 
     The kernel's steps in its order: the class terms for points all on the
-    z axis, the squares added in x, y, z order, the rint-reduced phase in
-    cycles, the half-angle tangent and the ascending row sums.  Points are
-    not checked.
+    z axis, every point divided by lambda, the squares added in x, y, z
+    order, the rint-reduced phase in cycles, the half-angle tangent and the
+    ascending row sums.  Points are not checked.
     """
+    lam = geometry.wavelength
     target = np.asarray(target, dtype=float).reshape(3)
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
     m = geometry.n_elements
     on_axis = len(probes) and not (target[0] or target[1] or probes[:, :2].any())
     elements, weights = (geometry.axial_terms if on_axis
                          else (geometry.elements, np.ones(m)))
-    ex, ey, ez = np.ascontiguousarray(elements.T)
+    ex, ey, ez = np.ascontiguousarray(elements.T) / lam
+    target, probes = target / lam, probes / lam
     twice = 2.0 * weights
     out = np.empty(len(probes), dtype=complex)
     rows = max(1, 65_536 // ex.size)
@@ -116,7 +104,7 @@ def broadcast_array_factor(geometry, target, probes) -> np.ndarray:
             d = np.square(block[:, 0:1] - ex)
             d += np.square(block[:, 1:2] - ey)
             d += np.square(block[:, 2:3] - ez)
-            c = (d_target - np.sqrt(d)) * (1.0 / geometry.wavelength)
+            c = d_target - np.sqrt(d)
             t = np.tan((c - np.rint(c)) * np.pi)
             scale = twice / (np.square(t) + 1.0)
             out.imag[lo:lo + len(block)] = -(t * scale).sum(axis=1)

@@ -19,17 +19,15 @@ from nfsense.ambiguity import (array_factor, broadside_power_sweep,
 from nfsense.cli import main
 from nfsense.closed_form import (af_argument, normalized_af_power,
                                  vergence_difference)
-from nfsense.geometry import (SPEED_OF_LIGHT, ArrayGeometry, GeometryKind,
-                              ProcessingMode, build_array, fraunhofer_distance,
-                              mimo_setup, simo_miso_setup)
+from nfsense.geometry import (ArrayGeometry, GeometryKind, ProcessingMode,
+                              build_array, fraunhofer_distance, mimo_setup,
+                              simo_miso_setup)
 from nfsense.metrics import half_power_coefficient, half_power_distances
 
 from reference_sums import (ambiguity, broadcast_array_factor, broadcast_power,
-                            channel_phase, dense_array_factor, dense_power)
+                            dense_array_factor, dense_power)
 
 LAM = 1.0
-FREQ = SPEED_OF_LIGHT / LAM
-ORIGIN = np.zeros(3)
 # one element at the origin
 POINT = ArrayGeometry(kind=None, wavelength=LAM, elements=np.zeros((1, 3)))
 
@@ -41,26 +39,6 @@ def _turned(g, phi):
                     [0.0, 0.0, 1.0]])
     return ArrayGeometry(kind=g.kind, wavelength=g.wavelength,
                          elements=g.elements @ rot.T)
-
-
-class TestChannelPhase:
-    def test_full_cycle(self):
-        assert channel_phase(ORIGIN, [0, 0, LAM], FREQ) == pytest.approx(1 + 0j,
-                                                                         abs=1e-12)
-
-    def test_quarter_cycle(self):
-        assert channel_phase(ORIGIN, [0, 0, LAM / 4], FREQ) == pytest.approx(
-            -1j, abs=1e-12)
-
-    def test_unit_modulus(self):
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            p = rng.uniform(-30, 30, 3)
-            assert abs(abs(channel_phase(ORIGIN, p, FREQ)) - 1.0) <= 1e-12
-
-    def test_coincident_rejected(self):
-        with pytest.raises(ValueError):
-            channel_phase(ORIGIN, [0, 0, 1e-9 * LAM], FREQ)
 
 
 class TestArrayFactor:
@@ -495,33 +473,39 @@ class TestDifferenceProduct:
             self._check(pairs[:, 0, 0], p - e)
         self._check_outer(p[:250], e[:400])
 
-    @pytest.mark.parametrize("split", [("_WORKERS", 1), None,
-                                       ("_BLOCK_PAIRS", 4099)],
-                             ids=["one-thread", "default", "small-blocks"])
+    # the reference divides every point by lambda first, as the kernel does;
+    # at lambda = 0.0123 and 3 a later division would move the last bits
+    @pytest.mark.parametrize("split, lam", [
+        (("_WORKERS", 1), 1.0), (None, 1.0), (("_BLOCK_PAIRS", 4099), 1.0),
+        (None, 0.0123), (None, 3.0)],
+        ids=["one-thread", "default", "small-blocks", "lambda-0.0123",
+             "lambda-3"])
     @pytest.mark.parametrize("kind", list(GeometryKind))
-    def test_same_bits_as_broadcast_subtraction(self, kind, split, monkeypatch):
+    def test_same_bits_as_broadcast_subtraction(self, kind, split, lam,
+                                                monkeypatch):
         if split:
             monkeypatch.setattr(ambiguity_module, *split)
-        g = build_array(kind, _PATCH_APERTURES[kind] * LAM, LAM)
-        probes = _patch()
-        target = [4.0, -3.0, 100.0]
-        grid = np.linspace(20.0, 300.0, 2001)
+        g = build_array(kind, _PATCH_APERTURES[kind] * lam, lam)
+        probes = _patch() * lam
+        target = [4.0 * lam, -3.0 * lam, 100.0 * lam]
+        grid = np.linspace(20.0, 300.0, 2001) * lam
         axis = np.column_stack([np.zeros((grid.size, 2)), grid])
+        on_axis = [0.0, 0.0, 90.0 * lam]
         assert _bits(array_factor(g, target, probes)) == \
             _bits(broadcast_array_factor(g, target, probes))
-        assert _bits(array_factor(g, [0.0, 0.0, 90.0], axis)) == \
-            _bits(broadcast_array_factor(g, [0.0, 0.0, 90.0], axis))
+        assert _bits(array_factor(g, on_axis, axis)) == \
+            _bits(broadcast_array_factor(g, on_axis, axis))
         for setup in (simo_miso_setup(g), mimo_setup(g)):
             assert _bits(normalized_power(setup, target, probes)) == \
                 _bits(broadcast_power(setup, target, probes))
-            assert _bits(broadside_power_sweep(setup, 90.0, grid)) == \
-                _bits(broadcast_power(setup, [0.0, 0.0, 90.0], axis))
+            assert _bits(broadside_power_sweep(setup, on_axis[2], grid)) == \
+                _bits(broadcast_power(setup, on_axis, axis))
         if kind is GeometryKind.ULA:
-            ula = build_array(kind, 12 * LAM, LAM)
-            for far in (1e5, 1e6):
+            ula = build_array(kind, 12 * lam, lam)
+            for far in (1e5 * lam, 1e6 * lam):
                 probes = np.column_stack([
                     np.linspace(-0.3 * far, 0.3 * far, 201),
-                    np.full(201, 2.5), np.full(201, far)])
+                    np.full(201, 2.5 * lam), np.full(201, far)])
                 assert _bits(array_factor(ula, target, probes)) == \
                     _bits(broadcast_array_factor(ula, target, probes))
 
@@ -698,27 +682,11 @@ class TestOneTarget:
     """A target is one point: a stack of several is rejected, not cut to
     its first row."""
 
-    CALLS = [
+    @pytest.mark.parametrize("call", [
         lambda g, t: normalized_power(simo_miso_setup(g), t, [0.0, 0.0, 60.0]),
         lambda g, t: normalized_power(mimo_setup(g), t, [[0.0, 1.0, 60.0]]),
         lambda g, t: array_factor(g, t, [0.0, 0.0, 60.0]),
-    ]
-    IDS = ["normalized_power-simo", "normalized_power-mimo", "array_factor"]
-
-    @pytest.mark.parametrize("target", [
-        [[0.0, 0.0, 50.0], [0.0, 0.0, 80.0]], [[[0.0, 0.0, 50.0]]],
-        [0.0, 50.0], [[0.0], [0.0], [50.0]], [0.0, 0.0, math.inf], 50.0,
-        [0.0, 0.0, 50.0 + 1j], ["0", "0", "50"], [True, False, True],
-        np.empty((0, 3)), [[0.0, 0.0, 50.0], [0.0, 50.0]]],
-        ids=["two", "3d", "short", "column", "inf", "scalar", "complex",
-             "string", "bool", "empty", "ragged"])
-    @pytest.mark.parametrize("call", CALLS, ids=IDS)
-    def test_not_one_point_rejected(self, call, target):
-        with pytest.raises(ValueError, match="^target must be one finite "
-                                             "point$"):
-            call(build_array(GeometryKind.ULA, 10 * LAM, LAM), target)
-
-    @pytest.mark.parametrize("call", CALLS, ids=IDS)
+    ], ids=["normalized_power-simo", "normalized_power-mimo", "array_factor"])
     def test_one_row_stack_accepted(self, call):
         g = build_array(GeometryKind.ULA, 10 * LAM, LAM)
         assert call(g, [[0.0, 0.0, 50.0]]) == call(g, [0.0, 0.0, 50.0])
@@ -730,51 +698,12 @@ class TestOneTarget:
         with pytest.raises(ValueError, match="one finite point"):
             normalized_power(s, [[0, 0, 50], [0, 0, 80]], [0, 0, 60])
 
-    @pytest.mark.parametrize("distance", [
-        [50.0, 80.0], [50.0], np.array([50.0]), 50.0 + 0j, math.nan, "50"],
-        ids=["two", "list", "array", "complex", "nan", "string"])
-    def test_broadside_distance_not_a_real_scalar(self, distance):
-        setup = simo_miso_setup(build_array(GeometryKind.ULA, 10 * LAM, LAM))
-        with pytest.raises(ValueError, match="^target must be one finite "
-                                             "point$"):
-            broadside_power_sweep(setup, distance, [60.0, 70.0])
-
     def test_broadside_real_scalars_accepted(self):
         setup = simo_miso_setup(build_array(GeometryKind.ULA, 10 * LAM, LAM))
         want = broadside_power_sweep(setup, 50.0, [60.0, 70.0])
         for distance in (50, np.float32(50.0), np.array(50.0), np.int64(50)):
             assert np.array_equal(
                 broadside_power_sweep(setup, distance, [60.0, 70.0]), want)
-
-
-@pytest.mark.parametrize("call", [
-    lambda g, p: normalized_power(simo_miso_setup(g), [0.0, 0.0, 50.0], p),
-    lambda g, p: normalized_power(mimo_setup(g), [0.0, 0.0, 50.0], p),
-    lambda g, p: array_factor(g, [0.0, 0.0, 50.0], p),
-], ids=["normalized_power-simo", "normalized_power-mimo", "array_factor"])
-@pytest.mark.parametrize("probe", [
-    [0.0, math.nan, 60.0], [[0.0, 60.0], [1.0, 70.0]], [0, 0, 5 + 1j],
-    [["0", "0", "60"]], [True, False, True], [b"0", b"0", b"6"]],
-    ids=["nan", "pairs", "complex", "string", "bool", "bytes"])
-def test_probes_not_finite_3_vectors_rejected(call, probe):
-    # only int and float dtypes are points: a string is not converted
-    with pytest.raises(ValueError, match="^points must be finite 3-vectors$"):
-        call(build_array(GeometryKind.ULA, 10 * LAM, LAM), probe)
-
-
-def test_broadside_nan_probe_rejected():
-    setup = simo_miso_setup(build_array(GeometryKind.ULA, 10 * LAM, LAM))
-    with pytest.raises(ValueError, match="^points must be finite 3-vectors$"):
-        broadside_power_sweep(setup, 50.0, [60.0, math.nan])
-
-
-@pytest.mark.parametrize("distances", [
-    [60.0 + 1j], ["60"], [True, False], np.array([b"6"])],
-    ids=["complex", "string", "bool", "bytes"])
-def test_broadside_non_real_probe_rejected(distances):
-    setup = simo_miso_setup(build_array(GeometryKind.ULA, 10 * LAM, LAM))
-    with pytest.raises(ValueError, match="^points must be finite 3-vectors$"):
-        broadside_power_sweep(setup, 50.0, distances)
 
 
 def test_broadside_probe_dtypes_give_the_same_bits():

@@ -503,21 +503,14 @@ _EXTREME_WAVELENGTHS = {
 
 
 class TestExitCodes:
-    def test_no_command(self):
-        assert main([]) == 1
-
     def test_unwritable_output(self, tmp_path):
         rc = main(["tables", "--out", str(tmp_path / "no" / "dir" / "t.csv")])
         assert rc == 3
 
-    def test_bad_format(self, tmp_path):
-        assert main(["tables", "--format", "xml",
-                     "--out", str(tmp_path / "t.csv")]) == 1
-
-    def test_nonpositive_aperture(self):
-        assert main(["af-curve", "--aperture-lambda", "-5"]) == 1
-
     @pytest.mark.parametrize("argv", [
+        "",  # no command
+        "tables --format xml",
+        "af-curve --aperture-lambda -5",
         "dump-geometry --kind ula --aperture-lambda inf",
         "af-curve --sweep 1:inf:3",
         "af-curve --aperture-lambda inf",
@@ -526,8 +519,6 @@ class TestExitCodes:
         "dump-geometry --kind ura --aperture-lambda 1e200",
         "dump-geometry --kind ula --aperture-lambda 0.3",
         "dump-geometry --kind ula --format xml",
-        "af-curve --aperture-lambda 1e200",
-        "af-curve --sweep 1e-320:1:3",
         "validate --kind ula --target-lambda 1e-300",
         # limits, rejected while parsing or before any allocation
         "af-curve --sweep 0:1:10000000000",
@@ -559,13 +550,9 @@ class TestExitCodes:
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("nfsense: error: ")
 
-    def test_overflowing_reciprocal_named(self, capsys):
-        assert main("af-curve --sweep 1e-320:1:3".split()) == 1
-        assert capsys.readouterr() == (
-            "", "nfsense: error: distances are too small: a reciprocal "
-            "overflows\n")
-
     @pytest.mark.parametrize("argv, message", [
+        ("af-curve --sweep 1e-320:1:3",
+         "distances are too small: a reciprocal overflows"),
         ("af-curve --aperture-lambda 1e200",
          "2 D^2 / lambda for D = 1e+200 m is out of floating-point range"),
         ("beamdepth-sweep --aperture-lambda 1e200",

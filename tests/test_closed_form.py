@@ -8,9 +8,7 @@ from nfsense.closed_form import (GeometryKind, ProcessingMode, af_argument,
                                  normalized_af_power,
                                  quadratic_mainlobe_coefficient,
                                  vergence_difference)
-from nfsense.metrics import (compute_metrics, half_power_argument,
-                             half_power_coefficient, mainlobe_edge,
-                             peak_sidelobe_level)
+from nfsense.metrics import compute_metrics, half_power_argument, mainlobe_edge
 
 KINDS = list(GeometryKind)
 SIMO = ProcessingMode.SIMO_MISO
@@ -40,28 +38,12 @@ class TestVergence:
         assert out.tolist() == vergence_difference(100.0, np.array(probes)).tolist()
         assert type(vergence_difference(100.0, np.float64(50.0))) is float
 
-    def test_nonpositive_rejected(self):
-        with pytest.raises(ValueError):
-            vergence_difference(0.0, 10.0)
-        with pytest.raises(ValueError):
-            vergence_difference(10.0, -1.0)
-        with pytest.raises(ValueError):
-            vergence_difference(10.0, np.array([5.0, 0.0]))
-
     @pytest.mark.parametrize("d_target, d_probe", [
         (1e-320, 5.0), (5.0, 1e-320), (100.0, np.array([50.0, 1e-310])),
     ])
     def test_overflowing_reciprocal_rejected(self, d_target, d_probe):
         # raised without a numpy warning, which the suite makes an error
         with pytest.raises(ValueError, match="a reciprocal overflows"):
-            vergence_difference(d_target, d_probe)
-
-    @pytest.mark.parametrize("d_target, d_probe", [
-        (np.inf, 5.0), (-np.inf, 5.0), (5.0, np.inf), (5.0, [50.0, -np.inf]),
-        (np.nan, 5.0)])
-    def test_non_finite_rejected(self, d_target, d_probe):
-        # 1/inf = 0 would read an infinite range as a valid one
-        with pytest.raises(ValueError, match="^d_(target|probe) must be finite"):
             vergence_difference(d_target, d_probe)
 
     def test_smallest_normal_distance_kept(self):
@@ -90,28 +72,6 @@ class TestAfArgument:
                                            np.array(vergences)).tolist()
         assert type(af_argument(GeometryKind.ULA, 5000.0, np.float64(0.1))) is float
 
-    def test_invalid_fraunhofer(self):
-        with pytest.raises(ValueError):
-            af_argument(GeometryKind.ULA, 0.0, 0.005)
-
-    @pytest.mark.parametrize("d_fa", [math.inf, math.nan, -math.inf])
-    def test_non_finite_fraunhofer_rejected(self, d_fa):
-        # inf * 0 would be a nan argument
-        with pytest.raises(ValueError, match="finite and positive"):
-            af_argument(GeometryKind.ULA, d_fa, 0.0)
-
-    @pytest.mark.parametrize("vergence", [-1.0, [0.0, -1e-300]])
-    def test_negative_vergence_rejected(self, vergence):
-        with pytest.raises(ValueError, match="^vergence must be nonnegative$"):
-            af_argument(GeometryKind.ULA, 5000.0, vergence)
-
-    @pytest.mark.parametrize("vergence", [
-        math.nan, math.inf, -math.inf, [math.nan, -0.0], [-0.0, math.inf]])
-    def test_non_finite_vergence_rejected(self, vergence):
-        # a NaN or infinite vergence would give a NaN or infinite argument
-        with pytest.raises(ValueError, match="^vergence must be finite$"):
-            af_argument(GeometryKind.UCA, 5000.0, vergence)
-
     def test_negative_zero_vergence_kept(self):
         assert af_argument(GeometryKind.UCA, 5000.0, [-0.0]).tolist() == [0.0]
 
@@ -135,44 +95,6 @@ def test_argument_scales():
                         (GeometryKind.URA, 0.125), (GeometryKind.UPCA, 1.0 / 16)):
         assert af_argument(kind, 1.0, 1.0) == scale
         assert compute_metrics(kind).argument_scale == scale
-
-
-# every closed-form and metric function that takes a kind, and a mode if
-# it takes one
-KIND_CALLS = {
-    "af_argument": lambda kind, mode: af_argument(kind, 1.0, 0.1),
-    "quadratic_mainlobe_coefficient":
-        lambda kind, mode: quadratic_mainlobe_coefficient(kind),
-    "compute_metrics": lambda kind, mode: compute_metrics(kind),
-}
-KIND_MODE_CALLS = {
-    "normalized_af_power": lambda kind, mode: normalized_af_power(kind, mode, 1.0),
-    "half_power_argument": half_power_argument,
-    "half_power_coefficient": half_power_coefficient,
-    "mainlobe_edge": mainlobe_edge,
-    "peak_sidelobe_level": peak_sidelobe_level,
-}
-NON_KINDS = ["ula", None, 2, [1], ProcessingMode.MIMO]
-NON_MODES = ["simo", None, 2, [1], GeometryKind.ULA]
-
-
-class TestNonMembers:
-    @pytest.mark.parametrize("call", [*KIND_CALLS.values(),
-                                      *KIND_MODE_CALLS.values()],
-                             ids=[*KIND_CALLS, *KIND_MODE_CALLS])
-    @pytest.mark.parametrize("kind", NON_KINDS, ids=repr)
-    def test_kind(self, call, kind):
-        with pytest.raises(ValueError) as error:
-            call(kind, SIMO)
-        assert str(error.value) == f"unknown geometry kind {kind!r}"
-
-    @pytest.mark.parametrize("call", KIND_MODE_CALLS.values(),
-                             ids=list(KIND_MODE_CALLS))
-    @pytest.mark.parametrize("mode", NON_MODES, ids=repr)
-    def test_mode_named_before_kind(self, call, mode):
-        with pytest.raises(ValueError) as error:
-            call("ura", mode)
-        assert str(error.value) == f"unknown processing mode {mode!r}"
 
 
 class TestNormalizedPower:
@@ -233,16 +155,6 @@ class TestNormalizedPower:
         # the Fresnel-based layouts have nonzero first minima instead
         for kind in (GeometryKind.ULA, GeometryKind.URA):
             assert normalized_af_power(kind, SIMO, mainlobe_edge(kind, SIMO)) > 1e-6
-
-    def test_negative_argument_rejected(self):
-        with pytest.raises(ValueError):
-            normalized_af_power(GeometryKind.ULA, SIMO, -0.1)
-        with pytest.raises(ValueError):
-            normalized_af_power(GeometryKind.UCA, MIMO, np.array([0.5, -2.0]))
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            normalized_af_power(GeometryKind.UPCA, SIMO, float("nan"))
 
     def test_array_shape(self):
         out = normalized_af_power(GeometryKind.URA, MIMO, np.array([0.0, 1.0, 2.0]))

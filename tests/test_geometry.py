@@ -208,71 +208,6 @@ def test_elements_are_immutable():
         weights[0] = 7.0
 
 
-@pytest.mark.parametrize("wavelength", [0.0, -1.0, math.nan, math.inf])
-@pytest.mark.parametrize("kind", list(GeometryKind))
-def test_bad_wavelength_rejected(kind, wavelength):
-    with pytest.raises(ValueError, match="wavelength"):
-        build_array(kind, 10.0, wavelength)
-
-
-def test_unknown_kind_rejected():
-    with pytest.raises(ValueError, match="unknown geometry kind"):
-        build_array("ula", 1.0, 1.0)
-
-
-@pytest.mark.parametrize("kind", ["ula", "ULA", 1])
-def test_hand_built_unknown_kind_rejected(kind):
-    # a kind that is not a GeometryKind would take the ring aperture rule
-    with pytest.raises(ValueError, match="unknown geometry kind"):
-        ArrayGeometry(kind, LAM, build_array(GeometryKind.ULA, 10 * LAM, LAM).elements)
-    # and is named before the aperture overflows
-    huge = np.array([[-1.5e308, 0.0, 0.0], [1.5e308, 0.0, 0.0]])
-    with pytest.raises(ValueError, match="unknown geometry kind"):
-        ArrayGeometry(kind, LAM, huge)
-
-
-@pytest.mark.parametrize("elements", [
-    np.empty((0, 3)), np.array([[0.0, 0.0, math.nan]]), np.zeros((2, 2)),
-    np.zeros((2, 3, 1)), [[0.0, 0.0, 0.0]]], ids=["empty", "nan", "2x2",
-                                                 "3d", "list"])
-def test_bad_hand_built_elements_rejected(elements):
-    with pytest.raises(ValueError, match="elements"):
-        ArrayGeometry(kind=None, wavelength=LAM, elements=elements)
-
-
-@pytest.mark.parametrize("wavelength", [0.0, -1.0, math.nan])
-def test_hand_built_bad_wavelength_rejected(wavelength):
-    with pytest.raises(ValueError, match="wavelength"):
-        ArrayGeometry(kind=None, wavelength=wavelength,
-                      elements=np.zeros((1, 3)))
-
-
-@pytest.mark.parametrize("wavelength", ["1.0", b"1.0", None, 1j, [1.0],
-                                        np.array([1.0]), True])
-@pytest.mark.parametrize("kind", list(GeometryKind))
-def test_non_real_wavelength_rejected(kind, wavelength):
-    with pytest.raises(ValueError, match="wavelength must be finite and positive"):
-        ArrayGeometry(kind, wavelength, build_array(kind, 10.0, 1.0).elements)
-    with pytest.raises(ValueError, match="wavelength must be finite and positive"):
-        build_array(kind, 10.0, wavelength)
-
-
-@pytest.mark.parametrize("aperture", ["5", b"5", None, 5j, True,
-                                      np.array([5.0, 6.0]), [5.0], np.nan,
-                                      np.inf],
-                         ids=["str", "bytes", "none", "complex", "bool",
-                              "array", "list", "nan", "inf"])
-@pytest.mark.parametrize("kind, name", [
-    (GeometryKind.ULA, "aperture"), (GeometryKind.UCA, "diameter"),
-    (GeometryKind.URA, "diagonal"), (GeometryKind.UPCA, "diameter")],
-    ids=["ula", "uca", "ura", "upca"])
-def test_non_real_aperture_named(kind, name, aperture):
-    # named before the lambda/2 rule compares it or a count is taken from it
-    with pytest.raises(ValueError, match=f"^{name} must be finite "
-                                         r"\(a real scalar\), got "):
-        build_array(kind, aperture, 1.0)
-
-
 @pytest.mark.parametrize("kind, aperture", [
     (GeometryKind.ULA, 0.3), (GeometryKind.ULA, -5), (GeometryKind.UCA, 0.0),
     (GeometryKind.URA, -1.0), (GeometryKind.UPCA, 0.9)])
@@ -800,15 +735,6 @@ class TestSensingSetup:
             SensingSetup(g, ProcessingMode.MIMO, frequency=1e9)
         with pytest.raises(TypeError):
             SensingSetup(tx=g, rx=g, mode=ProcessingMode.MIMO)
-
-    @pytest.mark.parametrize("aperture", [None, "ula", GeometryKind.ULA,
-                                          np.zeros((1, 3))])
-    @pytest.mark.parametrize("mode", list(ProcessingMode))
-    def test_non_geometry_aperture_rejected(self, aperture, mode):
-        # a setup that is built can be summed
-        with pytest.raises(ValueError, match="^aperture must be an "
-                                             "ArrayGeometry, got "):
-            SensingSetup(aperture, mode)
 
 
 def test_mode_exponents():

@@ -13,8 +13,8 @@ from nfsense.ambiguity import broadside_power_sweep
 from nfsense.cli import main
 from nfsense.closed_form import (af_argument, normalized_af_power,
                                  vergence_difference)
-from nfsense.geometry import (GeometryKind, ProcessingMode, SensingSetup,
-                              build_array, fraunhofer_distance, simo_miso_setup)
+from nfsense.geometry import (GeometryKind, ProcessingMode, build_array,
+                              fraunhofer_distance, simo_miso_setup)
 from nfsense.metrics import (beamdepth, compute_metrics, half_power_argument,
                              half_power_coefficient, half_power_distances,
                              mainlobe_edge, max_nearfield_range,
@@ -108,35 +108,6 @@ class TestHalfPowerDistances:
             "rounded-gap"])
     def test_out_of_float_range(self, args):
         with pytest.raises(ValueError, match="out of floating-point range"):
-            half_power_distances(*args)
-
-    def test_domain_errors(self):
-        # every vergence helper takes finite positive lengths and alpha only
-        for func, args in ((half_power_distances, (-1.0, 5000.0, 6.952)),
-                           (half_power_distances, (100.0, 0.0, 6.952)),
-                           (half_power_distances, (100.0, math.inf, 0.5)),
-                           (half_power_distances, (math.inf, 5000.0, 0.5)),
-                           (half_power_distances, (100.0, 5000.0, math.nan)),
-                           (beamdepth, (100.0, math.inf, 0.5)),
-                           (beamdepth, (math.inf, 5000.0, 0.5)),
-                           (max_nearfield_range, (math.inf, 0.5)),
-                           (max_nearfield_range, (5000.0, math.inf))):
-            with pytest.raises(ValueError, match="finite and positive"):
-                func(*args)
-
-    @pytest.mark.parametrize("args, name", [
-        ((np.array([100.0, 200.0]), 5000.0, 7.0), "d_target"),
-        ((np.array([100.0]), 5000.0, 7.0), "d_target"),
-        ((100.0, [5000.0], 7.0), "d_fraunhofer"),
-        ((100.0, 5000.0, "7"), "coefficient"),
-        ((100.0, 5000.0, True), "coefficient"),
-        ((100.0, 5000.0, 7j), "coefficient"),
-    ])
-    def test_non_scalars_named(self, args, name):
-        # the inputs are real scalars: an array, a string, a bool or a
-        # complex number is named, not passed to float arithmetic
-        with pytest.raises(ValueError, match=f"^{name} must be finite and "
-                           r"positive \(a real scalar\)"):
             half_power_distances(*args)
 
     @pytest.mark.parametrize("args", [(100.0, 5000.0, 7.0),
@@ -315,15 +286,6 @@ class TestMaxRange:
         assert max_nearfield_range(5000.0, 13.904) == pytest.approx(
             max_nearfield_range(5000.0, 6.952) / 2.0)
 
-    @pytest.mark.parametrize("args, name", [
-        ((np.array([1.0]), 2.0), "d_fraunhofer"),
-        ((1.0, np.array([2.0, 3.0])), "coefficient"),
-        ((1.0, "2"), "coefficient"),
-    ])
-    def test_non_scalars_named(self, args, name):
-        with pytest.raises(ValueError, match=f"^{name} must be finite"):
-            max_nearfield_range(*args)
-
     def test_scalar_quotient(self):
         assert max_nearfield_range(5000.0, 6.952) == 5000.0 / 6.952
         assert type(max_nearfield_range(np.float64(5000.0), 7)) is float
@@ -390,28 +352,6 @@ class TestMainlobeEdge:
         # the URA is the ULA squared: URA SIMO is ULA MIMO, bit for bit
         for solver in (half_power_argument, mainlobe_edge, peak_sidelobe_level):
             assert solver(GeometryKind.URA, SIMO) == solver(GeometryKind.ULA, MIMO)
-
-
-@pytest.mark.parametrize("mode", ["simo", "MIMO", None, 2, GeometryKind.ULA,
-                                  [1], {}])
-@pytest.mark.parametrize("call", [
-    lambda mode: normalized_af_power(GeometryKind.ULA, mode, 1.0),
-    lambda mode: half_power_argument(GeometryKind.URA, mode),
-    lambda mode: half_power_coefficient(GeometryKind.UCA, mode),
-    lambda mode: peak_sidelobe_level(GeometryKind.UPCA, mode),
-    lambda mode: mainlobe_edge(GeometryKind.ULA, mode),
-    lambda mode: SensingSetup(build_array(GeometryKind.ULA, 5.0, 1.0), mode),
-], ids=["normalized_af_power", "half_power_argument", "half_power_coefficient",
-        "peak_sidelobe_level", "mainlobe_edge", "SensingSetup"])
-def test_non_mode_rejected(call, mode):
-    # as a kind that is not a GeometryKind is
-    with pytest.raises(ValueError, match="^unknown processing mode "):
-        call(mode)
-
-
-def test_unhashable_kind_rejected():
-    with pytest.raises(ValueError, match="^unknown geometry kind "):
-        compute_metrics([1])
 
 
 class TestSolverCaches:

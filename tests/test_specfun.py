@@ -108,13 +108,6 @@ class TestFresnel:
                 assert out.tobytes() == flat.tobytes()
         assert isinstance(fresnel_c(0.3), float)
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
-    def test_nonfinite_rejected(self, bad):
-        with pytest.raises(ValueError):
-            fresnel_c(bad)
-        with pytest.raises(ValueError):
-            fresnel_s(bad)
-
 
 class TestBesselJ0:
     def test_at_zero(self):
@@ -181,10 +174,6 @@ class TestBesselJ0:
             assert bessel_j0(x) == pytest.approx(mp_j0(x), abs=1e-13)
         assert bessel_j0(below) == pytest.approx(bessel_j0(above), abs=2e-13)
 
-    def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            bessel_j0(float("nan"))
-
 
 class TestSinc:
     def test_removable_singularity(self):
@@ -204,10 +193,6 @@ class TestSinc:
     def test_matches_direct_formula(self):
         x = np.linspace(0.01, 40.0, 4001)
         assert np.max(np.abs(sinc(x) - np.sin(np.pi * x) / (np.pi * x))) <= 1e-15
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            sinc(float("inf"))
 
 
 def test_huge_arguments_stay_finite():
