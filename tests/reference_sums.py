@@ -1,13 +1,14 @@
 """Test-only reference sums: the dense array factor, the literal double sum
 and the exact-sum kernel's arithmetic with broadcast coordinate differences.
 
-They compute their own distances, so they share no code with the exact-sum
-kernel in nfsense.ambiguity that the tests check against them.
+They take lambda from the layout (k = 2 pi / lambda), compute their own
+distances and share no code with the exact-sum kernel in
+nfsense.ambiguity.  On the axis broadcast_array_factor reads
+geometry.axial_terms, the library's class grouping, which
+test_geometry.py::TestAxialClasses checks against its index oracle.
 """
 
 import numpy as np
-
-from nfsense.geometry import SPEED_OF_LIGHT
 
 # points closer than this (in wavelengths) to an element are rejected
 MIN_SEPARATION = 1e-6
@@ -28,15 +29,13 @@ def _distances(geometry, points) -> np.ndarray:
     return d
 
 
-def dense_array_factor(geometry, target, probe, frequency=None):
+def dense_array_factor(geometry, target, probe):
     """(1/sqrt(M)) sum_m exp(-j k (d_m(target) - d_m(probe))) over every element.
 
     A (P, M, 3) difference array and a complex exponent per chunk of probes;
     probe is one 3-vector (complex result) or a (P, 3) stack ((P,) result).
     """
-    if frequency is None:
-        frequency = SPEED_OF_LIGHT / geometry.wavelength
-    k = 2.0 * np.pi * frequency / SPEED_OF_LIGHT
+    k = 2.0 * np.pi / geometry.wavelength
     probe = np.asarray(probe, dtype=float)
     d_target = _distances(geometry, target)[0]
     probes = np.atleast_2d(probe)
@@ -54,9 +53,9 @@ def dense_array_factor(geometry, target, probe, frequency=None):
 
 def dense_power(setup, target, probes) -> np.ndarray:
     """Normalized power |AF_tx|^2 |AF_rx|^2 / (M N) from the dense sums."""
-    af_tx = dense_array_factor(setup.tx, target, probes, setup.frequency)
+    af_tx = dense_array_factor(setup.tx, target, probes)
     af_rx = af_tx if setup.rx is setup.tx else \
-        dense_array_factor(setup.rx, target, probes, setup.frequency)
+        dense_array_factor(setup.rx, target, probes)
     return (np.abs(af_tx) ** 2 / setup.tx.n_elements) \
         * (np.abs(af_rx) ** 2 / setup.rx.n_elements)
 
@@ -67,7 +66,7 @@ def ambiguity(setup, target, probe) -> complex:
     Evaluated as the literal double sum over transmit-receive element pairs;
     peaks at sqrt(M N) when probe equals target.
     """
-    k = 2.0 * np.pi * setup.frequency / SPEED_OF_LIGHT
+    k = 2.0 * np.pi / setup.aperture.wavelength
     delta_tx = _distances(setup.tx, target)[0] - _distances(setup.tx, probe)[0]
     delta_rx = _distances(setup.rx, target)[0] - _distances(setup.rx, probe)[0]
     total = np.exp(-1j * k * (delta_tx[:, None] + delta_rx[None, :])).sum()
@@ -75,8 +74,8 @@ def ambiguity(setup, target, probe) -> complex:
 
 
 def broadcast_array_factor(geometry, target, probes) -> np.ndarray:
-    """(P,) array factors by the exact-sum kernel's arithmetic, one block of
-    probes at a time on one thread, each coordinate difference a broadcast
+    """(P,) array factors by the exact-sum kernel's arithmetic, all probes
+    at once on one thread, each coordinate difference a broadcast
     subtraction p_a - e_a.
 
     The kernel's steps in its order: the class terms for points all on the
@@ -93,28 +92,24 @@ def broadcast_array_factor(geometry, target, probes) -> np.ndarray:
                          else (geometry.elements, np.ones(m)))
     ex, ey, ez = np.ascontiguousarray(elements.T) / lam
     target, probes = target / lam, probes / lam
-    twice = 2.0 * weights
     out = np.empty(len(probes), dtype=complex)
-    rows = max(1, 65_536 // ex.size)
     with np.errstate(over="ignore", invalid="ignore"):
         d_target = np.sqrt((target[0] - ex) ** 2 + (target[1] - ey) ** 2
                            + (target[2] - ez) ** 2)
-        for lo in range(0, len(probes), rows):
-            block = probes[lo:lo + rows]
-            d = np.square(block[:, 0:1] - ex)
-            d += np.square(block[:, 1:2] - ey)
-            d += np.square(block[:, 2:3] - ez)
-            c = d_target - np.sqrt(d)
-            t = np.tan((c - np.rint(c)) * np.pi)
-            scale = twice / (np.square(t) + 1.0)
-            out.imag[lo:lo + len(block)] = -(t * scale).sum(axis=1)
-            out.real[lo:lo + len(block)] = (scale - weights).sum(axis=1)
+        d = np.square(probes[:, 0:1] - ex)
+        d += np.square(probes[:, 1:2] - ey)
+        d += np.square(probes[:, 2:3] - ez)
+        c = d_target - np.sqrt(d)
+        t = np.tan((c - np.rint(c)) * np.pi)
+        scale = 2.0 * weights / (np.square(t) + 1.0)
+        out.imag = -(t * scale).sum(axis=1)
+        out.real = (scale - weights).sum(axis=1)
     out /= np.sqrt(m)
     return out
 
 
-def broadcast_power(setup, target, probes) -> np.ndarray:
-    """(P,) normalized power (|AF|^2 / M)^p from broadcast_array_factor."""
-    geometry = setup.aperture
-    af = broadcast_array_factor(geometry, target, probes)
-    return (np.abs(af) ** 2 / geometry.n_elements) ** setup.mode.power_exponent
+def broadcast_power(setup, af) -> np.ndarray:
+    """(P,) normalized power (|AF|^2 / M)^p from the broadcast_array_factor
+    values af of the setup's aperture."""
+    return (np.abs(af) ** 2 / setup.aperture.n_elements) \
+        ** setup.mode.power_exponent

@@ -204,9 +204,7 @@ def test_criterion_6_beamdepth_law():
         ratio_ok &= abs(ratio - 1.4) <= 0.028
         # sweep view: the first infinite sample sits at the divergence point
         targets = np.linspace(10.0, 1200.0, 2000)
-        depths = np.array([beamdepth(float(t), 5000.0,
-                                     half_power_coefficient(kind, SIMO))
-                           for t in targets])
+        depths = beamdepth(targets, 5000.0, half_power_coefficient(kind, SIMO))
         infinite = np.isinf(depths)
         first = int(np.argmax(infinite))
         boundary_ok &= bool(np.all(infinite[first:]))

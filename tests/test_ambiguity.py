@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import math
@@ -72,14 +73,6 @@ class TestArrayFactor:
         x = af_argument(GeometryKind.ULA, d_fa, vergence_difference(100.0, 120.0))
         closed = normalized_af_power(GeometryKind.ULA, ProcessingMode.SIMO_MISO, x)
         assert abs(exact - closed) <= 0.02
-
-    def test_batch_matches_sequential(self):
-        g = build_array(GeometryKind.ULA, 10 * LAM, LAM)
-        t = [0.0, 0.0, 40.0]
-        probes = np.array([[0.0, 0.0, z] for z in (30.0, 35.0, 45.0, 60.0)])
-        batch = array_factor(g, t, probes)
-        single = [array_factor(g, t, p) for p in probes]
-        assert np.max(np.abs(batch - np.array(single))) == 0.0
 
 
 class TestPhasorAccuracy:
@@ -236,6 +229,11 @@ _PATCH_APERTURES = {GeometryKind.ULA: 200.0, GeometryKind.UCA: 60.0,
                     GeometryKind.URA: 14.0, GeometryKind.UPCA: 12.0}
 
 
+def _layout(kind, lam=1.0):
+    """The kind's layout whose off-axis patch spans at least three blocks."""
+    return build_array(kind, _PATCH_APERTURES[kind] * lam, lam)
+
+
 def _patch():
     """600 off-axis probes on a tilted 30 x 20 patch."""
     x, z = np.meshgrid(np.linspace(-15.0, 15.0, 30), np.linspace(60.0, 140.0, 20))
@@ -245,7 +243,7 @@ def _patch():
 class TestKernelMatchesDenseSum:
     @pytest.mark.parametrize("kind", list(GeometryKind))
     def test_off_axis_patch(self, kind):
-        g = build_array(kind, _PATCH_APERTURES[kind] * LAM, LAM)
+        g = _layout(kind)
         probes = _patch()
         assert len(probes) * g.n_elements >= 3 * ambiguity_module._BLOCK_PAIRS
         target = [4.0, -3.0, 100.0]
@@ -266,18 +264,6 @@ class TestKernelMatchesDenseSum:
             dense = dense_power(setup, [0.0, 0.0, 100.0], probes)
             assert np.max(np.abs(power - dense)) <= 1e-12
 
-    @pytest.mark.parametrize("kind", list(GeometryKind))
-    def test_hand_built_copy_same_bits(self, kind):
-        # a layout given as bare elements gets the builder's classes, and
-        # so the builder's sums to the bit
-        g = build_array(kind, 20.3 * LAM, LAM)
-        hand = ArrayGeometry(kind=None, wavelength=g.wavelength,
-                             elements=g.elements.copy())
-        grid = np.linspace(30.0, 300.0, 301)
-        for make in (simo_miso_setup, mimo_setup):
-            assert np.array_equal(broadside_power_sweep(make(hand), 90.0, grid),
-                                  broadside_power_sweep(make(g), 90.0, grid))
-
     def test_broadside_point_on_element_rejected(self):
         # the edge-on ring of 316 elements has one on +z, at the top
         g = build_array(GeometryKind.UCA, 50.2 * LAM, LAM)
@@ -291,24 +277,6 @@ class TestKernelMatchesDenseSum:
 class TestOnAxis:
     """Every entry point sums the axial class terms for a target and probes
     on the z axis, and only there."""
-
-    @pytest.mark.parametrize("g", [
-        *(build_array(kind, 20.3 * LAM, LAM) for kind in GeometryKind),
-        _turned(build_array(GeometryKind.UPCA, 20.3 * LAM, LAM), 0.4127)],
-        ids=[*(kind.value for kind in GeometryKind), "rotated-upca"])
-    def test_every_entry_point_same_bits(self, g):
-        grid = np.linspace(30.0, 300.0, 301)
-        probes = np.column_stack([np.zeros((grid.size, 2)), grid])
-        target = [0.0, 0.0, 90.0]
-        for make in (simo_miso_setup, mimo_setup):
-            sweep = broadside_power_sweep(make(g), 90.0, grid)
-            assert np.array_equal(normalized_power(make(g), target, probes),
-                                  sweep)
-            assert normalized_power(make(g), target, probes[7]) == sweep[7]
-        af = array_factor(g, target, probes)
-        assert np.array_equal(np.abs(af) ** 2 / g.n_elements,
-                              broadside_power_sweep(simo_miso_setup(g), 90.0,
-                                                    grid))
 
     @pytest.mark.parametrize("kind", list(GeometryKind))
     def test_off_axis_never_derives_terms(self, kind):
@@ -339,59 +307,6 @@ class TestOnAxis:
             assert np.max(np.abs(power - dense_power(setup, target, probes))) <= 1e-12
 
 
-class TestSplitBits:
-    """The kernel's bits do not depend on how its probes are split into
-    blocks and threads."""
-
-    @staticmethod
-    def _outputs(g, probes, grid):
-        target = [4.0, -3.0, 100.0]
-        out = []
-        for setup in (simo_miso_setup(g), mimo_setup(g)):
-            out += [normalized_power(setup, target, probes),
-                    broadside_power_sweep(setup, 100.0, grid)]
-        return out
-
-    @pytest.fixture
-    def fast_switching(self):
-        # switch threads often, so that a block written by two threads or
-        # not at all would show
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            yield
-        finally:
-            sys.setswitchinterval(interval)
-
-    @pytest.mark.parametrize("kind", list(GeometryKind))
-    def test_same_bits_for_every_split(self, kind, monkeypatch, fast_switching):
-        g = build_array(kind, _PATCH_APERTURES[kind] * LAM, LAM)
-        classes = len(g.axial_terms[1])
-        # a broadside grid of at least four blocks of the serial walk
-        grid = np.linspace(60.0, 300.0, 3 * (ambiguity_module._BLOCK_PAIRS
-                                             // classes) + 1)
-        probes = _patch()
-        with monkeypatch.context() as patch:
-            patch.setattr(ambiguity_module, "_WORKERS", 1)
-            serial = self._outputs(g, probes, grid)
-        split = [self._outputs(g, probes, grid)]
-        for name, value in (("_WORKERS", 3), ("_BLOCK_PAIRS", 4099)):
-            with monkeypatch.context() as patch:
-                patch.setattr(ambiguity_module, name, value)
-                split.append(self._outputs(g, probes, grid))
-        for outputs in split:
-            for got, want in zip(outputs, serial):
-                assert np.array_equal(got, want)
-        target = [4.0, -3.0, 100.0]
-        for setup, power, sweep in zip((simo_miso_setup(g), mimo_setup(g)),
-                                       serial[::2], serial[1::2]):
-            for i in np.linspace(0, len(probes) - 1, 16).astype(int):
-                assert normalized_power(setup, target, probes[i]) == power[i]
-            for i in np.linspace(0, grid.size - 1, 16).astype(int):
-                alone = broadside_power_sweep(setup, 100.0, grid[i:i + 1])
-                assert alone[0] == sweep[i]
-
-
 def _bits(a) -> tuple:
     """dtype, shape and bytes of an array: real and imaginary parts and the
     sign of every zero."""
@@ -404,11 +319,104 @@ def _patch_hashes() -> list:
     and setup."""
     out = []
     for kind in GeometryKind:
-        g = build_array(kind, _PATCH_APERTURES[kind] * LAM, LAM)
+        g = _layout(kind)
         for setup in (simo_miso_setup(g), mimo_setup(g)):
             power = normalized_power(setup, [4.0, -3.0, 100.0], _patch())
             out.append(hashlib.sha256(power.tobytes()).hexdigest())
     return out
+
+
+def _points(g) -> dict:
+    """The bit test's (target, probes) on g, in wavelengths: the off-axis
+    patch, a broadside grid of at least three serial blocks and two far
+    lines."""
+    off = np.array([4.0, -3.0, 100.0])
+    rows = 3 * (ambiguity_module._BLOCK_PAIRS // len(g.axial_terms[1]))
+    grid = np.linspace(60.0, 300.0, rows + 1)
+    points = {"patch": (off, _patch()),
+              "axis": (np.array([0.0, 0.0, 100.0]), grid[:, None] * [0, 0, 1])}
+    for name, z in (("far 1e5", 1e5), ("far 1e6", 1e6)):
+        points[name] = off, np.column_stack([np.linspace(-0.3 * z, 0.3 * z, 201),
+                                             np.full(201, 2.5), np.full(201, z)])
+    return points
+
+
+# every exact entry point: (function, setup, points of _points)
+_ENTRIES = [
+    *((array_factor, None, points)
+      for points in ("patch", "axis", "far 1e5", "far 1e6")),
+    *((normalized_power, make, points) for make in (simo_miso_setup, mimo_setup)
+      for points in ("patch", "axis")),
+    *((broadside_power_sweep, make, "axis")
+      for make in (simo_miso_setup, mimo_setup)),
+]
+
+
+@functools.cache
+def _references(kind, reference) -> tuple:
+    """The reference layout of a kind, its points and every entry's result
+    by the broadcast reference, computed once for the rows of that layout
+    (the reference takes about three times the kernel's time)."""
+    ref = reference(kind)
+    points = _points(ref)
+    # the reference divides every point by lambda first, as the kernel
+    # does; at lambda = 0.0123 and 3 a later division would move the last
+    # bits
+    factors = {name: broadcast_array_factor(ref, target * ref.wavelength,
+                                            probes * ref.wavelength)
+               for name, (target, probes) in points.items()}
+    wants = [factors[name] if make is None
+             else broadcast_power(make(ref), factors[name])
+             for _, make, name in _ENTRIES]
+    return ref, points, wants
+
+
+def _call(entry, g, points, i=None):
+    """The entry point's result on g, its points scaled by g's wavelength;
+    for the i-th probe alone if i is given."""
+    function, make, name = entry
+    target, probes = (a * g.wavelength for a in points[name])
+    if i is not None:
+        probes = probes[i]
+    if function is array_factor:
+        return array_factor(g, target, probes)
+    if function is normalized_power:
+        return normalized_power(make(g), target, probes)
+    return broadside_power_sweep(make(g), target[2],
+                                 probes[:, 2] if i is None else [probes[2]])
+
+
+def _row(id, reference=_layout, called=lambda g: g, settings=None,
+         switch=None, alone=False):
+    """A row of the bit test: the layout it calls, made from the reference
+    layout of a kind, under the given settings of nfsense.ambiguity and
+    thread switch interval (s), with every probe in one call or each alone."""
+    return pytest.param(reference, called, settings or {}, switch, alone,
+                        id=id)
+
+
+_ROWS = [
+    _row("default"),
+    _row("one-thread", settings={"_WORKERS": 1}),
+    # threads of a fresh pool switched often, so that a block written by two
+    # threads or not at all would show
+    _row("three-threads", settings={"_WORKERS": 3}, switch=1e-6),
+    _row("small-blocks", settings={"_BLOCK_PAIRS": 4099}),
+    _row("lambda-0.0123", reference=lambda kind: _layout(kind, 0.0123)),
+    _row("lambda-3", reference=lambda kind: _layout(kind, 3.0)),
+    # a power-of-two wavelength scales every point exactly
+    _row("lambda-2**-500", called=lambda g: _layout(g.kind, 2.0 ** -500)),
+    # bare elements get the builder's classes, and so its sums
+    _row("hand-built",
+         called=lambda g: ArrayGeometry(None, g.wavelength, g.elements)),
+    # a float32 wavelength is kept as the double of its value
+    _row("float32-lambda",
+         reference=lambda kind: _layout(kind, float(np.float32(0.0123))),
+         called=lambda g: ArrayGeometry(g.kind, np.float32(0.0123),
+                                        g.elements)),
+    _row("turned", reference=lambda kind: _turned(_layout(kind), 0.4127)),
+    _row("one-point-calls", alone=True),
+]
 
 
 class TestDifferenceProduct:
@@ -473,41 +481,36 @@ class TestDifferenceProduct:
             self._check(pairs[:, 0, 0], p - e)
         self._check_outer(p[:250], e[:400])
 
-    # the reference divides every point by lambda first, as the kernel does;
-    # at lambda = 0.0123 and 3 a later division would move the last bits
-    @pytest.mark.parametrize("split, lam", [
-        (("_WORKERS", 1), 1.0), (None, 1.0), (("_BLOCK_PAIRS", 4099), 1.0),
-        (None, 0.0123), (None, 3.0)],
-        ids=["one-thread", "default", "small-blocks", "lambda-0.0123",
-             "lambda-3"])
+    # every entry point, in every row, gives the bits of the reference: the
+    # kernel's arithmetic with the differences as broadcast subtractions
+    @pytest.mark.parametrize("reference, called, settings, switch, alone",
+                             _ROWS)
     @pytest.mark.parametrize("kind", list(GeometryKind))
-    def test_same_bits_as_broadcast_subtraction(self, kind, split, lam,
-                                                monkeypatch):
-        if split:
-            monkeypatch.setattr(ambiguity_module, *split)
-        g = build_array(kind, _PATCH_APERTURES[kind] * lam, lam)
-        probes = _patch() * lam
-        target = [4.0 * lam, -3.0 * lam, 100.0 * lam]
-        grid = np.linspace(20.0, 300.0, 2001) * lam
-        axis = np.column_stack([np.zeros((grid.size, 2)), grid])
-        on_axis = [0.0, 0.0, 90.0 * lam]
-        assert _bits(array_factor(g, target, probes)) == \
-            _bits(broadcast_array_factor(g, target, probes))
-        assert _bits(array_factor(g, on_axis, axis)) == \
-            _bits(broadcast_array_factor(g, on_axis, axis))
-        for setup in (simo_miso_setup(g), mimo_setup(g)):
-            assert _bits(normalized_power(setup, target, probes)) == \
-                _bits(broadcast_power(setup, target, probes))
-            assert _bits(broadside_power_sweep(setup, on_axis[2], grid)) == \
-                _bits(broadcast_power(setup, on_axis, axis))
-        if kind is GeometryKind.ULA:
-            ula = build_array(kind, 12 * lam, lam)
-            for far in (1e5 * lam, 1e6 * lam):
-                probes = np.column_stack([
-                    np.linspace(-0.3 * far, 0.3 * far, 201),
-                    np.full(201, 2.5 * lam), np.full(201, far)])
-                assert _bits(array_factor(ula, target, probes)) == \
-                    _bits(broadcast_array_factor(ula, target, probes))
+    def test_same_bits_as_broadcast_subtraction(self, kind, reference, called,
+                                                settings, switch, alone,
+                                                monkeypatch, fresh_pool):
+        ref, points, wants = _references(kind, reference)
+        g = called(ref)
+        for name, value in settings.items():
+            monkeypatch.setattr(ambiguity_module, name, value)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(switch or interval)
+        try:
+            for entry, want in zip(_ENTRIES, wants):
+                if not alone:
+                    assert _bits(_call(entry, g, points)) == _bits(want)
+                    continue
+                # a scalar, or a sweep of one distance
+                for i in np.linspace(0, len(want) - 1, 16).astype(int):
+                    got = _call(entry, g, points, i)
+                    assert _bits(got) == _bits(want[i] if np.ndim(got) == 0
+                                               else want[i:i + 1])
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_entries_name_every_entry_point(self):
+        assert {entry[0].__name__ for entry in _ENTRIES} == \
+            {*ambiguity_module.__all__, "broadside_power_sweep"}
 
     def test_single_blas_thread_same_bits(self):
         # each product is at most 2 _BLOCK_PAIRS multiply-adds, so BLAS
@@ -815,14 +818,6 @@ _SCALED_CALLS = {
 class TestScaleInvariance:
     """The physics is scale-free in lambda, and so are the sums: their
     points are divided by lambda before any distance is squared."""
-
-    @pytest.mark.parametrize("call", _SCALED_CALLS.values(),
-                             ids=list(_SCALED_CALLS))
-    @pytest.mark.parametrize("kind", list(GeometryKind))
-    def test_power_of_two_wavelength_same_bits(self, kind, call):
-        lam = 2.0 ** -500
-        assert _bits(call(build_array(kind, 6 * lam, lam), lam)) == \
-            _bits(call(build_array(kind, 6.0, 1.0), 1.0))
 
     @pytest.mark.parametrize("call", _SCALED_CALLS.values(),
                              ids=list(_SCALED_CALLS))

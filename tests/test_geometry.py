@@ -262,16 +262,6 @@ class TestFloatWavelength:
         assert fraunhofer_distance(hand) == fraunhofer_distance(double)
         assert fraunhofer_distance(hand) == 9.840000324249278
 
-    def test_exact_sum_in_double(self):
-        g = build_array(GeometryKind.UPCA, 6 * 0.0123, 0.0123)
-        hand = ArrayGeometry(GeometryKind.UPCA, self.LAM32, g.elements)
-        double = ArrayGeometry(GeometryKind.UPCA, float(self.LAM32), g.elements)
-        target = [0.01, 0.02, 0.5]
-        probes = [[0.0, 0.01, 0.4], [0.03, 0.0, 0.7]]
-        for make in (simo_miso_setup, mimo_setup):
-            assert np.array_equal(normalized_power(make(hand), target, probes),
-                                  normalized_power(make(double), target, probes))
-
 
 def test_hand_built_elements_copied():
     mine = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])

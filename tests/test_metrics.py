@@ -28,57 +28,16 @@ SIMO = ProcessingMode.SIMO_MISO
 MIMO = ProcessingMode.MIMO
 KINDS = list(GeometryKind)
 
-# published half-power arguments and alpha values per layout and mode
-X3DB_PUBLISHED = {
-    (GeometryKind.ULA, SIMO): 1.738, (GeometryKind.ULA, MIMO): 1.242,
-    (GeometryKind.UCA, SIMO): 1.126, (GeometryKind.UCA, MIMO): 0.815,
-    (GeometryKind.URA, SIMO): 1.242, (GeometryKind.URA, MIMO): 0.884,
-    (GeometryKind.UPCA, SIMO): 0.443, (GeometryKind.UPCA, MIMO): 0.319,
-}
-ALPHA_PUBLISHED = {
-    (GeometryKind.ULA, SIMO): 6.952, (GeometryKind.ULA, MIMO): 4.969,
-    (GeometryKind.UCA, SIMO): 5.737, (GeometryKind.UCA, MIMO): 4.148,
-    (GeometryKind.URA, SIMO): 9.937, (GeometryKind.URA, MIMO): 7.068,
-    (GeometryKind.UPCA, SIMO): 7.087, (GeometryKind.UPCA, MIMO): 5.103,
-}
-RATIO_PUBLISHED = {GeometryKind.ULA: 1.399, GeometryKind.UCA: 1.383,
-                   GeometryKind.URA: 1.406, GeometryKind.UPCA: 1.389}
-PSL_PUBLISHED = {
-    (GeometryKind.ULA, SIMO): -8.78, (GeometryKind.ULA, MIMO): -17.57,
-    (GeometryKind.UCA, SIMO): -7.90, (GeometryKind.UCA, MIMO): -15.80,
-    (GeometryKind.URA, SIMO): -17.57, (GeometryKind.URA, MIMO): -35.13,
-    (GeometryKind.UPCA, SIMO): -13.26, (GeometryKind.UPCA, MIMO): -26.52,
-}
+# every (kind, mode) pair
+PAIRS = [(kind, mode) for kind in KINDS for mode in (SIMO, MIMO)]
 
 
 class TestHalfPower:
-    @pytest.mark.parametrize("kind,mode", list(X3DB_PUBLISHED))
-    def test_published_arguments(self, kind, mode):
-        assert half_power_argument(kind, mode) == pytest.approx(
-            X3DB_PUBLISHED[(kind, mode)], abs=1e-3)
-
-    @pytest.mark.parametrize("kind,mode", list(X3DB_PUBLISHED))
-    def test_residual(self, kind, mode):
-        x = half_power_argument(kind, mode)
-        assert abs(normalized_af_power(kind, mode, x) - 0.5) <= 1e-6
-
-    @pytest.mark.parametrize("kind,mode", list(ALPHA_PUBLISHED))
-    def test_published_alpha(self, kind, mode):
-        assert half_power_coefficient(kind, mode) == pytest.approx(
-            ALPHA_PUBLISHED[(kind, mode)], abs=0.005)
-
-    @pytest.mark.parametrize("kind,mode", list(X3DB_PUBLISHED))
+    @pytest.mark.parametrize("kind,mode", PAIRS)
     def test_alpha_identity(self, kind, mode):
         coeff = half_power_coefficient(kind, mode)
         assert abs(coeff * af_argument(kind, 1.0, 1.0)
                    - half_power_argument(kind, mode)) <= 1e-9
-
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_ratio_band(self, kind):
-        ratio = (half_power_coefficient(kind, SIMO)
-                 / half_power_coefficient(kind, MIMO))
-        assert 1.38 <= ratio <= 1.41 < math.sqrt(2.0)
-        assert ratio == pytest.approx(RATIO_PUBLISHED[kind], abs=0.01)
 
 
 class TestHalfPowerDistances:
@@ -276,12 +235,6 @@ class TestMaxRange:
         assert math.isfinite(beamdepth(0.999 * r, 5000.0, 6.952))
         assert math.isinf(beamdepth(r, 5000.0, 6.952))
 
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_mimo_extends_range_by_about_1p4(self, kind):
-        r_simo = max_nearfield_range(5000.0, half_power_coefficient(kind, SIMO))
-        r_mimo = max_nearfield_range(5000.0, half_power_coefficient(kind, MIMO))
-        assert r_mimo / r_simo == pytest.approx(1.4, abs=0.03)
-
     def test_inverse_proportionality(self):
         assert max_nearfield_range(5000.0, 13.904) == pytest.approx(
             max_nearfield_range(5000.0, 6.952) / 2.0)
@@ -307,16 +260,6 @@ class TestMaxRange:
 
 
 class TestSidelobes:
-    @pytest.mark.parametrize("kind,mode", list(PSL_PUBLISHED))
-    def test_published_levels(self, kind, mode):
-        assert peak_sidelobe_level(kind, mode) == pytest.approx(
-            PSL_PUBLISHED[(kind, mode)], abs=0.05)
-
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_db_doubling(self, kind):
-        assert peak_sidelobe_level(kind, MIMO) == pytest.approx(
-             2.0 * peak_sidelobe_level(kind, SIMO), abs=1e-6)
-
     @pytest.mark.parametrize("kind,mode", [
         pytest.param(kind, mode, id=str(kind) + ("-MIMO" if mode is MIMO else ""))
         for mode in (SIMO, MIMO) for kind in KINDS])
@@ -422,12 +365,12 @@ class TestFigureTable:
             monkeypatch.setitem(closed_form._PATTERNS, base, (refuse, curvature))
         assert main(argv) == 0
 
-    @pytest.mark.parametrize("kind,mode", list(X3DB_PUBLISHED))
+    @pytest.mark.parametrize("kind,mode", PAIRS)
     def test_root_matches_reference(self, kind, mode):
         assert half_power_argument(kind, mode) == pytest.approx(
             reference_solvers.half_power_argument(kind, mode), rel=1e-12, abs=0)
 
-    @pytest.mark.parametrize("kind,mode", list(X3DB_PUBLISHED))
+    @pytest.mark.parametrize("kind,mode", PAIRS)
     def test_pattern_is_half_at_root(self, kind, mode):
         x = half_power_argument(kind, mode)
         assert abs(normalized_af_power(kind, mode, x) - 0.5) <= 1e-14
@@ -443,31 +386,6 @@ class TestFigureTable:
 
 class TestQuadraticGainAnalysis:
     """The quadratic mainlobe model's columns of the compute_metrics row."""
-
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_predicted_ratio_is_sqrt2(self, kind):
-        assert compute_metrics(kind).quad_ratio == math.sqrt(2.0)
-
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_true_ratio_band(self, kind):
-        assert 1.38 <= compute_metrics(kind).alpha_ratio <= 1.41
-
-    def test_worst_case_ratio_error(self):
-        worst = max(compute_metrics(k).quad_ratio_rel_error for k in KINDS)
-        assert worst <= 0.0227
-
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_model_arguments_from_curvature(self, kind):
-        qa = compute_metrics(kind)
-        assert qa.x3db_quad_simo == pytest.approx(
-            math.sqrt(2.0) / (2.0 * math.sqrt(qa.curvature)), rel=1e-12)
-        assert qa.x3db_quad_mimo == pytest.approx(
-            1.0 / (2.0 * math.sqrt(qa.curvature)), rel=1e-12)
-        assert qa.x3db_quad_simo / qa.x3db_quad_mimo == pytest.approx(
-            math.sqrt(2.0), rel=1e-12)
-        assert qa.quad_rel_error_simo == pytest.approx(
-            abs(qa.x3db_quad_simo - half_power_argument(kind, SIMO))
-            / half_power_argument(kind, SIMO), rel=1e-9)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_columns_are_their_formulas(self, kind):
