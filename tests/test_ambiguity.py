@@ -350,6 +350,10 @@ _ENTRIES = [
     *((broadside_power_sweep, make, "axis")
       for make in (simo_miso_setup, mimo_setup)),
 ]
+_ENTRY_IDS = ["-".join([function.__name__,
+                        *([make.__name__.removesuffix("_setup")] if make else []),
+                        points.replace(" ", "-")])
+              for function, make, points in _ENTRIES]
 
 
 @functools.cache
@@ -483,28 +487,30 @@ class TestDifferenceProduct:
 
     # every entry point, in every row, gives the bits of the reference: the
     # kernel's arithmetic with the differences as broadcast subtractions
+    @pytest.mark.parametrize("entry", range(len(_ENTRIES)), ids=_ENTRY_IDS)
     @pytest.mark.parametrize("reference, called, settings, switch, alone",
                              _ROWS)
     @pytest.mark.parametrize("kind", list(GeometryKind))
     def test_same_bits_as_broadcast_subtraction(self, kind, reference, called,
-                                                settings, switch, alone,
+                                                settings, switch, alone, entry,
                                                 monkeypatch, fresh_pool):
         ref, points, wants = _references(kind, reference)
+        want = wants[entry]
+        entry = _ENTRIES[entry]
         g = called(ref)
         for name, value in settings.items():
             monkeypatch.setattr(ambiguity_module, name, value)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(switch or interval)
         try:
-            for entry, want in zip(_ENTRIES, wants):
-                if not alone:
-                    assert _bits(_call(entry, g, points)) == _bits(want)
-                    continue
-                # a scalar, or a sweep of one distance
-                for i in np.linspace(0, len(want) - 1, 16).astype(int):
-                    got = _call(entry, g, points, i)
-                    assert _bits(got) == _bits(want[i] if np.ndim(got) == 0
-                                               else want[i:i + 1])
+            if not alone:
+                assert _bits(_call(entry, g, points)) == _bits(want)
+                return
+            # a scalar, or a sweep of one distance
+            for i in np.linspace(0, len(want) - 1, 16).astype(int):
+                got = _call(entry, g, points, i)
+                assert _bits(got) == _bits(want[i] if np.ndim(got) == 0
+                                           else want[i:i + 1])
         finally:
             sys.setswitchinterval(interval)
 
