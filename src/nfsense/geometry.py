@@ -194,7 +194,7 @@ def _real(value, name: str, positive=True, scalar=True):
 def _ula(size, count):
     n = count(np.floor(2.0 * size + _TOL) + 1)
     pos = np.zeros((n, 3))
-    pos[:, 0] = (np.arange(n) - (n - 1) / 2.0) * 0.5
+    pos[:, 0] = np.arange(n) * 0.5
     return pos
 
 
@@ -209,7 +209,7 @@ def _ura(size, count):
     n = float(np.floor(math.sqrt(2.0) * size + _TOL)) + 1
     count(n * n)
     n = int(n)
-    grid = (np.arange(n) - (n - 1) / 2.0) * 0.5
+    grid = np.arange(n) * 0.5
     gx, gy = np.meshgrid(grid, grid, indexing="ij")
     return np.column_stack([gx.ravel(), gy.ravel(), np.zeros(n * n)])
 

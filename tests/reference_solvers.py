@@ -3,7 +3,8 @@
 They find the half-power roots, mainlobe edges and peak sidelobe powers on
 the library's own closed-form pattern, one point per call, as
 nfsense.metrics once did at run time; tests require them to agree with the
-table of figures that nfsense.metrics now holds.
+table of figures that nfsense.metrics now holds.  bisect also locates
+validate's half-power crossings on the exact power.
 """
 
 import math
@@ -55,14 +56,20 @@ def half_power_argument(kind: GeometryKind, mode: ProcessingMode) -> float:
     idx = int(np.argmax(vals < 0.0))
     if idx == 0:
         raise RuntimeError("no half-power bracket found")
-    lo, hi = float(grid[idx - 1]), float(grid[idx])
-    for _ in range(80):
+    return bisect(lambda x: f(x) - level, float(grid[idx - 1]), float(grid[idx]),
+                  1e-12)
+
+
+def bisect(f, lo: float, hi: float, tol: float) -> float:
+    """A root of f between lo and hi, where f changes sign, to within tol."""
+    above = f(lo) > 0.0
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if f(mid) - level > 0.0:
+        if (f(mid) > 0.0) == above:
             lo = mid
         else:
             hi = mid
-        if hi - lo < 1e-12:
+        if abs(hi - lo) < tol:
             break
     return 0.5 * (lo + hi)
 

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import warnings
 from pathlib import Path
 
@@ -162,20 +163,6 @@ class TestNormalizedPower:
         assert np.all(power >= 0.0)
         assert np.all(power <= 1.0 + 1e-9)
 
-    @pytest.mark.parametrize("make_setup", [simo_miso_setup, mimo_setup],
-                             ids=["simo", "mimo"])
-    def test_mimo_is_squared_single_aperture(self, make_setup):
-        # one aperture sum raised to p, bit for bit: the single element of a
-        # SIMO/MISO link adds no rounding
-        g = build_array(GeometryKind.ULA, 12 * LAM, LAM)
-        s = make_setup(g)
-        t = [0.0, 0.0, 60.0]
-        probes = np.random.default_rng(5).uniform([-20, -20, 30], [20, 20, 120],
-                                                  (50, 3))
-        expected = (abs(array_factor(g, t, probes)) ** 2 / g.n_elements) \
-            ** s.mode.power_exponent
-        assert np.array_equal(normalized_power(s, t, probes), expected)
-
     def test_mimo_low_at_first_fresnel_minimum(self):
         # x = 4 sits at the first minimum of the ULA closed form; the
         # direct sum there is small but not exactly zero
@@ -284,7 +271,7 @@ class TestOnAxis:
         # axis, sums every element; an empty batch sums nothing
         g = build_array(kind, 12 * LAM, LAM)
         on = [[0.0, 0.0, 30.0], [0.0, 0.0, 40.0]]
-        for target, probes in (([0.0, 1e-9, 40.0], on),
+        for target, probes in (([0.0, 1e-9, 40.0], on), ([1e-9, 0.0, 40.0], on),
                                ([0.0, 0.0, 40.0], on + [[1e-9, 0.0, 50.0]]),
                                ([0.0, 0.0, 40.0], np.empty((0, 3)))):
             normalized_power(mimo_setup(g), target, probes)
@@ -556,9 +543,16 @@ class TestThreads:
         monkeypatch.setattr(threading.Thread, "start", counting)
         return seen
 
-    def test_small_call_starts_no_thread(self, started):
-        g = build_array(GeometryKind.UPCA, 12 * LAM, LAM)
-        normalized_power(simo_miso_setup(g), [4.0, -3.0, 100.0], [0.0, 5.0, 80.0])
+    # ten probes of 503 elements, and exactly _BLOCK_PAIRS pairs: two blocks
+    # each if the call were split, which would start the fresh pool's thread
+    @pytest.mark.parametrize("kind, aperture, probes", [
+        (GeometryKind.UPCA, 12.0, 10), (GeometryKind.ULA, 63.5, 512)])
+    def test_small_call_starts_no_thread(self, started, fresh_pool, kind,
+                                         aperture, probes):
+        g = build_array(kind, aperture * LAM, LAM)
+        assert g.n_elements * probes <= ambiguity_module._BLOCK_PAIRS
+        normalized_power(simo_miso_setup(g), [4.0, -3.0, 100.0],
+                         _patch()[:probes])
         assert started == []
 
     @pytest.mark.parametrize("workers", [2, 5])
@@ -626,6 +620,31 @@ class TestThreads:
                 normalized_power(simo_miso_setup(g), [4.0, -3.0, 100.0], probes)
             # one product per coordinate of each block run
             assert 1 <= len(products) // 3 < blocks // 10
+
+    def test_failing_call_waits_for_every_share(self, fresh_pool, monkeypatch):
+        # every block holds a probe on an element; the calling thread fails
+        # on its first block while the pool's thread is inside its own, and
+        # raises only once that block is done
+        monkeypatch.setattr(ambiguity_module, "_WORKERS", 2)
+        g = build_array(GeometryKind.UPCA, 12 * LAM, LAM)
+        probes = np.tile(_patch(), (10, 1))
+        probes[::100] = g.elements[5]
+        matmul, entered, inside = np.matmul, threading.Event(), []
+
+        def product(*args, **kwargs):
+            if threading.current_thread() is threading.main_thread():
+                entered.wait(timeout=60)
+            else:
+                inside.append(None)
+                entered.set()
+                time.sleep(0.05)
+                inside.pop()
+            return matmul(*args, **kwargs)
+
+        monkeypatch.setattr(ambiguity_module.np, "matmul", product)
+        with pytest.raises(ValueError, match="coincides"):
+            normalized_power(simo_miso_setup(g), [4.0, -3.0, 100.0], probes)
+        assert entered.is_set() and inside == []
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork")
     def test_forked_child_makes_its_own_pool(self, fresh_pool, monkeypatch):
@@ -802,40 +821,26 @@ class TestFarPoints:
         assert _bits(normalized_power(setup, target, probes)) == serial
 
 
-# every exact entry point and both setups on a layout, target and probes
-# scaled by lam: on and off the axis, every sum is in wavelengths
-_SCALED_CALLS = {
-    "broadside_power_sweep simo": lambda g, lam: broadside_power_sweep(
-        simo_miso_setup(g), 50 * lam, np.linspace(30.0, 90.0, 61) * lam),
-    "broadside_power_sweep mimo": lambda g, lam: broadside_power_sweep(
-        mimo_setup(g), 50 * lam, np.linspace(30.0, 90.0, 61) * lam),
-    "normalized_power simo": lambda g, lam: normalized_power(
-        simo_miso_setup(g), [4 * lam, -3 * lam, 100 * lam], _patch() * lam),
-    "normalized_power mimo": lambda g, lam: normalized_power(
-        mimo_setup(g), [4 * lam, -3 * lam, 100 * lam], _patch() * lam),
-    "array_factor": lambda g, lam: array_factor(
-        g, [4 * lam, -3 * lam, 100 * lam], _patch() * lam),
-    "array_factor on axis": lambda g, lam: array_factor(
-        g, [0.0, 0.0, 50 * lam], np.linspace(30.0, 90.0, 61)[:, None]
-        * [0.0, 0.0, lam]),
-}
-
-
 class TestScaleInvariance:
     """The physics is scale-free in lambda, and so are the sums: their
     points are divided by lambda before any distance is squared."""
 
-    @pytest.mark.parametrize("call", _SCALED_CALLS.values(),
-                             ids=list(_SCALED_CALLS))
+    # every entry on the patch and the axis; the far lines' 1e6 lambda
+    # distances round by ~2e-10 cycles, past this test's bound
+    @pytest.mark.parametrize("entry", [
+        pytest.param(i, id=name) for i, name in enumerate(_ENTRY_IDS)
+        if _ENTRIES[i][2] in ("patch", "axis")])
     @pytest.mark.parametrize("lam", [1e-163, 1e-148, 0.0123, 1e100])
-    def test_any_wavelength_within_rounding(self, lam, call):
+    def test_any_wavelength_within_rounding(self, lam, entry):
         # distances below sqrt(tiny) ~ 1.5e-154 m at 1e-163 and 1e-148; a
-        # scaled point is rounded twice, by about eps 150 lambda, so a phase
-        # moves by up to ~4e-13 rad: 1e-12 of the peak, 1 or sqrt(M)
+        # scaled point is rounded twice, by about eps 300 lambda, so a phase
+        # moves by up to ~8e-13 rad: 1e-12 of the peak, 1 or sqrt(M)
         g = build_array(GeometryKind.ULA, 6.0, 1.0)
-        exact = call(g, 1.0)
+        points = _points(g)
+        exact = _call(_ENTRIES[entry], g, points)
         peak = math.sqrt(g.n_elements) if np.iscomplexobj(exact) else 1.0
-        scaled = call(build_array(GeometryKind.ULA, 6 * lam, lam), lam)
+        scaled = _call(_ENTRIES[entry],
+                       build_array(GeometryKind.ULA, 6 * lam, lam), points)
         assert np.abs(scaled - exact).max() <= 1e-12 * peak
 
     @pytest.mark.parametrize("lam", [2.0 ** -500, 1e-163, 1e-148, 0.0123,
@@ -843,7 +848,14 @@ class TestScaleInvariance:
     def test_point_on_an_element(self, lam):
         # 1e-6 lambda is the least distance from an element at any lambda
         g = build_array(GeometryKind.ULA, 6 * lam, lam)
+        setup = simo_miso_setup(g)
         for target, probe in ((g.elements[3], [0.0, 0.0, 60 * lam]),
                               ([0.0, 0.0, 50 * lam], g.elements[3])):
             with pytest.raises(ValueError, match="coincides"):
-                normalized_power(simo_miso_setup(g), target, probe)
+                normalized_power(setup, target, probe)
+        if math.frexp(lam)[0] == 0.5:
+            # exactly 1e-6 lambda away, which a power-of-two lambda keeps
+            near = g.elements[3] + [0.0, 0.0, 1e-6 * lam]
+            for target, probe in ((near, [0.0, 0.0, 60 * lam]),
+                                  ([0.0, 0.0, 50 * lam], near)):
+                assert 0.0 <= normalized_power(setup, target, probe) <= 1.0

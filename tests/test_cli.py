@@ -1,14 +1,24 @@
 import argparse
 import json
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from nfsense import cli
+from nfsense.ambiguity import broadside_power_sweep
 from nfsense.cli import main
+from nfsense.closed_form import (af_argument, normalized_af_power,
+                                 vergence_difference)
+from nfsense.geometry import (GeometryKind, ProcessingMode, build_array,
+                              simo_miso_setup)
 
+import reference_solvers
 import reference_writer
 
 HALF_POWER_DB = 10.0 * math.log10(0.5)
@@ -53,12 +63,6 @@ class TestTables:
         _, rows = read_csv(out)
         assert len(rows) == 1
         assert float(rows[0]["psl_simo_db"]) == pytest.approx(-7.90, abs=0.05)
-
-    def test_empty_kind_usage_error(self, tmp_path):
-        assert main(["tables", "--kind", "", "--out", str(tmp_path / "x.csv")]) == 1
-
-    def test_unknown_kind_usage_error(self):
-        assert main(["tables", "--kind", "nope"]) == 1
 
     def test_json_format(self, tmp_path):
         out = tmp_path / "tables.json"
@@ -121,7 +125,6 @@ class TestAfCurve:
                 assert m == pytest.approx(2.0 * s, abs=1e-9)
 
     def test_crossings_match_half_power_distances(self, tmp_path):
-        from nfsense.geometry import GeometryKind, ProcessingMode
         from nfsense.metrics import half_power_coefficient, half_power_distances
         _, rows = self.run_curve(tmp_path)
         simo = [(float(r["distance_m"]), float(r["power_db"]))
@@ -158,11 +161,6 @@ class TestAfCurve:
                             lambda *args: calls.append(args) or vergence(*args))
         assert main(["af-curve", "--sweep", "50:400:11"]) == 0
         assert len(calls) == 1
-
-    def test_bad_sweep_usage_error(self):
-        assert main(["af-curve", "--sweep", "400:50:100"]) == 1
-        assert main(["af-curve", "--sweep", "50:400:1"]) == 1
-        assert main(["af-curve", "--sweep", "garbage"]) == 1
 
     @pytest.mark.parametrize("argv", [
         "af-curve --kind ula --mode simo --aperture-lambda 5e153 "
@@ -297,11 +295,49 @@ class TestValidate:
         assert math.isfinite(row["crossing_high_rel_err"])
         assert row["status"] == "fail"
 
-    def test_degenerate_configuration_fails(self, tmp_path):
-        rc = main(["validate", "--kind", "ula", "--aperture-lambda", "0.5",
-                   "--target-lambda", "0.6", "--sweep", "0:0:201",
-                   "--out", str(tmp_path / "v.csv")])
-        assert rc == 2
+    # two rises below the target, and a power just above 1/2, which no grid
+    # of validate's produced; on a hand-made grid of 1 .. 5, target at 5
+    @pytest.mark.parametrize("power, want", [
+        ([0.2, 0.6, 0.3, 0.7, 1.0], 3.5),  # the rise next to the target
+        ([0.2, 0.5 + 1e-8, 0.9, 0.95, 1.0], 1.0 + 0.3 / (0.3 + 1e-8))])
+    def test_crossing_next_to_the_target(self, power, want):
+        crossing = cli._crossing(np.arange(1.0, 6.0), np.array(power), 5.0,
+                                 upper=False)
+        assert crossing == pytest.approx(want, rel=1e-12)
+
+    def test_numbers_match_an_independent_oracle(self, capsys):
+        # each crossing bisected on the exact power (validate interpolates
+        # on its wide grid, here within 2e-7 of it), and the largest
+        # relative error recomputed on validate's grid of 201 points
+        assert main(["validate", "--sweep", "0:0:201", "--format", "json"]) == 2
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert len(rows) == 8
+        for row in rows:
+            kind, mode = GeometryKind[row["kind"]], ProcessingMode[row["mode"]]
+            g = build_array(kind, 50.0, 1.0)
+            setup, p = simo_miso_setup(g), mode.power_exponent
+            low, high = row["d3db_low_m"], row["d3db_high_m"]
+
+            def excess(d):
+                return broadside_power_sweep(setup, 100.0, d) ** p - 0.5
+
+            for side, scan in (("low", np.linspace(0.85 * low, 100.0, 2001)),
+                               ("high", np.linspace(100.0, 1.15 * high, 2001))):
+                below = excess(scan) < 0.0
+                # the crossing adjacent to the target
+                i = (np.flatnonzero(below[:-1])[-1] if side == "low"
+                     else np.flatnonzero(below[1:])[0])
+                edge = low if side == "low" else high
+                crossing = reference_solvers.bisect(
+                    lambda d: excess([d])[0], scan[i], scan[i + 1], 1e-9 * edge)
+                assert row[f"crossing_{side}_rel_err"] == pytest.approx(
+                    abs(crossing - edge) / edge, abs=1e-6)
+            grid = np.linspace(low, high, 201)
+            exact = excess(grid) + 0.5
+            closed = normalized_af_power(kind, mode, af_argument(
+                kind, row["fraunhofer_m"], vergence_difference(100.0, grid)))
+            assert row["max_rel_error"] == pytest.approx(
+                (abs(exact - closed) / closed).max(), rel=1e-12)
 
 
 class TestDumpGeometry:
@@ -316,12 +352,7 @@ class TestDumpGeometry:
         steps = np.diff(sorted(xs))
         assert np.allclose(steps, 0.5, atol=1e-12)
 
-    def test_requires_single_kind(self, tmp_path):
-        assert main(["dump-geometry", "--kind", "ula,uca",
-                     "--out", str(tmp_path / "geo.csv")]) == 1
-
     def test_json_rows_match_builder(self, tmp_path):
-        from nfsense.geometry import GeometryKind, build_array
         out = tmp_path / "geo.json"
         assert main(["dump-geometry", "--kind", "upca", "--aperture-lambda", "6",
                      "--format", "json", "--out", str(out)]) == 0
@@ -502,113 +533,218 @@ _EXTREME_WAVELENGTHS = {
 }
 
 
+def _error(message):
+    return 1, "", f"nfsense: error: {message}\n"
+
+
+def _out_of_range(length):
+    return _error(f"2 D^2 / lambda for D = {length} m is out of floating-point "
+                  "range")
+
+
+_TWO_ULA_ELEMENTS = "index,x,y,z\n0,-0.25,0,0\n1,0.25,0,0\n"
+
+_VALIDATE_HEAD = (
+    "# tool = nfsense\n# version = 0.1.0\n# command = validate\n"
+    "# lambda_m = 1\n# aperture_lambda = {}\n# target_lambda = {}\n"
+    "# deviation_threshold = 0.02\n# crossing_threshold = 0.03\n"
+    "kind,mode,elements,aperture_m,fraunhofer_m,d3db_low_m,d3db_high_m,"
+    "max_peak_deviation,max_rel_error,crossing_low_rel_err,"
+    "crossing_high_rel_err,status\n")
+
+# command line -> (exit code, stdout, stderr), each in full; "nfsense" runs
+# main in this process, "python -m nfsense.cli" a fresh interpreter, and
+# {tmp} is the test's temporary directory
+EXITS = {
+    "python -m nfsense.cli --kind nope tables": _error(
+        "argument --kind: unknown kind 'nope' (choose from ula, uca, ura, upca)"),
+    "nfsense": _error("a command is required (see --help)"),
+    "nfsense tables --kind nope": _error(
+        "argument --kind: unknown kind 'nope' (choose from ula, uca, ura, upca)"),
+    "nfsense tables --kind , --out {tmp}/x.csv": _error(
+        "argument --kind: at least one geometry kind is required"),
+    "nfsense tables --format xml": _error(
+        "argument --format: unknown format 'xml' (choose csv or json)"),
+    "nfsense dump-geometry --kind ula --format xml": _error(
+        "argument --format: unknown format 'xml' (choose csv or json)"),
+    "nfsense af-curve --aperture-lambda -5": _error(
+        "argument --aperture-lambda: must be positive and finite, got -5.0"),
+    "nfsense af-curve --aperture-lambda 0": _error(
+        "argument --aperture-lambda: must be positive and finite, got 0.0"),
+    "nfsense af-curve --aperture-lambda inf": _error(
+        "argument --aperture-lambda: must be positive and finite, got inf"),
+    "nfsense dump-geometry --kind ula --aperture-lambda inf": _error(
+        "argument --aperture-lambda: must be positive and finite, got inf"),
+    "nfsense af-curve --wavelength abc": _error(
+        "argument --wavelength: must be a number, got 'abc'"),
+    # --sweep: the message README quotes, then each rule in turn
+    "nfsense af-curve --sweep 1:inf:3": _error(
+        "argument --sweep: sweep ends must be finite, got '1:inf:3'"),
+    "nfsense af-curve --sweep garbage": _error(
+        "argument --sweep: sweep must be start:stop:points, got 'garbage'"),
+    "nfsense af-curve --sweep 1:2": _error(
+        "argument --sweep: sweep must be start:stop:points, got '1:2'"),
+    "nfsense af-curve --sweep a:b:3": _error(
+        "argument --sweep: bad sweep value 'a:b:3'"),
+    "nfsense af-curve --sweep 400:50:100": _error(
+        "argument --sweep: sweep start must be below stop"),
+    "nfsense af-curve --sweep 1:1:3": _error(
+        "argument --sweep: sweep start must be below stop"),
+    "nfsense af-curve --sweep 50:400:1": _error(
+        "argument --sweep: sweep needs 2 to 100000 points, got 1"),
+    "nfsense af-curve --sweep 0:1:10000000000": _error(
+        "argument --sweep: sweep needs 2 to 100000 points, got 10000000000"),
+    "nfsense validate --sweep 0:0:100001": _error(
+        "argument --sweep: sweep needs 2 to 100000 points, got 100001"),
+    "nfsense dump-geometry --kind ula --aperture-lambda 0.5 --sweep 0:0:2":
+        (0, _TWO_ULA_ELEMENTS, ""),
+    "nfsense dump-geometry --kind ula --aperture-lambda 0.5 --sweep 0:0:100000":
+        (0, _TWO_ULA_ELEMENTS, ""),
+    # a kind named twice is one kind
+    "nfsense dump-geometry --kind ula,ULA --aperture-lambda 0.5":
+        (0, _TWO_ULA_ELEMENTS, ""),
+    "nfsense dump-geometry --kind ula,uca": _error(
+        "dump-geometry takes exactly one kind"),
+    # lengths in meters are checked where the library takes them
+    "nfsense dump-geometry --kind ula --aperture-lambda 0.3": _error(
+        "ULA aperture must be >= lambda/2, got 0.3"),
+    "nfsense dump-geometry --kind ura --aperture-lambda 1e200": _error(
+        "URA with D = 1e+200 m at lambda = 1 m exceeds 1000000 elements"),
+    "nfsense dump-geometry --kind upca --aperture-lambda 1e200": _error(
+        "UPCA with D = 1e+200 m at lambda = 1 m exceeds 1000000 elements"),
+    "nfsense af-curve --sweep 1e-320:1:3": _error(
+        "distances are too small: a reciprocal overflows"),
+    "nfsense af-curve --sweep 0:1:3": _error(
+        "sweep_start_m must be finite and positive (a real scalar), got 0.0"),
+    "nfsense af-curve --wavelength 10 --sweep 1:1e308:2": _error(
+        "sweep_stop_m must be finite and positive (a real scalar), got inf"),
+    "nfsense af-curve --aperture-lambda 1e200": _out_of_range("1e+200"),
+    "nfsense beamdepth-sweep --aperture-lambda 1e200": _out_of_range("1e+200"),
+    "nfsense validate --kind ula --aperture-lambda 10 --wavelength 1e199":
+        _out_of_range("1e+200"),
+    "nfsense validate --kind uca --aperture-lambda 3 --wavelength 1e300":
+        _out_of_range("3e+300"),
+    "nfsense validate --kind upca --aperture-lambda 1 --wavelength 1.7e308":
+        _out_of_range("1.7e+308"),
+    "nfsense validate --kind ula --aperture-lambda 1e5 --wavelength 1e300 "
+    "--target-lambda 1e150": _out_of_range("1e+305"),
+    # an aperture whose square, or whose d_FA, falls below the normal floats
+    "nfsense af-curve --kind ula --wavelength 1e-320":
+        _out_of_range("4.99994e-319"),
+    "nfsense validate --kind ula --wavelength 1e-320":
+        _out_of_range("4.99994e-319"),
+    "nfsense af-curve --wavelength 1e-163": _out_of_range("5e-162"),
+    "nfsense validate --kind ula --mode simo --wavelength 1e-163":
+        _out_of_range("5e-162"),
+    "nfsense beamdepth-sweep --wavelength 1e-163": _out_of_range("5e-162"),
+    "nfsense validate --kind ula --wavelength 1e-156": _out_of_range("5e-155"),
+    "nfsense af-curve --kind ula --mode simo --aperture-lambda 1.5e-157 "
+    "--wavelength 1e3 --sweep 10:20:2": _out_of_range("1.5e-154"),
+    "nfsense beamdepth-sweep --kind ula --mode simo --aperture-lambda 1.5e-154 "
+    "--sweep 10:20:2": _error(
+        "maximum near-field range with d_FA = 4.5e-308 m is out of "
+        "floating-point range"),
+    # an aperture in meters out of the float range is named as one
+    "nfsense af-curve --aperture-lambda 1.7e308 --wavelength 10": _error(
+        "aperture must be finite and positive (a real scalar), got inf"),
+    "nfsense beamdepth-sweep --aperture-lambda 1e-320 --wavelength 1e-5": _error(
+        "aperture must be finite and positive (a real scalar), got 0.0"),
+    "nfsense validate --kind ula --target-lambda 1e300 --wavelength 1e10": _error(
+        "d_target must be finite and positive (a real scalar), got inf"),
+    "nfsense af-curve --target-lambda 1e300 --wavelength 1e10": _error(
+        "d_target must be finite and positive"),
+    "nfsense validate --kind ula --target-lambda 1e-300": _error(
+        "point coincides with an array element"),
+    "nfsense af-curve --kind ula --mode simo --aperture-lambda 5e153 "
+    "--sweep 0.0001:0.1:2": _error(
+        "closed-form argument overflows: d_FA * d_ver is too large"),
+    # half-power distances whose product d_FA d' overflows, with the target
+    # well inside d_FA/alpha; a target whose reciprocal would overflow,
+    # below the normal floats with d_FA d' (the UCA has no element at the
+    # origin)
+    "nfsense validate --kind ula --wavelength 1e152": _error(
+        "half-power distances at d' = 1e+154 m with d_FA = 5e+155 m are out "
+        "of floating-point range"),
+    "nfsense validate --kind uca --mode simo --aperture-lambda 3 "
+    "--target-lambda 1e-320 --wavelength 1e3 --sweep 0:0:201": _error(
+        "half-power distances at d' = 9.99989e-318 m with d_FA = 18000 m are "
+        "out of floating-point range"),
+    # a beamdepth whose formula overflows or underflows
+    "nfsense beamdepth-sweep --aperture-lambda 5e153 --sweep 1:1e300:3": _error(
+        "beamdepth at d' = 1 m with d_FA = 5e+307 m is out of floating-point "
+        "range"),
+    "nfsense beamdepth-sweep --aperture-lambda 1e-100 --sweep 1e-300:1e300:3":
+        _error("beamdepth at d' = 1e-300 m with d_FA = 2e-200 m is out of "
+               "floating-point range"),
+    "nfsense beamdepth-sweep --aperture-lambda 7e74 --sweep 1e99:1e100:3":
+        _error("beamdepth at d' = 1e+99 m with d_FA = 9.8e+149 m is out of "
+               "floating-point range"),
+    "nfsense beamdepth-sweep --kind ula --mode simo --wavelength 1e-110 "
+    "--sweep 10:1200:3": _error(
+        "beamdepth at d' = 1e-109 m with d_FA = 5e-107 m is out of "
+        "floating-point range"),
+    "nfsense beamdepth-sweep --kind ula --mode simo --wavelength 1e-120 "
+    "--sweep 10:1200:3": _error(
+        "beamdepth at d' = 1e-119 m with d_FA = 5e-117 m is out of "
+        "floating-point range"),
+    # the closed-form metadata and curve, at a grid that holds the target
+    "nfsense af-curve --kind upca --aperture-lambda 2 --target-lambda 4 "
+    "--sweep 3:5:3": (0, (
+        "# tool = nfsense\n# version = 0.1.0\n# command = af-curve\n"
+        "# lambda_m = 1\n# aperture_m = 2\n# target_m = 4\n"
+        "# fraunhofer_m = 8\n# db_floor = -60\n"
+        "# alpha[UPCA,SIMO_MISO] = 7.08714353103\n"
+        "# alpha[UPCA,MIMO] = 5.10266717896\n"
+        "kind,mode,distance_m,power_db\n"
+        "UPCA,SIMO_MISO,3,-0.024819245129\nUPCA,SIMO_MISO,4,0\n"
+        "UPCA,SIMO_MISO,5,-0.00893165919466\n"
+        "UPCA,MIMO,3,-0.049638490258\nUPCA,MIMO,4,0\n"
+        "UPCA,MIMO,5,-0.0178633183893\n"), ""),
+    # validate at its 201-point floor: a pass just inside the 0.02 gate,
+    # a fail on a missing crossing (exit 2), and a target with no finite
+    # mainlobe
+    "nfsense validate --kind uca --aperture-lambda 10 --target-lambda 20 "
+    "--sweep 0:0:2": (0, _VALIDATE_HEAD.format(10, 20) + (
+        "UCA,SIMO_MISO,63,10,200,12.7092854191,46.9101015691,0.0196423712889,"
+        "0.0392847425778,0.00917410420474,0.00901752716243,pass\n"
+        "UCA,MIMO,63,10,200,14.1360272141,34.1777906249,0.0166940691294,"
+        "0.0333881382588,0.00661681220175,0.00653671501474,pass\n"), (
+        "validate UCA  SIMO_MISO peak-deviation 0.0196 crossings "
+        "0.0092/0.0090 pass\n"
+        "validate UCA  MIMO      peak-deviation 0.0167 crossings "
+        "0.0066/0.0065 pass\n")),
+    "nfsense validate --kind ula --mode simo --aperture-lambda 3 "
+    "--target-lambda 2 --sweep 0:0:2": (2, _VALIDATE_HEAD.format(3, 2) + (
+        "ULA,SIMO_MISO,7,3,18,1.12839273508,8.78860267562,0.20283351479,"
+        "0.40566702958,inf,0.237054215953,fail\n"), (
+        "validate ULA  SIMO_MISO peak-deviation 0.2028 crossings "
+        "inf/0.2371 fail\n"
+        "nfsense: validation failed: 1 of 1 series exceeded thresholds\n")),
+    "nfsense validate --kind ula --aperture-lambda 0.5 --target-lambda 0.6 "
+    "--sweep 0:0:201 --out {tmp}/v.csv": (2, "", (
+        "nfsense: validation failed: ULA: target beyond the maximum "
+        "near-field range; no finite mainlobe to validate\n")),
+    "nfsense tables --out {tmp}/no/dir/t.csv": (3, "", (
+        "nfsense: cannot write output '{tmp}/no/dir/t.csv': [Errno 2] No such "
+        "file or directory: '{tmp}/no/dir/t.csv'\n")),
+}
+
+
 class TestExitCodes:
-    def test_unwritable_output(self, tmp_path):
-        rc = main(["tables", "--out", str(tmp_path / "no" / "dir" / "t.csv")])
-        assert rc == 3
-
-    @pytest.mark.parametrize("argv", [
-        "",  # no command
-        "tables --format xml",
-        "af-curve --aperture-lambda -5",
-        "dump-geometry --kind ula --aperture-lambda inf",
-        "af-curve --sweep 1:inf:3",
-        "af-curve --aperture-lambda inf",
-        "af-curve --kind ula --wavelength 1e-320",
-        "validate --kind ula --wavelength 1e-320",
-        "dump-geometry --kind ura --aperture-lambda 1e200",
-        "dump-geometry --kind ula --aperture-lambda 0.3",
-        "dump-geometry --kind ula --format xml",
-        "validate --kind ula --target-lambda 1e-300",
-        # limits, rejected while parsing or before any allocation
-        "af-curve --sweep 0:1:10000000000",
-        "validate --sweep 0:0:100001",
-        "dump-geometry --kind upca --aperture-lambda 1e200",
-        # a layout that builds, with a d_FA that overflows
-        "validate --kind uca --aperture-lambda 3 --wavelength 1e300",
-        "validate --kind upca --aperture-lambda 1 --wavelength 1.7e308",
-        "validate --kind ula --aperture-lambda 1e5 --wavelength 1e300 "
-        "--target-lambda 1e150",
-        # half-power distances whose product d_FA d' overflows, with the
-        # target well inside d_FA/alpha
-        "validate --kind ula --wavelength 1e152",
-        # an aperture whose square falls below the smallest normal float
-        "validate --kind ula --mode simo --wavelength 1e-163",
-        "beamdepth-sweep --wavelength 1e-163",
-        "validate --kind ula --wavelength 1e-156",
-        # a beamdepth whose formula overflows or underflows
-        "beamdepth-sweep --aperture-lambda 5e153 --sweep 1:1e300:3",
-        "beamdepth-sweep --aperture-lambda 1e-100 --sweep 1e-300:1e300:3",
-        "beamdepth-sweep --aperture-lambda 7e74 --sweep 1e99:1e100:3",
-        "beamdepth-sweep --kind ula --mode simo --wavelength 1e-110 "
-        "--sweep 10:1200:3",
-    ])
-    def test_bad_input_one_line(self, capsys, argv):
-        assert main(argv.split()) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert len(captured.err.splitlines()) == 1
-        assert captured.err.startswith("nfsense: error: ")
-
-    @pytest.mark.parametrize("argv, message", [
-        ("af-curve --sweep 1e-320:1:3",
-         "distances are too small: a reciprocal overflows"),
-        ("af-curve --aperture-lambda 1e200",
-         "2 D^2 / lambda for D = 1e+200 m is out of floating-point range"),
-        ("beamdepth-sweep --aperture-lambda 1e200",
-         "2 D^2 / lambda for D = 1e+200 m is out of floating-point range"),
-        ("validate --kind ula --aperture-lambda 10 --wavelength 1e199",
-         "2 D^2 / lambda for D = 1e+200 m is out of floating-point range"),
-        ("validate --kind ula --target-lambda 1e300 --wavelength 1e10",
-         "d_target must be finite and positive (a real scalar), got inf"),
-        ("af-curve --target-lambda 1e300 --wavelength 1e10",
-         "d_target must be finite and positive"),
-        ("af-curve --sweep 0:1:3",
-         "sweep_start_m must be finite and positive (a real scalar), got 0.0"),
-        ("af-curve --kind ula --mode simo --aperture-lambda 5e153 "
-         "--sweep 0.0001:0.1:2",
-         "closed-form argument overflows: d_FA * d_ver is too large"),
-        # a target whose reciprocal would overflow, below the normal floats
-        # with d_FA d' (the UCA has no element at the origin)
-        ("validate --kind uca --mode simo --aperture-lambda 3 "
-         "--target-lambda 1e-320 --wavelength 1e3 --sweep 0:0:201",
-         "half-power distances at d' = 9.99989e-318 m with d_FA = 18000 m "
-         "are out of floating-point range"),
-        ("af-curve --wavelength 1e-163",
-         "2 D^2 / lambda for D = 5e-162 m is out of floating-point range"),
-        # a normal D^2 and a subnormal d_FA
-        ("af-curve --kind ula --mode simo --aperture-lambda 1.5e-157 "
-         "--wavelength 1e3 --sweep 10:20:2",
-         "2 D^2 / lambda for D = 1.5e-154 m is out of floating-point range"),
-        # a normal d_FA and a subnormal d_FA / alpha
-        ("beamdepth-sweep --kind ula --mode simo --aperture-lambda 1.5e-154 "
-         "--sweep 10:20:2",
-         "maximum near-field range with d_FA = 4.5e-308 m is out of "
-         "floating-point range"),
-        ("beamdepth-sweep --kind ula --mode simo --wavelength 1e-120 "
-         "--sweep 10:1200:3",
-         "beamdepth at d' = 1e-119 m with d_FA = 5e-117 m is out of "
-         "floating-point range"),
-        # an aperture in meters out of the float range is named as one
-        ("af-curve --aperture-lambda 1.7e308 --wavelength 10",
-         "aperture must be finite and positive (a real scalar), got inf"),
-        ("beamdepth-sweep --aperture-lambda 1e-320 --wavelength 1e-5",
-         "aperture must be finite and positive (a real scalar), got 0.0"),
-    ])
-    def test_library_names_the_bad_length(self, capsys, argv, message):
-        # lengths in meters are checked where the library takes them
-        assert main(argv.split()) == 1
-        assert capsys.readouterr() == ("", f"nfsense: error: {message}\n")
-
-    @pytest.mark.parametrize("argv, message", [
-        ("af-curve --sweep a:b:3", "argument --sweep: bad sweep value 'a:b:3'"),
-        ("af-curve --wavelength abc",
-         "argument --wavelength: must be a number, got 'abc'"),
-    ])
-    def test_not_a_number_named(self, capsys, argv, message):
-        assert main(argv.split()) == 1
-        captured = capsys.readouterr()
-        assert (captured.out, captured.err) == ("", f"nfsense: error: {message}\n")
+    @pytest.mark.parametrize("line, want", EXITS.items(), ids=list(EXITS))
+    def test_exact_output(self, capsys, tmp_path, line, want):
+        code, out, err = want
+        line, out, err = (text.replace("{tmp}", str(tmp_path))
+                          for text in (line, out, err))
+        argv = line.split()
+        if argv[0] == "nfsense":
+            got = main(argv[1:]), *capsys.readouterr()
+        else:
+            src = str(Path(cli.__file__).resolve().parents[1])
+            done = subprocess.run([sys.executable, *argv[1:]], capture_output=True,
+                                  text=True, env={**os.environ, "PYTHONPATH": src})
+            got = done.returncode, done.stdout, done.stderr
+        assert got == (code, out, err)
 
     @pytest.mark.parametrize("argv, count", _EXTREME_WAVELENGTHS.items())
     def test_extreme_wavelength_layout_written(self, capsys, argv, count):

@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -13,6 +14,12 @@ from nfsense.metrics import compute_metrics, half_power_argument, mainlobe_edge
 KINDS = list(GeometryKind)
 SIMO = ProcessingMode.SIMO_MISO
 MIMO = ProcessingMode.MIMO
+
+
+def _mp_fresnel_power(x):
+    """(C^2 + S^2)(sqrt x) / x in mpmath, the ULA's base pattern."""
+    u = mpmath.sqrt(x)
+    return (mpmath.fresnelc(u) ** 2 + mpmath.fresnels(u) ** 2) / x
 
 
 class TestVergence:
@@ -171,25 +178,19 @@ class TestNormalizedPower:
 
 
 class TestQuadraticCoefficient:
-    def test_uca_series_value(self):
-        # J0(x)^2 = 1 - x^2/2 + O(x^4)
-        assert quadratic_mainlobe_coefficient(GeometryKind.UCA) == pytest.approx(
-            0.5, abs=1e-7)
-
-    def test_upca_series_value(self):
-        # sinc(x)^2 = 1 - (pi x)^2/3 + O(x^4)
-        assert quadratic_mainlobe_coefficient(GeometryKind.UPCA) == pytest.approx(
-            math.pi ** 2 / 3.0, abs=1e-6)
-
-    def test_ura_doubles_ula(self):
-        c_ula = quadratic_mainlobe_coefficient(GeometryKind.ULA)
-        c_ura = quadratic_mainlobe_coefficient(GeometryKind.URA)
-        assert c_ura == pytest.approx(2.0 * c_ula, rel=1e-6)
-
-    def test_ula_series_value(self):
-        # (C^2 + S^2)/x = 1 - pi^2 x^2 / 45 + O(x^4)
-        assert quadratic_mainlobe_coefficient(GeometryKind.ULA) == pytest.approx(
-            math.pi ** 2 / 45.0, abs=1e-7)
+    # each layout's single-aperture power f; the URA's is the ULA's squared
+    @pytest.mark.parametrize("kind, power", [
+        (GeometryKind.ULA, lambda x: _mp_fresnel_power(x)),
+        (GeometryKind.UCA, lambda x: mpmath.besselj(0, x) ** 2),
+        (GeometryKind.URA, lambda x: _mp_fresnel_power(x) ** 2),
+        (GeometryKind.UPCA, lambda x: mpmath.sinc(mpmath.pi * x) ** 2)])
+    def test_curvature_against_mpmath(self, kind, power):
+        # -f''(0) / 2 = (1 - f(x)) / x^2 + O(x^2), at x = 1e-12 and 60 digits
+        with mpmath.workdps(60):
+            x = mpmath.mpf("1e-12")
+            want = float((1 - power(x)) / (x * x))
+        assert quadratic_mainlobe_coefficient(kind) == pytest.approx(want,
+                                                                     rel=1e-15)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_positive(self, kind):

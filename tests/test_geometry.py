@@ -65,10 +65,6 @@ class TestUla:
         assert np.all(g.elements[:, 1] == 0)
         assert np.all(g.elements[:, 2] == 0)
 
-    def test_too_small(self):
-        with pytest.raises(ValueError):
-            build_array(GeometryKind.ULA, 0.4 * LAM, LAM)
-
 
 class TestUca:
     def test_count_and_radius(self):
@@ -89,10 +85,6 @@ class TestUca:
         assert np.all(g.elements[:, 1] == 0)
         assert np.ptp(g.elements[:, 2]) > 0
 
-    def test_too_small(self):
-        with pytest.raises(ValueError):
-            build_array(GeometryKind.UCA, 0.2 * LAM, LAM)
-
 
 class TestUra:
     def test_per_axis_count(self):
@@ -106,10 +98,6 @@ class TestUra:
         side = g.elements[:, 0].max() - g.elements[:, 0].min()
         assert abs(side - 80 * LAM / math.sqrt(2)) <= 0.5 * LAM
         assert np.all(g.elements[:, 2] == 0)
-
-    def test_too_small(self):
-        with pytest.raises(ValueError):
-            build_array(GeometryKind.URA, 0.5 * LAM, LAM)
 
 
 class TestUpca:
@@ -130,10 +118,6 @@ class TestUpca:
     def test_nearest_neighbor_spacing(self):
         g = build_array(GeometryKind.UPCA, 8 * LAM, LAM)
         assert nearest_neighbor_max(g.elements) <= 0.5 * LAM + 1e-9
-
-    def test_too_small(self):
-        with pytest.raises(ValueError):
-            build_array(GeometryKind.UPCA, 0.9 * LAM, LAM)
 
     @pytest.mark.parametrize("wavelength", [1.0, 0.0123, 3.0])
     def test_rings_match_the_per_ring_loop(self, wavelength):
@@ -179,13 +163,26 @@ def test_spacing_constraint_small_arrays(kind):
             assert nearest_neighbor_max(g.elements) <= 0.5 * LAM + 1e-9
 
 
-@pytest.mark.parametrize("kind, aperture", [
-    (GeometryKind.ULA, 6e5), (GeometryKind.UCA, 2e5), (GeometryKind.URA, 710.0),
-    (GeometryKind.UPCA, 564.0), (GeometryKind.UPCA, 1e200)])
-def test_element_limit(kind, aperture):
-    # 100 lambda, the largest aperture in use, stays far below the limit;
-    # these apertures just exceed it and are rejected before allocation
+# D / lambda at and just below an integer count of 2 D / lambda, 2 pi D /
+# lambda and sqrt(2) D / lambda, and at and past MAX_ELEMENTS: the element
+# count, or None where it exceeds the limit and is rejected before allocation
+@pytest.mark.parametrize("kind, aperture, elements", [
+    (GeometryKind.ULA, 1.5, 4), (GeometryKind.ULA, 1.4999999, 3),
+    (GeometryKind.ULA, 499_999.5, 1_000_000), (GeometryKind.ULA, 500_000.0, None),
+    (GeometryKind.ULA, 6e5, None),
+    (GeometryKind.UCA, 5.0 / (2.0 * math.pi), 5),
+    (GeometryKind.UCA, (7.0 - 1e-8) / (2.0 * math.pi), 7),
+    (GeometryKind.UCA, 2e5, None),
+    (GeometryKind.URA, 3.0 / math.sqrt(2.0), 16),
+    (GeometryKind.URA, (3.0 - 1e-8) / math.sqrt(2.0), 9),
+    (GeometryKind.URA, 710.0, None),
+    (GeometryKind.UPCA, 564.0, None), (GeometryKind.UPCA, 1e200, None)])
+def test_element_limit(kind, aperture, elements):
+    # 100 lambda, the largest aperture in use, stays far below the limit
     assert build_array(kind, 100 * LAM, LAM).n_elements < MAX_ELEMENTS / 10
+    if elements is not None:
+        assert build_array(kind, aperture * LAM, LAM).n_elements == elements
+        return
     with pytest.raises(ValueError, match="exceeds"):
         build_array(kind, aperture * LAM, LAM)
 
@@ -208,10 +205,21 @@ def test_elements_are_immutable():
         weights[0] = 7.0
 
 
-@pytest.mark.parametrize("kind, aperture", [
-    (GeometryKind.ULA, 0.3), (GeometryKind.ULA, -5), (GeometryKind.UCA, 0.0),
-    (GeometryKind.URA, -1.0), (GeometryKind.UPCA, 0.9)])
-def test_small_aperture_keeps_its_message(kind, aperture):
+# D / lambda below each kind's minimum, and exactly at it with the element
+# count it builds
+@pytest.mark.parametrize("kind, aperture, elements", [
+    (GeometryKind.ULA, 0.3, None), (GeometryKind.ULA, 0.4, None),
+    (GeometryKind.ULA, -5, None), (GeometryKind.ULA, 0.5, 2),
+    (GeometryKind.UCA, 0.0, None), (GeometryKind.UCA, 0.2, None),
+    (GeometryKind.UCA, 0.5, 4),
+    (GeometryKind.URA, -1.0, None), (GeometryKind.URA, 0.5, None),
+    (GeometryKind.URA, math.nextafter(1.0 / math.sqrt(2.0), 0.0), None),
+    (GeometryKind.URA, 1.0 / math.sqrt(2.0), 4),
+    (GeometryKind.UPCA, 0.9, None), (GeometryKind.UPCA, 1.0, 8)])
+def test_small_aperture_keeps_its_message(kind, aperture, elements):
+    if elements is not None:
+        assert build_array(kind, aperture, 1.0).n_elements == elements
+        return
     with pytest.raises(ValueError, match=f"^{kind.name} [a-z]+ must be >= "
                                          f"lambda(/2|/sqrt\\(2\\))?, got "):
         build_array(kind, aperture, 1.0)
@@ -288,6 +296,8 @@ class TestDerivedAperture:
         (GeometryKind.UCA, 50.2, 1.0, "0x1.919999999999bp+5"),
         (GeometryKind.URA, 50.2, 1.0, "0x1.8bfad401b2968p+5"),
         (GeometryKind.URA, 7.31, 0.0123, "0x1.643efd57f3ef0p-4"),
+        # twice the largest norm would give ...520p-6
+        (GeometryKind.URA, 2.5, 0.0123, "0x1.ab7ec99cbe521p-6"),
         (GeometryKind.UPCA, 50.2, 1.0, "0x1.9000000000001p+5"),
         (GeometryKind.UPCA, 7.31, 0.0123, "0x1.60aa64c2f837cp-4")])
     def test_builder_bits(self, kind, aperture, wavelength, bits):
@@ -315,6 +325,10 @@ class TestDerivedAperture:
         side = float(np.ptp(g.elements[:, 0]))
         assert ArrayGeometry(GeometryKind.ULA, LAM, g.elements).aperture == side
         assert g.aperture == math.hypot(side, side)
+        # a URA's diagonal reads the x and y extents only
+        tilted = g.elements.copy()
+        tilted[:, 2] = tilted[:, 0]
+        assert ArrayGeometry(GeometryKind.URA, LAM, tilted).aperture == g.aperture
         assert ArrayGeometry(None, LAM, g.elements).aperture == pytest.approx(
             math.hypot(side, side), rel=1e-15)
 
@@ -643,12 +657,17 @@ class TestFraunhofer:
         for d in np.random.default_rng(12).uniform(1.0, 1e4, 2000).tolist():
             assert _fraunhofer(d, 0.5) == 2.0 * (d * d) / 0.5
 
-    @pytest.mark.parametrize("aperture, wavelength", [
-        (1e200, 1.0),  # D^2 overflows
-        (1e154, 1e-10),  # D^2 is finite, 2 D^2 / lambda is not
-        (1.5e-154, 1e3),  # D^2 is normal, 2 D^2 / lambda is subnormal
-        (1e-160, 1e-300)])  # D^2 is subnormal, 2 D^2 / lambda is not
-    def test_out_of_float_range_raises(self, aperture, wavelength):
+    @pytest.mark.parametrize("aperture, wavelength, distance", [
+        (1e200, 1.0, None),  # D^2 overflows
+        (1e154, 1e-10, None),  # D^2 is finite, 2 D^2 / lambda is not
+        (1.5e-154, 1e3, None),  # D^2 is normal, 2 D^2 / lambda is subnormal
+        (1e-160, 1e-300, None),  # D^2 is subnormal, 2 D^2 / lambda is not
+        # D^2 and 2 D^2 / lambda are the smallest normal float
+        (2.0 ** -511, 2.0, 2.0 ** -1022)])
+    def test_out_of_float_range_raises(self, aperture, wavelength, distance):
+        if distance is not None:
+            assert _fraunhofer(aperture, wavelength) == distance
+            return
         message = (f"2 D^2 / lambda for D = {aperture:g} m is out of "
                    "floating-point range")
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -720,7 +739,7 @@ class TestSensingSetup:
         g = build_array(GeometryKind.ULA, 10.0, 0.01)
         s = mimo_setup(g)
         assert [f.name for f in dataclasses.fields(s)] == ["aperture", "mode"]
-        assert s.frequency == SPEED_OF_LIGHT / 0.01
+        assert s.frequency == 299792458.0 / 0.01
         with pytest.raises(TypeError):
             SensingSetup(g, ProcessingMode.MIMO, frequency=1e9)
         with pytest.raises(TypeError):

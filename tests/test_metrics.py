@@ -58,13 +58,14 @@ class TestHalfPowerDistances:
 
     @pytest.mark.parametrize("args", [
         (1e192, 5e193, 6.95),  # d_FA d' overflows, d' well inside d_FA/alpha
+        (1e300, 1e10, 1.0),  # d_FA d' and the lower distance overflow, d' past it
         (1e-200, 1e-200, 1.0),  # d_FA d' underflows to zero
         (6e-160, 5e-158, 6.95),  # d_FA d' is subnormal
         (1.0, 1e-10, 1e300),  # the lower distance is subnormal
         # one ulp below d_FA/alpha, where alpha d' rounds to d_FA
         (110.5308754512692, 293.06884588646074, 2.6514658885124707),
-    ], ids=["overflow", "underflow", "subnormal-product", "subnormal-lower",
-            "rounded-gap"])
+    ], ids=["overflow", "overflow-past-range", "underflow", "subnormal-product",
+            "subnormal-lower", "rounded-gap"])
     def test_out_of_float_range(self, args):
         with pytest.raises(ValueError, match="out of floating-point range"):
             half_power_distances(*args)
@@ -72,7 +73,9 @@ class TestHalfPowerDistances:
     @pytest.mark.parametrize("args", [(100.0, 5000.0, 7.0),
                                       (np.float64(100.0), 5000, np.array(7.0)),
                                       (110.5308754512692, 293.06884588646074,
-                                       2.6)])
+                                       2.6),
+                                      # d_FA d' is the smallest normal float
+                                      (2.0 ** -511, 2.0 ** -511, 0.5)])
     def test_scalars_keep_their_bits(self, args):
         floats = [float(v) for v in args]
         product = floats[1] * floats[0]
@@ -83,8 +86,12 @@ class TestHalfPowerDistances:
 
 
 class TestBeamdepth:
-    def test_worked_example(self):
-        assert beamdepth(100.0, 5000.0, 6.952) == pytest.approx(28.36, abs=0.01)
+    @pytest.mark.parametrize("args, depth", [
+        ((100.0, 5000.0, 6.952), pytest.approx(28.36, abs=0.01)),
+        # d'^2 is the smallest normal float, and kept
+        ((2.0 ** -511, 1.0, 1.0), 2.0 ** -1021)])
+    def test_worked_example(self, args, depth):
+        assert beamdepth(*args) == depth
 
     def test_infinite_branch(self):
         boundary = 5000.0 / 6.952

@@ -204,7 +204,7 @@ POINT_ROWS = [
      [(G10, [0.0, 0.0, 50.0], p) for p in PROBES], POINTS),
     ("broadside_power_sweep-target", broadside_power_sweep,
      [(SIMO10, d, [60.0, 70.0]) for d in ([50.0, 80.0], [50.0], np.array([50.0]),
-                                          50.0 + 0j, NAN, "50")]
+                                          50.0 + 0j, NAN, "50", True)]
      + [(SIMO10, [50.0, [60.0]], [10.0])], TARGET),
     # numpy makes no array of a ragged sequence; the sums name it as points
     ("broadside_power_sweep-probe", broadside_power_sweep,

@@ -185,10 +185,11 @@ class TestSinc:
     def test_half_power_argument(self):
         assert sinc(0.443) ** 2 == pytest.approx(0.5, abs=5e-4)
 
-    def test_tiny_argument_continuity(self):
-        assert sinc(1e-9) == pytest.approx(1.0, abs=1e-15)
-        assert sinc(2e-7) == pytest.approx(1.0 - (math.pi * 2e-7) ** 2 / 6.0,
-                                           abs=1e-15)
+    # |x| < 1e-7 takes 1 - (pi x)^2 / 6, the rest sin(pi x) / (pi x)
+    @pytest.mark.parametrize("x", [1e-9, 9e-8, -9e-8, 2e-7])
+    def test_tiny_argument_continuity(self, x):
+        assert sinc(x) == pytest.approx(1.0 - (math.pi * x) ** 2 / 6.0,
+                                        abs=2e-16)
 
     def test_matches_direct_formula(self):
         x = np.linspace(0.01, 40.0, 4001)
