@@ -396,8 +396,8 @@ def _validate_series(kind: GeometryKind, args) -> list:
 def _crossing(distances, power, d_target, upper: bool):
     """Interpolated half-power crossing adjacent to the target range."""
     above = power >= 0.5
-    fall = (distances[:-1] > d_target) & above[:-1] & ~above[1:]
-    rise = (distances[1:] < d_target) & ~above[:-1] & above[1:]
+    fall = (distances[1:] > d_target) & above[:-1] & ~above[1:]
+    rise = (distances[:-1] < d_target) & ~above[:-1] & above[1:]
     idx = np.flatnonzero(fall)[:1] if upper else np.flatnonzero(rise)[-1:]
     if idx.size == 0:
         return None

@@ -17,6 +17,8 @@ from nfsense.closed_form import (af_argument, normalized_af_power,
                                  vergence_difference)
 from nfsense.geometry import (GeometryKind, ProcessingMode, build_array,
                               simo_miso_setup)
+from nfsense.metrics import (compute_metrics, half_power_coefficient,
+                             half_power_distances, max_nearfield_range)
 
 import reference_solvers
 import reference_writer
@@ -46,31 +48,23 @@ TABLE_COLUMNS = [
 ]
 
 
+def _record(kind):
+    """compute_metrics(kind) as a row of tables --format json."""
+    return {**vars(compute_metrics(kind)), "kind": kind.name}
+
+
 class TestTables:
-    def test_all_kinds(self, tmp_path):
-        out = tmp_path / "tables.csv"
-        assert main(["tables", "--out", str(out)]) == 0
-        metadata, rows = read_csv(out)
-        assert metadata["tool"] == "nfsense"
-        assert len(rows) == 4
-        ula = rows[0]
-        assert ula["kind"] == "ULA"
-        assert float(ula["alpha_ratio"]) == pytest.approx(1.399, abs=0.01)
-
-    def test_single_kind_psl(self, tmp_path):
-        out = tmp_path / "uca.csv"
-        assert main(["tables", "--kind", "uca", "--out", str(out)]) == 0
-        _, rows = read_csv(out)
-        assert len(rows) == 1
-        assert float(rows[0]["psl_simo_db"]) == pytest.approx(-7.90, abs=0.05)
-
     def test_json_format(self, tmp_path):
+        # each row is the library's record, every bit of it
         out = tmp_path / "tables.json"
         assert main(["tables", "--format", "json", "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert doc["metadata"]["command"] == "tables"
-        assert len(doc["rows"]) == 4
-        assert doc["rows"][1]["kind"] == "UCA"
+        assert doc["rows"] == [_record(kind) for kind in GeometryKind]
+        assert main(["tables", "--kind", "uca", "--format", "json",
+                     "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["rows"] == [_record(GeometryKind.UCA)]
 
     def test_quadratic_columns_follow_the_nine(self, tmp_path):
         csv_out, json_out = tmp_path / "tables.csv", tmp_path / "tables.json"
@@ -81,21 +75,7 @@ class TestTables:
         assert [list(r) for r in csv_rows] == [TABLE_COLUMNS] * 4
         assert [list(r) for r in rows] == [TABLE_COLUMNS] * 4
         for row, csv_row in zip(rows, csv_rows):
-            # JSON holds every bit of the formula, CSV its 12 digits
-            c = row["curvature"]
-            x_simo, x_mimo = row["x3db_simo"], row["x3db_mimo"]
-            quad_simo = math.sqrt(2.0) / (2.0 * math.sqrt(c))
-            quad_mimo = 1.0 / (2.0 * math.sqrt(c))
-            expected = {
-                "x3db_quad_simo": quad_simo, "x3db_quad_mimo": quad_mimo,
-                "quad_ratio": math.sqrt(2.0),
-                "quad_rel_error_simo": abs(quad_simo - x_simo) / x_simo,
-                "quad_rel_error_mimo": abs(quad_mimo - x_mimo) / x_mimo,
-                "quad_ratio_rel_error": (abs(math.sqrt(2.0) - row["alpha_ratio"])
-                                         / row["alpha_ratio"]),
-            }
-            for name, value in expected.items():
-                assert row[name] == value, name
+            # JSON holds every bit of the record, CSV its 12 digits
             for name in TABLE_COLUMNS[1:]:
                 assert csv_row[name] == "%.12g" % row[name], name
 
@@ -125,7 +105,6 @@ class TestAfCurve:
                 assert m == pytest.approx(2.0 * s, abs=1e-9)
 
     def test_crossings_match_half_power_distances(self, tmp_path):
-        from nfsense.metrics import half_power_coefficient, half_power_distances
         _, rows = self.run_curve(tmp_path)
         simo = [(float(r["distance_m"]), float(r["power_db"]))
                 for r in rows if r["mode"] == "SIMO_MISO"]
@@ -190,24 +169,21 @@ class TestBeamdepthSweep:
         return read_csv(out)
 
     def test_divergence_boundary(self, tmp_path):
-        metadata, rows = self.run_sweep(tmp_path, "--kind", "ula",
-                                        "--sweep", "10:1200:400")
-        for mode in ("SIMO_MISO", "MIMO"):
-            limit = float(metadata[f"max_nf_range_m[ULA,{mode}]"])
-            series = [r for r in rows if r["mode"] == mode]
-            for r in series:
-                target = float(r["target_m"])
-                if target >= limit:
-                    assert r["beamdepth_m"] == "inf"
-                else:
-                    assert float(r["beamdepth_m"]) > 0.0
-
-    def test_mimo_divergence_1p4x(self, tmp_path):
-        metadata, _ = self.run_sweep(tmp_path, "--sweep", "10:100:3")
-        for kind in ("ULA", "UCA", "URA", "UPCA"):
-            simo = float(metadata[f"max_nf_range_m[{kind},SIMO_MISO]"])
-            mimo = float(metadata[f"max_nf_range_m[{kind},MIMO]"])
-            assert mimo / simo == pytest.approx(1.4, rel=0.02)
+        metadata, rows = self.run_sweep(tmp_path, "--sweep", "10:1200:400")
+        for kind in GeometryKind:
+            for mode in ProcessingMode:
+                key = f"max_nf_range_m[{kind.name},{mode.name}]"
+                limit = float(metadata[key])
+                assert limit == pytest.approx(max_nearfield_range(
+                    5000.0, half_power_coefficient(kind, mode)), rel=1e-11)
+                series = [r for r in rows
+                          if (r["kind"], r["mode"]) == (kind.name, mode.name)]
+                assert len(series) == 400
+                for r in series:
+                    if float(r["target_m"]) >= limit:
+                        assert r["beamdepth_m"] == "inf"
+                    else:
+                        assert float(r["beamdepth_m"]) > 0.0
 
     def test_monotone_on_finite_branch(self, tmp_path):
         _, rows = self.run_sweep(tmp_path, "--kind", "uca", "--mode", "simo",
@@ -226,42 +202,6 @@ class TestBeamdepthSweep:
 
 
 class TestValidate:
-    def test_ula_and_uca_pass(self, tmp_path, capsys):
-        out = tmp_path / "val.csv"
-        rc = main(["validate", "--kind", "ula,uca", "--sweep", "0:0:301",
-                   "--out", str(out)])
-        assert rc == 0
-        _, rows = read_csv(out)
-        assert len(rows) == 4
-        for row in rows:
-            assert row["status"] == "pass"
-            assert float(row["max_peak_deviation"]) <= 0.02
-            assert float(row["crossing_low_rel_err"]) <= 0.03
-            assert float(row["crossing_high_rel_err"]) <= 0.03
-
-    def test_ura_passes(self, tmp_path):
-        out = tmp_path / "val.csv"
-        assert main(["validate", "--kind", "ura", "--sweep", "0:0:301",
-                     "--out", str(out)]) == 0
-        _, rows = read_csv(out)
-        assert all(r["status"] == "pass" for r in rows)
-
-    def test_upca_exceeds_threshold(self, tmp_path):
-        # the uniform-disk closed form undershoots the element sum by a
-        # little over 2% of the peak at aperture 50 lam and target 100 lam,
-        # so this configuration is reported as a validation failure
-        out = tmp_path / "val.csv"
-        rc = main(["validate", "--kind", "upca", "--sweep", "0:0:301",
-                   "--out", str(out)])
-        assert rc == 2
-        _, rows = read_csv(out)
-        for row in rows:
-            assert row["status"] == "fail"
-            assert float(row["max_peak_deviation"]) == pytest.approx(0.024,
-                                                                     abs=0.004)
-            # the crossing locations themselves are still accurate
-            assert float(row["crossing_low_rel_err"]) <= 0.03
-
     def test_verdict_does_not_depend_on_unit(self, tmp_path):
         # the same configuration in lambda units, at lambda = 1 m, 1e-11 m
         # and 3e-156 m, whose aperture of 1.5e-154 m squares to a normal float
@@ -295,20 +235,34 @@ class TestValidate:
         assert math.isfinite(row["crossing_high_rel_err"])
         assert row["status"] == "fail"
 
-    # two rises below the target, and a power just above 1/2, which no grid
-    # of validate's produced; on a hand-made grid of 1 .. 5, target at 5
-    @pytest.mark.parametrize("power, want", [
-        ([0.2, 0.6, 0.3, 0.7, 1.0], 3.5),  # the rise next to the target
-        ([0.2, 0.5 + 1e-8, 0.9, 0.95, 1.0], 1.0 + 0.3 / (0.3 + 1e-8))])
-    def test_crossing_next_to_the_target(self, power, want):
-        crossing = cli._crossing(np.arange(1.0, 6.0), np.array(power), 5.0,
-                                 upper=False)
+    # cases no grid of validate's produced, on a hand-made grid of 1 .. 5:
+    # two rises below the target; a power just above 1/2; a crossing in the
+    # segment that holds the target, or that ends (low side) or starts (high
+    # side) at it; and, at a target whose power is below 1/2, a crossing in
+    # a segment that starts or ends at the target, which is on the wrong side
+    @pytest.mark.parametrize("power, target, upper, want", [
+        ([0.2, 0.6, 0.3, 0.7, 1.0], 5.0, False, 3.5),
+        ([0.2, 0.5 + 1e-8, 0.9, 0.95, 1.0], 5.0, False,
+         1.0 + 0.3 / (0.3 + 1e-8)),
+        ([0.1, 0.3, 0.9, 0.2, 0.1], 2.5, False, 2.0 + 0.2 / 0.6),
+        ([0.1, 0.9, 0.3, 0.1, 0.1], 2.5, True, 2.0 + 0.4 / 0.6),
+        ([0.1, 0.3, 0.9, 0.2, 0.1], 3.0, False, 2.0 + 0.2 / 0.6),
+        ([0.1, 0.9, 0.3, 0.1, 0.1], 2.0, True, 2.0 + 0.4 / 0.6),
+        ([0.1, 0.7, 0.3, 0.7, 0.1], 3.0, False, 1.0 + 0.4 / 0.6),
+        ([0.7, 0.3, 0.7, 0.1, 0.1], 2.0, True, 3.0 + 0.2 / 0.6)],
+        ids=["two-rises", "just-above-half", "low-holds-target",
+             "high-holds-target", "low-ends-at-target", "high-starts-at-target",
+             "low-starts-at-target", "high-ends-at-target"])
+    def test_crossing_next_to_the_target(self, power, target, upper, want):
+        crossing = cli._crossing(np.arange(1.0, 6.0), np.array(power), target,
+                                 upper=upper)
         assert crossing == pytest.approx(want, rel=1e-12)
 
     def test_numbers_match_an_independent_oracle(self, capsys):
         # each crossing bisected on the exact power (validate interpolates
-        # on its wide grid, here within 2e-7 of it), and the largest
-        # relative error recomputed on validate's grid of 201 points
+        # on its wide grid, here within 2e-7 of it), the largest deviation
+        # and relative error recomputed on validate's grid of 201 points,
+        # and each status read from the 0.02 and 0.03 thresholds
         assert main(["validate", "--sweep", "0:0:201", "--format", "json"]) == 2
         rows = json.loads(capsys.readouterr().out)["rows"]
         assert len(rows) == 8
@@ -336,8 +290,15 @@ class TestValidate:
             exact = excess(grid) + 0.5
             closed = normalized_af_power(kind, mode, af_argument(
                 kind, row["fraunhofer_m"], vergence_difference(100.0, grid)))
+            deviation = abs(exact - closed)
+            assert row["max_peak_deviation"] == pytest.approx(deviation.max(),
+                                                              rel=1e-12)
             assert row["max_rel_error"] == pytest.approx(
-                (abs(exact - closed) / closed).max(), rel=1e-12)
+                (deviation / closed).max(), rel=1e-12)
+            passed = (row["max_peak_deviation"] <= 0.02
+                      and row["crossing_low_rel_err"] <= 0.03
+                      and row["crossing_high_rel_err"] <= 0.03)
+            assert row["status"] == ("pass" if passed else "fail")
 
 
 class TestDumpGeometry:
