@@ -24,6 +24,7 @@ from nfsense.closed_form import (af_argument, normalized_af_power,
 from nfsense.geometry import (ArrayGeometry, GeometryKind, ProcessingMode,
                               build_array, fraunhofer_distance, mimo_setup,
                               simo_miso_setup)
+from nfsense.metrics import half_power_coefficient, half_power_distances
 
 from reference_sums import (ambiguity, broadcast_array_factor, broadcast_power,
                             dense_array_factor, dense_power)
@@ -129,6 +130,15 @@ class TestAmbiguity:
         split = array_factor(s.tx, t, p) * array_factor(s.rx, t, p)
         assert abs(full - split) <= 1e-9 * abs(full)
 
+    def test_hermitian_symmetry(self):
+        rng = np.random.default_rng(21)
+        g = build_array(GeometryKind.ULA, 8 * LAM, LAM)
+        s = mimo_setup(g)
+        for _ in range(20):
+            t = rng.uniform(5, 60, 3)
+            p = rng.uniform(5, 60, 3)
+            assert abs(ambiguity(s, t, p) - np.conj(ambiguity(s, p, t))) <= 1e-12
+
     def test_degenerate_probe_rejected(self):
         g = build_array(GeometryKind.ULA, 10 * LAM, LAM)
         s = simo_miso_setup(g)
@@ -143,6 +153,16 @@ class TestNormalizedPower:
         for s in (simo_miso_setup(g), mimo_setup(g)):
             assert normalized_power(s, t, t) == pytest.approx(1.0, abs=1e-12)
 
+    def test_in_unit_interval(self):
+        g = build_array(GeometryKind.ULA, 6 * LAM, LAM)
+        s = mimo_setup(g)
+        rng = np.random.default_rng(17)
+        probes = rng.uniform(-50, 50, (10_000, 3))
+        probes[:, 2] = np.abs(probes[:, 2]) + 3.0
+        power = normalized_power(s, [0.0, 0.0, 25.0], probes)
+        assert np.all(power >= 0.0)
+        assert np.all(power <= 1.0 + 1e-9)
+
     def test_mimo_low_at_first_fresnel_minimum(self):
         # x = 4 sits at the first minimum of the ULA closed form; the
         # direct sum there is small but not exactly zero
@@ -155,6 +175,19 @@ class TestNormalizedPower:
 
 
 class TestClosedFormConvergence:
+    @pytest.mark.parametrize("kind", [GeometryKind.ULA, GeometryKind.UCA])
+    def test_mainlobe_agreement(self, kind):
+        g = build_array(kind, 50 * LAM, LAM)
+        d_fa = fraunhofer_distance(g)
+        mode = ProcessingMode.SIMO_MISO
+        coeff = half_power_coefficient(kind, mode)
+        d_low, d_high = half_power_distances(100.0, d_fa, coeff)
+        grid = np.linspace(d_low, d_high, 201)
+        exact = broadside_power_sweep(simo_miso_setup(g), 100.0, grid)
+        x = af_argument(kind, d_fa, np.abs(1.0 / 100.0 - 1.0 / grid))
+        closed = normalized_af_power(kind, mode, x)
+        assert np.max(np.abs(exact - closed)) <= 0.02
+
     def test_uca_rotation_invariance(self):
         # rotating the ring about the evaluation axis must not change the
         # on-axis response

@@ -202,6 +202,26 @@ class TestBeamdepthSweep:
 
 
 class TestValidate:
+    def test_ula_and_uca_pass(self, tmp_path, capsys):
+        out = tmp_path / "val.csv"
+        rc = main(["validate", "--kind", "ula,uca", "--sweep", "0:0:301",
+                   "--out", str(out)])
+        assert rc == 0
+        _, rows = read_csv(out)
+        assert len(rows) == 4
+        for row in rows:
+            assert row["status"] == "pass"
+            assert float(row["max_peak_deviation"]) <= 0.02
+            assert float(row["crossing_low_rel_err"]) <= 0.03
+            assert float(row["crossing_high_rel_err"]) <= 0.03
+
+    def test_ura_passes(self, tmp_path):
+        out = tmp_path / "val.csv"
+        assert main(["validate", "--kind", "ura", "--sweep", "0:0:301",
+                     "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert all(r["status"] == "pass" for r in rows)
+
     def test_verdict_does_not_depend_on_unit(self, tmp_path):
         # the same configuration in lambda units, at lambda = 1 m, 1e-11 m
         # and 3e-156 m, whose aperture of 1.5e-154 m squares to a normal float
@@ -235,25 +255,32 @@ class TestValidate:
         assert math.isfinite(row["crossing_high_rel_err"])
         assert row["status"] == "fail"
 
-    # cases no grid of validate's produced, on a hand-made grid of 1 .. 5:
-    # two rises below the target; a power just above 1/2; a crossing in the
-    # segment that holds the target, or that ends (low side) or starts (high
-    # side) at it; and, at a target whose power is below 1/2, a crossing in
-    # a segment that starts or ends at the target, which is on the wrong side
+    # two rises below the target, and a power just above 1/2, which no grid
+    # of validate's produced; on a hand-made grid of 1 .. 5, target at 5
+    @pytest.mark.parametrize("power, want", [
+        ([0.2, 0.6, 0.3, 0.7, 1.0], 3.5),  # the rise next to the target
+        ([0.2, 0.5 + 1e-8, 0.9, 0.95, 1.0], 1.0 + 0.3 / (0.3 + 1e-8))])
+    def test_crossing_next_to_the_target(self, power, want):
+        crossing = cli._crossing(np.arange(1.0, 6.0), np.array(power), 5.0,
+                                 upper=False)
+        assert crossing == pytest.approx(want, rel=1e-12)
+
+    # on the same grid: a crossing in the segment that holds the target, or
+    # that ends (low side) or starts (high side) at it; and, at a target
+    # whose power is below 1/2, a crossing in a segment that starts or ends
+    # at the target, which is on the wrong side
     @pytest.mark.parametrize("power, target, upper, want", [
-        ([0.2, 0.6, 0.3, 0.7, 1.0], 5.0, False, 3.5),
-        ([0.2, 0.5 + 1e-8, 0.9, 0.95, 1.0], 5.0, False,
-         1.0 + 0.3 / (0.3 + 1e-8)),
         ([0.1, 0.3, 0.9, 0.2, 0.1], 2.5, False, 2.0 + 0.2 / 0.6),
         ([0.1, 0.9, 0.3, 0.1, 0.1], 2.5, True, 2.0 + 0.4 / 0.6),
         ([0.1, 0.3, 0.9, 0.2, 0.1], 3.0, False, 2.0 + 0.2 / 0.6),
         ([0.1, 0.9, 0.3, 0.1, 0.1], 2.0, True, 2.0 + 0.4 / 0.6),
         ([0.1, 0.7, 0.3, 0.7, 0.1], 3.0, False, 1.0 + 0.4 / 0.6),
         ([0.7, 0.3, 0.7, 0.1, 0.1], 2.0, True, 3.0 + 0.2 / 0.6)],
-        ids=["two-rises", "just-above-half", "low-holds-target",
-             "high-holds-target", "low-ends-at-target", "high-starts-at-target",
-             "low-starts-at-target", "high-ends-at-target"])
-    def test_crossing_next_to_the_target(self, power, target, upper, want):
+        ids=["low-holds-target", "high-holds-target", "low-ends-at-target",
+             "high-starts-at-target", "low-starts-at-target",
+             "high-ends-at-target"])
+    def test_crossing_in_a_segment_at_the_target(self, power, target, upper,
+                                                 want):
         crossing = cli._crossing(np.arange(1.0, 6.0), np.array(power), target,
                                  upper=upper)
         assert crossing == pytest.approx(want, rel=1e-12)

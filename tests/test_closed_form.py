@@ -123,6 +123,20 @@ class TestNormalizedPower:
         assert normalized_af_power(kind, SIMO, 1e-8) == pytest.approx(1.0,
                                                                       abs=1e-6)
 
+    # half-power arguments as published per layout and mode
+    @pytest.mark.parametrize("kind,mode,x", [
+        (GeometryKind.ULA, SIMO, 1.738),
+        (GeometryKind.ULA, MIMO, 1.242),
+        (GeometryKind.UCA, SIMO, 1.126),
+        (GeometryKind.UCA, MIMO, 0.815),
+        (GeometryKind.URA, SIMO, 1.242),
+        (GeometryKind.URA, MIMO, 0.884),
+        (GeometryKind.UPCA, SIMO, 0.443),
+        (GeometryKind.UPCA, MIMO, 0.319),
+    ])
+    def test_half_power_values(self, kind, mode, x):
+        assert normalized_af_power(kind, mode, x) == pytest.approx(0.5, abs=5e-4)
+
     @pytest.mark.parametrize("kind", KINDS)
     def test_mimo_is_exact_square(self, kind):
         x = np.linspace(0.0, 30.0, 2000)

@@ -633,6 +633,12 @@ class TestFraunhofer:
         d2 = fraunhofer_distance(build_array(GeometryKind.ULA, 40.0, 1.0))
         assert d2 == pytest.approx(4.0 * d1)
 
+    def test_out_of_float_range(self):
+        # 21 elements, but D^2 = 1e400 overflows
+        g = build_array(GeometryKind.ULA, 1e200, 1e199)
+        with pytest.raises(ValueError, match="floating-point range"):
+            fraunhofer_distance(g)
+
     @pytest.mark.parametrize("wavelength", [1e-163, 1e-156])
     def test_subnormal_square_rejected(self, wavelength):
         # 101 elements, but D^2 is below the smallest normal float and has
@@ -698,6 +704,19 @@ def test_single_element_is_built_once():
     # the kept element is not a field: equality and the fields are the two
     assert s == simo_miso_setup(g)
     assert [f.name for f in dataclasses.fields(s)] == ["aperture", "mode"]
+
+
+def test_geometry_csv_roundtrip(tmp_path):
+    g = build_array(GeometryKind.UCA, 4 * LAM, LAM)
+    out = tmp_path / "uca.csv"
+    assert main(["dump-geometry", "--kind", "uca", "--aperture-lambda", "4",
+                 "--wavelength", str(LAM), "--out", str(out)]) == 0
+    lines = out.read_text().strip().split("\n")
+    assert lines[0] == "index,x,y,z"
+    assert len(lines) == g.n_elements + 1
+    parsed = np.array([[float(v) for v in line.split(",")[1:]]
+                       for line in lines[1:]])
+    assert np.max(np.abs(parsed - g.elements)) <= 1e-9
 
 
 class TestSensingSetup:

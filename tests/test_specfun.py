@@ -6,11 +6,21 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
+from scipy import integrate
 
 from nfsense import specfun
 from nfsense.closed_form import normalized_af_power
 from nfsense.geometry import GeometryKind, ProcessingMode
 from nfsense.specfun import bessel_j0, fresnel_c, fresnel_s, fresnel_cs, sinc
+
+
+def quad_fresnel(u):
+    """Independent adaptive-quadrature oracle for C(u) and S(u)."""
+    c, _ = integrate.quad(lambda t: math.cos(0.5 * math.pi * t * t), 0.0, u,
+                          limit=500, epsabs=1e-13, epsrel=1e-13)
+    s, _ = integrate.quad(lambda t: math.sin(0.5 * math.pi * t * t), 0.0, u,
+                          limit=500, epsabs=1e-13, epsrel=1e-13)
+    return c, s
 
 
 def j0_series_oracle(x, terms=40):
@@ -44,6 +54,24 @@ class TestFresnel:
     def test_zero(self):
         assert fresnel_c(0.0) == 0.0
         assert fresnel_s(0.0) == 0.0
+
+    def test_unit_argument(self):
+        # frozen from the quadrature oracle below
+        assert fresnel_c(1.0) == pytest.approx(0.7798934003768228, abs=1e-10)
+        assert fresnel_s(1.0) == pytest.approx(0.4382591473903547, abs=1e-10)
+        c_q, s_q = quad_fresnel(1.0)
+        assert fresnel_c(1.0) == pytest.approx(c_q, abs=1e-10)
+        assert fresnel_s(1.0) == pytest.approx(s_q, abs=1e-10)
+
+    def test_asymptotic_half(self):
+        assert fresnel_c(50.0) == pytest.approx(0.5, abs=0.01)
+        assert fresnel_s(50.0) == pytest.approx(0.5, abs=0.01)
+
+    def test_quadrature_oracle_grid(self):
+        for u in np.linspace(0.0, 10.0, 200):
+            c_q, s_q = quad_fresnel(float(u))
+            assert fresnel_c(float(u)) == pytest.approx(c_q, abs=1e-8)
+            assert fresnel_s(float(u)) == pytest.approx(s_q, abs=1e-8)
 
     def test_odd_symmetry(self):
         rng = np.random.default_rng(7)
@@ -85,6 +113,9 @@ class TestBesselJ0:
     def test_at_zero(self):
         assert bessel_j0(0.0) == 1.0
 
+    def test_half_power_argument(self):
+        assert bessel_j0(1.126) ** 2 == pytest.approx(0.5, abs=5e-4)
+
     def test_first_zero_against_series_oracle(self):
         # bisection on the independent series oracle
         lo, hi = 2.0, 3.0
@@ -98,6 +129,11 @@ class TestBesselJ0:
         assert zero_oracle == pytest.approx(2.404826, abs=1e-5)
         assert abs(bessel_j0(zero_oracle)) < 1e-9
 
+    def test_series_oracle_grid(self):
+        for x in np.linspace(0.0, 4.0, 100):
+            assert bessel_j0(float(x)) == pytest.approx(
+                j0_series_oracle(float(x)), abs=1e-10)
+
     def test_even_symmetry(self):
         rng = np.random.default_rng(11)
         x = rng.uniform(-10.0, 10.0, 1000)
@@ -106,6 +142,11 @@ class TestBesselJ0:
     def test_bounded_by_one(self):
         x = np.linspace(-50.0, 50.0, 20001)
         assert np.all(np.abs(bessel_j0(x)) <= 1.0 + 1e-12)
+
+    def test_wide_range_against_scipy(self):
+        from scipy import special
+        x = np.linspace(0.0, 50.0, 5001)
+        assert np.max(np.abs(bessel_j0(x) - special.j0(x))) <= 1e-10
 
     # [0, 13] is the x^2 series, (13, 50] the Hankel envelope's
     @pytest.mark.parametrize("lo, hi, bound", [
@@ -141,6 +182,9 @@ class TestSinc:
     def test_integer_zero(self):
         assert abs(sinc(1.0)) < 1e-15
 
+    def test_half_power_argument(self):
+        assert sinc(0.443) ** 2 == pytest.approx(0.5, abs=5e-4)
+
     # |x| < 1e-7 takes 1 - (pi x)^2 / 6, the rest sin(pi x) / (pi x)
     @pytest.mark.parametrize("x", [1e-9, 9e-8, -9e-8, 2e-7])
     def test_tiny_argument_continuity(self, x):
@@ -163,6 +207,14 @@ def test_huge_arguments_stay_finite():
         assert np.all(np.abs(sinc(sign * huge)) <= 1.0 / huge)
     assert fresnel_cs(1e300) == (0.5, 0.5)
     assert sinc(1e308) == 0.0
+
+
+def test_fresnel_wide_range_against_scipy():
+    from scipy import special
+    u = np.linspace(-10.0, 10.0, 4001)
+    s_ref, c_ref = special.fresnel(u)
+    assert np.max(np.abs(fresnel_c(u) - c_ref)) <= 1e-10
+    assert np.max(np.abs(fresnel_s(u) - s_ref)) <= 1e-10
 
 
 # [0, 50] in shuffled order, with both neighbours of the Fresnel crossover
