@@ -7,6 +7,10 @@ the exit code (or the name of an exception that escapes) and the argv.
 The script sets COLUMNS=80, to which argparse wraps the help text, so the
 listing does not depend on the terminal.  The CLI cases, in print order:
 
+- af-curve with --config, a key = value file of non-default values for
+  every flag but --out, which the script writes to a temporary directory
+  and prints as <config>; it runs first, so every later line also shows
+  that no file value stayed behind as a default;
 - tables, af-curve, beamdepth-sweep and validate over kind subsets, modes
   and both formats;
 - per format, the validate defaults and dump-geometry per kind at
@@ -99,6 +103,7 @@ import io
 import math
 import os
 import sys
+import tempfile
 from itertools import product
 from pathlib import Path
 
@@ -147,7 +152,15 @@ EXTREME_WAVELENGTHS = (
 )
 
 
+# the --config case's file, named in its printed argv by a placeholder
+CONFIG = "<config>"
+CONFIG_TEXT = ("kind = uca\nmode = mimo\naperture-lambda = 80\n"
+               "target-lambda = 150\nwavelength = 0.5\nsweep = 10:600:300\n"
+               "format = json\n")
+
+
 def cases():
+    yield f"af-curve --config {CONFIG}"
     for command, kinds, mode, fmt in product(SWEEPS, KIND_SETS, MODES, FORMATS):
         yield (f"{command} --kind {kinds} --mode {mode} --format {fmt} "
                f"{SWEEPS[command]}")
@@ -358,18 +371,23 @@ def main(argv=None) -> int:
     os.environ["COLUMNS"] = "80"  # the width argparse wraps --help to
     from nfsense.cli import main as cli_main
 
-    for case in cases():
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = cli_main(case.split())
-            except SystemExit as exc:  # --help
-                code = exc.code
-            except Exception as exc:  # a traceback: the type is the code
-                code = type(exc).__name__
-        digest = hashlib.sha256(
-            out.getvalue().encode() + b"\0" + err.getvalue().encode())
-        print(digest.hexdigest(), code, case.strip())
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "run.cfg"
+        config.write_text(CONFIG_TEXT)
+        for case in cases():
+            argv = [str(config) if word == CONFIG else word
+                    for word in case.split()]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = cli_main(argv)
+                except SystemExit as exc:  # --help
+                    code = exc.code
+                except Exception as exc:  # a traceback: the type is the code
+                    code = type(exc).__name__
+            digest = hashlib.sha256(
+                out.getvalue().encode() + b"\0" + err.getvalue().encode())
+            print(digest.hexdigest(), code, case.strip())
 
     for name, function, args in library_cases():
         try:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import sys
@@ -467,15 +468,23 @@ def _build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> _Parser:
+    """Built once per process; parsing never changes it, so calls share it."""
+    return _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser = _shared_parser()
     try:
         args = parser.parse_args(argv)
         if args.command is None:
             raise UsageError("a command is required (see --help)")
         if args.config:
             # file values become string defaults, which argparse passes
-            # through each flag's type; flags given on the command line win
+            # through each flag's type; flags given on the command line win.
+            # They go on a parser of this call's own, never the shared one.
+            parser = _build_parser()
             parser.set_defaults(**_load_config_file(args.config))
             args = parser.parse_args(argv)
         if args.sweep is None:

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -443,6 +444,51 @@ class TestRepeatedCalls:
         capsys.readouterr()
         assert main(self.ARGV) == 0
         assert capsys.readouterr() == alone
+
+    def test_parser_built_once(self, monkeypatch, capsys):
+        built = []
+        build = cli._build_parser
+        monkeypatch.setattr(cli, "_build_parser",
+                            lambda: built.append(1) or build())
+        cli._shared_parser.cache_clear()
+        for argv in (self.ARGV, ["tables", "--kind", "ula"], self.ARGV):
+            assert main(argv) == 0
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("first", [["--help"], ["tables", "--version"]])
+    def test_exit_then_valid_run(self, capsys, first):
+        assert main(self.ARGV) == 0
+        alone = capsys.readouterr()
+        with pytest.raises(SystemExit):
+            main(first)
+        capsys.readouterr()
+        assert main(self.ARGV) == 0
+        assert capsys.readouterr() == alone
+
+    def test_threads_match_serial_calls(self, tmp_path):
+        argvs = [self.ARGV + ["--kind", "uca", "--format", "json"],
+                 ["af-curve", "--kind", "ula,ura", "--sweep", "50:400:2000"]]
+        outs = [tmp_path / f"serial{i}" for i in range(len(argvs))]
+        for argv, out in zip(argvs, outs):
+            assert main(argv + ["--out", str(out)]) == 0
+        barrier = threading.Barrier(len(argvs))
+        codes = {}
+
+        def run(i, out):
+            barrier.wait()
+            codes[i] = main(argvs[i] + ["--out", str(out)])
+
+        for attempt in range(5):
+            shared = [tmp_path / f"thread{attempt}-{i}" for i in range(len(argvs))]
+            threads = [threading.Thread(target=run, args=(i, out))
+                       for i, out in enumerate(shared)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            assert codes == dict.fromkeys(range(len(argvs)), 0)
+            assert [o.read_bytes() for o in shared] == [
+                o.read_bytes() for o in outs]
 
 
 class TestSharedFlags:

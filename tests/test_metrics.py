@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nfsense import closed_form, metrics
+from nfsense import cli, closed_form, metrics
 from nfsense.ambiguity import broadside_power_sweep
 from nfsense.cli import main
 from nfsense.closed_form import (af_argument, normalized_af_power,
@@ -418,7 +418,7 @@ class TestComputeMetrics:
             assert m.alpha_ratio == pytest.approx(m.alpha_simo / m.alpha_mimo,
                                                   rel=1e-12)
             assert m.alpha_ratio > 1.0
-            assert m.psl_mimo_db == pytest.approx(2.0 * m.psl_simo_db, abs=1e-6)
+            assert m.psl_mimo_db == peak_sidelobe_level(kind, MIMO)
             assert m.argument_scale == af_argument(kind, 1.0, 1.0)
 
 
@@ -433,14 +433,9 @@ def test_exact_sum_crosscheck_ula():
     d_low, d_high = half_power_distances(100.0, d_fa, coeff)
     grid = np.linspace(0.9 * d_low, 1.1 * d_high, 6000)
     power = broadside_power_sweep(setup, 100.0, grid)
-    above = power >= 0.5
     for upper in (False, True):
-        if upper:
-            i = int(np.where((grid[:-1] > 100.0) & above[:-1] & ~above[1:])[0][0])
-        else:
-            i = int(np.where((grid[1:] < 100.0) & ~above[:-1] & above[1:])[0][-1])
-        d_cross = grid[i] + (0.5 - power[i]) / (power[i + 1] - power[i]) \
-            * (grid[i + 1] - grid[i])
+        d_cross = cli._crossing(grid, power, 100.0, upper)
+        assert d_cross is not None
         x_exact = af_argument(GeometryKind.ULA, d_fa,
                               vergence_difference(100.0, d_cross))
         assert abs(x_exact - x3) / x3 <= 0.03
