@@ -445,7 +445,7 @@ class TestRepeatedCalls:
         assert main(self.ARGV) == 0
         assert capsys.readouterr() == alone
 
-    def test_parser_built_once(self, monkeypatch, capsys):
+    def test_parser_built_once(self, monkeypatch):
         built = []
         build = cli._build_parser
         monkeypatch.setattr(cli, "_build_parser",
@@ -479,15 +479,15 @@ class TestRepeatedCalls:
             codes[i] = main(argvs[i] + ["--out", str(out)])
 
         for attempt in range(5):
-            shared = [tmp_path / f"thread{attempt}-{i}" for i in range(len(argvs))]
+            threaded = [tmp_path / f"thread{attempt}-{i}" for i in range(len(argvs))]
             threads = [threading.Thread(target=run, args=(i, out))
-                       for i, out in enumerate(shared)]
+                       for i, out in enumerate(threaded)]
             for thread in threads:
                 thread.start()
             for thread in threads:
                 thread.join()
             assert codes == dict.fromkeys(range(len(argvs)), 0)
-            assert [o.read_bytes() for o in shared] == [
+            assert [o.read_bytes() for o in threaded] == [
                 o.read_bytes() for o in outs]
 
 
