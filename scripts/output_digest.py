@@ -11,6 +11,8 @@ listing does not depend on the terminal.  The CLI cases, in print order:
   every flag but --out, which the script writes to a temporary directory
   and prints as <config>; it runs first, so every later line also shows
   that no file value stayed behind as a default;
+- tables with --format csv and --config <bad-config>, a file that holds
+  format = xml: a file value is checked even where a flag overrides it;
 - tables, af-curve, beamdepth-sweep and validate over kind subsets, modes
   and both formats;
 - per format, the validate defaults and dump-geometry per kind at
@@ -152,15 +154,18 @@ EXTREME_WAVELENGTHS = (
 )
 
 
-# the --config case's file, named in its printed argv by a placeholder
-CONFIG = "<config>"
-CONFIG_TEXT = ("kind = uca\nmode = mimo\naperture-lambda = 80\n"
-               "target-lambda = 150\nwavelength = 0.5\nsweep = 10:600:300\n"
-               "format = json\n")
+# the --config cases' files, each named in its printed argv by a placeholder
+CONFIGS = {
+    "<config>": ("kind = uca\nmode = mimo\naperture-lambda = 80\n"
+                 "target-lambda = 150\nwavelength = 0.5\nsweep = 10:600:300\n"
+                 "format = json\n"),
+    "<bad-config>": "format = xml\n",
+}
 
 
 def cases():
-    yield f"af-curve --config {CONFIG}"
+    yield "af-curve --config <config>"
+    yield "tables --kind ula --format csv --config <bad-config>"
     for command, kinds, mode, fmt in product(SWEEPS, KIND_SETS, MODES, FORMATS):
         yield (f"{command} --kind {kinds} --mode {mode} --format {fmt} "
                f"{SWEEPS[command]}")
@@ -372,11 +377,12 @@ def main(argv=None) -> int:
     from nfsense.cli import main as cli_main
 
     with tempfile.TemporaryDirectory() as tmp:
-        config = Path(tmp) / "run.cfg"
-        config.write_text(CONFIG_TEXT)
+        paths = {}
+        for name, text in CONFIGS.items():
+            paths[name] = Path(tmp) / name.strip("<>")
+            paths[name].write_text(text)
         for case in cases():
-            argv = [str(config) if word == CONFIG else word
-                    for word in case.split()]
+            argv = [str(paths.get(word, word)) for word in case.split()]
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 try:

@@ -27,7 +27,7 @@ import math
 import sys
 from collections import Counter
 from enum import Enum
-from itertools import chain, islice
+from itertools import chain, islice, takewhile
 from operator import attrgetter
 
 import numpy as np
@@ -121,7 +121,7 @@ def _parse_positive(text: str) -> float:
 
 
 def _parse_format(text: str) -> str:
-    # checked here, not by choices=, so that a config-file value is checked too
+    # checked here, not by choices=, for this message and for --format CSV
     if text.lower() not in ("csv", "json"):
         raise argparse.ArgumentTypeError(
             f"unknown format {text!r} (choose csv or json)")
@@ -152,8 +152,17 @@ _SWEEP_DEFAULTS = {
 }
 
 
-def _load_config_file(path: str) -> dict:
-    values = {}
+def _load_config_file(argv: list) -> list:
+    """The lines of argv's last --config file as --key=value words.  The
+    file is found as argparse finds it: by the flag or a prefix (no other
+    flag starts with --c), then '=path' or the next word, before any '--'."""
+    path, rest = None, takewhile("--".__ne__, argv)
+    for flag, eq, value in (word.partition("=") for word in rest):
+        if len(flag) > 2 and "--config".startswith(flag):
+            path = value if eq else next(rest, None)
+    if path is None:
+        return []
+    words = []
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
             for lineno, raw in enumerate(fh, 1):
@@ -166,10 +175,10 @@ def _load_config_file(path: str) -> dict:
                 key = key.strip().lower().replace("-", "_")
                 if key not in _CONFIG_KEYS:
                     raise UsageError(f"unknown config key {key!r} in {path}")
-                values[key] = value.strip()
+                words.append(f"--{key.replace('_', '-')}={value.strip()}")
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file {path}: {exc}")
-    return values
+    return words
 
 
 def _sweep_grid(args) -> np.ndarray:
@@ -454,8 +463,10 @@ _COMMANDS = {
 }
 
 
-def _build_parser() -> _Parser:
-    """One parser: the command is a positional choice beside the flags."""
+@functools.cache
+def _parser() -> _Parser:
+    """The one parser, built on first use; parsing never changes it, so
+    every call and thread shares it."""
     parser = _Parser(prog="nfsense", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version",
@@ -468,25 +479,13 @@ def _build_parser() -> _Parser:
     return parser
 
 
-@functools.cache
-def _shared_parser() -> _Parser:
-    """Built once per process; parsing never changes it, so calls share it."""
-    return _build_parser()
-
-
 def main(argv=None) -> int:
-    parser = _shared_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        # file words go first: each passes its flag's type, and argv wins
+        args = _parser().parse_args(_load_config_file(argv) + argv)
         if args.command is None:
             raise UsageError("a command is required (see --help)")
-        if args.config:
-            # file values become string defaults, which argparse passes
-            # through each flag's type; flags given on the command line win.
-            # They go on a parser of this call's own, never the shared one.
-            parser = _build_parser()
-            parser.set_defaults(**_load_config_file(args.config))
-            args = parser.parse_args(argv)
         if args.sweep is None:
             args.sweep = _parse_sweep(_SWEEP_DEFAULTS.get(args.command, "0:0:2"))
         return _COMMANDS[args.command](args)

@@ -353,6 +353,10 @@ class TestDumpGeometry:
         assert np.max(np.abs(parsed - g.elements)) <= 1e-12
 
 
+FORMAT_XML = "argument --format: unknown format 'xml' (choose csv or json)"
+APERTURE_INF = "argument --aperture-lambda: must be positive and finite, got inf"
+
+
 class TestConfigFile:
     def test_file_values_used(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -400,14 +404,48 @@ class TestConfigFile:
         assert capsys.readouterr().err == (
             f"nfsense: error: {cfg}:2: expected key = value\n")
 
-    @pytest.mark.parametrize("line", [b"format = xml", b"aperture-lambda = inf",
-                                      b"kind = ula\n\xff = 3"])  # not UTF-8
-    def test_bad_file_value_rejected(self, tmp_path, capsys, line):
+    @pytest.mark.parametrize("line, flags, message", [
+        (b"format = xml", [], FORMAT_XML),
+        (b"aperture-lambda = inf", [], APERTURE_INF),
+        (b"kind = ula\n\xff = 3", [], "cannot read config file {cfg}: 'utf-8' "
+         "codec can't decode byte 0xff in position 11: invalid start byte"),
+        # a flag that overrides the file's value does not hide it
+        (b"format = xml", ["--format", "csv"], FORMAT_XML),
+        (b"aperture-lambda = inf", ["--aperture-lambda", "5"], APERTURE_INF),
+        # the file's words are parsed first, so its error is the one shown
+        (b"format = xml", ["--aperture-lambda", "-5"], FORMAT_XML),
+    ], ids=["format = xml", "aperture-lambda = inf", "kind = ula\n\xff = 3",
+            "format = xml, --format csv", "aperture-lambda = inf, --aperture-lambda 5",
+            "format = xml, --aperture-lambda -5"])
+    def test_bad_file_value_rejected(self, tmp_path, capsys, line, flags, message):
         cfg = tmp_path / "run.cfg"
         cfg.write_bytes(line + b"\n")
-        assert main(["dump-geometry", "--kind", "ula", "--config", str(cfg),
-                     "--out", str(tmp_path / "geo.txt")]) == 1
-        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert main(["dump-geometry", "--kind", "ula", *flags, "--config",
+                     str(cfg), "--out", str(tmp_path / "geo.txt")]) == 1
+        assert capsys.readouterr() == ("", "nfsense: error: "
+                                       + message.format(cfg=cfg) + "\n")
+        assert not (tmp_path / "geo.txt").exists()
+
+    @pytest.mark.parametrize("spelling", [["--config={cfg}"], ["--conf", "{cfg}"],
+                                          ["--c={cfg}"],
+                                          ["--config", "{bad}", "--config", "{cfg}"]],
+                             ids=["--config=", "--conf", "--c=", "the last --config"])
+    def test_file_found_as_argparse_reads_the_flag(self, tmp_path, capsys, spelling):
+        cfg, bad = tmp_path / "run.cfg", tmp_path / "bad.cfg"
+        cfg.write_text("kind = uca\n")
+        bad.write_text("format = xml\n")
+        argv = [w.format(cfg=cfg, bad=bad) for w in spelling]
+        assert main(["tables", *argv]) == 0
+        from_file = capsys.readouterr()
+        assert main(["tables", "--kind", "uca"]) == 0
+        assert capsys.readouterr() == from_file
+
+    def test_no_file_after_double_dash(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("format = xml\n")
+        assert main(["tables", "--", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            f"nfsense: error: unrecognized arguments: --config {cfg}\n")
 
     def test_utf8_bom_skipped(self, tmp_path, capsys):
         # a byte order mark, as some editors save it, is not part of a key
@@ -445,15 +483,19 @@ class TestRepeatedCalls:
         assert main(self.ARGV) == 0
         assert capsys.readouterr() == alone
 
-    def test_parser_built_once(self, monkeypatch):
+    def test_no_call_builds_a_parser(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("kind = uca\naperture-lambda = 80\n")
+        assert main(self.ARGV) == 0  # the process's parser exists from here on
         built = []
-        build = cli._build_parser
-        monkeypatch.setattr(cli, "_build_parser",
-                            lambda: built.append(1) or build())
-        cli._shared_parser.cache_clear()
-        for argv in (self.ARGV, ["tables", "--kind", "ula"], self.ARGV):
-            assert main(argv) == 0
-        assert len(built) == 1
+        init = argparse.ArgumentParser.__init__
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                            lambda *args, **kw: built.append(1) or init(*args, **kw))
+        for argv, code in ((self.ARGV, 0), (["tables", "--kind", "ula"], 0),
+                           (self.ARGV + ["--config", str(cfg)], 0),
+                           (["tables", "--kind", "nope"], 1), (self.ARGV, 0)):
+            assert main(argv) == code
+        assert built == []
 
     @pytest.mark.parametrize("first", [["--help"], ["tables", "--version"]])
     def test_exit_then_valid_run(self, capsys, first):
@@ -466,8 +508,12 @@ class TestRepeatedCalls:
         assert capsys.readouterr() == alone
 
     def test_threads_match_serial_calls(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("kind = ura\naperture-lambda = 30\nsweep = 10:300:200\n"
+                       "format = json\n")
         argvs = [self.ARGV + ["--kind", "uca", "--format", "json"],
-                 ["af-curve", "--kind", "ula,ura", "--sweep", "50:400:2000"]]
+                 ["af-curve", "--kind", "ula,ura", "--sweep", "50:400:2000"],
+                 ["beamdepth-sweep", "--config", str(cfg), "--mode", "mimo"]]
         outs = [tmp_path / f"serial{i}" for i in range(len(argvs))]
         for argv, out in zip(argvs, outs):
             assert main(argv + ["--out", str(out)]) == 0
