@@ -46,17 +46,13 @@ CROSSING_THRESHOLD = 0.03   # relative, in distance
 MAX_SWEEP_POINTS = 100_000  # validate sweeps four times as many on its wide grid
 
 
-class UsageError(ValueError):
-    pass
-
-
 class ValidationFailure(Exception):
     pass
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise UsageError(message)
+        raise ValueError(message)
 
 
 def _parse_kinds(text: str) -> list:
@@ -170,14 +166,14 @@ def _load_config_file(argv: list) -> list:
                 if not line or line.startswith("#"):
                     continue
                 if "=" not in line:
-                    raise UsageError(f"{path}:{lineno}: expected key = value")
+                    raise ValueError(f"{path}:{lineno}: expected key = value")
                 key, _, value = line.partition("=")
                 key = key.strip().lower().replace("-", "_")
                 if key not in _CONFIG_KEYS:
-                    raise UsageError(f"unknown config key {key!r} in {path}")
+                    raise ValueError(f"unknown config key {key!r} in {path}")
                 words.append(f"--{key.replace('_', '-')}={value.strip()}")
     except (OSError, UnicodeDecodeError) as exc:
-        raise UsageError(f"cannot read config file {path}: {exc}")
+        raise ValueError(f"cannot read config file {path}: {exc}")
     return words
 
 
@@ -387,8 +383,8 @@ def _validate_series(kind: GeometryKind, args) -> list:
         rel = deviation / closed
         lower = _crossing(wide, exact_wide, d_target, upper=False)
         upper = _crossing(wide, exact_wide, d_target, upper=True)
-        err_low = abs(lower - d_low) / d_low if lower is not None else math.inf
-        err_high = abs(upper - d_high) / d_high if upper is not None else math.inf
+        err_low = abs(lower - d_low) / d_low
+        err_high = abs(upper - d_high) / d_high
         ok = (deviation.max() <= DEVIATION_THRESHOLD
               and err_low <= CROSSING_THRESHOLD and err_high <= CROSSING_THRESHOLD)
         rows.append({
@@ -403,14 +399,16 @@ def _validate_series(kind: GeometryKind, args) -> list:
     return rows
 
 
-def _crossing(distances, power, d_target, upper: bool):
-    """Interpolated half-power crossing adjacent to the target range."""
+def _crossing(distances, power, d_target, upper: bool) -> float:
+    """The half-power crossing next to d_target, interpolated linearly in
+    power: in the last segment that rises through 1/2 and starts below the
+    target, or the first that falls through it and ends above; inf if none."""
     above = power >= 0.5
     fall = (distances[1:] > d_target) & above[:-1] & ~above[1:]
     rise = (distances[:-1] < d_target) & ~above[:-1] & above[1:]
     idx = np.flatnonzero(fall)[:1] if upper else np.flatnonzero(rise)[-1:]
     if idx.size == 0:
-        return None
+        return math.inf
     i = int(idx[0])
     p0, p1 = power[i], power[i + 1]
     return float(distances[i] + (0.5 - p0) / (p1 - p0)
@@ -445,7 +443,7 @@ def cmd_validate(args) -> int:
 
 def cmd_dump_geometry(args) -> int:
     if len(args.kind) != 1:
-        raise UsageError("dump-geometry takes exactly one kind")
+        raise ValueError("dump-geometry takes exactly one kind")
     geometry = build_array(args.kind[0], args.aperture_lambda * args.wavelength,
                            args.wavelength)
     columns = {"index": list(range(geometry.n_elements)),
@@ -485,11 +483,11 @@ def main(argv=None) -> int:
         # file words go first: each passes its flag's type, and argv wins
         args = _parser().parse_args(_load_config_file(argv) + argv)
         if args.command is None:
-            raise UsageError("a command is required (see --help)")
+            raise ValueError("a command is required (see --help)")
         if args.sweep is None:
             args.sweep = _parse_sweep(_SWEEP_DEFAULTS.get(args.command, "0:0:2"))
         return _COMMANDS[args.command](args)
-    except ValueError as exc:  # a UsageError, or a library input out of its domain
+    except ValueError as exc:  # a usage error, or a library input out of its domain
         print(f"nfsense: error: {exc}", file=sys.stderr)
         return 1
     except ValidationFailure as exc:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from nfsense import metrics
+from nfsense import cli, metrics
 from nfsense.ambiguity import array_factor, broadside_power_sweep
 from nfsense.closed_form import af_argument, normalized_af_power
 from nfsense.geometry import (GeometryKind, ProcessingMode, build_array,
@@ -146,13 +146,8 @@ def test_criterion_5_oracle_equivalence(kind):
         wide = np.linspace(0.85 * d_low, 1.15 * d_high, 2401)
         exact_wide = broadside_power_sweep(setup, d_target, wide) \
             ** mode.power_exponent
-        above = exact_wide >= 0.5
-        i = int(np.where((wide[1:] < d_target) & ~above[:-1] & above[1:])[0][-1])
-        lo = wide[i] + (0.5 - exact_wide[i]) \
-            / (exact_wide[i + 1] - exact_wide[i]) * (wide[i + 1] - wide[i])
-        j = int(np.where((wide[:-1] > d_target) & above[:-1] & ~above[1:])[0][0])
-        hi = wide[j] + (0.5 - exact_wide[j]) \
-            / (exact_wide[j + 1] - exact_wide[j]) * (wide[j + 1] - wide[j])
+        lo = cli._crossing(wide, exact_wide, d_target, upper=False)
+        hi = cli._crossing(wide, exact_wide, d_target, upper=True)
         err_lo = abs(lo - d_low) / d_low
         err_hi = abs(hi - d_high) / d_high
         if deviation > 0.02:
