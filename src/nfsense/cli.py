@@ -27,7 +27,7 @@ import math
 import sys
 from collections import Counter
 from enum import Enum
-from itertools import chain, islice, takewhile
+from itertools import chain, takewhile
 from operator import attrgetter
 
 import numpy as np
@@ -233,6 +233,19 @@ def _json_object(keys, specs, indent: str) -> str:
 _ROWS_PER_WRITE = 4096
 
 
+def _chunks(row: str, cells: list):
+    """A block's rows as strings of up to _ROWS_PER_WRITE rows, each
+    formatted by one % of the row template repeated to its row count."""
+    n, width = (len(cells[0]) if cells else 0), len(cells)
+    for start in range(0, n, _ROWS_PER_WRITE):
+        stop = min(start + _ROWS_PER_WRITE, n)
+        # the chunk's cells row by row, laid out by slices, not per row
+        flat = [None] * ((stop - start) * width)
+        for j, column in enumerate(cells):
+            flat[j::width] = column[start:stop]
+        yield row * (stop - start) % tuple(flat)
+
+
 def _emit(args, metadata: dict, *blocks: dict) -> None:
     """Write metadata and blocks of rows in the chosen format.
 
@@ -241,8 +254,11 @@ def _emit(args, metadata: dict, *blocks: dict) -> None:
     equally long and give its rows.  A block's rows are formatted by one
     %-template built from its column types, with its shared values already
     formatted into it, and a list that several blocks hold is formatted
-    once.  Every value is checked and every template built before the
-    first write, and rows go out _ROWS_PER_WRITE at a time.
+    once.  Every value is checked, every template built and the first
+    chunk formatted before the first write.  A chunk is up to
+    _ROWS_PER_WRITE rows of one block, formatted by a single % of the
+    template repeated to its row count, and each write is one chunk, which
+    bounds the text held in memory.
     """
     text = args.format == "csv"
 
@@ -252,7 +268,7 @@ def _emit(args, metadata: dict, *blocks: dict) -> None:
 
     uses = Counter(id(values) for block in blocks for values in block.values()
                    if isinstance(values, list))
-    columns, rows = {}, []  # columns: list id -> (spec, cells)
+    columns, per_block = {}, []  # columns: list id -> (spec, cells)
     for block in blocks:
         specs, cells = [], []
         for values in block.values():
@@ -269,9 +285,9 @@ def _emit(args, metadata: dict, *blocks: dict) -> None:
         # a JSON row opens with the comma after the row before it
         row = (",".join(specs) + "\n" if text else
                ",\n    " + _json_object(list(block), specs, "    "))
-        rows.append(map(row.__mod__, zip(*cells)))
-    lines = chain.from_iterable(rows)
-    first = "".join(islice(lines, _ROWS_PER_WRITE))
+        per_block.append(_chunks(row, cells))
+    chunks = chain.from_iterable(per_block)
+    first = next(chunks, "")
     if text:
         head = "".join(f"# {key} = {one(value)}\n" for key, value in metadata.items())
         head += ",".join(blocks[0]) + "\n"
@@ -286,7 +302,7 @@ def _emit(args, metadata: dict, *blocks: dict) -> None:
         with (contextlib.nullcontext(sys.stdout) if args.out == "-" else
               open(args.out, "w", encoding="utf-8", newline="")) as stream:
             stream.write(head + first)
-            while chunk := "".join(islice(lines, _ROWS_PER_WRITE)):
+            for chunk in chunks:
                 stream.write(chunk)
             stream.write(tail)
     except OSError as exc:
@@ -446,8 +462,14 @@ def cmd_dump_geometry(args) -> int:
         raise ValueError("dump-geometry takes exactly one kind")
     geometry = build_array(args.kind[0], args.aperture_lambda * args.wavelength,
                            args.wavelength)
+    elements = geometry.elements
+    # a coordinate the layout's frame fixes is one shared value; bits, not
+    # values, decide, so a column that mixes 0.0 and -0.0 stays per row
+    bits = elements.view(np.uint64)
+    fixed = (bits == bits[0]).all(axis=0)
     columns = {"index": list(range(geometry.n_elements)),
-               **dict(zip("xyz", geometry.elements.T.tolist()))}
+               **{axis: float(values[0]) if same else values.tolist()
+                  for axis, values, same in zip("xyz", elements.T, fixed)}}
     _emit(args, {}, columns)
     return 0
 
