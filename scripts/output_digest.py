@@ -17,6 +17,9 @@ listing does not depend on the terminal.  The CLI cases, in print order:
   and both formats;
 - per format, the validate defaults and dump-geometry per kind at
   D = 12 lambda;
+- per format, two single blocks of more than the writer's 4,096 rows a
+  write: a ULA SIMO af-curve of 10,000 points and the 7,225 elements of
+  a URA at D = 60 lambda;
 - inputs that exit 1;
 - dump-geometry of a few elements at lambda = 1e300 and 1e308 m;
 - a validate at lambda = 1e-11 m;
@@ -173,6 +176,8 @@ def cases():
         yield f"validate --format {fmt}"
         for kind in ("ula", "uca", "ura", "upca"):
             yield f"dump-geometry --kind {kind} --aperture-lambda 12 --format {fmt}"
+        yield f"af-curve --kind ula --mode simo --sweep 50:400:10000 --format {fmt}"
+        yield f"dump-geometry --kind ura --aperture-lambda 60 --format {fmt}"
     yield from BAD_INPUTS
     yield from EXTREME_WAVELENGTHS
     yield "validate --kind ula,uca --wavelength 1e-11 --sweep 0:0:301"

@@ -239,7 +239,7 @@ def _chunks(row: str, cells: list):
     n, width = (len(cells[0]) if cells else 0), len(cells)
     for start in range(0, n, _ROWS_PER_WRITE):
         stop = min(start + _ROWS_PER_WRITE, n)
-        # the chunk's cells row by row, laid out by slices, not per row
+        # the chunk's cells row by row, laid out by one slice per column
         flat = [None] * ((stop - start) * width)
         for j, column in enumerate(cells):
             flat[j::width] = column[start:stop]
@@ -250,15 +250,15 @@ def _emit(args, metadata: dict, *blocks: dict) -> None:
     """Write metadata and blocks of rows in the chosen format.
 
     Each block maps every column name, in the first block's order, to a
-    list of cells or to one value shared by the whole block; its lists are
-    equally long and give its rows.  A block's rows are formatted by one
-    %-template built from its column types, with its shared values already
-    formatted into it, and a list that several blocks hold is formatted
-    once.  Every value is checked, every template built and the first
-    chunk formatted before the first write.  A chunk is up to
-    _ROWS_PER_WRITE rows of one block, formatted by a single % of the
-    template repeated to its row count, and each write is one chunk, which
-    bounds the text held in memory.
+    list of cells or to one value shared by the whole block (a kind and
+    mode, or a coordinate that is the same bit for bit on every element
+    of a layout); its lists are equally long and give its rows.  A
+    block's rows are formatted by one %-template built from its column
+    types, with its shared values already formatted into it, and a list
+    that several blocks hold is formatted once.  Every value is checked,
+    every template built and the first chunk formatted before the first
+    write, and each write is one chunk of _chunks: up to _ROWS_PER_WRITE
+    rows of one block, formatted by a single %.
     """
     text = args.format == "csv"
 

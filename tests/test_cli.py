@@ -3,6 +3,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import threading
@@ -16,8 +17,8 @@ from nfsense.ambiguity import broadside_power_sweep
 from nfsense.cli import main
 from nfsense.closed_form import (af_argument, normalized_af_power,
                                  vergence_difference)
-from nfsense.geometry import (GeometryKind, ProcessingMode, build_array,
-                              simo_miso_setup)
+from nfsense.geometry import (ArrayGeometry, GeometryKind, ProcessingMode,
+                              build_array, simo_miso_setup)
 from nfsense.metrics import (compute_metrics, half_power_coefficient,
                              half_power_distances, max_nearfield_range)
 
@@ -878,7 +879,29 @@ WRITER_CASES = [
     "beamdepth-sweep --kind ula,ura --sweep 10:1200:101",  # inf depths
     "validate --kind ula,upca --sweep 0:0:201",  # pass and fail, exit 2
     "dump-geometry --kind upca --aperture-lambda 6",  # the int index
+    # coordinates the frame fixes go in as shared values: y and z of the
+    # ULA, z of the URA, y of the UCA (19 and 26 elements)
+    "dump-geometry --kind ula --aperture-lambda 6",
+    "dump-geometry --kind ura --aperture-lambda 6",
+    "dump-geometry --kind uca --aperture-lambda 3",
+    "dump-geometry --kind uca --aperture-lambda 4",
 ]
+
+
+class _Writes(list):
+    """A stream that keeps each write as one string."""
+
+    def write(self, text):
+        self.append(text)
+
+
+def _rows_per_write(writes, fmt):
+    """The table rows in each write, each as its first cell.  A CSV row
+    starts with a number or a kind's upper-case name, which no header
+    name does; a JSON row is an object at the rows' indent."""
+    pattern = (r"^([0-9A-Z]\w*)," if fmt == "csv" else
+               r'^    \{\n      "\w+": ([^,\n]+)')
+    return [re.findall(pattern, text, re.M) for text in writes]
 
 
 class TestWriter:
@@ -912,6 +935,84 @@ class TestWriter:
         monkeypatch.setattr(cli, "_ROWS_PER_WRITE", rows)
         self.test_bytes_match_reference(argv, fmt, to_file, tmp_path, capsys,
                                         monkeypatch)
+
+    @staticmethod
+    def _writes_of_seven(monkeypatch, run):
+        """run()'s writes to stdout at 7 rows a write, after checking that
+        they join to the reference writer's bytes."""
+        monkeypatch.setattr(cli, "_ROWS_PER_WRITE", 7)
+        runs = []
+        for emit in (cli._emit, reference_writer.emit):
+            monkeypatch.setattr(cli, "_emit", emit)
+            monkeypatch.setattr(sys, "stdout", _Writes())
+            run()
+            runs.append(sys.stdout)
+        assert "".join(runs[0]) == "".join(runs[1])
+        return runs[0]
+
+    # blocks of 0, 1, 7 and 8 rows in writes of 7: the head and the tail
+    # go with the first and after the last chunk, and a chunk never holds
+    # more than 7 rows or rows of two blocks
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("sizes", [(0,), (1,), (7,), (8,), (8, 0, 1, 7)],
+                             ids=lambda sizes: ",".join(map(str, sizes)))
+    def test_writes_hold_one_block_and_at_most_seven_rows(self, sizes, fmt,
+                                                          monkeypatch):
+        blocks = [{"block": b, "index": list(range(n)),
+                   "v": [0.25 * i - 1.0 for i in range(n)]}
+                  for b, n in enumerate(sizes)]
+        args = argparse.Namespace(format=fmt, out="-")
+        writes = self._writes_of_seven(
+            monkeypatch, lambda: cli._emit(args, {"n": 3}, *blocks))
+        chunks = [[str(b)] * min(7, n - start) for b, n in enumerate(sizes)
+                  for start in range(0, n, 7)]
+        assert _rows_per_write(writes, fmt) == (chunks or [[]]) + [[]]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_af_curve_writes_hold_one_block_and_at_most_seven_rows(
+            self, fmt, monkeypatch):
+        # four blocks of 15 rows: chunks of 7, 7 and 1 each
+        argv = ["af-curve", "--kind", "ula,uca", "--sweep", "50:400:15",
+                "--format", fmt]
+        writes = self._writes_of_seven(monkeypatch, lambda: main(argv))
+        kinds = ["ULA", "ULA", "UCA", "UCA"]
+        if fmt == "json":
+            kinds = [f'"{kind}"' for kind in kinds]
+        chunks = [[kind] * count for kind in kinds for count in (7, 7, 1)]
+        assert _rows_per_write(writes, fmt) == chunks + [[]]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_fixed_coordinates_are_shared_by_bits(self, fmt, capsys,
+                                                  monkeypatch):
+        # y mixes 0.0 and -0.0 and stays a list, so each -0 keeps its row;
+        # z is one value, formatted into every row
+        layout = ArrayGeometry(None, 1.0, np.array([
+            [-1.5, 0.0, 2.25], [-0.5, -0.0, 2.25],
+            [0.5, 0.0, 2.25], [1.5, -0.0, 2.25]]))
+        monkeypatch.setattr(cli, "build_array", lambda *args: layout)
+        argv = ["dump-geometry", "--kind", "ula", "--format", fmt]
+        blocks, outputs = [], []
+
+        def spy(emit):
+            def record(args, metadata, *given):
+                blocks.extend(given)
+                emit(args, metadata, *given)
+            return record
+
+        for emit in (cli._emit, reference_writer.emit):
+            monkeypatch.setattr(cli, "_emit", spy(emit))
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert isinstance(blocks[0]["y"], list) and blocks[0]["z"] == 2.25
+        if fmt == "csv":
+            assert outputs[0].splitlines()[1:] == [
+                "0,-1.5,0,2.25", "1,-0.5,-0,2.25", "2,0.5,0,2.25",
+                "3,1.5,-0,2.25"]
+        else:
+            rows = json.loads(outputs[0])["rows"]
+            assert [math.copysign(1.0, r["y"]) for r in rows] == [1, -1, 1, -1]
+            assert [r["z"] for r in rows] == [2.25] * 4
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_blocks_share_values_and_a_list(self, fmt, capsys):
