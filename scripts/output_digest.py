@@ -84,7 +84,8 @@ library cases, in print order:
   2**-500: normalized_power on the off-axis patch per setup,
   broadside_power_sweep and array_factor on the on-axis points (the sums
   work in wavelengths, so each prints its lambda = 1 line's hash);
-- build_array per kind at D = 3 lambda and lambda = 1e-300 and 1e300;
+- build_array per kind at D = 3 lambda and lambda = 1e-320 (below the
+  normal floats, so a ValueError), 1e-300 and 1e300;
 - build_array per kind at D = 100 lambda, and a UPCA at 300 lambda, at
   lambda = 1: large layouts, the UPCA's of many rings.
 
@@ -136,6 +137,7 @@ BAD_INPUTS = (
     "dump-geometry --kind ula,uca",
     "dump-geometry --kind ula --aperture-lambda 0.3",
     "dump-geometry --kind uca --aperture-lambda 0.5 --wavelength 5e-324",
+    "dump-geometry --kind ura --aperture-lambda 1 --wavelength 5e-324",
     "beamdepth-sweep --aperture-lambda 5e153 --sweep 1:1e300:3",
     "beamdepth-sweep --aperture-lambda 1e-100 --sweep 1e-300:1e300:3",
     "validate --kind ula --wavelength 1e152",
@@ -364,8 +366,8 @@ def library_cases():
                                        np.linspace(20.0, 200.0, 901) * lam))
         yield (f"array_factor {kind.value} on axis 2**-500", array_factor,
                (array, [0.0, 0.0, 60.0 * lam], axis * lam))
-    for kind, lam in product(GeometryKind, (1e-300, 1e300)):
-        yield (f"build_array {kind.value} 3 {lam:g}", _elements,
+    for kind, lam in product(GeometryKind, (1e-320, 1e-300, 1e300)):
+        yield (f"build_array {kind.value} 3 {lam!r}", _elements,
                (build_array, kind, 3.0 * lam, lam))
     # large layouts, the UPCA's of 100 and 300 rings
     for kind, aperture in [*product(GeometryKind, (100.0,)),

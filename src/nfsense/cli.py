@@ -313,15 +313,14 @@ def _base_metadata(args) -> dict:
     return {"tool": "nfsense", "version": __version__, "command": args.command}
 
 
-def cmd_tables(args) -> int:
+def cmd_tables(args) -> None:
     metadata = _base_metadata(args)
     metadata["figure_accuracy"] = "correctly rounded from 40 digits"
     rows = [vars(compute_metrics(kind)) for kind in args.kind]
     _emit(args, metadata, {key: [r[key] for r in rows] for key in rows[0]})
-    return 0
 
 
-def cmd_af_curve(args) -> int:
+def cmd_af_curve(args) -> None:
     lam = args.wavelength
     d_target = args.target_lambda * lam
     aperture = _real(args.aperture_lambda * lam, "aperture")
@@ -348,10 +347,9 @@ def cmd_af_curve(args) -> int:
             blocks.append({"kind": kind, "mode": mode, "distance_m": distances_m,
                            "power_db": db.tolist()})
     _emit(args, metadata, *blocks)
-    return 0
 
 
-def cmd_beamdepth_sweep(args) -> int:
+def cmd_beamdepth_sweep(args) -> None:
     lam = args.wavelength
     aperture = _real(args.aperture_lambda * lam, "aperture")
     d_fa = _fraunhofer(aperture, lam)
@@ -369,50 +367,6 @@ def cmd_beamdepth_sweep(args) -> int:
             blocks.append({"kind": kind, "mode": mode, "target_m": targets_m,
                            "beamdepth_m": beamdepth(targets, d_fa, coeff).tolist()})
     _emit(args, metadata, *blocks)
-    return 0
-
-
-def _validate_series(kind: GeometryKind, args) -> list:
-    """Exact vs closed-form comparison rows for one geometry, both modes."""
-    lam = args.wavelength
-    geometry = build_array(kind, args.aperture_lambda * lam, lam)
-    d_fa = fraunhofer_distance(geometry)
-    d_target = args.target_lambda * lam
-    setup = simo_miso_setup(geometry)
-    points = max(args.sweep[2], 201)
-    rows = []
-    for mode in args.mode:
-        coeff = half_power_coefficient(kind, mode)
-        d_low, d_high = half_power_distances(d_target, d_fa, coeff)
-        if math.isinf(d_high):
-            raise ValidationFailure(
-                f"{kind.name}: target beyond the maximum near-field range; "
-                "no finite mainlobe to validate")
-        grid = np.linspace(d_low, d_high, points)
-        # the wide grid locates the exact half-power crossings around the target
-        wide = np.linspace(0.85 * d_low, 1.15 * d_high, 4 * points)
-        exact = broadside_power_sweep(setup, d_target, grid) ** mode.power_exponent
-        exact_wide = broadside_power_sweep(setup, d_target, wide) ** mode.power_exponent
-        x = af_argument(kind, d_fa, vergence_difference(d_target, grid))
-        closed = normalized_af_power(kind, mode, x)
-        deviation = np.abs(exact - closed)
-        rel = deviation / closed
-        lower = _crossing(wide, exact_wide, d_target, upper=False)
-        upper = _crossing(wide, exact_wide, d_target, upper=True)
-        err_low = abs(lower - d_low) / d_low
-        err_high = abs(upper - d_high) / d_high
-        ok = (deviation.max() <= DEVIATION_THRESHOLD
-              and err_low <= CROSSING_THRESHOLD and err_high <= CROSSING_THRESHOLD)
-        rows.append({
-            "kind": kind, "mode": mode, "elements": geometry.n_elements,
-            "aperture_m": geometry.aperture, "fraunhofer_m": d_fa,
-            "d3db_low_m": d_low, "d3db_high_m": d_high,
-            "max_peak_deviation": float(deviation.max()),
-            "max_rel_error": float(rel.max()),
-            "crossing_low_rel_err": err_low, "crossing_high_rel_err": err_high,
-            "status": "pass" if ok else "fail",
-        })
-    return rows
 
 
 def _crossing(distances, power, d_target, upper: bool) -> float:
@@ -431,10 +385,13 @@ def _crossing(distances, power, d_target, upper: bool) -> float:
                  * (distances[i + 1] - distances[i]))
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args) -> None:
+    lam = args.wavelength
+    d_target = args.target_lambda * lam
+    points = max(args.sweep[2], 201)
     metadata = _base_metadata(args)
     metadata.update({
-        "lambda_m": args.wavelength,
+        "lambda_m": lam,
         "aperture_lambda": args.aperture_lambda,
         "target_lambda": args.target_lambda,
         "deviation_threshold": DEVIATION_THRESHOLD,
@@ -442,7 +399,42 @@ def cmd_validate(args) -> int:
     })
     rows = []
     for kind in args.kind:
-        rows.extend(_validate_series(kind, args))
+        geometry = build_array(kind, args.aperture_lambda * lam, lam)
+        d_fa = fraunhofer_distance(geometry)
+        setup = simo_miso_setup(geometry)
+        for mode in args.mode:
+            coeff = half_power_coefficient(kind, mode)
+            d_low, d_high = half_power_distances(d_target, d_fa, coeff)
+            if math.isinf(d_high):
+                raise ValidationFailure(
+                    f"{kind.name}: target beyond the maximum near-field range; "
+                    "no finite mainlobe to validate")
+            grid = np.linspace(d_low, d_high, points)
+            # the wide grid locates the exact half-power crossings
+            wide = np.linspace(0.85 * d_low, 1.15 * d_high, 4 * points)
+            exact, exact_wide = (
+                broadside_power_sweep(setup, d_target, g) ** mode.power_exponent
+                for g in (grid, wide))
+            x = af_argument(kind, d_fa, vergence_difference(d_target, grid))
+            closed = normalized_af_power(kind, mode, x)
+            deviation = np.abs(exact - closed)
+            rel = deviation / closed
+            lower = _crossing(wide, exact_wide, d_target, upper=False)
+            upper = _crossing(wide, exact_wide, d_target, upper=True)
+            err_low = abs(lower - d_low) / d_low
+            err_high = abs(upper - d_high) / d_high
+            ok = (deviation.max() <= DEVIATION_THRESHOLD
+                  and err_low <= CROSSING_THRESHOLD
+                  and err_high <= CROSSING_THRESHOLD)
+            rows.append({
+                "kind": kind, "mode": mode, "elements": geometry.n_elements,
+                "aperture_m": geometry.aperture, "fraunhofer_m": d_fa,
+                "d3db_low_m": d_low, "d3db_high_m": d_high,
+                "max_peak_deviation": float(deviation.max()),
+                "max_rel_error": float(rel.max()),
+                "crossing_low_rel_err": err_low, "crossing_high_rel_err": err_high,
+                "status": "pass" if ok else "fail",
+            })
     _emit(args, metadata, {key: [r[key] for r in rows] for key in rows[0]})
     failed = [r for r in rows if r["status"] == "fail"]
     for r in rows:
@@ -454,10 +446,9 @@ def cmd_validate(args) -> int:
     if failed:
         raise ValidationFailure(
             f"{len(failed)} of {len(rows)} series exceeded thresholds")
-    return 0
 
 
-def cmd_dump_geometry(args) -> int:
+def cmd_dump_geometry(args) -> None:
     if len(args.kind) != 1:
         raise ValueError("dump-geometry takes exactly one kind")
     geometry = build_array(args.kind[0], args.aperture_lambda * args.wavelength,
@@ -471,7 +462,6 @@ def cmd_dump_geometry(args) -> int:
                **{axis: float(values[0]) if same else values.tolist()
                   for axis, values, same in zip("xyz", elements.T, fixed)}}
     _emit(args, {}, columns)
-    return 0
 
 
 _COMMANDS = {
@@ -508,7 +498,7 @@ def main(argv=None) -> int:
             raise ValueError("a command is required (see --help)")
         if args.sweep is None:
             args.sweep = _parse_sweep(_SWEEP_DEFAULTS.get(args.command, "0:0:2"))
-        return _COMMANDS[args.command](args)
+        _COMMANDS[args.command](args)
     except ValueError as exc:  # a usage error, or a library input out of its domain
         print(f"nfsense: error: {exc}", file=sys.stderr)
         return 1
@@ -518,6 +508,7 @@ def main(argv=None) -> int:
     except IOError as exc:
         print(f"nfsense: {exc}", file=sys.stderr)
         return 3
+    return 0
 
 
 if __name__ == "__main__":

@@ -261,7 +261,8 @@ def build_array(kind: GeometryKind, aperture: float, wavelength: float) -> Array
 
     ValueError, before allocating, for a kind that is not a GeometryKind,
     a wavelength that is not finite and positive, a D that is not finite
-    or is below the kind's minimum, and more than MAX_ELEMENTS elements.
+    or is below the kind's minimum, a wavelength below the normal floats,
+    and more than MAX_ELEMENTS elements.
     """
     if not isinstance(kind, GeometryKind):
         raise ValueError(f"unknown geometry kind {kind!r}")
@@ -271,6 +272,8 @@ def build_array(kind: GeometryKind, aperture: float, wavelength: float) -> Array
     size = aperture / wavelength
     if not size >= minimum:
         raise ValueError(f"{kind.name} {name} must be >= {least}, got {aperture}")
+    if wavelength < _TINY:  # a subnormal lambda has itself lost bits
+        raise ValueError(f"wavelength must be a normal float, got {wavelength:g}")
 
     def count(n) -> int:
         """A float element count (inf too) as an int, up to MAX_ELEMENTS."""

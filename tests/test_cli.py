@@ -525,7 +525,6 @@ class TestSharedFlags:
 
         def record(args):
             seen.append((args.command, args.sweep))
-            return 0
 
         monkeypatch.setattr(cli, "_COMMANDS", dict.fromkeys(cli._COMMANDS, record))
         return seen
@@ -686,10 +685,13 @@ EXITS = {
         _out_of_range("1.7e+308"),
     "nfsense validate --kind ula --aperture-lambda 1e5 --wavelength 1e300 "
     "--target-lambda 1e150": _out_of_range("1e+305"),
+    # a layout at a wavelength below the normal floats
+    "nfsense validate --kind ula --wavelength 1e-320": _error(
+        "wavelength must be a normal float, got 9.99989e-321"),
+    "nfsense dump-geometry --kind ura --aperture-lambda 1 --wavelength 5e-324":
+        _error("wavelength must be a normal float, got 4.94066e-324"),
     # an aperture whose square, or whose d_FA, falls below the normal floats
     "nfsense af-curve --kind ula --wavelength 1e-320":
-        _out_of_range("4.99994e-319"),
-    "nfsense validate --kind ula --wavelength 1e-320":
         _out_of_range("4.99994e-319"),
     "nfsense af-curve --wavelength 1e-163": _out_of_range("5e-162"),
     "nfsense validate --kind ula --mode simo --wavelength 1e-163":

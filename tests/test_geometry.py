@@ -127,10 +127,10 @@ class TestUpca:
             assert g.elements.tobytes() == want.tobytes(), size
 
     @pytest.mark.parametrize("wavelength", [
-        3.5e-323, 1e-320, 1e-9, 0.0123, 1.0, 7.3, 1e150])
+        np.finfo(float).tiny, 1e-9, 0.0123, 1.0, 7.3, 1e150])
     def test_count_independent_of_wavelength(self, wavelength):
-        # ring i holds ceil(2 pi i) elements at every wavelength, also a
-        # subnormal one, where i lambda / 2 rounds
+        # ring i holds ceil(2 pi i) elements at every wavelength, also the
+        # smallest normal one, where i lambda / 2 is subnormal for i = 1
         for rings in (1, 2, 12, 50):
             want = 1 + sum(int(mpmath.ceil(2 * mpmath.pi * i))
                            for i in range(1, rings + 1))
@@ -238,6 +238,17 @@ def test_zero_aperture_rejected_at_subnormal_wavelength(capsys):
     err = capsys.readouterr().err
     assert err.splitlines() == ["nfsense: error: UCA diameter must be >= "
                                 "lambda/2, got 0.0"]
+
+
+def test_smallest_normal_wavelength():
+    # the lambda = 1 layout times lambda, to within 2**-53 lambda where a
+    # position is subnormal
+    tiny = np.finfo(float).tiny
+    for kind in GeometryKind:
+        g = build_array(kind, 12.0 * tiny, tiny)
+        ref = build_array(kind, 12.0, 1.0)
+        assert g.n_elements == ref.n_elements
+        assert np.abs(g.elements / tiny - ref.elements).max() <= 2.0 ** -53
 
 
 def test_real_aperture_types_give_the_same_array():

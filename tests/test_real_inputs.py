@@ -133,6 +133,11 @@ OUT_OF_DOMAIN_ROWS = [
     ("build_array-wavelength", build_array,
      [(kind, 10.0, v) for kind in GeometryKind for v in (0.0, -1.0, NAN, INF)],
      _scalar("wavelength", 2)),
+    # a subnormal lambda has lost bits itself; D is checked before it
+    ("build_array-subnormal-wavelength", build_array,
+     [(kind, 12.0 * v, v) for kind, v in zip(GeometryKind, (
+         np.nextafter(np.finfo(float).tiny, 0.0), 1e-320, 3.5e-323, 5e-324))],
+     "wavelength must be a normal float, got {2:g}"),
     ("ArrayGeometry-wavelength", ArrayGeometry,
      [(None, v, np.zeros((1, 3))) for v in (0.0, -1.0, NAN)],
      _scalar("wavelength", 1)),
