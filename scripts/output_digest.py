@@ -20,7 +20,10 @@ listing does not depend on the terminal.  The CLI cases, in print order:
 - per format, two single blocks of more than the writer's 4,096 rows a
   write: a ULA SIMO af-curve of 10,000 points and the 7,225 elements of
   a URA at D = 60 lambda;
-- inputs that exit 1;
+- inputs that exit 1, among them an af-curve and a beamdepth-sweep at a
+  subnormal lambda whose D^2 and d_FA are normal floats, then a validate
+  whose second layout has no finite mainlobe (exit 2 before any exact
+  sum);
 - dump-geometry of a few elements at lambda = 1e300 and 1e308 m;
 - a validate at lambda = 1e-11 m;
 - an af-curve and a beamdepth-sweep at D = 12.457 lambda, whose d_FA
@@ -54,8 +57,8 @@ library cases, in print order:
 - array_factor of one element on a probe half a cycle nearer than the
   target;
 - rejected geometries: build_array per kind at lambda = 0 and -1, an
-  ArrayGeometry with empty, NaN or (2, 2) elements, and build_array with
-  a string kind;
+  ArrayGeometry with empty, NaN or (2, 2) elements, one element at the
+  subnormal lambda = 1e-320, and build_array with a string kind;
 - fraunhofer_distance and a MIMO normalized_power of a ULA hand-built
   with a float32 wavelength;
 - normalized_power, array_factor and broadside_power_sweep given two
@@ -149,6 +152,11 @@ BAD_INPUTS = (
     "--sweep 10:20:2",
     "beamdepth-sweep --kind ula --mode simo --aperture-lambda 1.5e-154 "
     "--sweep 10:20:2",
+    "beamdepth-sweep --kind ula --mode simo --wavelength 1e-320 "
+    "--aperture-lambda 1e200 --sweep 1e300:1e305:3",
+    "af-curve --kind ula --mode simo --wavelength 1e-320 --aperture-lambda 1e200 "
+    "--target-lambda 1e302 --sweep 1e301:1e303:3",
+    "validate --kind ula,upca --mode simo --target-lambda 710 --sweep 0:0:201",
 )
 EXTREME_WAVELENGTHS = (
     "dump-geometry --kind upca --aperture-lambda 3 --wavelength 1e300",
@@ -279,6 +287,8 @@ def library_cases():
                            ("2x2", np.zeros((2, 2)))):
         yield (f"ArrayGeometry {name} elements", _elements,
                (ArrayGeometry, None, 1.0, elements))
+    yield ("ArrayGeometry 1e-320 wavelength", _elements,
+           (ArrayGeometry, None, 1e-320, np.zeros((1, 3))))
     yield ("build_array 'ula' 1 1", _elements, (build_array, "ula", 1.0, 1.0))
     # a float32 wavelength, which the geometry keeps as a float
     single = ArrayGeometry(GeometryKind.ULA, np.float32(0.0123), build_array(

@@ -323,7 +323,7 @@ def cmd_tables(args) -> None:
 def cmd_af_curve(args) -> None:
     lam = args.wavelength
     d_target = args.target_lambda * lam
-    aperture = _real(args.aperture_lambda * lam, "aperture")
+    aperture = args.aperture_lambda * lam
     d_fa = _fraunhofer(aperture, lam)
     distances = _sweep_grid(args)
     vergence = vergence_difference(d_target, distances)
@@ -351,7 +351,7 @@ def cmd_af_curve(args) -> None:
 
 def cmd_beamdepth_sweep(args) -> None:
     lam = args.wavelength
-    aperture = _real(args.aperture_lambda * lam, "aperture")
+    aperture = args.aperture_lambda * lam
     d_fa = _fraunhofer(aperture, lam)
     targets = _sweep_grid(args)
     metadata = _base_metadata(args)
@@ -397,7 +397,8 @@ def cmd_validate(args) -> None:
         "deviation_threshold": DEVIATION_THRESHOLD,
         "crossing_threshold": CROSSING_THRESHOLD,
     })
-    rows = []
+    # every series' window is derived before the first exact sum
+    series = []
     for kind in args.kind:
         geometry = build_array(kind, args.aperture_lambda * lam, lam)
         d_fa = fraunhofer_distance(geometry)
@@ -409,32 +410,35 @@ def cmd_validate(args) -> None:
                 raise ValidationFailure(
                     f"{kind.name}: target beyond the maximum near-field range; "
                     "no finite mainlobe to validate")
-            grid = np.linspace(d_low, d_high, points)
-            # the wide grid locates the exact half-power crossings
-            wide = np.linspace(0.85 * d_low, 1.15 * d_high, 4 * points)
-            exact, exact_wide = (
-                broadside_power_sweep(setup, d_target, g) ** mode.power_exponent
-                for g in (grid, wide))
-            x = af_argument(kind, d_fa, vergence_difference(d_target, grid))
-            closed = normalized_af_power(kind, mode, x)
-            deviation = np.abs(exact - closed)
-            rel = deviation / closed
-            lower = _crossing(wide, exact_wide, d_target, upper=False)
-            upper = _crossing(wide, exact_wide, d_target, upper=True)
-            err_low = abs(lower - d_low) / d_low
-            err_high = abs(upper - d_high) / d_high
-            ok = (deviation.max() <= DEVIATION_THRESHOLD
-                  and err_low <= CROSSING_THRESHOLD
-                  and err_high <= CROSSING_THRESHOLD)
-            rows.append({
-                "kind": kind, "mode": mode, "elements": geometry.n_elements,
-                "aperture_m": geometry.aperture, "fraunhofer_m": d_fa,
-                "d3db_low_m": d_low, "d3db_high_m": d_high,
-                "max_peak_deviation": float(deviation.max()),
-                "max_rel_error": float(rel.max()),
-                "crossing_low_rel_err": err_low, "crossing_high_rel_err": err_high,
-                "status": "pass" if ok else "fail",
-            })
+            series.append((kind, mode, geometry, setup, d_fa, d_low, d_high))
+    rows = []
+    for kind, mode, geometry, setup, d_fa, d_low, d_high in series:
+        grid = np.linspace(d_low, d_high, points)
+        # the wide grid locates the exact half-power crossings
+        wide = np.linspace(0.85 * d_low, 1.15 * d_high, 4 * points)
+        exact, exact_wide = (
+            broadside_power_sweep(setup, d_target, g) ** mode.power_exponent
+            for g in (grid, wide))
+        x = af_argument(kind, d_fa, vergence_difference(d_target, grid))
+        closed = normalized_af_power(kind, mode, x)
+        deviation = np.abs(exact - closed)
+        rel = deviation / closed
+        lower = _crossing(wide, exact_wide, d_target, upper=False)
+        upper = _crossing(wide, exact_wide, d_target, upper=True)
+        err_low = abs(lower - d_low) / d_low
+        err_high = abs(upper - d_high) / d_high
+        ok = (deviation.max() <= DEVIATION_THRESHOLD
+              and err_low <= CROSSING_THRESHOLD
+              and err_high <= CROSSING_THRESHOLD)
+        rows.append({
+            "kind": kind, "mode": mode, "elements": geometry.n_elements,
+            "aperture_m": geometry.aperture, "fraunhofer_m": d_fa,
+            "d3db_low_m": d_low, "d3db_high_m": d_high,
+            "max_peak_deviation": float(deviation.max()),
+            "max_rel_error": float(rel.max()),
+            "crossing_low_rel_err": err_low, "crossing_high_rel_err": err_high,
+            "status": "pass" if ok else "fail",
+        })
     _emit(args, metadata, {key: [r[key] for r in rows] for key in rows[0]})
     failed = [r for r in rows if r["status"] == "fail"]
     for r in rows:

@@ -58,7 +58,7 @@ _TOL = 1e-9
 # slack on (x^2 + y^2, z) within one axial class, relative to the extent
 _CLASS_TOL = 1e-12
 
-# the smallest normal float: a product below it has lost digits
+# the smallest normal float: a length or product below it has lost digits
 _TINY = np.finfo(float).tiny
 
 MAX_ELEMENTS = 1_000_000
@@ -91,9 +91,9 @@ class ArrayGeometry:
     """Immutable element layout; every other value is derived from it.
 
     kind is a GeometryKind, or None for SensingSetup.tx's single element
-    and a layout of no supported kind.  The wavelength, a finite positive
-    real, is kept as a float; elements, a non-empty (M, 3) array of finite
-    values, as a read-only float copy.  aperture is computed once from
+    and a layout of no supported kind.  The wavelength, a finite real no less
+    than 2**-1022, is kept as a float; elements, a non-empty (M, 3) array of
+    finite values, as a read-only float copy.  aperture is computed once from
     them: a ULA's length, a URA's diagonal, else twice the largest norm.
     """
 
@@ -106,6 +106,9 @@ class ArrayGeometry:
         if not (self.kind is None or isinstance(self.kind, GeometryKind)):
             raise ValueError(f"unknown geometry kind {self.kind!r}")
         object.__setattr__(self, "wavelength", _real(self.wavelength, "wavelength"))
+        if self.wavelength < _TINY:  # a subnormal lambda has itself lost bits
+            raise ValueError("wavelength must be a normal float, "
+                             f"got {self.wavelength:g}")
         e = self.elements
         if not (isinstance(e, np.ndarray) and e.dtype.kind in "iuf"
                 and e.ndim == 2 and e.shape[0] > 0 and e.shape[1] == 3
@@ -261,8 +264,8 @@ def build_array(kind: GeometryKind, aperture: float, wavelength: float) -> Array
 
     ValueError, before allocating, for a kind that is not a GeometryKind,
     a wavelength that is not finite and positive, a D that is not finite
-    or is below the kind's minimum, a wavelength below the normal floats,
-    and more than MAX_ELEMENTS elements.
+    or is below the kind's minimum and more than MAX_ELEMENTS elements;
+    ArrayGeometry then rejects a wavelength below the normal floats.
     """
     if not isinstance(kind, GeometryKind):
         raise ValueError(f"unknown geometry kind {kind!r}")
@@ -272,8 +275,6 @@ def build_array(kind: GeometryKind, aperture: float, wavelength: float) -> Array
     size = aperture / wavelength
     if not size >= minimum:
         raise ValueError(f"{kind.name} {name} must be >= {least}, got {aperture}")
-    if wavelength < _TINY:  # a subnormal lambda has itself lost bits
-        raise ValueError(f"wavelength must be a normal float, got {wavelength:g}")
 
     def count(n) -> int:
         """A float element count (inf too) as an int, up to MAX_ELEMENTS."""
@@ -287,12 +288,13 @@ def build_array(kind: GeometryKind, aperture: float, wavelength: float) -> Array
 
 
 def _fraunhofer(aperture: float, wavelength: float) -> float:
-    """2 D^2 / lambda; D^2 is D * D on any libm.  ValueError where D^2 or
-    the result is below the normal floats, with its digits lost, or where
-    the result overflows."""
+    """2 D^2 / lambda; D^2 is D * D on any libm.  ValueError unless D is
+    finite and positive, where D^2, lambda or the result is below the
+    normal floats, with its digits lost, or where the result overflows."""
+    aperture = _real(aperture, "aperture")
     square = aperture * aperture
     distance = 2.0 * square / wavelength
-    if not (_TINY <= min(square, distance) and distance < math.inf):
+    if not (_TINY <= min(square, wavelength, distance) and distance < math.inf):
         raise ValueError(f"2 D^2 / lambda for D = {aperture:g} m is out of "
                          "floating-point range")
     return distance

@@ -258,6 +258,22 @@ class TestValidate:
         assert cli._crossing(np.arange(1.0, 6.0), np.array(power), 3.0,
                              upper=upper) == math.inf
 
+    # the ULA's and UCA's windows are finite at d' = 710 wavelengths, the
+    # UPCA's SIMO one is not: its d_FA / alpha is 705.5 wavelengths
+    @pytest.mark.parametrize("kinds, mode", [("ula,upca", "simo"),
+                                             ("ula,uca,upca", "both")])
+    def test_every_window_is_checked_before_the_first_exact_sum(
+            self, capsys, monkeypatch, kinds, mode):
+        calls = []
+        monkeypatch.setattr(cli, "broadside_power_sweep",
+                            lambda *args: calls.append(args))
+        assert main(["validate", "--kind", kinds, "--mode", mode,
+                     "--target-lambda", "710", "--sweep", "0:0:201"]) == 2
+        assert calls == []
+        assert capsys.readouterr() == ("", (
+            "nfsense: validation failed: UPCA: target beyond the maximum "
+            "near-field range; no finite mainlobe to validate\n"))
+
     def test_numbers_match_an_independent_oracle(self, capsys):
         # each crossing bisected on the exact power (validate interpolates
         # on its wide grid, here within 2e-7 of it), the largest deviation
@@ -693,6 +709,13 @@ EXITS = {
     # an aperture whose square, or whose d_FA, falls below the normal floats
     "nfsense af-curve --kind ula --wavelength 1e-320":
         _out_of_range("4.99994e-319"),
+    # a subnormal lambda whose D^2 and d_FA are normal floats
+    "nfsense beamdepth-sweep --kind ula --mode simo --wavelength 1e-320 "
+    "--aperture-lambda 1e200 --sweep 1e300:1e305:3":
+        _out_of_range("9.99989e-121"),
+    "nfsense af-curve --kind ula --mode simo --wavelength 1e-320 "
+    "--aperture-lambda 1e200 --target-lambda 1e302 --sweep 1e301:1e303:3":
+        _out_of_range("9.99989e-121"),
     "nfsense af-curve --wavelength 1e-163": _out_of_range("5e-162"),
     "nfsense validate --kind ula --mode simo --wavelength 1e-163":
         _out_of_range("5e-162"),

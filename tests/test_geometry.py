@@ -667,6 +667,7 @@ class TestFraunhofer:
         (1e154, 1e-10, None),  # D^2 is finite, 2 D^2 / lambda is not
         (1.5e-154, 1e3, None),  # D^2 is normal, 2 D^2 / lambda is subnormal
         (1e-160, 1e-300, None),  # D^2 is subnormal, 2 D^2 / lambda is not
+        (1e-120, 1e-320, None),  # lambda is subnormal, D^2 and the result not
         # D^2 and 2 D^2 / lambda are the smallest normal float
         (2.0 ** -511, 2.0, 2.0 ** -1022)])
     def test_out_of_float_range_raises(self, aperture, wavelength, distance):

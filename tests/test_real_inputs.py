@@ -86,6 +86,9 @@ NON_REAL_ROWS = [
      _scalar("wavelength", 1)),
 ]
 
+# positive floats below the normal ones, the largest and the smallest among them
+SUBNORMALS = (np.nextafter(np.finfo(float).tiny, 0.0), 1e-320, 3.5e-323, 5e-324)
+
 OUT_OF_DOMAIN_ROWS = [
     ("fresnel_c", fresnel_c, [(v,) for v in (NAN, INF, -INF)], "u must be finite"),
     ("fresnel_s", fresnel_s, [(v,) for v in (NAN, INF, -INF)], "u must be finite"),
@@ -133,14 +136,17 @@ OUT_OF_DOMAIN_ROWS = [
     ("build_array-wavelength", build_array,
      [(kind, 10.0, v) for kind in GeometryKind for v in (0.0, -1.0, NAN, INF)],
      _scalar("wavelength", 2)),
-    # a subnormal lambda has lost bits itself; D is checked before it
+    # a subnormal lambda has lost bits itself, in a built or a hand-built
+    # layout; build_array checks D before it
     ("build_array-subnormal-wavelength", build_array,
-     [(kind, 12.0 * v, v) for kind, v in zip(GeometryKind, (
-         np.nextafter(np.finfo(float).tiny, 0.0), 1e-320, 3.5e-323, 5e-324))],
+     [(kind, 12.0 * v, v) for kind, v in zip(GeometryKind, SUBNORMALS)],
      "wavelength must be a normal float, got {2:g}"),
     ("ArrayGeometry-wavelength", ArrayGeometry,
      [(None, v, np.zeros((1, 3))) for v in (0.0, -1.0, NAN)],
      _scalar("wavelength", 1)),
+    ("ArrayGeometry-subnormal-wavelength", ArrayGeometry,
+     [(None, v, np.zeros((1, 3))) for v in SUBNORMALS],
+     "wavelength must be a normal float, got {1:g}"),
 ]
 
 NON_KINDS = ["ula", None, 2, [1], MIMO]
