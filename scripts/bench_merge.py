@@ -12,6 +12,8 @@ i-th parent and change values form a pair:
 For every metric of a group the file holds each side's run values, median
 and quartiles, and the number of pairs in which the change reads lower.
 All records must come from one machine, and each side from one commit.
+Each group needs as many change runs as parent runs, and every run of a
+group the same metrics.
 """
 
 from __future__ import annotations
@@ -54,9 +56,16 @@ def main(argv=None) -> int:
 
     rows = []
     for (workload, seed, trace), sides in sorted(groups.items()):
-        if not all(sides.values()):
-            sys.exit(f"bench_merge: {workload} seed {seed} trace {trace} "
-                     "has runs on one side only")
+        group = f"{workload} seed {seed} trace {trace}"
+        # the i-th change run is paired with the i-th parent run
+        if len(sides["parent"]) != len(sides["change"]):
+            sys.exit(f"bench_merge: {group} has {len(sides['parent'])} parent "
+                     f"runs and {len(sides['change'])} change runs")
+        names = [set(run) for runs in sides.values() for run in runs]
+        if any(n != names[0] for n in names):
+            missing = sorted(set.union(*names) - set.intersection(*names))
+            sys.exit(f"bench_merge: {group}: metrics {missing} are missing "
+                     "from some runs")
         row = {"workload": workload, "seed": seed, "trace": trace,
                "runs": {side: len(runs) for side, runs in sides.items()},
                "metrics": {}}

@@ -225,19 +225,13 @@ def test_small_aperture_keeps_its_message(kind, aperture, elements):
         build_array(kind, aperture, 1.0)
 
 
-def test_zero_aperture_rejected_at_subnormal_wavelength(capsys):
+def test_zero_aperture_rejected_at_subnormal_wavelength():
     # lambda/2 underflows to 0 at lambda = 5e-324, so a zero aperture is
     # compared with lambda itself
     with pytest.raises(ValueError, match=r"^ULA aperture must be >= lambda/2"):
         build_array(GeometryKind.ULA, 0.0, 5e-324)
     with pytest.raises(ValueError, match=r"^UCA diameter must be >= lambda/2"):
         build_array(GeometryKind.UCA, 0.0, 5e-324)
-    argv = ["dump-geometry", "--kind", "uca", "--aperture-lambda", "0.5",
-            "--wavelength", "5e-324"]
-    assert main(argv) == 1
-    err = capsys.readouterr().err
-    assert err.splitlines() == ["nfsense: error: UCA diameter must be >= "
-                                "lambda/2, got 0.0"]
 
 
 def test_smallest_normal_wavelength():
