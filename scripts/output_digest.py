@@ -39,7 +39,6 @@ import hashlib
 import io
 import os
 import sys
-import tempfile
 from itertools import product
 from pathlib import Path
 
@@ -61,21 +60,7 @@ EXTREME_WAVELENGTHS = (
 )
 
 
-# the --config cases' files, each named in its printed argv by a placeholder
-CONFIGS = {
-    "<config>": ("kind = uca\nmode = mimo\naperture-lambda = 80\n"
-                 "target-lambda = 150\nwavelength = 0.5\nsweep = 10:600:300\n"
-                 "format = json\n"),
-    "<bad-config>": "format = xml\n",
-}
-
-
 def cases():
-    # first, so every later line also shows that no file value stayed
-    # behind as a default
-    yield "af-curve --config <config>"
-    # a file value is checked even where a flag overrides it
-    yield "tables --kind ula --format csv --config <bad-config>"
     for command, kinds, mode, fmt in product(SWEEPS, KIND_SETS, MODES, FORMATS):
         yield (f"{command} --kind {kinds} --mode {mode} --format {fmt} "
                f"{SWEEPS[command]}")
@@ -263,24 +248,18 @@ def main(argv=None) -> int:
     os.environ["COLUMNS"] = "80"  # the width argparse wraps --help to
     from nfsense.cli import main as cli_main
 
-    with tempfile.TemporaryDirectory() as tmp:
-        paths = {}
-        for name, text in CONFIGS.items():
-            paths[name] = Path(tmp) / name.strip("<>")
-            paths[name].write_text(text)
-        for case in cases():
-            argv = [str(paths.get(word, word)) for word in case.split()]
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                try:
-                    code = cli_main(argv)
-                except SystemExit as exc:  # --help
-                    code = exc.code
-                except Exception as exc:  # a traceback: the type is the code
-                    code = type(exc).__name__
-            digest = hashlib.sha256(
-                out.getvalue().encode() + b"\0" + err.getvalue().encode())
-            print(digest.hexdigest(), code, case.strip())
+    for case in cases():
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli_main(case.split())
+            except SystemExit as exc:  # --help
+                code = exc.code
+            except Exception as exc:  # a traceback: the type is the code
+                code = type(exc).__name__
+        digest = hashlib.sha256(
+            out.getvalue().encode() + b"\0" + err.getvalue().encode())
+        print(digest.hexdigest(), code, case.strip())
 
     for name, function, args in library_cases():
         try:

@@ -27,7 +27,7 @@ import math
 import sys
 from collections import Counter
 from enum import Enum
-from itertools import chain, takewhile
+from itertools import chain
 from operator import attrgetter
 
 import numpy as np
@@ -140,41 +140,11 @@ _FLAGS = (
     ("--format", _parse_format, "csv", "csv or json"),
     ("--out", str, "-", "output path, - for stdout"),
 )
-_CONFIG_KEYS = {flag[2:].replace("-", "_") for flag, *_ in _FLAGS}
 _SWEEP_DEFAULTS = {
     "af-curve": "50:400:2000",
     "beamdepth-sweep": "10:1200:500",
     "validate": "0:0:3001",  # validate picks its own window; only points used
 }
-
-
-def _load_config_file(argv: list) -> list:
-    """The lines of argv's last --config file as --key=value words.  The
-    file is found as argparse finds it: by the flag or a prefix (no other
-    flag starts with --c), then '=path' or the next word, before any '--'."""
-    path, rest = None, takewhile("--".__ne__, argv)
-    for flag, eq, value in (word.partition("=") for word in rest):
-        if len(flag) > 2 and "--config".startswith(flag):
-            path = value if eq else next(rest, None)
-    if path is None:
-        return []
-    words = []
-    try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ValueError(f"{path}:{lineno}: expected key = value")
-                key, _, value = line.partition("=")
-                key = key.strip().lower().replace("-", "_")
-                if key not in _CONFIG_KEYS:
-                    raise ValueError(f"unknown config key {key!r} in {path}")
-                words.append(f"--{key.replace('_', '-')}={value.strip()}")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ValueError(f"cannot read config file {path}: {exc}")
-    return words
 
 
 def _sweep_grid(args) -> np.ndarray:
@@ -489,15 +459,12 @@ def _parser() -> _Parser:
                         help="one of the commands above")
     for flag, parse, default, text in _FLAGS:
         parser.add_argument(flag, type=parse, default=default, help=text)
-    parser.add_argument("--config", help="key = value file with flag defaults")
     return parser
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        # file words go first: each passes its flag's type, and argv wins
-        args = _parser().parse_args(_load_config_file(argv) + argv)
+        args = _parser().parse_args(argv)
         if args.command is None:
             raise ValueError("a command is required (see --help)")
         if args.sweep is None:

@@ -1,4 +1,3 @@
-import importlib.util
 import json
 import math
 import re
@@ -314,12 +313,9 @@ class TestSolverCaches:
 BASES = [GeometryKind.ULA, GeometryKind.UCA, GeometryKind.UPCA]
 
 
-def _solve_figures():
-    path = Path(__file__).resolve().parents[1] / "scripts" / "solve_figures.py"
-    spec = importlib.util.spec_from_file_location("solve_figures", path)
-    solve_figures = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(solve_figures)
-    return solve_figures
+@pytest.fixture
+def solve_figures(load_script):
+    return load_script("solve_figures")
 
 
 class TestFigureTable:
@@ -327,8 +323,7 @@ class TestFigureTable:
     against the solvers of tests/reference_solvers.py on the library's own
     pattern."""
 
-    def test_committed_figures_match_the_solve(self):
-        solve_figures = _solve_figures()
+    def test_committed_figures_match_the_solve(self, solve_figures):
         start = time.perf_counter()
         figures = solve_figures.solve()
         assert solve_figures.check(figures) == []
@@ -338,14 +333,12 @@ class TestFigureTable:
         nudged = (roots, edge, float(np.nextafter(peak, 1.0)))
         assert solve_figures.check({**figures, "UCA": nudged}) == ["UCA"]
 
-    def test_printed_table_is_the_committed_source(self, capsys):
-        solve_figures = _solve_figures()
+    def test_printed_table_is_the_committed_source(self, solve_figures, capsys):
         assert solve_figures.main([]) == 0
         printed = capsys.readouterr().out
         assert printed in Path(closed_form.__file__).read_text()
 
-    def test_check_exit_code(self, monkeypatch, capsys):
-        solve_figures = _solve_figures()
+    def test_check_exit_code(self, solve_figures, monkeypatch, capsys):
         assert solve_figures.main(["--check"]) == 0
         roots, edge, peak = closed_form._FIGURES[GeometryKind.ULA]
         monkeypatch.setitem(closed_form._FIGURES, GeometryKind.ULA,
@@ -354,12 +347,12 @@ class TestFigureTable:
         assert solve_figures.main(["--check"]) == 1
         assert capsys.readouterr().out.startswith("ULA:")
 
-    def test_tables_state_the_accuracy(self, tmp_path):
+    def test_tables_state_the_accuracy(self, solve_figures, tmp_path):
         out = tmp_path / "tables.json"
         assert main(["tables", "--format", "json", "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert doc["metadata"]["figure_accuracy"] == (
-            f"correctly rounded from {_solve_figures().DIGITS} digits")
+            f"correctly rounded from {solve_figures.DIGITS} digits")
 
     @pytest.mark.parametrize("argv", [
         ["tables"], ["beamdepth-sweep", "--sweep", "10:1200:201"]])

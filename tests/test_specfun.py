@@ -1,7 +1,5 @@
-import importlib.util
 import math
 import time
-from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -248,12 +246,8 @@ def test_value_does_not_depend_on_its_batch(evaluate):
 
 
 @pytest.fixture(scope="module")
-def fit_specfun():
-    path = Path(__file__).resolve().parents[1] / "scripts" / "fit_specfun.py"
-    spec = importlib.util.spec_from_file_location("fit_specfun", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+def fit_specfun(load_script):
+    return load_script("fit_specfun")
 
 
 def test_committed_coefficients_match_the_fit(fit_specfun):
