@@ -113,7 +113,7 @@ _PATTERNS = {
 }
 
 # Per base pattern f: ({n p: x_3dB}, mainlobe edge, peak sidelobe power of
-# f), each correctly rounded from 40 digits by scripts/solve_figures.py.
+# f), each correctly rounded from 40 digits by scripts/constants.py.
 _FIGURES = {
     GeometryKind.ULA: ({1: 1.7379732118866686, 2: 1.2421576124333258,
                         4: 0.8834812565540558},

@@ -6,7 +6,7 @@ root of f(x) ** (n p) = 1/2, the mainlobe edge is the first minimum of f,
 which no exponent moves, and the sidelobe level is n p times that of f in
 dB.  nfsense.closed_form holds each layout's base, n and argument scale a,
 and the 13 figures of the three base patterns as constants, correctly
-rounded from a 40-digit mpmath solve: scripts/solve_figures.py prints
+rounded from a 40-digit mpmath solve: scripts/constants.py prints
 their table, and --check verifies it; this module derives from them.
 Beamdepth and its divergence point follow from the vergence algebra
 
@@ -66,7 +66,8 @@ def half_power_distances(d_target: float, d_fraunhofer: float,
     (lower, upper); upper is math.inf once the target sits at or beyond
     d_FA / alpha.  ValueError where the formula leaves the float
     range: d_FA d' or the lower distance overflows or falls below the
-    normal floats, or just below d_FA / alpha, alpha d' rounds to d_FA or
+    normal floats, rounding puts either distance on d' itself (a window
+    of zero width), or just below d_FA / alpha, alpha d' rounds to d_FA or
     above it.
     """
     d_target = _real(d_target, "d_target")
@@ -79,7 +80,7 @@ def half_power_distances(d_target: float, d_fraunhofer: float,
     upper = math.inf
     if finite and gap > 0.0:
         upper = product / gap
-    if not (_TINY <= min(product, lower) and lower < math.inf
+    if not (_TINY <= min(product, lower) and lower < d_target < upper
             and (upper < math.inf) == finite):
         raise ValueError(f"half-power distances at d' = {d_target:g} m with "
                          f"d_FA = {d_fraunhofer:g} m are out of "

@@ -7,7 +7,7 @@ the array code as a 0-d array and is made a float only on return.
 
 Every function costs a fixed number of operations per point.  Each branch
 of C, S and J0 sums Chebyshev series of fixed length by Clenshaw's
-recurrence, on float coefficients that scripts/fit_specfun.py interpolates
+recurrence, on float coefficients that scripts/constants.py interpolates
 in mpmath at 50 digits (its --check mode confirms every tuple below bit for
 bit); sinc uses no series.
 
@@ -56,7 +56,7 @@ _FRESNEL_HALF_MIN = 1e17
 # Series in x^2 below this |x|, the Hankel envelope's series above.
 _J0_SERIES_MAX = 13.0
 
-# Chebyshev coefficients, generated by scripts/fit_specfun.py.  The
+# Chebyshev coefficients, generated by scripts/constants.py.  The
 # variable s in [-1, 1] is u^4 / 8 - 1 for C(u)/u and S(u)/u^3, 8 / u^2 - 1
 # for the scaled auxiliary functions pi u f(u) and pi^2 u^3 g(u),
 # x^2 / 84.5 - 1 for (J0(x) - 1) / x^2 and 338 / x^2 - 1 for P(x) and x Q(x).

@@ -15,3 +15,9 @@ def load_script():
         spec.loader.exec_module(module)
         return module
     return load
+
+
+@pytest.fixture(scope="session")
+def constants(load_script):
+    """scripts/constants.py, which derives every float table of nfsense."""
+    return load_script("constants")

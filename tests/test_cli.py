@@ -718,8 +718,6 @@ EXITS = {
         "d_target must be finite and positive (a real scalar), got inf"),
     "nfsense af-curve --target-lambda 1e300 --wavelength 1e10": _error(
         "d_target must be finite and positive"),
-    "nfsense validate --kind ula --target-lambda 1e-300": _error(
-        "point coincides with an array element"),
     "nfsense af-curve --kind ula --mode simo --aperture-lambda 5e153 "
     "--sweep 0.0001:0.1:2": _error(
         "closed-form argument overflows: d_FA * d_ver is too large"),
@@ -734,6 +732,15 @@ EXITS = {
     "--target-lambda 1e-320 --wavelength 1e3 --sweep 0:0:201": _error(
         "half-power distances at d' = 9.99989e-318 m with d_FA = 18000 m are "
         "out of floating-point range"),
+    # a window that rounding collapses onto the target: d_FA + alpha d'
+    # rounds to d_FA, so the lower distance is d' itself
+    "nfsense validate --kind ula --target-lambda 1e-300": _error(
+        "half-power distances at d' = 1e-300 m with d_FA = 5000 m are out of "
+        "floating-point range"),
+    "nfsense validate --kind uca --mode mimo --wavelength 1e-20 "
+    "--aperture-lambda 1 --target-lambda 1e-207 --sweep 0:0:201": _error(
+        "half-power distances at d' = 1e-227 m with d_FA = 2e-20 m are out of "
+        "floating-point range"),
     # a beamdepth whose formula overflows or underflows
     "nfsense beamdepth-sweep --aperture-lambda 5e153 --sweep 1:1e300:3": _error(
         "beamdepth at d' = 1 m with d_FA = 5e+307 m is out of floating-point "

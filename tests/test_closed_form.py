@@ -9,7 +9,10 @@ from nfsense.closed_form import (GeometryKind, ProcessingMode, af_argument,
                                  normalized_af_power,
                                  quadratic_mainlobe_coefficient,
                                  vergence_difference)
-from nfsense.metrics import compute_metrics, half_power_argument, mainlobe_edge
+from nfsense.geometry import build_array, fraunhofer_distance
+from nfsense.metrics import (compute_metrics, half_power_argument,
+                             half_power_coefficient, half_power_distances,
+                             mainlobe_edge)
 
 KINDS = list(GeometryKind)
 SIMO = ProcessingMode.SIMO_MISO
@@ -203,3 +206,58 @@ class TestQuadraticCoefficient:
         x = np.linspace(0.0, x_max, 500)
         residual = np.abs(normalized_af_power(kind, SIMO, x) - (1.0 - c * x * x))
         assert residual.max() <= 0.01
+
+
+SIZES = [25.0, 50.0, 100.0]
+
+
+class TestEffectiveAperture:
+    """Under the second-order phase a discrete layout's broadside pattern
+    is the closed form of an aperture one element pitch longer, D_eff.
+
+    The discrete pattern sums the layout's axial classes, lambda = 1:
+    P2(d) = |sum_k w_k exp(j pi u_k (1/d' - 1/d))|^2 / M^2 with
+    u_k = x_k^2 + y_k^2, on validate's SIMO window at d' = 2D in 1001
+    points, against the closed form at d_FA = 2 D^2 and at 2 D_eff^2.
+    """
+
+    @staticmethod
+    def misses(kind, size):
+        """Max |P2 - closed form| at the measured aperture, then at D_eff."""
+        geometry = build_array(kind, size, 1.0)
+        aperture = geometry.aperture
+        # the ULA and the UPCA half a wavelength longer, the URA's diagonal
+        # n pitches long for n elements a side, the UCA as it is
+        effective = {
+            GeometryKind.ULA: aperture + 0.5, GeometryKind.UPCA: aperture + 0.5,
+            GeometryKind.URA: math.sqrt(2.0) * math.isqrt(geometry.n_elements) / 2,
+            GeometryKind.UCA: aperture}[kind]
+        d_target = 2.0 * size
+        low, high = half_power_distances(d_target, fraunhofer_distance(geometry),
+                                         half_power_coefficient(kind, SIMO))
+        vergence = vergence_difference(d_target, np.linspace(low, high, 1001))
+        positions, weights = geometry.axial_terms
+        u = positions[:, 0] ** 2 + positions[:, 1] ** 2
+        discrete = np.abs(np.exp(1j * np.pi * np.outer(vergence, u)) @ weights) ** 2
+        discrete /= geometry.n_elements ** 2
+        return [np.abs(discrete - normalized_af_power(
+                    kind, SIMO, af_argument(kind, 2.0 * d * d, vergence))).max()
+                for d in (aperture, effective)]
+
+    @pytest.mark.parametrize("size", SIZES)
+    @pytest.mark.parametrize("kind", [GeometryKind.ULA, GeometryKind.URA])
+    def test_miss_falls_to_second_order(self, kind, size):
+        # from order lambda / D (0.0285 -> 0.00048 for the ULA at 25 lambda,
+        # 0.0395 -> 0.00117 for the URA) to order (lambda / D)^2
+        at_aperture, at_effective = self.misses(kind, size)
+        assert at_effective <= size ** -2
+        assert 20.0 * at_effective <= at_aperture
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_upca_within_its_residual(self, size):
+        # 0.0301 -> 0.00006, 0.0152 -> 0.00019 and 0.0077 -> 0.00019
+        assert self.misses(GeometryKind.UPCA, size)[1] <= 3e-4
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_uca_needs_none(self, size):
+        assert self.misses(GeometryKind.UCA, size)[0] <= 1e-4

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nfsense import cli, closed_form, metrics
+from nfsense import cli, closed_form, metrics, specfun
 from nfsense.ambiguity import broadside_power_sweep
 from nfsense.cli import main
 from nfsense.closed_form import (af_argument, normalized_af_power,
@@ -313,46 +313,53 @@ class TestSolverCaches:
 BASES = [GeometryKind.ULA, GeometryKind.UCA, GeometryKind.UPCA]
 
 
-@pytest.fixture
-def solve_figures(load_script):
-    return load_script("solve_figures")
-
-
 class TestFigureTable:
     """The table of base-pattern figures against a 40-digit solve, and
     against the solvers of tests/reference_solvers.py on the library's own
     pattern."""
 
-    def test_committed_figures_match_the_solve(self, solve_figures):
+    def test_committed_figures_match_the_solve(self, constants):
         start = time.perf_counter()
-        figures = solve_figures.solve()
-        assert solve_figures.check(figures) == []
+        figures = constants.solve()
+        assert constants.check({}, figures) == []
         assert time.perf_counter() - start < 1.0
         # one ulp off in one figure is caught
         roots, edge, peak = figures["UCA"]
         nudged = (roots, edge, float(np.nextafter(peak, 1.0)))
-        assert solve_figures.check({**figures, "UCA": nudged}) == ["UCA"]
+        assert constants.check({}, {**figures, "UCA": nudged}) == ["UCA"]
 
-    def test_printed_table_is_the_committed_source(self, solve_figures, capsys):
-        assert solve_figures.main([]) == 0
-        printed = capsys.readouterr().out
-        assert printed in Path(closed_form.__file__).read_text()
+    def test_printed_table_is_the_committed_source(self, constants, capsys):
+        # each printed block is verbatim in its module: the coefficient
+        # tuples in specfun, then the _FIGURES table in closed_form
+        assert constants.main([]) == 0
+        blocks = capsys.readouterr().out.rstrip("\n").split("\n\n")
+        assert [b.split(" = ")[0] for b in blocks] == [*constants.fit(), "_FIGURES"]
+        for block in blocks:
+            module = closed_form if block.startswith("_FIGURES") else specfun
+            assert block in Path(module.__file__).read_text()
 
-    def test_check_exit_code(self, solve_figures, monkeypatch, capsys):
-        assert solve_figures.main(["--check"]) == 0
+    def test_check_exit_code(self, constants, monkeypatch, capsys):
+        assert constants.main(["--check"]) == 0
         roots, edge, peak = closed_form._FIGURES[GeometryKind.ULA]
         monkeypatch.setitem(closed_form._FIGURES, GeometryKind.ULA,
                             ({**roots, 4: math.nextafter(roots[4], 0.0)},
                              edge, peak))
-        assert solve_figures.main(["--check"]) == 1
+        assert constants.main(["--check"]) == 1
         assert capsys.readouterr().out.startswith("ULA:")
+        # one line per stale table, a specfun tuple as well
+        last = specfun._J0_P[-1]
+        monkeypatch.setattr(specfun, "_J0_P",
+                            (*specfun._J0_P[:-1], math.nextafter(last, 1.0)))
+        assert constants.main(["--check"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == ["_J0_P", "ULA"]
 
-    def test_tables_state_the_accuracy(self, solve_figures, tmp_path):
+    def test_tables_state_the_accuracy(self, constants, tmp_path):
         out = tmp_path / "tables.json"
         assert main(["tables", "--format", "json", "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert doc["metadata"]["figure_accuracy"] == (
-            f"correctly rounded from {solve_figures.DIGITS} digits")
+            f"correctly rounded from {constants.FIGURE_DIGITS} digits")
 
     @pytest.mark.parametrize("argv", [
         ["tables"], ["beamdepth-sweep", "--sweep", "10:1200:201"]])

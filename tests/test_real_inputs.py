@@ -123,6 +123,11 @@ OUT_OF_DOMAIN_ROWS = [
      [(100.0, 0.0, 6.952), (100.0, INF, 0.5)], _scalar("d_fraunhofer", 1)),
     ("half_power_distances-coefficient", half_power_distances,
      [(100.0, 5000.0, NAN)], _scalar("coefficient", 2)),
+    # d_FA + alpha d' rounds to d_FA: a window of zero width around d'
+    ("half_power_distances-collapsed", half_power_distances,
+     [(1e-17, 2.0, 6.952)],
+     "half-power distances at d' = {0:g} m with d_FA = {1:g} m are out of "
+     "floating-point range"),
     ("beamdepth", beamdepth, [(100.0, INF, 0.5), (INF, 5000.0, 0.5)],
      "distances and coefficient must be finite and positive"),
     ("max_nearfield_range-d_fraunhofer", max_nearfield_range, [(INF, 0.5)],

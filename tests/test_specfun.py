@@ -245,15 +245,10 @@ def test_value_does_not_depend_on_its_batch(evaluate):
     assert np.array_equal(alone.view(np.uint64), batch.view(np.uint64))
 
 
-@pytest.fixture(scope="module")
-def fit_specfun(load_script):
-    return load_script("fit_specfun")
-
-
-def test_committed_coefficients_match_the_fit(fit_specfun):
+def test_committed_coefficients_match_the_fit(constants):
     start = time.perf_counter()
-    fitted = fit_specfun.fit()
-    assert fit_specfun.check(fitted) == []
+    fitted = constants.fit()
+    assert constants.check(fitted, {}) == []
     assert time.perf_counter() - start < 2.0
     # one ulp off in any coefficient tuple, the first or the last entry, is
     # caught
@@ -261,15 +256,15 @@ def test_committed_coefficients_match_the_fit(fit_specfun):
         for k in (0, -1):
             nudged = list(coef)
             nudged[k] = float(np.nextafter(coef[k], np.inf))
-            assert fit_specfun.check({**fitted, name: tuple(nudged)}) == [name]
+            assert constants.check({**fitted, name: tuple(nudged)}, {}) == [name]
 
 
-def test_every_coefficient_tuple_is_fitted(fit_specfun):
+def test_every_coefficient_tuple_is_fitted(constants):
     # no table of floats in specfun escapes the fit check
     tables = {name for name, value in vars(specfun).items()
               if isinstance(value, tuple) and value
               and all(isinstance(c, float) for c in value)}
-    assert tables == set(fit_specfun.fit())
+    assert tables == set(constants.fit())
     assert {"_J0_P", "_J0_XQ"} <= tables
     # nor does a float array built from them
     arrays = [name for name, value in vars(specfun).items()
