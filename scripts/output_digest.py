@@ -5,7 +5,8 @@ It keeps the outputs whose bytes the test suite cannot pin: the exact sums,
 whose bits follow the host's np.tan, large files and the help text.  Every
 rejected input, with its exit code and full output or its message, is a
 row of tests/test_cli.py's EXITS or of tests/test_real_inputs.py's tables,
-and nowhere else.
+and nowhere else.  An output whose bits another case or a tier-1 test
+already fixes is not hashed again (README names those tests).
 
 Each CLI case runs nfsense.cli.main in this process with stdout and
 stderr captured, and prints one line: the sha256 of stdout and stderr,
@@ -61,6 +62,8 @@ EXTREME_WAVELENGTHS = (
 
 def cases():
     for command, kinds, mode, fmt in product(SWEEPS, KIND_SETS, MODES, FORMATS):
+        if command == "tables" and mode != "both":  # tables ignores --mode
+            continue
         yield (f"{command} --kind {kinds} --mode {mode} --format {fmt} "
                f"{SWEEPS[command]}")
     for fmt in FORMATS:
@@ -83,7 +86,6 @@ def cases():
     # exit code; tier-1 pins each command's --help to this one, and both
     # --version lines in full
     yield "--help"
-    yield "--kind ula --format json tables"  # flags before the command
 
 
 # Python floats, among them points where glibc's pow (Python's float **)
@@ -108,8 +110,7 @@ def library_cases():
     import nfsense
     from nfsense.ambiguity import (array_factor, broadside_power_sweep,
                                    normalized_power)
-    from nfsense.closed_form import (af_argument, normalized_af_power,
-                                     vergence_difference)
+    from nfsense.closed_form import normalized_af_power, vergence_difference
     from nfsense.geometry import (ArrayGeometry, GeometryKind, ProcessingMode,
                                   build_array, fraunhofer_distance, mimo_setup,
                                   simo_miso_setup)
@@ -117,29 +118,23 @@ def library_cases():
 
     x, z = np.meshgrid(np.linspace(-15.0, 15.0, 30), np.linspace(60.0, 140.0, 20))
     patch = np.column_stack([x.ravel(), 5.0 + 0.1 * x.ravel(), z.ravel()])
+    # the broadside sweep's points given as 3-vectors
+    axis = np.column_stack([np.zeros((901, 2)), np.linspace(20.0, 200.0, 901)])
     for kind in GeometryKind:
         array = build_array(kind, 12.0, 1.0)
         for make in (simo_miso_setup, mimo_setup):
             yield (f"normalized_power {kind.value} {make.__name__}",
                    normalized_power, (make(array), [4.0, -3.0, 100.0], patch))
-        # the same elements hand-built, whose line prints the built one's
-        # hash, and in another order: a class's term is its lowest-index
-        # element, and the terms are summed in index order
-        hand = ArrayGeometry(kind, 1.0, array.elements)
+        # the same elements in another order: a class's term is its
+        # lowest-index element, and the terms are summed in index order
         permuted = ArrayGeometry(kind, 1.0, np.roll(
             array.elements[::-1], array.n_elements // 3, axis=0))
-        for geometry, how in ((array, "simo_miso_setup"), (hand, "hand-built"),
-                              (permuted, "permuted")):
+        for geometry, how in ((array, "simo_miso_setup"), (permuted, "permuted")):
             yield (f"broadside_power_sweep {kind.value} {how}",
                    broadside_power_sweep, (simo_miso_setup(geometry), 60.0,
                                            np.linspace(20.0, 200.0, 901)))
-        # the broadside sweep's points given as 3-vectors: the SIMO line
-        # prints the sweep's hash
-        axis = np.column_stack([np.zeros((901, 2)),
-                                np.linspace(20.0, 200.0, 901)])
-        for make in (simo_miso_setup, mimo_setup):
-            yield (f"normalized_power {kind.value} {make.__name__} on axis",
-                   normalized_power, (make(array), [0.0, 0.0, 60.0], axis))
+        yield (f"normalized_power {kind.value} mimo_setup on axis",
+               normalized_power, (mimo_setup(array), [0.0, 0.0, 60.0], axis))
         yield (f"array_factor {kind.value} on axis", array_factor,
                (array, [0.0, 0.0, 60.0], axis))
     # large layouts, whose blocks hold few probe rows of many elements
@@ -148,9 +143,6 @@ def library_cases():
         for make in (simo_miso_setup, mimo_setup):
             yield (f"normalized_power {kind.value} {aperture:g} {make.__name__}",
                    normalized_power, (make(array), [4.0, -3.0, 100.0], patch))
-    yield ("normalized_power ula simo_miso_setup empty", normalized_power,
-           (simo_miso_setup(build_array(GeometryKind.ULA, 12.0, 1.0)),
-            [4.0, -3.0, 100.0], np.empty((0, 3))))
     # probes where the phase is many cycles
     ula = build_array(GeometryKind.ULA, 12.0, 1.0)
     for far in (1e5, 1e6):
@@ -172,30 +164,19 @@ def library_cases():
     yield "sorted nfsense.__all__", np.array, (sorted(nfsense.__all__),)
     yield ("vergence_difference (100.0, [50.0, 60.0])", vergence_difference,
            (100.0, [50.0, 60.0]))
-    for kind in GeometryKind:  # the argument scale a
-        yield f"af_argument {kind.value} 1.0 1.0", af_argument, (kind, 1.0, 1.0)
     for function in (fresnel_cs, fresnel_c, fresnel_s, bessel_j0, sinc):
         yield (f"{function.__name__} scalars", _each_scalar, (function,))
     for kind, mode in product(GeometryKind, ProcessingMode):
-        yield (f"normalized_af_power {kind.value} {mode.name} scalars",
-               _each_scalar, (normalized_af_power, kind, mode))
+        # the URA's SIMO pattern is the ULA's MIMO one
+        if (kind, mode) != (GeometryKind.URA, ProcessingMode.SIMO_MISO):
+            yield (f"normalized_af_power {kind.value} {mode.name} scalars",
+                   _each_scalar, (normalized_af_power, kind, mode))
     # J0 above its series branch at x = 13
     grid = np.linspace(13.0, 60.0, 2001)
     yield "bessel_j0 linspace(13, 60, 2001)", bessel_j0, (grid,)
     for mode in ProcessingMode:
         yield (f"normalized_af_power uca {mode.name} linspace(13, 60, 2001)",
                normalized_af_power, (GeometryKind.UCA, mode, grid))
-    # on-axis points with x = -0.0 on even rows and y = -0.0 on odd ones,
-    # and a target at x = -0.0: each line prints its "on axis" case's hash
-    signed = np.column_stack([np.zeros((901, 2)), np.linspace(20.0, 200.0, 901)])
-    signed[::2, 0] = signed[1::2, 1] = -0.0
-    for kind in GeometryKind:
-        array = build_array(kind, 12.0, 1.0)
-        for make in (simo_miso_setup, mimo_setup):
-            yield (f"normalized_power {kind.value} {make.__name__} on axis -0",
-                   normalized_power, (make(array), [-0.0, 0.0, 60.0], signed))
-        yield (f"array_factor {kind.value} on axis -0", array_factor,
-               (array, [0.0, -0.0, 60.0], signed))
     # a hand-built layout off the z = 0 plane: a spiral of rings of
     # distinct radii and heights, each element with its mirror image
     k = np.arange(40)
@@ -210,31 +191,19 @@ def library_cases():
                                        np.linspace(5.0, 200.0, 901)))
         yield (f"normalized_power spiral {make.__name__}", normalized_power,
                (make(spiral), [4.0, -3.0, 100.0], patch))
+    # on-axis points with x = -0.0 on even rows and y = -0.0 on odd ones,
+    # and a target at x = -0.0
+    signed = axis.copy()
+    signed[::2, 0] = signed[1::2, 1] = -0.0
     yield ("array_factor spiral on axis -0", array_factor,
            (spiral, [-0.0, 0.0, 60.0], signed))
-    # the first cases' sums with every length times 2**-500: the sums work
-    # in wavelengths, so each line prints its lambda = 1 line's hash
-    lam = 2.0 ** -500
-    for kind in GeometryKind:
-        array = build_array(kind, 12.0 * lam, lam)
-        for make in (simo_miso_setup, mimo_setup):
-            yield (f"normalized_power {kind.value} {make.__name__} 2**-500",
-                   normalized_power, (make(array), [4.0 * lam, -3.0 * lam,
-                                                   100.0 * lam], patch * lam))
-        yield (f"broadside_power_sweep {kind.value} simo_miso_setup 2**-500",
-               broadside_power_sweep, (simo_miso_setup(array), 60.0 * lam,
-                                       np.linspace(20.0, 200.0, 901) * lam))
-        yield (f"array_factor {kind.value} on axis 2**-500", array_factor,
-               (array, [0.0, 0.0, 60.0 * lam], axis * lam))
     # layouts near the ends of the float range
     for kind, lam in product(GeometryKind, (1e-300, 1e300)):
         yield (f"build_array {kind.value} 3 {lam!r}", _elements,
                (build_array, kind, 3.0 * lam, lam))
-    # large layouts, the UPCA's of 100 and 300 rings
-    for kind, aperture in [*product(GeometryKind, (100.0,)),
-                           (GeometryKind.UPCA, 300.0)]:
-        yield (f"build_array {kind.value} {aperture:g} 1", _elements,
-               (build_array, kind, aperture, 1.0))
+    # a large layout, the UPCA's of 300 rings
+    yield ("build_array upca 300 1", _elements,
+           (build_array, GeometryKind.UPCA, 300.0, 1.0))
 
 
 def main(argv=None) -> int:

@@ -181,8 +181,8 @@ def _cells(values: list, text: bool) -> tuple:
     if isinstance(first, float):
         if text:
             return "%.12g", values
-        if all(map(math.isfinite, values)):
-            return "%s", list(map(float.__repr__, values))
+        if all(map(math.isfinite, values)):  # str of a float is its repr
+            return "%s", values
         return "%s", list(map(_json_float, values))
     if type(first) is int:  # not bool, which CSV and JSON spell as words
         return "%d", values
@@ -247,7 +247,7 @@ def _emit(args, metadata: dict, *blocks: dict) -> None:
                 continue
             if id(values) not in columns:
                 spec, out = _cells(values, text)
-                if uses[id(values)] > 1 and spec != "%s":  # format it once
+                if uses[id(values)] > 1:  # format it once
                     spec, out = "%s", list(map(spec.__mod__, out))
                 columns[id(values)] = spec, out
             specs.append(columns[id(values)][0])

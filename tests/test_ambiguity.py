@@ -260,6 +260,21 @@ class TestOnAxis:
             power = normalized_power(setup, target, probes)
             assert np.max(np.abs(power - dense_power(setup, target, probes))) <= 1e-12
 
+    @pytest.mark.parametrize("kind", list(GeometryKind))
+    def test_signed_zero_on_axis_same_bits(self, kind):
+        # probes with x = -0.0 on even rows and y = -0.0 on odd ones, and a
+        # target at x or y = -0.0, give the bits of the +0.0 calls
+        g = build_array(kind, 12 * LAM, LAM)
+        axis = np.column_stack([np.zeros((901, 2)), np.linspace(20.0, 200.0, 901)])
+        signed = axis.copy()
+        signed[::2, 0] = signed[1::2, 1] = -0.0
+        target = [0.0, 0.0, 60.0]
+        for setup in (simo_miso_setup(g), mimo_setup(g)):
+            assert _bits(normalized_power(setup, [-0.0, 0.0, 60.0], signed)) == \
+                _bits(normalized_power(setup, target, axis))
+        assert _bits(array_factor(g, [0.0, -0.0, 60.0], signed)) == \
+            _bits(array_factor(g, target, axis))
+
 
 def _bits(a) -> tuple:
     """dtype, shape and bytes of an array: real and imaginary parts and the

@@ -79,6 +79,15 @@ class TestTables:
             for name in TABLE_COLUMNS[1:]:
                 assert csv_row[name] == "%.12g" % row[name], name
 
+    def test_mode_ignored(self, capsys):
+        # every row holds both modes' columns, whatever --mode names
+        for fmt in ("csv", "json"):
+            outputs = []
+            for mode in ("simo", "mimo", "both"):
+                assert main(["tables", "--mode", mode, "--format", fmt]) == 0
+                outputs.append(capsys.readouterr())
+            assert outputs == [outputs[2]] * 3, fmt
+
 
 class TestAfCurve:
     def run_curve(self, tmp_path, *extra):
