@@ -52,7 +52,9 @@ __all__ = [
 SPEED_OF_LIGHT = 299792458.0
 "Speed of light in m/s."
 
-# absolute slack on the lambda/2 spacing ceiling and on centering checks
+# absolute slack on the floor or ceiling that sets each kind's element count
+# in _ula, _uca, _ura and _upca: an argument within it of an integer counts
+# as that integer
 _TOL = 1e-9
 
 # slack on (x^2 + y^2, z) within one axial class, relative to the extent

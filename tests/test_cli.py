@@ -838,6 +838,8 @@ class TestExitCodes:
         digest = load_script("output_digest")
         lines = {" ".join(["nfsense", *case.split()]) for case in digest.cases()}
         assert sorted(lines & EXITS.keys()) == []
+        # its extreme-wavelength layouts are the ones written below
+        assert set(digest.EXTREME_WAVELENGTHS) == _EXTREME_WAVELENGTHS.keys()
 
     @pytest.mark.parametrize("argv, count", _EXTREME_WAVELENGTHS.items())
     def test_extreme_wavelength_layout_written(self, capsys, argv, count):

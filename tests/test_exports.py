@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import nfsense
@@ -46,6 +47,13 @@ def test_quadratic_record_is_folded_into_compute_metrics():
         assert name not in nfsense.__all__
         assert not hasattr(metrics, name)
         assert not hasattr(nfsense, name)
+
+
+def test_version_is_the_project_version():
+    # --version and every output's metadata print nfsense.__version__
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text())["project"]
+    assert nfsense.__version__ == project["version"]
 
 
 def test_import_loads_only_the_layers():
