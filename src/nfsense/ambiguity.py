@@ -35,12 +35,25 @@ element's distance depends only on (x^2 + y^2, z), so any sum with its
 target and every probe at x = y = 0 adds one term of
 ArrayGeometry.axial_terms per axial class, in index order, weighted by the
 class size and normalized by the full element count; other sums add every
-element with weight 1.  A target is one point.
+element with weight 1.  Where the K classes share one z or one norm, a
+class's on-axis phasor is a smooth function of x^2 + y^2 or of z, and
+ArrayGeometry._axial_nodes gives N = 48 node terms, weighted by q = w L,
+whose sum is the interpolant's sum over the classes.  A probe whose own z
+lies in the target's node window sums those N terms instead of the K; its
+bits depend only on its own z.  The window is bisected once per target and
+layout on a fixed ladder of vergence offsets, at about 10 certificates,
+each of which holds only if the interpolant matches every class phasor
+within 8 (2 pi eps) max(d', p), the kernel's own rounding floor, at a
+window end; it needs K > 48 and keeps every probe and the target twice the
+array's reach away.  Routing and certificates use no BLAS product.  A
+target is one point.
 """
 
 from __future__ import annotations
 
+import math
 import os
+import weakref
 
 import numpy as np
 
@@ -61,6 +74,17 @@ _BLOCK_PAIRS = 65_536
 # threads that share the blocks of a call above _BLOCK_PAIRS pairs
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
+
+# relative vergence offsets f tried as a node window's ends, t / p = 1 -+ f;
+# each side bisects the ladder, so 5 certificates find its end
+_RUNGS = 2.0 ** np.arange(-6.5, 1.25, 0.25)
+
+# a node window holds only probes this many array reaches away or more
+_REACHES = 2.0
+
+# node windows kept per layout: its on-axis targets' (low, high) probe z
+_WINDOWS = weakref.WeakKeyDictionary()
+_TARGETS = 64
 
 _ONE_TARGET = "target must be one finite point"
 _COINCIDES = "point coincides with an array element"
@@ -178,19 +202,124 @@ def _phase_sum(elements, weights, target, probes, on_axis: bool) -> np.ndarray:
     return out
 
 
+def _phasors(lateral, z, target: float, probe: float) -> np.ndarray:
+    """exp(-2 pi j c) for points (0, 0, target) and (0, 0, probe) and
+    elements of the given x^2 + y^2 and z, all in wavelengths, with c the
+    difference of the distances from the difference of their squares, so
+    that it keeps its digits."""
+    near = np.sqrt(lateral + (target - z) ** 2)
+    far = np.sqrt(lateral + (probe - z) ** 2)
+    c = (target - probe) * (target + probe - 2.0 * z) / (near + far)
+    c -= np.rint(c)
+    return np.exp(-2j * np.pi * c)
+
+
+def _window(geometry: ArrayGeometry, target: float):
+    """(low, high): the z range, in wavelengths, of the on-axis probes whose
+    sums for the target at z = target take the node terms; None if none do.
+
+    Each end is t / (1 -+ f) for the largest rung f of _RUNGS, found by
+    bisection, at which the node terms' phasors, interpolated to each
+    axial class, match its phasor within 8 (2 pi eps) max(|t|, |p|), the
+    kernel's own rounding floor; the target and every routed probe are
+    _REACHES array reaches or more from the origin.  Found once per target
+    and layout; a layout keeps at most _TARGETS windows."""
+    windows = _WINDOWS.setdefault(geometry, {})
+    window = windows.get(target, False)
+    if window is not False:
+        return window
+    window = None
+    nodes = geometry._axial_nodes
+    if nodes is not None:
+        lam = geometry.wavelength
+        with np.errstate(over="ignore", invalid="ignore"):
+            classes, terms = ((x * x + y * y, z) for x, y, z in
+                              (geometry.axial_terms[0].T / lam,
+                               nodes[0].T / lam))
+            # the largest norm of a class, and so of an element
+            floor = _REACHES * math.sqrt((classes[0] + classes[1] ** 2).max())
+
+        def certified(ratio: float) -> bool:
+            """Whether the end at p = target / ratio passes."""
+            return (ratio > 0.0 and abs(target / ratio) >= floor
+                    and _certified(terms, classes, nodes[2], target,
+                                   target / ratio))
+
+        if abs(target) >= floor:
+            ends = []
+            for side in (-1.0, 1.0):
+                lo, hi = -1, len(_RUNGS)
+                while hi - lo > 1:
+                    mid = (lo + hi) // 2
+                    if certified(1.0 + side * _RUNGS[mid]):
+                        lo = mid
+                    else:
+                        hi = mid
+                ends.append(target / (1.0 + side * _RUNGS[lo]) if lo >= 0
+                            else target)
+            if ends[0] != ends[1]:
+                window = min(ends), max(ends)
+    if len(windows) >= _TARGETS:
+        windows.clear()
+    windows[target] = window
+    return window
+
+
+def _certified(terms, classes, lagrange, target: float, probe: float) -> bool:
+    """Whether the node terms' phasors, interpolated to every class, match
+    the class phasors within 8 (2 pi eps) max(|target|, |probe|); nan and
+    inf do not pass."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        node = _phasors(*terms, target, probe)
+        want = _phasors(*classes, target, probe)
+        error = np.hypot((lagrange * node.real).sum(axis=1) - want.real,
+                         (lagrange * node.imag).sum(axis=1) - want.imag).max()
+    tol = 16.0 * math.pi * np.finfo(float).eps * max(abs(target), abs(probe))
+    return bool(error <= tol)
+
+
+def _axial_routes(geometry: ArrayGeometry, target, probes) -> list:
+    """[(positions, weights, rows)]: the terms each on-axis probe sums, the
+    axial classes or, for the rows of probes in the target's node window,
+    the node terms; target and probes in wavelengths."""
+    terms = geometry.axial_terms
+    window = _window(geometry, float(target[2]))
+    if window is None:
+        return [(*terms, slice(None))]
+    z = probes[:, 2]
+    routed = (window[0] <= z) & (z <= window[1])
+    routes = []
+    for route, rows in ((terms, ~routed), (geometry._axial_nodes[:2], routed)):
+        index = np.flatnonzero(rows)
+        if index.size:
+            # one run of rows, as a sorted sweep gives, is a slice: no copy
+            if index[-1] - index[0] == index.size - 1:
+                rows = slice(index[0], index[-1] + 1)
+            routes.append((*route, rows))
+    return routes
+
+
 def _array_factor(geometry: ArrayGeometry, target, probes) -> np.ndarray:
     """(P,) array factors.  A target and probes all on the z axis sum one
     weighted element per axial class, whose members are equidistant from
-    every point there; the target is tested first."""
+    every point there, or the node terms for probes in the target's node
+    window; the target is tested first."""
     m = geometry.n_elements
     on_axis = len(probes) and not (target[0] or target[1] or probes[:, :2].any())
-    elements, weights = (geometry.axial_terms if on_axis
-                         else (geometry.elements, 1.0))
     lam = geometry.wavelength
     # a squared distance that overflows (~1e154 lambda away) makes a sum nan
     with np.errstate(over="ignore", invalid="ignore"):
-        out = _phase_sum(elements / lam, weights, target / lam, probes / lam,
-                         on_axis)
+        target, probes = target / lam, probes / lam
+        routes = (_axial_routes(geometry, target, probes) if on_axis
+                  else [(geometry.elements, 1.0, slice(None))])
+        parts = [_phase_sum(elements / lam, weights, target, probes[rows],
+                            on_axis) for elements, weights, rows in routes]
+    # one route holds every probe; two share them
+    out = parts[0]
+    if len(parts) > 1:
+        out = np.empty(len(probes), dtype=complex)
+        for (*_, rows), part in zip(routes, parts):
+            out[rows] = part
     if not np.isfinite(out).all():
         raise ValueError("point too far from the array: a phase leaves the "
                          "floating-point range")
@@ -233,7 +362,8 @@ def broadside_power_sweep(setup: SensingSetup, target_distance: float, probe_dis
     """Normalized power for a target on +z and probe distances along +z.
 
     target_distance must be a real scalar.  On the axis the sum adds one
-    element per axial class, weighted by the class size.
+    element per axial class, weighted by the class size, or the node terms
+    for probes in the target's node window.
     """
     distance = _asarray(target_distance)
     if distance.shape or distance.dtype.kind not in "iuf":

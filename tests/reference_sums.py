@@ -3,12 +3,17 @@ and the exact-sum kernel's arithmetic with broadcast coordinate differences.
 
 They take lambda from the layout (k = 2 pi / lambda), compute their own
 distances and share no code with the exact-sum kernel in
-nfsense.ambiguity.  On the axis broadcast_array_factor reads
-geometry.axial_terms, the library's class grouping, which
-test_geometry.py::TestAxialClasses checks against its index oracle.
+nfsense.ambiguity.  On the axis broadcast_array_factor sums each probe over
+the terms nfsense.ambiguity._axial_routes gives it: geometry.axial_terms,
+the library's class grouping, which test_geometry.py::TestAxialClasses
+checks against its index oracle, or geometry._axial_nodes in the target's
+node window, which test_ambiguity.py::TestAxialNodes checks against the
+dense sum.
 """
 
 import numpy as np
+
+from nfsense.ambiguity import _axial_routes
 
 # points closer than this (in wavelengths) to an element are rejected
 MIN_SEPARATION = 1e-6
@@ -78,32 +83,34 @@ def broadcast_array_factor(geometry, target, probes) -> np.ndarray:
     at once on one thread, each coordinate difference a broadcast
     subtraction p_a - e_a.
 
-    The kernel's steps in its order: the class terms for points all on the
-    z axis, every point divided by lambda, the squares added in x, y, z
-    order, the rint-reduced phase in cycles, the half-angle tangent and the
-    ascending row sums.  Points are not checked.
+    The kernel's steps in its order: every point divided by lambda, the
+    class or node terms of each probe for points all on the z axis, the
+    squares added in x, y, z order, the rint-reduced phase in cycles, the
+    half-angle tangent and the ascending row sums.  Points are not checked.
     """
     lam = geometry.wavelength
     target = np.asarray(target, dtype=float).reshape(3)
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
     m = geometry.n_elements
     on_axis = len(probes) and not (target[0] or target[1] or probes[:, :2].any())
-    elements, weights = (geometry.axial_terms if on_axis
-                         else (geometry.elements, np.ones(m)))
-    ex, ey, ez = np.ascontiguousarray(elements.T) / lam
     target, probes = target / lam, probes / lam
+    routes = (_axial_routes(geometry, target, probes) if on_axis
+              else [(geometry.elements, np.ones(m), slice(None))])
     out = np.empty(len(probes), dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):
-        d_target = np.sqrt((target[0] - ex) ** 2 + (target[1] - ey) ** 2
-                           + (target[2] - ez) ** 2)
-        d = np.square(probes[:, 0:1] - ex)
-        d += np.square(probes[:, 1:2] - ey)
-        d += np.square(probes[:, 2:3] - ez)
-        c = d_target - np.sqrt(d)
-        t = np.tan((c - np.rint(c)) * np.pi)
-        scale = 2.0 * weights / (np.square(t) + 1.0)
-        out.imag = -(t * scale).sum(axis=1)
-        out.real = (scale - weights).sum(axis=1)
+    for elements, weights, rows in routes:
+        ex, ey, ez = np.ascontiguousarray(elements.T) / lam
+        p = probes[rows]
+        with np.errstate(over="ignore", invalid="ignore"):
+            d_target = np.sqrt((target[0] - ex) ** 2 + (target[1] - ey) ** 2
+                               + (target[2] - ez) ** 2)
+            d = np.square(p[:, 0:1] - ex)
+            d += np.square(p[:, 1:2] - ey)
+            d += np.square(p[:, 2:3] - ez)
+            c = d_target - np.sqrt(d)
+            t = np.tan((c - np.rint(c)) * np.pi)
+            scale = 2.0 * weights / (np.square(t) + 1.0)
+            out.imag[rows] = -(t * scale).sum(axis=1)
+            out.real[rows] = (scale - weights).sum(axis=1)
     out /= np.sqrt(m)
     return out
 

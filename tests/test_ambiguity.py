@@ -19,11 +19,12 @@ from nfsense import ambiguity as ambiguity_module
 from nfsense.ambiguity import (array_factor, broadside_power_sweep,
                                normalized_power)
 from nfsense.cli import main
+from nfsense.metrics import half_power_coefficient, half_power_distances
 from nfsense.closed_form import (af_argument, normalized_af_power,
                                  vergence_difference)
-from nfsense.geometry import (ArrayGeometry, GeometryKind, ProcessingMode,
-                              build_array, fraunhofer_distance, mimo_setup,
-                              simo_miso_setup)
+from nfsense.geometry import (_NODES, ArrayGeometry, GeometryKind,
+                              ProcessingMode, build_array, fraunhofer_distance,
+                              mimo_setup, simo_miso_setup)
 
 from reference_sums import (ambiguity, broadcast_array_factor, broadcast_power,
                             dense_array_factor, dense_power)
@@ -244,6 +245,7 @@ class TestOnAxis:
             normalized_power(mimo_setup(g), target, probes)
             array_factor(g, target, probes)
             assert "axial_terms" not in g.__dict__
+            assert "_axial_nodes" not in g.__dict__
         normalized_power(mimo_setup(g), [0.0, 0.0, 40.0], on)
         assert "axial_terms" in g.__dict__
 
@@ -291,6 +293,19 @@ def _patch_hashes() -> list:
         g = _layout(kind)
         for setup in (simo_miso_setup(g), mimo_setup(g)):
             power = normalized_power(setup, [4.0, -3.0, 100.0], _patch())
+            out.append(hashlib.sha256(power.tobytes()).hexdigest())
+    return out
+
+
+def _axis_hashes() -> list:
+    """sha256 of normalized_power on a multi-block on-axis window that
+    takes the node terms, per kind and setup."""
+    out = []
+    for kind in GeometryKind:
+        g = build_array(kind, 50.0, 1.0)
+        for setup in (simo_miso_setup(g), mimo_setup(g)):
+            power = broadside_power_sweep(setup, 100.0,
+                                          np.linspace(80.0, 140.0, 4001))
             out.append(hashlib.sha256(power.tobytes()).hexdigest())
     return out
 
@@ -489,16 +504,18 @@ class TestDifferenceProduct:
 
     def test_single_blas_thread_same_bits(self):
         # each product is at most 2 _BLOCK_PAIRS multiply-adds, so BLAS
-        # threads never split one, and the bits do not depend on them
-        code = ("import json; from test_ambiguity import _patch_hashes; "
-                "print(json.dumps(_patch_hashes()))")
+        # threads never split one, and the bits do not depend on them; the
+        # node terms, their weights and windows use no BLAS product
+        code = ("import json; from test_ambiguity import _axis_hashes, "
+                "_patch_hashes; print(json.dumps(_patch_hashes() "
+                "+ _axis_hashes()))")
         paths = (Path(ambiguity_module.__file__).resolve().parents[1],
                  Path(__file__).resolve().parent)
         env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
                "PYTHONPATH": os.pathsep.join(map(str, paths))}
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True).stdout
-        assert json.loads(out) == _patch_hashes()
+        assert json.loads(out) == _patch_hashes() + _axis_hashes()
 
 
 @pytest.fixture
@@ -669,17 +686,20 @@ class TestKernelRows:
         return seen
 
     def test_validate_sums_class_representatives(self, rows, capsys):
-        # 8037 UPCA elements fall into 51 rings; the single transmit element
-        # of the SIMO link is never summed
-        assert main(["validate", "--kind", "upca", "--aperture-lambda", "50",
-                     "--target-lambda", "100", "--sweep", "0:0:201"]) == 2
+        # 2,055 UPCA elements fall into 26 rings, no more than the node
+        # terms, so no window takes those; the single transmit element of
+        # the SIMO link is never summed
+        assert main(["validate", "--kind", "upca", "--aperture-lambda", "25",
+                     "--target-lambda", "50", "--sweep", "0:0:201"]) == 0
         capsys.readouterr()
-        assert rows and set(rows) == {51}
+        assert rows and set(rows) == {26}
 
     def test_on_axis_sums_class_representatives(self, rows):
-        # the 51 rings of 8037 UPCA elements, through each entry point
+        # the 51 rings of 8037 UPCA elements, through each entry point, for
+        # probes within two array reaches (50 lambda), where no node window
+        # reaches
         g = build_array(GeometryKind.UPCA, 50 * LAM, LAM)
-        probes = [[0.0, 0.0, 60.0], [-0.0, 0.0, 80.0]]
+        probes = [[0.0, 0.0, 30.0], [-0.0, 0.0, 45.0]]
         normalized_power(simo_miso_setup(g), [0.0, 0.0, 100.0], probes)
         normalized_power(mimo_setup(g), [[-0.0, 0.0, 100.0]], probes[0])
         array_factor(g, [0.0, 0.0, 100.0], probes)
@@ -691,6 +711,182 @@ class TestKernelRows:
         for setup in (simo_miso_setup(g), mimo_setup(g)):
             normalized_power(setup, [4.0, -3.0, 100.0], _patch())
         assert rows == [g.n_elements, g.n_elements]
+
+
+# D / lambda and d' / D of the node-window cases, at lambda = 1
+_NODE_SIZES = (25.0, 50.0, 100.0)
+_NODE_RATIOS = (1.5, 2.0, 4.0)
+
+
+@functools.cache
+def _node_layout(kind, size):
+    """The kind's layout at D = size lambda, lambda = 1, and twice its
+    reach, the least distance of a node-routed probe."""
+    g = build_array(kind, size, 1.0)
+    return g, 2.0 * np.linalg.norm(g.elements, axis=1).max()
+
+
+def _on_axis(z):
+    """(P, 3) points on the z axis at the distances z."""
+    z = np.asarray(z, dtype=float)
+    return np.column_stack([np.zeros((z.size, 2)), z])
+
+
+class TestAxialNodes:
+    """On-axis probes in a window around the target sum the _NODES node
+    terms of ArrayGeometry._axial_nodes in place of the K > _NODES axial
+    classes, within 1e-12 of the dense sum; every other probe sums the
+    classes, and a probe's bits do not depend on its batch."""
+
+    @pytest.fixture
+    def rows(self, monkeypatch):
+        """(terms, probes) of every kernel call."""
+        seen = []
+        kernel = ambiguity_module._phase_sum
+
+        def counting(elements, weights, target, probes, on_axis):
+            seen.append((len(elements), len(probes)))
+            return kernel(elements, weights, target, probes, on_axis)
+
+        monkeypatch.setattr(ambiguity_module, "_phase_sum", counting)
+        return seen
+
+    @staticmethod
+    def _check_dense(g, target, z):
+        # one dense sum gives both modes' power
+        dense = np.abs(dense_array_factor(g, [0.0, 0.0, target],
+                                          _on_axis(z))) ** 2 / g.n_elements
+        for setup in (simo_miso_setup(g), mimo_setup(g)):
+            power = normalized_power(setup, [0.0, 0.0, target], _on_axis(z))
+            want = dense ** setup.mode.power_exponent
+            assert np.abs(power - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("ratio", _NODE_RATIOS)
+    @pytest.mark.parametrize("size", _NODE_SIZES)
+    @pytest.mark.parametrize("kind", list(GeometryKind))
+    def test_validate_windows_take_the_nodes(self, kind, size, ratio, rows):
+        # validate's deviation grid [d_low, d_high] and wide grid [0.85
+        # d_low, 1.15 d_high], each mode's: the deviation grid is all
+        # node-routed where K > _NODES, and so is the wide grid beyond two
+        # reaches, but for the ring, whose phasor in z bends faster as the
+        # probe nears it (43% of the 100 lambda ring's wide grid at
+        # d' = 1.5 D)
+        g, floor = _node_layout(kind, size)
+        target = ratio * size
+        classes = len(g.axial_terms[1])
+        d_fa = fraunhofer_distance(g)
+        for mode in ProcessingMode:
+            coeff = half_power_coefficient(kind, mode)
+            low, high = half_power_distances(target, d_fa, coeff)
+            for z in (np.linspace(low, high, 21),
+                      np.linspace(0.85 * low, 1.15 * high, 21)):
+                rows.clear()
+                broadside_power_sweep(simo_miso_setup(g), target, z)
+                routed = sum(p for m, p in rows if m == _NODES)
+                if classes <= _NODES:
+                    assert routed == 0
+                elif kind is GeometryKind.UCA:
+                    assert routed >= np.count_nonzero((low <= z) & (z <= high))
+                else:
+                    assert routed == np.count_nonzero(z >= floor)
+                self._check_dense(g, target, z)
+
+    @pytest.mark.parametrize("ratio", _NODE_RATIOS)
+    @pytest.mark.parametrize("size", _NODE_SIZES)
+    @pytest.mark.parametrize("kind", list(GeometryKind))
+    def test_span_mixes_both_paths(self, kind, size, ratio, rows):
+        # 0.3 d' to 3 d' takes both sums where K > _NODES, and a probe
+        # alone gives the bits it has in the batch
+        g, _ = _node_layout(kind, size)
+        target = ratio * size
+        z = np.linspace(0.3 * target, 3.0 * target, 41)
+        batch = array_factor(g, [0.0, 0.0, target], _on_axis(z))
+        terms = {m for m, _ in rows}
+        assert terms == ({len(g.axial_terms[1]), _NODES}
+                         if len(g.axial_terms[1]) > _NODES
+                         else {len(g.axial_terms[1])})
+        for i, point in enumerate(_on_axis(z)):
+            assert _bits(array_factor(g, [0.0, 0.0, target], point)) == \
+                _bits(batch[i])
+        self._check_dense(g, target, z)
+
+    @pytest.mark.parametrize("size", _NODE_SIZES)
+    @pytest.mark.parametrize("kind", list(GeometryKind))
+    def test_near_probes_take_the_classes(self, kind, size, monkeypatch):
+        # on D/8 to 8D, target 2D, a probe inside two reaches gives the
+        # class sum's bits; a target inside two reaches routes no probe
+        g, floor = _node_layout(kind, size)
+        z = np.linspace(size / 8, 8 * size, 41)
+        routed = array_factor(g, [0.0, 0.0, 2 * size], _on_axis(z))
+        near = array_factor(g, [0.0, 0.0, 0.9 * floor], _on_axis(z))
+        self._check_dense(g, 2 * size, z)
+        monkeypatch.setattr(ambiguity_module, "_window", lambda g, t: None)
+        inside = z < floor
+        assert inside.any()
+        assert _bits(routed[inside]) == _bits(array_factor(
+            g, [0.0, 0.0, 2 * size], _on_axis(z[inside])))
+        assert _bits(near) == _bits(array_factor(g, [0.0, 0.0, 0.9 * floor],
+                                                 _on_axis(z)))
+
+    @pytest.mark.parametrize("bad, match", [
+        (None, "coincides"), (1e160, "floating-point range")],
+        ids=["on-element", "far"])
+    def test_errors_in_a_node_routed_batch(self, bad, match, rows):
+        # the edge-on ring of 316 elements has one on +z, at the top; the
+        # other probes sum the node terms
+        g = build_array(GeometryKind.UCA, 50.2 * LAM, LAM)
+        z = np.linspace(90.0, 120.0, 101)
+        normalized_power(simo_miso_setup(g), [0.0, 0.0, 100.0], _on_axis(z))
+        assert rows == [(_NODES, z.size)]
+        z[50] = g.elements[:, 2].max() if bad is None else bad
+        for setup in (simo_miso_setup(g), mimo_setup(g)):
+            with pytest.raises(ValueError, match=match):
+                normalized_power(setup, [0.0, 0.0, 100.0], _on_axis(z))
+        with pytest.raises(ValueError, match=match):
+            array_factor(g, [0.0, 0.0, 100.0], _on_axis(z))
+
+    def test_nan_certificate_never_passes(self):
+        # a target ~1e160 lambda away squares past the float range: its
+        # certificate is nan, so no window, and the class sum's error
+        g, _ = _node_layout(GeometryKind.URA, 25.0)
+        assert ambiguity_module._window(g, 1e160) is None
+        with pytest.raises(ValueError, match="floating-point range"):
+            normalized_power(simo_miso_setup(g), [0.0, 0.0, 1e160],
+                             [0.0, 0.0, 1e160])
+
+    def test_windows_found_once_and_bounded(self, monkeypatch):
+        # a bisection of 5 certificates a side per target, none for a
+        # target seen before; a layout keeps at most _TARGETS windows
+        calls = []
+        certified = ambiguity_module._certified
+
+        def counting(*args):
+            calls.append(args[-1])
+            return certified(*args)
+
+        monkeypatch.setattr(ambiguity_module, "_certified", counting)
+        g = build_array(GeometryKind.UCA, 50.0, 1.0)
+        probes = _on_axis(np.linspace(90.0, 110.0, 21))
+        for target in 100.0 + np.arange(ambiguity_module._TARGETS + 5):
+            calls.clear()
+            array_factor(g, [0.0, 0.0, target], probes)
+            assert 0 < len(calls) <= 10
+            array_factor(g, [0.0, 0.0, target], probes[::-1])
+            assert len(calls) <= 10
+            assert len(ambiguity_module._WINDOWS[g]) <= \
+                ambiguity_module._TARGETS
+
+    def test_nodes_stand_in_for_the_classes(self):
+        # read-only, derived once, weights summing to the element count
+        for kind in GeometryKind:
+            g, _ = _node_layout(kind, 50.0)
+            spots, weights, lagrange = g._axial_nodes
+            assert g._axial_nodes[0] is spots
+            assert spots.shape == (_NODES, 3)
+            assert lagrange.shape == (len(g.axial_terms[1]), _NODES)
+            assert abs(weights.sum() - g.n_elements) <= 1e-9 * g.n_elements
+            assert not any(a.flags.writeable for a in g._axial_nodes)
+        assert _node_layout(GeometryKind.ULA, 25.0)[0]._axial_nodes is None
 
 
 class TestOneTarget:

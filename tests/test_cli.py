@@ -790,9 +790,9 @@ EXITS = {
     "nfsense validate --kind uca --aperture-lambda 10 --target-lambda 20 "
     "--sweep 0:0:2": (0, _VALIDATE_HEAD.format(10, 20) + (
         "UCA,SIMO_MISO,63,10,200,12.7092854191,46.9101015691,0.0196423712889,"
-        "0.0392847425778,0.00917410420474,0.00901752716243,pass\n"
+        "0.0392847425779,0.00917410420474,0.00901752716243,pass\n"
         "UCA,MIMO,63,10,200,14.1360272141,34.1777906249,0.0166940691294,"
-        "0.0333881382588,0.00661681220175,0.00653671501474,pass\n"), (
+        "0.0333881382588,0.00661681220175,0.00653671501475,pass\n"), (
         "validate UCA  SIMO_MISO peak-deviation 0.0196 crossings "
         "0.0092/0.0090 pass\n"
         "validate UCA  MIMO      peak-deviation 0.0167 crossings "
