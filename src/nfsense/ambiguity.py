@@ -217,52 +217,49 @@ def _phasors(lateral, z, target: float, probe: float) -> np.ndarray:
 def _window(geometry: ArrayGeometry, target: float):
     """(low, high): the z range, in wavelengths, of the on-axis probes whose
     sums for the target at z = target take the node terms; None if none do.
-
-    Each end is t / (1 -+ f) for the largest rung f of _RUNGS, found by
-    bisection, at which the node terms' phasors, interpolated to each
-    axial class, match its phasor within 8 (2 pi eps) max(|t|, |p|), the
-    kernel's own rounding floor; the target and every routed probe are
-    _REACHES array reaches or more from the origin.  Found once per target
-    and layout; a layout keeps at most _TARGETS windows."""
+    Found once per target and layout; a layout keeps at most _TARGETS."""
     windows = _WINDOWS.setdefault(geometry, {})
     window = windows.get(target, False)
-    if window is not False:
-        return window
-    window = None
-    nodes = geometry._axial_nodes
-    if nodes is not None:
-        lam = geometry.wavelength
-        with np.errstate(over="ignore", invalid="ignore"):
-            classes, terms = ((x * x + y * y, z) for x, y, z in
-                              (geometry.axial_terms[0].T / lam,
-                               nodes[0].T / lam))
-            # the largest norm of a class, and so of an element
-            floor = _REACHES * math.sqrt((classes[0] + classes[1] ** 2).max())
-
-        def certified(ratio: float) -> bool:
-            """Whether the end at p = target / ratio passes."""
-            return (ratio > 0.0 and abs(target / ratio) >= floor
-                    and _certified(terms, classes, nodes[2], target,
-                                   target / ratio))
-
-        if abs(target) >= floor:
-            ends = []
-            for side in (-1.0, 1.0):
-                lo, hi = -1, len(_RUNGS)
-                while hi - lo > 1:
-                    mid = (lo + hi) // 2
-                    if certified(1.0 + side * _RUNGS[mid]):
-                        lo = mid
-                    else:
-                        hi = mid
-                ends.append(target / (1.0 + side * _RUNGS[lo]) if lo >= 0
-                            else target)
-            if ends[0] != ends[1]:
-                window = min(ends), max(ends)
-    if len(windows) >= _TARGETS:
-        windows.clear()
-    windows[target] = window
+    if window is False:
+        window = _bisect_window(geometry, target)
+        if len(windows) >= _TARGETS:
+            windows.clear()
+        windows[target] = window
     return window
+
+
+def _bisect_window(geometry: ArrayGeometry, target: float):
+    """_window's (low, high), uncached.  Each end is t / (1 -+ f) for the
+    largest rung f of _RUNGS, found by bisection, at which the node terms'
+    phasors, interpolated to each axial class, match its phasor within
+    8 (2 pi eps) max(|t|, |p|), the kernel's own rounding floor; the target
+    and every routed probe are _REACHES array reaches or more from the
+    origin."""
+    nodes = geometry._axial_nodes
+    if nodes is None:
+        return None
+    lam = geometry.wavelength
+    with np.errstate(over="ignore", invalid="ignore"):
+        classes, terms = ((x * x + y * y, z) for x, y, z in
+                          (geometry.axial_terms[0].T / lam, nodes[0].T / lam))
+        # the largest norm of a class, and so of an element
+        floor = _REACHES * math.sqrt((classes[0] + classes[1] ** 2).max())
+    if not abs(target) >= floor:
+        return None
+    ends = []
+    for side in (-1.0, 1.0):
+        lo, hi = -1, len(_RUNGS)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            ratio = 1.0 + side * _RUNGS[mid]
+            if (ratio > 0.0 and abs(target / ratio) >= floor
+                    and _certified(terms, classes, nodes[2], target,
+                                   target / ratio)):
+                lo = mid
+            else:
+                hi = mid
+        ends.append(target / (1.0 + side * _RUNGS[lo]) if lo >= 0 else target)
+    return (min(ends), max(ends)) if ends[0] != ends[1] else None
 
 
 def _certified(terms, classes, lagrange, target: float, probe: float) -> bool:

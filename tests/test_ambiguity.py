@@ -19,12 +19,12 @@ from nfsense import ambiguity as ambiguity_module
 from nfsense.ambiguity import (array_factor, broadside_power_sweep,
                                normalized_power)
 from nfsense.cli import main
-from nfsense.metrics import half_power_coefficient, half_power_distances
 from nfsense.closed_form import (af_argument, normalized_af_power,
                                  vergence_difference)
 from nfsense.geometry import (_NODES, ArrayGeometry, GeometryKind,
                               ProcessingMode, build_array, fraunhofer_distance,
                               mimo_setup, simo_miso_setup)
+from nfsense.metrics import half_power_coefficient, half_power_distances
 
 from reference_sums import (ambiguity, broadcast_array_factor, broadcast_power,
                             dense_array_factor, dense_power)
@@ -298,8 +298,8 @@ def _patch_hashes() -> list:
 
 
 def _axis_hashes() -> list:
-    """sha256 of normalized_power on a multi-block on-axis window that
-    takes the node terms, per kind and setup."""
+    """sha256 of broadside_power_sweep on a multi-block on-axis window
+    that takes the node terms, per kind and setup."""
     out = []
     for kind in GeometryKind:
         g = build_array(kind, 50.0, 1.0)
