@@ -75,9 +75,10 @@ _BLOCK_PAIRS = 65_536
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 
-# relative vergence offsets f tried as a node window's ends, t / p = 1 -+ f;
-# each side bisects the ladder, so 5 certificates find its end
-_RUNGS = 2.0 ** np.arange(-6.5, 1.25, 0.25)
+# relative vergence offsets f tried as a node window's ends, t / p = 1 -+ f,
+# from 2**-6.5 to 2; each side bisects the ladder, so 5 certificates find
+# its end (Python floats: a numpy power here costs ~3 ms of import)
+_RUNGS = tuple(2.0 ** (k / 4) for k in range(-26, 5))
 
 # a node window holds only probes this many array reaches away or more
 _REACHES = 2.0
