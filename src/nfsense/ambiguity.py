@@ -35,18 +35,23 @@ element's distance depends only on (x^2 + y^2, z), so any sum with its
 target and every probe at x = y = 0 adds one term of
 ArrayGeometry.axial_terms per axial class, in index order, weighted by the
 class size and normalized by the full element count; other sums add every
-element with weight 1.  Where the K classes share one z or one norm, a
-class's on-axis phasor is a smooth function of x^2 + y^2 or of z, and
-ArrayGeometry._axial_nodes gives N = 48 node terms, weighted by q = w L,
-whose sum is the interpolant's sum over the classes.  A probe whose own z
-lies in the target's node window sums those N terms instead of the K; its
-bits depend only on its own z.  The window is bisected once per target and
-layout on a fixed ladder of vergence offsets, at about 10 certificates,
-each of which holds only if the interpolant matches every class phasor
-within 8 (2 pi eps) max(d', p), the kernel's own rounding floor, at a
-window end; it needs K > 48 and keeps every probe and the target twice the
-array's reach away.  Routing and certificates use no BLAS product.  A
-target is one point.
+element with weight 1.
+
+Where the K classes share one z (the ULA, URA and UPCA) a class's on-axis
+phasor is a smooth function of s = x^2 + y^2, and where they share one
+x^2 + y^2 + z^2 (the UCA's ring) of s = z.  Where K > _NODES = 48 the
+layout's plan, made on its first on-axis sum and kept in _PLANS while the
+layout lives, puts 48 node terms at the Chebyshev points of the second kind
+on the classes' range of s, weighted by q = w L with L the (K, 48)
+barycentric Lagrange matrix at the classes' s: their sum is the sum over
+the classes of the phasors' interpolant.  A probe whose own z lies in the
+target's node window sums them instead of the K classes, so its bits depend
+only on its own z.  The plan keeps up to _TARGETS = 64 windows, each
+bisected once on a ladder of vergence offsets; an end passes only if the
+interpolant matches every class phasor within 8 (2 pi eps) max(d', p), the
+kernel's own rounding floor, and the target and every routed probe lie
+twice the array's reach or more from the origin.  Routing and certificates
+use no BLAS product.  A target is one point.
 """
 
 from __future__ import annotations
@@ -54,10 +59,11 @@ from __future__ import annotations
 import math
 import os
 import weakref
+from collections import namedtuple
 
 import numpy as np
 
-from .geometry import ArrayGeometry, SensingSetup, _asarray
+from .geometry import _CLASS_TOL, ArrayGeometry, SensingSetup, _asarray
 
 __all__ = [
     "array_factor",
@@ -75,6 +81,10 @@ _BLOCK_PAIRS = 65_536
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 
+# Chebyshev nodes whose terms stand in for the axial classes on a window
+# around an on-axis target
+_NODES = 48
+
 # relative vergence offsets f tried as a node window's ends, t / p = 1 -+ f,
 # from 2**-6.5 to 2; each side bisects the ladder, so 5 certificates find
 # its end (Python floats: a numpy power here costs ~3 ms of import)
@@ -83,8 +93,9 @@ _RUNGS = tuple(2.0 ** (k / 4) for k in range(-26, 5))
 # a node window holds only probes this many array reaches away or more
 _REACHES = 2.0
 
-# node windows kept per layout: its on-axis targets' (low, high) probe z
-_WINDOWS = weakref.WeakKeyDictionary()
+# each layout's _Plan, or None, made on its first on-axis sum and kept
+# while the layout lives, and the node windows a plan keeps
+_PLANS = weakref.WeakKeyDictionary()
 _TARGETS = 64
 
 _ONE_TARGET = "target must be one finite point"
@@ -215,61 +226,113 @@ def _phasors(lateral, z, target: float, probe: float) -> np.ndarray:
     return np.exp(-2j * np.pi * c)
 
 
-def _window(geometry: ArrayGeometry, target: float):
-    """(low, high): the z range, in wavelengths, of the on-axis probes whose
-    sums for the target at z = target take the node terms; None if none do.
-    Found once per target and layout; a layout keeps at most _TARGETS."""
-    windows = _WINDOWS.setdefault(geometry, {})
-    window = windows.get(target, False)
-    if window is False:
-        window = _bisect_window(geometry, target)
-        if len(windows) >= _TARGETS:
-            windows.clear()
-        windows[target] = window
-    return window
+# a layout's node quadrature, with no reference to the layout: the node
+# terms' (N, 3) positions in metres and (N,) weights q = w L, the (K, N)
+# Lagrange matrix, the classes' and the nodes' (x^2 + y^2, z) and the least
+# |z| of a routed point, in wavelengths, and its windows by target z
+_Plan = namedtuple("_Plan", "nodes lagrange classes terms floor windows")
 
 
-def _bisect_window(geometry: ArrayGeometry, target: float):
-    """_window's (low, high), uncached.  Each end is t / (1 -+ f) for the
-    largest rung f of _RUNGS, found by bisection, at which the node terms'
-    phasors, interpolated to each axial class, match its phasor within
-    8 (2 pi eps) max(|t|, |p|), the kernel's own rounding floor; the target
-    and every routed probe are _REACHES array reaches or more from the
-    origin."""
-    nodes = geometry._axial_nodes
-    if nodes is None:
+def _plan(geometry: ArrayGeometry):
+    """The layout's _Plan (see the module docstring); None where it has
+    K <= _NODES axial classes or they share neither one z nor one
+    x^2 + y^2 + z^2."""
+    positions, weights = geometry.axial_terms
+    if weights.size <= _NODES:
         return None
     lam = geometry.wavelength
     with np.errstate(over="ignore", invalid="ignore"):
-        classes, terms = ((x * x + y * y, z) for x, y, z in
-                          (geometry.axial_terms[0].T / lam, nodes[0].T / lam))
+        x, y, z = positions.T / lam
+        lateral = x * x + y * y
+        norm = lateral + z * z
+        scale = max(1.0, float(norm.max()))
+        if np.ptp(z) <= _CLASS_TOL * math.sqrt(scale):
+            s, height = lateral, z[0]
+        elif np.ptp(norm) <= _CLASS_TOL * scale:
+            s, height = z, None
+        else:
+            return None
+        # Chebyshev points of the second kind on [min s, max s], with
+        # their barycentric weights
+        j = np.arange(_NODES)
+        low, high = s.min(), s.max()
+        nodes = np.clip(0.5 * (high + low) + 0.5 * (high - low) * np.cos(
+            math.pi * j / (_NODES - 1)), low, high)
+        bary = (-1.0) ** j
+        bary[[0, -1]] *= 0.5
+        if height is None:
+            radius = np.sqrt(np.maximum(norm.mean() - nodes * nodes, 0.0))
+            spots = np.column_stack([radius, np.zeros(_NODES), nodes])
+        else:
+            spots = np.column_stack([np.sqrt(nodes), np.zeros(_NODES),
+                                     np.full(_NODES, height)])
+        gap = s[:, None] - nodes
+        hit = gap == 0.0
+        with np.errstate(divide="ignore"):
+            lagrange = bary / gap
+        lagrange /= lagrange.sum(axis=1, keepdims=True)
+        on_node = hit.any(axis=1)
+        lagrange[on_node] = hit[on_node]
+        if not (np.isfinite(spots).all() and np.isfinite(lagrange).all()):
+            return None
+        # q = w L, summed down the classes, with no BLAS product
+        q = (weights[:, None] * lagrange).sum(axis=0)
+        # the kernel and the certificates take the nodes in metres over lambda
+        spots = spots * lam
+        # at y = 0: a node's x^2 + y^2 is x^2
+        u, _, w = spots.T / lam
         # the largest norm of a class, and so of an element
-        floor = _REACHES * math.sqrt((classes[0] + classes[1] ** 2).max())
-    if not abs(target) >= floor:
+        floor = _REACHES * math.sqrt(norm.max())
+    for array in (spots, q, lagrange):
+        array.flags.writeable = False
+    return _Plan((spots, q), lagrange, (lateral, z), (u * u, w), floor, {})
+
+
+def _window(plan: _Plan, target: float):
+    """(low, high): the z range, in wavelengths, of the on-axis probes whose
+    sums for the target at z = target take the node terms; None if none do.
+    Found once per target and kept in the plan, at most _TARGETS."""
+    windows = plan.windows
+    window = windows.get(target, False)
+    if window is False:
+        window = _bisect_window(plan, target)
+        windows[target] = window
+        # racing calls may each have added one: the last to add trims
+        while len(windows) > _TARGETS:
+            windows.clear()
+            windows[target] = window
+    return window
+
+
+def _bisect_window(plan: _Plan, target: float):
+    """_window's (low, high), uncached: each end is t / (1 -+ f) for the
+    largest rung f of _RUNGS, found by bisection, that _certified passes,
+    with the target and the end at or beyond the plan's floor."""
+    if not abs(target) >= plan.floor:
         return None
     ends = []
     for side in (-1.0, 1.0):
-        lo, hi = -1, len(_RUNGS)
+        lo, hi, end = -1, len(_RUNGS), target
         while hi - lo > 1:
             mid = (lo + hi) // 2
             ratio = 1.0 + side * _RUNGS[mid]
-            if (ratio > 0.0 and abs(target / ratio) >= floor
-                    and _certified(terms, classes, nodes[2], target,
-                                   target / ratio)):
-                lo = mid
+            if (ratio > 0.0 and abs(target / ratio) >= plan.floor
+                    and _certified(plan, target, target / ratio)):
+                lo, end = mid, target / ratio
             else:
                 hi = mid
-        ends.append(target / (1.0 + side * _RUNGS[lo]) if lo >= 0 else target)
+        ends.append(end)
     return (min(ends), max(ends)) if ends[0] != ends[1] else None
 
 
-def _certified(terms, classes, lagrange, target: float, probe: float) -> bool:
+def _certified(plan: _Plan, target: float, probe: float) -> bool:
     """Whether the node terms' phasors, interpolated to every class, match
     the class phasors within 8 (2 pi eps) max(|target|, |probe|); nan and
     inf do not pass."""
+    lagrange = plan.lagrange
     with np.errstate(over="ignore", invalid="ignore"):
-        node = _phasors(*terms, target, probe)
-        want = _phasors(*classes, target, probe)
+        node = _phasors(*plan.terms, target, probe)
+        want = _phasors(*plan.classes, target, probe)
         error = np.hypot((lagrange * node.real).sum(axis=1) - want.real,
                          (lagrange * node.imag).sum(axis=1) - want.imag).max()
     tol = 16.0 * math.pi * np.finfo(float).eps * max(abs(target), abs(probe))
@@ -281,13 +344,16 @@ def _axial_routes(geometry: ArrayGeometry, target, probes) -> list:
     axial classes or, for the rows of probes in the target's node window,
     the node terms; target and probes in wavelengths."""
     terms = geometry.axial_terms
-    window = _window(geometry, float(target[2]))
+    plan = _PLANS.get(geometry, False)
+    if plan is False:  # racing first calls make equal plans; one is kept
+        plan = _PLANS.setdefault(geometry, _plan(geometry))
+    window = None if plan is None else _window(plan, float(target[2]))
     if window is None:
         return [(*terms, slice(None))]
     z = probes[:, 2]
     routed = (window[0] <= z) & (z <= window[1])
     routes = []
-    for route, rows in ((terms, ~routed), (geometry._axial_nodes[:2], routed)):
+    for route, rows in ((terms, ~routed), (plan.nodes, routed)):
         index = np.flatnonzero(rows)
         if index.size:
             # one run of rows, as a sorted sweep gives, is a slice: no copy

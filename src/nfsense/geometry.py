@@ -25,16 +25,6 @@ pairs, of a built or a hand-built layout alike.  A class's term is its
 lowest-index element weighted by its size; terms are kept in index order.
 They are derived on a geometry's first on-axis exact sum, whichever entry
 point of nfsense.ambiguity it comes through, and never for an off-axis one.
-
-Where the classes share one z (the ULA, URA and UPCA) each class's on-axis
-phasor is a smooth function of s = x^2 + y^2, and where they share one
-x^2 + y^2 + z^2 (the UCA's ring) of s = z.  ArrayGeometry._axial_nodes puts
-_NODES = 48 node terms at the Chebyshev points of the second kind on the
-classes' range of s, weighted by q = w L, where L is the (K, 48)
-barycentric Lagrange matrix at the classes' s: the node terms' sum is the
-sum over the classes of the phasors' interpolant.  nfsense.ambiguity sums
-them in place of the K > 48 classes for probes in a window around the
-target where it certifies the interpolant.
 """
 
 from __future__ import annotations
@@ -69,10 +59,6 @@ _TOL = 1e-9
 
 # slack on (x^2 + y^2, z) within one axial class, relative to the extent
 _CLASS_TOL = 1e-12
-
-# Chebyshev nodes whose terms stand in for the axial classes on a window
-# around an on-axis target (ArrayGeometry._axial_nodes)
-_NODES = 48
 
 # the smallest normal float: a length or product below it has lost digits
 _TINY = np.finfo(float).tiny
@@ -181,59 +167,6 @@ class ArrayGeometry:
         weights = np.diff(heads, append=order.size)[rank].astype(float)
         positions.flags.writeable = weights.flags.writeable = False
         return positions, weights
-
-    @cached_property
-    def _axial_nodes(self):
-        """Read-only (N, 3) positions and (N,) weights of N = _NODES node
-        terms that stand in for the K axial classes on the z axis, and the
-        (K, N) Lagrange matrix that interpolates the classes' phasors from
-        the nodes' (see the module docstring); None where K <= N or the
-        classes share neither one z nor one x^2 + y^2 + z^2.  Derived on the
-        first on-axis sum, never for an off-axis one."""
-        positions, weights = self.axial_terms
-        if weights.size <= _NODES:
-            return None
-        lam = self.wavelength
-        with np.errstate(over="ignore", invalid="ignore"):
-            x, y, z = positions.T / lam
-            lateral = x * x + y * y
-            norm = lateral + z * z
-            scale = max(1.0, float(norm.max()))
-            if np.ptp(z) <= _CLASS_TOL * math.sqrt(scale):
-                s, height = lateral, z[0]
-            elif np.ptp(norm) <= _CLASS_TOL * scale:
-                s, height = z, None
-            else:
-                return None
-            # Chebyshev points of the second kind on [min s, max s], with
-            # their barycentric weights
-            j = np.arange(_NODES)
-            low, high = s.min(), s.max()
-            nodes = np.clip(0.5 * (high + low) + 0.5 * (high - low) * np.cos(
-                math.pi * j / (_NODES - 1)), low, high)
-            bary = (-1.0) ** j
-            bary[[0, -1]] *= 0.5
-            if height is None:
-                radius = np.sqrt(np.maximum(norm.mean() - nodes * nodes, 0.0))
-                spots = np.column_stack([radius, np.zeros(_NODES), nodes])
-            else:
-                spots = np.column_stack([np.sqrt(nodes), np.zeros(_NODES),
-                                         np.full(_NODES, height)])
-            gap = s[:, None] - nodes
-            hit = gap == 0.0
-            with np.errstate(divide="ignore"):
-                lagrange = bary / gap
-            lagrange /= lagrange.sum(axis=1, keepdims=True)
-            on_node = hit.any(axis=1)
-            lagrange[on_node] = hit[on_node]
-        if not (np.isfinite(spots).all() and np.isfinite(lagrange).all()):
-            return None
-        # q = w L, summed down the classes, with no BLAS product
-        q = (weights[:, None] * lagrange).sum(axis=0)
-        spots = spots * lam
-        for array in (spots, q, lagrange):
-            array.flags.writeable = False
-        return spots, q, lagrange
 
 
 def _asarray(value) -> np.ndarray:

@@ -6,9 +6,9 @@ distances and share no code with the exact-sum kernel in
 nfsense.ambiguity.  On the axis broadcast_array_factor sums each probe over
 the terms nfsense.ambiguity._axial_routes gives it: geometry.axial_terms,
 the library's class grouping, which test_geometry.py::TestAxialClasses
-checks against its index oracle, or geometry._axial_nodes in the target's
-node window, which test_ambiguity.py::TestAxialNodes checks against the
-dense sum.
+checks against its index oracle, or, in the target's node window, the node
+terms of the layout's plan in nfsense.ambiguity._PLANS, which
+test_ambiguity.py::TestAxialNodes checks against the dense sum.
 """
 
 import numpy as np

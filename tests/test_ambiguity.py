@@ -1,4 +1,5 @@
 import functools
+import gc
 import hashlib
 import json
 import math
@@ -9,6 +10,7 @@ import sys
 import threading
 import time
 import warnings
+import weakref
 from pathlib import Path
 
 import mpmath
@@ -16,14 +18,14 @@ import numpy as np
 import pytest
 
 from nfsense import ambiguity as ambiguity_module
-from nfsense.ambiguity import (array_factor, broadside_power_sweep,
+from nfsense.ambiguity import (_NODES, array_factor, broadside_power_sweep,
                                normalized_power)
 from nfsense.cli import main
 from nfsense.closed_form import (af_argument, normalized_af_power,
                                  vergence_difference)
-from nfsense.geometry import (_NODES, ArrayGeometry, GeometryKind,
-                              ProcessingMode, build_array, fraunhofer_distance,
-                              mimo_setup, simo_miso_setup)
+from nfsense.geometry import (ArrayGeometry, GeometryKind, ProcessingMode,
+                              build_array, fraunhofer_distance, mimo_setup,
+                              simo_miso_setup)
 from nfsense.metrics import half_power_coefficient, half_power_distances
 
 from reference_sums import (ambiguity, broadcast_array_factor, broadcast_power,
@@ -245,7 +247,7 @@ class TestOnAxis:
             normalized_power(mimo_setup(g), target, probes)
             array_factor(g, target, probes)
             assert "axial_terms" not in g.__dict__
-            assert "_axial_nodes" not in g.__dict__
+            assert g not in ambiguity_module._PLANS
         normalized_power(mimo_setup(g), [0.0, 0.0, 40.0], on)
         assert "axial_terms" in g.__dict__
 
@@ -734,9 +736,9 @@ def _on_axis(z):
 
 class TestAxialNodes:
     """On-axis probes in a window around the target sum the _NODES node
-    terms of ArrayGeometry._axial_nodes in place of the K > _NODES axial
-    classes, within 1e-12 of the dense sum; every other probe sums the
-    classes, and a probe's bits do not depend on its batch."""
+    terms of the layout's plan in place of the K > _NODES axial classes,
+    within 1e-12 of the dense sum; every other probe sums the classes, and
+    a probe's bits do not depend on its batch."""
 
     @pytest.fixture
     def rows(self, monkeypatch):
@@ -796,7 +798,7 @@ class TestAxialNodes:
     @pytest.mark.parametrize("kind", list(GeometryKind))
     def test_span_mixes_both_paths(self, kind, size, ratio, rows):
         # 0.3 d' to 3 d' takes both sums where K > _NODES, and a probe
-        # alone gives the bits it has in the batch
+        # alone, or in a shuffled batch, gives the bits it has in the batch
         g, _ = _node_layout(kind, size)
         target = ratio * size
         z = np.linspace(0.3 * target, 3.0 * target, 41)
@@ -808,6 +810,9 @@ class TestAxialNodes:
         for i, point in enumerate(_on_axis(z)):
             assert _bits(array_factor(g, [0.0, 0.0, target], point)) == \
                 _bits(batch[i])
+        order = np.random.default_rng(0).permutation(z.size)
+        assert _bits(array_factor(g, [0.0, 0.0, target],
+                                  _on_axis(z[order]))) == _bits(batch[order])
         self._check_dense(g, target, z)
 
     @pytest.mark.parametrize("size", _NODE_SIZES)
@@ -820,13 +825,28 @@ class TestAxialNodes:
         routed = array_factor(g, [0.0, 0.0, 2 * size], _on_axis(z))
         near = array_factor(g, [0.0, 0.0, 0.9 * floor], _on_axis(z))
         self._check_dense(g, 2 * size, z)
-        monkeypatch.setattr(ambiguity_module, "_window", lambda g, t: None)
+        monkeypatch.setattr(ambiguity_module, "_window", lambda plan, t: None)
         inside = z < floor
         assert inside.any()
         assert _bits(routed[inside]) == _bits(array_factor(
             g, [0.0, 0.0, 2 * size], _on_axis(z[inside])))
         assert _bits(near) == _bits(array_factor(g, [0.0, 0.0, 0.9 * floor],
                                                  _on_axis(z)))
+
+    def test_window_starts_at_the_floor(self, rows):
+        # a target exactly _REACHES array reaches away takes the nodes for
+        # probes from it outwards, both window ends included, and one a
+        # rounding step nearer takes none
+        for kind in GeometryKind:
+            g, _ = _node_layout(kind, 50.0)
+            plan = ambiguity_module._plan(g)
+            window = ambiguity_module._window(plan, plan.floor)
+            assert window is not None and window[0] == plan.floor
+            nearer = np.nextafter(plan.floor, 0.0)
+            assert ambiguity_module._window(plan, nearer) is None
+            rows.clear()
+            array_factor(g, [0.0, 0.0, plan.floor], _on_axis(window))
+            assert rows == [(_NODES, 2)]
 
     @pytest.mark.parametrize("bad, match", [
         (None, "coincides"), (1e160, "floating-point range")],
@@ -845,11 +865,18 @@ class TestAxialNodes:
         with pytest.raises(ValueError, match=match):
             array_factor(g, [0.0, 0.0, 100.0], _on_axis(z))
 
-    def test_nan_certificate_never_passes(self):
+    def test_nan_certificate_never_passes(self, monkeypatch):
         # a target ~1e160 lambda away squares past the float range: its
-        # certificate is nan, so no window, and the class sum's error
+        # certificate is nan, so no window after 5 certificates a side, and
+        # the class sum's error
+        calls = []
+        certified = ambiguity_module._certified
+        monkeypatch.setattr(ambiguity_module, "_certified",
+                            lambda *args: calls.append(args) or certified(*args))
         g, _ = _node_layout(GeometryKind.URA, 25.0)
-        assert ambiguity_module._window(g, 1e160) is None
+        assert ambiguity_module._window(ambiguity_module._plan(g),
+                                        1e160) is None
+        assert len(calls) == 10
         with pytest.raises(ValueError, match="floating-point range"):
             normalized_power(simo_miso_setup(g), [0.0, 0.0, 1e160],
                              [0.0, 0.0, 1e160])
@@ -865,28 +892,130 @@ class TestAxialNodes:
             return certified(*args)
 
         monkeypatch.setattr(ambiguity_module, "_certified", counting)
+        plan, built = ambiguity_module._plan, []
+        monkeypatch.setattr(ambiguity_module, "_plan",
+                            lambda g: built.append(g) or plan(g))
         g = build_array(GeometryKind.UCA, 50.0, 1.0)
         probes = _on_axis(np.linspace(90.0, 110.0, 21))
-        for target in 100.0 + np.arange(ambiguity_module._TARGETS + 5):
+        for i, target in enumerate(
+                100.0 + np.arange(ambiguity_module._TARGETS + 5)):
             calls.clear()
             array_factor(g, [0.0, 0.0, target], probes)
             assert 0 < len(calls) <= 10
             array_factor(g, [0.0, 0.0, target], probes[::-1])
             assert len(calls) <= 10
-            assert len(ambiguity_module._WINDOWS[g]) <= \
-                ambiguity_module._TARGETS
+            # full at _TARGETS windows, then cleared for the next
+            assert len(ambiguity_module._PLANS[g].windows) == \
+                i % ambiguity_module._TARGETS + 1
+        assert built == [g]
 
     def test_nodes_stand_in_for_the_classes(self):
         # read-only, derived once, weights summing to the element count
+        plans = ambiguity_module._PLANS
         for kind in GeometryKind:
-            g, _ = _node_layout(kind, 50.0)
-            spots, weights, lagrange = g._axial_nodes
-            assert g._axial_nodes[0] is spots
+            g, floor = _node_layout(kind, 50.0)
+            array_factor(g, [0.0, 0.0, 100.0], [0.0, 0.0, 100.0])
+            plan = plans[g]
+            spots, weights = plan.nodes
+            array_factor(g, [0.0, 0.0, 120.0], [0.0, 0.0, 110.0])
+            assert plans[g] is plan
             assert spots.shape == (_NODES, 3)
-            assert lagrange.shape == (len(g.axial_terms[1]), _NODES)
+            assert plan.lagrange.shape == (len(g.axial_terms[1]), _NODES)
             assert abs(weights.sum() - g.n_elements) <= 1e-9 * g.n_elements
-            assert not any(a.flags.writeable for a in g._axial_nodes)
-        assert _node_layout(GeometryKind.ULA, 25.0)[0]._axial_nodes is None
+            assert not any(a.flags.writeable
+                           for a in (spots, weights, plan.lagrange))
+            assert abs(plan.floor - floor) <= 1e-12 * floor
+        g, _ = _node_layout(GeometryKind.ULA, 25.0)
+        array_factor(g, [0.0, 0.0, 100.0], [0.0, 0.0, 100.0])
+        assert plans[g] is None
+
+    def test_plan_needs_more_classes_than_nodes(self):
+        # a ULA of 95 elements has _NODES axial classes, one of 97 one more
+        for size, planned in ((47.0, False), (48.0, True)):
+            g = build_array(GeometryKind.ULA, size, 1.0)
+            array_factor(g, [0.0, 0.0, 3 * size], _on_axis([3 * size]))
+            assert len(g.axial_terms[1]) == _NODES + planned
+            assert (ambiguity_module._PLANS[g] is not None) == planned
+
+    def test_no_plan_without_one_axial_parameter(self, rows):
+        # a URA tilted 30 degrees about x: its classes share neither one z
+        # nor one x^2 + y^2 + z^2, so every probe sums the classes
+        g = build_array(GeometryKind.URA, 25.0, 1.0)
+        e, tilt = g.elements.copy(), math.radians(30.0)
+        e[:, 1], e[:, 2] = e[:, 1] * math.cos(tilt), e[:, 1] * math.sin(tilt)
+        g = ArrayGeometry(None, 1.0, e)
+        self._check_dense(g, 50.0, np.linspace(40.0, 60.0, 11))
+        assert ambiguity_module._PLANS[g] is None
+        assert {m for m, _ in rows} == {len(g.axial_terms[1])}
+
+    def test_one_z_is_relative_to_the_layout(self, rows):
+        # a 50 lambda URA whose z differ by 5e-12 lambda, within the class
+        # tolerance, still shares one z: its window takes the node terms
+        g = build_array(GeometryKind.URA, 50.0, 1.0)
+        e = g.elements.copy()
+        e[::2, 2] += 5e-12
+        g = ArrayGeometry(None, 1.0, e)
+        self._check_dense(g, 100.0, np.linspace(90.0, 110.0, 11))
+        assert rows and all(m == _NODES for m, _ in rows)
+
+    def test_no_plan_past_the_float_range(self):
+        # a ring of 101 elements at radius 2e153 lambda: the mean of the
+        # classes' squared norms overflows, so the nodes' radius would not
+        # be finite, and the class sum stays finite
+        theta = 2.0 * np.pi * np.arange(101) / 101
+        g = ArrayGeometry(None, 1.0, 2e153 * np.column_stack(
+            [np.cos(theta), np.zeros(101), np.sin(theta)]))
+        af = array_factor(g, [0.0, 0.0, 5e153], _on_axis([5e153, 5.5e153]))
+        assert np.isfinite(af).all()
+        assert ambiguity_module._PLANS[g] is None
+
+    def test_racing_first_calls(self):
+        # two threads make a fresh ring's first on-axis calls at once, with
+        # threads switched often: they make its plan together and, over
+        # more than _TARGETS targets between them, clear its windows; each
+        # sum keeps the bits it has on one thread
+        targets = 100.0 + np.arange(ambiguity_module._TARGETS + 16)
+        probes = _on_axis(np.linspace(90.0, 190.0, 41))
+        alone = build_array(GeometryKind.UCA, 50.0, 1.0)
+        want = [_bits(array_factor(alone, [0.0, 0.0, t], probes))
+                for t in targets]
+        g = build_array(GeometryKind.UCA, 50.0, 1.0)
+        start, got = threading.Barrier(2), {}
+
+        def call(share):
+            start.wait(timeout=60)
+            for i in share:
+                got[i] = _bits(array_factor(g, [0.0, 0.0, targets[i]], probes))
+
+        callers = [threading.Thread(target=call, args=(range(k, len(targets), 2),))
+                   for k in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert [got[i] for i in range(len(targets))] == want
+        assert len(ambiguity_module._PLANS[g].windows) <= \
+            ambiguity_module._TARGETS
+
+    def test_plan_dies_with_its_layout(self):
+        # a plan holds no reference to its layout, so the weak map frees both
+        gc.collect()
+        plans = ambiguity_module._PLANS
+        before = len(plans)
+        g = build_array(GeometryKind.UCA, 50.0, 1.0)
+        array_factor(g, [0.0, 0.0, 100.0], _on_axis([95.0, 105.0]))
+        assert plans[g] is not None and len(plans) == before + 1
+        layout = weakref.ref(g)
+        del g
+        gc.collect()
+        assert layout() is None
+        assert len(plans) == before
 
 
 class TestOneTarget:
